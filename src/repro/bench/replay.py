@@ -46,14 +46,17 @@ class ReplayConfig:
     #: NekRS pressure+velocity solves do O(50-100) per step
     allreduces_per_step: int = 80
     #: ParaView/OSPRay's compiled renderer vs our NumPy renderer,
-    #: per extracted cell (applies to the replayed render term only)
-    render_speed_ratio: float = 20.0
+    #: per extracted cell (applies to the replayed render term only).
+    #: A bridge from *this* renderer, so it is re-derived from measured
+    #: render seconds whenever the renderer's speed changes and the
+    #: modeled render term stays put (docs/performance_model.md)
+    render_speed_ratio: float = 5.4
     #: same substrate bridge for the device-resident pipeline: CUDA
     #: contour/raster kernels vs our NumPy twins.  GPU extraction and
     #: rasterization outruns the CPU renderer by roughly the ~6x a
     #: production A100 render kernel has over a compiled CPU renderer
-    #: (OSPRay vs OptiX-class throughput), hence 6 x 20.
-    device_render_speed_ratio: float = 120.0
+    #: (OSPRay vs OptiX-class throughput), hence 6 x 5.4.
+    device_render_speed_ratio: float = 32.4
     #: host-resident footprint of the solver runtime per rank (NekRS
     #: host allocations, MPI, CUDA context, OS share) -- dominates the
     #: host memory of a GPU-resident solve

@@ -8,11 +8,32 @@ unambiguous case table — the right call for a from-scratch renderer.
 
 The volume is indexed ``[k, j, i]`` (z slowest) like all grid data in
 this stack; world coordinates come from origin/spacing.
+
+Two extraction paths share the exact same per-vertex math:
+
+- the *batched* default gathers the 8 corner values of every active
+  cube at once, classifies all 6 x C tetrahedra into their 4-bit sign
+  case, and expands the crossed ones through static per-case tables
+  (crossing edges in first-use order, local face indices) with prefix
+  sums for the vertex offsets, so a whole volume contours in a handful
+  of vectorized passes instead of a Python loop per cube, tetrahedron
+  and edge;
+- the original per-cube loop is kept as the reference
+  (``repro.perf.naive_mode``); the two are bit-for-bit identical —
+  same dtypes, same values, and the same *order*: cubes in
+  ``np.nonzero`` (C) order, tetrahedra 0..5 within a cube, triangles
+  in ``_CASES`` order within a tetrahedron, and one vertex per crossed
+  edge *per tetrahedron* (never shared across tetrahedra), numbered by
+  first use.  Faces index that vertex order, so the sort-last
+  compositor's fragment concatenation and the rasterizer's
+  submission-order z-buffer see the very same mesh.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.perf import config
 
 # Six tetrahedra per cube, as indices into the cube's 8 corners
 # (corner order: bit 0 = x, bit 1 = y, bit 2 = z).
@@ -62,6 +83,46 @@ _CASES: dict[int, list[tuple[int, int, int]]] = {
 }
 
 
+def _build_case_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten ``_CASES`` into lookup tables for the batched path.
+
+    Per case: the unique crossing edges in first-use order (the order
+    the reference creates their vertices in) resolved to cube-corner
+    pairs per tetrahedron, how many there are, the triangles as local
+    slots into that vertex list, and how many of those there are.
+    """
+    edges = np.zeros((16, 4), dtype=np.int64)
+    nverts = np.zeros(16, dtype=np.int64)
+    faces = np.zeros((16, 2, 3), dtype=np.int64)
+    ntris = np.zeros(16, dtype=np.int64)
+    for case, tris in _CASES.items():
+        order: list[int] = []
+        for t, tri in enumerate(tris):
+            for c, e in enumerate(tri):
+                if e not in order:
+                    order.append(e)
+                faces[case, t, c] = order.index(e)
+        edges[case, : len(order)] = order
+        nverts[case] = len(order)
+        ntris[case] = len(tris)
+    # (6 tets, 16 cases, 4 slots, 2 ends) -> cube corner 0..7
+    corners = _TETS[:, _TET_EDGES[edges]]
+    return corners, nverts, faces, ntris
+
+
+_CASE_CORNERS, _CASE_NVERTS, _CASE_FACES, _CASE_NTRIS = _build_case_tables()
+_CASE_BITS = np.array([1, 2, 4, 8], dtype=np.int64)
+
+#: active cubes expanded per batched pass; chunks split on cube
+#: boundaries in ``np.nonzero`` order, so chunking cannot change the
+#: emission order, only bound the temporaries on large volumes
+_CHUNK_CUBES = 1 << 13
+
+
+def _empty_surface() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.zeros((0, 3)), np.zeros((0, 3), np.int64), np.zeros(0)
+
+
 def marching_tetrahedra(
     volume: np.ndarray,
     isovalue: float,
@@ -87,29 +148,103 @@ def marching_tetrahedra(
     vol = np.asarray(volume, dtype=float)
     if vol.ndim != 3:
         raise ValueError(f"volume must be 3-D, got {vol.ndim}-D")
-    nz, ny, nx = vol.shape
-    if min(nx, ny, nz) < 2:
-        return np.zeros((0, 3)), np.zeros((0, 3), np.int64), np.zeros(0)
     aux_vol = vol if aux is None else np.asarray(aux, dtype=float)
     if aux_vol.shape != vol.shape:
         raise ValueError("aux volume must match the scalar volume shape")
+    nz, ny, nx = vol.shape
+    if min(nx, ny, nz) < 2:
+        return _empty_surface()
 
     above = vol > isovalue
     # candidate cubes: those whose 2x2x2 corners are not all on one side
-    corner_above = above[:-1, :-1, :-1].astype(np.int8)
     total = np.zeros((nz - 1, ny - 1, nx - 1), dtype=np.int8)
     for di, dj, dk in _CORNER_OFFSETS:
         total += above[dk : dk + nz - 1, dj : dj + ny - 1, di : di + nx - 1]
-    ks, js, is_ = np.nonzero((total > 0) & (total < 8))
+    cubes = np.nonzero((total > 0) & (total < 8))  # (ks, js, is)
 
+    extract = _extract_batched if config.enabled() else _extract_reference
+    return extract(
+        vol,
+        aux_vol,
+        isovalue,
+        np.asarray(origin, dtype=float),
+        np.asarray(spacing, dtype=float),
+        np.asarray(index_offset, dtype=np.int64),
+        cubes,
+    )
+
+
+def _extract_batched(vol, aux_vol, isovalue, org, sp, offset, cubes):
+    """Expand all candidate cubes at once, `_CHUNK_CUBES` at a time.
+
+    Emits exactly what :func:`_extract_reference` appends, in the same
+    order, from the same elementwise expressions — only evaluated on
+    arrays of every crossed edge instead of one scalar at a time.
+    """
+    ny, nx = vol.shape[1:]
+    flat_vol = vol.reshape(-1)
+    flat_aux = flat_vol if aux_vol is vol else aux_vol.reshape(-1)
+    ks, js, is_ = cubes
+    cube_flat = (ks * ny + js) * nx + is_
+    corner_flat = (
+        _CORNER_OFFSETS[:, 2] * ny + _CORNER_OFFSETS[:, 1]
+    ) * nx + _CORNER_OFFSETS[:, 0]
+
+    verts, faces, vals = [], [], []
+    nverts = 0
+    for lo in range(0, len(cube_flat), _CHUNK_CUBES):
+        hi = lo + _CHUNK_CUBES
+        cidx = cube_flat[lo:hi, None] + corner_flat  # (C, 8) flat corners
+        cv = flat_vol[cidx]
+        ijk = np.stack([is_[lo:hi], js[lo:hi], ks[lo:hi]], axis=1)
+        # thresholded/blanked region: no surface through these cubes
+        finite = np.isfinite(cv).all(axis=1)
+        if not finite.all():
+            cidx, cv, ijk = cidx[finite], cv[finite], ijk[finite]
+
+        case = ((cv[:, _TETS] > isovalue) * _CASE_BITS).sum(axis=2)  # (C, 6)
+        cube, tet = np.nonzero((case > 0) & (case < 15))
+        if len(cube) == 0:
+            continue
+        case = case[cube, tet]
+        crossed = np.arange(len(cube))
+        nv = _CASE_NVERTS[case]
+        first = np.cumsum(nv) - nv  # chunk-local index of each tet's vertex 0
+        ca = cv if flat_aux is flat_vol else flat_aux[cidx]
+        cpos = org + (ijk[:, None, :] + _CORNER_OFFSETS + offset) * sp  # (C, 8, 3)
+
+        # one row per crossed edge, in (cube, tet, first-use) order
+        owner = np.repeat(crossed, nv)
+        slot = np.arange(len(owner)) - first[owner]
+        ends = _CASE_CORNERS[tet[owner], case[owner], slot]  # (V, 2) corners
+        row = cube[owner]
+        a, b = ends[:, 0], ends[:, 1]
+        va, vb = cv[row, a], cv[row, b]
+        denom = vb - va
+        flat = denom == 0  # the reference's guard, kept term for term
+        t = np.clip((isovalue - va) / np.where(flat, 1.0, denom), 0.0, 1.0)
+        t[flat] = 0.5
+        verts.append(cpos[row, a] * (1 - t)[:, None] + cpos[row, b] * t[:, None])
+        vals.append(ca[row, a] * (1 - t) + ca[row, b] * t)
+
+        nt = _CASE_NTRIS[case]
+        owner = np.repeat(crossed, nt)
+        slot = np.arange(len(owner)) - (np.cumsum(nt) - nt)[owner]
+        faces.append(_CASE_FACES[case[owner], slot] + (nverts + first[owner])[:, None])
+        nverts += len(t)
+
+    if not verts:
+        return _empty_surface()
+    return np.concatenate(verts), np.concatenate(faces), np.concatenate(vals)
+
+
+def _extract_reference(vol, aux_vol, isovalue, org, sp, offset, cubes):
+    """The original per-cube loop (``repro.perf.naive_mode``)."""
     verts: list[np.ndarray] = []
     vals: list[float] = []
     faces: list[tuple[int, int, int]] = []
-    sp = np.asarray(spacing, dtype=float)
-    org = np.asarray(origin, dtype=float)
-    offset = np.asarray(index_offset, dtype=np.int64)
 
-    for k, j, i in zip(ks, js, is_):
+    for k, j, i in zip(*cubes):
         corner_idx = np.array([i, j, k]) + _CORNER_OFFSETS  # (8, 3) (i,j,k)
         cv = vol[corner_idx[:, 2], corner_idx[:, 1], corner_idx[:, 0]]
         if not np.isfinite(cv).all():
@@ -148,7 +283,7 @@ def marching_tetrahedra(
                 faces.append(tuple(edge_vertex(e) for e in tri))
 
     if not verts:
-        return np.zeros((0, 3)), np.zeros((0, 3), np.int64), np.zeros(0)
+        return _empty_surface()
     return (
         np.asarray(verts),
         np.asarray(faces, dtype=np.int64),

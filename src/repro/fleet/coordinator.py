@@ -396,8 +396,24 @@ class FleetCoordinator:
                 self.live.crash_detected(
                     eid, rank_hint=self.num_writers + eid
                 )
+                # the alert can resolve before any poll's autoscale tick
+                # lands (an empty replay resolves two lines down): feed
+                # it to the autoscaler now, while it is certainly firing
+                if self.autoscaler is not None:
+                    self._read_slo_pressure()
                 if record.completed_at is not None:
                     self.live.recovery_complete(eid, record.recovery_seconds)
+
+    def _read_slo_pressure(self) -> None:
+        """Add the live plane's firing-alert count to the stall signal."""
+        if self.live is None:
+            return
+        # accumulate: the autoscaler reacts to stall *deltas*, so a
+        # persistently firing alert must keep adding to the signal to
+        # sustain scale-up pressure
+        pressure = self.live.pressure()
+        self._pressure_accum += pressure
+        self.live.note_autoscaler_pressure(pressure)
 
     def _autoscale_tick(self) -> None:
         if self.autoscaler is None:
@@ -408,21 +424,13 @@ class FleetCoordinator:
                 return
             active = self.membership.active_ids()
             parked = self.membership.parked_ids()
-            slo_pressure = 0
-            if self.live is not None:
-                # accumulate: the autoscaler reacts to stall *deltas*,
-                # so a persistently firing alert must keep adding to
-                # the signal to sustain scale-up pressure
-                slo_pressure = self.live.pressure()
-                self._pressure_accum += slo_pressure
+            self._read_slo_pressure()
             target = self.autoscaler.observe(
                 staged_steps=self.staged_depth(),
                 active=len(active),
                 pool_size=len(active) + len(parked),
                 stalls=self.broker.stats.faults.retries + self._pressure_accum,
             )
-            if self.live is not None:
-                self.live.note_autoscaler_pressure(slo_pressure)
             if target > len(active) and parked:
                 promoted = parked[0]
                 self.membership.activate(promoted)

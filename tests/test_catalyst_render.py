@@ -217,6 +217,9 @@ class TestMarchingTetrahedra:
     def test_aux_shape_mismatch(self):
         with pytest.raises(ValueError):
             marching_tetrahedra(np.zeros((4, 4, 4)), 0.0, aux=np.zeros((3, 3, 3)))
+        # checked before the degenerate-volume early return, not after
+        with pytest.raises(ValueError, match="aux volume"):
+            marching_tetrahedra(np.zeros((1, 4, 4)), 0.5, aux=np.zeros((3, 3, 3)))
 
 
 class TestSlices:
