@@ -3,7 +3,7 @@
 These are classic pytest-benchmark timings of the operations the
 profiling-driven design cares about: SEM operator application,
 gather-scatter, a full solver step, spectral resampling, rendering,
-PNG encoding, and BP marshaling.
+PNG encoding, BP marshaling, and the batched RBP3 codec round trip.
 """
 
 import numpy as np
@@ -94,3 +94,33 @@ def test_bp_marshal(benchmark):
         variables={f"f{i}": rng.normal(size=(64, 6, 6, 6)) for i in range(4)},
     )
     benchmark(marshal_step, payload)
+
+
+@pytest.mark.perf
+def test_rbp3_codec_roundtrip(benchmark):
+    """One in transit step at the `rbc_intransit` payload shape: 64
+    per-element 216-value fields through the temporal delta-rle codec,
+    marshal + unmarshal (one batched encode / decode per frame)."""
+    from repro.adios.marshal import unmarshal_step
+    from repro.codec import CodecContext, CodecSpec
+
+    x = np.linspace(-1.0, 1.0, 216)
+    spec = CodecSpec.from_cli("delta-rle", "1e-3", temporal=True)
+    enc, dec = CodecContext(), CodecContext()
+    step = [0]
+
+    def roundtrip():
+        step[0] += 1
+        t = 1e-3 * step[0]
+        payload = StepPayload(
+            step=step[0], time=t, rank=0,
+            variables={
+                f"block{b}/array/temperature": np.sin(3.0 * x + 0.1 * b + t)
+                for b in range(64)
+            },
+        )
+        return unmarshal_step(marshal_step(payload, codec=spec, context=enc),
+                              context=dec)
+
+    out = benchmark(roundtrip)
+    assert len(out.variables) == 64

@@ -16,11 +16,11 @@ written by older runs replay unchanged.
 
 Version 3 payloads (``RBP3``) carry codec-compressed field blocks:
 :func:`marshal_step` takes an optional :class:`~repro.codec.CodecSpec`
-and, when it is active, runs each variable through its per-field
-pipeline (`repro.codec`), writing the codec id and parameters into
-the field header.  The CRC32 covers the *compressed* body — exactly
-the bytes on the wire — so the broker, the fleet's replay cache, and
-BP files all verify what they actually stored.  An inactive/lossless
+and, when it is active, hands the step's variables to the codec in one
+batch (`repro.codec.encode_fields`), writing each one's codec id and
+parameters into its field header.  The CRC32 covers the *compressed*
+body — exactly the bytes on the wire — so the broker, the fleet's
+replay cache, and BP files all verify what they actually stored.  An inactive/lossless
 spec (or ``codec=None``) emits the plain ``RBP2`` frame, byte
 identical to an uncompressed run, and :func:`unmarshal_step`
 auto-detects all three versions.
@@ -137,9 +137,9 @@ def marshal_step_reference(payload: StepPayload) -> bytes:
 
 def unmarshal_step_reference(data) -> StepPayload:
     """Original copying decoder, kept for the gate/equivalence tests."""
-    payload, variables = _parse(data)
-    for name in list(variables):
-        variables[name] = variables[name].copy()
+    payload, _ = _read_frame(data, v3=False)
+    for name, arr in payload.variables.items():
+        payload.variables[name] = arr.copy()
     return payload
 
 
@@ -201,9 +201,10 @@ def marshal_step(payload: StepPayload, codec=None, context=None):
 def unmarshal_step(data, context=None) -> StepPayload:
     """Decode bytes produced by :func:`marshal_step`.
 
-    Raises :class:`CorruptPayloadError` when the magic is unknown or
-    the body fails its CRC32 check (v2/v3 payloads); v1 payloads carry
-    no checksum and decode as before.  Variables are read-only —
+    Raises :class:`CorruptPayloadError` when the magic is unknown, the
+    body fails its CRC32 check (v2/v3 payloads; v1 payloads carry no
+    checksum) or the bytes are not one whole frame — a short read is a
+    corrupt step, never a ``struct.error``.  Variables are read-only —
     views into `data` for v1/v2 and raw v3 blocks, freshly decoded
     (then frozen) arrays for compressed v3 blocks — so
     :meth:`StepPayload.ensure_writable` is the single mutation path
@@ -214,58 +215,78 @@ def unmarshal_step(data, context=None) -> StepPayload:
         return _unmarshal_step_v3(data, context)
     if not config.enabled():
         return unmarshal_step_reference(data)
-    payload, _ = _parse(data)
-    return payload
+    return _read_frame(data, v3=False)[0]
 
 
-def _parse(data) -> tuple[StepPayload, dict[str, np.ndarray]]:
-    """Shared decoder: header checks + read-only array views."""
+def _read_frame(data, v3: bool) -> tuple[StepPayload, list[tuple]]:
+    """Shared frame parser: magic, CRC, step header, variable headers.
+
+    RBP1/RBP2 variables come back as read-only views on the payload;
+    RBP3 (`v3`) ones as ``(name, codec_id, params, data, dtype, shape)``
+    blocks for :func:`repro.codec.decode_fields`.  Parsing is total:
+    bytes that are not one whole well-formed frame — any prefix of one,
+    say, after a short read — raise :class:`CorruptPayloadError`.
+    """
     view = memoryview(data)
-    if bytes(view[:4]) == _MAGIC:
-        (stored,) = struct.unpack_from("<I", view, 4)
-        if zlib.crc32(view[8:]) & 0xFFFFFFFF != stored:
-            raise CorruptPayloadError(
-                "BP payload CRC32 mismatch (corrupt or trailing bytes)"
-            )
-        off = 8
-    elif bytes(view[:4]) == _MAGIC_V1:
-        off = 4
-    else:
+    magic = bytes(view[:4])
+    if magic not in ((_MAGIC_V3,) if v3 else (_MAGIC, _MAGIC_V1)):
         raise CorruptPayloadError("not a BP step payload (bad magic)")
-    step, time, rank, attr_len = struct.unpack_from(_HEADER, view, off)
-    off += _HEADER_SIZE
-    attributes = json.loads(bytes(view[off : off + attr_len]).decode())
-    off += attr_len
-    (nvars,) = struct.unpack_from("<I", view, off)
-    off += 4
-    variables: dict[str, np.ndarray] = {}
-    for _ in range(nvars):
-        (name_len,) = struct.unpack_from("<H", view, off)
-        off += 2
-        name = bytes(view[off : off + name_len]).decode()
-        off += name_len
-        tag = bytes(view[off : off + 2])
-        off += 2
-        dtype = _TAG_DTYPES.get(tag)
-        if dtype is None:
-            raise ValueError(f"unknown dtype tag {tag!r} in payload")
-        (ndim,) = struct.unpack_from("<B", view, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}q", view, off)
-        off += 8 * ndim
-        (raw_len,) = struct.unpack_from("<q", view, off)
-        off += 8
-        arr = np.frombuffer(view[off : off + raw_len], dtype=dtype).reshape(shape)
-        arr.flags.writeable = False
-        off += raw_len
-        variables[name] = arr
-    if off != len(view):
-        raise ValueError("trailing bytes in BP payload")
-    return (
-        StepPayload(step=step, time=time, rank=rank, variables=variables,
-                    attributes=attributes),
-        variables,
-    )
+    try:
+        off = 4
+        if magic != _MAGIC_V1:
+            (stored,) = struct.unpack_from("<I", view, 4)
+            if zlib.crc32(view[8:]) & 0xFFFFFFFF != stored:
+                raise CorruptPayloadError(
+                    "BP payload CRC32 mismatch (corrupt or trailing bytes)"
+                )
+            off = 8
+        step, time, rank, attr_len = struct.unpack_from(_HEADER, view, off)
+        off += _HEADER_SIZE
+        attributes = json.loads(bytes(view[off : off + attr_len]).decode())
+        off += attr_len
+        (nvars,) = struct.unpack_from("<I", view, off)
+        off += 4
+        payload = StepPayload(step=step, time=time, rank=rank,
+                              attributes=attributes)
+        blocks = []
+        for _ in range(nvars):
+            (name_len,) = struct.unpack_from("<H", view, off)
+            off += 2
+            name = bytes(view[off : off + name_len]).decode()
+            off += name_len
+            tag = bytes(view[off : off + 2])
+            dtype = _TAG_DTYPES.get(tag)
+            if dtype is None:
+                raise ValueError(f"unknown dtype tag {tag!r} in payload")
+            (ndim,) = struct.unpack_from("<B", view, off + 2)
+            off += 3
+            shape = struct.unpack_from(f"<{ndim}q", view, off)
+            off += 8 * ndim
+            if v3:
+                codec_id, params_len = struct.unpack_from("<BH", view, off)
+                off += 3
+                params = json.loads(bytes(view[off : off + params_len]).decode())
+                off += params_len
+            (size,) = struct.unpack_from("<q", view, off)
+            off += 8
+            if not 0 <= size <= len(view) - off:
+                raise ValueError("variable block runs past the payload")
+            if v3:
+                blocks.append((name, codec_id, params, view[off : off + size],
+                               dtype, shape))
+            else:
+                arr = np.frombuffer(view[off : off + size], dtype=dtype)
+                arr = arr.reshape(shape)
+                arr.flags.writeable = False
+                payload.variables[name] = arr
+            off += size
+        if off != len(view):
+            raise ValueError("trailing bytes in BP payload")
+    except CorruptPayloadError:
+        raise
+    except (struct.error, ValueError) as exc:
+        raise CorruptPayloadError(f"malformed BP payload: {exc}") from exc
+    return payload, blocks
 
 
 # -- RBP3: codec-compressed frames --------------------------------------
@@ -289,96 +310,51 @@ def _meter_codec(kind: str, raw: int, wire: int, seconds: float) -> None:
 
 def _marshal_step_v3(payload: StepPayload, codec, context) -> bytearray:
     """Encode the RBP3 frame: per-field codec blocks, CRC over them."""
-    from repro.codec import encode_field
+    from repro.codec import encode_fields
 
     t0 = _time.perf_counter()
     attrs = json.dumps(payload.attributes).encode()
-    buf = io.BytesIO()
-    buf.write(struct.pack(_HEADER, payload.step, payload.time, payload.rank,
-                          len(attrs)))
-    buf.write(attrs)
-    buf.write(struct.pack("<I", len(payload.variables)))
-    raw_total = 0
+    fields, tags = [], []
     for name, arr in payload.variables.items():
         arr, tag = _normalize_array(np.asarray(arr))
-        raw_total += arr.nbytes
-        cfg = codec.config_for(name, arr.dtype)
-        codec_id, params, data = encode_field(
-            name, arr, cfg, payload.step, context
-        )
+        fields.append((name, arr, codec.config_for(name, arr.dtype)))
+        tags.append(tag)
+    parts = [
+        struct.pack(_HEADER, payload.step, payload.time, payload.rank,
+                    len(attrs)),
+        attrs, struct.pack("<I", len(fields)),
+    ]
+    encoded = encode_fields(fields, payload.step, context)
+    for (name, arr, _), tag, (codec_id, params, data) in zip(fields, tags,
+                                                             encoded):
         name_b = name.encode()
         params_b = json.dumps(params).encode() if params else b"{}"
-        buf.write(struct.pack("<H", len(name_b)))
-        buf.write(name_b)
-        buf.write(tag)
-        buf.write(struct.pack("<B", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-        buf.write(struct.pack("<B", codec_id))
-        buf.write(struct.pack("<H", len(params_b)))
-        buf.write(params_b)
-        buf.write(struct.pack("<q", len(data)))
-        buf.write(data)
-    body = buf.getvalue()
+        parts += (
+            struct.pack("<H", len(name_b)), name_b, tag,
+            struct.pack(f"<B{arr.ndim}qBH", arr.ndim, *arr.shape, codec_id,
+                        len(params_b)),
+            params_b, struct.pack("<q", len(data)), data,
+        )
+    body = b"".join(parts)
     out = bytearray(8 + len(body))
     out[0:4] = _MAGIC_V3
     struct.pack_into("<I", out, 4, zlib.crc32(body) & 0xFFFFFFFF)
     out[8:] = body
-    _meter_codec("encode", raw_total, len(out), _time.perf_counter() - t0)
+    _meter_codec("encode", sum(arr.nbytes for _, arr, _ in fields), len(out),
+                 _time.perf_counter() - t0)
     return out
 
 
 def _unmarshal_step_v3(data, context) -> StepPayload:
     """Decode an RBP3 frame (CRC over the compressed body)."""
-    from repro.codec import decode_field
+    from repro.codec import decode_fields
 
     t0 = _time.perf_counter()
-    view = memoryview(data)
-    (stored,) = struct.unpack_from("<I", view, 4)
-    if zlib.crc32(view[8:]) & 0xFFFFFFFF != stored:
-        raise CorruptPayloadError(
-            "BP payload CRC32 mismatch (corrupt or trailing bytes)"
-        )
-    off = 8
-    step, time, rank, attr_len = struct.unpack_from(_HEADER, view, off)
-    off += _HEADER_SIZE
-    attributes = json.loads(bytes(view[off : off + attr_len]).decode())
-    off += attr_len
-    (nvars,) = struct.unpack_from("<I", view, off)
-    off += 4
-    variables: dict[str, np.ndarray] = {}
-    raw_total = 0
-    for _ in range(nvars):
-        (name_len,) = struct.unpack_from("<H", view, off)
-        off += 2
-        name = bytes(view[off : off + name_len]).decode()
-        off += name_len
-        tag = bytes(view[off : off + 2])
-        off += 2
-        dtype = _TAG_DTYPES.get(tag)
-        if dtype is None:
-            raise ValueError(f"unknown dtype tag {tag!r} in payload")
-        (ndim,) = struct.unpack_from("<B", view, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}q", view, off)
-        off += 8 * ndim
-        (codec_id,) = struct.unpack_from("<B", view, off)
-        off += 1
-        (params_len,) = struct.unpack_from("<H", view, off)
-        off += 2
-        params = json.loads(bytes(view[off : off + params_len]).decode())
-        off += params_len
-        (enc_len,) = struct.unpack_from("<q", view, off)
-        off += 8
-        arr = decode_field(
-            name, codec_id, params, view[off : off + enc_len], dtype, shape,
-            step, context,
-        )
+    payload, blocks = _read_frame(data, v3=True)
+    arrays = decode_fields(blocks, payload.step, context)
+    for block, arr in zip(blocks, arrays):
         arr.flags.writeable = False
-        off += enc_len
-        variables[name] = arr
-        raw_total += arr.nbytes
-    if off != len(view):
-        raise ValueError("trailing bytes in BP payload")
-    _meter_codec("decode", raw_total, len(view), _time.perf_counter() - t0)
-    return StepPayload(step=step, time=time, rank=rank, variables=variables,
-                       attributes=attributes)
+        payload.variables[block[0]] = arr
+    _meter_codec("decode", payload.nbytes, len(memoryview(data)),
+                 _time.perf_counter() - t0)
+    return payload

@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from repro.bench.replay import ReplayConfig
-from repro.codec import CodecContext, CodecSpec, decode_field, encode_field
+from repro.codec import CodecContext, CodecSpec, decode_fields, encode_fields
 from repro.machine import (
     JUWELS_BOOSTER,
     ClusterSpec,
@@ -92,47 +92,60 @@ def _field_sequences(case, steps: int) -> dict[str, list[np.ndarray]]:
     return seqs
 
 
-def _measure_one(name: str, seq: list[np.ndarray], codec: str) -> dict:
-    """Encode a field's step sequence through one codec; decode-verify.
+def _measure_case(seqs: dict[str, list[np.ndarray]], codec: str) -> list[dict]:
+    """Encode a case's field sequences through one codec; decode-verify.
 
-    One encode context carries the temporal reference chain (delta-rle
-    runs temporal, exactly as the SST writer engine does) and one
-    decode context mirrors the reader side, so the measured ratio is
+    Each step's fields go through :func:`repro.codec.encode_fields` /
+    :func:`~repro.codec.decode_fields` as one batch — the call the RBP3
+    marshaler makes — so the bandwidths are those of the production
+    path.  One encode context carries the temporal reference chain
+    (delta-rle runs temporal, exactly as the SST writer engine does) and
+    one decode context mirrors the reader side, so the measured ratio is
     the steady-state wire ratio of a streaming run, not a single-shot
     number.
     """
     spec = CodecSpec.from_cli(codec, GATE_BUDGET, temporal=True)
     enc_ctx, dec_ctx = CodecContext(), CodecContext()
-    max_err = 0.0
-    bound = 0.0
-    for step, arr in enumerate(seq):
-        cfg = spec.config_for(name, arr.dtype)
-        if cfg is not None and not cfg.budget.lossless:
-            bound = max(bound, cfg.budget.bound_for(arr) or 0.0)
-        codec_id, params, data = encode_field(name, arr, cfg, step, enc_ctx)
-        out = decode_field(
-            name, codec_id, params, data, arr.dtype, arr.shape, step, dec_ctx
+    max_err = dict.fromkeys(seqs, 0.0)
+    bound = dict.fromkeys(seqs, 0.0)
+    for step, arrs in enumerate(zip(*seqs.values())):
+        fields = [(name, arr, spec.config_for(name, arr.dtype))
+                  for name, arr in zip(seqs, arrs)]
+        encoded = encode_fields(fields, step, enc_ctx)
+        decoded = decode_fields(
+            [(name, *block, arr.dtype, arr.shape)
+             for (name, arr, _), block in zip(fields, encoded)],
+            step, dec_ctx,
         )
-        err = float(np.max(np.abs(out - arr))) if arr.size else 0.0
-        max_err = max(max_err, err)
-    stats = enc_ctx.stats
-    dec_seconds = dec_ctx.stats.decode_seconds
-    return {
-        "field": name,
-        "codec": codec,
-        "raw_bytes": stats.raw_bytes,
-        "wire_bytes": stats.wire_bytes,
-        "ratio": stats.ratio,
-        "encode_mb_s": (
-            stats.raw_bytes / stats.encode_seconds / 1e6
-            if stats.encode_seconds else float("inf")
-        ),
-        "decode_mb_s": (
-            stats.raw_bytes / dec_seconds / 1e6 if dec_seconds else float("inf")
-        ),
-        "max_abs_err": max_err,
-        "bound": bound,
-    }
+        for (name, arr, cfg), out in zip(fields, decoded):
+            if cfg is not None and not cfg.budget.lossless:
+                bound[name] = max(bound[name], cfg.budget.bound_for(arr) or 0.0)
+            if arr.size:
+                max_err[name] = max(max_err[name],
+                                    float(np.max(np.abs(out - arr))))
+    rows = []
+    for name in seqs:
+        stats = enc_ctx.stats.fields[name]
+        dec_seconds = dec_ctx.stats.fields[name]["decode_seconds"]
+        wire = stats["wire_bytes"]
+        rows.append({
+            "field": name,
+            "codec": codec,
+            "raw_bytes": stats["raw_bytes"],
+            "wire_bytes": wire,
+            "ratio": stats["raw_bytes"] / wire if wire else 1.0,
+            "encode_mb_s": (
+                stats["raw_bytes"] / stats["encode_seconds"] / 1e6
+                if stats["encode_seconds"] else float("inf")
+            ),
+            "decode_mb_s": (
+                stats["raw_bytes"] / dec_seconds / 1e6
+                if dec_seconds else float("inf")
+            ),
+            "max_abs_err": max_err[name],
+            "bound": bound[name],
+        })
+    return rows
 
 
 def measure_compression(
@@ -172,11 +185,10 @@ def measure_compression(
         seqs = _field_sequences(case, steps)
         for codec in codecs:
             agg_raw = agg_wire = 0
-            for field_name, seq in seqs.items():
-                row = _measure_one(field_name, seq, codec)
+            for row in _measure_case(seqs, codec):
                 row["case"] = case_name
                 rows.append(row)
-                if field_name.startswith(("velocity", "pressure")):
+                if row["field"].startswith(("velocity", "pressure")):
                     agg_raw += row["raw_bytes"]
                     agg_wire += row["wire_bytes"]
                     if codec == "delta-rle":

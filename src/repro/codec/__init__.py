@@ -1,10 +1,13 @@
 """repro.codec: pluggable, NumPy-only compression for RBP payloads.
 
-The wire layer (`repro.adios.marshal`) calls :func:`encode_field` /
-:func:`decode_field` per payload variable when a :class:`CodecSpec`
-is active, emitting the self-describing ``RBP3`` frame; everything
-else (broker, fleet replay, serve, bench) just moves the smaller
-bytes.  See docs/compression.md for the pipeline and budget design.
+The wire layer (`repro.adios.marshal`) hands all variables of a step
+to one :func:`encode_fields` / :func:`decode_fields` call when a
+:class:`CodecSpec` is active, emitting the self-describing ``RBP3``
+frame; same-shaped fields run through their pipeline as one batch and
+:func:`encode_field` / :func:`decode_field` are its one-row case.
+Everything else (broker, fleet replay, serve, bench) just moves the
+smaller bytes.  See docs/compression.md for the pipeline and budget
+design.
 """
 
 from repro.codec.pipeline import (
@@ -15,7 +18,9 @@ from repro.codec.pipeline import (
     ErrorBudget,
     FieldCodecConfig,
     decode_field,
+    decode_fields,
     encode_field,
+    encode_fields,
 )
 from repro.codec.stages import CodecError, MissingReferenceError
 
@@ -29,5 +34,7 @@ __all__ = [
     "FieldCodecConfig",
     "MissingReferenceError",
     "decode_field",
+    "decode_fields",
     "encode_field",
+    "encode_fields",
 ]

@@ -21,14 +21,22 @@ pipelines compose the :mod:`repro.codec.stages` primitives:
 Every encode is self-describing: the per-field params that went into
 the wire block are all a decoder needs (plus, for temporal deltas
 only, the previous step's quanta from a :class:`CodecContext`).
-:func:`decode_field` dispatches to the stages' reference decoders
-under :func:`repro.perf.naive_mode`, so the whole decode side has a
-naive-mode twin.
+
+The pipelines are batch-first: :func:`encode_fields` /
+:func:`decode_fields` take all fields of a frame, stack the lossy ones
+that share a (config, dtype, shape) into one matrix and run every
+stage once over it, each row still falling back on its own;
+:func:`encode_field` / :func:`decode_field` are the one-row case and
+the wire bytes do not depend on how fields are batched.
+:func:`decode_fields` dispatches to the stages' reference decoders,
+row by row, under :func:`repro.perf.naive_mode`, so the whole decode
+side has a naive-mode twin.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import math
 import struct
 import threading
 import time as _time
@@ -45,11 +53,14 @@ from repro.codec.stages import (
     delta_encode,
     dequantize,
     mantissa_bits,
-    quantize,
+    quantize_rows,
     rle_decode,
+    rle_decode_rows,
     rle_encode,
+    rle_encode_rows,
     truncate_mantissa,
 )
+from repro.perf import config
 
 __all__ = [
     "ErrorBudget",
@@ -58,7 +69,9 @@ __all__ = [
     "CodecContext",
     "CodecStats",
     "encode_field",
+    "encode_fields",
     "decode_field",
+    "decode_fields",
     "CODEC_NAMES",
 ]
 
@@ -101,14 +114,25 @@ class ErrorBudget:
         """Effective absolute bound for `arr`; None means lossless."""
         if self.lossless:
             return None
-        bounds = []
+        finite = arr[np.isfinite(arr)] if arr.size else arr
+        if not finite.size:
+            finite = np.zeros(1)
+        return float(self.bounds(finite.min(), finite.max()))
+
+    def bounds(self, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
+        """:meth:`bound_for` for many fields, from their minima and maxima.
+
+        The range is taken in the fields' own dtype before widening, so
+        an ``<f4`` field gets the same bound (and bytes) either way.
+        """
+        out = np.full(np.shape(vmin), np.inf)
         if self.absolute is not None:
-            bounds.append(self.absolute)
+            out = np.minimum(out, self.absolute)
         if self.relative is not None:
-            finite = arr[np.isfinite(arr)] if arr.size else arr
-            vrange = float(finite.max() - finite.min()) if finite.size else 0.0
-            bounds.append(self.relative * vrange)
-        return min(bounds)
+            with np.errstate(over="ignore"):
+                vrange = (vmax - vmin).astype(np.float64)
+            out = np.minimum(out, self.relative * vrange)
+        return out
 
 
 @dataclass(frozen=True)
@@ -317,10 +341,6 @@ def _keep_bits_for(budget: ErrorBudget, arr: np.ndarray) -> int:
     return int(np.ceil(np.log2(1.0 / rel)))
 
 
-def _encode_raw(arr: np.ndarray) -> tuple[int, dict, bytes]:
-    return RAW, {}, np.ascontiguousarray(arr).tobytes()
-
-
 #: per-plane storage tags in the bit-plane stream
 _PLANE_ZERO, _PLANE_RAW, _PLANE_RLE = 0, 1, 2
 
@@ -393,6 +413,127 @@ def _bitplane_decode(data: bytes, dtype: np.dtype, count: int) -> np.ndarray:
     return byte_unshuffle(planes.tobytes(), dtype, count)
 
 
+def _encode_bitplane(row: np.ndarray, cfg: FieldCodecConfig):
+    keep = _keep_bits_for(cfg.budget, row)
+    if keep >= mantissa_bits(row.dtype):
+        return None
+    data = _bitplane_encode(truncate_mantissa(row, keep))
+    return (BITPLANE_RLE, {"k": keep}, data) if len(data) < row.nbytes else None
+
+
+def _encode_group(names, arrs, cfg, step, context) -> list:
+    """Run same-(config, dtype, shape) fields through their lossy pipeline.
+
+    The fields are stacked into an ``(F, n)`` matrix and every stage —
+    budget, quantize, delta, RLE, varint — runs once over it, while each
+    row still decides for itself.  A row left at None goes out raw: it
+    is non-finite (only raw is exact), its bound is zero or overflows
+    the quantizer, or its block would not shrink.
+    """
+    out: list = [None] * len(arrs)
+    shape, nbytes = arrs[0].shape, arrs[0].nbytes
+    a = (arrs[0] if len(arrs) == 1 else np.stack(arrs)).reshape(len(arrs), -1)
+    idx = np.flatnonzero(np.isfinite(a).all(axis=1))
+    if idx.size < len(arrs):
+        a = a[idx]
+    vmin, vmax = a.min(axis=1), a.max(axis=1)
+    bound = cfg.budget.bounds(vmin, vmax)
+    flat = vmin == vmax
+    for j in np.flatnonzero(flat):
+        # constant field: one value reconstructs it exactly
+        out[idx[j]] = (CONSTANT, {"v": float(vmin[j])}, b"")
+    live = ~flat & (bound > 0)
+    if not live.all():
+        idx, a, bound = idx[live], a[live], bound[live]
+    if not idx.size:
+        return out
+    if cfg.codec == "bitplane-rle":
+        for i, row in zip(idx, a):
+            out[i] = _encode_bitplane(row, cfg)
+        return out
+
+    # delta-rle: quantize under the bound, then the cheapest valid delta
+    qstep = 2.0 * bound
+    refs: dict[int, tuple] = {}         # row -> its usable temporal reference
+    if cfg.temporal and context is not None:
+        for j, i in enumerate(idx):
+            ref = context.reference(names[i])
+            # reuse the reference's step when it is at least as tight as the
+            # one this step needs — the bound still holds and the temporal
+            # chain survives small per-step drifts in the field's range.
+            # But not *arbitrarily* tighter: a spin-up field whose range has
+            # since grown (pebble-bed pressure) would drag a uselessly fine
+            # early-step qstep through the whole run and quantize itself out
+            # of compressibility, so a reference finer than a quarter of
+            # today's step re-seeds the chain spatially instead.
+            if ref is not None and 0.25 * qstep[j] <= ref[1] <= qstep[j] \
+                    and ref[2].shape == shape:
+                refs[j], qstep[j] = ref, ref[1]
+    q, fits = quantize_rows(np.asarray(a, dtype=np.float64), qstep)
+    q[~fits] = 0.0
+    q = q.astype(np.int64)
+    deltas = delta_encode(q, axis=1)
+    if refs:
+        rows = list(refs)
+        prev = np.stack([refs[j][2] for j in rows]).reshape(len(rows), -1)
+        deltas[rows] = q[rows] - prev
+    datas = rle_encode_rows(deltas)
+    for j, i in enumerate(idx):
+        # a row that goes out raw is not remembered either: the decoder
+        # never sees its quanta, so the encoder must not reference them
+        # later — keep the last *shipped* reference on both sides
+        if fits[j] and len(datas[j]) < nbytes:
+            params = {"q": float(qstep[j]), "m": "t" if j in refs else "s"}
+            if j in refs:
+                params["ref"] = refs[j][0]
+            if context is not None:
+                context.remember(names[i], step, params["q"], q[j].reshape(shape))
+            out[i] = (DELTA_RLE, params, datas[j])
+    return out
+
+
+def encode_fields(
+    fields: list[tuple[str, np.ndarray, FieldCodecConfig | None]],
+    step: int,
+    context: CodecContext | None = None,
+) -> list[tuple[int, dict, bytes]]:
+    """Encode a frame's ``(name, array, config)`` fields in one batch.
+
+    Returns one ``(codec_id, params, wire_bytes)`` per field, in order.
+    Lossy fields sharing a (config, dtype, shape) run through their
+    pipeline together (:func:`_encode_group`); the blocks are byte for
+    byte what encoding the fields one at a time gives.  A field falls
+    back to the raw (lossless) block whenever its pipeline cannot honor
+    the bound or would not shrink it, so a decoded payload is never
+    worse than its budget *and* never larger than ~its raw size.
+    """
+    if len({name for name, _, _ in fields}) < len(fields):
+        # a repeated name chains on its own quanta within the frame
+        return [encode_fields([f], step, context)[0] for f in fields]
+    t0 = _time.perf_counter()
+    arrs = [np.ascontiguousarray(arr) for _, arr, _ in fields]
+    out: list = [None] * len(fields)
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, _, cfg) in enumerate(fields):
+        if not (cfg is None or cfg.codec == "raw" or cfg.budget.lossless
+                or arrs[i].size == 0):
+            groups.setdefault((cfg, arrs[i].dtype, arrs[i].shape), []).append(i)
+    for (cfg, _, _), members in groups.items():
+        encoded = _encode_group([fields[i][0] for i in members],
+                                [arrs[i] for i in members], cfg, step, context)
+        for i, block in zip(members, encoded):
+            out[i] = block
+    for i, arr in enumerate(arrs):
+        if out[i] is None:
+            out[i] = (RAW, {}, arr.tobytes())
+    if context is not None:
+        share = (_time.perf_counter() - t0) / max(len(fields), 1)
+        for (name, _, _), arr, (codec_id, _, data) in zip(fields, arrs, out):
+            context.stats.record(name, arr.nbytes, len(data), share,
+                                 "encode", codec_id)
+    return out
+
+
 def encode_field(
     name: str,
     arr: np.ndarray,
@@ -400,88 +541,133 @@ def encode_field(
     step: int,
     context: CodecContext | None = None,
 ) -> tuple[int, dict, bytes]:
-    """Encode one field; returns ``(codec_id, params, wire_bytes)``.
+    """Encode one field: the one-row case of :func:`encode_fields`."""
+    return encode_fields([(name, arr, cfg)], step, context)[0]
 
-    Falls back to the raw (lossless) block whenever the configured
-    pipeline cannot honor its bound or would not shrink the field, so
-    a decoded payload is never worse than its budget *and* never
-    larger than ~its raw size.
+
+def _decode_group(rows, dtype, shape, context):
+    """Decode same-(dtype, shape) ``delta-rle`` blocks together.
+
+    `rows` holds ``(name, params, data)``.  Returns the decoded
+    ``(F, n)`` matrix and the ``(name, qstep, quanta)`` references to
+    remember once the whole batch is known to be good.
+    """
+    fast = config.enabled()
+    count = math.prod(shape)
+    deltas = rle_decode_rows([data for _, _, data in rows], count) \
+        if fast else None
+    if deltas is None:
+        # naive mode, or a malformed block: one row at a time, so that
+        # the first bad row raises what it has always raised
+        deltas = []
+        for _, _, data in rows:
+            deltas.append(rle_decode(data))
+            if deltas[-1].size != count:
+                raise CodecError("delta block has the wrong length")
+        deltas = np.stack(deltas)
+    qsteps = [float(params["q"]) for _, params, _ in rows]
+    temporal, prev = [], []
+    for j, (name, params, _) in enumerate(rows):
+        if params.get("m") != "t":
+            continue
+        if context is None:
+            raise MissingReferenceError(
+                f"temporal delta for {name!r} needs a decode context"
+            )
+        ref = context.reference(name)
+        if ref is None or ref[0] != params.get("ref") or ref[1] != qsteps[j] \
+                or ref[2].size != count:
+            raise MissingReferenceError(
+                f"temporal delta for {name!r} references step "
+                f"{params.get('ref')} which this context has not decoded"
+            )
+        temporal.append(j)
+        prev.append(ref[2].ravel())
+    q = delta_decode(deltas, axis=1) if fast \
+        else np.stack([delta_decode(row) for row in deltas])
+    if temporal:
+        q[temporal] = deltas[temporal] + np.stack(prev)
+    if fast:
+        values = dequantize(q, np.array(qsteps)[:, None], dtype)
+    else:
+        values = np.stack([dequantize(row, qstep, dtype)
+                           for row, qstep in zip(q, qsteps)])
+    remembered = [(row[0], qstep, quanta.reshape(shape))
+                  for row, qstep, quanta in zip(rows, qsteps, q)]
+    return values, remembered
+
+
+def _decode_blocks(blocks, context):
+    """Decode a batch without touching `context`; see :func:`decode_fields`."""
+    arrs: list = [None] * len(blocks)
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, codec_id, params, data, dtype, shape) in enumerate(blocks):
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        if codec_id == RAW:
+            arr = np.frombuffer(data, dtype=dtype)
+            if arr.size != count:
+                raise CodecError("raw block has the wrong length")
+            arrs[i] = arr.reshape(shape)
+        elif codec_id == CONSTANT:
+            arrs[i] = np.full(shape, params["v"], dtype=dtype)
+        elif codec_id == BITPLANE_RLE:
+            arrs[i] = _bitplane_decode(data, dtype, count).reshape(shape)
+        elif codec_id == DELTA_RLE:
+            groups.setdefault((dtype, tuple(shape)), []).append(i)
+        else:
+            raise CodecError(f"unknown codec id {codec_id}")
+    remembered = []
+    for (dtype, shape), members in groups.items():
+        values, refs = _decode_group(
+            [(blocks[i][0], blocks[i][2], blocks[i][3]) for i in members],
+            dtype, shape, context,
+        )
+        remembered += refs
+        for i, row in zip(members, values):
+            arrs[i] = row.reshape(shape)
+    return arrs, remembered
+
+
+def decode_fields(
+    blocks: list[tuple[str, int, dict, bytes, np.dtype, tuple[int, ...]]],
+    step: int,
+    context: CodecContext | None = None,
+) -> list[np.ndarray]:
+    """Invert :func:`encode_fields` for a frame's wire blocks.
+
+    `blocks` holds ``(name, codec_id, params, data, dtype, shape)``.
+    Raw blocks come back as zero-copy views of `data` when possible;
+    ``delta-rle`` blocks of one (dtype, shape) are decoded together and
+    come back as rows of one fresh matrix.  Temporal deltas need
+    `context` to hold the reference step's quanta and raise
+    :class:`MissingReferenceError` otherwise.  All stage decoders
+    dispatch to their pure-Python references under ``naive_mode``.
+
+    A batch that holds a bad block (or a repeated name, which chains on
+    itself) is decoded again block by block, in order: the first bad
+    block raises — after the ones before it were remembered — exactly
+    what a field-at-a-time decoder raises.
     """
     t0 = _time.perf_counter()
-    arr = np.ascontiguousarray(arr)
-    codec_id, params, data = _encode_field(name, arr, cfg, step, context)
+    decoded = None
+    if len({block[0] for block in blocks}) == len(blocks):
+        try:
+            decoded = _decode_blocks(blocks, context)
+        except (ValueError, KeyError, TypeError):
+            if len(blocks) == 1:
+                raise
+    if decoded is None:
+        return [decode_fields([block], step, context)[0] for block in blocks]
+    arrs, remembered = decoded
     if context is not None:
-        context.stats.record(
-            name, arr.nbytes, len(data), _time.perf_counter() - t0,
-            "encode", codec_id,
-        )
-    return codec_id, params, data
-
-
-def _encode_field(name, arr, cfg, step, context):
-    if cfg is None or cfg.codec == "raw" or cfg.budget.lossless:
-        return _encode_raw(arr)
-    if arr.size == 0:
-        return _encode_raw(arr)
-    if not np.isfinite(arr).all():
-        return _encode_raw(arr)        # NaN/Inf: only raw is exact
-    bound = cfg.budget.bound_for(arr)
-    if bound is None:
-        return _encode_raw(arr)
-    vmin = float(arr.min())
-    if vmin == float(arr.max()):
-        # constant field: one value reconstructs it exactly
-        return CONSTANT, {"v": vmin}, b""
-    if bound <= 0:
-        return _encode_raw(arr)
-
-    if cfg.codec == "bitplane-rle":
-        keep = _keep_bits_for(cfg.budget, arr)
-        if keep >= mantissa_bits(arr.dtype):
-            return _encode_raw(arr)
-        truncated = truncate_mantissa(arr, keep)
-        data = _bitplane_encode(truncated)
-        if len(data) >= arr.nbytes:
-            return _encode_raw(arr)
-        return BITPLANE_RLE, {"k": keep}, data
-
-    # delta-rle: quantize under the bound, then the cheapest valid delta
-    qstep = 2.0 * bound
-    mode, ref_step, ref = "s", None, None
-    if cfg.temporal and context is not None:
-        ref = context.reference(name)
-        # reuse the reference's step when it is at least as tight as the
-        # one this step needs — the bound still holds and the temporal
-        # chain survives small per-step drifts in the field's range.
-        # But not *arbitrarily* tighter: a spin-up field whose range has
-        # since grown (pebble-bed pressure) would drag a uselessly fine
-        # early-step qstep through the whole run and quantize itself out
-        # of compressibility, so a reference finer than a quarter of
-        # today's step re-seeds the chain spatially instead.
-        if ref is not None and 0.25 * qstep <= ref[1] <= qstep \
-                and ref[2].shape == arr.shape:
-            qstep = ref[1]
-            mode, ref_step = "t", ref[0]
-    try:
-        q = quantize(arr, qstep)
-    except CodecError:
-        return _encode_raw(arr)
-    if mode == "t":
-        deltas = (q - ref[2]).ravel()
-    else:
-        deltas = delta_encode(q)
-    data = rle_encode(deltas)
-    if len(data) >= arr.nbytes:
-        # raw fallback: the decoder never sees this step's quanta, so
-        # the encoder must not reference them later either — keep the
-        # last *shipped* reference on both sides, in lockstep.
-        return _encode_raw(arr)
-    if context is not None:
-        context.remember(name, step, qstep, q)
-    params = {"q": qstep, "m": mode}
-    if ref_step is not None:
-        params["ref"] = ref_step
-    return DELTA_RLE, params, data
+        for name, qstep, quanta in remembered:
+            context.remember(name, step, qstep, quanta)
+        share = (_time.perf_counter() - t0) / max(len(blocks), 1)
+        for (name, codec_id, _, data, _, _), arr in zip(blocks, arrs):
+            context.stats.record(name, arr.nbytes, len(data), share,
+                                 "decode", codec_id)
+    return arrs
 
 
 def decode_field(
@@ -494,54 +680,6 @@ def decode_field(
     step: int,
     context: CodecContext | None = None,
 ) -> np.ndarray:
-    """Invert :func:`encode_field` for one wire block.
-
-    Raw blocks return a zero-copy view of `data` when possible; lossy
-    blocks return freshly materialized arrays.  Temporal deltas need
-    `context` to hold the reference step's quanta and raise
-    :class:`MissingReferenceError` otherwise.  All stage decoders
-    dispatch to their pure-Python references under ``naive_mode``.
-    """
-    t0 = _time.perf_counter()
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if codec_id == RAW:
-        arr = np.frombuffer(data, dtype=dtype)
-        if arr.size != count:
-            raise CodecError("raw block has the wrong length")
-        arr = arr.reshape(shape)
-    elif codec_id == CONSTANT:
-        arr = np.full(shape, params["v"], dtype=dtype)
-    elif codec_id == BITPLANE_RLE:
-        arr = _bitplane_decode(data, dtype, count).reshape(shape)
-    elif codec_id == DELTA_RLE:
-        deltas = rle_decode(data)
-        if deltas.size != count:
-            raise CodecError("delta block has the wrong length")
-        qstep = float(params["q"])
-        if params.get("m") == "t":
-            if context is None:
-                raise MissingReferenceError(
-                    f"temporal delta for {name!r} needs a decode context"
-                )
-            ref = context.reference(name)
-            if ref is None or ref[0] != params.get("ref") or ref[1] != qstep \
-                    or ref[2].size != count:
-                raise MissingReferenceError(
-                    f"temporal delta for {name!r} references step "
-                    f"{params.get('ref')} which this context has not decoded"
-                )
-            q = (ref[2].ravel() + deltas).reshape(shape)
-        else:
-            q = delta_decode(deltas).reshape(shape)
-        if context is not None:
-            context.remember(name, step, qstep, q)
-        arr = dequantize(q, qstep, dtype)
-    else:
-        raise CodecError(f"unknown codec id {codec_id}")
-    if context is not None:
-        context.stats.record(
-            name, arr.nbytes, len(data), _time.perf_counter() - t0,
-            "decode", codec_id,
-        )
-    return arr
+    """Decode one wire block: the one-row case of :func:`decode_fields`."""
+    return decode_fields([(name, codec_id, params, data, dtype, shape)],
+                         step, context)[0]

@@ -36,10 +36,13 @@ __all__ = [
     "zigzag_encode",
     "zigzag_decode",
     "rle_encode",
+    "rle_encode_rows",
     "rle_decode",
+    "rle_decode_rows",
     "delta_encode",
     "delta_decode",
     "quantize",
+    "quantize_rows",
     "dequantize",
     "truncate_mantissa",
     "byte_shuffle",
@@ -75,61 +78,77 @@ def zigzag_decode(values: np.ndarray) -> np.ndarray:
 
 # -- varint --------------------------------------------------------------
 
+def _varint_pack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 bytes of a uint64 array, plus the end offset of each value."""
+    u = np.ascontiguousarray(values, dtype=_U64).ravel()
+    if u.size == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    nbytes = np.ones(u.size, dtype=np.int64)
+    for k in range(1, _MAX_VARINT_BYTES):
+        longer = u >= _U64(1 << (7 * k))
+        if not longer.any():
+            break
+        nbytes += longer
+    ends = np.cumsum(nbytes)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    # one round per byte position, over the values that still have bytes
+    # left: quantized deltas are mostly < 128, so round 0 is usually all
+    idx, rem, left = ends - nbytes, u, nbytes
+    while True:
+        more = left > 1
+        out[idx] = (rem & _U64(0x7F)).astype(np.uint8) | (more.view(np.uint8) << 7)
+        if not more.any():
+            return out, ends
+        idx, rem, left = idx[more] + 1, rem[more] >> _U64(7), left[more] - 1
+
+
 def varint_encode(values: np.ndarray) -> bytes:
     """LEB128-encode a uint64 array (vectorized byte scatter)."""
-    u = np.ascontiguousarray(values, dtype=_U64)
-    if u.size == 0:
-        return b""
-    nbytes = np.ones(u.shape, dtype=np.int64)
-    for k in range(1, _MAX_VARINT_BYTES):
-        nbytes += (u >= _U64(1 << (7 * k))).astype(np.int64)
-    ends = np.cumsum(nbytes)
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    starts = ends - nbytes
-    rem = u.copy()
-    for k in range(_MAX_VARINT_BYTES):
-        mask = nbytes > k
-        if not mask.any():
-            break
-        idx = starts[mask] + k
-        byte = (rem[mask] & _U64(0x7F)).astype(np.uint8)
-        cont = (nbytes[mask] > k + 1).astype(np.uint8)
-        out[idx] = byte | (cont << 7)
-        rem[mask] >>= _U64(7)
-    return out.tobytes()
+    return _varint_pack(values)[0].tobytes()
+
+
+def _varint_scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every complete varint in a uint8 array.
+
+    Returns ``(values, ends, longest)``: the uint64 values (bits past 64
+    dropped), the index of each one's last byte, and the longest
+    encoding seen — callers reject ``longest > 10`` and decide what a
+    trailing run of continuation bytes means.
+    """
+    ends = np.flatnonzero(b < 0x80)
+    if ends.size == 0:
+        return np.zeros(0, dtype=_U64), ends, 0
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lens = ends - starts + 1
+    vals = (b[starts] & 0x7F).astype(_U64)
+    idx, k = np.flatnonzero(lens > 1), 1
+    while idx.size and k < _MAX_VARINT_BYTES:
+        vals[idx] |= (b[starts[idx] + k] & 0x7F).astype(_U64) << _U64(7 * k)
+        k += 1
+        idx = idx[lens[idx] > k]
+    return vals, ends, int(lens.max())
 
 
 def varint_decode(data: bytes, count: int) -> np.ndarray:
     """Decode exactly `count` LEB128 values; returns uint64."""
     if not config.enabled():
         return varint_decode_reference(data, count)
+    b = np.frombuffer(data, dtype=np.uint8)
     if count == 0:
-        if len(data):
+        if b.size:
             raise CodecError("trailing bytes after varint stream")
         return np.zeros(0, dtype=_U64)
-    b = np.frombuffer(data, dtype=np.uint8)
-    if b.size == 0:
+    if b.size == 0 or b[-1] >= 0x80:
         raise CodecError("varint stream truncated")
-    cont = (b & 0x80) != 0
-    if cont[-1]:
-        raise CodecError("varint stream truncated")
-    ends = np.flatnonzero(~cont)
+    vals, ends, longest = _varint_scan(b)
     if ends.size != count:
         raise CodecError(
             f"varint stream holds {ends.size} values, expected {count}"
         )
-    gid = np.zeros(b.size, dtype=np.int64)
-    gid[1:] = np.cumsum(~cont)[:-1]
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    shift = np.arange(b.size, dtype=np.int64) - starts[gid]
-    if int(shift.max(initial=0)) >= _MAX_VARINT_BYTES:
+    if longest > _MAX_VARINT_BYTES:
         raise CodecError("varint value exceeds 64 bits")
-    vals = np.zeros(count, dtype=_U64)
-    np.bitwise_or.at(
-        vals, gid, (b & 0x7F).astype(_U64) << (shift * 7).astype(_U64)
-    )
     return vals
 
 
@@ -158,17 +177,39 @@ def varint_decode_reference(data: bytes, count: int) -> np.ndarray:
 
 # -- zero-run RLE --------------------------------------------------------
 
+def rle_encode_rows(deltas: np.ndarray) -> list[bytes]:
+    """Zero-gap-code every row of an ``(F, n)`` int64 matrix at once.
+
+    One nonzero scan and one varint pass over the rows' concatenated
+    ``[n, k, gaps..., values...]`` streams; each row's bytes are cut out
+    at the prefix-sum offsets, identical to coding it on its own.
+    """
+    d = np.ascontiguousarray(deltas, dtype=np.int64)
+    nrows, n = d.shape
+    flat = d.ravel()
+    nz = np.flatnonzero(flat != 0)
+    row0 = np.arange(nrows) * n                 # flat index where row r starts
+    first = np.searchsorted(nz, row0)           # row r's first nonzero, in nz
+    k = np.diff(first, append=nz.size)
+    gaps = np.diff(nz, prepend=-1) - 1
+    gaps[first[k > 0]] = nz[first[k > 0]] - row0[k > 0]
+    head = 2 * np.arange(nrows) + 2 * first     # where row r's stream starts
+    stream = np.empty(2 * nrows + 2 * nz.size, dtype=_U64)
+    stream[head] = n
+    stream[head + 1] = k
+    at = np.repeat(head + 2 - first, k) + np.arange(nz.size)
+    stream[at] = gaps
+    stream[at + np.repeat(k, k)] = zigzag_encode(flat[nz])
+    blob, ends = _varint_pack(stream)
+    cuts = [0, *ends[head[1:] - 1].tolist(), blob.size]
+    blob = blob.tobytes()
+    return [blob[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def rle_encode(values: np.ndarray) -> bytes:
     """Zero-gap-code an int64 array (gaps + zigzag values, varint'd)."""
-    v = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    nz = np.flatnonzero(v)
-    gaps = np.diff(np.concatenate((np.array([-1], dtype=np.int64), nz))) - 1
-    head = varint_encode(np.array([v.size, nz.size], dtype=_U64))
-    return (
-        head
-        + varint_encode(gaps.astype(_U64))
-        + varint_encode(zigzag_encode(v[nz]))
-    )
+    v = np.ascontiguousarray(values, dtype=np.int64)
+    return rle_encode_rows(v.reshape(1, -1))[0]
 
 
 def _rle_split(data: bytes) -> tuple[int, int, bytes]:
@@ -191,6 +232,52 @@ def _rle_split(data: bytes) -> tuple[int, int, bytes]:
     return out[0], out[1], data[off:]
 
 
+def rle_decode_rows(blocks: list, n: int) -> np.ndarray | None:
+    """Invert :func:`rle_encode_rows` for rows that all hold `n` values.
+
+    Returns the ``(F, n)`` int64 matrix, or None when any block is not
+    a well-formed stream of exactly `n` values — :func:`rle_decode`
+    says what is wrong with one.  Positions are prefix sums *within* a
+    row, so no block can write into another's row.
+    """
+    sizes = [len(block) for block in blocks]
+    if min(sizes) < 2:
+        return None
+    b = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+    bounds = np.cumsum([0, *sizes])
+    if (b[bounds[1:] - 1] >= 0x80).any():
+        return None
+    vals, ends, longest = _varint_scan(b)
+    head = np.searchsorted(ends, bounds[:-1])   # each row's first varint
+    held = np.diff(head, append=ends.size)
+    if longest > _MAX_VARINT_BYTES or int(held.min()) < 2:
+        return None
+    k = vals[head + 1]
+    if (vals[head] != n).any() or (k > n).any():
+        return None
+    k = k.astype(np.int64)
+    if (held != 2 * k + 2).any():
+        return None
+    out = np.zeros((k.size, n), dtype=np.int64)
+    total = int(k.sum())
+    if total:
+        rows = np.repeat(np.arange(k.size), k)
+        begin = np.repeat(np.cumsum(k) - k, k)  # each row's first nonzero
+        at = np.repeat(head + 2, k) + np.arange(total) - begin
+        gaps = vals[at]
+        # each (still-uint64) gap must fit inside the array; this also
+        # rejects values >= 2**63 that the int64 cast below would fold
+        # negative (and turn out[pos] into wrap-around writes)
+        if int(gaps.max()) >= n:
+            return None
+        run = np.cumsum(gaps.astype(np.int64) + 1)
+        pos = run - (run[begin] - gaps[begin].astype(np.int64))
+        if int(pos.max()) >= n:
+            return None
+        out[rows, pos] = zigzag_decode(vals[at + np.repeat(k, k)])
+    return out
+
+
 def rle_decode(data: bytes) -> np.ndarray:
     """Invert :func:`rle_encode`; returns a flat int64 array."""
     if not config.enabled():
@@ -198,28 +285,19 @@ def rle_decode(data: bytes) -> np.ndarray:
     n, k, rest = _rle_split(data)
     if k > n:
         raise CodecError("RLE nonzero count exceeds length")
-    # gaps and values interleave in the stream as two varint blocks; we
-    # must split them by walking k terminators of the first block
-    b = np.frombuffer(rest, dtype=np.uint8)
-    terminators = np.flatnonzero((b & 0x80) == 0)
-    if terminators.size < 2 * k:
+    out = rle_decode_rows([data], n)
+    if out is not None:
+        return out[0]
+    # say what is wrong: gaps and values are two varint blocks of k each
+    ends = np.flatnonzero(np.frombuffer(rest, dtype=np.uint8) < 0x80)
+    if ends.size < 2 * k:
         raise CodecError("RLE stream truncated")
-    split = int(terminators[k - 1]) + 1 if k else 0
-    gaps = varint_decode(rest[:split], k)
-    vals = zigzag_decode(varint_decode(rest[split:], k))
-    out = np.zeros(n, dtype=np.int64)
-    if k:
-        # each (still-uint64) gap must fit inside the array; this also
-        # rejects values >= 2**63 that the int64 cast below would fold
-        # negative (and turn out[pos] into wrap-around writes) — same
-        # CodecError the reference decoder raises on such streams.
-        if int(gaps.max()) >= n:
-            raise CodecError("RLE gap runs past the array")
-        pos = np.cumsum(gaps.astype(np.int64) + 1) - 1
-        if int(pos[-1]) >= n:
-            raise CodecError("RLE gap runs past the array")
-        out[pos] = vals
-    return out
+    split = int(ends[k - 1]) + 1 if k else 0
+    varint_decode(rest[:split], k)
+    varint_decode(rest[split:], k)
+    # what is left is a gap past the array — or a header varint padded
+    # beyond ten bytes, which only the scalar decoder reads
+    return rle_decode_reference(data)
 
 
 def rle_decode_reference(data: bytes) -> np.ndarray:
@@ -242,21 +320,27 @@ def rle_decode_reference(data: bytes) -> np.ndarray:
 
 # -- delta ---------------------------------------------------------------
 
-def delta_encode(values: np.ndarray) -> np.ndarray:
-    """First-order difference along the fastest (C-contiguous) axis."""
-    v = np.ascontiguousarray(values, dtype=np.int64).ravel()
+def delta_encode(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """First-order difference along the fastest (C-contiguous) axis.
+
+    The input is flattened first; ``axis=1`` instead differences each
+    row of an ``(F, n)`` matrix on its own.
+    """
+    v = np.ascontiguousarray(values, dtype=np.int64)
+    if axis is None:
+        v = v.reshape(1, -1)
     out = np.empty_like(v)
-    if v.size:
-        out[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=out[1:])
-    return out
+    out[:, :1] = v[:, :1]
+    np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:])
+    return out if axis == 1 else out[0]
 
 
-def delta_decode(deltas: np.ndarray) -> np.ndarray:
-    """Invert :func:`delta_encode` (prefix sum)."""
+def delta_decode(deltas: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Invert :func:`delta_encode` (prefix sum; ``axis=1`` for rows)."""
     if not config.enabled():
         return delta_decode_reference(deltas)
-    return np.cumsum(np.asarray(deltas, dtype=np.int64), dtype=np.int64)
+    return np.cumsum(np.asarray(deltas, dtype=np.int64), axis=axis,
+                     dtype=np.int64)
 
 
 def delta_decode_reference(deltas: np.ndarray) -> np.ndarray:
@@ -277,6 +361,17 @@ def delta_decode_reference(deltas: np.ndarray) -> np.ndarray:
 _QMAX = float(1 << 62)
 
 
+def quantize_rows(a: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quantum indices ``round(a[r] / steps[r])`` of a finite float64 matrix.
+
+    Returns the indices still as float64 and, per row, whether they can
+    be cast to int64: the step is finite and no index overflows.
+    """
+    with np.errstate(over="ignore"):
+        q = np.rint(a / steps[:, None])
+    return q, np.isfinite(steps) & (np.abs(q).max(axis=1, initial=0.0) < _QMAX)
+
+
 def quantize(arr: np.ndarray, step: float) -> np.ndarray:
     """Uniform scalar quantization: round(arr / step) as int64.
 
@@ -288,10 +383,10 @@ def quantize(arr: np.ndarray, step: float) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
     if not np.isfinite(a).all():
         raise CodecError("cannot quantize non-finite values")
-    q = np.rint(a / step)
-    if q.size and float(np.abs(q).max()) >= _QMAX:
+    q, fits = quantize_rows(a.reshape(1, -1), np.array([step], dtype=np.float64))
+    if not fits[0]:
         raise CodecError("quantization overflow (step too small for range)")
-    return q.astype(np.int64)
+    return q.astype(np.int64).reshape(a.shape)
 
 
 def dequantize(q: np.ndarray, step: float, dtype=np.float64) -> np.ndarray:

@@ -15,7 +15,6 @@ from repro.parallel.comm import (
     ReduceOp,
     SerialCommunicator,
     TrafficMeter,
-    TrafficEvent,
 )
 from repro.parallel.thread_comm import ThreadCommunicator
 from repro.parallel.runtime import run_spmd
@@ -27,7 +26,6 @@ __all__ = [
     "SerialCommunicator",
     "ThreadCommunicator",
     "TrafficMeter",
-    "TrafficEvent",
     "RankStallError",
     "run_spmd",
     "block_partition",

@@ -89,24 +89,16 @@ def payload_nbytes(obj) -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class TrafficEvent:
-    """One logical communication operation observed by the meter."""
-
-    op: str          # "send", "bcast", "allreduce", ...
-    nbytes: int      # payload bytes per participating message
-    size: int        # communicator size at the time of the call
-    channel: str     # caller-assigned channel label ("solver", "sst", ...)
-    rank: int = -1   # rank the bytes are attributed to (-1: unattributed)
-
-
 @dataclass
 class TrafficMeter:
-    """Thread-safe accumulator of communication events.
+    """Thread-safe accumulator of communication traffic.
 
     The meter records *logical* payloads (what the application handed
     to the communicator); the machine model turns these into modeled
-    wire time using per-operation cost formulas.
+    wire time using per-operation cost formulas.  It keeps one count
+    and one byte total per (op, channel, rank), not one entry per call,
+    so a long run costs a handful of entries rather than memory that
+    grows with every collective.
 
     Attribution convention: point-to-point ``send`` events carry the
     *sender's* rank and egress bytes; collective events are recorded by
@@ -118,7 +110,10 @@ class TrafficMeter:
     (e.g. the root of a gather-to-root rendering pipeline).
     """
 
-    events: list[TrafficEvent] = field(default_factory=list)
+    #: (op, channel, rank) -> [calls, bytes]
+    _totals: dict[tuple[str, str, int], list[int]] = field(
+        default_factory=dict, repr=False
+    )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(
@@ -129,39 +124,42 @@ class TrafficMeter:
         channel: str = "default",
         rank: int = -1,
     ) -> None:
+        """Count one operation of `nbytes` on a `size`-rank communicator."""
         with self._lock:
-            self.events.append(TrafficEvent(op, nbytes, size, channel, rank))
+            total = self._totals.setdefault((op, channel, rank), [0, 0])
+            total[0] += 1
+            total[1] += nbytes
+
+    def _matching(self, op: str | None = None, channel: str | None = None):
+        """Snapshot of ``((op, channel, rank), (calls, bytes))`` entries
+        passing the filters."""
+        with self._lock:
+            return [
+                (key, tuple(total)) for key, total in self._totals.items()
+                if (op is None or key[0] == op)
+                and (channel is None or key[1] == channel)
+            ]
 
     def total_bytes(self, channel: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                e.nbytes for e in self.events if channel is None or e.channel == channel
-            )
+        return sum(total[1] for _, total in self._matching(channel=channel))
 
     def count(self, op: str | None = None) -> int:
-        with self._lock:
-            return sum(1 for e in self.events if op is None or e.op == op)
+        return sum(total[0] for _, total in self._matching(op=op))
 
     def by_op(self) -> dict[str, int]:
-        with self._lock:
-            out: dict[str, int] = {}
-            for e in self.events:
-                out[e.op] = out.get(e.op, 0) + e.nbytes
-            return out
+        out: dict[str, int] = {}
+        for (op, _, _), total in self._matching():
+            out[op] = out.get(op, 0) + total[1]
+        return out
 
     def per_rank_bytes(
         self, op: str | None = None, channel: str | None = None
     ) -> dict[int, int]:
         """Bytes attributed to each rank, optionally filtered by op/channel."""
-        with self._lock:
-            out: dict[int, int] = {}
-            for e in self.events:
-                if op is not None and e.op != op:
-                    continue
-                if channel is not None and e.channel != channel:
-                    continue
-                out[e.rank] = out.get(e.rank, 0) + e.nbytes
-            return out
+        out: dict[int, int] = {}
+        for (_, _, rank), total in self._matching(op, channel):
+            out[rank] = out.get(rank, 0) + total[1]
+        return out
 
     def peak_rank_bytes(
         self, op: str | None = None, channel: str | None = None
@@ -172,7 +170,7 @@ class TrafficMeter:
 
     def clear(self) -> None:
         with self._lock:
-            self.events.clear()
+            self._totals.clear()
 
 
 class Communicator(abc.ABC):

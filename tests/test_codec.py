@@ -5,12 +5,15 @@ Covers the :mod:`repro.codec` stage primitives (against their
 edge-case zoo (NaN/Inf, constants, single elements, odd shapes, both
 float widths), the RBP3 frame (round trips, CRC over compressed
 bytes, lossless byte-identity with RBP2, RBP1/RBP2 back-compat,
-geometry pinning, copy-on-write isolation), the
+geometry pinning, copy-on-write isolation), the batched codec against
+its one-row case (bytes, contexts, hostile blocks, golden frames), the
 :class:`~repro.insitu.router.HybridRouter` state machine, the labeled
 route counters, and the serve-plane codec accounting.
 """
 
+import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from repro.codec import (
     FieldCodecConfig,
     MissingReferenceError,
     decode_field,
+    decode_fields,
     encode_field,
+    encode_fields,
 )
 from repro.codec import stages
 from repro.codec.pipeline import BITPLANE_RLE, CONSTANT, DELTA_RLE, RAW
@@ -458,6 +463,456 @@ class TestMarshalRBP3:
                 second.variables["block0/geom"],
                 payload.variables["block0/geom"],
             )
+
+
+# -- batched codec: one vectorized pass per (config, dtype, shape) group ----
+
+ROW_KINDS = ("smooth", "smooth", "smooth", "constant", "zeros", "signed_zeros",
+             "nan", "inf", "zero_range", "overflow", "noise")
+
+
+def _zoo_row(rng, kind, shape, dtype):
+    """One field of the edge-case zoo, as `dtype`."""
+    arr = _smooth(shape, seed=int(rng.integers(1 << 30)),
+                  scale=10.0 ** rng.uniform(-3, 3)).astype(dtype)
+    if arr.size == 0:
+        return arr
+    if kind == "constant":
+        arr[...] = rng.normal()
+    elif kind == "zeros":
+        arr[...] = 0.0
+    elif kind == "signed_zeros":
+        arr[...] = 0.0
+        arr.flat[::2] = -0.0
+    elif kind == "nan":
+        arr.flat[rng.integers(arr.size)] = np.nan
+    elif kind == "inf":
+        arr.flat[rng.integers(arr.size)] = rng.choice([-np.inf, np.inf])
+    elif kind == "zero_range":      # distinct values, relative bound ~ 0
+        arr = (1.0 + 1e-7 * np.arange(arr.size)).reshape(shape).astype(dtype)
+    elif kind == "overflow":        # range overflows the dtype / quantizer
+        arr = (arr * (1e300 if dtype == "<f8" else 1e37)).astype(dtype)
+    elif kind == "noise":
+        arr = rng.normal(size=shape).astype(dtype)
+    return arr
+
+
+BUDGETS = (
+    ErrorBudget(relative=1e-3), ErrorBudget(relative=1e-9),
+    ErrorBudget(absolute=0.05), ErrorBudget(absolute=1e-6, relative=1e-1),
+    ErrorBudget(relative=1e-300), ErrorBudget(absolute=1e300),
+)
+
+
+def _zoo_batch(seed, temporal=True):
+    """A random frame's worth of ``(name, array, config)`` fields."""
+    rng = np.random.default_rng(seed)
+    cfgs = [
+        FieldCodecConfig("delta-rle", BUDGETS[rng.integers(len(BUDGETS))],
+                         temporal=temporal),
+        FieldCodecConfig("delta-rle", BUDGETS[rng.integers(len(BUDGETS))]),
+        FieldCodecConfig("bitplane-rle", ErrorBudget(relative=1e-3)),
+        FieldCodecConfig("raw"), None,
+    ]
+    shapes = [(216,), (216,), (6, 6, 6), (9,), (1,), (7, 3), (0,)]
+    fields = []
+    for i in range(int(rng.integers(1, 30))):
+        cfg = cfgs[rng.choice(len(cfgs), p=[0.6, 0.1, 0.1, 0.1, 0.1])]
+        shape = shapes[rng.integers(len(shapes))]
+        dtype = "<f4" if rng.random() < 0.3 else "<f8"
+        kind = ROW_KINDS[rng.integers(len(ROW_KINDS))]
+        fields.append((f"b{i}/x", _zoo_row(rng, kind, shape, dtype), cfg))
+    return fields
+
+
+def _quanta(context):
+    return {name: (step, qstep, q.shape, q.tobytes())
+            for name, (step, qstep, q) in context._prev.items()}
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBatchedCodecEquivalence:
+    """``encode_fields`` / ``decode_fields`` against field-at-a-time calls."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_batch_equals_field_at_a_time(self, seed):
+        fields = _zoo_batch(seed)
+        enc_b, enc_1 = CodecContext(), CodecContext()
+        dec_b, dec_1, dec_n = CodecContext(), CodecContext(), CodecContext()
+        for step in range(3):
+            batched = encode_fields(fields, step, enc_b)
+            single = [encode_field(*f, step, enc_1) for f in fields]
+            assert batched == single            # ids, params, bytes
+            assert _quanta(enc_b) == _quanta(enc_1)
+            assert enc_b.stats.fields.keys() == enc_1.stats.fields.keys()
+            for name, entry in enc_b.stats.fields.items():
+                other = enc_1.stats.fields[name]
+                for key in ("raw_bytes", "wire_bytes", "codec"):
+                    assert entry[key] == other[key]
+            blocks = [(name, *block, arr.dtype, arr.shape)
+                      for (name, arr, _), block in zip(fields, batched)]
+            out_b = decode_fields(blocks, step, dec_b)
+            out_1 = [decode_field(*block, step, dec_1) for block in blocks]
+            with naive_mode():
+                out_n = decode_fields(blocks, step, dec_n)
+            _assert_same_arrays(out_b, out_1)
+            _assert_same_arrays(out_n, out_1)
+            assert _quanta(dec_b) == _quanta(dec_1) == _quanta(dec_n)
+            assert _quanta(dec_b) == _quanta(enc_b)
+            # next step: drift every field a little, keep its kind
+            fields = [(n, (a * 1.001 + 1e-4).astype(a.dtype), c)
+                      for n, a, c in fields]
+
+    def test_interleaved_chain_with_fallbacks_stays_in_lockstep(self):
+        """The PR 8 desync class, batched: rows that go raw or re-seed
+        spatially mid-chain must leave both sides' references where a
+        field-at-a-time run leaves them, whichever entry point runs."""
+        cfg = FieldCodecConfig("delta-rle", ErrorBudget(relative=1e-6),
+                               temporal=True)
+        tight = FieldCodecConfig("delta-rle", ErrorBudget(relative=1e-15),
+                                 temporal=True)
+        rng = np.random.default_rng(31)
+        base = [_smooth((216,), seed=s) for s in range(12)]
+        x = np.linspace(0, 1, 4096)
+        long = np.sin(3.1 * x) + 0.5 * np.cos(7.3 * x)
+        enc_m, dec_m = CodecContext(), CodecContext()      # mixed entry points
+        enc_1, dec_1 = CodecContext(), CodecContext()      # always one row
+        modes = []
+        for step in range(8):
+            fields = []
+            for i, arr in enumerate(base):
+                arr = arr + 1e-5 * step
+                if i % 4 == 1:
+                    # under the tight budget white noise (in the base's
+                    # range, so qsteps stay compatible) costs more than raw
+                    arr = long + 1e-4 * step
+                    if step in (2, 5):
+                        w = rng.standard_normal(long.shape)
+                        arr = long.min() + (w - w.min()) / (w.max() - w.min()) \
+                            * (long.max() - long.min())
+                if i % 4 == 2 and step >= 4:
+                    arr = arr * 40.0                         # range grows
+                if i == 3 and step == 3:
+                    arr = arr.copy()
+                    arr[7] = np.inf
+                fields.append((f"f{i}", arr, tight if i % 4 == 1 else cfg))
+            single = [encode_field(*f, step, enc_1) for f in fields]
+            if step % 2:
+                mixed = encode_fields(fields, step, enc_m)
+            else:       # half the rows batched, the rest one at a time
+                mixed = encode_fields(fields[:6], step, enc_m) + [
+                    encode_field(*f, step, enc_m) for f in fields[6:]
+                ]
+            assert mixed == single
+            assert _quanta(enc_m) == _quanta(enc_1)
+            blocks = [(f[0], *block, f[1].dtype, f[1].shape)
+                      for f, block in zip(fields, single)]
+            want = [decode_field(*block, step, dec_1) for block in blocks]
+            if step % 2:
+                got = [decode_field(*b, step, dec_m) for b in blocks[:5]] \
+                    + decode_fields(blocks[5:], step, dec_m)
+            else:
+                got = decode_fields(blocks, step, dec_m)
+            _assert_same_arrays(got, want)
+            assert _quanta(dec_m) == _quanta(dec_1) == _quanta(enc_1)
+            modes.append([(b[0], b[1].get("m")) for b in single])
+        assert (RAW, None) in modes[2] and (RAW, None) in modes[3]
+        assert (DELTA_RLE, "s") in modes[4]      # re-seeded mid-chain
+        assert (DELTA_RLE, "t") in modes[7]
+
+    def test_f4_bound_is_taken_in_the_field_dtype(self):
+        """float32 max - min rounds differently from float64; the batch
+        must use the same range `ErrorBudget.bound_for` does."""
+        rng = np.random.default_rng(5)
+        budget = ErrorBudget(relative=1e-3)
+        rows = [(rng.normal(size=216) * 10.0 ** rng.uniform(-3, 3))
+                .astype(np.float32) for _ in range(40)]
+        cfg = FieldCodecConfig("delta-rle", budget)
+        blocks = encode_fields([(f"r{i}", r, cfg) for i, r in enumerate(rows)],
+                               0)
+        narrow = [float(r.max() - r.min()) for r in rows]       # in float32
+        wide = [float(r.max()) - float(r.min()) for r in rows]
+        assert narrow != wide       # the two ranges do round differently
+        for row, vrange, (codec_id, params, _) in zip(rows, narrow, blocks):
+            assert codec_id == DELTA_RLE
+            assert params["q"] == 2.0 * (1e-3 * vrange)
+            assert budget.bound_for(row) == 1e-3 * vrange
+
+    def test_repeated_name_chains_on_itself_like_one_row_calls(self):
+        cfg = FieldCodecConfig("delta-rle", ErrorBudget(relative=1e-3),
+                               temporal=True)
+        a = _smooth((216,), seed=1)
+        fields = [("T", a, cfg), ("T", a + 1e-4, cfg)]
+        enc_b, enc_1 = CodecContext(), CodecContext()
+        batched = encode_fields(fields, 4, enc_b)
+        assert batched == [encode_field(*f, 4, enc_1) for f in fields]
+        assert batched[1][1] == {"q": batched[0][1]["q"], "m": "t", "ref": 4}
+        blocks = [("T", *b, a.dtype, a.shape) for b in batched]
+        dec_b, dec_1 = CodecContext(), CodecContext()
+        _assert_same_arrays(decode_fields(blocks, 4, dec_b),
+                            [decode_field(*b, 4, dec_1) for b in blocks])
+
+
+def _golden_payloads(steps=20, blocks=64):
+    """A 20-step, 64-block stream of polynomial fields and seeded noise.
+
+    No libm calls, so the inputs (and with them the frames) are
+    bit-stable; the fields walk through every per-row decision: noise
+    that falls back to raw mid-chain, a range that grows (spatial
+    re-seed), a NaN, a constant, a float32 block.
+    """
+    rng = np.random.default_rng(2023)
+    x = np.linspace(-1.0, 1.0, 216)
+    noise = rng.standard_normal((steps, 216))
+    for step in range(steps):
+        t = 0.05 * step
+        variables = {}
+        for b in range(blocks):
+            c = 0.1 * b
+            if step == 0:
+                variables[f"block{b}/geom"] = x * (1.0 + c)
+            temp = (1.0 - x * x) * (c + t) + 0.5 * x * x * x * t
+            if b == 5:
+                temp = noise[step] * 1e-2 if step % 4 == 2 else temp
+            if b == 6:
+                temp = temp * (1.0 + 9.0 * (step >= 10))
+            if b == 7 and step == 3:
+                temp = temp.copy()
+                temp[17] = np.nan
+            if b == 8:
+                temp = np.full(216, c + (step >= 5))
+            if b == 9:
+                temp = (temp + 0.123).astype(np.float32)
+            variables[f"block{b}/array/temperature"] = temp
+        variables["block0/ids"] = np.arange(32, dtype=np.int64) + step
+        yield StepPayload(step=step, time=t, rank=0, variables=variables,
+                          attributes={"has_geometry": "1" if step == 0 else "0"})
+
+
+class TestGoldenFrames:
+    def test_rbp3_frames_match_the_field_at_a_time_encoder(self):
+        """Digest recorded with the per-field encoder of PR 8-14: the
+        batched codec must not move one byte of the wire."""
+        spec = CodecSpec.from_cli("delta-rle", "1e-3", temporal=True)
+        enc, dec = CodecContext(), CodecContext()
+        digest = hashlib.blake2b(digest_size=16)
+        total = 0
+        for payload in _golden_payloads():
+            frame = bytes(marshal_step(payload, codec=spec, context=enc))
+            digest.update(frame)
+            total += len(frame)
+            out = unmarshal_step(frame, context=dec)
+            assert list(out.variables) == list(payload.variables)
+        assert total == 783331
+        assert digest.hexdigest() == "45be9e16d9497d7eba1d24fcd79cf4ff"
+        assert _quanta(enc) == _quanta(dec)
+
+
+def _frame_fields(frame):
+    """``(header_offset, data_offset, data_len)`` of each RBP3 variable."""
+    view = memoryview(frame)
+    step, time, rank, attr_len = struct.unpack_from("<qdqI", view, 8)
+    off = 8 + struct.calcsize("<qdqI") + attr_len
+    (nvars,) = struct.unpack_from("<I", view, off)
+    off += 4
+    out = []
+    for _ in range(nvars):
+        start = off
+        (name_len,) = struct.unpack_from("<H", view, off)
+        off += 2 + name_len + 2
+        (ndim,) = struct.unpack_from("<B", view, off)
+        off += 1 + 8 * ndim + 1
+        (params_len,) = struct.unpack_from("<H", view, off)
+        off += 2 + params_len
+        (size,) = struct.unpack_from("<q", view, off)
+        off += 8
+        out.append((start, off, size))
+        off += size
+    return out
+
+
+def _with_block(frame, index, data):
+    """`frame` with variable `index`'s data replaced (length and CRC fixed)."""
+    _, off, size = _frame_fields(frame)[index]
+    body = bytearray(frame[8:off - 8]) + struct.pack("<q", len(data)) \
+        + data + frame[off + size:]
+    return b"RBP3" + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) \
+        + bytes(body)
+
+
+def _outcome(call):
+    try:
+        return "ok", [a.tobytes() for a in call()]
+    except Exception as exc:        # the test compares whatever comes out
+        return type(exc), str(exc)
+
+
+class TestHostileBlocksThroughTheBatch:
+    """Bad blocks in a 64-field frame: the batched decoder must fail the
+    way the one-row decoder does, and never write outside a row."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        spec = CodecSpec.from_cli("delta-rle", "1e-3", temporal=True)
+        enc = CodecContext()
+        payloads = list(_golden_payloads(steps=2))
+        return [bytes(marshal_step(p, codec=spec, context=enc))
+                for p in payloads]
+
+    def _blocks(self, frame):
+        from repro.adios.marshal import _read_frame
+
+        payload, blocks = _read_frame(frame, v3=True)
+        return payload.step, blocks
+
+    def _check(self, frames, hostile_frame):
+        """Batched == one row at a time: outcome and context afterwards."""
+        outcomes = []
+        for batched in (True, False):
+            context = CodecContext()
+            unmarshal_step(frames[0], context=context)
+            step, blocks = self._blocks(hostile_frame)
+            if batched:
+                call = lambda: decode_fields(blocks, step, context)
+            else:
+                call = lambda: [decode_field(*b, step, context)
+                                for b in blocks]
+            outcomes.append((_outcome(call), _quanta(context)))
+        assert outcomes[0] == outcomes[1]
+        kind = outcomes[0][0][0]
+        assert kind == "ok" or issubclass(kind, CodecError)
+        return outcomes[0][0]
+
+    def test_random_mutations_truncations_extensions(self, frames):
+        rng = np.random.default_rng(77)
+        fields = _frame_fields(frames[1])
+        delta = [i for i, (_, _, size) in enumerate(fields) if 0 < size < 1728]
+        failed = 0
+        for trial in range(150):
+            index = delta[rng.integers(len(delta))]
+            _, off, size = fields[index]
+            data = bytearray(frames[1][off:off + size])
+            how = trial % 4
+            if how == 0:
+                data[rng.integers(len(data))] = int(rng.integers(256))
+            elif how == 1:
+                data[rng.integers(len(data))] ^= 0x80
+            elif how == 2:
+                del data[int(rng.integers(len(data))):]
+            else:
+                data += bytes(rng.integers(0, 256, int(rng.integers(1, 12)),
+                                           dtype=np.uint8))
+            outcome = self._check(frames, _with_block(frames[1], index,
+                                                      bytes(data)))
+            failed += outcome[0] != "ok"
+        assert failed > 50      # the mutations do reach the error paths
+
+    @pytest.mark.parametrize("gap", [2**63, 2**64 - 1, 216, 215])
+    def test_crafted_gap_cannot_leave_its_row(self, frames, gap):
+        """One nonzero whose gap is huge / wraps / is just past the row.
+
+        The rows of a batch share one segmented prefix sum: a gap that
+        reached the next row's cells would corrupt a *valid* neighbour.
+        """
+        fields = _frame_fields(frames[1])
+        index = next(i for i, (_, _, size) in enumerate(fields)
+                     if 0 < size < 1728)
+        data = (
+            stages.varint_encode(np.array([216, 1], dtype=np.uint64))
+            + stages.varint_encode(np.array([gap], dtype=np.uint64))
+            + stages.varint_encode(
+                stages.zigzag_encode(np.array([7], dtype=np.int64)))
+        )
+        outcome = self._check(frames, _with_block(frames[1], index, data))
+        if gap == 215:          # last cell of the row: legal
+            assert outcome[0] == "ok"
+        else:
+            assert outcome == (CodecError, "RLE gap runs past the array")
+
+    def test_gap_run_crossing_a_row_boundary(self, frames):
+        """Gaps that are each in range but together overrun the row."""
+        fields = _frame_fields(frames[1])
+        index = next(i for i, (_, _, size) in enumerate(fields)
+                     if 0 < size < 1728)
+        data = (
+            stages.varint_encode(np.array([216, 3], dtype=np.uint64))
+            + stages.varint_encode(np.array([100, 100, 100], dtype=np.uint64))
+            + stages.varint_encode(
+                stages.zigzag_encode(np.array([1, 2, 3], dtype=np.int64)))
+        )
+        hostile = _with_block(frames[1], index, data)
+        assert self._check(frames, hostile) == (
+            CodecError, "RLE gap runs past the array")
+        with pytest.raises(CodecError, match="gap runs past"):
+            unmarshal_step(hostile, context=CodecContext())
+
+    def test_bad_row_does_not_disturb_the_kernel_rows_around_it(self):
+        good = stages.rle_encode_rows(
+            np.arange(3 * 216, dtype=np.int64).reshape(3, 216) % 5
+        )
+        assert stages.rle_decode_rows(good, 216).shape == (3, 216)
+        short = [good[0], good[1][:-1], good[2]]
+        assert stages.rle_decode_rows(short, 216) is None
+        assert stages.rle_decode_rows(good, 215) is None
+        assert stages.rle_decode_rows([good[0], b"\x01", good[2]], 216) is None
+
+
+class TestTruncatedFrames:
+    """Header parsing is total: a short read is a corrupt payload."""
+
+    def _frames(self):
+        payload = _payload()
+        spec = CodecSpec.from_cli("delta-rle", "1e-3")
+        rbp2 = bytes(marshal_step(payload))
+        rbp3 = bytes(marshal_step(payload, codec=spec, context=CodecContext()))
+        return {"RBP1": b"RBP1" + rbp2[8:], "RBP2": rbp2, "RBP3": rbp3}
+
+    @pytest.mark.parametrize("version", ["RBP1", "RBP2", "RBP3"])
+    def test_every_prefix_is_a_corrupt_payload(self, version):
+        frame = self._frames()[version]
+        assert unmarshal_step(frame, context=CodecContext()).step == 1
+        for n in range(len(frame)):
+            for naive in (False, True):
+                with pytest.raises(CorruptPayloadError):
+                    if naive:
+                        with naive_mode():
+                            unmarshal_step(frame[:n], context=CodecContext())
+                    else:
+                        unmarshal_step(frame[:n], context=CodecContext())
+
+    @pytest.mark.parametrize("magic", [b"RBP2", b"RBP3"])
+    def test_crc_valid_frame_shorter_than_its_header(self, magic):
+        for body in (b"", b"\x00" * 5, b"\x00" * 27):
+            frame = magic + struct.pack("<I", zlib.crc32(body)) + body
+            with pytest.raises(CorruptPayloadError):
+                unmarshal_step(frame)
+        for frame in (b"RBP3xx", b"RBP2\x00", b"RBP1", b""):
+            with pytest.raises(CorruptPayloadError):
+                unmarshal_step(frame)
+
+    def test_short_read_counts_a_corrupt_step_at_the_endpoint(self):
+        from repro.adios.engine import SSTBroker, SSTReaderEngine, StepStatus
+
+        frame = self._frames()["RBP3"]
+        broker = SSTBroker(num_writers=1, queue_limit=3, timeout=5.0)
+        reader = SSTReaderEngine("s", broker, [0])
+        broker.put(0, frame[:6], step=0)
+        broker.put(0, frame[:40], step=1)
+        broker.put(0, frame, step=2)
+        for _ in range(2):
+            assert reader.begin_step() is StepStatus.OK
+            assert reader.payloads() == {}
+            reader.end_step()
+        assert reader.corrupt_steps == 2
+        assert reader.begin_step() is StepStatus.OK
+        assert reader.payloads()[0].step == 1
 
 
 class TestCodecSpec:

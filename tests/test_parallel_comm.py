@@ -80,6 +80,46 @@ class TestTrafficMeter:
         m.record("send", 10, 2)
         m.clear()
         assert m.total_bytes() == 0
+        assert m.count() == 0 and m.by_op() == {} and m.per_rank_bytes() == {}
+
+    def test_long_run_keeps_one_entry_per_op_channel_rank(self):
+        """10^5 collectives must not cost 10^5 entries: the meter holds
+        totals per (op, channel, rank) and answers every query from them
+        exactly as a replay of the individual records would."""
+        ops, channels = ("send", "allreduce", "gather"), ("solver", "sst")
+        rng = np.random.default_rng(3)
+        records = [
+            (ops[o], int(n), 4, channels[c], int(r))
+            for o, n, c, r in zip(
+                rng.integers(3, size=100_000), rng.integers(1, 4096, 100_000),
+                rng.integers(2, size=100_000), rng.integers(-1, 4, 100_000),
+            )
+        ]
+        m = TrafficMeter()
+        for record in records:
+            m.record(*record)
+        assert len(m._totals) <= len(ops) * len(channels) * 5
+
+        def replay(op=None, channel=None):
+            return [r for r in records
+                    if op in (None, r[0]) and channel in (None, r[3])]
+
+        assert m.count() == 100_000
+        assert m.total_bytes() == sum(r[1] for r in records)
+        by_op = {}
+        for r in records:
+            by_op[r[0]] = by_op.get(r[0], 0) + r[1]
+        assert m.by_op() == by_op
+        for op in (None, *ops):
+            assert m.count(op) == len(replay(op))
+            for channel in (None, *channels):
+                per_rank = {}
+                for r in replay(op, channel):
+                    per_rank[r[4]] = per_rank.get(r[4], 0) + r[1]
+                assert m.per_rank_bytes(op, channel) == per_rank
+                assert m.peak_rank_bytes(op, channel) == max(per_rank.values())
+                if op is None:
+                    assert m.total_bytes(channel) == sum(per_rank.values())
 
 
 class TestSerialCommunicator:

@@ -8,6 +8,15 @@ from hypothesis.extra import numpy as hnp
 from repro.adios.marshal import StepPayload, marshal_step, unmarshal_step
 from repro.catalyst.colormaps import apply_colormap
 from repro.catalyst.contour import marching_tetrahedra
+from repro.codec import (
+    CodecContext,
+    ErrorBudget,
+    FieldCodecConfig,
+    decode_field,
+    decode_fields,
+    encode_field,
+    encode_fields,
+)
 from repro.parallel.comm import ReduceOp, _combine
 from repro.parallel.partition import block_partition, owner_of
 from repro.perf import naive_mode
@@ -212,6 +221,75 @@ class TestContourProperties:
         for f, s in zip(fast, slow, strict=True):
             assert f.dtype == s.dtype and f.shape == s.shape
             assert f.tobytes() == s.tobytes()
+
+
+class TestCodecProperties:
+    @staticmethod
+    def _rows(dtype):
+        """1-12 same-length rows: finite values of any magnitude, with
+        NaN / +-Inf / repeated values sprinkled in, some rows constant."""
+        finite = st.floats(allow_nan=False, allow_infinity=False,
+                           width=8 * np.dtype(dtype).itemsize)
+        elements = st.one_of(
+            finite, st.floats(-1, 1, width=32),
+            st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]),
+        )
+        return st.integers(1, 24).flatmap(lambda n: st.lists(
+            st.one_of(
+                hnp.arrays(dtype, (n,), elements=elements),
+                hnp.arrays(dtype, (n,), elements=finite, fill=st.nothing())
+                .map(lambda a: np.full_like(a, a[0])),
+                hnp.arrays(dtype, (n,), elements=st.floats(-1, 1, width=32)),
+            ),
+            min_size=1, max_size=12,
+        ))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        groups=st.lists(
+            st.sampled_from(["<f4", "<f8"]).flatmap(
+                lambda dtype: TestCodecProperties._rows(dtype)),
+            min_size=1, max_size=3,
+        ),
+        budget=st.one_of(
+            st.floats(1e-12, 1e-1).map(lambda r: ErrorBudget(relative=r)),
+            st.floats(1e-9, 1e3).map(lambda a: ErrorBudget(absolute=a)),
+        ),
+        temporal=st.booleans(),
+        drift=st.sampled_from([0.0, 1e-6, 1e-2, 7.0]),
+    )
+    def test_batched_codec_is_bytewise_the_field_at_a_time_codec(
+        self, groups, budget, temporal, drift
+    ):
+        """`encode_fields` / `decode_fields` over a mixed batch give the
+        blocks, arrays and remembered quanta of one-row calls, over a
+        two-step temporal chain, in default and naive mode."""
+        cfg = FieldCodecConfig("delta-rle", budget, temporal=temporal)
+        fields = [(f"g{g}/r{r}", row, cfg)
+                  for g, rows in enumerate(groups) for r, row in enumerate(rows)]
+        contexts = [CodecContext() for _ in range(5)]
+        enc_b, enc_1, dec_b, dec_1, dec_n = contexts
+        for step in range(2):
+            batched = encode_fields(fields, step, enc_b)
+            assert batched == [encode_field(*f, step, enc_1) for f in fields]
+            blocks = [(name, *block, arr.dtype, arr.shape)
+                      for (name, arr, _), block in zip(fields, batched)]
+            want = [decode_field(*block, step, dec_1) for block in blocks]
+            with naive_mode():
+                naive = decode_fields(blocks, step, dec_n)
+            for got in (decode_fields(blocks, step, dec_b), naive):
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            quanta = [
+                {name: (s, qstep, q.tobytes())
+                 for name, (s, qstep, q) in context._prev.items()}
+                for context in contexts
+            ]
+            assert all(q == quanta[0] for q in quanta)
+            fields = [(name, (arr * (1 + drift) + drift).astype(arr.dtype), c)
+                      for name, arr, c in fields]
 
 
 class TestTimingStatsProperties:
