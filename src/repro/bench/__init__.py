@@ -20,8 +20,8 @@ Experiment drivers (one per paper artifact):
 - :mod:`repro.bench.ablations` — in situ frequency, SST queue, ratio
 - :mod:`repro.bench.robustness` — fault-injected in transit runs:
   endpoint crash + payload corruption, FaultLog accounting
-- :mod:`repro.bench.serving` — multi-client frame fan-out load test:
-  hundreds of loopback viewers, backpressure, latency percentiles
+- :mod:`repro.bench.serving` — serving-mesh fan-out load test: up to
+  100k loopback viewers, backpressure, churn, relay loss, latency
 
 Each driver has a ``run(...) -> Table`` and is executable as
 ``python -m repro.bench.figN``.

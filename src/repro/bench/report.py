@@ -95,10 +95,13 @@ def build_report(quick: bool = True) -> str:
         "Compression — codec ratios and modeled 1120-rank step",
         compression.run(measure_kwargs=QUICK_CODEC if quick else None),
     ))
-    serve_kwargs = dict(clients=64, frames=20, workers=4) if quick else {}
+    serve_kwargs = (
+        dict(clients=64, frames=20, relays=2, workers=4, probe_clients=8)
+        if quick else {}
+    )
     serve_kwargs["codec"] = "delta-rle"
     parts.append(_section("Serving — multi-client frame fan-out",
-                          serving.serving_table(**serve_kwargs)))
+                          serving.mesh_serving_table(**serve_kwargs)))
     parts.append(_section("Observability — live telemetry plane overhead",
                           live_telemetry.overhead_table()))
     parts.append(_section("Telemetry — per-phase time and memory HWM per mode",

@@ -1,25 +1,26 @@
-"""Serving bench: hundreds of concurrent viewers against one FrameHub.
+"""Serving bench: thousands of concurrent viewers against one ServeMesh.
 
 The acceptance scenario for ``repro.serve``: a publisher streaming
-PNG frames into a :class:`~repro.serve.FrameHub` while a mixed client
+PNG frames into a :class:`~repro.serve.ServeMesh` while a mixed client
 population consumes them over the loopback transport — fast clients
 that drain every frame, slow clients that wake rarely (the
 drop-to-latest path), and churning clients that disconnect and
 reconnect mid-run (reusing the :class:`~repro.faults.FaultInjector`
 so the churn schedule is reproducible).  Clients are multiplexed onto
 a small worker pool, the same way an async transport multiplexes
-sockets onto an event loop, so "500 concurrent clients" means 500
-live sessions, not 500 OS threads.
+sockets onto an event loop, so "100k concurrent clients" means 100k
+live sessions, not 100k OS threads.
 
-Measured: delivery throughput, p50/p99 frame latency
-(delivery time minus ``Frame.published_at``), dropped / rate-limited
-frames, per-client fairness among the fast population, and — the
-invariant the hub exists for — **zero publisher stalls**: the
-simulation thread must never wait on a viewer.
+Measured: delivery throughput, p50/p99 frame latency on a probe
+population (delivery time minus ``Frame.published_at``), dropped /
+rate-limited frames, per-client fairness among the fast population,
+edge-cache hit rate, and — the invariant the mesh exists for — **zero
+publisher stalls**: the simulation thread must never wait on a viewer.
 
-``python -m repro.bench.serving`` prints the table; the report driver
-embeds it as the "Serving" section, and ``python -m repro bench
---gate`` times the fan-out path as the ``serving`` gate row.
+``python -m repro.bench.serving`` prints the table and the report
+driver embeds it as the "Serving" section.  The pinned end-to-end
+numbers for this layer are the ``serve_fanout`` workload of
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.faults import FaultInjector
 from repro.observe import Telemetry, active
-from repro.serve import FrameHub, HubFull, ServeMesh
+from repro.serve import HubFull, ServeMesh
 from repro.util.png import encode_png
 from repro.util.sizes import format_bytes
 from repro.util.tables import Table
@@ -80,182 +81,6 @@ def synthetic_field_frames(
     return frames
 
 
-def run_serving_load(
-    clients: int = 500,
-    frames: int = 60,
-    workers: int = 8,
-    slow_every: int = 5,
-    slow_fraction: float = 0.2,
-    churn_probability: float = 0.002,
-    seed: int = 11,
-    history: int = 32,
-    depth: int = 2,
-    payload_size: int = 64,
-    publish_interval_s: float = 0.002,
-    codec: str | None = None,
-    codec_budget: str = "1e-3",
-) -> dict:
-    """Drive the hub with a mixed client population; return raw stats.
-
-    Client ``i`` is *slow* when ``i % int(1/slow_fraction) == 0`` — it
-    only drains its queue every ``slow_every``-th service round, so
-    backpressure must drop frames for it.  Churn fires per (frame,
-    client) through a seeded :class:`FaultInjector` — the draw sites
-    are the fixed ``frames x clients`` grid, never the timing-dependent
-    service-round count — so the disconnect schedule (and the churn
-    total) is identical run to run.
-    """
-    if clients < 1 or frames < 1:
-        raise ValueError("need at least one client and one frame")
-    hub = FrameHub(history=history, default_depth=depth)
-    injector = FaultInjector(
-        seed=seed, probabilities={"endpoint_crash": churn_probability}
-    )
-    # precomputed churn schedule: client cid churns once frame f is out
-    churn_steps = {
-        cid: [f for f in range(frames)
-              if injector.fires("endpoint_crash", "serve.client", f, cid)]
-        for cid in range(clients)
-    }
-    churn_idx = {cid: 0 for cid in range(clients)}
-    payloads = synthetic_frames(size=payload_size, seed=seed)
-    # with a codec, the publisher mirrors the serve CLI's rank-0
-    # "fields" stream: RBP3 payloads ride the same hub/store path and
-    # the store's interning accounts their raw-vs-wire savings
-    field_payloads = (
-        synthetic_field_frames(codec=codec, budget=codec_budget, seed=seed)
-        if codec else []
-    )
-    slow_modulus = max(int(round(1.0 / slow_fraction)), 1) if slow_fraction > 0 else 0
-
-    def is_slow(cid: int) -> bool:
-        return slow_modulus > 0 and cid % slow_modulus == 0
-
-    sessions = {}
-    for cid in range(clients):
-        kind = "slow" if is_slow(cid) else "fast"
-        sessions[cid] = hub.connect(label=f"{kind}-{cid}")
-
-    latencies: list[float] = []
-    latency_lock = threading.Lock()
-    done = threading.Event()
-    churn_events = 0
-    churn_lock = threading.Lock()
-    # stats of sessions retired by churn, so totals and fairness cover a
-    # client's whole lifetime, not just its latest reincarnation
-    retired: list = []
-
-    # the publisher thread carries real telemetry so the frame store's
-    # refcount-aware `serve.framestore` charge lands in a MemoryMeter
-    pub_tel = Telemetry.create(rank=0)
-
-    def publisher():
-        with active(pub_tel):
-            for i in range(frames):
-                hub.publish("catalyst", step=i, time=i * 1e-2,
-                            data=payloads[i % len(payloads)])
-                if field_payloads:
-                    data, raw = field_payloads[i % len(field_payloads)]
-                    hub.publish("fields", step=i, time=i * 1e-2, data=data,
-                                encoding="rbp3", raw_nbytes=raw)
-                if publish_interval_s:
-                    time.sleep(publish_interval_s)
-        done.set()
-
-    def worker(wid: int):
-        nonlocal churn_events
-        owned = [cid for cid in range(clients) if cid % workers == wid]
-        rnd = 0
-        local_lat = []
-        while True:
-            finished = done.is_set()
-            rnd += 1
-            for cid in owned:
-                session = sessions[cid]
-                sched = churn_steps[cid]
-                i = churn_idx[cid]
-                churned = False
-                # churn: this viewer drops and a new one takes its place,
-                # once its scheduled frame is published (all of them once
-                # the publisher is done, so no scheduled churn is lost)
-                while i < len(sched) and (
-                    finished or sched[i] < hub.frames_published
-                ):
-                    for frame in session.drain():
-                        local_lat.append(
-                            time.perf_counter() - frame.published_at)
-                    hub.disconnect(session)
-                    sessions[cid] = hub.connect(label=session.label)
-                    with churn_lock:
-                        churn_events += 1
-                        retired.append((cid, session.stats))
-                    session = sessions[cid]
-                    i += 1
-                    churned = True
-                churn_idx[cid] = i
-                if churned:
-                    continue
-                if is_slow(cid) and rnd % slow_every and not finished:
-                    continue              # a slow viewer sleeps this round
-                for frame in session.drain():
-                    local_lat.append(time.perf_counter() - frame.published_at)
-            if finished and all(
-                sessions[cid].backlog == 0 for cid in owned
-            ):
-                break
-            time.sleep(0.001)
-        with latency_lock:
-            latencies.extend(local_lat)
-
-    t0 = time.perf_counter()
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(workers)]
-    pub = threading.Thread(target=publisher)
-    for t in threads:
-        t.start()
-    pub.start()
-    pub.join()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-
-    stats = [sessions[cid].stats for cid in range(clients)]
-    stats.extend(s for _cid, s in retired)
-    per_client = [sessions[cid].stats.delivered for cid in range(clients)]
-    for cid, s in retired:
-        per_client[cid] += s.delivered
-    delivered = sum(s.delivered for s in stats)
-    lat = np.asarray(latencies) if latencies else np.zeros(1)
-    fast_counts = np.asarray(
-        [n for cid, n in enumerate(per_client) if not is_slow(cid)] or [0]
-    )
-    result = {
-        "clients": clients,
-        "peak_clients": hub.peak_clients,
-        "frames_published": hub.frames_published,
-        "stalls": hub.stalls,
-        "max_publish_ms": hub.max_publish_s * 1e3,
-        "elapsed_s": elapsed,
-        "delivered": delivered,
-        "throughput_fps": delivered / elapsed if elapsed > 0 else 0.0,
-        "bytes_out": sum(s.bytes_out for s in stats),
-        "dropped": sum(s.dropped for s in stats),
-        "rate_limited": sum(s.rate_limited for s in stats),
-        "latency_p50_ms": float(np.percentile(lat, 50)) * 1e3,
-        "latency_p99_ms": float(np.percentile(lat, 99)) * 1e3,
-        "fast_delivered_min": int(fast_counts.min()),
-        "fast_delivered_max": int(fast_counts.max()),
-        "fairness": float(fast_counts.min() / fast_counts.max())
-        if fast_counts.max() else 1.0,
-        "churn_events": churn_events,
-        "store": hub.store.stats(),
-        "framestore_hwm_bytes": pub_tel.memory.peaks().get(
-            "serve.framestore", 0
-        ),
-    }
-    hub.close()
-    return result
-
-
 def run_mesh_load(
     clients: int = 2000,
     frames: int = 48,
@@ -273,13 +98,20 @@ def run_mesh_load(
     kill_relay_at_frame: int | None = None,
     lease_timeout_s: float = 0.5,
     max_clients: int | None = None,
+    codec: str | None = None,
+    codec_budget: str = "1e-3",
 ) -> dict:
-    """Drive the serving mesh at scale; return raw stats.
+    """Drive the serving mesh with a mixed client population; raw stats.
 
-    The population mirrors :func:`run_serving_load` — fast clients,
-    slow clients (every ``slow_modulus``-th), churners — but the churn
-    grid is drawn with :meth:`FaultInjector.fires_grid` (the per-call
-    draw would cost ~10us x frames x clients, prohibitive at 100k).
+    Client ``i`` is *slow* when ``i % int(1/slow_fraction) == 0`` — it
+    only drains its queue every ``slow_every``-th service round, so
+    backpressure must drop frames for it.  Churn fires per (frame,
+    client) through a seeded :class:`FaultInjector` — the draw sites
+    are the fixed ``frames x clients`` grid, never the timing-dependent
+    service-round count, so the disconnect schedule (and the churn
+    total) is identical run to run; the grid is drawn with
+    :meth:`FaultInjector.fires_grid` (the per-call draw would cost
+    ~10us x frames x clients, prohibitive at 100k).
     Because a full sweep over 100k sessions takes longer than a frame
     interval, end-to-end latency is measured on a small *probe*
     population drained in a tight loop (synthetic monitoring), while
@@ -289,25 +121,17 @@ def run_mesh_load(
     is out; the run then waits for lease expiry + migration and the
     result records whether every migrated session kept a strictly
     increasing delivered-step sequence (``monotonic_violations``).
+
+    With a ``codec`` the publisher mirrors the serve CLI's rank-0
+    ``fields`` stream: RBP3 payloads ride the same mesh/store path and
+    the store's interning accounts their raw-vs-wire savings (viewers
+    subscribe to the rendered stream only).
     """
     if clients < 1 or frames < 1:
         raise ValueError("need at least one client and one frame")
+    # the publisher thread carries real telemetry so the frame store's
+    # refcount-aware `serve.framestore` charge lands in a MemoryMeter
     pub_tel = Telemetry.create(rank=0)
-    with active(pub_tel):
-        return _run_mesh_load(
-            clients, frames, relays, workers, slow_every, slow_fraction,
-            churn_probability, probe_clients, seed, history, depth,
-            payload_size, publish_interval_s, kill_relay_at_frame,
-            lease_timeout_s, max_clients, pub_tel,
-        )
-
-
-def _run_mesh_load(
-    clients, frames, relays, workers, slow_every, slow_fraction,
-    churn_probability, probe_clients, seed, history, depth,
-    payload_size, publish_interval_s, kill_relay_at_frame,
-    lease_timeout_s, max_clients, pub_tel,
-) -> dict:
     mesh = ServeMesh(
         relays=relays,
         history=history,
@@ -329,6 +153,11 @@ def _run_mesh_load(
     }
     churn_idx = {cid: 0 for cid in range(clients)}
     payloads = synthetic_frames(size=payload_size, seed=seed)
+    field_payloads = (
+        synthetic_field_frames(codec=codec, budget=codec_budget, seed=seed)
+        if codec else []
+    )
+    streams = ("catalyst",) if codec else None
     slow_modulus = max(int(round(1.0 / slow_fraction)), 1) if slow_fraction > 0 else 0
     probe_stride = max(clients // probe_clients, 1) if probe_clients else 0
     probes = set(range(0, clients, probe_stride)[:probe_clients]
@@ -349,7 +178,7 @@ def _run_mesh_load(
         kind = (
             "probe" if is_probe(cid) else "slow" if is_slow(cid) else "fast"
         )
-        sessions[cid] = mesh.connect(label=f"{kind}-{cid}")
+        sessions[cid] = mesh.connect(label=f"{kind}-{cid}", streams=streams)
 
     latencies: list[float] = []
     latency_lock = threading.Lock()
@@ -365,6 +194,10 @@ def _run_mesh_load(
             for i in range(frames):
                 mesh.publish("catalyst", step=i, time=i * 1e-2,
                              data=payloads[i % len(payloads)])
+                if field_payloads:
+                    data, raw = field_payloads[i % len(field_payloads)]
+                    mesh.publish("fields", step=i, time=i * 1e-2, data=data,
+                                 encoding="rbp3", raw_nbytes=raw)
                 if kill_relay_at_frame is not None and i == kill_relay_at_frame:
                     # crash the busiest relay: the thread dies silently,
                     # detection must come from the lease sweep
@@ -427,7 +260,9 @@ def _run_mesh_load(
                     session.drain()
                     mesh.disconnect(session)
                     try:
-                        sessions[cid] = mesh.connect(label=session.label)
+                        sessions[cid] = mesh.connect(
+                            label=session.label, streams=streams
+                        )
                     except HubFull:
                         # budget taken between our release and re-grab
                         # (or the mesh is closing): the viewer stays gone
@@ -533,6 +368,9 @@ def _run_mesh_load(
             r["notifies"] for r in mesh_stats["relays"].values()
         ),
         "store": mesh_stats["store"],
+        "framestore_hwm_bytes": pub_tel.memory.peaks().get(
+            "serve.framestore", 0
+        ),
     }
     mesh.close()
     return result
@@ -616,6 +454,26 @@ def mesh_serving_table(**kwargs) -> Table:
          f"= {cache['hit_rate']:.2f} hit rate"]
     )
     table.add_row(["step monotonicity violations", out["monotonic_violations"]])
+    store = out["store"]
+    table.add_row(
+        ["frame store", format_bytes(store["payload_bytes"])
+         + f" held, {store['frames_deduped']} dedup hits"]
+    )
+    table.add_row(
+        ["frame store HWM (serve.framestore)",
+         format_bytes(out["framestore_hwm_bytes"])
+         + f" metered, {format_bytes(store['peak_payload_bytes'])}"
+           " store peak"]
+    )
+    if store["codec_raw_bytes"]:
+        ratio = store["codec_raw_bytes"] / max(store["codec_wire_bytes"], 1)
+        table.add_row(
+            ["interned codec frames (fields stream)",
+             f"{format_bytes(store['codec_raw_bytes'])} raw -> "
+             f"{format_bytes(store['codec_wire_bytes'])} stored "
+             f"({ratio:.1f}x, {format_bytes(store['codec_bytes_saved'])}"
+             " saved)"]
+        )
     if out["killed_relay"] is not None:
         moved = sum(
             m["sessions_moved"] for m in out["migrations"]
@@ -634,86 +492,31 @@ def mesh_serving_table(**kwargs) -> Table:
     return table
 
 
-def serving_table(**kwargs) -> Table:
-    """The serving table: fan-out throughput, latency, backpressure."""
-    out = run_serving_load(**kwargs)
-    table = Table(
-        ["metric", "value"],
-        title=(
-            "Serving — multi-client frame fan-out "
-            f"({out['clients']} loopback clients, "
-            f"{out['frames_published']} frames published)"
-        ),
-    )
-    table.add_row(["delivered frames", out["delivered"]])
-    table.add_row(["throughput [frames/s]", f"{out['throughput_fps']:.0f}"])
-    table.add_row(["bytes out", format_bytes(out["bytes_out"])])
-    table.add_row(["latency p50 [ms]", out["latency_p50_ms"]])
-    table.add_row(["latency p99 [ms]", out["latency_p99_ms"]])
-    table.add_row(["dropped (backpressure)", out["dropped"]])
-    table.add_row(["rate limited", out["rate_limited"]])
-    table.add_row(
-        ["fairness (min/max fast-client frames)",
-         f"{out['fast_delivered_min']}/{out['fast_delivered_max']}"
-         f" = {out['fairness']:.2f}"]
-    )
-    table.add_row(["client churn events", out["churn_events"]])
-    table.add_row(["publisher stalls", out["stalls"]])
-    table.add_row(["max publish [ms]", out["max_publish_ms"]])
-    table.add_row(
-        ["frame store", format_bytes(out["store"]["payload_bytes"])
-         + f" held, {out['store']['frames_deduped']} dedup hits"]
-    )
-    table.add_row(
-        ["frame store HWM (serve.framestore)",
-         format_bytes(out["framestore_hwm_bytes"])
-         + f" metered, {format_bytes(out['store']['peak_payload_bytes'])}"
-           " store peak"]
-    )
-    store = out["store"]
-    if store["codec_raw_bytes"]:
-        ratio = store["codec_raw_bytes"] / max(store["codec_wire_bytes"], 1)
-        table.add_row(
-            ["interned codec frames (fields stream)",
-             f"{format_bytes(store['codec_raw_bytes'])} raw -> "
-             f"{format_bytes(store['codec_wire_bytes'])} stored "
-             f"({ratio:.1f}x, {format_bytes(store['codec_bytes_saved'])}"
-             " saved)"]
-        )
-    return table
-
-
 if __name__ == "__main__":
     import argparse
 
     parser = argparse.ArgumentParser(description="serving load bench")
-    parser.add_argument("--mesh", action="store_true",
-                        help="drive the sharded ServeMesh instead of the flat hub")
-    parser.add_argument("--clients", type=int, default=None)
+    parser.add_argument("--clients", type=int, default=2000,
+                        help="live sessions (the headline run is 100000)")
     parser.add_argument("--relays", type=int, default=8)
     parser.add_argument("--frames", type=int, default=48)
     parser.add_argument("--kill-at", type=int, default=None, metavar="FRAME",
                         help="crash the busiest relay once FRAME is published")
     cli_args = parser.parse_args()
-    if cli_args.mesh:
-        n = cli_args.clients or 100_000
-        # a frame interval the interpreter can actually fan out at
-        # this scale (~1.5us of pump work per client per frame);
-        # 100k clients -> ~6.7 fps, a realistic viz cadence
-        interval = max(0.002, n * 1.5e-6)
-        print(mesh_serving_table(
-            clients=n,
-            relays=cli_args.relays,
-            frames=cli_args.frames,
-            probe_clients=min(256, max(n // 8, 1)),
-            kill_relay_at_frame=cli_args.kill_at,
-            publish_interval_s=interval,
-            # the lease must outlive a GIL-contended fan-out pass (which
-            # scales with the frame interval) but a crash outage is
-            # lease-bound, so don't make a small run wait 100k's worth
-            lease_timeout_s=min(2.0, max(0.5, 20 * interval)),
-        ).render())
-    else:
-        print(serving_table(
-            **({"clients": cli_args.clients} if cli_args.clients else {})
-        ).render())
+    n = cli_args.clients
+    # a frame interval the interpreter can actually fan out at this
+    # scale (~1.5us of pump work per client per frame); 100k clients
+    # -> ~6.7 fps, a realistic viz cadence
+    interval = max(0.002, n * 1.5e-6)
+    print(mesh_serving_table(
+        clients=n,
+        relays=cli_args.relays,
+        frames=cli_args.frames,
+        probe_clients=min(256, max(n // 8, 1)),
+        kill_relay_at_frame=cli_args.kill_at,
+        publish_interval_s=interval,
+        # the lease must outlive a GIL-contended fan-out pass (which
+        # scales with the frame interval) but a crash outage is
+        # lease-bound, so don't make a small run wait 100k's worth
+        lease_timeout_s=min(2.0, max(0.5, 20 * interval)),
+    ).render())

@@ -275,7 +275,6 @@ def cmd_serve(args) -> int:
     from repro.nekrs import NekRSSolver
     from repro.parallel import run_spmd
     from repro.serve import (
-        FrameHub,
         HttpFrameServer,
         LoopbackClient,
         ServeMesh,
@@ -307,14 +306,12 @@ def cmd_serve(args) -> int:
         )
         router = HybridRouter(policy, mode=args.route)
 
-    # hub and bus are shared-memory singletons across the rank threads,
-    # exactly like the SST broker in the in-transit topology; --relays
-    # swaps in the sharded serving mesh (edge caches, relay placement)
-    if args.relays:
-        hub = ServeMesh(relays=args.relays, history=args.history,
-                        max_clients=args.max_clients)
-    else:
-        hub = FrameHub(history=args.history, max_clients=args.max_clients)
+    # mesh and bus are shared-memory singletons across the rank threads,
+    # exactly like the SST broker in the in-transit topology.  The lease
+    # is generous: a relay thread starved by the solver ranks is slow,
+    # not dead, and a false expiry would close every viewer
+    hub = ServeMesh(relays=args.relays, history=args.history,
+                    max_clients=args.max_clients, lease_timeout_s=2.0)
     bus = SteeringBus()
     server = None
     client = None
@@ -381,33 +378,33 @@ def cmd_serve(args) -> int:
 
     try:
         results = run_spmd(args.ranks, body)
+        print(
+            f"case {case.name}: {results[0]['steps']} steps"
+            + (" (stopped by steering)" if results[0]["stopped"] else "")
+        )
+        if client is not None:
+            hub.settle()    # every published frame is now in its queue
+            client.drain()
+            print(f"loopback client received {len(client.frames)} frames "
+                  f"(steps {client.steps[:3]}...{client.steps[-3:]})"
+                  if client.frames else "loopback client received 0 frames")
+            client.close()
+        stats = hub.stats()
+        print(f"hub: {stats['frames_published']} frames published, "
+              f"peak {stats['peak_clients']} client(s), "
+              f"{stats['stalls']} stalls")
+        store = stats["store"]
+        if store["codec_raw_bytes"]:
+            print(f"codec: {format_bytes(store['codec_raw_bytes'])} raw -> "
+                  f"{format_bytes(store['codec_wire_bytes'])} stored "
+                  f"({format_bytes(store['codec_bytes_saved'])} saved)")
+        if router is not None:
+            counts = router.route_counts
+            print("routes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
     finally:
         if server is not None:
             server.stop()
-        if args.relays:
-            hub.close()     # stop the relay pump threads
-    print(
-        f"case {case.name}: {results[0]['steps']} steps"
-        + (" (stopped by steering)" if results[0]["stopped"] else "")
-    )
-    if client is not None:
-        client.drain()
-        print(f"loopback client received {len(client.frames)} frames "
-              f"(steps {client.steps[:3]}...{client.steps[-3:]})"
-              if client.frames else "loopback client received 0 frames")
-        client.close()
-    stats = hub.stats()
-    print(f"hub: {stats['frames_published']} frames published, "
-          f"peak {stats['peak_clients']} client(s), {stats['stalls']} stalls")
-    store = stats.get("store", {})
-    if store.get("codec_raw_bytes"):
-        print(f"codec: {format_bytes(store['codec_raw_bytes'])} raw -> "
-              f"{format_bytes(store['codec_wire_bytes'])} stored "
-              f"({format_bytes(store['codec_bytes_saved'])} saved)")
-    if router is not None:
-        counts = router.route_counts
-        print("routes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    hub.close()
+        hub.close()         # once, after the drain: stops the relay threads
     return 0
 
 
@@ -717,10 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "omit for in-process loopback mode")
     serve.add_argument("--history", type=int, default=32,
                        help="frames kept per stream for /replay")
-    serve.add_argument("--relays", type=int, default=0,
-                       help="serve through a ServeMesh with this many relay "
-                            "hubs (0 = the flat single-hub path); /status "
-                            "then reports the relay shard map")
+    serve.add_argument("--relays", type=int, default=1,
+                       help="relay hubs the ServeMesh shards clients over "
+                            "(>= 1; /status reports the relay shard map)")
     serve.add_argument("--max-clients", type=int, default=None,
                        help="refuse connections beyond this many clients")
     serve.add_argument("--output", default="serve_output")

@@ -249,66 +249,6 @@ def _kernel_compositing():
     return lambda: _spmd_seconds(body, nranks, modeled=True)
 
 
-def _kernel_serving():
-    from repro.bench.serving import synthetic_frames
-    from repro.serve import FrameHub
-
-    # frame fan-out to a standing client population.  Optimized shares
-    # one interned payload across the store and every session; the
-    # reference path copies per client and scans the ring for dupes —
-    # the dispatch lives inside FrameStore.put / FrameHub.publish.
-    payloads = synthetic_frames(count=8, size=96)
-    nclients, nframes = 48, 80
-
-    def run():
-        hub = FrameHub(history=16, default_depth=4)
-        for i in range(nclients):
-            hub.connect(label=f"gate-{i}")
-        for i in range(nframes):
-            hub.publish("gate", step=i, time=i * 1e-2,
-                        data=payloads[i % len(payloads)])
-        hub.close()
-
-    return run
-
-
-def _kernel_serving_mesh():
-    from repro.serve import ServeMesh
-
-    from repro.bench.serving import synthetic_frames
-
-    # the same fan-out workload as `serving`, but through the sharded
-    # relay mesh: publish is O(relays) inbox appends and the per-client
-    # work happens on the relay pump threads.  Under naive_mode the
-    # ServeMesh snapshot routes through the flat FrameHub (per-client
-    # offers inline on the publisher, copy-per-client store path), so
-    # reference vs optimized is flat-hub vs mesh on identical frames.
-    payloads = synthetic_frames(count=8, size=96)
-    nclients, nframes = 48, 80
-
-    def run():
-        mesh = ServeMesh(
-            relays=4, history=16, default_depth=4, poll_interval_s=0.0005
-        )
-        for i in range(nclients):
-            mesh.connect(label=f"gate-{i}")
-        for i in range(nframes):
-            mesh.publish("gate", step=i, time=i * 1e-2,
-                         data=payloads[i % len(payloads)])
-        if not mesh.naive:
-            # publish returns before fan-out completes; the honest
-            # comparison waits until every relay has serviced the run
-            deadline = time.perf_counter() + 5.0
-            while time.perf_counter() < deadline and any(
-                relay.pump.frames_ingested < nframes
-                for relay in mesh._relays.values()
-            ):
-                time.sleep(0.0002)
-        mesh.close()
-
-    return run
-
-
 def _kernel_recovery():
     from repro.bench.fleet import measure_recovery
 
@@ -370,8 +310,6 @@ KERNELS = {
     "marshal_roundtrip": _kernel_marshal_roundtrip,
     "collectives": _kernel_collectives,
     "compositing": _kernel_compositing,
-    "serving": _kernel_serving,
-    "serving_mesh": _kernel_serving_mesh,
     "recovery": _kernel_recovery,
     "live_telemetry": _kernel_live_telemetry,
     "compression": _kernel_compression,

@@ -1,6 +1,6 @@
 """Frame storage for the in situ service: latest slots, history, dedup.
 
-The hub publishes one :class:`Frame` per rendered output stream (the
+The mesh publishes one :class:`Frame` per rendered output stream (the
 "pipeline" name the Catalyst adaptor writes, e.g. ``catalyst_surface``).
 A :class:`FrameStore` keeps, per stream,
 
@@ -10,9 +10,7 @@ A :class:`FrameStore` keeps, per stream,
   packs into an APNG,
 - *content-hash dedup* — a quiescent flow renders the same pixels step
   after step; identical PNG payloads are interned once and shared by
-  every Frame that references them (the ``repro.perf`` naive mode
-  retains the copy-per-frame reference path for the gate's
-  before/after measurement).
+  every Frame that references them.
 
 The store charges its unique payload bytes to the
 :class:`~repro.observe.memory.MemoryMeter` under ``serve.framestore``,
@@ -25,10 +23,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.observe.session import get_telemetry
-from repro.perf import config as perf_config
 
 __all__ = ["Frame", "FrameStore", "EdgeCache"]
 
@@ -179,23 +176,13 @@ class FrameStore:
         """Store one frame; returns the (possibly payload-shared) Frame."""
         digest = content_digest(data)
         with self._lock:
-            if perf_config.enabled():
-                slot = self._interned.get(digest)
-                if slot is None:
-                    slot = self._interned[digest] = _Interned(bytes(data))
-                else:
-                    self.frames_deduped += 1
-                slot.refs += 1
-                payload = slot.data
+            slot = self._interned.get(digest)
+            if slot is None:
+                slot = self._interned[digest] = _Interned(bytes(data))
             else:
-                # reference path: every frame owns a private copy and the
-                # ring is scanned linearly for duplicates (counted only);
-                # bytearray round-trip forces the copy even for bytes input
-                payload = bytes(bytearray(data))
-                for old in self._rings.get(stream, ()):
-                    if old.data == payload:
-                        self.frames_deduped += 1
-                        break
+                self.frames_deduped += 1
+            slot.refs += 1
+            payload = slot.data
             frame = Frame(
                 stream=stream, step=step, time=time, data=payload,
                 digest=digest, seq=seq, published_at=published_at,
@@ -218,11 +205,10 @@ class FrameStore:
         return frame
 
     def _release(self, frame: Frame) -> None:
-        slot = self._interned.get(frame.digest)
-        if slot is not None and slot.data is frame.data:
-            slot.refs -= 1
-            if slot.refs <= 0:
-                del self._interned[frame.digest]
+        slot = self._interned[frame.digest]
+        slot.refs -= 1
+        if slot.refs <= 0:
+            del self._interned[frame.digest]
 
     # -- reading -----------------------------------------------------------
     def latest(self, stream: str) -> Frame | None:
@@ -239,13 +225,7 @@ class FrameStore:
             return sorted(self._rings)
 
     def _payload_bytes_locked(self) -> int:
-        total = sum(len(s.data) for s in self._interned.values())
-        for ring in self._rings.values():
-            for f in ring:
-                slot = self._interned.get(f.digest)
-                if slot is None or slot.data is not f.data:
-                    total += f.nbytes     # naive-mode private copy
-        return total
+        return sum(len(s.data) for s in self._interned.values())
 
     @property
     def payload_bytes(self) -> int:

@@ -1,13 +1,10 @@
 """The serving mesh: sharded relay hubs behind one publisher.
 
-PR 5's :class:`~repro.serve.hub.FrameHub` fans every publish out to
-every session inline on the publisher thread — fine for a workstation
-viewer, hopeless at internet scale.  The mesh splits serving into two
-tiers:
+The one serving path.  Serving is split into two tiers:
 
 - the **publisher tier**: :meth:`ServeMesh.publish` stores the frame
-  once (origin :class:`~repro.serve.framestore.FrameStore`, same
-  interning/dedup as the flat hub) and pushes it to each of K
+  once (origin :class:`~repro.serve.framestore.FrameStore`, payloads
+  interned by content hash) and pushes it to each of K
   :class:`RelayHub`\\ s — an O(K) loop of O(1) inbox appends,
   independent of client count, so 100k clients cost the simulation
   exactly what 10 did;
@@ -16,6 +13,12 @@ tiers:
   sessions out, plus a content-addressed
   :class:`~repro.serve.framestore.EdgeCache` that serves replays and
   late joiners without touching the publisher.
+
+A workstation viewer is the ``relays=1`` case of the same code.
+Because fan-out happens on the relay threads, ``publish`` returning
+does not mean the frame is in the session queues yet;
+:meth:`ServeMesh.settle` is the one synchronisation point that does
+(``close`` settles first, so no published frame is lost at teardown).
 
 Clients are placed on relays with the consistent-hash
 :class:`~repro.fleet.ring.HashRing` (stable placement keys → sticky
@@ -27,10 +30,6 @@ ring, and reattaches its sessions — with their queues, deferred slots
 and delivery cursors intact — to the surviving relays, which backfill
 missed frames from their edge caches.  No committed (delivered) step
 is ever lost or repeated across a handoff.
-
-``repro.perf`` naive mode (snapshotted at construction) routes
-everything through an internal flat ``FrameHub`` so the equivalence
-tests can prove the mesh delivers byte-identical frames.
 """
 
 from __future__ import annotations
@@ -41,12 +40,14 @@ import time as _time
 from repro.fleet.membership import FleetMembership
 from repro.fleet.ring import HashRing
 from repro.observe.session import active, get_telemetry
-from repro.perf import config as perf_config
 from repro.serve.framestore import EdgeCache, Frame, FrameStore
-from repro.serve.hub import FrameHub, HubFull
 from repro.serve.pump import MeshSession, SessionPump
 
-__all__ = ["RelayHub", "ServeMesh"]
+__all__ = ["HubFull", "RelayHub", "ServeMesh"]
+
+
+class HubFull(RuntimeError):
+    """Raised when connect() would exceed the mesh's client budget."""
 
 
 class RelayHub:
@@ -68,7 +69,7 @@ class RelayHub:
             rid, clock=clock, cache=EdgeCache(cache_capacity), history=history
         )
         self.poll_interval_s = poll_interval_s
-        self._tel = telemetry
+        self._tel = telemetry if telemetry is not None else get_telemetry()
         self._stop = False
         self._thread: threading.Thread | None = None
         self.steer_forwarded = 0
@@ -76,6 +77,7 @@ class RelayHub:
         # last values mirrored into telemetry counters (deltas only)
         self._mirrored_hits = 0
         self._mirrored_misses = 0
+        self._mirrored_dropped = 0
 
     def start(self) -> None:
         self.membership.register(self.rid)
@@ -85,18 +87,34 @@ class RelayHub:
         self._thread.start()
 
     def _run(self) -> None:
-        tel = self._tel if self._tel is not None else get_telemetry()
         # telemetry is thread-local; adopt the mesh's session so cache
         # counters and relay gauges land in the publisher's registry
-        with active(tel):
+        with active(self._tel):
             while not self._stop:
                 self._heartbeat()
                 # heartbeat rides the fan-out too: a pass over a big
                 # shard must not outlive the relay's own lease
                 serviced = self.pump.pump_once(on_frame=self._heartbeat)
-                self._mirror_metrics(tel)
+                self._mirror_metrics()
                 if not serviced and not self._stop:
                     self.pump.wait_for_work(self.poll_interval_s)
+
+    def settle(self) -> None:
+        """Return once every frame ingested so far has been fanned out.
+
+        A running relay is waited on (its pump notifies the condition
+        after each pass); a relay whose thread was never started is
+        serviced right here on the caller's thread; a stopped or
+        killed relay is skipped — its sessions are ``check()``'s job.
+        """
+        pump = self.pump
+        if self._thread is None:
+            pump.pump_once()
+            self._mirror_metrics()
+            return
+        with pump.cond:
+            while pump.frames_ingested != pump.notifies and self.alive:
+                pump.cond.wait(self.poll_interval_s)
 
     def _heartbeat(self) -> None:
         try:
@@ -104,7 +122,8 @@ class RelayHub:
         except KeyError:
             pass
 
-    def _mirror_metrics(self, tel) -> None:
+    def _mirror_metrics(self) -> None:
+        tel = self._tel
         if not tel.enabled:
             return
         cache = self.pump.cache
@@ -122,6 +141,13 @@ class RelayHub:
                 "Edge-cache misses across relay hubs",
             ).inc(dm)
             self._mirrored_misses = cache.misses
+        dd = self.pump.dropped - self._mirrored_dropped
+        if dd:
+            tel.metrics.counter(
+                "repro_serve_frames_dropped_total",
+                "Frames evicted by drop-to-latest backpressure",
+            ).inc(dd)
+            self._mirrored_dropped += dd
         tel.metrics.gauge(
             "repro_serve_relay_clients",
             "Clients attached to a relay hub",
@@ -159,13 +185,7 @@ class RelayHub:
 
 
 class ServeMesh:
-    """Two-tier fan-out: publisher -> K relays -> sharded sessions.
-
-    Duck-type compatible with :class:`~repro.serve.hub.FrameHub`
-    (``store``, ``publish``, ``connect``, ``disconnect``, ``stats``,
-    ``close``, ``clients``, ``closed``) so the Catalyst service layer
-    and the HTTP transport work against either unchanged.
-    """
+    """Two-tier fan-out: publisher -> K relays -> sharded sessions."""
 
     def __init__(
         self,
@@ -185,24 +205,14 @@ class ServeMesh:
     ):
         if relays < 1:
             raise ValueError("relays must be >= 1")
-        # snapshot once: a mesh constructed under naive_mode() stays the
-        # flat reference hub for its whole life (equivalence tests)
-        self.naive = not perf_config.enabled()
         self.default_depth = default_depth
         self.max_clients = max_clients
         self._clock = clock
+        #: a "stall" is a publish() that took suspiciously long — with
+        #: O(relays) inbox appends this should never fire; the bench
+        #: asserts 0
         self.stall_threshold_s = stall_threshold_s
         self.bus = None
-        if self.naive:
-            self._flat = FrameHub(
-                history=history,
-                default_depth=default_depth,
-                max_clients=max_clients,
-                clock=clock,
-                stall_threshold_s=stall_threshold_s,
-            )
-            return
-        self._flat = None
         self.store = FrameStore(history)
         self._tel = telemetry if telemetry is not None else get_telemetry()
         self.membership = FleetMembership(
@@ -323,8 +333,6 @@ class ServeMesh:
 
     def check(self, now: float | None = None) -> list[dict]:
         """Lease sweep: expire dead relays and migrate their sessions."""
-        if self.naive:
-            return []
         records = []
         for rid in self.membership.expire(now):
             if rid in self._relays:
@@ -342,10 +350,6 @@ class ServeMesh:
         backfill: bool = False,
     ):
         """Place a new session on its ring-assigned relay."""
-        if self.naive:
-            return self._flat.connect(
-                streams=streams, depth=depth, max_fps=max_fps, label=label
-            )
         with self._lock:
             if self.closed:
                 raise HubFull("mesh is closed")
@@ -386,16 +390,20 @@ class ServeMesh:
             tel.metrics.gauge(
                 "repro_serve_clients", "Connected serving clients", agg="max"
             ).set(count)
+            tel.tracer.instant("serve.connect", sid=sid, label=session.label)
         return session
 
     def disconnect(self, session) -> None:
-        if self.naive:
-            self._flat.disconnect(session)
-            return
         session.close()     # fires _reap, which releases the slot
 
     def _reap(self, session: MeshSession) -> None:
-        """Immediate budget release on close, mirroring the flat hub."""
+        """Release a closed session's budget slot *immediately*.
+
+        Fired by ``MeshSession.close`` — whether the client went
+        through :meth:`disconnect` or its transport closed the session
+        directly (an HTTP stream dropping mid-publish) — so reconnect
+        churn never wedges at ``max_clients``.
+        """
         pump = session._pump
         if pump is not None:
             pump.detach(session)
@@ -409,6 +417,7 @@ class ServeMesh:
             tel.metrics.gauge(
                 "repro_serve_clients", "Connected serving clients", agg="max"
             ).set(count)
+            tel.tracer.instant("serve.disconnect", sid=session.sid)
 
     def _on_delivered(self, frame: Frame) -> None:
         tel = get_telemetry()
@@ -423,12 +432,12 @@ class ServeMesh:
     # -- publishing --------------------------------------------------------
     def publish(self, stream: str, step: int, time: float, data: bytes,
                 encoding: str = "png", raw_nbytes: int = 0) -> Frame:
-        """Store once, push to K relays.  O(relays), never O(clients)."""
-        if self.naive:
-            return self._flat.publish(
-                stream, step, time, data,
-                encoding=encoding, raw_nbytes=raw_nbytes,
-            )
+        """Store once, push to K relays.  O(relays), never O(clients).
+
+        Signature matches the Catalyst adaptor's ``publisher`` callback:
+        ``publisher(name, step, time, png_bytes)``.  Codec-encoded field
+        frames pass ``encoding="rbp3"`` plus their pre-codec size.
+        """
         tel = get_telemetry()
         t0 = self._clock()
         with tel.tracer.span("serve.publish", stream=stream, step=step):
@@ -459,16 +468,19 @@ class ServeMesh:
         self.check()
         return frame
 
+    def settle(self) -> None:
+        """Return once every published frame is in its sessions' queues."""
+        for relay in list(self._relays.values()):
+            relay.settle()
+
     # -- edge reads (HTTP transport) ---------------------------------------
     def relay_for(self, key: str) -> RelayHub | None:
-        if self.naive or not self.ring.members:
+        if not self.ring.members:
             return None
         return self._relays[self.ring.assign(key)]
 
     def relay_latest(self, stream: str, key: str = "edge") -> Frame | None:
         """Latest frame via the edge tier; origin only on a cold cache."""
-        if self.naive:
-            return self._flat.store.latest(stream)
         relay = self.relay_for(key)
         if relay is not None:
             frame = relay.pump.latest(stream)
@@ -482,8 +494,6 @@ class ServeMesh:
 
     def relay_replay(self, stream: str, key: str = "edge") -> list[Frame]:
         """Replay window via the edge tier, falling back to origin."""
-        if self.naive:
-            return self._flat.store.frames(stream)
         relay = self.relay_for(key)
         if relay is not None:
             frames = relay.pump.replay(stream)
@@ -498,16 +508,11 @@ class ServeMesh:
     # -- steering ----------------------------------------------------------
     def attach_bus(self, bus) -> None:
         self.bus = bus
-        if self.naive:
-            self._flat.bus = bus    # parity for introspection
 
     def route_steer(self, command):
         """Submit a steering command through the client's relay."""
         if self.bus is None:
             raise RuntimeError("no steering bus attached")
-        if self.naive:
-            self.bus.submit(command)
-            return "hub"
         session = self._by_label.get(getattr(command, "client", ""))
         if session is not None and session._pump is not None:
             rid = session._pump.rid
@@ -521,32 +526,17 @@ class ServeMesh:
         return rid
 
     # -- queries -----------------------------------------------------------
-    def __getattr__(self, name):
-        # naive mode delegates the flat hub's surface (store, closed, ...)
-        if name in ("_flat", "naive"):
-            raise AttributeError(name)
-        flat = self.__dict__.get("_flat")
-        if self.__dict__.get("naive") and flat is not None:
-            return getattr(flat, name)
-        raise AttributeError(name)
-
     @property
     def clients(self) -> int:
-        if self.naive:
-            return self._flat.clients
         with self._lock:
             return len(self._sessions)
 
     def sessions(self) -> list:
-        if self.naive:
-            return self._flat.sessions()
         with self._lock:
             return list(self._sessions.values())
 
     def shard_map(self) -> dict:
         """relay id -> client count + lease state (the /status shard map)."""
-        if self.naive:
-            return {}
         out = {}
         for rid, relay in sorted(self._relays.items()):
             state = self.membership.state(rid)
@@ -558,10 +548,6 @@ class ServeMesh:
         return out
 
     def stats(self) -> dict:
-        if self.naive:
-            out = self._flat.stats()
-            out["naive"] = True
-            return out
         with self._lock:
             client_count = len(self._sessions)
         caches = [r.pump.cache for r in self._relays.values()]
@@ -594,9 +580,12 @@ class ServeMesh:
         }
 
     def close(self) -> None:
-        if self.naive:
-            self._flat.close()
-            return
+        """Settle, stop the relays, close every session.
+
+        Frames already published stay drainable from the closed
+        sessions; later publishes are no-ops for clients.
+        """
+        self.settle()
         with self._lock:
             self.closed = True
             sessions = list(self._sessions.values())

@@ -1,17 +1,20 @@
-"""The multiplexed session pump: one thread per relay, not per client.
+"""Client sessions and the multiplexed pump that feeds them.
 
-PR 5's serving layer pairs every client with its own lock + condition
-and every blocking consumer with a thread; publish walks every session
-inline.  That shape tops out around 500 loopback clients.  The mesh
-replaces it with an epoll-style multiplexer:
+One thread per relay, not per client — an epoll-style multiplexer:
 
-- :class:`MeshSession` — the same observable semantics as
-  :class:`~repro.serve.session.Session` (drop-to-latest bounded queue,
-  ``max_fps`` with a single newest-wins deferred slot, strictly
-  increasing delivered steps) but *externally synchronized*: the
-  session carries no lock of its own.  All publisher-side state is
-  touched only under the owning pump's condition, which is what makes
-  a session cheap enough to have 100k of and trivially migratable
+- :class:`MeshSession` — one connected client's view of the stream,
+  transport-agnostic (loopback, HTTP stream handler and load generator
+  all consume the same object).  Backpressure is *drop-to-latest*,
+  mirroring ADIOS2 SST's ``Discard`` queue policy on the consumer
+  side: a small bounded queue whose **oldest** frame is evicted when a
+  new one arrives, so a slow client sees a strictly increasing
+  subsequence of steps and never stalls the publisher.  ``max_fps``
+  gates *enqueue*: frames arriving faster than the budget park in a
+  single deferred slot (newest wins) and are promoted once the
+  interval elapses.  The session is *externally synchronized*: it
+  carries no lock of its own.  All publisher-side state is touched
+  only under the owning pump's condition, which is what makes a
+  session cheap enough to have 100k of and trivially migratable
   between relays (its queue, deferred slot and cursor are plain
   fields that move with the object).
 - :class:`SessionPump` — one condition + one service loop per relay.
@@ -34,11 +37,32 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections import deque
+from dataclasses import dataclass, field
 
 from repro.serve.framestore import EdgeCache, Frame
-from repro.serve.session import SessionStats
 
-__all__ = ["MeshSession", "SessionPump"]
+__all__ = ["MeshSession", "SessionPump", "SessionStats"]
+
+
+@dataclass
+class SessionStats:
+    """Delivery accounting for one client."""
+
+    offered: int = 0            # frames the pump presented to this session
+    delivered: int = 0          # frames the client actually took
+    dropped: int = 0            # evicted by backpressure (queue full)
+    rate_limited: int = 0       # superseded while parked in the deferred slot
+    bytes_out: int = 0          # payload bytes delivered
+    steps: list = field(default_factory=list)   # steps delivered, in order
+
+    def as_dict(self) -> dict:
+        return {
+            "offered": self.offered,
+            "delivered": self.delivered,
+            "dropped": self.dropped,
+            "rate_limited": self.rate_limited,
+            "bytes_out": self.bytes_out,
+        }
 
 
 class MeshSession:
@@ -121,6 +145,7 @@ class MeshSession:
         while len(self._pending) >= self.depth:
             self._pending.popleft()         # drop-to-latest: oldest goes
             self.stats.dropped += 1
+            self._pump.dropped += 1
         self._pending.append(frame)
         self._last_enqueue = now
 
@@ -233,6 +258,8 @@ class SessionPump:
         self.frames_ingested = 0
         self.offers = 0
         self.service_passes = 0
+        #: frames evicted by drop-to-latest while their session was here
+        self.dropped = 0
 
     # -- publisher edge ------------------------------------------------------
     def ingest(self, frame: Frame) -> None:
@@ -271,6 +298,7 @@ class SessionPump:
             return 0
         with self.cond:
             now = self._clock()
+            dropped = 0
             for frame in frames:
                 self.frames_ingested += 1
                 self.cache.put(frame)
@@ -302,12 +330,14 @@ class SessionPump:
                         if len(pending) >= session.depth:
                             pending.popleft()
                             stats.dropped += 1
+                            dropped += 1
                         pending.append(frame)
                         session._last_enqueue = now
                     else:
                         session._offer_locked(frame, now)
                 if on_frame is not None:
                     on_frame()
+            self.dropped += dropped
             self.service_passes += 1
             self.cond.notify_all()          # wake blocked takers
         return len(frames)
@@ -384,6 +414,7 @@ class SessionPump:
                 "notifies": self.notifies,
                 "offers": self.offers,
                 "service_passes": self.service_passes,
+                "dropped": self.dropped,
                 "inbox_depth": len(self._inbox),
                 "cache": self.cache.stats(),
             }

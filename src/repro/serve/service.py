@@ -3,7 +3,7 @@
 ``attach_serving`` is the one-call integration point the CLI and the
 tests use: given a rank's :class:`ConfigurableAnalysis`, it
 
-1. sets the hub's ``publish`` as the ``publisher`` hook on every
+1. sets the mesh's ``publish`` as the ``publisher`` hook on every
    Catalyst adaptor (rank 0 is the only rank whose render returns
    outputs, so only rank 0 actually publishes), and
 2. prepends a :class:`SteeringEndpoint` bound to the shared bus and
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
 from repro.sensei.configurable import AnalysisSpec, ConfigurableAnalysis
-from repro.serve.hub import FrameHub
+from repro.serve.mesh import ServeMesh
 from repro.serve.steering import SteeringBus, SteeringEndpoint
 
 __all__ = ["attach_serving"]
@@ -31,16 +31,14 @@ _STEERING_SPEC = AnalysisSpec(
 
 def attach_serving(
     analysis: ConfigurableAnalysis,
-    hub: FrameHub,
+    hub: ServeMesh,
     bus: SteeringBus | None = None,
     comm=None,
 ) -> SteeringEndpoint | None:
     """Wire `hub` (and optionally `bus`) into a configured analysis.
 
-    `hub` is anything with the FrameHub surface — the flat
-    :class:`~repro.serve.hub.FrameHub` or a
-    :class:`~repro.serve.mesh.ServeMesh`; a mesh additionally learns
-    the bus so steering can route through the client's relay.
+    The mesh learns the bus so steering can route through the
+    client's relay.
 
     Returns the rank's :class:`SteeringEndpoint` (None when no bus).
     """
@@ -53,8 +51,7 @@ def attach_serving(
         adaptor.publisher = hub.publish
     if bus is None:
         return None
-    if hasattr(hub, "attach_bus"):
-        hub.attach_bus(bus)
+    hub.attach_bus(bus)
     endpoint = SteeringEndpoint(
         comm if comm is not None else analysis.comm,
         bus,

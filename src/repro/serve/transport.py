@@ -1,6 +1,6 @@
 """Transports: in-process loopback and the asyncio HTTP frame server.
 
-Two transports share the :class:`~repro.serve.session.Session` layer:
+Two transports share the :class:`~repro.serve.pump.MeshSession` layer:
 
 - :class:`LoopbackClient` — a deterministic in-process client for
   tests, the CLI smoke path, and the load generator.  No sockets, no
@@ -42,7 +42,7 @@ import weakref
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.serve.framestore import Frame
-from repro.serve.hub import FrameHub, HubFull
+from repro.serve.mesh import HubFull, ServeMesh
 from repro.serve.steering import SteerCommand, SteeringBus
 from repro.util.logging import get_logger
 
@@ -62,9 +62,9 @@ def shutdown_all(timeout: float = 5.0) -> list[str]:
 
 
 class LoopbackClient:
-    """Deterministic in-process client over a hub session."""
+    """Deterministic in-process client over a mesh session."""
 
-    def __init__(self, hub: FrameHub, bus: SteeringBus | None = None, **session_kw):
+    def __init__(self, hub: ServeMesh, bus: SteeringBus | None = None, **session_kw):
         self.hub = hub
         self.bus = bus
         self.session = hub.connect(**session_kw)
@@ -112,7 +112,7 @@ class HttpFrameServer:
 
     def __init__(
         self,
-        hub: FrameHub,
+        hub: ServeMesh,
         bus: SteeringBus | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -124,12 +124,9 @@ class HttpFrameServer:
     ):
         self.hub = hub
         self.bus = bus
-        if bus is not None and getattr(hub, "bus", None) is None:
-            # a mesh learns the bus so /steer can route via the
-            # client's relay (no-op attribute on the flat hub)
-            attach = getattr(hub, "attach_bus", None)
-            if attach is not None:
-                attach(bus)
+        if bus is not None and hub.bus is None:
+            # the mesh learns the bus so /steer routes via the client's relay
+            hub.attach_bus(bus)
         #: attached :class:`~repro.observe.live.plane.LivePlane`; serves
         #: /metrics, /slo and /timeline (``/healthz`` works without one)
         self.live = live
@@ -295,11 +292,8 @@ class HttpFrameServer:
         return status
 
     def _latest(self, stream: str) -> Frame | None:
-        """Latest frame — via the mesh's edge tier when serving one."""
-        relay_latest = getattr(self.hub, "relay_latest", None)
-        if relay_latest is not None:
-            return relay_latest(stream, key=f"http-{stream}")
-        return self.hub.store.latest(stream)
+        """Latest frame via the mesh's edge tier."""
+        return self.hub.relay_latest(stream, key=f"http-{stream}")
 
     async def _serve_latest(self, writer, stream: str) -> None:
         frame = self._latest(stream)
@@ -312,12 +306,7 @@ class HttpFrameServer:
     async def _serve_replay(self, writer, stream: str, query: dict) -> None:
         from repro.util.apng import ApngWriter
 
-        relay_replay = getattr(self.hub, "relay_replay", None)
-        frames = (
-            relay_replay(stream, key=f"http-{stream}")
-            if relay_replay is not None
-            else self.hub.store.frames(stream)
-        )
+        frames = self.hub.relay_replay(stream, key=f"http-{stream}")
         if not frames:
             await self._respond(writer, 404, {"error": f"no frames for {stream!r}"})
             return
@@ -389,12 +378,7 @@ class HttpFrameServer:
         except (ValueError, KeyError) as exc:
             await self._respond(writer, 400, {"error": f"bad steer payload: {exc}"})
             return
-        route_steer = getattr(self.hub, "route_steer", None)
-        relay = None
-        if route_steer is not None and getattr(self.hub, "bus", None) is not None:
-            relay = route_steer(command)
-        else:
-            self.bus.submit(command)
+        relay = self.hub.route_steer(command)
         reply = {"ok": True, "pending": self.bus.pending}
         if relay is not None:
             reply["relay"] = relay

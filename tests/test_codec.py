@@ -1053,58 +1053,46 @@ class TestRouteCounters:
 
 class TestServePlane:
     def test_framestore_accounts_codec_frames(self):
-        from repro.serve.framestore import FrameStore
+        from repro.serve import ServeMesh
 
-        store = FrameStore(history=4)
-        f = store.put("fields", 0, 0.0, b"x" * 100, seq=0,
-                      encoding="rbp3", raw_nbytes=400)
+        mesh = ServeMesh(relays=1, history=4, start=False)
+        viewer = mesh.connect(streams=("fields",))
+        mesh.publish("fields", 0, 0.0, b"x" * 100,
+                     encoding="rbp3", raw_nbytes=400)
+        mesh.publish("catalyst", 0, 0.0, b"y" * 50)
+        mesh.settle()
+        (f,) = viewer.drain()
         assert f.encoding == "rbp3" and f.bytes_saved == 300
-        store.put("catalyst", 0, 0.0, b"y" * 50, seq=1)
-        s = store.stats()
+        s = mesh.stats()["store"]
         assert s["codec_raw_bytes"] == 400
         assert s["codec_wire_bytes"] == 100
         assert s["codec_bytes_saved"] == 300
 
+    def _routes(self, router):
+        """(status, body) of ``GET /routes`` on a server over a quiet mesh."""
+        from repro.serve import HttpFrameServer, ServeMesh
+        from test_serve_transport import _get
+
+        server = HttpFrameServer(
+            ServeMesh(relays=1, start=False), None, router=router
+        )
+        server.start()
+        try:
+            status, _headers, body = _get(server, "/routes")
+            return status, body
+        finally:
+            server.stop()
+
     def test_routes_endpoint(self):
-        import http.client
         import json
 
-        from repro.serve import FrameHub
-        from repro.serve.transport import HttpFrameServer
-
-        hub = FrameHub(history=4)
         router = HybridRouter(RouterPolicy(wire_budget_bytes=1 << 20))
         router.decide(0, 100)
-        server = HttpFrameServer(hub, None, router=router)
-        server.start()
-        try:
-            conn = http.client.HTTPConnection(server.host, server.port,
-                                              timeout=10)
-            conn.request("GET", "/routes")
-            resp = conn.getresponse()
-            body = json.loads(resp.read())
-            conn.close()
-            assert resp.status == 200
-            assert body["routes"]["intransit"] == 1
-            assert body["decisions"][0]["route"] == "intransit"
-        finally:
-            server.stop()
+        status, body = self._routes(router)
+        body = json.loads(body)
+        assert status == 200
+        assert body["routes"]["intransit"] == 1
+        assert body["decisions"][0]["route"] == "intransit"
 
     def test_routes_endpoint_without_router_is_404(self):
-        import http.client
-
-        from repro.serve import FrameHub
-        from repro.serve.transport import HttpFrameServer
-
-        server = HttpFrameServer(FrameHub(history=2), None)
-        server.start()
-        try:
-            conn = http.client.HTTPConnection(server.host, server.port,
-                                              timeout=10)
-            conn.request("GET", "/routes")
-            resp = conn.getresponse()
-            resp.read()
-            conn.close()
-            assert resp.status == 404
-        finally:
-            server.stop()
+        assert self._routes(None)[0] == 404

@@ -18,7 +18,6 @@ Marked ``observe``; the end-to-end classes reuse the ``fleet`` test
 idiom (threaded SPMD ranks, seeded injector schedules).
 """
 
-import http.client
 import json
 import threading
 import time
@@ -47,7 +46,8 @@ from repro.observe.live import (
     default_slos,
 )
 from repro.parallel import run_spmd
-from repro.serve import FrameHub, HttpFrameServer, SteeringBus
+from repro.serve import HttpFrameServer, ServeMesh, SteeringBus
+from test_serve_transport import _get as _http_get
 
 pytestmark = [pytest.mark.observe, pytest.mark.timeout(180)]
 
@@ -429,22 +429,12 @@ class TestCrashRecoverySLO:
 # -- end-to-end: live HTTP exports mid-run ----------------------------------
 
 
-def _http_get(server, path):
-    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
-    try:
-        conn.request("GET", path)
-        resp = conn.getresponse()
-        return resp.status, dict(resp.getheaders()), resp.read()
-    finally:
-        conn.close()
-
-
 @pytest.mark.serve
 class TestLiveHttpExports:
     def test_routes_serve_live_data_mid_run(self, tmp_path):
         session = TelemetrySession("live-http")
         plane = LivePlane(session)
-        hub = FrameHub()
+        hub = ServeMesh(relays=1, start=False)
         server = HttpFrameServer(hub, SteeringBus(), live=plane)
         server.start()
         runner = _runner(tmp_path, session, steps=3)
@@ -495,7 +485,7 @@ class TestLiveHttpExports:
         assert server.stop()
 
     def test_healthz_without_plane_still_answers(self):
-        hub = FrameHub()
+        hub = ServeMesh(relays=1, start=False)
         server = HttpFrameServer(hub)
         server.start()
         try:
@@ -677,10 +667,10 @@ class TestFrameStoreAccounting:
         assert peak == store.stats()["peak_payload_bytes"] > 0
 
     def test_serving_bench_surfaces_framestore_hwm(self):
-        from repro.bench.serving import run_serving_load
+        from repro.bench.serving import run_mesh_load
 
-        out = run_serving_load(clients=8, frames=6, workers=2,
-                               payload_size=16)
+        out = run_mesh_load(clients=8, frames=6, relays=1, workers=2,
+                            probe_clients=2, payload_size=16)
         assert out["framestore_hwm_bytes"] > 0
         assert out["framestore_hwm_bytes"] == (
             out["store"]["peak_payload_bytes"]

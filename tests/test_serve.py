@@ -1,13 +1,16 @@
-"""Tests for repro.serve: frame store, sessions, hub, steering.
+"""Tests for repro.serve: frame store, sessions, hub surface, steering.
 
-Unit layers first (store / session / hub semantics), then the
-acceptance scenarios from the serving design: backpressure that never
-stalls the publisher, loopback frames byte-identical to the on-disk
-PNGs, and steering commands applied collectively at step boundaries.
+Unit layers first (store / session on a bare pump / the hub surface of
+a one-relay mesh — the workstation-viewer shape; sharding, migration,
+running relay threads and the recorded flat-hub golden sequences live
+in test_serve_mesh.py), then the acceptance scenarios from the serving
+design: backpressure that never stalls the publisher, loopback frames
+byte-identical to the on-disk PNGs, and steering commands applied
+collectively at step boundaries.
 """
 
 import threading
-import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,34 +19,22 @@ from repro.insitu import Bridge
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case, pebble_bed_case
 from repro.parallel import SerialCommunicator, run_spmd
-from repro.perf.config import naive_mode
 from repro.serve import (
     STEER_KINDS,
-    FrameHub,
     FrameStore,
     HubFull,
     LoopbackClient,
-    Session,
+    MeshSession,
+    SessionPump,
     SteerCommand,
     SteeringBus,
     SteeringEndpoint,
     attach_serving,
 )
+from test_serve_mesh import FakeClock, _frame, _png, _quiet_mesh
 
-
-def _png(tag: int = 0) -> bytes:
-    from repro.util.png import encode_png
-
-    img = np.full((8, 8, 3), tag % 256, dtype=np.uint8)
-    return encode_png(img)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
+#: a threadless one-relay mesh: settle() fans out on the caller's thread
+_quiet_hub = partial(_quiet_mesh, relays=1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +59,6 @@ class TestFrameStore:
         assert store.frames_deduped == 1
         assert a.data is b.data          # one interned payload, shared
         assert a.digest == b.digest
-
-    def test_naive_mode_copies_per_frame(self):
-        store = FrameStore(history=8)
-        with naive_mode():
-            a = store.put("s", 0, 0.0, _png(7), seq=0)
-            b = store.put("s", 1, 0.1, _png(7), seq=1)
-        assert store.frames_deduped == 1  # still counted, not shared
-        assert a.data == b.data
-        assert a.data is not b.data
 
     def test_payload_bytes_is_dedup_aware(self):
         store = FrameStore(history=8)
@@ -111,29 +93,35 @@ class TestFrameStore:
 # ---------------------------------------------------------------------------
 
 
-def _frame(step: int, stream: str = "s", published_at: float = 0.0):
-    from repro.serve.framestore import Frame, content_digest
+def _session(clock=None, **kw):
+    """A session on a bare pump, and an ``offer`` that ingests one frame
+    and runs one service pass (what a relay thread does)."""
+    clocked = {"clock": clock} if clock is not None else {}
+    pump = SessionPump(0, **clocked)
+    session = MeshSession(0, **kw, **clocked)
+    pump.attach(session)
 
-    data = _png(step)
-    return Frame(stream=stream, step=step, time=step * 0.1, data=data,
-                 digest=content_digest(data), seq=step,
-                 published_at=published_at)
+    def offer(frame):
+        pump.ingest(frame)
+        pump.pump_once()
+
+    return session, offer
 
 
 class TestSession:
     def test_drop_to_latest_keeps_newest(self):
-        s = Session(0, depth=2)
+        s, offer = _session(depth=2)
         for i in range(5):
-            s.offer(_frame(i))
+            offer(_frame(i))
         assert [f.step for f in s.drain()] == [3, 4]
         assert s.stats.dropped == 3
         assert s.stats.offered == 5
 
     def test_delivered_steps_strictly_increasing(self):
-        s = Session(0, depth=2)
+        s, offer = _session(depth=2)
         delivered = []
         for i in range(20):
-            s.offer(_frame(i))
+            offer(_frame(i))
             if i % 3 == 0:                # slow consumer wakes sometimes
                 delivered.extend(f.step for f in s.drain())
         delivered.extend(f.step for f in s.drain())
@@ -141,20 +129,20 @@ class TestSession:
         assert len(set(delivered)) == len(delivered)
 
     def test_stream_filter(self):
-        s = Session(0, streams=("a",), depth=8)
-        s.offer(_frame(0, stream="a"))
-        s.offer(_frame(1, stream="b"))
+        s, offer = _session(streams=("a",), depth=8)
+        offer(_frame(0, stream="a"))
+        offer(_frame(1, stream="b"))
         assert [f.stream for f in s.drain()] == ["a"]
         assert s.stats.offered == 1       # unwanted streams aren't offers
 
     def test_rate_limit_defers_newest(self):
         clock = FakeClock()
-        s = Session(0, depth=8, max_fps=10, clock=clock)
-        s.offer(_frame(0))                 # enqueued at t=0
+        s, offer = _session(clock, depth=8, max_fps=10)
+        offer(_frame(0))                   # enqueued at t=0
         clock.now = 0.01
-        s.offer(_frame(1))                 # inside the interval: deferred
+        offer(_frame(1))                   # inside the interval: deferred
         clock.now = 0.02
-        s.offer(_frame(2))                 # supersedes frame 1
+        offer(_frame(2))                   # supersedes frame 1
         assert s.stats.rate_limited == 1
         assert [f.step for f in s.drain()] == [0]
         clock.now = 0.2                    # interval elapsed: promote
@@ -162,86 +150,75 @@ class TestSession:
         assert s.stats.delivered == 2
 
     def test_take_timeout_returns_none(self):
-        s = Session(0)
+        s, _offer = _session()
         assert s.take(timeout=0.05) is None
+        assert MeshSession(1).take(timeout=5.0) is None    # never attached
 
     def test_take_blocks_until_offer(self):
-        s = Session(0)
+        s, offer = _session()
         got = []
-
-        def consumer():
-            got.append(s.take(timeout=5.0))
-
-        t = threading.Thread(target=consumer)
+        t = threading.Thread(target=lambda: got.append(s.take(timeout=5.0)))
         t.start()
-        time.sleep(0.02)
-        s.offer(_frame(9))
+        offer(_frame(9))
         t.join(5.0)
         assert got and got[0].step == 9
 
     def test_closed_session_rejects_offers(self):
-        s = Session(0)
+        s, offer = _session()
         s.close()
-        assert s.offer(_frame(0)) is False
+        offer(_frame(0))
+        assert s.stats.offered == 0
         assert s.take(block=False) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Session(0, depth=0)
+            _session(depth=0)
         with pytest.raises(ValueError):
-            Session(0, max_fps=0)
+            _session(max_fps=0)
 
 
 # ---------------------------------------------------------------------------
-# FrameHub
+# The hub surface: a one-relay mesh
 # ---------------------------------------------------------------------------
 
 
 class TestFrameHub:
     def test_publish_fans_out_to_all_sessions(self):
-        hub = FrameHub()
+        hub = _quiet_hub()
         a = hub.connect(depth=8)
         b = hub.connect(depth=8)
         hub.publish("s", 0, 0.0, _png(0))
         hub.publish("s", 1, 0.1, _png(1))
+        hub.settle()
         assert [f.step for f in a.drain()] == [0, 1]
         assert [f.step for f in b.drain()] == [0, 1]
         assert hub.frames_published == 2
 
     def test_shared_payload_across_sessions(self):
-        hub = FrameHub()
+        hub = _quiet_hub()
         a = hub.connect(depth=8)
         b = hub.connect(depth=8)
         hub.publish("s", 0, 0.0, _png(0))
+        hub.settle()
         fa, fb = a.drain()[0], b.drain()[0]
         assert fa.data is fb.data          # interned once, shared
 
-    def test_naive_mode_copies_per_client(self):
-        hub = FrameHub()
-        a = hub.connect(depth=8)
-        b = hub.connect(depth=8)
-        with naive_mode():
-            hub.publish("s", 0, 0.0, _png(0))
-        fa, fb = a.drain()[0], b.drain()[0]
-        assert fa.data == fb.data
-        assert fa.data is not fb.data
-
     def test_max_clients_enforced(self):
-        hub = FrameHub(max_clients=2)
+        hub = _quiet_hub(max_clients=2)
         hub.connect()
         hub.connect()
         with pytest.raises(HubFull):
             hub.connect()
 
     def test_disconnect_frees_a_slot(self):
-        hub = FrameHub(max_clients=1)
+        hub = _quiet_hub(max_clients=1)
         s = hub.connect()
         hub.disconnect(s)
         hub.connect()                      # no raise
         assert hub.peak_clients == 1
 
     def test_closed_hub_refuses_connections(self):
-        hub = FrameHub()
+        hub = _quiet_hub()
         hub.close()
         with pytest.raises(HubFull):
             hub.connect()
@@ -251,7 +228,7 @@ class TestFrameHub:
         # hub.disconnect round-trip, e.g. a viewer dropping mid-publish)
         # must release its budget slot at close time, not at the next
         # hub sweep — otherwise reconnect churn wedges at max_clients
-        hub = FrameHub(max_clients=1)
+        hub = _quiet_hub(max_clients=1)
         s = hub.connect(label="churny")
         hub.publish("s", 0, 0.0, _png(0))
         s.close()
@@ -261,25 +238,29 @@ class TestFrameHub:
     def test_mid_publish_disconnect_releases_budget(self):
         # the disconnect lands between two publishes; the very next
         # connect must succeed even though the hub never ran a sweep
-        hub = FrameHub(max_clients=2)
+        hub = _quiet_hub(max_clients=2)
         a = hub.connect(label="a")
         b = hub.connect(label="b")
         hub.publish("s", 0, 0.0, _png(0))
+        hub.settle()
         b.close()
         c = hub.connect(label="c")
         hub.publish("s", 1, 0.0, _png(1))
+        hub.settle()
         assert [f.step for f in a.drain()] == [0, 1]
         assert [f.step for f in c.drain()] == [1]
 
     def test_stats_shape(self):
-        hub = FrameHub()
+        hub = _quiet_hub()
         hub.connect(label="viewer")
         hub.publish("s", 0, 0.0, _png(0))
+        hub.settle()
         stats = hub.stats()
         assert stats["clients"] == 1
         assert stats["frames_published"] == 1
         assert stats["stalls"] == 0
-        assert "viewer" in stats["sessions"]
+        assert stats["shard_map"]["0"]["clients"] == 1
+        assert stats["relays"]["0"]["frames_ingested"] == 1
         assert stats["store"]["frames_stored"] == 1
 
 
@@ -295,14 +276,16 @@ class TestBackpressure:
         reordered or duplicated); a fast viewer sees every frame; the
         publisher never blocks on either."""
         nframes = 60
-        hub = FrameHub(default_depth=2, stall_threshold_s=0.25)
+        hub = _quiet_hub(default_depth=2, stall_threshold_s=0.25)
         fast = hub.connect(depth=nframes, label="fast")
         slow = hub.connect(depth=2, label="slow")
         slow_steps = []
         for i in range(nframes):
             hub.publish("s", i, i * 0.01, _png(i % 4))
             if i % 7 == 0:                 # slow viewer wakes rarely
+                hub.settle()
                 slow_steps.extend(f.step for f in slow.drain())
+        hub.settle()
         slow_steps.extend(f.step for f in slow.drain())
 
         assert [f.step for f in fast.drain()] == list(range(nframes))
@@ -316,7 +299,7 @@ class TestBackpressure:
         non-blocking regime — the guard the hub's stall counter
         formalizes (style of the telemetry overhead check: generous
         bound, hard invariant)."""
-        hub = FrameHub(default_depth=2)
+        hub = _quiet_hub(default_depth=2)
         for i in range(50):
             hub.connect(label=f"stuck-{i}")
         for i in range(30):
@@ -339,54 +322,52 @@ PEBBLE_XML = """
 """
 
 
+def _served_run(case, xml, hub, out, nranks):
+    """Run `case` with `xml`'s Catalyst pipelines publishing into `hub`."""
+    def body(comm):
+        solver = NekRSSolver(case, comm)
+        bridge = Bridge(solver, config_xml=xml, output_dir=out)
+        attach_serving(bridge.analysis, hub, comm=comm)
+        solver.run(observer=bridge.observer)
+        bridge.finalize()
+
+    run_spmd(nranks, body)
+    hub.settle()
+
+
+def _assert_match_disk(frames, out):
+    for frame in frames:
+        disk = (out / f"{frame.stream}_{frame.step:06d}.png").read_bytes()
+        assert frame.data == disk
+
+
 class TestLoopbackByteIdentical:
     def test_streamed_frames_match_disk(self, tmp_path):
         """Pebble-bed analog, 2 ranks: every frame the loopback client
         receives is byte-identical to the PNG the Catalyst adaptor
         wrote for that step (encode-once)."""
-        hub = FrameHub(history=16)
+        hub = _quiet_hub(history=16)
         client = LoopbackClient(hub, depth=64, label="viewer")
         case = pebble_bed_case(
             num_pebbles=3, elements_per_unit=2, order=3, num_steps=3
         )
-
-        def body(comm):
-            solver = NekRSSolver(case, comm)
-            bridge = Bridge(solver, config_xml=PEBBLE_XML, output_dir=tmp_path)
-            attach_serving(bridge.analysis, hub, comm=comm)
-            solver.run(observer=bridge.observer)
-            bridge.finalize()
-            return solver.time
-
-        run_spmd(2, body)
+        _served_run(case, PEBBLE_XML, hub, tmp_path, nranks=2)
         client.drain()
         assert len(client.frames) == 3
-        for frame in client.frames:
-            disk = (tmp_path / f"{frame.stream}_{frame.step:06d}.png").read_bytes()
-            assert frame.data == disk
+        _assert_match_disk(client.frames, tmp_path)
 
     def test_history_replay_matches_disk(self, tmp_path):
-        """The hub's history ring holds the same bytes, oldest first."""
-        hub = FrameHub(history=16)
+        """The relay's replay ring holds the same bytes, oldest first."""
+        hub = _quiet_hub(history=16)
         case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=5e-3,
                                num_steps=3)
         xml = ('<sensei><analysis type="catalyst" mesh="uniform" '
                'array="pressure" slice_axis="y" width="48" height="48" '
                'frequency="1" name="cav"/></sensei>')
-
-        def body(comm):
-            solver = NekRSSolver(case, comm)
-            bridge = Bridge(solver, config_xml=xml, output_dir=tmp_path)
-            attach_serving(bridge.analysis, hub, comm=comm)
-            solver.run(observer=bridge.observer)
-            bridge.finalize()
-
-        run_spmd(1, body)
-        frames = hub.store.frames("cav_slice0_pressure")
+        _served_run(case, xml, hub, tmp_path, nranks=1)
+        frames = hub.relay_replay("cav_slice0_pressure")
         assert [f.step for f in frames] == [1, 2, 3]
-        for frame in frames:
-            disk = (tmp_path / f"{frame.stream}_{frame.step:06d}.png").read_bytes()
-            assert frame.data == disk
+        _assert_match_disk(frames, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +414,7 @@ class TestSteering:
             SteerCommand(kind=kind, value=1.0)
 
     def test_stop_halts_all_ranks_at_next_boundary(self, tmp_path):
-        hub, bus = FrameHub(), SteeringBus()
+        hub, bus = _quiet_hub(), SteeringBus()
         results = _steered_run(
             tmp_path, hub, bus, nranks=2, steps=5,
             commands=[SteerCommand(kind="stop", client="test")],
@@ -446,9 +427,9 @@ class TestSteering:
         assert bus.applied and bus.applied[0].kind == "stop"
 
     def test_isovalue_changes_next_frame(self, tmp_path):
-        baseline_hub = FrameHub()
+        baseline_hub = _quiet_hub()
         _steered_run(tmp_path / "a", baseline_hub, SteeringBus(), nranks=2)
-        steered_hub, bus = FrameHub(), SteeringBus()
+        steered_hub, bus = _quiet_hub(), SteeringBus()
         _steered_run(
             tmp_path / "b", steered_hub, bus, nranks=2,
             commands=[SteerCommand(kind="isovalue", value=0.05)],
@@ -460,7 +441,7 @@ class TestSteering:
         assert all(steered[s] != base[s] for s in base)
 
     def test_pause_resume_roundtrip(self, tmp_path):
-        hub, bus = FrameHub(), SteeringBus()
+        hub, bus = _quiet_hub(), SteeringBus()
         bus.submit(SteerCommand(kind="pause", client="test"))
         timer = threading.Timer(
             0.25, lambda: bus.submit(SteerCommand(kind="resume", client="test"))
@@ -498,7 +479,7 @@ class TestSteering:
         )
 
     def test_loopback_steer_requires_bus(self):
-        hub = FrameHub()
+        hub = _quiet_hub()
         client = LoopbackClient(hub)
         with pytest.raises(RuntimeError):
             client.steer("stop")

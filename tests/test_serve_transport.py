@@ -4,7 +4,9 @@ Exercises every route of :class:`repro.serve.transport.HttpFrameServer`
 over real sockets with the stdlib ``http.client`` — no external HTTP
 library.  Marked ``serve`` so the asyncio-heavy tests can be selected
 or excluded as a group; the conftest guard asserts no event loop
-outlives its test.
+outlives its test.  The mesh behind the server runs no relay threads
+(``start=False``): ``settle()`` fans out on the test's thread, so the
+only concurrency under test is the server's own.
 """
 
 import http.client
@@ -13,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve import FrameHub, HttpFrameServer, SteeringBus
+from repro.serve import HttpFrameServer, ServeMesh, SteeringBus
 from repro.util.apng import apng_info
 from repro.util.png import encode_png
 
@@ -25,13 +27,18 @@ def _png(tag: int = 0) -> bytes:
     return encode_png(img)
 
 
+def _hub(**kw) -> ServeMesh:
+    return ServeMesh(relays=1, start=False, lease_timeout_s=300.0, **kw)
+
+
 @pytest.fixture
 def served_hub():
     """A hub with three published frames behind a running HTTP server."""
-    hub = FrameHub(history=8)
+    hub = _hub(history=8)
     bus = SteeringBus()
     for i in range(3):
         hub.publish("flow", step=i, time=i * 0.1, data=_png(i))
+    hub.settle()
     server = HttpFrameServer(hub, bus)
     server.start()
     yield hub, bus, server
@@ -71,7 +78,7 @@ class TestRoutes:
         assert doc["steering"] == {"submitted": 0, "pending": 0, "applied": 0}
 
     def test_status_provider_is_merged(self):
-        hub = FrameHub()
+        hub = _hub()
         server = HttpFrameServer(hub, status_provider=lambda: {"extra": 7})
         server.start()
         try:
@@ -121,7 +128,7 @@ class TestRoutes:
         assert "bad steer payload" in doc["error"]
 
     def test_steer_without_bus_is_404(self):
-        server = HttpFrameServer(FrameHub())
+        server = HttpFrameServer(_hub())
         server.start()
         try:
             status, doc = _post(server, "/steer", {"kind": "stop"})
@@ -166,6 +173,7 @@ class TestMultipartStream:
             assert payload == hub.store.latest("flow").data
             # ... then live publishes flow through
             published = hub.publish("flow", step=3, time=0.3, data=_png(9))
+            hub.settle()
             headers, payload = self._read_part(resp)
             assert headers["X-Step"] == "3"
             assert payload == published.data
@@ -173,7 +181,7 @@ class TestMultipartStream:
             conn.close()
 
     def test_hub_full_maps_to_503(self):
-        hub = FrameHub(max_clients=0)
+        hub = _hub(max_clients=0)
         server = HttpFrameServer(hub)
         server.start()
         try:
@@ -199,20 +207,21 @@ class TestMultipartStream:
         step = 90
         while hub.clients and time.monotonic() < deadline:
             hub.publish("flow", step=step, time=9.9, data=_png(step))
+            hub.settle()
             step += 1
-            time.sleep(0.05)
+            time.sleep(0.05)               # the server's turn to notice
         assert hub.clients == 0
 
 
 class TestLifecycle:
     def test_stop_is_idempotent(self):
-        server = HttpFrameServer(FrameHub())
+        server = HttpFrameServer(_hub())
         server.start()
         assert server.stop()
         assert server.stop()                       # second stop: no-op True
 
     def test_double_start_rejected(self):
-        server = HttpFrameServer(FrameHub())
+        server = HttpFrameServer(_hub())
         server.start()
         try:
             with pytest.raises(RuntimeError):
@@ -221,7 +230,7 @@ class TestLifecycle:
             assert server.stop()
 
     def test_url_reports_bound_port(self):
-        server = HttpFrameServer(FrameHub())
+        server = HttpFrameServer(_hub())
         port = server.start()
         try:
             assert server.url == f"http://127.0.0.1:{port}"
