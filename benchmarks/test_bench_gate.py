@@ -70,18 +70,6 @@ def test_collectives_beat_slot_exchange(tmp_path):
     assert report.kernels["collectives"]["speedup"] > 1.1
 
 
-def test_recovery_beats_static_split(tmp_path):
-    """Losing 1 of 2 endpoints: the elastic fleet's makespan (lease
-    detection + reroute + replay) must finish well ahead of the static
-    split, which burns the writers' full retry budgets before
-    degrading.  Floor of 2x; BENCH_9.json records ~9x."""
-    report = run_gate(
-        path=tmp_path / "BENCH.json", repeats=1,
-        kernels={"recovery": KERNELS["recovery"]},
-    )
-    assert report.kernels["recovery"]["speedup"] >= 2.0
-
-
 def test_device_render_beats_host_residency(tmp_path):
     """The device-resident pipeline must cut the modeled 1120-rank
     in situ overhead by >= 1.5x over the host-resident gather (the

@@ -241,18 +241,23 @@ class SSTBroker:
             ) from None
 
     def get(self, writer_rank: int, step: int = -1, timeout: float | None = None) -> bytes:
+        """Dequeue writer `writer_rank`'s next staged step (the only dequeue).
+
+        Waits up to `timeout` seconds (default: the stream timeout) and
+        raises :class:`StreamTimeout` when nothing was staged in time —
+        a polling consumer passes a zero or short timeout and reads that
+        as "nothing staged yet".  Raises :class:`EndOfStream` on the
+        writer's sentinel and :class:`EndpointDownError` when the stream
+        is dead (broker closed / producer marked down) *and* fully
+        drained.  Fault hooks and ``got`` accounting run only after a
+        successful dequeue, so injection probability is per delivered
+        step, not per call.
+        """
         tel = get_telemetry()
         with tel.tracer.span("sst.get", step=step, writer=writer_rank):
             return self._get(writer_rank, step, timeout, tel)
 
     def _get(self, writer_rank, step, timeout, tel) -> bytes:
-        inj = self.injector
-        if inj is not None:
-            slow = inj.maybe("slow_consumer", "broker.get", step, key=writer_rank)
-            if slow is not None:
-                tel.tracer.instant("fault.slow_consumer", step=step, writer=writer_rank)
-                inj.sleep(slow)
-                self.stats.faults.try_resolve("slow_consumer", "recovered")
         # Wait in short slices so a broker close or producer death is
         # noticed within _POLL_S, not after the full stream timeout —
         # staged items are still drained before the stream fails.
@@ -281,43 +286,6 @@ class SSTBroker:
                 continue
         if item is self._SENTINEL:
             raise EndOfStream
-        if inj is not None:
-            corrupt = inj.maybe("corrupt_payload", "broker.get", step, key=writer_rank)
-            if corrupt is not None:
-                tel.tracer.instant("fault.corrupt_payload", step=step, writer=writer_rank)
-                item = inj.corrupt(item, corrupt)
-        self.stats.record_get(len(item), writer=writer_rank)
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_sst_steps_got_total", "Steps drained from the SST broker"
-            ).inc()
-            tel.metrics.counter(
-                "repro_sst_bytes_got_total", "Bytes drained from the SST broker"
-            ).inc(len(item))
-        return item
-
-    def try_get(self, writer_rank: int, step: int = -1) -> bytes | None:
-        """Non-blocking get for polling consumers (the endpoint fleet).
-
-        Returns the next staged payload, or ``None`` when the queue is
-        momentarily empty.  Raises :class:`EndOfStream` on the writer's
-        sentinel and :class:`EndpointDownError` when the stream is dead
-        (broker closed / producer marked down) *and* fully drained.
-        Fault hooks run only after a successful dequeue, so injection
-        probability is per delivered step, not per poll.
-        """
-        try:
-            item = self.queues[writer_rank].get_nowait()
-        except queue.Empty:
-            if self._stream_dead(writer_rank):
-                raise EndpointDownError(
-                    f"SST stream of writer {writer_rank} is down "
-                    f"({'broker closed' if self.closed.is_set() else 'producer dead'})"
-                ) from None
-            return None
-        if item is self._SENTINEL:
-            raise EndOfStream
-        tel = get_telemetry()
         inj = self.injector
         if inj is not None:
             slow = inj.maybe("slow_consumer", "broker.get", step, key=writer_rank)

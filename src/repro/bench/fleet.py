@@ -1,19 +1,15 @@
 """Fleet bench: time-to-recover and elastic weak scaling.
 
-Two measurements for the elastic endpoint fleet (:mod:`repro.fleet`):
+Two measurements for the endpoint fleet (:mod:`repro.fleet`):
 
 **Recovery** — a synthetic in-transit pipeline (marshaled payloads,
-no solver) loses 1 of 2 endpoints mid-stream.  The fleet path detects
-the lapsed lease, rebalances the dead member's streams over the hash
-ring, and replays its queued steps on the survivor — every step
-commits.  The reference path (``naive_mode``) is the static split:
-the surviving endpoint cannot take over the orphaned streams, so the
-affected writers burn their retry budgets, mark the transport down,
-and drop the remaining steps.  :func:`measure_recovery` returns the
-scenario's makespan in seconds and is gated as the ``recovery`` row
-of ``python -m repro bench --gate`` (baseline ``BENCH_9.json``).
+no solver) loses 1 of 2 endpoints mid-stream.  The survivor detects
+the lapsed lease, the dead member's streams rebalance over the hash
+ring, and its queued steps replay on the survivor — every step
+commits.  (What the same loss cost before endpoints could take over
+each other's streams is recorded in ``docs/fault_tolerance.md``.)
 
-**Weak scaling** — Fig 5/6 analogs with the fleet enabled: the
+**Weak scaling** — Fig 5/6 analogs with the autoscaler on: the
 simulation side doubles while the autoscaler picks the endpoint count
 inside the 2:1..16:1 ratio clamp; per-step time should stay flat.
 
@@ -50,9 +46,7 @@ def _producers(broker, steps: int, elems: int):
     from repro.faults.retry import RetryPolicy
 
     # the retry window must outlive lease detection (~_LEASE_S) so the
-    # fleet path reroutes before any writer burns its budget; the
-    # static path still exhausts it (no takeover ever drains the
-    # orphaned queues) and degrades within max_elapsed_s
+    # reroute lands before any writer burns its budget
     retry = RetryPolicy(
         max_attempts=12, base_delay=0.01, attempt_timeout=0.05,
         max_elapsed_s=1.0,
@@ -114,7 +108,7 @@ class _CountSink:
 def _run_fleet_recovery(
     steps: int = _STEPS, elems: int = _ELEMS, lease_timeout: float = _LEASE_S
 ) -> dict:
-    """Elastic fleet: endpoint 1 crashes; endpoint 0 takes over everything."""
+    """Endpoint 1 crashes; endpoint 0 takes over everything."""
     from repro.adios.engine import SSTBroker
     from repro.faults.injector import FaultInjector
     from repro.fleet import FleetCoordinator, FleetEndpoint
@@ -145,8 +139,15 @@ def _run_fleet_recovery(
                          name=f"fleet-endpoint-{eid}", daemon=True)
         for eid in range(_POOL)
     ]
+    for t in consumers:
+        t.start()
+    # the scenario is "a member dies": both must have joined before data
+    # flows, or the survivor can drain the whole synthetic stream (~4 ms)
+    # before the victim's thread has even registered
+    while len(coordinator.membership.snapshot()["states"]) < _POOL:
+        time.sleep(0.001)
     t0 = time.perf_counter()
-    for t in producers + consumers:
+    for t in producers:
         t.start()
     for t in producers + consumers:
         t.join()
@@ -154,7 +155,6 @@ def _run_fleet_recovery(
     recoveries = coordinator.stats()["recoveries"]
     return {
         "seconds": seconds,
-        "mode": "fleet",
         "sent": sum(sent),
         "degraded": sum(degraded),
         "committed": len(coordinator.committed),
@@ -170,80 +170,9 @@ def _run_fleet_recovery(
     }
 
 
-def _run_static_recovery(steps: int = _STEPS, elems: int = _ELEMS) -> dict:
-    """Static split reference: the orphaned streams are unrecoverable."""
-    from repro.adios.engine import SSTBroker, SSTReaderEngine, StepStatus
-    from repro.faults.errors import EndpointDownError, StreamTimeout
-    from repro.parallel.partition import block_range
-
-    broker = SSTBroker(num_writers=_WRITERS, queue_limit=2, timeout=0.3)
-    producers, sent, degraded = _producers(broker, steps, elems)
-    committed = [0] * _POOL
-
-    def endpoint_body(rank: int) -> None:
-        lo, hi = block_range(_WRITERS, _POOL, rank)
-        reader = SSTReaderEngine("fleet-bench", broker, list(range(lo, hi)))
-        while True:
-            if rank == 1 and committed[rank] == _CRASH_AT:
-                return  # crash: stop consuming, no drain, no close
-            try:
-                status = reader.begin_step()
-            except (StreamTimeout, EndpointDownError):
-                return  # upstream writers degraded without sentinels
-            if status is StepStatus.END_OF_STREAM:
-                return
-            payloads = reader.payloads()
-            for p in payloads.values():
-                for arr in p.variables.values():
-                    _ = arr.shape
-            reader.end_step()
-            committed[rank] += 1
-
-    consumers = [
-        threading.Thread(target=endpoint_body, args=(rank,),
-                         name=f"static-endpoint-{rank}", daemon=True)
-        for rank in range(_POOL)
-    ]
-    t0 = time.perf_counter()
-    for t in producers + consumers:
-        t.start()
-    for t in producers + consumers:
-        t.join()
-    return {
-        "seconds": time.perf_counter() - t0,
-        "mode": "static",
-        "sent": sum(sent),
-        "degraded": sum(degraded),
-        "committed": sum(committed),
-        "expected": steps,
-    }
-
-
-def measure_recovery(
-    steps: int = _STEPS, elems: int = _ELEMS, lease_timeout: float = _LEASE_S
-) -> float:
-    """Makespan of the endpoint-loss scenario; the gated ``recovery`` kernel.
-
-    Dispatches on :func:`repro.perf.config.enabled`: optimized is the
-    elastic fleet (reroute + replay, zero lost steps), the
-    ``naive_mode`` reference is the static split (retry exhaustion +
-    degraded drops).  Returns measured seconds, as the gate's
-    float-returning kernels do.
-    """
-    from repro.perf import config
-
-    if config.enabled():
-        return float(_run_fleet_recovery(steps, elems, lease_timeout)["seconds"])
-    return float(_run_static_recovery(steps, elems)["seconds"])
-
-
 def recovery_slo() -> Table:
-    """Side-by-side fleet vs static outcome of losing 1 of 2 endpoints."""
-    from repro.perf.config import naive_mode
-
+    """Outcome of losing 1 of 2 endpoints mid-stream."""
     fleet = _run_fleet_recovery()
-    with naive_mode():
-        static = _run_static_recovery()
     table = Table(
         ["path", "makespan [s]", "steps committed", "steps degraded",
          "recovery [s]", "streams moved", "steps replayed"],
@@ -262,15 +191,6 @@ def recovery_slo() -> Table:
         fleet["streams_moved"],
         fleet["tasks_replayed"],
     ])
-    table.add_row([
-        "static split (retry + degrade)",
-        f"{static['seconds']:.3f}",
-        f"{static['committed']}/{2 * static['expected']} (both endpoints)",
-        static["degraded"],
-        "-",
-        "-",
-        "-",
-    ])
     return table
 
 
@@ -279,7 +199,7 @@ def weak_scaling(
     steps: int = 4,
     elements_per_rank: int = 2,
 ) -> Table:
-    """Fig 5/6 analog with the elastic fleet + autoscaler enabled."""
+    """Fig 5/6 analog with the autoscaler enabled."""
     from repro.fleet import FleetConfig
     from repro.insitu import InTransitRunner
     from repro.nekrs.cases import weak_scaled_rbc_case

@@ -1,6 +1,6 @@
 """Live telemetry bench: what the streaming plane costs while running.
 
-Drives the same small in-transit fleet run twice — once bare, once
+Drives the same small in-transit run twice — once bare, once
 with a :class:`~repro.observe.live.plane.LivePlane` attached — and
 reports the wall-clock delta the live plane adds: correlation tags on
 every payload, per-rank ring collectors on every stage boundary, the
@@ -36,13 +36,12 @@ def measure_live_run(
     image_size: int = 48,
     overhead_budget: float = 0.05,
 ):
-    """One fleet run, optionally instrumented; returns raw results.
+    """One in-transit run, optionally instrumented; returns raw results.
 
     ``{"seconds": wall, "session": ..., "plane": ... or None,
     "runner": ...}`` — the plane is returned live so callers can
     inspect timelines, sampler level, and SLO state after the run.
     """
-    from repro.fleet import FleetConfig
     from repro.insitu import InTransitRunner
     from repro.nekrs.cases import weak_scaled_rbc_case
     from repro.observe import TelemetrySession
@@ -70,7 +69,6 @@ def measure_live_run(
             output_dir=tmp,
             image_size=image_size,
             session=session,
-            fleet=FleetConfig(),
         )
         t0 = time.perf_counter()
         run_spmd(ranks, runner.run)

@@ -281,7 +281,8 @@ def measure_intransit_profiles(
     )
     endpoint_stats = {
         "ranks": len(ends),
-        "steps": ends[0].steps if ends else 0,
+        # each step is rendered by one endpoint, whichever polled first
+        "steps": sum(e.steps for e in ends),
         "files_bytes": sum(e.files_bytes for e in ends),
         "images": sum(e.images for e in ends),
         "memory_bytes": max((e.memory_bytes for e in ends), default=0),

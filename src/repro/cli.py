@@ -11,10 +11,9 @@ Subcommands:
     Posthoc-render a ``.fld`` checkpoint into PNG images (the offline
     complement to the in situ pipeline).
 ``intransit``
-    Run the in transit topology: simulation ranks stream to SENSEI
-    endpoint ranks — a static split, or ``--fleet`` for the elastic
-    endpoint fleet (mid-run join/leave, rebalance, work stealing,
-    optional autoscaling).
+    Run the in transit topology: simulation ranks stream to a fleet
+    of SENSEI endpoint ranks (fixed membership by default; lease-based
+    loss recovery, rebalance, work stealing, optional autoscaling).
 ``bench``
     Regenerate a paper figure/table.
 ``serve``
@@ -420,13 +419,6 @@ def cmd_intransit(args) -> int:
         )
         return case.with_overrides(num_steps=args.steps)
 
-    fleet = None
-    if args.fleet:
-        fleet = FleetConfig(
-            lease_timeout=args.lease_timeout,
-            initial_active=args.initial_active,
-            autoscale=args.autoscale,
-        )
     from repro.codec import CodecSpec
 
     router_policy = None
@@ -443,7 +435,11 @@ def cmd_intransit(args) -> int:
         arrays=("temperature", "velocity_magnitude"),
         output_dir=args.output,
         image_size=args.size,
-        fleet=fleet,
+        fleet=FleetConfig(
+            lease_timeout=args.lease_timeout,
+            initial_active=args.initial_active,
+            autoscale=args.autoscale,
+        ),
         codec=CodecSpec.from_cli(args.codec, args.error_budget),
         route=args.route,
         router_policy=router_policy,
@@ -452,8 +448,8 @@ def cmd_intransit(args) -> int:
     sims = [r for r in results if r.role == "simulation"]
     ends = [r for r in results if r.role == "endpoint"]
     print(
-        f"in transit ({'fleet' if fleet else 'static split'}): "
-        f"{len(sims)} sim ranks + {len(ends)} endpoint ranks, mode={args.mode}"
+        f"in transit: {len(sims)} sim ranks + {len(ends)} endpoint ranks, "
+        f"mode={args.mode}"
     )
     for r in sims:
         print(f"  sim {r.rank}: {r.steps} steps, "
@@ -470,23 +466,21 @@ def cmd_intransit(args) -> int:
         print(f"  endpoint {r.rank}: {r.steps} steps, "
               f"received {format_bytes(r.stream_bytes)}, "
               f"wrote {format_bytes(r.files_bytes)}")
-    coordinator = runner.last_coordinator
-    if coordinator is not None:
-        stats = coordinator.stats()
+    stats = runner.last_coordinator.stats()
+    print(
+        f"fleet: epoch {stats['epoch']}, {stats['committed']} steps "
+        f"committed, {stats['stolen']} stolen, "
+        f"{stats['rebalances']} rebalance(s), "
+        f"{stats['crashes_detected']} crash(es) detected"
+    )
+    for rec in stats["recoveries"]:
+        kind = "planned" if rec["planned"] else "unplanned"
         print(
-            f"fleet: epoch {stats['epoch']}, {stats['committed']} steps "
-            f"committed, {stats['stolen']} stolen, "
-            f"{stats['rebalances']} rebalance(s), "
-            f"{stats['crashes_detected']} crash(es) detected"
+            f"  {kind} loss of endpoint {rec['eid']}: "
+            f"{rec['streams_moved']} stream(s) moved, "
+            f"{rec['tasks_requeued']} task(s) replayed in "
+            f"{rec['recovery_seconds']:.3f}s"
         )
-        for rec in stats["recoveries"]:
-            kind = "planned" if rec["planned"] else "unplanned"
-            print(
-                f"  {kind} loss of endpoint {rec['eid']}: "
-                f"{rec['streams_moved']} stream(s) moved, "
-                f"{rec['tasks_requeued']} task(s) replayed in "
-                f"{rec['recovery_seconds']:.3f}s"
-            )
     return 0
 
 
@@ -519,8 +513,7 @@ def cmd_observe(args) -> int:
                 _time.sleep(args.interval)
         return 0
 
-    # no --url: drive a small in-process fleet run and watch it live
-    from repro.fleet import FleetConfig
+    # no --url: drive a small in-process in transit run and watch it live
     from repro.insitu import InTransitRunner
     from repro.nekrs.cases import weak_scaled_rbc_case
     from repro.observe import TelemetrySession
@@ -545,7 +538,6 @@ def cmd_observe(args) -> int:
         output_dir=args.output,
         image_size=48,
         session=session,
-        fleet=FleetConfig(),
     )
     if args.once:
         run_spmd(args.ranks, runner.run)
@@ -725,24 +717,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     intransit = sub.add_parser(
         "intransit",
-        help="run the in transit topology (static split or --fleet elastic)",
+        help="run the in transit topology (simulation ranks -> endpoint fleet)",
     )
     intransit.add_argument("--mode", choices=("checkpoint", "catalyst"),
                            default="catalyst")
     intransit.add_argument("--ranks", type=int, default=6)
     intransit.add_argument("--ratio", type=int, default=2,
-                           help="sim ranks per endpoint rank (static split "
-                                "and fleet pool sizing)")
+                           help="sim ranks per endpoint rank (sizes the "
+                                "endpoint pool)")
     intransit.add_argument("--steps", type=int, default=4)
     intransit.add_argument("--interval", type=int, default=1)
     intransit.add_argument("--order", type=int, default=3)
     intransit.add_argument("--elements", type=int, default=4,
                            help="mesh elements per simulation rank")
     intransit.add_argument("--size", type=int, default=128)
-    intransit.add_argument("--fleet", action="store_true",
-                           help="elastic endpoint fleet (join/leave, "
-                                "rebalance, work stealing) instead of the "
-                                "static block split")
     intransit.add_argument("--lease-timeout", type=float, default=0.25,
                            help="seconds without a heartbeat before an "
                                 "endpoint is declared dead")
@@ -788,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the smallest measurement workload")
     bench.add_argument("--gate", action="store_true",
                        help="run the perf regression gate against BENCH_10.json "
-                            "(includes the compositing, collectives, recovery, "
+                            "(includes the compositing, collectives, "
                             "live-telemetry, compression, and device-render "
                             "rows)")
     bench.add_argument("--update-baseline", action="store_true",

@@ -1,18 +1,21 @@
-"""repro.fleet: elastic endpoint fleets for in transit visualization.
+"""repro.fleet: the endpoint side of in transit visualization.
 
 The paper's in transit topology fixes a 4:1 sim:endpoint node split at
-launch.  This package makes the endpoint side *elastic*: endpoints
-join and leave mid-run, producer streams rebalance over a consistent-
-hash ring with bounded disruption, idle endpoints steal queued render
-steps, and an autoscaler driven by the transport's queue-depth gauges
-picks the sim:endpoint ratio inside a 2:1..16:1 clamp.
+launch.  Here that split is the default :class:`FleetConfig` — every
+pooled endpoint active from the start, membership fixed, autoscaler
+off — of a fleet that can also be *elastic*: endpoints join and leave
+mid-run, producer streams rebalance over a consistent-hash ring with
+bounded disruption, idle endpoints steal queued render steps, and an
+autoscaler driven by the transport's queue-depth gauges picks the
+sim:endpoint ratio inside a 2:1..16:1 clamp.
 
 Pieces (all in-process, mirroring the repo's threaded-SPMD transport):
 
 - :class:`~repro.fleet.ring.HashRing` — deterministic stream routing;
 - :class:`~repro.fleet.membership.FleetMembership` — heartbeat leases
   over mailbox queues; unplanned loss is detected by whichever peer
-  polls next, no monitor thread;
+  polls next, no monitor thread (a member busy on a task is slow, not
+  dead: the polling peer keeps its lease inside a measured bound);
 - :class:`~repro.fleet.work.WorkQueues` — per-endpoint render queues
   with deterministic work stealing;
 - :class:`~repro.fleet.autoscaler.Autoscaler` — queue-depth policy;
@@ -21,9 +24,9 @@ Pieces (all in-process, mirroring the repo's threaded-SPMD transport):
 - :class:`~repro.fleet.endpoint.FleetEndpoint` — one endpoint rank's
   loop with its private single-rank SENSEI sink.
 
-Entry point: ``InTransitRunner(..., fleet=FleetConfig(...))`` — see
-:mod:`repro.insitu.intransit`.  The static split survives as the
-``naive_mode()`` reference path.
+Entry point: :class:`repro.insitu.intransit.InTransitRunner`, whose
+every endpoint rank is a :class:`FleetEndpoint`; pass
+``fleet=FleetConfig(...)`` to change the defaults.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from repro.fleet.work import RenderTask, WorkQueues
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Tuning knobs for an elastic in transit endpoint fleet.
+    """Tuning knobs for the in transit endpoint fleet.
 
+    The defaults are the paper's static N:1 split.
     ``initial_active=None`` starts every pooled endpoint active;
     setting it lower parks the remainder as the autoscaler's reserve.
     ``autoscale=False`` keeps membership fixed unless faults or an
@@ -49,7 +53,7 @@ class FleetConfig:
     """
 
     lease_timeout: float = 0.25     # seconds before a silent member is dead
-    poll_interval: float = 0.002    # endpoint sleep when idle/parked
+    poll_interval: float = 0.002    # longest idle/parked wait between polls
     initial_active: int | None = None
     autoscale: bool = False
     autoscaler: AutoscalerConfig | None = None

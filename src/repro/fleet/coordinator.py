@@ -1,13 +1,15 @@
-"""FleetCoordinator: membership + routing + recovery for elastic endpoints.
+"""FleetCoordinator: membership + routing + recovery for endpoint ranks.
 
-The coordinator is the shared-memory control plane of the elastic
-in-transit fleet (one instance per run, handed to every endpoint rank,
+The coordinator is the shared-memory control plane of the in-transit
+endpoint fleet (one instance per run, handed to every endpoint rank,
 exactly like the :class:`~repro.adios.engine.SSTBroker` it routes
 for).  It composes the fleet pieces:
 
 - **membership** — heartbeat leases (:mod:`repro.fleet.membership`);
   an endpoint that stops polling is declared dead when its lease
-  lapses, with no dedicated monitor thread;
+  lapses, with no dedicated monitor thread — unless it holds a task,
+  in which case it is working, not silent (see ``_reap``); one whose
+  loop raises reports its own death (``fail``);
 - **routing** — producer streams (writer ranks) are assigned to
   endpoints through a consistent-hash ring
   (:mod:`repro.fleet.ring`), so membership changes move only the
@@ -29,10 +31,10 @@ for).  It composes the fleet pieces:
   endpoints or parks active ones, keeping the sim:endpoint ratio
   inside its 2:1..16:1 clamp.
 
-Delivery is at-least-once: a "dead" endpoint that was merely slow may
-still commit a task that has already been requeued.  Sinks are
-idempotent per step (same file bytes rewritten), and the committed-step
-ledger deduplicates, so the zero-lost-committed-steps invariant the
+Delivery is at-least-once: a task replayed after its first holder was
+written off may be committed twice.  Sinks are idempotent per step
+(same file bytes rewritten), and the committed-step ledger
+deduplicates, so the zero-lost-committed-steps invariant the
 acceptance tests assert is unaffected.
 """
 
@@ -46,7 +48,11 @@ from enum import Enum
 from repro.adios.engine import EndOfStream, SSTBroker
 from repro.adios.marshal import unmarshal_step
 from repro.codec import CodecContext
-from repro.faults.errors import CorruptPayloadError, EndpointDownError
+from repro.faults.errors import (
+    CorruptPayloadError,
+    EndpointDownError,
+    StreamTimeout,
+)
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.membership import EndpointState, FleetMembership
 from repro.fleet.ring import HashRing
@@ -93,7 +99,7 @@ class RecoveryRecord:
 
 
 class FleetCoordinator:
-    """Control plane shared by every endpoint of one elastic fleet."""
+    """Control plane shared by every endpoint rank of one in transit run."""
 
     def __init__(
         self,
@@ -169,6 +175,14 @@ class FleetCoordinator:
                 self._retire(eid, planned=True)
             self.membership.leave(eid)
 
+    def fail(self, eid: int) -> None:
+        """Unplanned exit reported by the member itself (its loop
+        raised): retire it now and replay what it held, rather than
+        wait on a lease its peers keep renewing while it holds a task."""
+        with self._lock:
+            if self.membership.fail(eid):
+                self._retire(eid, planned=False)
+
     # -- the endpoint's main call ------------------------------------------
     def poll(self, eid: int):
         """Heartbeat, reap, ingest, and hand out one unit of work.
@@ -210,6 +224,18 @@ class FleetCoordinator:
         with self._lock:
             self._inflight.setdefault(eid, []).append(task)
         return task
+
+    def rest(self, eid: int, seconds: float) -> None:
+        """Wait up to `seconds` for something to do (after PARK or IDLE).
+
+        A member that owns a live stream waits inside the broker's
+        ``get``: the next ``put`` wakes it, and the wait is accounted
+        where every consumer's is, as time spent waiting for data
+        (``sst.get``).  One that owns none — parked, or active on
+        stolen work only — has nothing to wait on and sleeps.
+        """
+        if not self._ingest(eid, wait=seconds):
+            time.sleep(seconds)
 
     def commit(self, eid: int, task: RenderTask) -> None:
         """Mark a render task done (idempotent per step)."""
@@ -307,7 +333,18 @@ class FleetCoordinator:
 
     # -- internals ----------------------------------------------------------
     def _reap(self, reaper: int) -> None:
-        """Expire lapsed leases; retire the newly dead."""
+        """Expire lapsed leases; retire the newly dead.
+
+        Slow is not dead: a member renews its lease by polling, which
+        it cannot do while it renders, so the polling peer renews it on
+        behalf of every member that holds a task.  Members are threads:
+        the only way to die with a task in hand is to raise, and a
+        member that raises calls :meth:`fail` on its way out.
+        """
+        with self._lock:
+            for eid, tasks in self._inflight.items():
+                if tasks:
+                    self.membership.heartbeat(eid)
         for eid in self.membership.expire():
             self._retire(eid, planned=False)
             tel = get_telemetry()
@@ -441,8 +478,16 @@ class FleetCoordinator:
                 self._retire(victim, planned=True)
                 self.membership.park(victim)
 
-    def _ingest(self, eid: int) -> None:
-        """Drain the broker queues of every stream `eid` currently owns."""
+    def _ingest(self, eid: int, wait: float = 0.0) -> bool:
+        """Drain the broker queues of every stream `eid` currently owns.
+
+        The first dequeue may block up to `wait` seconds inside the
+        broker's ``get``; every other one is a zero-timeout poll, made
+        only when something is staged (an idle member then costs one
+        ``sst.get`` span per wait, not one per stream per poll), and a
+        :class:`StreamTimeout` just means nothing is staged yet.
+        Returns whether `eid` owns a live stream.
+        """
         owned = [
             w for w, owner in self.assignment().items()
             if owner == eid and w not in self._ended
@@ -451,24 +496,22 @@ class FleetCoordinator:
             while True:
                 with self._lock:
                     ordinal = self._got.get(w, 0)
+                timeout, wait = wait, 0.0
+                if not timeout and self.broker.queues[w].empty():
+                    break
                 try:
-                    raw = self.broker.try_get(w, step=ordinal)
-                except EndOfStream:
+                    raw = self.broker.get(w, step=ordinal, timeout=timeout)
+                except StreamTimeout:
+                    break
+                except (EndOfStream, EndpointDownError):
+                    # sentinel, or the producer side died and whatever
+                    # it staged was drained
                     with self._lock:
                         self._ended.add(w)
                         self._complete_assemblies(eid)
-                    break
-                except EndpointDownError:
-                    # producer side died; whatever it staged was drained
-                    with self._lock:
-                        self._ended.add(w)
-                        self._complete_assemblies(eid)
-                    break
-                if raw is None:
                     break
                 with self._lock:
                     self._got[w] = ordinal + 1
-                with self._lock:
                     ctx = self._codec_ctx.setdefault(w, CodecContext())
                 try:
                     payload = unmarshal_step(raw, context=ctx)
@@ -493,6 +536,7 @@ class FleetCoordinator:
                     )
                     self._assembly.setdefault(payload.step, {})[w] = payload
                     self._complete_assemblies(eid)
+        return bool(owned)
 
     def _complete_assemblies(self, completer: int) -> None:
         """Promote every provably complete assembly to a render task.

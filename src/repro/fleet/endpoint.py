@@ -1,31 +1,30 @@
-"""FleetEndpoint: one elastic endpoint rank's poll/render loop.
+"""FleetEndpoint: one endpoint rank's poll/render loop.
 
-The static endpoint (:meth:`repro.insitu.intransit.InTransitRunner.
-_run_endpoint`) owns a fixed `block_range` slice of writer streams
-for the whole run.  A fleet endpoint owns nothing statically: every
-loop iteration it heartbeats, polls the shared
+An endpoint owns no writer stream statically: every loop iteration it
+heartbeats, polls the shared
 :class:`~repro.fleet.coordinator.FleetCoordinator` for a directive or
 a fully assembled :class:`~repro.fleet.work.RenderTask`, and feeds the
-task through its private sink.
+task through its private sink.  With nothing to do it rests inside
+the coordinator (:meth:`FleetCoordinator.rest`), waiting on the
+transport rather than sleeping beside it.
 
 Each endpoint gets its **own** :class:`~repro.parallel.comm.
 SerialCommunicator`-backed analysis (no collectives across the
 endpoint group), so a crashed member cannot strand peers inside a
 barrier — the property that makes mid-run joins and leaves safe.
-Output stays byte-identical to the static split because every
+Output does not depend on which member rendered a step because every
 artifact is keyed by (step, block) or (name, step), never by the rank
 that produced it.
 
-Crash injection mirrors the static site: the loop consults the
-injector *before* each poll and, when ``endpoint_crash`` fires, simply
-stops — no leave, no drain — so the lease lapses and peers must
-detect the loss the hard way.
+Crash injection: the loop consults the injector *before* each poll
+and, when ``endpoint_crash`` fires, simply stops — no leave, no drain
+— so the lease lapses and peers must detect the loss the hard way.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fleet.coordinator import Directive, FleetCoordinator
 from repro.fleet.work import RenderTask
@@ -45,10 +44,7 @@ class EndpointReport:
     wall_seconds: float = 0.0
     recv_bytes: int = 0
     staging_peak: int = 0
-    files_bytes: int = 0
-    images: int = 0
     empty_tasks: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class AnalysisSink:
@@ -62,7 +58,7 @@ class AnalysisSink:
 
     def __init__(self, analysis_factory):
         # deferred: repro.insitu imports repro.fleet for the runner's
-        # fleet mode, so a module-level import here would be circular
+        # endpoint loop, so a module-level import here would be circular
         from repro.insitu.streamed import StreamedDataAdaptor
 
         self.comm = SerialCommunicator(channel="fleet")
@@ -71,7 +67,6 @@ class AnalysisSink:
         self._seen_writers: set[int] = set()
         self.recv_bytes = 0
         self.staging_peak = 0
-        self.steps = 0
 
     def process(self, task: RenderTask, coordinator: FleetCoordinator) -> bool:
         for writer in task.payloads:
@@ -88,7 +83,6 @@ class AnalysisSink:
         self.recv_bytes += self.adaptor.staged_bytes
         self.analysis.execute(self.adaptor)
         self.adaptor.release_data()
-        self.steps += 1
         return True
 
     def finalize(self) -> None:
@@ -136,17 +130,23 @@ class FleetEndpoint:
                 break
             if out is Directive.PARK:
                 report.parked_polls += 1
-                _time.sleep(self.poll_interval)
+                coord.rest(self.eid, self.poll_interval)
                 continue
             if out is Directive.IDLE:
                 report.idle_polls += 1
-                _time.sleep(self.poll_interval)
+                coord.rest(self.eid, self.poll_interval)
                 continue
-            if self.sink.process(out, coord):
-                report.steps += 1
-            else:
-                report.empty_tasks += 1
-            coord.commit(self.eid, out)
+            try:
+                if self.sink.process(out, coord):
+                    report.steps += 1
+                else:
+                    report.empty_tasks += 1
+                coord.commit(self.eid, out)
+            except BaseException:
+                # peers keep a task holder's lease alive, so a member
+                # that dies with a task in hand has to say so itself
+                coord.fail(self.eid)
+                raise
         if not report.crashed:
             coord.depart(self.eid)
             self.sink.finalize()

@@ -11,9 +11,9 @@ heartbeating) surface without any dedicated monitor thread.
 
 States: ``ACTIVE`` (owns streams, processes work), ``PARKED`` (alive
 but idle — the autoscaler's reserve pool), ``LEFT`` (planned
-departure), ``DEAD`` (lease expired).  Every transition bumps the
-membership ``epoch``; the coordinator rebalances when it observes an
-epoch it has not seen.
+departure), ``DEAD`` (lease expired, or the member reported its own
+failure).  Every transition bumps the membership ``epoch``; the
+coordinator rebalances when it observes an epoch it has not seen.
 """
 
 from __future__ import annotations
@@ -91,6 +91,18 @@ class FleetMembership:
                     self._epoch += 1
                     dead.append(eid)
         return dead
+
+    def fail(self, eid: int) -> bool:
+        """Declare `eid` dead now (it reported its own failure);
+        returns False when it was not a live member."""
+        with self._lock:
+            if self._state.get(eid) not in (
+                EndpointState.ACTIVE, EndpointState.PARKED
+            ):
+                return False
+            self._state[eid] = EndpointState.DEAD
+            self._epoch += 1
+            return True
 
     # -- planned transitions ----------------------------------------------
     def activate(self, eid: int) -> None:

@@ -2,8 +2,13 @@
 
 Reproduces the paper's Section 4.2 topology: the rank group splits
 into simulation ranks and endpoint ranks at a configurable ratio (the
-paper uses 4:1), an SST stream connects them, and the endpoint runs a
-SENSEI data consumer in one of three measurement modes:
+paper uses 4:1), an SST stream connects them, and every endpoint rank
+is a member of one :mod:`repro.fleet`, polling the shared
+:class:`~repro.fleet.FleetCoordinator` for assembled steps.  The
+paper's static N:1 split is the default ``FleetConfig()``: every
+endpoint active from the start, membership fixed, autoscaler off.
+The endpoint runs a SENSEI data consumer in one of three measurement
+modes:
 
 - ``none``        — No Transport: SENSEI runtime loaded, no analysis
                     adaptor enabled, nothing streamed;
@@ -22,7 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.adios.engine import SSTBroker, SSTReaderEngine, SSTWriterEngine, StepStatus
+from repro.adios.engine import SSTBroker, SSTWriterEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.fleet import (
@@ -33,17 +38,12 @@ from repro.fleet import (
     FleetEndpoint,
 )
 from repro.codec import CodecSpec
-from repro.insitu.adaptor import NekDataAdaptor
 from repro.insitu.bridge import Bridge
 from repro.insitu.router import HybridRouter, RoutedAnalysis, RouterPolicy
-from repro.insitu.streamed import StreamedDataAdaptor
-from repro.nekrs.config import CaseDefinition
 from repro.nekrs.solver import NekRSSolver
-from repro.observe.session import TelemetrySession, get_telemetry
+from repro.observe.session import TelemetrySession
 from repro.occa import Device
 from repro.parallel.comm import Communicator
-from repro.parallel.partition import block_range
-from repro.perf import config as perf_config
 from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
 from repro.sensei.analyses.adios_adaptor import ADIOSAnalysisAdaptor
 from repro.sensei.analyses.posthoc_io import VTKPosthocIO
@@ -132,14 +132,10 @@ class InTransitRunner:
         self.retry = retry
         self.fallback = fallback
         self.session = session
-        self.fleet = fleet
+        self.fleet = FleetConfig() if fleet is None else fleet
         self.codec = codec
         self.route = route
         self.router_policy = router_policy
-        # rank bodies run in fresh threads where the thread-local perf
-        # flag resets to enabled, so the naive_mode() dispatch decision
-        # is captured here, at construction (the gate's idiom)
-        self._use_fleet = fleet is not None and perf_config.enabled()
         self.last_broker: SSTBroker | None = None
         self.last_coordinator: FleetCoordinator | None = None
 
@@ -167,13 +163,10 @@ class InTransitRunner:
                     queue_full_policy=self.queue_full_policy,
                     injector=self.injector,
                 )
-                if self._use_fleet:
-                    coordinator = self._build_coordinator(broker, num_sim, num_end)
-            broker = comm.bcast(broker, root=0)
+                coordinator = self._build_coordinator(broker, num_sim, num_end)
+            broker, coordinator = comm.bcast((broker, coordinator), root=0)
             self.last_broker = broker
-            if self._use_fleet:
-                coordinator = comm.bcast(coordinator, root=0)
-                self.last_coordinator = coordinator
+            self.last_coordinator = coordinator
 
         sub = comm.split(0 if is_sim else 1)
         # telemetry tracks stay keyed by the *global* rank, so one
@@ -186,9 +179,7 @@ class InTransitRunner:
             with scope:
                 if is_sim:
                     return self._run_simulation(sub, broker, num_sim)
-                if coordinator is not None:
-                    return self._run_endpoint_fleet(sub, broker, coordinator)
-                return self._run_endpoint(sub, broker, num_sim, num_end)
+                return self._run_endpoint_fleet(sub, coordinator)
         finally:
             # drain this rank's pending live-telemetry delta so timelines
             # are complete the instant the run body returns
@@ -345,92 +336,19 @@ class InTransitRunner:
             output_dir=out,
         )
 
-    def _run_endpoint(
-        self,
-        comm: Communicator,
-        broker: SSTBroker | None,
-        num_sim: int,
-        num_end: int,
-    ) -> InTransitResult:
-        t0 = _time.perf_counter()
-        result = InTransitResult(role="endpoint", rank=comm.rank)
-        if broker is None:  # No Transport: endpoint idles
-            result.wall_seconds = _time.perf_counter() - t0
-            return result
-
-        lo, hi = block_range(num_sim, num_end, comm.rank)
-        reader = SSTReaderEngine("nekrs-sensei", broker, writer_ranks=list(range(lo, hi)))
-        adaptor = StreamedDataAdaptor(comm)
-        analysis = self._endpoint_analysis(comm)
-
-        staging_peak = 0
-        recv_bytes = 0
-        steps = 0
-        crashed = False
-        while True:
-            if self.injector is not None:
-                crash = self.injector.maybe(
-                    "endpoint_crash", "endpoint.loop", steps, key=comm.rank
-                )
-                if crash is not None:
-                    # simulate the endpoint dying: stop consuming without
-                    # draining or closing; writers discover via timeouts
-                    get_telemetry().tracer.instant(
-                        "fault.endpoint_crash", step=steps, endpoint=comm.rank
-                    )
-                    crashed = True
-                    break
-            status = reader.begin_step()
-            if status is StepStatus.END_OF_STREAM:
-                break
-            payloads = reader.payloads()
-            if not adaptor.consume(payloads):
-                # every payload of this stream step was dropped or
-                # corrupted — skip analysis, keep consuming
-                reader.end_step()
-                continue
-            staging_peak = max(staging_peak, adaptor.staged_bytes)
-            recv_bytes += adaptor.staged_bytes
-            analysis.execute(adaptor)
-            adaptor.release_data()
-            reader.end_step()
-            steps += 1
-        if not crashed:
-            analysis.finalize()
-
-        result.steps = steps
-        result.wall_seconds = _time.perf_counter() - t0
-        result.mean_step_seconds = result.wall_seconds / steps if steps else 0.0
-        result.stream_bytes = recv_bytes
-        result.staging_bytes = staging_peak
-        result.memory_bytes = staging_peak
-        result.extra.update(
-            crashed=crashed,
-            empty_steps=adaptor.empty_steps,
-            corrupt_steps=reader.corrupt_steps,
-        )
-        if isinstance(analysis, VTKPosthocIO):
-            result.files_bytes = analysis.bytes_written
-        elif isinstance(analysis, CatalystAnalysisAdaptor):
-            result.files_bytes = analysis.image_bytes
-            result.images = analysis.images_written
-            result.memory_bytes += analysis.peak_staging_bytes
-        return result
-
     def _run_endpoint_fleet(
-        self,
-        comm: Communicator,
-        broker: SSTBroker,
-        coordinator: FleetCoordinator,
+        self, comm: Communicator, coordinator: FleetCoordinator | None
     ) -> InTransitResult:
-        """One elastic endpoint: poll the fleet coordinator for work.
+        """One endpoint rank: poll the fleet coordinator for work.
 
         Every endpoint renders through a private single-rank sink (no
         collectives across the endpoint group), so membership changes
         never strand a peer in a barrier.  Output files are keyed by
-        (step, block) / (name, step) only — byte-identical to the
-        static ``_run_endpoint`` split when no faults fire.
+        (step, block) / (name, step) only, never by the rank that
+        wrote them.
         """
+        if coordinator is None:  # No Transport: endpoint idles
+            return InTransitResult(role="endpoint", rank=comm.rank)
         t0 = _time.perf_counter()
         sink = AnalysisSink(self._endpoint_analysis)
         endpoint = FleetEndpoint(
@@ -452,7 +370,6 @@ class InTransitRunner:
         result.staging_bytes = report.staging_peak
         result.memory_bytes = report.staging_peak
         result.extra.update(
-            fleet=True,
             crashed=report.crashed,
             idle_polls=report.idle_polls,
             parked_polls=report.parked_polls,

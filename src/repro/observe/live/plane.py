@@ -7,7 +7,7 @@ every rank the session creates (or has created) gets a
 
     session = TelemetrySession("fleet-run")
     plane = LivePlane(session, bus=steering_bus)
-    runner = InTransitRunner(..., session=session, fleet=FleetConfig())
+    runner = InTransitRunner(..., session=session)
     run_spmd(ranks, runner.run)
     for tl in plane.timelines():
         print(tl.step, tl.attributed_seconds)

@@ -8,6 +8,7 @@ first exception, and returns the per-rank results.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import traceback
@@ -27,7 +28,15 @@ def dump_thread_stacks(file=None) -> int:
     aborts the run.
     """
     out = file if file is not None else sys.stderr
-    frames = sys._current_frames()
+    # CPython < 3.11.8: a GC pass inside _current_frames() that frees a
+    # threading.local deadlocks on the runtime lock (gh-106883)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        frames = sys._current_frames()
+    finally:
+        if collecting:
+            gc.enable()
     threads = threading.enumerate()
     print(f"==== stacks of {len(threads)} live thread(s) ====", file=out)
     for thread in threads:

@@ -249,26 +249,14 @@ def _kernel_compositing():
     return lambda: _spmd_seconds(body, nranks, modeled=True)
 
 
-def _kernel_recovery():
-    from repro.bench.fleet import measure_recovery
-
-    # endpoint-loss makespan: optimized is the elastic fleet (lease
-    # detection, hash-ring reroute, replay on the survivor — every
-    # step commits); the reference is the static split, where the
-    # orphaned streams burn retry budgets and drop their steps
-    return lambda: measure_recovery()
-
-
 def _kernel_live_telemetry():
     from repro.bench.live_telemetry import measure_live_run
     from repro.perf import config as perf_config
 
-    # the instrumented fleet run: correlation tags, ring collectors,
-    # streaming aggregation, SLO watchdog.  Under naive_mode the plane
-    # stays attached but the runner falls back to the uninstrumented
-    # static split (perf off disables the fleet path), matching the
-    # recovery row's reference semantics; the strict <5% on-vs-off
-    # budget is asserted separately in tests/test_observe_live.py.
+    # the instrumented in transit run: correlation tags, ring
+    # collectors, streaming aggregation, SLO watchdog.  The reference
+    # is the same run, same topology, with the plane off; the strict
+    # <5% on-vs-off budget is asserted in tests/test_observe_live.py.
     def run() -> float:
         return measure_live_run(with_plane=perf_config.enabled())["seconds"]
 
@@ -310,7 +298,6 @@ KERNELS = {
     "marshal_roundtrip": _kernel_marshal_roundtrip,
     "collectives": _kernel_collectives,
     "compositing": _kernel_compositing,
-    "recovery": _kernel_recovery,
     "live_telemetry": _kernel_live_telemetry,
     "compression": _kernel_compression,
     "device_render": _kernel_device_render,

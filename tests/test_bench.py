@@ -159,16 +159,18 @@ class TestDeviceResidentReplay:
         assert dev.memory_per_rank_bytes < cat.memory_per_rank_bytes
 
 
+def _it_builder(nsim):
+    c = weak_scaled_rbc_case(nsim, elements_per_rank=4, order=2, dt=1e-3)
+    return c.with_overrides(num_steps=2)
+
+
 class TestPredictInTransit:
     @pytest.fixture(scope="class")
     def it_profiles(self):
-        def builder(nsim):
-            c = weak_scaled_rbc_case(nsim, elements_per_rank=4, order=2, dt=1e-3)
-            return c.with_overrides(num_steps=2)
-
         return {
             mode: measure_intransit_profiles(
-                builder, mode, total_ranks=3, steps=2, ratio=2, image_size=48,
+                _it_builder, mode, total_ranks=3, steps=2, ratio=2,
+                image_size=48,
             )
             for mode in ("none", "checkpoint", "catalyst")
         }
@@ -203,6 +205,15 @@ class TestPredictInTransit:
         end = it_profiles["catalyst"]["endpoint"]
         assert end["images"] > 0
         assert end["steps"] == 2
+
+        # 4+2: a step is rendered by one of the two endpoints, so the
+        # run's step count is the sum over them, not endpoint 0's share
+        end = measure_intransit_profiles(
+            _it_builder, "catalyst", total_ranks=6, steps=2, ratio=2,
+            image_size=48,
+        )["endpoint"]
+        assert end["ranks"] == 2
+        assert end["steps"] == 2 and end["images"] == 4
 
 
 class TestMemoryModel:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import fleet as bench_fleet
-from repro.perf.config import naive_mode
 
 pytestmark = pytest.mark.fleet
 
@@ -19,27 +18,12 @@ class TestRecoveryScenario:
         assert out["streams_moved"] >= 1
         assert out["recovery_seconds"] >= 0.0
 
-    def test_static_path_degrades_orphaned_streams(self):
-        out = bench_fleet._run_static_recovery()
-        # the survivor's half commits; the dead member's half degrades
-        assert out["committed"] < 2 * out["expected"]
-        assert out["degraded"] > 0
-
-    def test_measure_recovery_dispatches_on_perf_config(self):
-        fleet_s = bench_fleet.measure_recovery()
-        assert isinstance(fleet_s, float) and fleet_s > 0
-        with naive_mode():
-            static_s = bench_fleet.measure_recovery()
-        # the gated margin: reroute+replay beats retry-exhaustion
-        assert static_s > fleet_s
-
     def test_recovery_slo_table_renders(self):
         table = bench_fleet.recovery_slo()
         text = table.render()
         assert "fleet (reroute + replay)" in text
-        assert "static split (retry + degrade)" in text
         rows = table.as_dicts()
-        assert len(rows) == 2
+        assert len(rows) == 1
         assert rows[0]["steps committed"] == "8/8"
 
 

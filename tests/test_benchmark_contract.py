@@ -65,3 +65,37 @@ def test_contour_call_sites_hold_the_traced_object():
 
     assert pipeline.marching_tetrahedra is contour.marching_tetrahedra
     assert compositor.marching_tetrahedra is contour.marching_tetrahedra
+
+
+def test_intransit_endpoint_dequeues_through_the_traced_get(tmp_path, monkeypatch):
+    """Resolving is not enough: ``adios.get_wait_s`` is the time spent
+    inside the class attribute ``SSTBroker.get``, so the endpoint must
+    *call* it — at least once per streamed step — however it polls.
+    The counting wrapper goes where ``Tracer._install_one`` puts its."""
+    from repro.adios.engine import SSTBroker
+    from repro.insitu import InTransitRunner
+    from repro.nekrs.cases import weak_scaled_rbc_case
+    from repro.parallel import run_spmd
+
+    original = SSTBroker.__dict__["get"]
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)                  # list.append is atomic
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SSTBroker, "get", counting)
+    steps = 3
+
+    def case_builder(nsim):
+        case = weak_scaled_rbc_case(nsim, elements_per_rank=2, order=3, dt=1e-3)
+        return case.with_overrides(num_steps=steps)
+
+    runner = InTransitRunner(
+        case_builder, mode="checkpoint", ratio=1, num_steps=steps,
+        arrays=("temperature",), output_dir=tmp_path,
+    )
+    sim, end = run_spmd(2, runner.run)
+    assert sim.steps == end.steps == steps
+    assert runner.last_broker.stats.steps_got == steps
+    assert len(calls) >= steps

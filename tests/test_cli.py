@@ -212,3 +212,52 @@ class TestServe:
         assert "serving on http://127.0.0.1:" in out
         assert "POST /steer" in out
         assert "case cavity-re100: 2 steps" in out
+
+
+class TestInTransit:
+    _SMALL = ["--steps", "2", "--elements", "2", "--size", "32",
+              "--mode", "checkpoint"]
+
+    def test_fleet_switch_is_gone(self, capsys):
+        """There is one endpoint topology, so nothing selects it."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["intransit", "--fleet"])
+        assert "unrecognized arguments: --fleet" in capsys.readouterr().err
+
+    def test_default_run_prints_the_fleet_summary(self, tmp_path, capsys):
+        rc = main(["intransit", "--ranks", "3", *self._SMALL,
+                   "--output", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "in transit: 2 sim ranks + 1 endpoint ranks" in out
+        assert "2 steps committed" in out and "0 crash(es) detected" in out
+        assert len(list((tmp_path / "checkpoint").glob("*.vtu"))) == 4
+
+    def test_fleet_flags_apply_on_their_own(self, tmp_path, capsys, monkeypatch):
+        """--lease-timeout/--initial-active/--autoscale used to be read
+        only when --fleet was also given."""
+        import repro.insitu
+        from repro.fleet import FleetConfig
+
+        runners = []
+
+        class Recording(repro.insitu.InTransitRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        monkeypatch.setattr(repro.insitu, "InTransitRunner", Recording)
+        rc = main(["intransit", "--ranks", "6", "--ratio", "2", *self._SMALL,
+                   "--lease-timeout", "1.5", "--initial-active", "1",
+                   "--autoscale", "--output", str(tmp_path)])
+        assert rc == 0
+        (runner,) = runners
+        assert runner.fleet == FleetConfig(
+            lease_timeout=1.5, initial_active=1, autoscale=True
+        )
+        coord = runner.last_coordinator
+        assert coord.autoscaler is not None and coord.initial_active == 1
+        assert coord.membership.lease_timeout == 1.5
+        out = capsys.readouterr().out
+        assert "in transit: 4 sim ranks + 2 endpoint ranks" in out
+        assert "2 steps committed" in out

@@ -228,6 +228,32 @@ class TestBrokerInjection:
         snap = broker.stats.faults.snapshot()
         assert snap["recovered"] == {"writer_stall": 1, "slow_consumer": 1}
 
+    def test_polling_get_injects_once_per_delivered_step(self):
+        """The hooks run after a successful dequeue: a consumer that
+        polls an empty stream cannot multiply injections."""
+        inj = FaultInjector(
+            seed=0,
+            probabilities={"slow_consumer": 1.0},
+            delays={"slow_consumer": 0.0},
+        )
+        broker = SSTBroker(num_writers=1, queue_limit=8, injector=inj)
+        for _ in range(50):
+            with pytest.raises(StreamTimeout):
+                broker.get(0, step=0, timeout=0)
+        assert inj.log.total_injected == 0
+        assert broker.stats.steps_got == 0
+        staged = 5
+        for step in range(staged):
+            broker.put(0, b"payload", step=step)
+        for step in range(staged):
+            assert broker.get(0, step=step, timeout=0) == b"payload"
+        with pytest.raises(StreamTimeout):
+            broker.get(0, step=staged, timeout=0)
+        snap = inj.log.snapshot()
+        assert snap["injected"] == {"slow_consumer": staged}
+        assert snap["recovered"] == {"slow_consumer": staged}
+        assert broker.stats.steps_got == staged
+
     def test_corrupted_payload_skipped_by_reader(self):
         inj = FaultInjector(seed=0, schedule={"corrupt_payload": (0,)})
         broker = SSTBroker(num_writers=1, injector=inj)
