@@ -391,23 +391,21 @@ class SSTWriterEngine(Engine):
         self._attrs[name] = str(value)
 
     def end_step(self) -> None:
-        live = get_telemetry().live
-        t0 = _time.perf_counter() if live.enabled else 0.0
-        payload = StepPayload(
-            step=self._step,
-            time=self._time,
-            rank=self.writer_rank,
-            variables=dict(self._staged),
-            attributes=dict(self._attrs),
-        )
-        data = marshal_step(payload, codec=self.codec, context=self.codec_context)
-        self.last_wire_bytes = len(data)
-        self.wire_bytes_total += len(data)
-        if live.enabled:
-            live.stage(
-                "marshal", self._step, t0, _time.perf_counter(),
-                stream=self.writer_rank,
+        tel = get_telemetry()
+        with tel.tracer.span(
+            "sst.marshal", step=self._step, stage="marshal",
+            stream=self.writer_rank,
+        ):
+            payload = StepPayload(
+                step=self._step,
+                time=self._time,
+                rank=self.writer_rank,
+                variables=dict(self._staged),
+                attributes=dict(self._attrs),
             )
+            data = marshal_step(payload, codec=self.codec, context=self.codec_context)
+            self.last_wire_bytes = len(data)
+            self.wire_bytes_total += len(data)
         try:
             if self.retry is None:
                 self.broker.put(self.writer_rank, data, step=self._step)
@@ -421,13 +419,9 @@ class SSTWriterEngine(Engine):
                     on_retry=self._on_retry,
                     describe=f"SST put (writer {self.writer_rank}, step {self._step})",
                 )
-            if live.enabled:
-                # put mark: the wire stage opens when the payload lands
-                # in the broker and closes at the consumer's got mark
-                live.wire_mark(
-                    "put", self._step, self.writer_rank,
-                    _time.perf_counter(), len(data),
-                )
+            # put mark: the wire stage opens when the payload lands
+            # in the broker and closes at the consumer's got mark
+            tel.live.wire_mark("put", self._step, self.writer_rank, len(data))
         finally:
             self._staged.clear()
             super().end_step()
@@ -487,10 +481,7 @@ class SSTReaderEngine(Engine):
             try:
                 ctx = self._codec_ctx.setdefault(w, CodecContext())
                 payload = self._current[w] = unmarshal_step(raw, context=ctx)
-                if live.enabled:
-                    live.wire_mark(
-                        "got", payload.step, w, _time.perf_counter(), len(raw)
-                    )
+                live.wire_mark("got", payload.step, w, len(raw))
             except CorruptPayloadError:
                 self.corrupt_steps += 1
                 self.broker.stats.record_corrupt()

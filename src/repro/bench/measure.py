@@ -156,9 +156,7 @@ def _instrumented_rank_body(
         catalyst = bridge.analysis.adaptors[0][1]
         result["image_bytes"] = catalyst.image_bytes
         result["images"] = catalyst.images_written
-        result["render_seconds"] = (
-            catalyst.watch.total("render") + catalyst.watch.total("write")
-        )
+        result["render_seconds"] = catalyst.render_seconds
     return result
 
 

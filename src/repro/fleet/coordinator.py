@@ -523,11 +523,7 @@ class FleetCoordinator:
                     with self._lock:
                         self.corrupt_steps += 1
                     continue
-                live = get_telemetry().live
-                if live.enabled:
-                    live.wire_mark(
-                        "got", payload.step, w, time.perf_counter(), len(raw)
-                    )
+                get_telemetry().live.wire_mark("got", payload.step, w, len(raw))
                 with self._lock:
                     if payload.attributes.get("has_geometry") == "1":
                         self._geometry.setdefault(w, payload)

@@ -21,6 +21,7 @@ time-stepping either way — in situ must never cost the solver its run.
 from __future__ import annotations
 
 from pathlib import Path
+from time import perf_counter
 
 from repro.faults.errors import TransportError
 from repro.faults.injector import FaultLog
@@ -30,7 +31,6 @@ from repro.observe.session import get_telemetry
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.configurable import ConfigurableAnalysis
 from repro.util.logging import get_logger
-from repro.util.timing import StopWatch
 
 _FALLBACKS = ("raise", "checkpoint", "drop")
 
@@ -59,7 +59,9 @@ class Bridge:
                 solver.comm, config_xml, output_dir, extra_factories
             )
         self.analysis = analysis
-        self.watch = StopWatch()
+        #: wall seconds the solver spent blocked in :meth:`update`;
+        #: always on — the benchmarks read it with no telemetry installed
+        self.insitu_seconds = 0.0
         self.invocations = 0
         self.stop_requested = False
         self.fallback = fallback
@@ -79,13 +81,15 @@ class Bridge:
         self.adaptor.set_data_time_step(step)
         self.adaptor.set_data_time(time)
         tel = get_telemetry()
-        with self.watch.phase("insitu"), tel.tracer.span("bridge.execute", step=step):
+        t0 = perf_counter()
+        with tel.tracer.span("bridge.execute", step=step):
             try:
                 keep_going = self.analysis.execute(self.adaptor)
             except TransportError as exc:
                 keep_going = self._degrade(step, time, exc)
             finally:
                 self.adaptor.release_data()
+        self.insitu_seconds += perf_counter() - t0
         self.invocations += 1
         if tel.enabled:
             tel.metrics.counter(
@@ -158,17 +162,12 @@ class Bridge:
         return self.update(report.step, report.time)
 
     def finalize(self) -> None:
-        with self.watch.phase("finalize"):
-            try:
-                self.analysis.finalize()
-            except TransportError as exc:
-                if self.fallback == "raise":
-                    raise
-                self._log.warning("transport failed during finalize: %s", exc)
-
-    @property
-    def insitu_seconds(self) -> float:
-        return self.watch.total("insitu")
+        try:
+            self.analysis.finalize()
+        except TransportError as exc:
+            if self.fallback == "raise":
+                raise
+            self._log.warning("transport failed during finalize: %s", exc)
 
 
 # -- functional facade mirroring the C bridge of Listing 3 -------------------

@@ -36,7 +36,6 @@ from repro.sem.krylov import cg_solve
 from repro.sem.mesh import BoxMesh
 from repro.sem.operators import SEMOperators
 from repro.sem.quadrature import gll_nodes_weights
-from repro.util.timing import StopWatch
 
 
 @dataclass
@@ -74,7 +73,6 @@ class NekRSSolver:
             size=comm.size,
         )
         self.ops = SEMOperators(self.mesh, comm)
-        self.watch = StopWatch()
 
         shape = self.mesh.field_shape()
         x, y, z = self.mesh.coords()
@@ -312,15 +310,12 @@ class NekRSSolver:
     def step(self) -> StepReport:
         """Advance one timestep; returns diagnostics."""
         tel = get_telemetry()
-        live = tel.live
-        t0 = time.perf_counter() if live.enabled else 0.0
-        with tel.tracer.span("solver.step", step=self.step_index):
+        # tagged with the step this call produces (StepReport.step)
+        with tel.tracer.span(
+            "solver.step", step=self.step_index + 1, stage="solve",
+            stream=self.comm.rank,
+        ):
             report = self._step_impl(tel)
-        if live.enabled:
-            live.stage(
-                "solve", report.step, t0, time.perf_counter(),
-                stream=self.comm.rank,
-            )
         if tel.enabled:
             tel.metrics.counter(
                 "repro_solver_steps_total", "Completed solver timesteps"
@@ -336,9 +331,7 @@ class NekRSSolver:
         return report
 
     def _step_impl(self, tel) -> StepReport:
-        import time as _time
-
-        t_begin = _time.perf_counter()
+        t_begin = time.perf_counter()
         case = self.case
         dt = case.dt
         t_new = self.time + dt
@@ -357,7 +350,7 @@ class NekRSSolver:
         # ---- temperature ---------------------------------------------------
         scalar_iters = 0
         if self.T is not None:
-            with self.watch.phase("scalar"), tel.tracer.span("solver.scalar"):
+            with tel.tracer.span("solver.scalar"):
                 self._hist_advT.append(self._advection_term_T(self.time))
                 NT_ext = self._bdf_sum(self._hist_advT[-len(a) :], a)
                 T_hat = self._bdf_sum(self._hist_T[-len(b) :], b)
@@ -380,7 +373,7 @@ class NekRSSolver:
 
         # ---- passive scalars ------------------------------------------------
         for spec in case.passive_scalars:
-            with self.watch.phase("scalar"), tel.tracer.span("solver.scalar"):
+            with tel.tracer.span("solver.scalar"):
                 name = spec.name
                 field = self.scalars[name]
                 adv = -self._convect(field, self.u, self.v, self.w)
@@ -418,7 +411,7 @@ class NekRSSolver:
         us, vs, ws, ub, vb, wb = (arena.borrow(shape) for _ in range(6))
         try:
             # ---- advection / tentative velocity -----------------------------
-            with self.watch.phase("advection"), tel.tracer.span("solver.advection"):
+            with tel.tracer.span("solver.advection"):
                 self._hist_adv.append(self._advection_terms(self.time))
                 Nx, Ny, Nz = self._bdf_sum(self._hist_adv[-len(a) :], a)
                 uh, vh, wh = self._bdf_sum(self._hist_u[-len(b) :], b)
@@ -434,7 +427,7 @@ class NekRSSolver:
                 np.copyto(ws, wb, where=bc_nodes)
 
             # ---- pressure Poisson -------------------------------------------
-            with self.watch.phase("pressure"), tel.tracer.span("solver.pressure"):
+            with tel.tracer.span("solver.pressure"):
                 with arena.scratch(shape) as dtmp:
                     self.ops.div(us, vs, ws, out=dtmp)
                     dtmp *= -(b0 / dt)
@@ -476,7 +469,7 @@ class NekRSSolver:
                         star -= g
 
             # ---- viscous Helmholtz solves -----------------------------------
-            with self.watch.phase("viscous"), tel.tracer.span("solver.viscous"):
+            with tel.tracer.span("solver.viscous"):
                 h0_scalar = case.density * b0 / dt
                 h0 = h0_scalar if self.chi is None else h0_scalar + self.chi
                 vel_iters = 0
@@ -520,8 +513,7 @@ class NekRSSolver:
             self.ops.div(self.u, self.v, self.w, out=div_now)
             div_norm = self.ops.norm(div_now)
         cfl = self.cfl()
-        wall = _time.perf_counter() - t_begin
-        self.watch.add_sample("step", wall)
+        wall = time.perf_counter() - t_begin
         return StepReport(
             step=self.step_index,
             time=self.time,

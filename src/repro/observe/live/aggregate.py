@@ -142,7 +142,7 @@ class LiveAggregator:
                 self._trim_pending_locked(self._pending_gots)
                 return
             put, got = other, mark
-        # the shared perf_counter clock makes the cross-rank interval
+        # the shared plane clock makes the cross-rank interval
         # meaningful; attribute it to the consumer rank
         t0, t1 = put.t, max(got.t, put.t)
         self._add_event_locked(

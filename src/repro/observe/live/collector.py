@@ -8,17 +8,21 @@ LivePlane` is attached to a session, every rank gets a
 :class:`RingCollector`: a bounded event ring plus per-stage duration
 buffers and named counts, drained as a delta :class:`Snapshot` at step
 boundaries (``solve`` on simulation ranks, ``deliver`` on endpoints)
-or when the ring half-fills.  The plane feeds each snapshot to the
-streaming aggregator and charges its measured recording cost to the
-:class:`AdaptiveSampler`.
+or when the ring half-fills.  No call site records a stage by hand:
+:meth:`RingCollector.stage` is fed by the rank's
+:class:`~repro.observe.tracer.Tracer` when a span tagged ``stage=``
+exits, with the span's own two clock reads.  The slot serves what is
+not an interval — wire marks, named counts, frame freshness.  The plane
+feeds each snapshot to the streaming aggregator and charges its
+measured recording cost to the :class:`AdaptiveSampler`.
 
 The sampler is the overhead governor: it compares recording cost to
 wall time per flush window and degrades detail when the ratio blows
 the budget —
 
-- level 0 ``full``     — stage events plus free-form detail marks;
-- level 1 ``stage``    — only the seven canonical stages (and the
-  wire put/got marks that build the ``wire`` stage);
+- levels 0 ``full`` and 1 ``stage`` — the seven canonical stages
+  (and the wire put/got marks that build the ``wire`` stage) enter the
+  ring;
 - level 2 ``counters`` — nothing enters the ring; only durations and
   counts flow, so SLO evaluation keeps working while timelines stop.
 
@@ -32,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.observe.live.correlate import STAGE_INDEX, StageEvent
+from repro.observe.live.correlate import StageEvent
 
 __all__ = [
     "AdaptiveSampler",
@@ -134,16 +138,11 @@ class Snapshot:
 
     rank: int
     seq: int
-    events: tuple = ()                 # StageEvent (canonical + detail marks)
+    events: tuple = ()                 # StageEvent
     wire_marks: tuple = ()             # WireMark
     durations: dict = field(default_factory=dict)   # stage -> [seconds]
     counts: dict = field(default_factory=dict)      # name -> n
     dropped: int = 0                   # events lost to ring overflow
-
-    @property
-    def empty(self) -> bool:
-        return not (self.events or self.wire_marks or self.durations
-                    or self.counts or self.dropped)
 
 
 class NullLiveCollector:
@@ -154,9 +153,7 @@ class NullLiveCollector:
     enabled = False
     run_id = ""
 
-    def stage(self, name, step, t0, t1, stream=-1) -> None: ...
-    def mark(self, name, step, t0, t1, stream=-1) -> None: ...
-    def wire_mark(self, kind, step, stream, t, nbytes=0) -> None: ...
+    def wire_mark(self, kind, step, stream, nbytes=0) -> None: ...
     def event(self, name, n=1) -> None: ...
     def note_frame(self, stream, step, t) -> None: ...
     def flush(self) -> None: ...
@@ -189,10 +186,6 @@ class RingCollector:
     def run_id(self) -> str:
         return self._plane.run_id
 
-    @property
-    def level(self) -> int:
-        return self._plane.sampler.level
-
     # -- recording -----------------------------------------------------
     def _push_locked(self, item, ring: list) -> None:
         if len(self._events) + len(self._wire_marks) >= self.capacity:
@@ -220,30 +213,16 @@ class RingCollector:
         if name in ("solve", "deliver") or full:
             self.flush()
 
-    def mark(self, name: str, step: int, t0: float, t1: float,
-             stream: int = -1) -> None:
-        """Record a detail span (kept only at the ``full`` level)."""
-        if self._plane.sampler.level > LEVEL_FULL:
-            return
-        c0 = self._clock()
-        with self._lock:
-            self._push_locked(
-                StageEvent(stage=name, step=step, t0=t0, t1=t1,
-                           rank=self.rank, stream=stream),
-                self._events,
-            )
-            self._cost_s += self._clock() - c0
-
-    def wire_mark(self, kind: str, step: int, stream: int, t: float,
+    def wire_mark(self, kind: str, step: int, stream: int,
                   nbytes: int = 0) -> None:
-        """Record one wire half; the aggregator pairs put/got."""
+        """Record one wire half, stamped now; the aggregator pairs put/got."""
         c0 = self._clock()
         with self._lock:
             key = f"wire_{kind}_bytes"
             self._counts[key] = self._counts.get(key, 0) + nbytes
             if self._plane.sampler.level <= LEVEL_STAGE:
                 self._push_locked(
-                    WireMark(kind=kind, step=step, stream=stream, t=t,
+                    WireMark(kind=kind, step=step, stream=stream, t=c0,
                              nbytes=nbytes, rank=self.rank),
                     self._wire_marks,
                 )

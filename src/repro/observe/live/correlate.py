@@ -6,7 +6,10 @@ NekRSSolver.step` records the ``solve`` stage under the active run
 id), rides the RBP2 payload header as the ``corr`` attribute through
 :class:`~repro.adios.engine.SSTBroker`, and every later hop —
 endpoint render, frame publish, client delivery — records its stage
-against the same ``(step, stream)`` key.  The
+against the same ``(step, stream)`` key.  A hop records a stage by
+tagging the span that already times it (``tracer.span(name, step=...,
+stage=..., stream=...)``, see :mod:`repro.observe.tracer`), so a
+:class:`StageEvent` is its span's interval on the session's clock.  The
 :class:`~repro.observe.live.aggregate.LiveAggregator` groups those
 :class:`StageEvent` records per step; :class:`StepTimeline` is the
 reconstructed critical path.
@@ -15,11 +18,12 @@ The seven canonical stages, in pipeline order::
 
     solve -> marshal -> wire -> render -> composite -> encode -> deliver
 
-``wire`` is special: no single rank observes it.  The writer records a
-``put`` mark when the payload lands in the broker queue, the consumer
-records a ``got`` mark when it drains it, and the aggregator pairs the
-two into one StageEvent — valid because the threaded SPMD runtime
-shares one ``time.perf_counter`` clock across every rank.
+``wire`` is special: no single rank observes it, so it is no span.  The
+writer records a ``put`` mark when the payload lands in the broker
+queue, the consumer records a ``got`` mark when it drains it (each
+stamped by the recording collector), and the aggregator pairs the two
+into one StageEvent — valid because every rank of the threaded SPMD
+runtime reads the one clock the plane was given.
 
 Stage seconds are *attributed*: overlapping intervals are swept and
 each instant is charged to the most-downstream stage active at that

@@ -91,7 +91,8 @@ class LivePlane:
         collector = RingCollector(
             self, tel.rank, capacity=self._capacity, clock=self._clock
         )
-        tel.live = collector
+        # call sites reach it through the slot, tagged spans through the tracer
+        tel.live = tel.tracer.live = collector
         return collector
 
     def collectors(self) -> list[RingCollector]:

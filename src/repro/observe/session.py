@@ -50,8 +50,9 @@ class Telemetry:
         self.memory = memory
         self.rank = rank
         self.enabled = enabled
-        #: live-plane slot (see :mod:`repro.observe.live`); hot paths
-        #: gate on ``tel.live.enabled``, so the default costs one load
+        #: live-plane slot (see :mod:`repro.observe.live`) for wire
+        #: marks, counts and freshness; stage intervals reach the same
+        #: collector through ``tracer.live`` from spans tagged ``stage=``
         self.live = _NULL_LIVE
 
     @classmethod

@@ -1,16 +1,24 @@
 """Per-rank tracing spans with Chrome trace-event export.
 
-A :class:`Tracer` records nested, wall-clock spans::
+A :class:`Tracer` records nested, wall-clock spans — the one interval
+primitive of the stack::
 
-    with tracer.span("solver.step", step=n):
+    with tracer.span("solver.step", step=n, stage="solve", stream=rank):
         with tracer.span("solver.pressure"):
             ...
+
+A span tagged ``stage=`` *is* a pipeline stage: when a
+:class:`~repro.observe.live.plane.LivePlane` is attached, the span's
+exit hands the same two clock reads it records as a :class:`SpanEvent`
+to the rank's live collector as a ``StageEvent`` for ``(step,
+stream)``, so the trace and the live ``StepTimeline`` cannot disagree.
 
 Each rank owns its own tracer (see :mod:`repro.observe.session`), so
 recording is contention-free under the threaded SPMD runtime; the
 per-tracer lock only matters when an export runs concurrently with the
-run.  All tracers of one process share ``time.perf_counter``, so spans
-from different ranks line up on a common timeline when merged.
+run.  All tracers of one session share its clock (``time.perf_counter``
+by default), so spans from different ranks line up on a common
+timeline when merged.
 
 Exports:
 
@@ -48,7 +56,7 @@ class SpanEvent:
 
     name: str
     path: str          # "/"-joined ancestry, e.g. "solver.step/solver.pressure"
-    ts: float          # start, seconds on the shared perf_counter clock
+    ts: float          # start, seconds on the session's shared clock
     dur: float         # duration, seconds
     rank: int
     args: dict = field(default_factory=dict)
@@ -121,6 +129,7 @@ class _Span:
         tracer = self._tracer
         now = tracer._clock()
         tracer._stack().pop()
+        args = self.args
         tracer._record(
             SpanEvent(
                 name=self.name,
@@ -128,9 +137,15 @@ class _Span:
                 ts=self._t0,
                 dur=now - self._t0,
                 rank=tracer.rank,
-                args=self.args,
+                args=args,
             )
         )
+        live = tracer.live
+        if live is not None and "stage" in args:
+            live.stage(
+                args["stage"], args["step"], self._t0, now,
+                args.get("stream", -1),
+            )
         return False
 
 
@@ -150,6 +165,9 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self.epoch = clock()
+        #: the rank's live collector, set by ``LivePlane.bind``; spans
+        #: tagged ``stage=`` feed it on exit
+        self.live = None
 
     # -- recording -----------------------------------------------------
     def _stack(self) -> list:

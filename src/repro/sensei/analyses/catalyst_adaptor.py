@@ -17,8 +17,8 @@ Adaptor for rendering tasks."  Here the adaptor
 
 from __future__ import annotations
 
+import time as _time
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.parallel.comm import Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.util.png import encode_png
-from repro.util.timing import StopWatch
 from repro.vtkdata.arrays import DataArray
 from repro.vtkdata.dataset import ImageData
 
@@ -215,9 +214,11 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         self.arrays = tuple(arrays)
         self.mesh_name = mesh_name
         self.output_dir = Path(output_dir)
-        self.watch = StopWatch()
         self.images_written = 0
         self.image_bytes = 0
+        #: wall seconds of render + PNG write on the rank that renders;
+        #: always on, like the two counters above
+        self.render_seconds = 0.0
         self.peak_staging_bytes = 0
         #: optional live-serving hook, ``publisher(name, step, time,
         #: png_bytes)`` — called with the *exact* bytes written to disk
@@ -301,7 +302,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         step = data.get_data_time_step()
         time = data.get_data_time()
         tel = get_telemetry()
-        live = tel.live
         device = None
         if self.residency == "device":
             device = getattr(data, "device", None)
@@ -310,13 +310,14 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                     "residency='device' requires a device-capable data "
                     "adaptor (one exposing its OCCA device)"
                 )
-        if self.compositing != "gather" and self.comm.size > 1:
-            # sort-last: render local fragments, composite framebuffers
-            from repro.catalyst.compositor import render_composited
-
-            t0 = perf_counter() if live.enabled else 0.0
-            with self.watch.phase("gather"), tel.tracer.span(
-                "catalyst.fragments", step=step, residency=self.residency
+        # the staging of the data — local fragments for sort-last
+        # compositing, else the volume gathered to rank 0 — is what the
+        # live timeline calls the `composite` stage
+        sort_last = self.compositing != "gather" and self.comm.size > 1
+        if sort_last:
+            with tel.tracer.span(
+                "catalyst.fragments", step=step, stage="composite",
+                residency=self.residency,
             ):
                 if device is not None:
                     gdims, gorigin, gspacing, fragments = (
@@ -328,23 +329,41 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                             data, self.mesh_name, self.arrays
                         )
                     )
-            if live.enabled:
-                live.stage("composite", step, t0, perf_counter())
-            local_bytes = sum(
+            staged_bytes = sum(
                 vol.nbytes
                 for _origin, _dims, payload in fragments
                 for vol in payload.values()
             )
-            if device is None:
-                # host residency stages the resampled working set in
-                # host memory; device residency keeps it on the GPU
-                self.peak_staging_bytes = max(
-                    self.peak_staging_bytes, local_bytes
-                )
-            tel.memory.observe("catalyst.framebuffer", local_bytes)
-            t0 = perf_counter() if live.enabled else 0.0
-            with self.watch.phase("render"), tel.tracer.span(
-                "catalyst.render", step=step, compositing=self.compositing
+        else:
+            borrowed = []
+            with tel.tracer.span(
+                "catalyst.gather", step=step, stage="composite",
+                residency=self.residency,
+            ):
+                if device is not None:
+                    image, borrowed = gather_uniform_volume_device(
+                        self.comm, data, self.mesh_name, self.arrays, device
+                    )
+                else:
+                    image = gather_uniform_volume(
+                        self.comm, data, self.mesh_name, self.arrays
+                    )
+            if image is None:
+                return True  # only the root holds the volume and renders
+            staged_bytes = image.nbytes
+        t0 = _time.perf_counter()
+        if device is None:
+            # host residency stages the resampled working set in
+            # host memory; device residency keeps it on the GPU
+            self.peak_staging_bytes = max(self.peak_staging_bytes, staged_bytes)
+        tel.memory.observe("catalyst.framebuffer", staged_bytes)
+        if sort_last:
+            # render local fragments, composite the framebuffers
+            from repro.catalyst.compositor import render_composited
+
+            with tel.tracer.span(
+                "catalyst.render", step=step, stage="render",
+                compositing=self.compositing,
             ):
                 outputs = render_composited(
                     self.comm,
@@ -358,74 +377,42 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                     method=self.compositing,
                     device=device,
                 )
-            if live.enabled:
-                live.stage("render", step, t0, perf_counter())
         else:
-            borrowed = []
-            t0 = perf_counter() if live.enabled else 0.0
-            with self.watch.phase("gather"), tel.tracer.span(
-                "catalyst.gather", step=step, residency=self.residency
-            ):
+            with tel.tracer.span("catalyst.render", step=step, stage="render"):
                 if device is not None:
-                    image, borrowed = gather_uniform_volume_device(
-                        self.comm, data, self.mesh_name, self.arrays, device
-                    )
-                else:
-                    image = gather_uniform_volume(
-                        self.comm, data, self.mesh_name, self.arrays
-                    )
-            if live.enabled:
-                live.stage("composite", step, t0, perf_counter())
-            outputs = None
-            if image is not None:
-                if device is None:
-                    self.peak_staging_bytes = max(
-                        self.peak_staging_bytes, image.nbytes
-                    )
-                tel.memory.observe("catalyst.framebuffer", image.nbytes)
-                t0 = perf_counter() if live.enabled else 0.0
-                with self.watch.phase("render"), tel.tracer.span(
-                    "catalyst.render", step=step
-                ):
-                    if device is not None:
-                        from repro.occa.device import DeviceMemory
-                        from repro.occa.kernels import install_render_kernels
+                    from repro.occa.device import DeviceMemory
+                    from repro.occa.kernels import install_render_kernels
 
-                        # whole-pipeline fused launch on the assembled
-                        # device volume; frames stay device-resident
-                        outputs = install_render_kernels(device).render(
-                            self.render, image, step, time
-                        )
-                        outputs = [
-                            (name, DeviceMemory(device, rgb))
-                            for name, rgb in outputs
-                        ]
-                    else:
-                        outputs = self.render(image, step, time)
-                if live.enabled:
-                    live.stage("render", step, t0, perf_counter())
+                    # whole-pipeline fused launch on the assembled
+                    # device volume; frames stay device-resident
+                    outputs = install_render_kernels(device).render(
+                        self.render, image, step, time
+                    )
+                    outputs = [
+                        (name, DeviceMemory(device, rgb))
+                        for name, rgb in outputs
+                    ]
+                else:
+                    outputs = self.render(image, step, time)
             if borrowed:
                 device.arena.release(*borrowed)
         if outputs is not None:
             self.output_dir.mkdir(parents=True, exist_ok=True)
-            with self.watch.phase("write"), tel.tracer.span("catalyst.write", step=step):
+            with tel.tracer.span("catalyst.write", step=step):
                 written = 0
                 for name, rgb in outputs:
                     rgb = self._to_host_frame(rgb, step, tel)
-                    t0 = perf_counter() if live.enabled else 0.0
-                    data = encode_png(rgb)
-                    if live.enabled:
-                        t1 = perf_counter()
-                        live.stage("encode", step, t0, t1)
-                    path = self.output_dir / f"{name}_{step:06d}.png"
-                    path.write_bytes(data)
-                    written += len(data)
-                    self.images_written += 1
-                    if self.publisher is not None:
-                        self.publisher(name, step, time, data)
-                    if live.enabled:
-                        live.stage("deliver", step, t1, perf_counter())
+                    with tel.tracer.span("catalyst.encode", step=step, stage="encode"):
+                        data = encode_png(rgb)
+                    with tel.tracer.span("catalyst.deliver", step=step, stage="deliver"):
+                        path = self.output_dir / f"{name}_{step:06d}.png"
+                        path.write_bytes(data)
+                        written += len(data)
+                        self.images_written += 1
+                        if self.publisher is not None:
+                            self.publisher(name, step, time, data)
                 self.image_bytes += written
+            self.render_seconds += _time.perf_counter() - t0
             if tel.enabled:
                 tel.metrics.counter(
                     "repro_catalyst_images_total", "PNG images rendered in situ"

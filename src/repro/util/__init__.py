@@ -8,7 +8,7 @@ from repro.util.sizes import (
     format_bytes,
     parse_bytes,
 )
-from repro.util.timing import StopWatch, TimingStats, Timer
+from repro.util.timing import TimingStats, Timer
 from repro.util.tables import Table
 from repro.util.rng import make_rng
 
@@ -19,7 +19,6 @@ __all__ = [
     "TIB",
     "format_bytes",
     "parse_bytes",
-    "StopWatch",
     "TimingStats",
     "Timer",
     "Table",

@@ -1,18 +1,18 @@
 """Wall-clock timing helpers.
 
 The evaluation reports total elapsed time (Fig. 2) and mean time per
-timestep (Fig. 5).  ``StopWatch`` accumulates named phases so a run can
-report solver / in situ / checkpoint breakdowns, and ``TimingStats``
-summarizes repeated samples (mean/min/max/std) the way the in transit
-experiment reports per-timestep means.
+timestep (Fig. 5).  ``TimingStats`` summarizes repeated samples
+(mean/min/max/std) the way the in transit experiment reports
+per-timestep means, and is the mergeable summary behind every
+``repro.observe`` histogram.  Named phases of a run are not timed here:
+a phase is a ``tel.tracer.span(...)`` (see :mod:`repro.observe.tracer`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -117,43 +117,3 @@ class Timer:
     def reset(self) -> None:
         self._start = None
         self.elapsed = 0.0
-
-
-@dataclass
-class StopWatch:
-    """Accumulates wall time into named phases.
-
-    >>> sw = StopWatch()
-    >>> with sw.phase("solve"):
-    ...     pass
-    >>> sw.stats("solve").count
-    1
-    """
-
-    phases: dict[str, TimingStats] = field(default_factory=dict)
-
-    @contextmanager
-    def phase(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_sample(name, time.perf_counter() - t0)
-
-    def add_sample(self, name: str, seconds: float) -> None:
-        self.phases.setdefault(name, TimingStats()).add(seconds)
-
-    def stats(self, name: str) -> TimingStats:
-        return self.phases.setdefault(name, TimingStats())
-
-    def total(self, name: str) -> float:
-        stats = self.phases.get(name)
-        return stats.total if stats else 0.0
-
-    def as_dict(self) -> dict:
-        return {name: stats.as_dict() for name, stats in self.phases.items()}
-
-    def merge(self, other: "StopWatch") -> "StopWatch":
-        for name, stats in other.phases.items():
-            self.stats(name).merge(stats)
-        return self

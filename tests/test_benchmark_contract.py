@@ -67,15 +67,30 @@ def test_contour_call_sites_hold_the_traced_object():
     assert compositor.marching_tetrahedra is contour.marching_tetrahedra
 
 
+def _run_one_plus_one(tmp_path, mode, steps, **kwargs):
+    """A 1 sim + 1 endpoint in-transit run, no telemetry installed."""
+    from repro.insitu import InTransitRunner
+    from repro.nekrs.cases import weak_scaled_rbc_case
+    from repro.parallel import run_spmd
+
+    def case_builder(nsim):
+        case = weak_scaled_rbc_case(nsim, elements_per_rank=2, order=3, dt=1e-3)
+        return case.with_overrides(num_steps=steps)
+
+    runner = InTransitRunner(
+        case_builder, mode=mode, ratio=1, num_steps=steps,
+        arrays=("temperature",), output_dir=tmp_path, **kwargs,
+    )
+    sim, end = run_spmd(2, runner.run)
+    return runner, sim, end
+
+
 def test_intransit_endpoint_dequeues_through_the_traced_get(tmp_path, monkeypatch):
     """Resolving is not enough: ``adios.get_wait_s`` is the time spent
     inside the class attribute ``SSTBroker.get``, so the endpoint must
     *call* it — at least once per streamed step — however it polls.
     The counting wrapper goes where ``Tracer._install_one`` puts its."""
     from repro.adios.engine import SSTBroker
-    from repro.insitu import InTransitRunner
-    from repro.nekrs.cases import weak_scaled_rbc_case
-    from repro.parallel import run_spmd
 
     original = SSTBroker.__dict__["get"]
     calls = []
@@ -86,16 +101,87 @@ def test_intransit_endpoint_dequeues_through_the_traced_get(tmp_path, monkeypatc
 
     monkeypatch.setattr(SSTBroker, "get", counting)
     steps = 3
-
-    def case_builder(nsim):
-        case = weak_scaled_rbc_case(nsim, elements_per_rank=2, order=3, dt=1e-3)
-        return case.with_overrides(num_steps=steps)
-
-    runner = InTransitRunner(
-        case_builder, mode="checkpoint", ratio=1, num_steps=steps,
-        arrays=("temperature",), output_dir=tmp_path,
-    )
-    sim, end = run_spmd(2, runner.run)
+    runner, sim, end = _run_one_plus_one(tmp_path, "checkpoint", steps)
     assert sim.steps == end.steps == steps
     assert runner.last_broker.stats.steps_got == steps
     assert len(calls) >= steps
+
+
+# -- the numbers the benchmark reads with no telemetry installed -------------
+
+
+def test_intransit_reports_insitu_seconds_without_telemetry(tmp_path):
+    """``rbc_intransit``'s ``driver.blocked_ms_*`` is the simulation
+    rank's ``extra["insitu_seconds"] / steps``; the benchmark installs
+    no telemetry, so the number has to be always on."""
+    from repro.observe import get_telemetry
+
+    assert not get_telemetry().enabled
+    _runner, sim, end = _run_one_plus_one(tmp_path, "catalyst", 2, image_size=32)
+    assert (sim.role, end.role) == ("simulation", "endpoint")
+    assert sim.extra["insitu_seconds"] > 0
+    assert end.images > 0
+
+
+def test_bridge_insitu_seconds_grows_on_each_update():
+    from repro.insitu import Bridge
+    from repro.nekrs import NekRSSolver
+    from repro.nekrs.cases import lid_cavity_case
+    from repro.parallel import SerialCommunicator
+    from repro.sensei.analysis_adaptor import AnalysisAdaptor
+
+    class Idle(AnalysisAdaptor):
+        def execute(self, data):
+            return True
+
+    case = lid_cavity_case(reynolds=100, elements=2, order=3, num_steps=1)
+    bridge = Bridge(NekRSSolver(case, SerialCommunicator()), analysis=Idle())
+    seen = [bridge.insitu_seconds]
+    for step in (1, 2, 3):
+        bridge.update(step, 0.1 * step)
+        seen.append(bridge.insitu_seconds)
+    assert seen[0] == 0.0
+    assert all(later > earlier for earlier, later in zip(seen, seen[1:]))
+
+
+def test_uninstrumented_stage_span_is_the_shared_null_span():
+    """The four e2e workloads run on this path: a span tagged
+    ``stage=`` must stay the allocation-free no-op."""
+    from repro.observe import get_telemetry
+    from repro.observe.tracer import _NULL_SPAN
+
+    tracer = get_telemetry().tracer
+    assert tracer.span("solver.step", step=1, stage="solve", stream=0) is _NULL_SPAN
+    assert tracer.span("bridge.execute", step=1) is _NULL_SPAN
+
+
+# -- one instrumentation call per site ---------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_pipeline_stages_are_tagged_spans_and_nothing_else():
+    """Outside ``repro/observe`` a pipeline stage is recorded one way:
+    ``tracer.span(..., stage=...)``.  No call site feeds a live
+    collector's ``stage()`` by hand or keeps a ``StopWatch`` beside the
+    span (``wire`` stays a put/got mark pair, no single rank sees it)."""
+    tagged = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if SRC / "observe" in path.parents:
+            continue
+        source = path.read_text()
+        where = path.relative_to(SRC).as_posix()
+        assert "StopWatch" not in source, where
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "watch", f"{where}:{node.lineno}"
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            assert node.func.attr != "stage", f"{where}:{node.lineno}"
+            if node.func.attr == "span":
+                tagged.update(
+                    kw.value.value for kw in node.keywords
+                    if kw.arg == "stage" and isinstance(kw.value, ast.Constant)
+                )
+    assert {"solve", "marshal", "render", "composite", "encode", "deliver"} <= tagged

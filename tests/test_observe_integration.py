@@ -62,6 +62,9 @@ class TestTracedCatalystRun:
             steps = [e for e in events
                      if isinstance(e, SpanEvent) and e.name == "solver.step"]
             assert len(steps) == STEPS
+            # tagged with the step each call produced (StepReport.step),
+            # the number bridge.execute and the stream carry for it
+            assert [e.args["step"] for e in steps] == list(range(1, STEPS + 1))
 
     def test_metrics_match_run_shape(self, traced_catalyst):
         _, session = traced_catalyst

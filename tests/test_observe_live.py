@@ -576,6 +576,69 @@ class TestArtifactFidelity:
         assert all(plain[k] == live[k] for k in plain)
 
 
+# -- one clock: a stage is the span that carries it --------------------------
+
+
+class TestOneClock:
+    def test_every_stage_event_is_its_spans_interval(self, tmp_path):
+        """Serial pebble run + Bridge under one injected clock.
+
+        The clock counts up from far below zero in exact float steps,
+        so a timestamp read from ``time.perf_counter`` (>= 0) anywhere
+        on the way would stand out, and ``ts + dur`` is exact.
+        """
+        from test_observe import FakeClock
+        from repro.insitu import Bridge
+        from repro.nekrs import NekRSSolver
+        from repro.nekrs.cases import pebble_bed_case
+        from repro.observe.tracer import SpanEvent
+        from repro.parallel import SerialCommunicator
+
+        clock = FakeClock()
+        clock.now = -1e6
+        session = TelemetrySession("one-clock", clock=clock)
+        # every read ticks, so recording looks costly: budget it out of
+        # the sampler's reach to keep stage events flowing
+        plane = LivePlane(session, overhead_budget=10.0, clock=clock)
+        xml = (
+            '<sensei><analysis type="catalyst" mesh="uniform" '
+            'array="velocity_magnitude" isovalue="0.5" width="48" '
+            'height="48" frequency="1"/></sensei>'
+        )
+        steps = 2
+        with session.activate(0):
+            case = pebble_bed_case(2, elements_per_unit=2, order=3,
+                                   num_steps=steps)
+            solver = NekRSSolver(case, SerialCommunicator())
+            bridge = Bridge(solver, config_xml=xml, output_dir=tmp_path)
+            solver.run(observer=bridge.observer)
+            bridge.finalize()
+        plane.flush_all()
+
+        spans = [e for e in session.events() if isinstance(e, SpanEvent)]
+        intervals = {
+            (e.rank, e.args.get("stage"), e.args.get("step"), e.ts, e.ts + e.dur)
+            for e in spans
+        }
+        stage_events = [
+            ev for step in range(1, steps + 1)
+            for ev in plane.timeline(step).events
+        ]
+        for stage in ("solve", "render", "composite", "encode", "deliver"):
+            found = [ev for ev in stage_events if ev.stage == stage]
+            assert found, f"no {stage!r} stage event"
+            for ev in found:
+                assert (ev.rank, stage, ev.step, ev.t0, ev.t1) in intervals
+        # one timeline: nothing sits on a clock the session did not own
+        stamps = [t for e in spans for t in (e.ts, e.ts + e.dur)]
+        stamps += [t for ev in stage_events for t in (ev.t0, ev.t1)]
+        assert max(stamps) < clock.now < 0.0
+        # and one step number per step, whoever recorded it
+        solver_steps = [e.args["step"] for e in spans if e.name == "solver.step"]
+        bridge_steps = [e.args["step"] for e in spans if e.name == "bridge.execute"]
+        assert solver_steps == bridge_steps == list(range(1, steps + 1))
+
+
 # -- session churn (satellite) ----------------------------------------------
 
 

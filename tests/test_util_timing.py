@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.util.timing import StopWatch, Timer, TimingStats
+from repro.util.timing import Timer, TimingStats
 
 
 class TestTimingStats:
@@ -113,36 +113,3 @@ class TestTimer:
         t.stop()
         t.reset()
         assert t.elapsed == 0.0 and not t.running
-
-
-class TestStopWatch:
-    def test_phase_context(self):
-        sw = StopWatch()
-        with sw.phase("a"):
-            pass
-        assert sw.stats("a").count == 1
-        assert sw.total("a") >= 0.0
-
-    def test_phase_records_exceptions_too(self):
-        sw = StopWatch()
-        with pytest.raises(ValueError):
-            with sw.phase("x"):
-                raise ValueError("boom")
-        assert sw.stats("x").count == 1
-
-    def test_unknown_phase_total_is_zero(self):
-        assert StopWatch().total("never") == 0.0
-
-    def test_merge(self):
-        a, b = StopWatch(), StopWatch()
-        a.add_sample("s", 1.0)
-        b.add_sample("s", 3.0)
-        b.add_sample("t", 2.0)
-        a.merge(b)
-        assert a.stats("s").count == 2
-        assert a.total("t") == 2.0
-
-    def test_as_dict(self):
-        sw = StopWatch()
-        sw.add_sample("p", 0.5)
-        assert math.isclose(sw.as_dict()["p"]["total"], 0.5)
