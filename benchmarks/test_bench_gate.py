@@ -86,10 +86,10 @@ def test_gate_fails_on_synthetic_regression(tmp_path):
     """Doctoring the baseline below latest/threshold must fail the gate."""
     path = tmp_path / "BENCH.json"
     first = run_gate(path=path, repeats=1,
-                     kernels={"marshal_roundtrip": KERNELS["marshal_roundtrip"]})
+                     kernels={"stiffness_apply": KERNELS["stiffness_apply"]})
     assert first.ok
     data = json.loads(path.read_text())
-    kern = data["kernels"]["marshal_roundtrip"]
+    kern = data["kernels"]["stiffness_apply"]
     # pretend the recorded baseline was 4x faster than anything the
     # machine can do now -> current timing exceeds threshold * baseline
     # (the exact-25% boundary case is covered deterministically by
@@ -98,7 +98,7 @@ def test_gate_fails_on_synthetic_regression(tmp_path):
     path.write_text(json.dumps(data))
 
     report = run_gate(path=path, repeats=1,
-                      kernels={"marshal_roundtrip": KERNELS["marshal_roundtrip"]})
+                      kernels={"stiffness_apply": KERNELS["stiffness_apply"]})
     assert not report.ok
-    assert report.kernels["marshal_roundtrip"]["status"] == "FAIL"
-    assert any("marshal_roundtrip" in msg for msg in report.failures)
+    assert report.kernels["stiffness_apply"]["status"] == "FAIL"
+    assert any("stiffness_apply" in msg for msg in report.failures)

@@ -9,6 +9,11 @@ SST here is an in-process broker: one bounded queue per writer rank.
 ``QueueLimit`` and ``QueueFullPolicy`` reproduce the real engine's
 backpressure-or-discard behavior — the knob our queue-depth ablation
 benchmark sweeps.
+
+Both writer engines stage, marshal and reset through one base
+(``_StagingWriterEngine``): a step is one :func:`marshal_step` frame
+(RBP2, or RBP3 under an active codec) and the engines differ only in
+where the frame goes — a broker queue or a ``.bp`` file.
 """
 
 from __future__ import annotations
@@ -88,10 +93,6 @@ class StreamStats:
         self._staged_by_writer[writer] = max(
             0, self._staged_by_writer.get(writer, 0) - nbytes
         )
-
-    def staged_level(self, writer: int) -> int:
-        with self._lock:
-            return self._staged_by_writer.get(writer, 0)
 
     def record_corrupt(self) -> None:
         with self._lock:
@@ -334,30 +335,20 @@ class Engine:
         self.closed = True
 
 
-class SSTWriterEngine(Engine):
-    """One writer rank's end of an SST stream.
+class _StagingWriterEngine(Engine):
+    """Writer side shared by the SST and BPFile engines.
 
-    With a :class:`RetryPolicy`, a timed-out put is retried with
-    backoff instead of killing the run; exhaustion raises
-    :class:`EndpointDownError`.  Step state is reset even when the
-    transport fails, so a degraded writer keeps streaming (or keeps
-    falling back) on subsequent steps.
+    ``put`` stages the open step's arrays; ``end_step`` marshals them
+    into one frame (through the engine's codec, if it has one), hands
+    the frame to the subclass's ``_ship`` and resets the step state
+    even when either fails, so a degraded writer keeps streaming (or
+    keeps falling back) on subsequent steps.  Attributes persist from
+    step to step.
     """
 
-    def __init__(
-        self,
-        name: str,
-        broker: SSTBroker,
-        writer_rank: int,
-        retry: RetryPolicy | None = None,
-        codec=None,
-    ):
+    def __init__(self, name: str, writer_rank: int, codec) -> None:
         super().__init__(name, "w")
-        if not 0 <= writer_rank < broker.num_writers:
-            raise ValueError(f"writer rank {writer_rank} out of range")
-        self.broker = broker
         self.writer_rank = writer_rank
-        self.retry = retry
         self.codec = codec
         # one encoder context per directed stream: temporal references
         # plus the raw-vs-wire stats the bench/router read back
@@ -366,21 +357,10 @@ class SSTWriterEngine(Engine):
         self._attrs: dict[str, str] = {}
         self._step = 0
         self._time = 0.0
-        # wire-size observables the hybrid router feeds on
-        self.last_wire_bytes = 0
-        self.wire_bytes_total = 0
 
     def set_step_info(self, step: int, time: float) -> None:
         self._step = step
         self._time = time
-
-    def begin_step(self) -> StepStatus:
-        if self.broker.endpoint_down.is_set():
-            # fail before staging work the transport cannot deliver
-            raise EndpointDownError(
-                f"SST writer {self.writer_rank}: endpoint marked down"
-            )
-        return super().begin_step()
 
     def put(self, name: str, array: np.ndarray) -> None:
         if not self._in_step:
@@ -391,40 +371,82 @@ class SSTWriterEngine(Engine):
         self._attrs[name] = str(value)
 
     def end_step(self) -> None:
-        tel = get_telemetry()
-        with tel.tracer.span(
-            "sst.marshal", step=self._step, stage="marshal",
-            stream=self.writer_rank,
-        ):
-            payload = StepPayload(
-                step=self._step,
-                time=self._time,
-                rank=self.writer_rank,
-                variables=dict(self._staged),
-                attributes=dict(self._attrs),
-            )
-            data = marshal_step(payload, codec=self.codec, context=self.codec_context)
-            self.last_wire_bytes = len(data)
-            self.wire_bytes_total += len(data)
         try:
-            if self.retry is None:
-                self.broker.put(self.writer_rank, data, step=self._step)
-            else:
-                self.retry.call(
-                    lambda attempt: self.broker.put(
-                        self.writer_rank, data,
-                        step=self._step,
-                        timeout=self.retry.attempt_timeout,
+            with get_telemetry().tracer.span(
+                "adios.marshal", step=self._step, stage="marshal",
+                stream=self.writer_rank,
+            ):
+                data = marshal_step(
+                    StepPayload(
+                        self._step, self._time, self.writer_rank,
+                        dict(self._staged), dict(self._attrs),
                     ),
-                    on_retry=self._on_retry,
-                    describe=f"SST put (writer {self.writer_rank}, step {self._step})",
+                    codec=self.codec,
+                    context=self.codec_context,
                 )
-            # put mark: the wire stage opens when the payload lands
-            # in the broker and closes at the consumer's got mark
-            tel.live.wire_mark("put", self._step, self.writer_rank, len(data))
+            self._ship(data)
         finally:
             self._staged.clear()
             super().end_step()
+
+    def _ship(self, data: bytearray) -> None:
+        """Deliver one marshaled step (broker put / file write)."""
+        raise NotImplementedError
+
+
+class SSTWriterEngine(_StagingWriterEngine):
+    """One writer rank's end of an SST stream.
+
+    With a :class:`RetryPolicy`, a timed-out put is retried with
+    backoff instead of killing the run; exhaustion raises
+    :class:`EndpointDownError`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        broker: SSTBroker,
+        writer_rank: int,
+        retry: RetryPolicy | None = None,
+        codec=None,
+    ):
+        super().__init__(name, writer_rank, codec)
+        if not 0 <= writer_rank < broker.num_writers:
+            raise ValueError(f"writer rank {writer_rank} out of range")
+        self.broker = broker
+        self.retry = retry
+        # wire-size observables the hybrid router feeds on
+        self.last_wire_bytes = 0
+        self.wire_bytes_total = 0
+
+    def begin_step(self) -> StepStatus:
+        if self.broker.endpoint_down.is_set():
+            # fail before staging work the transport cannot deliver
+            raise EndpointDownError(
+                f"SST writer {self.writer_rank}: endpoint marked down"
+            )
+        return super().begin_step()
+
+    def _ship(self, data: bytearray) -> None:
+        self.last_wire_bytes = len(data)
+        self.wire_bytes_total += len(data)
+        if self.retry is None:
+            self.broker.put(self.writer_rank, data, step=self._step)
+        else:
+            self.retry.call(
+                lambda attempt: self.broker.put(
+                    self.writer_rank, data,
+                    step=self._step,
+                    timeout=self.retry.attempt_timeout,
+                ),
+                on_retry=self._on_retry,
+                describe=f"SST put (writer {self.writer_rank}, step {self._step})",
+            )
+        # put mark: the wire stage opens when the payload lands
+        # in the broker and closes at the consumer's got mark
+        get_telemetry().live.wire_mark(
+            "put", self._step, self.writer_rank, len(data)
+        )
 
     def _on_retry(self, attempt: int, exc: Exception) -> None:
         self.broker.stats.faults.record_retry()
@@ -503,48 +525,19 @@ class SSTReaderEngine(Engine):
         return dict(self._current)
 
 
-class BPFileWriterEngine(Engine):
+class BPFileWriterEngine(_StagingWriterEngine):
     """File-based engine: one BP payload file per (step, rank)."""
 
     def __init__(self, name: str, directory, writer_rank: int = 0, codec=None):
-        super().__init__(name, "w")
+        super().__init__(name, writer_rank, codec)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.writer_rank = writer_rank
-        self.codec = codec
-        self.codec_context = CodecContext() if codec is not None else None
-        self._staged: dict[str, np.ndarray] = {}
-        self._attrs: dict[str, str] = {}
-        self._step = 0
-        self._time = 0.0
         self.bytes_written = 0
 
-    def set_step_info(self, step: int, time: float) -> None:
-        self._step = step
-        self._time = time
-
-    def put(self, name: str, array: np.ndarray) -> None:
-        if not self._in_step:
-            raise RuntimeError("put outside begin_step/end_step")
-        self._staged[name] = np.asarray(array)
-
-    def put_attribute(self, name: str, value: str) -> None:
-        self._attrs[name] = str(value)
-
-    def end_step(self) -> None:
-        payload = marshal_step(
-            StepPayload(
-                self._step, self._time, self.writer_rank,
-                dict(self._staged), dict(self._attrs),
-            ),
-            codec=self.codec,
-            context=self.codec_context,
-        )
+    def _ship(self, data: bytearray) -> None:
         path = self.directory / f"{self.name}.step{self._step:06d}.rank{self.writer_rank:04d}.bp"
-        path.write_bytes(payload)
-        self.bytes_written += len(payload)
-        self._staged.clear()
-        super().end_step()
+        path.write_bytes(data)
+        self.bytes_written += len(data)
 
 
 class BPFileReaderEngine(Engine):

@@ -20,25 +20,26 @@ and, when it is active, hands the step's variables to the codec in one
 batch (`repro.codec.encode_fields`), writing each one's codec id and
 parameters into its field header.  The CRC32 covers the *compressed*
 body — exactly the bytes on the wire — so the broker, the fleet's
-replay cache, and BP files all verify what they actually stored.  An inactive/lossless
-spec (or ``codec=None``) emits the plain ``RBP2`` frame, byte
-identical to an uncompressed run, and :func:`unmarshal_step`
-auto-detects all three versions.
+replay cache, and BP files all verify what they actually stored.  An
+inactive/lossless spec (or ``codec=None``) emits the plain ``RBP2``
+frame, byte identical to an uncompressed run, and
+:func:`unmarshal_step` auto-detects all three versions.
 
-The default paths are zero-copy: :func:`marshal_step` sizes the
-payload first and writes every field into one preallocated
-``bytearray`` through ``memoryview`` slices (no BytesIO growth, no
-``tobytes`` staging copy), and :func:`unmarshal_step` returns arrays
-that *view* the payload buffer, marked read-only.  A consumer that
-needs to mutate calls :meth:`StepPayload.ensure_writable` — copy on
-first write, not per payload.  The byte layout is identical to the
-retained ``*_reference`` implementations (``repro.perf.naive_mode``),
-which the equivalence tests assert byte-for-byte.
+There is one writer and one reader.  :func:`marshal_step` lays out
+every frame itself: it sizes the payload first and writes header,
+field headers and data into one preallocated ``bytearray`` through
+``memoryview`` slices (no BytesIO growth, no ``tobytes`` staging copy,
+no join-then-copy), whichever version it emits.  :func:`unmarshal_step`
+returns read-only arrays — views of the payload buffer where the bytes
+on the wire are the array — and a consumer that needs to mutate calls
+:meth:`StepPayload.ensure_writable`: copy on first write, not per
+payload.  Neither depends on ``repro.perf.naive_mode``; the byte layout
+is pinned by golden digests in ``tests/test_perf.py`` (RBP2) and
+``tests/test_codec.py`` (RBP3).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import time as _time
@@ -47,9 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.codec import decode_fields, encode_fields
 from repro.faults.errors import CorruptPayloadError
 from repro.observe.session import get_telemetry
-from repro.perf import config
 
 _MAGIC = b"RBP2"
 _MAGIC_V1 = b"RBP1"
@@ -106,95 +107,74 @@ def _normalize_array(arr: np.ndarray) -> tuple[np.ndarray, bytes]:
     return arr, tag
 
 
-# -- reference (copying) codec ------------------------------------------
-
-def _write_block(buf: io.BytesIO, name: str, arr: np.ndarray) -> None:
-    arr, tag = _normalize_array(arr)
-    name_b = name.encode()
-    buf.write(struct.pack("<H", len(name_b)))
-    buf.write(name_b)
-    buf.write(tag)
-    buf.write(struct.pack("<B", arr.ndim))
-    buf.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    raw = arr.tobytes()
-    buf.write(struct.pack("<q", len(raw)))
-    buf.write(raw)
-
-
-def marshal_step_reference(payload: StepPayload) -> bytes:
-    """Original BytesIO encoder, kept for the gate/equivalence tests."""
-    buf = io.BytesIO()
-    attrs = json.dumps(payload.attributes).encode()
-    buf.write(struct.pack(_HEADER, payload.step, payload.time, payload.rank, len(attrs)))
-    buf.write(attrs)
-    buf.write(struct.pack("<I", len(payload.variables)))
-    for name, arr in payload.variables.items():
-        _write_block(buf, name, np.asarray(arr))
-    body = buf.getvalue()
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _MAGIC + struct.pack("<I", crc) + body
+def _meter_codec(kind: str, raw: int, wire: int, seconds: float) -> None:
+    """Aggregate raw-vs-wire and codec-time counters on this rank."""
+    tel = get_telemetry()
+    if not tel.enabled:
+        return
+    m = tel.metrics
+    m.counter(
+        "repro_codec_raw_bytes_total", "Uncompressed payload bytes through the codec"
+    ).inc(raw)
+    m.counter(
+        "repro_codec_wire_bytes_total", "Codec-compressed bytes on the wire"
+    ).inc(wire)
+    m.counter(
+        f"repro_codec_{kind}_seconds_total", f"Seconds spent in codec {kind}"
+    ).inc(seconds)
 
 
-def unmarshal_step_reference(data) -> StepPayload:
-    """Original copying decoder, kept for the gate/equivalence tests."""
-    payload, _ = _read_frame(data, v3=False)
-    for name, arr in payload.variables.items():
-        payload.variables[name] = arr.copy()
-    return payload
-
-
-# -- zero-copy codec ----------------------------------------------------
-
-def marshal_step(payload: StepPayload, codec=None, context=None):
+def marshal_step(payload: StepPayload, codec=None, context=None) -> bytearray:
     """Encode a StepPayload to transportable bytes (CRC32-protected).
 
-    Returns a ``bytearray`` whose layout is byte-identical to
-    :func:`marshal_step_reference`, built with a single allocation.
-    With an *active* :class:`~repro.codec.CodecSpec` the ``RBP3``
-    frame is emitted instead (per-field compressed blocks, CRC over
-    the compressed body); an inactive/lossless spec falls through to
-    the byte-identical ``RBP2`` path.
+    With an *active* :class:`~repro.codec.CodecSpec` the ``RBP3`` frame
+    is emitted (the variables go through the codec in one batch, each
+    field header carries its codec id and parameters, the CRC covers
+    the compressed body); otherwise — ``codec=None`` or an
+    inactive/lossless spec — the plain ``RBP2`` frame.  Both are laid
+    out here, in a ``bytearray`` allocated once at its exact size.
     """
-    if codec is not None and codec.active:
-        return _marshal_step_v3(payload, codec, context)
-    if not config.enabled():
-        return marshal_step_reference(payload)
+    v3 = codec is not None and codec.active
+    t0 = _time.perf_counter()
     attrs = json.dumps(payload.attributes).encode()
-    blocks: list[tuple[bytes, np.ndarray, bytes]] = []
-    size = 8 + _HEADER_SIZE + len(attrs) + 4
-    for name, arr in payload.variables.items():
-        arr, tag = _normalize_array(np.asarray(arr))
+    fields = [(name, *_normalize_array(arr))
+              for name, arr in payload.variables.items()]
+    if v3:
+        encoded = encode_fields(
+            [(name, arr, codec.config_for(name, arr.dtype))
+             for name, arr, _ in fields],
+            payload.step, context,
+        )
+    else:
+        # an RBP2 block is the array's bytes and no codec header (a flat
+        # view: memoryview.cast refuses an array with a zero in its shape)
+        encoded = [(None, None, arr.reshape(-1).view(np.uint8))
+                   for _, arr, _ in fields]
+    blocks = []
+    for (name, arr, tag), (codec_id, params, data) in zip(fields, encoded):
         name_b = name.encode()
-        blocks.append((name_b, arr, tag))
-        size += 2 + len(name_b) + 2 + 1 + 8 * arr.ndim + 8 + arr.nbytes
+        head = struct.pack(f"<H{len(name_b)}s2sB{arr.ndim}q", len(name_b),
+                           name_b, tag, arr.ndim, *arr.shape)
+        if v3:
+            params_b = json.dumps(params).encode() if params else b"{}"
+            head += struct.pack(f"<BH{len(params_b)}s", codec_id,
+                                len(params_b), params_b)
+        blocks.append((head + struct.pack("<q", len(data)), data))
 
-    out = bytearray(size)
+    off = 8 + _HEADER_SIZE + len(attrs) + 4
+    out = bytearray(off + sum(len(head) + len(data) for head, data in blocks))
     mv = memoryview(out)
-    mv[0:4] = _MAGIC
-    off = 8
-    struct.pack_into(_HEADER, out, off, payload.step, payload.time,
-                     payload.rank, len(attrs))
-    off += _HEADER_SIZE
-    mv[off:off + len(attrs)] = attrs
-    off += len(attrs)
-    struct.pack_into("<I", out, off, len(blocks))
-    off += 4
-    for name_b, arr, tag in blocks:
-        struct.pack_into("<H", out, off, len(name_b))
-        off += 2
-        mv[off:off + len(name_b)] = name_b
-        off += len(name_b)
-        mv[off:off + 2] = tag
-        off += 2
-        struct.pack_into("<B", out, off, arr.ndim)
-        off += 1
-        struct.pack_into(f"<{arr.ndim}q", out, off, *arr.shape)
-        off += 8 * arr.ndim
-        struct.pack_into("<q", out, off, arr.nbytes)
-        off += 8
-        mv[off:off + arr.nbytes] = memoryview(arr).cast("B")
-        off += arr.nbytes
+    mv[0:4] = _MAGIC_V3 if v3 else _MAGIC
+    struct.pack_into(f"{_HEADER}{len(attrs)}sI", out, 8, payload.step,
+                     payload.time, payload.rank, len(attrs), attrs, len(blocks))
+    for block in blocks:
+        for part in block:
+            mv[off:off + len(part)] = part
+            off += len(part)
     struct.pack_into("<I", out, 4, zlib.crc32(mv[8:]) & 0xFFFFFFFF)
+    if v3:
+        _meter_codec("encode", sum(arr.nbytes for _, arr, _ in fields),
+                     len(out), _time.perf_counter() - t0)
     return out
 
 
@@ -211,26 +191,33 @@ def unmarshal_step(data, context=None) -> StepPayload:
     for every version.  `context` is the per-stream
     :class:`~repro.codec.CodecContext` temporal-delta decodes need.
     """
-    if bytes(memoryview(data)[:4]) == _MAGIC_V3:
-        return _unmarshal_step_v3(data, context)
-    if not config.enabled():
-        return unmarshal_step_reference(data)
-    return _read_frame(data, v3=False)[0]
+    t0 = _time.perf_counter()
+    payload, blocks = _read_frame(data)
+    if blocks is not None:
+        arrays = decode_fields(blocks, payload.step, context)
+        for block, arr in zip(blocks, arrays):
+            arr.flags.writeable = False
+            payload.variables[block[0]] = arr
+        _meter_codec("decode", payload.nbytes, len(memoryview(data)),
+                     _time.perf_counter() - t0)
+    return payload
 
 
-def _read_frame(data, v3: bool) -> tuple[StepPayload, list[tuple]]:
-    """Shared frame parser: magic, CRC, step header, variable headers.
+def _read_frame(data) -> tuple[StepPayload, list[tuple] | None]:
+    """The frame parser: magic, CRC, step header, variable headers.
 
-    RBP1/RBP2 variables come back as read-only views on the payload;
-    RBP3 (`v3`) ones as ``(name, codec_id, params, data, dtype, shape)``
-    blocks for :func:`repro.codec.decode_fields`.  Parsing is total:
+    RBP1/RBP2 variables come back as read-only views on the payload
+    (and no block list); RBP3 ones as ``(name, codec_id, params, data,
+    dtype, shape)`` blocks for :func:`repro.codec.decode_fields`, the
+    payload's variables still to be filled.  Parsing is total:
     bytes that are not one whole well-formed frame — any prefix of one,
     say, after a short read — raise :class:`CorruptPayloadError`.
     """
     view = memoryview(data)
     magic = bytes(view[:4])
-    if magic not in ((_MAGIC_V3,) if v3 else (_MAGIC, _MAGIC_V1)):
+    if magic not in (_MAGIC, _MAGIC_V1, _MAGIC_V3):
         raise CorruptPayloadError("not a BP step payload (bad magic)")
+    v3 = magic == _MAGIC_V3
     try:
         off = 4
         if magic != _MAGIC_V1:
@@ -248,7 +235,7 @@ def _read_frame(data, v3: bool) -> tuple[StepPayload, list[tuple]]:
         off += 4
         payload = StepPayload(step=step, time=time, rank=rank,
                               attributes=attributes)
-        blocks = []
+        blocks = [] if v3 else None
         for _ in range(nvars):
             (name_len,) = struct.unpack_from("<H", view, off)
             off += 2
@@ -287,74 +274,3 @@ def _read_frame(data, v3: bool) -> tuple[StepPayload, list[tuple]]:
     except (struct.error, ValueError) as exc:
         raise CorruptPayloadError(f"malformed BP payload: {exc}") from exc
     return payload, blocks
-
-
-# -- RBP3: codec-compressed frames --------------------------------------
-
-def _meter_codec(kind: str, raw: int, wire: int, seconds: float) -> None:
-    """Aggregate raw-vs-wire and codec-time counters on this rank."""
-    tel = get_telemetry()
-    if not tel.enabled:
-        return
-    m = tel.metrics
-    m.counter(
-        "repro_codec_raw_bytes_total", "Uncompressed payload bytes through the codec"
-    ).inc(raw)
-    m.counter(
-        "repro_codec_wire_bytes_total", "Codec-compressed bytes on the wire"
-    ).inc(wire)
-    m.counter(
-        f"repro_codec_{kind}_seconds_total", f"Seconds spent in codec {kind}"
-    ).inc(seconds)
-
-
-def _marshal_step_v3(payload: StepPayload, codec, context) -> bytearray:
-    """Encode the RBP3 frame: per-field codec blocks, CRC over them."""
-    from repro.codec import encode_fields
-
-    t0 = _time.perf_counter()
-    attrs = json.dumps(payload.attributes).encode()
-    fields, tags = [], []
-    for name, arr in payload.variables.items():
-        arr, tag = _normalize_array(np.asarray(arr))
-        fields.append((name, arr, codec.config_for(name, arr.dtype)))
-        tags.append(tag)
-    parts = [
-        struct.pack(_HEADER, payload.step, payload.time, payload.rank,
-                    len(attrs)),
-        attrs, struct.pack("<I", len(fields)),
-    ]
-    encoded = encode_fields(fields, payload.step, context)
-    for (name, arr, _), tag, (codec_id, params, data) in zip(fields, tags,
-                                                             encoded):
-        name_b = name.encode()
-        params_b = json.dumps(params).encode() if params else b"{}"
-        parts += (
-            struct.pack("<H", len(name_b)), name_b, tag,
-            struct.pack(f"<B{arr.ndim}qBH", arr.ndim, *arr.shape, codec_id,
-                        len(params_b)),
-            params_b, struct.pack("<q", len(data)), data,
-        )
-    body = b"".join(parts)
-    out = bytearray(8 + len(body))
-    out[0:4] = _MAGIC_V3
-    struct.pack_into("<I", out, 4, zlib.crc32(body) & 0xFFFFFFFF)
-    out[8:] = body
-    _meter_codec("encode", sum(arr.nbytes for _, arr, _ in fields), len(out),
-                 _time.perf_counter() - t0)
-    return out
-
-
-def _unmarshal_step_v3(data, context) -> StepPayload:
-    """Decode an RBP3 frame (CRC over the compressed body)."""
-    from repro.codec import decode_fields
-
-    t0 = _time.perf_counter()
-    payload, blocks = _read_frame(data, v3=True)
-    arrays = decode_fields(blocks, payload.step, context)
-    for block, arr in zip(blocks, arrays):
-        arr.flags.writeable = False
-        payload.variables[block[0]] = arr
-    _meter_codec("decode", payload.nbytes, len(memoryview(data)),
-                 _time.perf_counter() - t0)
-    return payload

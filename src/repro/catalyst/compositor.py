@@ -194,7 +194,7 @@ def composite_binary_swap(
     composited 1/N of the image; the root then collects the regions.
 
     `arena` supplies the owner-buffer scratch; the device-resident path
-    passes a ``DeviceArena.raw_view()`` so the merge rounds recycle
+    passes its ``Device.raw_view()`` so the merge rounds recycle
     device memory (defaults to the host :func:`get_arena`).
     """
     size, rank = comm.size, comm.rank
@@ -499,7 +499,7 @@ def render_composited(
             )
             for origin, dims, payload in fragments
         ]
-        arena = device.arena.raw_view()
+        arena = device.raw_view()
     else:
         kern = None
         arena = get_arena()

@@ -383,7 +383,7 @@ class DeviceRasterizer:
     """Device twin of :class:`Rasterizer`: framebuffers stay on device.
 
     Color and depth buffers come from the device scratch arena
-    (:class:`~repro.occa.arena.DeviceArena`) and every draw is a
+    (``Device.arena``) and every draw is a
     registered-kernel launch over the raw device buffers — the same
     per-pixel math as the host rasterizer, so the composited image is
     bitwise identical; only the residency of the working set changes.

@@ -14,10 +14,10 @@ for).  It composes the fleet pieces:
   endpoints through a consistent-hash ring
   (:mod:`repro.fleet.ring`), so membership changes move only the
   departed member's streams (bounded disruption);
-- **assembly** — ingested payloads are CRC-checked (``RBP2``) and
-  grouped by simulation step; a step whose every live writer has
-  delivered (or provably never will: later step seen, or stream
-  ended) becomes a :class:`~repro.fleet.work.RenderTask`;
+- **assembly** — ingested payloads are CRC-checked (``RBP2`` /
+  ``RBP3`` frames) and grouped by simulation step; a step whose every
+  live writer has delivered (or provably never will: later step seen,
+  or stream ended) becomes a :class:`~repro.fleet.work.RenderTask`;
 - **work stealing** — idle endpoints steal queued render steps from
   the hottest peer (:class:`~repro.fleet.work.WorkQueues`);
 - **recovery** — a dead endpoint's queued *and in-flight* tasks are
@@ -271,8 +271,8 @@ class FleetCoordinator:
 
         A stream that rebalances mid-run lands on an endpoint that
         never saw its geometry step; the coordinator replays it from
-        this cache (the payload is CRC-checked ``RBP2`` data retained
-        verbatim from ingest).
+        this cache (the payload is the CRC-checked frame, ``RBP2`` or
+        ``RBP3``, retained verbatim from ingest).
         """
         with self._lock:
             return self._geometry.get(writer)

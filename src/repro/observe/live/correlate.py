@@ -3,7 +3,8 @@
 Every in-flight step carries a ``(run_id, step, stream)`` tag.  The
 tag is minted where the step is born (:meth:`repro.nekrs.solver.
 NekRSSolver.step` records the ``solve`` stage under the active run
-id), rides the RBP2 payload header as the ``corr`` attribute through
+id), rides the step frame's attribute header (RBP2, or RBP3 under a
+codec — the header is the same) as the ``corr`` attribute through
 :class:`~repro.adios.engine.SSTBroker`, and every later hop —
 endpoint render, frame publish, client delivery — records its stage
 against the same ``(step, stream)`` key.  A hop records a stage by
@@ -71,7 +72,7 @@ class StepTag:
     stream: int
 
     def encode(self) -> str:
-        """Wire form for the RBP2 ``corr`` attribute."""
+        """Wire form for the step frame's ``corr`` attribute."""
         return f"{self.run_id}:{self.step}:{self.stream}"
 
     @classmethod

@@ -17,15 +17,18 @@ Two backends are provided:
     bytes and is charged to the transfer ledger (optionally with
     modeled PCIe time).  This keeps the instrumented code path — and
     its cost accounting — faithful to the GPU production setup.
+
+Short-lived device buffers come from ``Device.arena``: the repo's one
+pool class (:class:`repro.perf.WorkspaceArena`) with a
+:class:`DeviceMemory` allocator.  Code that runs on the device borrows
+raw arrays from the same pool through ``Device.raw_view()``.
 """
 
-from repro.occa.arena import DeviceArena
 from repro.occa.device import Device, DeviceMemory, KernelError, TransferLedger
 from repro.occa.kernels import install_field_kernels, install_render_kernels
 
 __all__ = [
     "Device",
-    "DeviceArena",
     "DeviceMemory",
     "KernelError",
     "TransferLedger",

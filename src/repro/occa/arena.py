@@ -1,132 +1,32 @@
-"""Device-side scratch arena: pooled :class:`DeviceMemory` buffers.
+"""Kernel-side view of a device's scratch arena.
 
-The device-resident render path needs short-lived device buffers every
-in situ step — derived fields, resampled volumes, ghost-extended
-fragments, framebuffers.  ``cudaMalloc``/``cudaFree`` in a loop is the
-GPU equivalent of the host allocation churn ``WorkspaceArena`` removes,
-so the :class:`DeviceArena` mirrors its contract on device memory:
-shape/dtype-bucketed pools, ``borrow``/``release``/``adopt``, and
-hit/miss statistics.  No PCIe traffic is involved anywhere — borrowing
-recycles device allocations, which is exactly why the transfer ledger
-never sees the render path's working set.
-
-Lifetime rules are the host arena's: borrowed buffers are
-uninitialized, every borrow pairs with a release (or an adopt when the
-buffer legitimately escapes), and buffers never travel between
-devices.  In-use bytes are charged to the rank's memory meter under
-``occa.arena``.
+``Device.arena`` is the one pool class, :class:`~repro.perf.arena.
+WorkspaceArena`, allocating :class:`DeviceMemory` and charging
+``occa.arena``: host code borrows opaque device buffers and can reach
+their bytes only through a metered copy.  Kernel-internal code (the
+ghost-layer exchange, the compositor merge rounds) runs "on the device"
+and manipulates raw arrays; :class:`_RawArenaView` is how that code
+borrows from the same pool.  Keeping it a separate type is the point —
+"kernels see raw arrays, hosts see ``DeviceMemory``" holds because no
+host-facing call ever returns what the view returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.occa.device import Device, DeviceMemory
-
-__all__ = ["DeviceArena"]
-
-
-class DeviceArena:
-    """Pool of recycled device buffers for one :class:`Device`."""
-
-    def __init__(self, device: Device) -> None:
-        self.device = device
-        self._pool: dict[tuple, list[DeviceMemory]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.outstanding = 0
-        self.borrowed_bytes = 0
-        self.peak_borrowed_bytes = 0
-
-    def borrow(self, shape, dtype=np.float64) -> DeviceMemory:
-        """An uninitialized device buffer of `shape`/`dtype`."""
-        from repro.observe.session import get_telemetry
-
-        dtype = np.dtype(dtype)
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        bucket = self._pool.get((shape, dtype.char))
-        if bucket:
-            mem = bucket.pop()
-            self.hits += 1
-        else:
-            mem = DeviceMemory(self.device, np.empty(shape, dtype))
-            self.misses += 1
-        self.outstanding += 1
-        self.borrowed_bytes += mem.nbytes
-        if self.borrowed_bytes > self.peak_borrowed_bytes:
-            self.peak_borrowed_bytes = self.borrowed_bytes
-        get_telemetry().memory.allocate("occa.arena", mem.nbytes)
-        return mem
-
-    def release(self, *buffers: DeviceMemory) -> None:
-        """Return borrowed device buffers to their buckets."""
-        from repro.observe.session import get_telemetry
-
-        mem_meter = get_telemetry().memory
-        for mem in buffers:
-            self._pool.setdefault((mem.shape, mem.dtype.char), []).append(mem)
-            self.outstanding -= 1
-            self.borrowed_bytes -= mem.nbytes
-            mem_meter.free("occa.arena", mem.nbytes)
-
-    def adopt(self, *buffers: DeviceMemory) -> None:
-        """Stop tracking borrowed buffers without pooling them.
-
-        For the rare device buffer that escapes its borrowing scope —
-        e.g. a composited tile handed to the adaptor, which copies it
-        to the host (the one metered D2H) and then drops it.
-        """
-        from repro.observe.session import get_telemetry
-
-        mem_meter = get_telemetry().memory
-        for mem in buffers:
-            self.outstanding -= 1
-            self.borrowed_bytes -= mem.nbytes
-            mem_meter.free("occa.arena", mem.nbytes)
-
-    def raw_view(self) -> "_RawArenaView":
-        """Adapter exposing this arena with a host-array interface.
-
-        Kernel-internal code (the ghost-layer exchange, the compositor
-        merge rounds) manipulates raw device arrays; the adapter lets
-        that code borrow/release device scratch through the exact
-        borrow/release signature of ``WorkspaceArena`` — the arrays it
-        hands out are ``_raw()`` views of pooled device buffers, so no
-        transfer is ever charged.
-        """
-        return _RawArenaView(self)
-
-    # -- introspection -------------------------------------------------
-    def pooled_buffers(self) -> int:
-        return sum(len(bucket) for bucket in self._pool.values())
-
-    def pooled_bytes(self) -> int:
-        return sum(
-            mem.nbytes for bucket in self._pool.values() for mem in bucket
-        )
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "outstanding": self.outstanding,
-            "borrowed_bytes": self.borrowed_bytes,
-            "peak_borrowed_bytes": self.peak_borrowed_bytes,
-            "pooled_buffers": self.pooled_buffers(),
-            "pooled_bytes": self.pooled_bytes(),
-        }
-
-    def clear(self) -> None:
-        self._pool.clear()
-        self.hits = self.misses = 0
-        self.outstanding = 0
-        self.borrowed_bytes = self.peak_borrowed_bytes = 0
+from repro.occa.device import DeviceMemory
 
 
 class _RawArenaView:
-    """Device arena seen through ``WorkspaceArena``'s borrow/release."""
+    """A device arena seen through the host arena's borrow/release.
 
-    def __init__(self, arena: DeviceArena) -> None:
+    The arrays it hands out are ``_raw()`` views of pooled device
+    buffers, so no transfer is ever charged; ``release`` accepts only
+    arrays this view handed out.
+    """
+
+    def __init__(self, arena) -> None:
         self._arena = arena
         self._by_id: dict[int, DeviceMemory] = {}
 
@@ -138,10 +38,5 @@ class _RawArenaView:
 
     def release(self, *arrays: np.ndarray) -> None:
         self._arena.release(
-            *(self._by_id.pop(id(arr)) for arr in arrays)
-        )
-
-    def adopt(self, *arrays: np.ndarray) -> None:
-        self._arena.adopt(
             *(self._by_id.pop(id(arr)) for arr in arrays)
         )

@@ -184,13 +184,25 @@ class Device:
 
     @property
     def arena(self):
-        """Lazy per-device :class:`~repro.occa.arena.DeviceArena`."""
+        """Lazy per-device scratch pool: the host arena's class
+        (:class:`~repro.perf.arena.WorkspaceArena`) allocating
+        :class:`DeviceMemory` and charging ``occa.arena``."""
         arena = getattr(self, "_arena", None)
         if arena is None:
-            from repro.occa.arena import DeviceArena
+            from repro.perf.arena import WorkspaceArena
 
-            arena = self._arena = DeviceArena(self)
+            arena = self._arena = WorkspaceArena(
+                lambda shape, dtype: DeviceMemory(self, np.empty(shape, dtype)),
+                "occa.arena",
+            )
         return arena
+
+    def raw_view(self):
+        """:attr:`arena` for code that runs on the device: the same
+        borrow/release, handing out the pooled buffers' raw arrays."""
+        from repro.occa.arena import _RawArenaView
+
+        return _RawArenaView(self.arena)
 
     # -- kernels ----------------------------------------------------------
     def build_kernel(self, name: str, fn: Callable) -> Callable:

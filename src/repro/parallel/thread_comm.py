@@ -22,8 +22,8 @@ Collectives
 moving only what its peers actually need).  Payloads are passed by
 reference between threads, so the trees are zero-copy for NumPy
 arrays; ``reduce`` additionally stacks array contributions into
-:class:`repro.perf.WorkspaceArena` scratch before combining.  The
-allgather-based base-class algorithms in
+scratch from the rank's host arena (:func:`repro.perf.get_arena`)
+before combining.  The allgather-based base-class algorithms in
 :class:`repro.parallel.comm.Communicator` remain the reference: under
 :func:`repro.perf.naive_mode` every collective routes through them,
 which is what the parity suite in ``tests/test_collectives_parity.py``

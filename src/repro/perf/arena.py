@@ -1,4 +1,4 @@
-"""Workspace arena: per-rank pooled scratch arrays for the hot paths.
+"""Workspace arena: the one pool of scratch buffers for the hot paths.
 
 The solver step, the CG loop, and the Catalyst gather/render path all
 need short-lived float buffers of a handful of recurring shapes.
@@ -6,6 +6,14 @@ Allocating them fresh every step/iteration costs ``np.empty`` + page
 faults and churns the allocator; a :class:`WorkspaceArena` keeps
 returned buffers in shape/dtype buckets so steady-state borrows are
 pop/append on a list.
+
+The class pools whatever its allocator returns — anything with
+``shape``, ``dtype`` and ``nbytes``.  The per-rank host arena
+(:func:`get_arena`) allocates with ``np.empty``; ``Device.arena`` is
+the same class allocating :class:`~repro.occa.device.DeviceMemory`,
+because ``cudaMalloc``/``cudaFree`` in a loop is the GPU's version of
+the same churn.  No PCIe traffic is involved in either: borrowing
+recycles allocations where they live.
 
 Lifetime rules (see ``docs/performance.md``):
 
@@ -16,10 +24,13 @@ Lifetime rules (see ``docs/performance.md``):
 - borrowed arrays must never escape the borrowing scope (never store
   one in ``self``, return it, or hand it to another rank).
 
-One arena lives per thread (= per SPMD rank), so there is no lock.
-In-use bytes are charged to the rank's :class:`MemoryMeter` under the
-``perf.arena`` category, and hit/miss/peak statistics are exported as
-gauges by :func:`repro.perf.publish_stats`.
+One host arena lives per thread (= per SPMD rank) and one device arena
+per :class:`~repro.occa.device.Device`, so there is no lock and buffers
+never travel between ranks or devices.  In-use bytes are charged to the
+rank's :class:`MemoryMeter` under the arena's category (``perf.arena``
+on the host, ``occa.arena`` on a device), and the host arena's
+hit/miss/peak statistics are exported as gauges by
+:func:`repro.perf.publish_stats`.
 """
 
 from __future__ import annotations
@@ -57,42 +68,48 @@ class _Scratch:
 
 
 class WorkspaceArena:
-    """Shape/dtype-bucketed pool of scratch arrays for one rank."""
+    """Shape/dtype-bucketed pool of scratch buffers for one rank or device.
 
-    def __init__(self) -> None:
-        self._pool: dict[tuple, list[np.ndarray]] = {}
+    `allocate(shape, dtype)` makes a buffer on a pool miss; `category`
+    is where the memory meter books the bytes in use.
+    """
+
+    def __init__(self, allocate=np.empty, category: str = "perf.arena") -> None:
+        self._allocate = allocate
+        self._category = category
+        self._pool: dict[tuple, list] = {}
         self.hits = 0
         self.misses = 0
         self.outstanding = 0
         self.borrowed_bytes = 0
         self.peak_borrowed_bytes = 0
 
-    def borrow(self, shape, dtype=np.float64) -> np.ndarray:
-        """An uninitialized C-contiguous array of `shape`/`dtype`.
+    def borrow(self, shape, dtype=np.float64):
+        """An uninitialized C-contiguous buffer of `shape`/`dtype`.
 
-        Pooled when the perf layer is enabled; a plain ``np.empty``
+        Pooled when the perf layer is enabled; a fresh allocation
         (so ``release`` is a no-op) under :func:`repro.perf.naive_mode`.
         """
         dtype = np.dtype(dtype)
         if not config.enabled():
-            return np.empty(shape, dtype)
+            return self._allocate(shape, dtype)
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         bucket = self._pool.get((shape, dtype.char))
         if bucket:
             arr = bucket.pop()
             self.hits += 1
         else:
-            arr = np.empty(shape, dtype)
+            arr = self._allocate(shape, dtype)
             self.misses += 1
         self.outstanding += 1
         self.borrowed_bytes += arr.nbytes
         if self.borrowed_bytes > self.peak_borrowed_bytes:
             self.peak_borrowed_bytes = self.borrowed_bytes
-        get_telemetry().memory.allocate("perf.arena", arr.nbytes)
+        get_telemetry().memory.allocate(self._category, arr.nbytes)
         return arr
 
-    def release(self, *arrays: np.ndarray) -> None:
-        """Return borrowed arrays to their buckets (contents discarded)."""
+    def release(self, *arrays) -> None:
+        """Return borrowed buffers to their buckets (contents discarded)."""
         if not config.enabled():
             return
         mem = get_telemetry().memory
@@ -100,10 +117,10 @@ class WorkspaceArena:
             self._pool.setdefault((arr.shape, arr.dtype.char), []).append(arr)
             self.outstanding -= 1
             self.borrowed_bytes -= arr.nbytes
-            mem.free("perf.arena", arr.nbytes)
+            mem.free(self._category, arr.nbytes)
 
-    def adopt(self, *arrays: np.ndarray) -> None:
-        """Release borrowed arrays *without* pooling them.
+    def adopt(self, *arrays) -> None:
+        """Release borrowed buffers *without* pooling them.
 
         For the rare buffer that legitimately escapes its borrowing
         scope (e.g. a finished framebuffer handed to the PNG writer):
@@ -116,7 +133,7 @@ class WorkspaceArena:
         for arr in arrays:
             self.outstanding -= 1
             self.borrowed_bytes -= arr.nbytes
-            mem.free("perf.arena", arr.nbytes)
+            mem.free(self._category, arr.nbytes)
 
     def scratch(self, shape, dtype=np.float64, n: int = 1) -> _Scratch:
         """Borrow `n` arrays for a with-block; released on exit.

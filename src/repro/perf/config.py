@@ -1,7 +1,7 @@
 """Per-thread switch between optimized and reference hot paths.
 
 The optimized kernels (plan-cached contractions, workspace arenas, the
-batched rasterizer, zero-copy marshaling) are on by default.  The
+batched rasterizer, batched contour and codec) are on by default.  The
 reference implementations are kept callable behind :func:`naive_mode`
 for two reasons: the equivalence tests prove the optimized paths match
 them, and the perf gate measures honest before/after numbers from the

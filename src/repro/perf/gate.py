@@ -112,17 +112,6 @@ def _kernel_rasterize_mesh():
     return run
 
 
-def _kernel_marshal_roundtrip():
-    from repro.adios.marshal import StepPayload, marshal_step, unmarshal_step
-
-    rng = np.random.default_rng(0)
-    payload = StepPayload(
-        step=1, time=0.1, rank=0,
-        variables={f"f{i}": rng.normal(size=(64, 6, 6, 6)) for i in range(4)},
-    )
-    return lambda: unmarshal_step(marshal_step(payload))
-
-
 def _spmd_seconds(body, nranks: int, modeled: bool):
     """Run an SPMD workload once and return its measured seconds.
 
@@ -295,7 +284,6 @@ KERNELS = {
     "cg_solve": _kernel_cg_solve,
     "solver_step": _kernel_solver_step,
     "rasterize_mesh": _kernel_rasterize_mesh,
-    "marshal_roundtrip": _kernel_marshal_roundtrip,
     "collectives": _kernel_collectives,
     "compositing": _kernel_compositing,
     "live_telemetry": _kernel_live_telemetry,

@@ -105,8 +105,8 @@ class ADIOSAnalysisAdaptor(AnalysisAdaptor):
         engine.begin_step()
         live = get_telemetry().live
         if live.enabled:
-            # correlation tag rides the RBP2 attribute header; the
-            # consumer side decodes it to stitch the step's timeline
+            # correlation tag rides the frame's attribute header (RBP2
+            # or RBP3); the consumer decodes it to stitch the timeline
             tag = StepTag(
                 run_id=live.run_id,
                 step=data.get_data_time_step(),

@@ -1,6 +1,7 @@
 """Tests for BP marshaling, SST streaming, and BPFile engines."""
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.adios import (
     marshal_step,
     unmarshal_step,
 )
+from repro.codec import CodecContext, CodecSpec
 
 
 class TestMarshal:
@@ -42,6 +44,26 @@ class TestMarshal:
     def test_empty_variables(self):
         out = unmarshal_step(marshal_step(StepPayload(0, 0.0, 0)))
         assert out.variables == {}
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)], ids=str)
+    @pytest.mark.parametrize("codec", [
+        None, CodecSpec.lossless(), CodecSpec.from_cli("delta-rle", "1e-3"),
+    ], ids=["plain", "lossless", "delta-rle"])
+    def test_empty_nd_variable_roundtrip(self, shape, codec):
+        """An empty block's ``points`` is ``(0, 3)``: every frame
+        version carries a zero-size N-d variable, shape and dtype kept."""
+        for dtype in (np.float64, np.int32):
+            payload = StepPayload(3, 0.5, 1, {
+                "points": np.empty(shape, dtype),
+                "after": np.arange(4, dtype=dtype),
+            })
+            wire = marshal_step(payload, codec=codec, context=CodecContext())
+            out = unmarshal_step(wire, context=CodecContext())
+            assert out.variables["points"].shape == shape
+            assert out.variables["points"].dtype == dtype
+            # the variable behind it still lands (lossy bound: 1e-3 of 3)
+            np.testing.assert_allclose(out.variables["after"], np.arange(4),
+                                       atol=3e-3)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -202,6 +224,33 @@ class TestBPFileEngines:
         assert reader.get().step == 2
         reader.end_step()
         assert reader.begin_step() is StepStatus.END_OF_STREAM
+
+    def test_failed_write_does_not_wedge_the_engine(self, tmp_path, monkeypatch):
+        """A write error surfaces once; the step it hit is dropped with
+        its staged variables and the next step goes out clean."""
+        writer = BPFileWriterEngine("run", tmp_path)
+        real_write = Path.write_bytes
+
+        def disk_full(self, data):
+            monkeypatch.setattr(Path, "write_bytes", real_write)  # fail once
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        writer.set_step_info(1, 0.1)
+        writer.begin_step()
+        writer.put("lost", np.ones(3))
+        with pytest.raises(OSError, match="disk full"):
+            writer.end_step()
+        assert writer.bytes_written == 0 and not list(tmp_path.glob("*.bp"))
+
+        writer.set_step_info(2, 0.2)
+        assert writer.begin_step() is StepStatus.OK
+        writer.put("kept", np.arange(3.0))
+        writer.end_step()
+        (path,) = tmp_path.glob("*.bp")
+        assert writer.bytes_written == path.stat().st_size
+        out = unmarshal_step(path.read_bytes())
+        assert out.step == 2 and set(out.variables) == {"kept"}
 
     def test_rank_separation(self, tmp_path):
         for rank in (0, 1):

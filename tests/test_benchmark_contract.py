@@ -185,3 +185,40 @@ def test_pipeline_stages_are_tagged_spans_and_nothing_else():
                     if kw.arg == "stage" and isinstance(kw.value, ast.Constant)
                 )
     assert {"solve", "marshal", "render", "composite", "encode", "deliver"} <= tagged
+
+
+# -- one buffer pool, one frame writer ---------------------------------------
+
+
+def test_device_arena_is_the_arena_the_benchmark_reads():
+    """``workloads.py`` reports ``api.get_arena().stats()``; the device
+    pool is the same class, so it answers with the same keys."""
+    from repro.occa import Device
+    from repro.perf.arena import get_arena
+
+    device_arena, host_arena = Device().arena, get_arena()
+    assert type(device_arena) is type(host_arena)
+    for arena in (device_arena, host_arena):
+        assert {"hits", "misses", "pooled_bytes", "pooled_arrays"} <= set(arena.stats())
+
+
+def test_one_pool_class_and_one_mode_independent_frame_writer():
+    """Source scan: only ``WorkspaceArena`` pools (``_RawArenaView``
+    adapts it for kernel code), and the wire layer has no reference twin
+    and no ``naive_mode()`` branch to drift from."""
+    borrowers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "borrow"
+                for item in node.body
+            ):
+                borrowers.append(node.name)
+    assert sorted(borrowers) == ["WorkspaceArena", "_RawArenaView"]
+    for path in sorted((SRC / "adios").glob("*.py")):
+        assert "config.enabled" not in path.read_text(), path.name
+    marshal = ast.parse((SRC / "adios" / "marshal.py").read_text())
+    names = {n.name for n in ast.walk(marshal)
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert {"marshal_step", "unmarshal_step"} <= names
+    assert not [n for n in names if n.endswith("_reference")]

@@ -21,7 +21,6 @@ import pytest
 from repro.adios.marshal import (
     StepPayload,
     marshal_step,
-    marshal_step_reference,
     unmarshal_step,
 )
 from repro.codec import (
@@ -416,7 +415,8 @@ class TestMarshalRBP3:
 
     def test_rbp2_and_rbp1_still_decode(self):
         payload = _payload()
-        rbp2 = marshal_step_reference(payload)
+        rbp2 = bytes(marshal_step(payload))
+        assert rbp2[:4] == b"RBP2"
         out2 = unmarshal_step(rbp2)
         np.testing.assert_array_equal(
             out2.variables["temperature"], payload.variables["temperature"]
@@ -769,7 +769,7 @@ class TestHostileBlocksThroughTheBatch:
     def _blocks(self, frame):
         from repro.adios.marshal import _read_frame
 
-        payload, blocks = _read_frame(frame, v3=True)
+        payload, blocks = _read_frame(frame)
         return payload.step, blocks
 
     def _check(self, frames, hostile_frame):

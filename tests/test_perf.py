@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.observe import Telemetry, active
+from repro.occa import Device, DeviceMemory
 from repro.perf import (
     PlanCache,
     WorkspaceArena,
@@ -110,48 +111,62 @@ class TestPlanCache:
         assert other["cache"] is not main
 
 
-class TestArena:
-    def test_borrow_release_roundtrip(self):
-        arena = WorkspaceArena()
+def check_arena(arena, outstanding=0, **counters):
+    """The pool's invariants, whatever it allocates."""
+    stats = arena.stats()
+    assert stats["outstanding"] == arena.outstanding == outstanding
+    assert (stats["borrowed_bytes"] == 0) == (outstanding == 0)
+    assert stats["peak_borrowed_bytes"] >= stats["borrowed_bytes"] >= 0
+    assert stats["pooled_arrays"] == arena.pooled_arrays()
+    assert stats["pooled_bytes"] == arena.pooled_bytes()
+    for key, value in counters.items():
+        assert stats[key] == value, key
+
+
+class _ArenaContract:
+    """What ``WorkspaceArena`` promises whatever its allocator returns;
+    the subclasses supply the ``arena`` fixture (host / device)."""
+
+    category: str
+
+    def test_borrow_release_roundtrip(self, arena):
         a = arena.borrow((4, 5))
         assert a.shape == (4, 5) and a.dtype == np.float64
-        assert arena.outstanding == 1
+        check_arena(arena, outstanding=1, hits=0, misses=1)
         arena.release(a)
-        assert arena.outstanding == 0
+        check_arena(arena, hits=0, misses=1, pooled_arrays=1)
         b = arena.borrow((4, 5))
         assert b is a  # pooled buffer reused
-        assert arena.hits == 1 and arena.misses == 1
+        check_arena(arena, outstanding=1, hits=1, misses=1, pooled_arrays=0)
         arena.release(b)
 
-    def test_distinct_shape_dtype_buckets(self):
-        arena = WorkspaceArena()
+    def test_distinct_shape_dtype_buckets(self, arena):
         a = arena.borrow((3,))
         b = arena.borrow((3,), np.float32)
         assert a.dtype != b.dtype
         arena.release(a, b)
-        assert arena.pooled_arrays() == 2
-        assert arena.pooled_bytes() == a.nbytes + b.nbytes
+        check_arena(arena, misses=2, pooled_arrays=2,
+                    pooled_bytes=a.nbytes + b.nbytes)
+        assert arena.borrow(3, np.float32) is b  # int shape, same bucket
+        assert arena.borrow((3,)) is a
 
-    def test_scratch_contextmanager(self):
-        arena = WorkspaceArena()
+    def test_scratch_contextmanager(self, arena):
         with arena.scratch((2, 2)) as t:
             t.fill(0.0)
-            assert arena.outstanding == 1
-        assert arena.outstanding == 0
+            check_arena(arena, outstanding=1)
+        check_arena(arena)
         with arena.scratch((2, 2), n=3) as (x, y, z):
-            assert {id(x), id(y), id(z)} == {id(x), id(y), id(z)}
-            assert arena.outstanding == 3
-        assert arena.outstanding == 0
+            assert len({id(x), id(y), id(z)}) == 3
+            check_arena(arena, outstanding=3)
+        check_arena(arena, pooled_arrays=3)
 
-    def test_scratch_releases_on_exception(self):
-        arena = WorkspaceArena()
+    def test_scratch_releases_on_exception(self, arena):
         with pytest.raises(RuntimeError):
             with arena.scratch((2, 2)):
                 raise RuntimeError("boom")
-        assert arena.outstanding == 0
+        check_arena(arena, pooled_arrays=1)
 
-    def test_peak_tracking(self):
-        arena = WorkspaceArena()
+    def test_peak_tracking(self, arena):
         a = arena.borrow((8,))
         b = arena.borrow((8,))
         peak = arena.peak_borrowed_bytes
@@ -160,30 +175,35 @@ class TestArena:
         arena.borrow((8,))
         assert arena.peak_borrowed_bytes == peak  # not reset by reuse
 
-    def test_disabled_mode_is_plain_empty(self):
-        arena = WorkspaceArena()
+    def test_disabled_mode_is_plain_empty(self, arena):
+        pooled = arena.borrow((4,))
         with naive_mode():
             a = arena.borrow((4,))
+            assert type(a) is type(pooled) and a.shape == (4,)
             arena.release(a)
-        assert arena.hits == 0 and arena.misses == 0
-        assert arena.pooled_arrays() == 0
+        check_arena(arena, outstanding=1, hits=0, misses=1, pooled_arrays=0)
 
-    def test_memory_meter_charging(self):
+    def test_memory_meter_charging(self, arena):
         tel = Telemetry.create(rank=0)
-        arena = WorkspaceArena()
         with active(tel):
             a = arena.borrow((1024,))
-            assert tel.memory.current("perf.arena") == a.nbytes
+            assert tel.memory.current(self.category) == a.nbytes
             arena.release(a)
-            assert tel.memory.current("perf.arena") == 0
-            assert tel.memory.peak("perf.arena") == a.nbytes
+            assert tel.memory.current(self.category) == 0
+        assert tel.memory.peaks() == {self.category: a.nbytes}
 
-    def test_clear(self):
-        arena = WorkspaceArena()
+    def test_clear(self, arena):
         arena.release(arena.borrow((4,)))
         arena.clear()
-        assert arena.pooled_arrays() == 0
-        assert arena.stats()["misses"] == 0
+        check_arena(arena, hits=0, misses=0, pooled_arrays=0)
+
+
+class TestArena(_ArenaContract):
+    category = "perf.arena"
+
+    @pytest.fixture
+    def arena(self):
+        return WorkspaceArena()
 
     def test_thread_local_instances(self):
         main = get_arena()
@@ -196,6 +216,42 @@ class TestArena:
         t.start()
         t.join()
         assert other["arena"] is not main
+
+
+class TestDeviceArena(_ArenaContract):
+    """The same class, allocating ``DeviceMemory`` for ``Device.arena``."""
+
+    category = "occa.arena"
+
+    @pytest.fixture(params=["cuda-sim", "serial"])
+    def device(self, request):
+        return Device(request.param)
+
+    @pytest.fixture
+    def arena(self, device):
+        return device.arena
+
+    def test_pools_device_memory(self, device, arena):
+        assert device.arena is arena  # built once per device
+        mem = arena.borrow((3,))
+        assert isinstance(mem, DeviceMemory) and mem.device is device
+
+    def test_raw_view_borrows_from_the_device_pool(self, device, arena):
+        view = device.raw_view()
+        raw = view.borrow((4, 4), np.float32)
+        assert type(raw) is np.ndarray
+        assert raw.shape == (4, 4) and raw.dtype == np.float32
+        check_arena(arena, outstanding=1, misses=1)
+        view.release(raw)
+        check_arena(arena, misses=1, pooled_arrays=1, pooled_bytes=raw.nbytes)
+        mem = arena.borrow((4, 4), np.float32)  # same bucket
+        assert mem._raw() is raw
+        check_arena(arena, outstanding=1, hits=1, misses=1)
+        with pytest.raises(KeyError):
+            view.release(np.empty((4, 4), np.float32))  # never handed out
+        with pytest.raises(KeyError):
+            view.release(raw)  # already returned
+        assert device.transfers.total_bytes == 0
 
 
 class TestPublishStats:
@@ -230,10 +286,17 @@ class TestZeroCopyMarshal:
         )
 
     def test_bytes_identical_to_reference(self):
-        from repro.adios.marshal import marshal_step, marshal_step_reference
+        """The RBP2 layout, pinned: the frame ``marshal_step_reference``
+        (the BytesIO writer retired with PR 19) produced for this
+        payload at 2bdf058."""
+        import hashlib
 
-        payload = self._payload()
-        assert bytes(marshal_step(payload)) == marshal_step_reference(payload)
+        from repro.adios.marshal import marshal_step
+
+        frame = bytes(marshal_step(self._payload()))
+        assert len(frame) == 1050
+        assert (hashlib.blake2b(frame, digest_size=16).hexdigest()
+                == "e09e6fcd887a08571ce529a08615b637")
 
     def test_marshal_returns_bytearray(self):
         from repro.adios.marshal import marshal_step
@@ -272,15 +335,17 @@ class TestZeroCopyMarshal:
             np.testing.assert_array_equal(out.variables[name], arr)
 
     def test_naive_mode_roundtrip_matches(self):
+        """The wire layer does not depend on the perf mode: same bytes,
+        same container, same read-only contract under ``naive_mode()``."""
         from repro.adios.marshal import marshal_step, unmarshal_step
 
         payload = self._payload()
-        fast = bytes(marshal_step(payload))
+        fast = marshal_step(payload)
         with naive_mode():
             slow = marshal_step(payload)
             out = unmarshal_step(slow)
-        assert fast == slow
-        assert out.variables["vel"].flags.writeable  # reference copies
+        assert isinstance(slow, bytearray) and slow == fast
+        assert not out.variables["vel"].flags.writeable
         np.testing.assert_array_equal(out.variables["vel"],
                                       payload.variables["vel"])
 
