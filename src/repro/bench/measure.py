@@ -106,10 +106,12 @@ def _instrumented_rank_body(
     checkpoint_seconds = 0.0
     dumps = 0
     step_seconds = []
+    pressure_iters = 0
     t0 = _time.perf_counter()
     for _ in range(steps):
         ts = _time.perf_counter()
         report = solver.step()
+        pressure_iters += report.pressure_iterations
         if report.step % interval == 0:
             if mode == "checkpoint":
                 tc = _time.perf_counter()
@@ -143,7 +145,7 @@ def _instrumented_rank_body(
         "checkpoint_bytes": checkpoint_bytes,
         "checkpoint_seconds": checkpoint_seconds,
         "dumps": dumps,
-        "pressure_iters": 0,
+        "pressure_iters": pressure_iters,
         "staging": 0,
         "insitu_seconds": 0.0,
         "image_bytes": 0,
@@ -219,6 +221,7 @@ def measure_insitu_profile(
                 np.mean([r["checkpoint_seconds"] for r in results]) / dumps
             ),
             "images_per_invocation": results[0]["images"] / dumps,
+            "pressure_iters_per_step": results[0]["pressure_iters"] / steps,
         },
     )
     return profile

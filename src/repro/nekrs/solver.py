@@ -10,8 +10,13 @@ Discretization: P_N-P_N spectral elements with the classic splitting —
    the Brinkman drag chi(x) u (immersed obstacles) folded into the
    zeroth-order implicit coefficient.
 
-All linear solves are Jacobi-preconditioned CG over gather-scattered,
-masked operators; inner products reduce across the communicator.
+All linear solves are preconditioned CG over gather-scattered, masked
+operators; inner products reduce across the communicator.  The pressure
+Poisson solve is preconditioned by Jacobi plus a Galerkin vertex coarse
+grid (:class:`repro.sem.coarse.CoarseGrid`), which removes the growth
+of its iteration count with the number of elements across the domain;
+the velocity, temperature and scalar Helmholtz solves are mass-dominated
+(a handful of iterations) and keep diagonal Jacobi.
 
 Fields live in ``repro.occa`` device buffers wrapping the solver's
 arrays; the in situ layer must pull them through ``copy_to_host``,
@@ -32,10 +37,12 @@ from repro.occa import Device, DeviceMemory
 from repro.parallel.comm import Communicator, ReduceOp
 from repro.perf import publish_stats
 from repro.perf.arena import get_arena
+from repro.sem.coarse import CoarseGrid
 from repro.sem.krylov import cg_solve
 from repro.sem.mesh import BoxMesh
 from repro.sem.operators import SEMOperators
 from repro.sem.quadrature import gll_nodes_weights
+from repro.util.logging import get_logger
 
 
 @dataclass
@@ -50,6 +57,9 @@ class StepReport:
     scalar_iterations: int
     divergence_norm: float
     wall_seconds: float
+    #: linear solves of this step that stopped without meeting their
+    #: tolerance (iteration cap, or CG lost positive-definiteness)
+    unconverged_solves: int = 0
 
 
 class NekRSSolver:
@@ -146,6 +156,8 @@ class NekRSSolver:
 
         # -- preconditioners (depend on dt through h0; built lazily) -------------
         self._pre_cache: dict[tuple, np.ndarray] = {}
+        self._pressure_pre: CoarseGrid | None = None
+        self._warned_unconverged = False
 
         # minimum GLL spacing for CFL
         ref, _ = gll_nodes_weights(case.order)
@@ -223,6 +235,16 @@ class NekRSSolver:
             pre *= mask
             self._pre_cache[cache_key] = pre
         return pre
+
+    def _pressure_preconditioner(self):
+        """The pressure solve's ``precond``: Jacobi + vertex coarse grid."""
+        if self._pressure_pre is None:
+            self._pressure_pre = CoarseGrid(
+                self.ops,
+                self.pressure_mask,
+                self._jacobi(1.0, 0.0, self.pressure_mask, "pressure"),
+            )
+        return self._pressure_pre
 
     def _helmholtz_solve(
         self,
@@ -326,6 +348,15 @@ class NekRSSolver:
             tel.metrics.gauge(
                 "repro_solver_cfl", "Advective CFL of the latest step", agg="max"
             ).set(report.cfl)
+            tel.metrics.histogram(
+                "repro_solver_pressure_iterations",
+                "Pressure CG iterations per timestep",
+                buckets=(10, 20, 40, 80, 160, 320, 640),
+            ).observe(report.pressure_iterations)
+            tel.metrics.counter(
+                "repro_solver_unconverged_solves_total",
+                "Linear solves that stopped short of their tolerance",
+            ).inc(report.unconverged_solves)
             tel.memory.observe("solver", self.memory_bytes())
             publish_stats(tel)
         return report
@@ -349,6 +380,7 @@ class NekRSSolver:
 
         # ---- temperature ---------------------------------------------------
         scalar_iters = 0
+        unconverged = 0
         if self.T is not None:
             with tel.tracer.span("solver.scalar"):
                 self._hist_advT.append(self._advection_term_T(self.time))
@@ -370,6 +402,7 @@ class NekRSSolver:
                 )
                 self.T[:] = Tnew
                 scalar_iters = result.iterations
+                unconverged += not result.converged
 
         # ---- passive scalars ------------------------------------------------
         for spec in case.passive_scalars:
@@ -403,6 +436,7 @@ class NekRSSolver:
                 )
                 field[:] = snew
                 scalar_iters += result.iterations
+                unconverged += not result.converged
 
         # the tentative velocity and BC fields live only inside this
         # step: borrow them from the per-rank arena
@@ -447,7 +481,7 @@ class NekRSSolver:
                     res *= self.pressure_mask
                     return res
 
-                pre_p = self._jacobi(1.0, 0.0, self.pressure_mask, "pressure")
+                pre_p = self._pressure_preconditioner()
                 with arena.scratch(shape) as x0buf:
                     np.multiply(self.p, self.pressure_mask, out=x0buf)
                     pres = cg_solve(
@@ -461,6 +495,7 @@ class NekRSSolver:
                         project_nullspace=project,
                     )
                 self.p[:] = pres.x
+                unconverged += not pres.converged
                 with arena.scratch(shape, n=3) as (px, py, pz):
                     self.ops.grad(self.ops.continuize(self.p), out=(px, py, pz))
                     scale = dt / b0
@@ -492,6 +527,7 @@ class NekRSSolver:
                         )
                         new_vel.append(sol)
                         vel_iters += result.iterations
+                        unconverged += not result.converged
                 self.u[:] = new_vel[0]
                 self.v[:] = new_vel[1]
                 self.w[:] = new_vel[2]
@@ -513,6 +549,14 @@ class NekRSSolver:
             self.ops.div(self.u, self.v, self.w, out=div_now)
             div_norm = self.ops.norm(div_now)
         cfl = self.cfl()
+        if unconverged and not self._warned_unconverged:
+            self._warned_unconverged = True
+            get_logger("repro.nekrs.solver", self.comm).warning(
+                "step %d: %d linear solve(s) stopped before reaching tolerance "
+                "(max_iterations=%d); StepReport.unconverged_solves counts them "
+                "from here on",
+                self.step_index, unconverged, case.max_iterations,
+            )
         wall = time.perf_counter() - t_begin
         return StepReport(
             step=self.step_index,
@@ -523,6 +567,7 @@ class NekRSSolver:
             scalar_iterations=scalar_iters,
             divergence_norm=div_norm,
             wall_seconds=wall,
+            unconverged_solves=unconverged,
         )
 
     def run(self, num_steps: int | None = None, observer=None) -> list[StepReport]:

@@ -339,9 +339,9 @@ class MetricsRegistry:
         }
 
 
-#: unit suffixes a histogram may carry (values are seconds or bytes —
-#: anything else belongs in a counter or gauge)
-_HISTOGRAM_UNITS = ("_seconds", "_bytes")
+#: unit suffixes a histogram may carry (values are seconds, bytes or
+#: solver iterations — anything else belongs in a counter or gauge)
+_HISTOGRAM_UNITS = ("_seconds", "_bytes", "_iterations")
 
 
 def naming_violations(registry) -> list[str]:
@@ -354,7 +354,8 @@ def naming_violations(registry) -> list[str]:
     - every name carries the ``repro_`` prefix (one namespace on a
       shared Prometheus endpoint);
     - counters end in ``_total``;
-    - histograms end in a unit suffix (``_seconds`` or ``_bytes``);
+    - histograms end in a unit suffix (``_seconds``, ``_bytes`` or
+      ``_iterations``);
     - gauges never end in ``_total`` (that suffix promises a counter),
       and when they carry a unit it is spelled as a suffix the same
       way (``_bytes``, ``_seconds``, ``_ratio``).

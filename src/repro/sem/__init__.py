@@ -5,9 +5,10 @@ Gauss-Lobatto-Legendre quadrature and differentiation, tensor-product
 operator application on hexahedral elements, structured hex meshes with
 global (continuous-Galerkin) node numbering, the direct-stiffness
 gather-scatter operation (the role gslib plays in Nek), discrete
-operators (mass, stiffness, Helmholtz, gradient, divergence), and a
+operators (mass, stiffness, Helmholtz, gradient, divergence), a
 preconditioned conjugate-gradient solver whose inner products reduce
-across ranks.
+across ranks, and the vertex coarse grid that preconditions the
+pressure solve.
 
 Field convention: a scalar field is an ndarray of shape
 ``(E, Nq, Nq, Nq)`` — E local elements, ``Nq = order + 1`` GLL nodes
@@ -20,6 +21,7 @@ from repro.sem.geometry import GeometricFactors
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.operators import SEMOperators
 from repro.sem.krylov import cg_solve, CGResult
+from repro.sem.coarse import CoarseGrid
 from repro.sem.tensor import apply_1d_x, apply_1d_y, apply_1d_z, local_grad
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "SEMOperators",
     "cg_solve",
     "CGResult",
+    "CoarseGrid",
     "apply_1d_x",
     "apply_1d_y",
     "apply_1d_z",

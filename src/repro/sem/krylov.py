@@ -2,8 +2,11 @@
 
 This is the workhorse linear solver of the NekRS analog: the pressure
 Poisson and velocity/temperature Helmholtz systems are SPD after
-assembly + masking, so Jacobi-preconditioned CG converges without
-drama.  Inner products use the assembled dot product (every global dof
+assembly + masking, so preconditioned CG converges without drama.  The
+preconditioner is either a diagonal (Jacobi: the mass-dominated
+Helmholtz solves need no more) or a callable ``M(r, out)`` (the
+pressure solve's two-level :class:`repro.sem.coarse.CoarseGrid`).
+Inner products use the assembled dot product (every global dof
 counted once) and reduce across ranks through the communicator, which
 is exactly where NekRS spends its allreduce traffic.
 
@@ -42,11 +45,18 @@ class CGResult:
         )
 
 
+def _precondition(precond, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = M r`` for a diagonal (array) or callable ``M(r, out)``."""
+    if callable(precond):
+        return precond(r, out)
+    return np.multiply(r, precond, out=out)
+
+
 def cg_solve_reference(
     apply_op: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     dot: Callable[[np.ndarray, np.ndarray], float],
-    precond: np.ndarray | None = None,
+    precond: np.ndarray | Callable | None = None,
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iterations: int = 500,
@@ -61,7 +71,7 @@ def cg_solve_reference(
     if project_nullspace is not None:
         r = project_nullspace(r)
 
-    z = r * precond if precond is not None else r
+    z = _precondition(precond, r, np.empty_like(r)) if precond is not None else r
     rz = dot(r, z)
     r0 = float(np.sqrt(max(dot(r, r), 0.0)))
     if r0 == 0.0:
@@ -87,7 +97,7 @@ def cg_solve_reference(
             if project_nullspace is not None:
                 x = project_nullspace(x)
             return CGResult(x, it, res, r0, True)
-        z = r * precond if precond is not None else r
+        z = _precondition(precond, r, np.empty_like(r)) if precond is not None else r
         rz_new = dot(r, z)
         beta = rz_new / rz
         rz = rz_new
@@ -102,7 +112,7 @@ def cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     dot: Callable[[np.ndarray, np.ndarray], float],
-    precond: np.ndarray | None = None,
+    precond: np.ndarray | Callable | None = None,
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iterations: int = 500,
@@ -120,12 +130,15 @@ def cg_solve(
         global inner product (reduces over ranks).
     precond:
         diagonal preconditioner (elementwise inverse already applied,
-        i.e. this array multiplies the residual); None = identity.
+        i.e. this array multiplies the residual), or a callable
+        ``M(r, out)`` that writes the preconditioned residual into
+        `out` and returns it; None = identity.
     project_nullspace:
         optional projector applied to iterates/residuals (used to pin
         the pressure mean for the all-Neumann Poisson problem).
     tol:
-        relative tolerance on the preconditioned residual norm.
+        relative to the initial *unpreconditioned* assembled residual
+        ``||b - A x0||``: converged once ``||r|| <= tol * ||r0||``.
     """
     if not config.enabled():
         return cg_solve_reference(
@@ -158,7 +171,7 @@ def cg_solve(
             np.copyto(r, project_nullspace(r))
 
         if precond is not None:
-            np.multiply(r, precond, out=z)
+            _precondition(precond, r, z)
         rz = dot(r, z)
         r0 = float(np.sqrt(max(dot(r, r), 0.0)))
         if r0 == 0.0:
@@ -185,7 +198,7 @@ def cg_solve(
                     x = project_nullspace(x)
                 return CGResult(x, it, res, r0, True)
             if precond is not None:
-                np.multiply(r, precond, out=z)
+                _precondition(precond, r, z)
             rz_new = dot(r, z)
             beta = rz_new / rz
             rz = rz_new

@@ -25,6 +25,19 @@ from repro.parallel.runtime import dump_thread_stacks
 _DEFAULT_TEST_TIMEOUT = 300.0
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-goldens", action="store_true", default=False,
+        help="rewrite the entries of tests/golden_intransit_outputs.json from "
+             "this tree's output instead of comparing against them",
+    )
+
+
+@pytest.fixture
+def record_goldens(request) -> bool:
+    return request.config.getoption("--record-goldens")
+
+
 def pytest_collection_modifyitems(items):
     # every test in the device-render module carries the `device`
     # marker, so `-m device` selects the whole residency suite even if

@@ -42,6 +42,7 @@ class TestMeasure:
             assert p.gridpoints_per_rank > 0
             assert p.solver_seconds_per_step > 0
             assert p.solver_memory_bytes_per_rank > 0
+            assert p.extra["pressure_iters_per_step"] > 0
 
     def test_checkpoint_profile_has_dump_bytes(self, profiles):
         p = profiles["checkpoint"]

@@ -222,3 +222,26 @@ def test_one_pool_class_and_one_mode_independent_frame_writer():
              if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     assert {"marshal_step", "unmarshal_step"} <= names
     assert not [n for n in names if n.endswith("_reference")]
+
+
+def test_pressure_iteration_count_cannot_decay_silently():
+    """The benchmark's pebble shape, steps 2-6 on one rank: the two-level
+    preconditioner holds the pressure solve at 45-46 iterations (156-161
+    under Jacobi alone), and the Jacobi Helmholtz solves stay at 3 x 8.
+    Counts, not clocks: they repeat exactly."""
+    from repro.nekrs import NekRSSolver
+    from repro.nekrs.cases import pebble_bed_case
+    from repro.parallel import SerialCommunicator
+
+    case = pebble_bed_case(num_pebbles=5, elements_per_unit=4, order=5,
+                           dt=1e-3, viscosity=5e-2)
+    reports = NekRSSolver(case, SerialCommunicator()).run(6)[1:]
+    assert all(r.pressure_iterations <= 60 for r in reports), reports
+    assert all(r.velocity_iterations == 24 for r in reports), reports
+    assert not any(r.unconverged_solves for r in reports)
+
+
+def test_the_pressure_preconditioner_is_not_an_option():
+    """One preconditioner: no .par key, config field or CLI flag names it."""
+    for rel in ("nekrs/config.py", "nekrs/parfile.py", "cli.py"):
+        assert "preconditioner" not in (SRC / rel).read_text().lower(), rel

@@ -45,11 +45,14 @@ from repro.fleet import (
     WorkQueues,
 )
 from repro.insitu import InTransitRunner
+from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import weak_scaled_rbc_case
 from repro.observe.session import Telemetry, active
 from repro.parallel import run_spmd
 from repro.parallel.runtime import dump_thread_stacks
 from repro.perf.config import naive_mode
+from repro.util.png import decode_png
+from repro.vtkdata.readers import read_vtu
 
 pytestmark = pytest.mark.fleet
 
@@ -772,11 +775,14 @@ def _dir_bytes(root):
     }
 
 
-# Recorded at b3f748a by calling `_golden_hashes` for every scenario with
-# that commit's src/ on PYTHONPATH, where a runner built without `fleet=`
-# still ran the static `block_range` split over `SSTReaderEngine`.  This
-# tree has no such loop, so the file cannot be re-recorded here; to extend
-# it, check out b3f748a.
+# What the fleet loop writes at the commit that last recorded it: PR 20
+# (two-level pressure preconditioner) re-recorded `checkpoint_4+1` and
+# `codec_1+1` with `pytest tests/test_fleet.py --record-goldens`, after
+# `test_two_level_artefacts_match_jacobi` below compared old and new
+# artefact by artefact.  The file was first recorded at b3f748a from the
+# retired static `block_range` split; the fleet loop reproduced it byte
+# for byte from da23582 on, and the `catalyst_*` hashes, which PR 20 did
+# not move, still carry that equivalence.
 _GOLDEN = Path(__file__).with_name("golden_intransit_outputs.json")
 
 _GOLDEN_SCENARIOS = {
@@ -804,12 +810,47 @@ def _golden_hashes(name, tmp):
     return runner, hashes
 
 
-def _assert_reproduces_golden(name, tmp):
+def _assert_reproduces_golden(name, tmp, record=False):
     runner, hashes = _golden_hashes(name, tmp)
     assert runner.last_coordinator is not None
-    recorded = json.loads(_GOLDEN.read_text())[name]
+    golden = json.loads(_GOLDEN.read_text())
+    if record:
+        golden[name] = hashes
+        _GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"--record-goldens: rewrote {name} in {_GOLDEN.name}")
+    recorded = golden[name]
     assert hashes.keys() == recorded.keys() and len(hashes) > 0
     assert hashes == recorded
+
+
+def _assert_same_artefacts(new: Path, old: Path):
+    """Two output trees show the same thing: same files; PNGs of one
+    shape and dtype with <= 0.5 % of pixels differing, by <= 2 levels;
+    VTUs with the same arrays, ``allclose(rtol=1e-6)``."""
+    names = sorted(_dir_bytes(new))
+    assert names == sorted(_dir_bytes(old)) and names
+    for rel in names:
+        if rel.endswith(".png"):
+            a, b = (decode_png((root / rel).read_bytes()) for root in (new, old))
+            assert a.shape == b.shape and a.dtype == b.dtype, rel
+            levels = np.abs(a.astype(int) - b.astype(int)).max(axis=-1)
+            assert levels.max() <= 2, rel
+            assert (levels > 0).mean() <= 0.005, rel
+        elif rel.endswith(".vtu"):
+            a, b = (read_vtu(root / rel) for root in (new, old))
+            np.testing.assert_array_equal(a.cells, b.cells, err_msg=rel)
+            np.testing.assert_array_equal(a.points, b.points, err_msg=rel)
+            assert a.point_data.keys() == b.point_data.keys(), rel
+            for key, arr in a.point_data.items():
+                # np.allclose's defaults: the fields are nondimensional
+                # (free-fall units), so 1e-8 absolute sits two decades
+                # under the pressure tolerance both runs solve to
+                np.testing.assert_allclose(
+                    arr.values, b.point_data[key].values,
+                    rtol=1e-6, atol=1e-8, err_msg=f"{rel}:{key}",
+                )
+        else:
+            assert (new / rel).read_bytes() == (old / rel).read_bytes(), rel
 
 
 @pytest.mark.timeout(120)
@@ -863,21 +904,38 @@ class TestFleetEndToEnd:
         vtus = list((tmp_path / "checkpoint").glob("*.vtu"))
         assert len(vtus) == steps * 8
 
-    def test_fleet_output_matches_static_split_without_faults(self, tmp_path):
-        """Acceptance: the one endpoint loop writes the files the static
-        split wrote when no faults fire (checkpoint mode, 4+1)."""
-        _assert_reproduces_golden("checkpoint_4+1", tmp_path)
+    def test_fleet_output_matches_static_split_without_faults(
+        self, tmp_path, record_goldens
+    ):
+        """Acceptance: the one endpoint loop writes the recorded files
+        when no faults fire (checkpoint mode, 4+1)."""
+        _assert_reproduces_golden("checkpoint_4+1", tmp_path, record_goldens)
 
-    def test_fleet_renders_identical_frames(self, tmp_path):
+    def test_fleet_renders_identical_frames(self, tmp_path, record_goldens):
         """Same equivalence for rendered catalyst frames (4+1)."""
-        _assert_reproduces_golden("catalyst_4+1", tmp_path)
+        _assert_reproduces_golden("catalyst_4+1", tmp_path, record_goldens)
 
     @pytest.mark.parametrize("name", ["catalyst_4+2", "codec_1+1"])
-    def test_reproduces_recorded_static_split(self, name, tmp_path):
+    def test_reproduces_recorded_static_split(self, name, tmp_path, record_goldens):
         """Two endpoints (the static split rendered collectively, a
         fleet member renders a whole step alone) and the benchmark's
         temporal-codec stream."""
-        _assert_reproduces_golden(name, tmp_path)
+        _assert_reproduces_golden(name, tmp_path, record_goldens)
+
+    @pytest.mark.parametrize("name", _GOLDEN_SCENARIOS)
+    def test_two_level_artefacts_match_jacobi(self, name, tmp_path, monkeypatch):
+        """The recorded bytes are pinned on meaning: every scenario run
+        with the pressure preconditioner cut back to its Jacobi half (a
+        test seam; what the solver ran before PR 20) writes the same
+        pictures and the same fields."""
+        _golden_hashes(name, tmp_path / "two_level")
+        two_level = NekRSSolver._pressure_preconditioner
+        monkeypatch.setattr(
+            NekRSSolver, "_pressure_preconditioner",
+            lambda self: two_level(self).jacobi,
+        )
+        _golden_hashes(name, tmp_path / "jacobi")
+        _assert_same_artefacts(tmp_path / "two_level", tmp_path / "jacobi")
 
     def test_naive_mode_selects_no_other_topology(self, tmp_path):
         """naive_mode() picks numerical reference kernels, not a second

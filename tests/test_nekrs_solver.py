@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
+import repro.nekrs.solver as solver_module
 from repro.nekrs import CaseDefinition, NekRSSolver
 from repro.nekrs.cases import (
     lid_cavity_case,
     pebble_bed_case,
     rayleigh_benard_case,
 )
+from repro.observe import TelemetrySession, naming_violations
 from repro.parallel import SerialCommunicator, run_spmd
 from repro.sem.mesh import BoundaryTag
 
@@ -262,3 +264,49 @@ class TestSolverBookkeeping:
 
     def test_local_gridpoints(self, tiny_solver):
         assert tiny_solver.local_gridpoints() == 8 * 4**3
+
+
+class TestUnconvergedSolves:
+    """A solve that stops short of its tolerance is counted, not silent."""
+
+    @staticmethod
+    def _case(**overrides):
+        case = rayleigh_benard_case(
+            rayleigh=1e4, aspect=(1, 1), elements_per_unit=2, order=3,
+            dt=5e-3, num_steps=3,
+        )
+        return case.with_overrides(**overrides)
+
+    def test_iteration_cap_is_reported_every_step(self, monkeypatch, capsys):
+        results, real_cg = [], solver_module.cg_solve
+
+        def recording_cg(*args, **kw):
+            results.append(real_cg(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(solver_module, "cg_solve", recording_cg)
+        solver = NekRSSolver(self._case(max_iterations=1), SerialCommunicator())
+        for _ in range(3):
+            results.clear()
+            report = solver.step()
+            assert len(results) == 5          # T, p, u, v, w
+            assert report.unconverged_solves >= 1
+            assert report.unconverged_solves == sum(
+                not r.converged for r in results
+            )
+        # one warning per solver instance, not one per step
+        assert capsys.readouterr().err.count("stopped before reaching tolerance") == 1
+
+    def test_default_run_reports_zero(self, capsys):
+        solver = NekRSSolver(self._case(), SerialCommunicator())
+        assert [r.unconverged_solves for r in solver.run(3)] == [0, 0, 0]
+        assert "tolerance" not in capsys.readouterr().err
+
+    def test_counted_in_telemetry(self):
+        session = TelemetrySession("unconverged")
+        with session.activate(0) as tel:
+            solver = NekRSSolver(self._case(max_iterations=1), SerialCommunicator())
+            total = sum(r.unconverged_solves for r in solver.run(2))
+        assert tel.metrics.get("repro_solver_unconverged_solves_total").value == total
+        assert tel.metrics.get("repro_solver_pressure_iterations").stats.count == 2
+        assert naming_violations(tel.metrics) == []

@@ -19,7 +19,8 @@ import pytest
 from repro.catalyst.contour import marching_tetrahedra
 from repro.parallel import SerialCommunicator
 from repro.perf import naive_mode
-from repro.sem import BoxMesh, SEMOperators
+from repro.sem import BoundaryTag, BoxMesh, SEMOperators
+from repro.sem.coarse import CoarseGrid
 from repro.sem.gather_scatter import find_interface_ids, interface_ids_reference
 from repro.sem.krylov import cg_solve, cg_solve_reference
 from repro.sem.tensor import (
@@ -213,6 +214,31 @@ class TestCGEquivalence:
         assert fast.iterations == slow.iterations
         np.testing.assert_array_equal(fast.x, slow.x)
         np.testing.assert_array_equal(x0, x0)  # caller's x0 untouched
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_cg_callable_preconditioner(self, singular):
+        """`precond` as a callable M(r, out): the two-level pressure
+        preconditioner, with and without the nullspace projection."""
+        ops = SEMOperators(BoxMesh((3, 2, 2), order=4), SerialCommunicator())
+        faces = [] if singular else [BoundaryTag.ZMAX]
+        mask = ~ops.mesh.boundary_union(faces)
+        grid = CoarseGrid(ops, mask, mask / ops.stiffness_diagonal())
+        project = ops.project_out_nullspace if singular else None
+        rng = np.random.default_rng(5)
+        b = ops.assemble(rng.normal(size=mask.shape)) * mask
+        if singular:
+            b = project(b)
+
+        def apply_op(f):
+            return ops.assemble(ops.stiffness_apply(f)) * mask
+
+        kw = dict(precond=grid, tol=1e-10, max_iterations=60,
+                  project_nullspace=project)
+        fast = cg_solve(apply_op, b, ops.dot, **kw)
+        slow = cg_solve_reference(apply_op, b, ops.dot, **kw)
+        assert fast.converged and fast.iterations == slow.iterations
+        assert fast.residual == slow.residual
+        np.testing.assert_array_equal(fast.x, slow.x)
 
 
 class TestGatherScatterSetup:

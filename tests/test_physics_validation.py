@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.nekrs import CaseDefinition, NekRSSolver, ScalarBC, VelocityBC
-from repro.parallel import SerialCommunicator
+from repro.nekrs.cases import pebble_bed_case, weak_scaled_rbc_case
+from repro.parallel import SerialCommunicator, run_spmd
 from repro.sem import BoundaryTag, BoxMesh, SEMOperators, cg_solve
 
 
@@ -147,3 +148,61 @@ class TestHeatEquation:
         q0 = solver.ops.integrate(solver.T)
         solver.run(20)
         assert solver.ops.integrate(solver.T) == pytest.approx(q0, rel=1e-6)
+
+
+# -- the two-level pressure preconditioner changes round-off, not physics -----
+
+_SHAPES = {
+    # the end-to-end benchmark's two solver shapes: (case, relative bound
+    # on the kinetic energy at every step).  Both solve the pressure to
+    # 1e-6.  The pebble flow is driven from step 1 and agrees to 7e-9;
+    # the RBC cell starts at rest in near-hydrostatic balance, so its
+    # first steps' velocity is the small difference of two large terms
+    # and carries the solve tolerance itself (3e-7 at step 1, 1e-9 by
+    # step 7).
+    "pebble": (lambda: pebble_bed_case(
+        num_pebbles=5, elements_per_unit=4, order=5, dt=1e-3, viscosity=5e-2,
+    ), 1e-7),
+    "rbc": (lambda: weak_scaled_rbc_case(
+        1, elements_per_rank=32, order=5, dt=1e-3,
+    ), 1e-6),
+}
+
+
+def _ke_and_divergence(comm, case, jacobi_only, steps):
+    solver = NekRSSolver(case, comm)
+    if jacobi_only:
+        # test seam, not an option: the diagonal half of the preconditioner
+        jacobi = solver._pressure_preconditioner().jacobi
+        solver._pressure_preconditioner = lambda: jacobi
+    series = []
+    for _ in range(steps):
+        report = solver.step()
+        assert report.unconverged_solves == 0
+        series.append((solver.kinetic_energy(), report.divergence_norm,
+                       report.pressure_iterations))
+    return np.array(series)
+
+
+@pytest.mark.parametrize("ranks", [1, 2])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_two_level_matches_jacobi(shape, ranks):
+    """Same case stepped under Jacobi + coarse grid and under Jacobi
+    alone: the kinetic-energy series agrees to solver tolerance at every
+    step, the divergence is no worse, every rank sees the same numbers —
+    and the coarse grid is what saves the iterations."""
+    build, ke_rtol = _SHAPES[shape]
+    runs = {
+        jacobi_only: run_spmd(
+            ranks, _ke_and_divergence, args=(build(), jacobi_only, 6)
+        )
+        for jacobi_only in (False, True)
+    }
+    for per_rank in runs.values():
+        for other in per_rank[1:]:
+            np.testing.assert_array_equal(other, per_rank[0])
+    (ke, div, iters), (ke_j, div_j, iters_j) = runs[False][0].T, runs[True][0].T
+    assert np.all(ke_j > 0)
+    np.testing.assert_allclose(ke, ke_j, rtol=ke_rtol, atol=0)
+    assert np.all(div <= (1 + 1e-6) * div_j)
+    assert iters.sum() < iters_j.sum()
