@@ -50,13 +50,13 @@ class ReplayConfig:
     #: A bridge from *this* renderer, so it is re-derived from measured
     #: render seconds whenever the renderer's speed changes and the
     #: modeled render term stays put (docs/performance_model.md)
-    render_speed_ratio: float = 5.4
+    render_speed_ratio: float = 3.74
     #: same substrate bridge for the device-resident pipeline: CUDA
     #: contour/raster kernels vs our NumPy twins.  GPU extraction and
     #: rasterization outruns the CPU renderer by roughly the ~6x a
     #: production A100 render kernel has over a compiled CPU renderer
-    #: (OSPRay vs OptiX-class throughput), hence 6 x 5.4.
-    device_render_speed_ratio: float = 32.4
+    #: (OSPRay vs OptiX-class throughput), hence 6 x 3.74.
+    device_render_speed_ratio: float = 22.44
     #: host-resident footprint of the solver runtime per rank (NekRS
     #: host allocations, MPI, CUDA context, OS share) -- dominates the
     #: host memory of a GPU-resident solve

@@ -1,22 +1,33 @@
 """Z-buffered triangle rasterizer with Gouraud shading.
 
 A deliberately small software renderer: triangles are filled with
-barycentric interpolation inside their screen bounding boxes, depth
+barycentric interpolation at the pixel centres they cover, depth
 tested against a z-buffer, and shaded with a Lambertian term from a
 single directional light — the same balance the paper's Catalyst
 endpoint targets (rendering well under solver-step cost).
 
 Two fill paths share the exact same per-pixel math:
 
-- the *batched* default expands every triangle's bounding box into one
-  flat candidate-pixel array and resolves the z-buffer with a grouped
-  prefix-minimum scan, so a whole mesh rasterizes in a handful of
-  vectorized passes instead of a Python loop per triangle;
+- the *batched* default tests, per triangle, only the pixels whose
+  centre lies in the triangle's extent widened by ``_GUARD`` (a third of
+  the bounding-box pixels on a marching-tetrahedra surface; triangles
+  holding no centre are never expanded), evaluates all triangles of one
+  box shape as one dense ``(n, h, w)`` block, orders the survivors of
+  the inside test with one sort on ``pixel * n + submission index`` and
+  resolves the z-buffer with a grouped prefix-minimum scan;
 - the original per-triangle loop is kept as the reference
   (``repro.perf.naive_mode``); the two are bit-for-bit identical —
   including ``triangles_drawn``, which counts a triangle as drawn if
   it won the depth test *at its own draw time* even if a later
   triangle occludes it.
+
+The tight box must be a superset of what the loop's float test accepts
+inside its ``floor .. ceil + 1`` box.  It is: an accepted centre has
+exact barycentrics ``>= -eps`` with ``eps <= 64 u (ex + 2)(ey + 2) /
+|area|`` (``u = 2**-53``; `ex`, `ey` the extent), hence lies at most
+``2 eps max(ex, ey)`` outside the extent.  A triangle for which that
+bound exceeds ``_GUARD`` — a sliver (``|area|`` tiny against the
+extent), a huge or overflowing extent — keeps the loop's full box.
 """
 
 from __future__ import annotations
@@ -26,10 +37,16 @@ import numpy as np
 from repro.catalyst.camera import Camera
 from repro.perf import config
 
-#: max candidate pixels resolved per batched pass; chunks are split on
-#: triangle boundaries in submission order, so chunking cannot change
-#: the sequential z-buffer semantics
+#: candidate pixels resolved per batched pass (plus at most one
+#: triangle's); passes split on triangle boundaries in submission
+#: order, so chunking cannot change the sequential z-buffer semantics
 _CHUNK_PIXELS = 1 << 19
+
+#: slack (pixels) around a triangle's extent when collecting the pixel
+#: centres to test, and the largest ``(ex + 2)(ey + 2) max(ex, ey) /
+#: |area|`` for which that slack covers the float inside-test
+_GUARD = 2.0 ** -10
+_WELL = _GUARD * 2.0 ** 53 / 128
 
 
 class Rasterizer:
@@ -58,6 +75,7 @@ class Rasterizer:
             self._arena = None
         self.color[:] = np.asarray(background, dtype=np.uint8)
         self.triangles_drawn = 0
+        self.candidates_tested = 0
 
     @classmethod
     def wrap(
@@ -83,6 +101,7 @@ class Rasterizer:
         raster.depth.fill(np.inf)
         raster.color[:] = np.asarray(background, dtype=np.uint8)
         raster.triangles_drawn = 0
+        raster.candidates_tested = 0
         return raster
 
     def image(self) -> np.ndarray:
@@ -148,9 +167,7 @@ class Rasterizer:
 
         screen = camera.project(vertices)
         # face normals in world space for lighting
-        v0 = vertices[faces[:, 0]]
-        v1 = vertices[faces[:, 1]]
-        v2 = vertices[faces[:, 2]]
+        v0, v1, v2 = vertices[faces.T]
         n = np.cross(v1 - v0, v2 - v0)
         norms = np.linalg.norm(n, axis=1)
         norms[norms == 0] = 1.0
@@ -160,127 +177,113 @@ class Rasterizer:
         intensity = ambient + (1.0 - ambient) * np.abs(n @ light)
 
         if config.enabled():
-            drawn = self._raster_batched(
-                screen[faces], vertex_colors[faces].astype(float), intensity
-            )
+            drawn = self._raster_batched(screen, faces, vertex_colors, intensity)
         else:
-            drawn = 0
-            for f in range(len(faces)):
-                if self._raster_triangle(
-                    screen[faces[f]], vertex_colors[faces[f]].astype(float),
-                    intensity[f],
-                ):
-                    drawn += 1
+            drawn = sum(
+                self._raster_triangle(screen[f], vertex_colors[f].astype(float), i)
+                for f, i in zip(faces, intensity)
+            )
         self.triangles_drawn += drawn
         return drawn
 
     # -- batched fill --------------------------------------------------
     def _raster_batched(
-        self, tris: np.ndarray, colors: np.ndarray, intensity: np.ndarray
+        self, screen: np.ndarray, faces: np.ndarray, vertex_colors: np.ndarray,
+        intensity: np.ndarray,
     ) -> int:
-        """Fill (F, 3, 3) screen-space triangles in submission order.
+        """Fill `faces` over projected `screen` vertices in submission order.
 
         Replays the per-triangle loop's z-buffer exactly: a candidate
         pixel passes iff its z beats the depth buffer *and* every
         earlier candidate at that pixel (strict ``<``), which is what
         the sequential loop's read-modify-write sequence computes.
+
+        Candidates come from the tight pixel-centre box, or the loop's
+        full box for ill-conditioned triangles (module docstring).
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._raster_batched_impl(tris, colors, intensity)
-
-    def _raster_batched_impl(self, tris, colors, intensity) -> int:
-        width, height = self.width, self.height
-        # cull exactly what _raster_triangle rejects up front
-        ok = np.isfinite(tris).all(axis=(1, 2)) & (tris[:, :, 2] > 0).all(axis=1)
-        fidx = np.flatnonzero(ok)
-        if fidx.size == 0:
-            return 0
-        t = tris[fidx]
-        ax, ay = t[:, 0, 0], t[:, 0, 1]
-        bx, by = t[:, 1, 0], t[:, 1, 1]
-        cx, cy = t[:, 2, 0], t[:, 2, 1]
-        area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        keep = np.abs(area) >= 1e-12
-        # clipped integer bounding boxes (clamp in float first so huge
-        # finite coordinates cannot overflow the int cast; out-of-range
-        # boxes collapse to empty exactly as max/min clamping does)
-        xs, ys = t[:, :, 0], t[:, :, 1]
-        x0 = np.clip(np.floor(xs.min(axis=1)), 0, width).astype(np.int64)
-        x1 = np.clip(np.ceil(xs.max(axis=1)) + 1.0, 0, width).astype(np.int64)
-        y0 = np.clip(np.floor(ys.min(axis=1)), 0, height).astype(np.int64)
-        y1 = np.clip(np.ceil(ys.max(axis=1)) + 1.0, 0, height).astype(np.int64)
-        bw, bh = x1 - x0, y1 - y0
-        keep &= (bw > 0) & (bh > 0)
-        if not keep.any():
-            return 0
-        sel = np.flatnonzero(keep)
-        t, area = t[sel], area[sel]
-        ax, ay, bx, by, cx, cy = ax[sel], ay[sel], bx[sel], by[sel], cx[sel], cy[sel]
-        x0, y0, bw, bh = x0[sel], y0[sel], bw[sel], bh[sel]
-        colors = colors[fidx[sel]]
-        intensity = intensity[fidx[sel]]
-        counts = bw * bh
-
-        drawn = 0
-        start = 0
-        nf = len(t)
-        while start < nf:
-            end = start + 1
-            total = int(counts[start])
-            while end < nf and total + counts[end] <= _CHUNK_PIXELS:
-                total += int(counts[end])
-                end += 1
-            s = slice(start, end)
-            drawn += self._raster_chunk(
-                (ax[s], ay[s], bx[s], by[s], cx[s], cy[s]),
-                t[s, :, 2], area[s], x0[s], y0[s], bw[s], counts[s],
-                colors[s], intensity[s],
+        size = np.array([[self.width], [self.height]])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sx, sy, sz = np.ascontiguousarray(screen.T)
+            corner = np.ascontiguousarray(faces.T)
+            xs, ys, zs = sx[corner], sy[corner], sz[corner]
+            (ax, bx, cx), (ay, by, cy) = xs, ys
+            area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            lo = np.stack([xs.min(axis=0), ys.min(axis=0)])
+            hi = np.stack([xs.max(axis=0), ys.max(axis=0)])
+            ex, ey = hi - lo
+            # (an overflowing bound divides to inf or nan: not tight)
+            tight = (ex + 2.0) * (ey + 2.0) * np.maximum(ex, ey) / np.abs(area) <= _WELL
+            lo = np.where(tight, np.ceil(lo - (0.5 + _GUARD)), np.floor(lo))
+            hi = np.where(tight, np.floor(hi - (0.5 - _GUARD)), np.ceil(hi)) + 1.0
+            # clamp in float first so huge finite coordinates cannot
+            # overflow the int cast; out-of-range boxes collapse to empty
+            x0, y0 = origin = np.clip(lo, 0, size).astype(np.int64)
+            bw, bh = np.clip(hi, 0, size).astype(np.int64) - origin
+            # cull exactly what _raster_triangle rejects up front (a
+            # non-finite corner poisons the arithmetic above, not `sel`)
+            vok = np.isfinite(sx) & np.isfinite(sy) & np.isfinite(sz) & (sz > 0)
+            sel = np.flatnonzero(
+                vok[corner].all(axis=0) & (np.abs(area) >= 1e-12) & (bw > 0) & (bh > 0)
             )
-            start = end
-        return drawn
+            geom = (*xs, *ys, area, x0 + 0.5, y0 + 0.5, *zs, y0 * self.width + x0)
+            bw, bh = bw[sel], bh[sel]
+            window = (np.cumsum(bw * bh) - bw * bh) // _CHUNK_PIXELS
+            cuts = np.flatnonzero(np.diff(window, prepend=-1, append=-1)).tolist()
+            return sum(
+                self._fill_chunk(
+                    sel[a:b], bh[a:b], bw[a:b], geom, faces, vertex_colors, intensity
+                ) for a, b in zip(cuts[:-1], cuts[1:])
+            )
 
-    def _raster_chunk(
-        self, corners, zvert, area, x0, y0, bw, counts, colors, intensity
-    ) -> int:
-        """One batched pass; returns triangles drawn in this chunk."""
-        ax, ay, bx, by, cx, cy = corners
-        n = len(area)
-        reps = counts
-        tot = int(reps.sum())
-        tri_id = np.repeat(np.arange(n), reps)
-        starts = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        local = np.arange(tot) - np.repeat(starts, reps)
-        wrep = np.repeat(bw, reps)
-        col = np.repeat(x0, reps) + local % wrep
-        row = np.repeat(y0, reps) + local // wrep
-        # identical formulas to _raster_triangle, gathered per candidate
-        px = col + 0.5
-        py = row + 0.5
-        a = area[tri_id]
-        w0 = ((bx[tri_id] - px) * (cy[tri_id] - py)
-              - (by[tri_id] - py) * (cx[tri_id] - px)) / a
-        w1 = ((cx[tri_id] - px) * (ay[tri_id] - py)
-              - (cy[tri_id] - py) * (ax[tri_id] - px)) / a
+    def _fill_chunk(self, tri, bh, bw, geom, faces, vertex_colors, intensity) -> int:
+        """Resolve triangles `tri` (submission order) against the z-buffer;
+        ``geom[:9]`` feeds the blocks, ``geom[9:]`` the inside-test survivors."""
+        # one dense (k, h, w) block per box shape, evaluated with the
+        # same expressions as _raster_triangle
+        shape = bh * (self.width + 1) + bw
+        by_shape = np.argsort(shape, kind="stable")
+        shape, bw, tri_s = shape[by_shape], bw[by_shape], tri[by_shape]
+        # corners, area, centre of each box's first pixel
+        ax, bx, cx, ay, by, cy, area, cx0, cy0 = (
+            g[tri_s][:, None, None] for g in geom[:9]
+        )
+        first = np.concatenate(([0], np.cumsum(bh[by_shape] * bw)))
+        self.candidates_tested += int(first[-1])
+        w0, w1 = np.empty((2, first[-1]))
+        step = np.arange(float(max(self.width, self.height)))
+        edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
+        for a, b in zip(edges[:-1], edges[1:]):
+            h, w = divmod(int(shape[a]), self.width + 1)
+            block = slice(first[a], first[b])
+            px = cx0[a:b] + step[:w]
+            py = cy0[a:b] + step[:h, None]
+            cpx, cpy = cx[a:b] - px, cy[a:b] - py
+            np.divide(
+                (bx[a:b] - px) * cpy - (by[a:b] - py) * cpx, area[a:b],
+                out=w0[block].reshape(b - a, h, w),
+            )
+            np.divide(
+                cpx * (ay[a:b] - py) - cpy * (ax[a:b] - px), area[a:b],
+                out=w1[block].reshape(b - a, h, w),
+            )
         w2 = 1.0 - w0 - w1
-        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        if not inside.any():
+        hit = np.flatnonzero((w0 >= 0) & (w1 >= 0) & (w2 >= 0))
+        if hit.size == 0:
             return 0
-        tri_id, col, row = tri_id[inside], col[inside], row[inside]
-        w0, w1, w2 = w0[inside], w1[inside], w2[inside]
-        z = (w0 * zvert[tri_id, 0] + w1 * zvert[tri_id, 1]
-             + w2 * zvert[tri_id, 2])
+        w0, w1, w2 = w0[hit], w1[hit], w2[hit]
+        t = np.searchsorted(first, hit, side="right") - 1
+        row, col = np.divmod(hit - first[t], bw[t])
+        za, zb, zc, pix0 = (g[tri_s[t]] for g in geom[9:])
+        pix = pix0 + row * self.width + col
+        sub = by_shape[t]
+        z = w0 * za + w1 * zb + w2 * zc
 
-        # group candidates by pixel; the stable sort keeps submission
-        # order inside each group
-        pix = row * self.width + col
-        order = np.argsort(pix, kind="stable")
-        pixs, zs, tids = pix[order], z[order], tri_id[order]
-        w0, w1, w2 = w0[order], w1[order], w2[order]
-        m = len(pixs)
-        seg = np.empty(m, dtype=bool)
-        seg[0] = True
-        seg[1:] = pixs[1:] != pixs[:-1]
-        pos = np.arange(m)
+        # group candidates by pixel, submission order inside each group:
+        # `pix * len(tri) + sub` is unique, so one unstable sort does both
+        order = np.argsort(pix * len(tri) + sub)
+        pixs, zs, tids = pix[order], z[order], sub[order]
+        seg = np.diff(pixs, prepend=-1) != 0
+        pos = np.arange(len(pixs))
         segpos = np.maximum.accumulate(np.where(seg, pos, 0))
 
         # a candidate passes iff z < min(buffer depth, all earlier
@@ -288,38 +291,34 @@ class Rasterizer:
         # the buffer, so the all-candidates prefix min gives the same
         # strict comparison as the sequential passing-only min.
         depth_flat = self.depth.reshape(-1)
-        seed = depth_flat[pixs]
         q = zs.copy()  # in-segment inclusive prefix min (doubling scan)
         d = 1
-        while d < m:
+        while d < len(pos):
             idx = np.flatnonzero(pos - segpos >= d)
             if idx.size == 0:
                 break
             q[idx] = np.minimum(q[idx], q[idx - d])
             d *= 2
-        prev = seed.copy()
+        prev = depth_flat[pixs]
         np.minimum(prev[1:], np.where(seg[1:], np.inf, q[:-1]), out=prev[1:])
         passes = zs < prev
-
-        flags = np.zeros(n, dtype=bool)
-        flags[tids[passes]] = True
-        if not passes.any():
-            return 0
         # final owner of a pixel = last passing candidate (the running
         # strict minimum makes passing z strictly decreasing)
         winner = np.maximum.reduceat(np.where(passes, pos, -1), np.flatnonzero(seg))
         winner = winner[winner >= 0]
         pixw = pixs[winner]
         depth_flat[pixw] = zs[winner]
-        f = tids[winner]
+        src = order[winner]
+        f = tri[tids[winner]]
+        colors = vertex_colors[faces[f]]
         rgb = (
-            w0[winner, None] * colors[f, 0]
-            + w1[winner, None] * colors[f, 1]
-            + w2[winner, None] * colors[f, 2]
+            w0[src, None] * colors[:, 0]
+            + w1[src, None] * colors[:, 1]
+            + w2[src, None] * colors[:, 2]
         ) * intensity[f][:, None]
         np.clip(rgb, 0.0, 255.0, out=rgb)
         self.color.reshape(-1, 3)[pixw] = rgb.astype(np.uint8)
-        return int(flags.sum())
+        return int(np.count_nonzero(np.bincount(tids[passes], minlength=1)))
 
     def _raster_triangle(
         self, tri: np.ndarray, colors: np.ndarray, intensity: float

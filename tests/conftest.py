@@ -38,7 +38,7 @@ def record_goldens(request) -> bool:
     return request.config.getoption("--record-goldens")
 
 
-def pytest_collection_modifyitems(items):
+def pytest_collection_modifyitems(config, items):
     # every test in the device-render module carries the `device`
     # marker, so `-m device` selects the whole residency suite even if
     # a new test class forgets the module-level pytestmark
@@ -50,6 +50,12 @@ def pytest_collection_modifyitems(items):
         # threaded relay pumps like any other test
         if "test_serve_mesh" in str(item.fspath):
             item.add_marker(pytest.mark.mesh)
+    # a wall-clock verdict does not belong in the default run: a
+    # `perf`-marked test runs only when the -m expression asks for it
+    timed = [item for item in items if item.get_closest_marker("perf")]
+    if timed and "perf" not in config.getoption("markexpr"):
+        items[:] = [item for item in items if not item.get_closest_marker("perf")]
+        config.hook.pytest_deselected(items=timed)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -110,6 +110,41 @@ class TestCamera:
             Camera(position=(0, -1, 0), look_at=(0, 0, 0), fov_degrees=200)
 
 
+def check_rasterizer(raster, background):
+    """Shape, dtype and range of a framebuffer, and that depth is finite
+    exactly where something other than `background` was drawn."""
+    color, depth = raster.image(), raster.depth
+    assert color.shape == (raster.height, raster.width, 3)
+    assert color.dtype == np.uint8
+    assert depth.shape == (raster.height, raster.width)
+    assert depth.dtype == np.float64
+    assert not np.isnan(depth).any()
+    covered = np.isfinite(depth)
+    assert (depth[covered] > 0).all()
+    np.testing.assert_array_equal(
+        covered, (color != np.asarray(background, dtype=np.uint8)).any(axis=2)
+    )
+    assert raster.depth_image().dtype == np.float32
+
+
+def _pixel_centres_inside(tris):
+    """Per (F, 3, 3) screen triangle, the pixel centres its interior
+    covers — the per-triangle loop's inside test, no clipping."""
+    counts = np.zeros(len(tris), dtype=int)
+    for f, ((ax, ay, _), (bx, by, _), (cx, cy, _)) in enumerate(tris):
+        area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if abs(area) < 1e-12:
+            continue
+        px, py = np.meshgrid(
+            np.arange(np.floor(min(ax, bx, cx)), np.ceil(max(ax, bx, cx)) + 1) + 0.5,
+            np.arange(np.floor(min(ay, by, cy)), np.ceil(max(ay, by, cy)) + 1) + 0.5,
+        )
+        w0 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / area
+        w1 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / area
+        counts[f] = ((w0 >= 0) & (w1 >= 0) & (1.0 - w0 - w1 >= 0)).sum()
+    return counts
+
+
 class TestRasterizer:
     def _tri(self):
         verts = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
@@ -167,6 +202,57 @@ class TestRasterizer:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             Rasterizer(0, 10)
+
+    @pytest.mark.parametrize("width,height", [
+        (16, 16), (64, 48), (37, 128), (256, 256), (512, 512),
+    ])
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0])
+    def test_framebuffer_contract(self, width, height, scale):
+        """Meaning, not bytes: what a frame must look like at any image
+        size and triangle size (sub-pixel to larger than the screen)."""
+        rng = np.random.default_rng(width + height)
+        nfaces = 150
+        centers = rng.uniform(-1.0, 1.0, size=(nfaces, 1, 3))
+        verts = (centers + rng.normal(scale=scale, size=(nfaces, 3, 3))).reshape(-1, 3)
+        faces = np.arange(3 * nfaces).reshape(nfaces, 3)
+        # lit colours stay >= 0.35 * 100, so black is background only
+        colors = rng.integers(100, 256, size=(3 * nfaces, 3)).astype(np.uint8)
+        cam = Camera.fit_bounds(np.array([[-1.5, 1.5]] * 3), width=width,
+                                height=height)
+        r = Rasterizer(width, height, background=(0, 0, 0))
+        drawn = r.draw_mesh(cam, verts, faces, colors)
+        check_rasterizer(r, (0, 0, 0))
+        assert type(drawn) is int and 0 <= drawn <= nfaces   # tracers keep it
+        assert (drawn > 0) == bool(np.isfinite(r.depth).any())
+        assert r.candidates_tested >= np.isfinite(r.depth).sum()
+
+    def test_candidates_stay_near_the_pixels_inside(self):
+        """Work guard without a clock: on a marching-tetrahedra surface
+        the fill tests at most 4 pixel centres per centre that lies
+        inside its triangle (whole bounding boxes: ~8 here)."""
+        n = 24
+        g = np.linspace(-1, 1, n)
+        Z, Y, X = np.meshgrid(g, g, g, indexing="ij")
+        verts, faces, vals = marching_tetrahedra(
+            Z - 0.25 * np.sin(3 * X) * np.cos(2 * Y), 0.03,
+            origin=(-1, -1, -1), spacing=(2 / (n - 1),) * 3,
+        )
+        cam = Camera.fit_bounds(np.array([[-1.0, 1.0]] * 3),
+                                direction=(0.3, -0.4, 1.0), width=256, height=256)
+        colors = apply_colormap(verts[:, 0])
+        r = Rasterizer(256, 256)
+        r.draw_mesh(cam, verts, faces, colors)
+        tris = cam.project(verts)[faces]
+        inside = _pixel_centres_inside(tris)
+        assert len(faces) > 4000 and inside.sum() > 15000
+        assert r.candidates_tested / inside.sum() <= 4.0
+        # a triangle whose extent holds no pixel centre costs nothing
+        lo, hi = tris[:, :, :2].min(axis=1), tris[:, :, :2].max(axis=1)
+        empty = (np.ceil(lo - 0.51) > np.floor(hi - 0.49)).any(axis=1)
+        assert empty.sum() > 100
+        r2 = Rasterizer(256, 256)
+        assert r2.draw_mesh(cam, verts, faces[empty], colors) == 0
+        assert r2.candidates_tested == 0
 
 
 class TestMarchingTetrahedra:
@@ -305,6 +391,44 @@ class TestRenderPipeline:
         )
         (_, img), = pipe.render(self._image_data(), 0, 0.0)
         assert img.std() > 1.0  # something was drawn
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("centres,objects", [
+        ([(0.5, 0.5, 0.5)], 1),
+        ([(0.5, 0.5, 0.2), (0.5, 0.5, 0.8)], 2),
+    ])
+    def test_connected_objects_in_snapshot(self, centres, objects, naive):
+        """One sphere renders as one connected blob, two disjoint
+        spheres as two, on either fill path."""
+        import contextlib
+
+        from scipy import ndimage
+
+        from repro.perf import naive_mode
+
+        n = 24
+        img = ImageData((n, n, n), origin=(0, 0, 0), spacing=(1 / (n - 1),) * 3)
+        g = np.linspace(0, 1, n)
+        Z, Y, X = np.meshgrid(g, g, g, indexing="ij")
+        phi = np.min([
+            np.sqrt((X - x) ** 2 + (Y - y) ** 2 + (Z - z) ** 2)
+            for x, y, z in centres
+        ], axis=0)
+        img.add_array(DataArray("phi", phi.ravel()))
+        kw = dict(width=96, height=96, annotate=False)
+        with naive_mode() if naive else contextlib.nullcontext():
+            (_, frame), = RenderPipeline(
+                specs=[RenderSpec(kind="contour", array="phi", isovalue=0.15,
+                                  colormap="grayscale", vmin=-1.0, vmax=0.2)],
+                **kw,
+            ).render(img, 0, 0.0)
+            (_, backdrop), = RenderPipeline(
+                specs=[RenderSpec(kind="contour", array="phi", isovalue=9.0)], **kw,
+            ).render(img, 0, 0.0)
+        foreground = (frame != backdrop).any(axis=2)
+        _, found = ndimage.label(foreground, structure=np.ones((3, 3)))
+        assert found == objects
+        assert 0.02 < foreground.mean() < 0.5
 
     def test_contour_requires_isovalue(self):
         with pytest.raises(ValueError):

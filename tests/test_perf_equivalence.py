@@ -268,6 +268,132 @@ class TestGatherScatterSetup:
             np.testing.assert_array_equal(find_interface_ids(sets), [2])
 
 
+class _ScreenCamera:
+    """Camera stand-in: the vertices already are (x, y, depth) pixels."""
+
+    def project(self, points):
+        return np.asarray(points, dtype=float)
+
+
+def _with_depth(rng, xy):
+    """(F, 3, 2) screen xy -> (F, 3, 3) with positive one-decimal depths
+    (so different triangles tie), random winding."""
+    z = np.round(rng.uniform(0.5, 5.0, size=xy.shape[:2] + (1,)), 1)
+    tris = np.concatenate([xy, z], axis=2)
+    flip = rng.random(len(tris)) < 0.5
+    tris[flip] = tris[flip][:, ::-1]
+    return tris
+
+
+def _soup(rng, n, width, height):
+    centre = rng.uniform(-2, [width + 2, height + 2], size=(n, 1, 2))
+    size = rng.choice([0.3, 2.0, 8.0, 40.0], size=(n, 1, 1))
+    return _with_depth(rng, centre + rng.normal(size=(n, 3, 2)) * size)
+
+
+def _lattice(rng, n, width, height):
+    """Vertices on exact integer and half-pixel coordinates."""
+    return _with_depth(
+        rng, rng.integers(-2, 2 * max(width, height) + 4, size=(n, 3, 2)) / 2.0)
+
+
+def _slivers(rng, n, width, height):
+    """Widths 1e-14 .. 1e-2, along / across / oblique to the lines of
+    pixel centres, starting on or just off a centre."""
+    thick = 10.0 ** rng.uniform(-14, -2, size=(n, 1))
+    length = rng.choice([0.7, 3.0, 20.0, 200.0], size=(n, 1))
+    angle = rng.choice(
+        [0.0, np.pi / 2, np.pi / 4, np.arctan(0.5), 1.0], size=n)
+    along = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    across = np.stack([-along[:, 1], along[:, 0]], axis=1)
+    start = (
+        np.floor(rng.uniform(0, [width, height], size=(n, 2))) + 0.5
+        + across * thick * rng.choice([0.0, -0.5, 0.5, -1.0], size=(n, 1))
+    )
+    xy = np.stack([
+        start,
+        start + along * length + across * thick * rng.random((n, 1)),
+        start + along * length * rng.random((n, 1)) + across * thick,
+    ], axis=1)
+    return _with_depth(rng, xy)
+
+
+def _axis_slivers(rng, n, width, height):
+    """Axis-aligned slivers sitting on a row (or column) of centres."""
+    thick = 10.0 ** rng.uniform(-14, -2, size=n)
+    y = (np.floor(rng.uniform(0, height, size=n)) + 0.5
+         + thick * rng.choice([0.0, 0.5, -0.5, -1.0], size=n))
+    x = np.sort(rng.uniform(-3, width + 3, size=(n, 2)), axis=1)
+    x = np.where(rng.random((n, 2)) < 0.5, x, np.floor(x) + 0.5)
+    xy = np.stack([
+        np.stack([x[:, 0], y], axis=1),
+        np.stack([x[:, 1], y], axis=1),
+        np.stack([x.mean(axis=1), y + thick], axis=1),
+    ], axis=1)
+    swap = rng.random(n) < 0.5
+    xy[swap] = xy[swap][:, :, ::-1]
+    return _with_depth(rng, xy)
+
+
+def _bad_vertices(rng, n, width, height):
+    """Huge-finite, NaN, +-inf and behind-camera vertices in a soup."""
+    tris = _soup(rng, n, width, height)
+    bad = rng.choice(
+        [np.nan, np.inf, -np.inf, 1e300, -1e300, 1e155, 1e17], size=(n, 3, 2))
+    tris[:, :, :2] = np.where(rng.random((n, 3, 2)) < 0.1, bad, tris[:, :, :2])
+    behind = rng.choice([-1.0, 0.0, np.nan, np.inf], size=(n, 3))
+    tris[:, :, 2] = np.where(rng.random((n, 3)) < 0.05, behind, tris[:, :, 2])
+    return tris
+
+
+def _huge_extent(rng, n, width, height):
+    """One or two coordinates of 1e3 .. 1e300: past some size half a
+    pixel is below one ulp of a barycentric weight."""
+    tris = _soup(rng, n, width, height)
+    huge = (10.0 ** rng.uniform(3, 300, size=(n, 3, 2))
+            * rng.choice([-1.0, 1.0], size=(n, 3, 2)))
+    tris[:, :, :2] = np.where(rng.random((n, 3, 2)) < 0.3, huge, tris[:, :, :2])
+    return tris
+
+
+_SCREEN_BATCHES = {
+    "soup": _soup,
+    "lattice": _lattice,
+    "slivers": _slivers,
+    "axis_slivers": _axis_slivers,
+    "bad_vertices": _bad_vertices,
+    "huge_extent": _huge_extent,
+}
+
+
+def _ulp_nudged_hits(rng, n, width, height):
+    """Triangles with one vertex a few ulps off a pixel centre which the
+    loop's float test accepts *at that centre* although the centre lies
+    outside the triangle's exact extent."""
+    centre = np.floor(rng.uniform(2, [width - 2, height - 2], (n, 2))) + 0.5
+    a = centre.copy()
+    for _ in range(4):
+        a = np.where(
+            rng.random((n, 2)) < 0.5, a,
+            np.nextafter(a, rng.choice([-np.inf, np.inf], size=(n, 2))),
+        )
+    size = rng.choice([0.3, 1.0, 5.0, 30.0], size=(n, 1))
+    tris = np.stack([
+        a, a + rng.normal(size=(n, 2)) * size, a + rng.normal(size=(n, 2)) * size,
+    ], axis=1)
+    roll = (rng.integers(0, 3, size=(n, 1)) + np.arange(3)) % 3
+    tris = np.take_along_axis(tris, roll[:, :, None], axis=1)
+    (ax, ay), (bx, by), (cx, cy) = (tris[:, k].T for k in range(3))
+    px, py = centre.T
+    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    w0 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / area
+    w1 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / area
+    accepted = (w0 >= 0) & (w1 >= 0) & (1.0 - w0 - w1 >= 0)
+    accepted &= np.abs(area) >= 1e-12
+    outside = ((centre < tris.min(axis=1)) | (centre > tris.max(axis=1))).any(axis=1)
+    return tris[accepted & outside]
+
+
 class TestRasterizerEquivalence:
     def _soup(self, seed, nfaces, scale, width=96, height=80):
         from repro.catalyst.camera import Camera
@@ -345,6 +471,84 @@ class TestRasterizerEquivalence:
         )
         assert nfast == nslow
         np.testing.assert_array_equal(fast.color, slow.color)
+
+    # -- the candidate rule: tight pixel-centre boxes must stay a
+    # superset of what the loop's float test accepts ------------------
+    def _assert_screen_batches_identical(self, width, height, *batches):
+        """Draw (F, 3, 3) screen-space batches one after another on one
+        framebuffer per path; colour, depth and counts must be equal."""
+        from repro.catalyst.rasterizer import Rasterizer
+
+        camera = _ScreenCamera()
+        fast, slow = Rasterizer(width, height), Rasterizer(width, height)
+        for k, tris in enumerate(batches):
+            vertices = np.asarray(tris, dtype=float).reshape(-1, 3)
+            faces = np.arange(len(vertices)).reshape(-1, 3)
+            colors = np.random.default_rng(k).integers(
+                0, 256, size=(len(vertices), 3)).astype(np.uint8)
+            with np.errstate(all="ignore"):   # nan/inf normals of bad faces
+                nfast = fast.draw_mesh(camera, vertices, faces, colors)
+                with naive_mode():
+                    nslow = slow.draw_mesh(camera, vertices, faces, colors)
+            assert nfast == nslow
+        assert fast.triangles_drawn == slow.triangles_drawn
+        np.testing.assert_array_equal(fast.depth, slow.depth)
+        np.testing.assert_array_equal(fast.color, slow.color)
+        return fast
+
+    @pytest.mark.parametrize("kind", sorted(_SCREEN_BATCHES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidate_rule_matches_loop(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        tris = _SCREEN_BATCHES[kind](rng, 60, 48, 40)
+        self._assert_screen_batches_identical(48, 40, tris)
+
+    def test_subpixel_triangles_between_centres_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        corner = rng.integers(0, 32, size=(80, 1, 2)).astype(float)
+        tris = _with_depth(rng, corner + rng.uniform(-0.4, 0.4, (80, 3, 2)))
+        fast = self._assert_screen_batches_identical(32, 32, tris)
+        assert fast.triangles_drawn == 0
+        assert fast.candidates_tested == 0
+
+    def test_centre_accepted_outside_the_exact_extent(self):
+        """The loop's float test accepts some centres a few ulps outside
+        the triangle; the guard band must keep them candidates."""
+        tris = _ulp_nudged_hits(np.random.default_rng(0), 100_000, 64, 64)
+        assert len(tris) > 50
+        fast = self._assert_screen_batches_identical(
+            64, 64, _with_depth(np.random.default_rng(1), tris))
+        assert fast.triangles_drawn > 50
+
+    def test_ties_across_box_shapes_keep_submission_order(self):
+        """Equal z everywhere: the first-submitted triangle owns every
+        shared pixel whatever shape group its box falls in."""
+        rng = np.random.default_rng(4)
+        centre = rng.uniform(8, 40, size=(120, 1, 2))
+        size = rng.choice([0.8, 2.5, 6.0, 14.0], size=(120, 1, 1))
+        xy = centre + rng.normal(size=(120, 3, 2)) * size
+        tris = np.concatenate([xy, np.ones((120, 3, 1))], axis=2)
+        self._assert_screen_batches_identical(48, 48, tris)
+        tris[:, :, 2] = np.round(rng.uniform(1, 2, (120, 3)), 1)
+        self._assert_screen_batches_identical(48, 48, tris)
+
+    @pytest.mark.parametrize("chunk", [1, 37, 500])
+    def test_forced_across_blocks(self, chunk, monkeypatch):
+        from repro.catalyst import rasterizer
+
+        monkeypatch.setattr(rasterizer, "_CHUNK_PIXELS", chunk)
+        rng = np.random.default_rng(5)
+        tris = np.concatenate([
+            _SCREEN_BATCHES[kind](rng, 40, 48, 40)
+            for kind in ("soup", "lattice", "bad_vertices")
+        ])
+        self._assert_screen_batches_identical(48, 40, rng.permutation(tris))
+
+    def test_second_draw_onto_filled_depth_buffer(self):
+        rng = np.random.default_rng(6)
+        first = _SCREEN_BATCHES["soup"](rng, 80, 48, 40)
+        second = _SCREEN_BATCHES["soup"](rng, 80, 48, 40)
+        self._assert_screen_batches_identical(48, 40, first, second, first)
 
     def test_render_pipeline_end_to_end(self):
         """Full contour render agrees between batched and loop paths."""

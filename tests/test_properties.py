@@ -223,6 +223,60 @@ class TestContourProperties:
             assert f.tobytes() == s.tobytes()
 
 
+class _ScreenCamera:
+    """Camera stand-in: the vertices already are (x, y, depth) pixels."""
+
+    def project(self, points):
+        return np.asarray(points, dtype=float)
+
+
+class TestRasterizerProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        xy=hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 12), st.just(3), st.just(2)),
+            elements=st.one_of(
+                st.floats(-4, 44),
+                st.integers(-4, 84).map(lambda k: k / 2.0),   # centres, edges
+                st.integers(0, 39).flatmap(lambda k: st.sampled_from([
+                    np.nextafter(k + 0.5, np.inf), np.nextafter(k + 0.5, -np.inf),
+                ])),
+                st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e17]),
+            ),
+            fill=st.nothing(),
+        ),
+        z=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.0, -1.0, np.nan]),
+                   min_size=36, max_size=36),
+        chunk=st.sampled_from([1, 64, 1 << 19]),
+    )
+    def test_batched_is_bitwise_the_reference_loop(self, size, xy, z, chunk):
+        """Colour, depth and ``triangles_drawn`` are equal between the
+        batched fill and the per-triangle loop for any triangles at all:
+        sub-pixel, on centres and pixel edges, one ulp off a centre,
+        huge, non-finite, behind the camera, tied in depth."""
+        from repro.catalyst import rasterizer
+
+        width, height = size
+        vertices = np.concatenate(
+            [xy.reshape(-1, 2), np.asarray(z)[: 3 * len(xy), None]], axis=1)
+        faces = np.arange(len(vertices)).reshape(-1, 3)
+        colors = (np.arange(vertices.size).reshape(-1, 3) * 37 % 256).astype(np.uint8)
+        fast = rasterizer.Rasterizer(width, height)
+        slow = rasterizer.Rasterizer(width, height)
+        saved, rasterizer._CHUNK_PIXELS = rasterizer._CHUNK_PIXELS, chunk
+        try:
+            with np.errstate(all="ignore"):   # nan/inf normals of bad faces
+                nfast = fast.draw_mesh(_ScreenCamera(), vertices, faces, colors)
+                with naive_mode():
+                    nslow = slow.draw_mesh(_ScreenCamera(), vertices, faces, colors)
+        finally:
+            rasterizer._CHUNK_PIXELS = saved
+        assert nfast == nslow
+        assert fast.depth.tobytes() == slow.depth.tobytes()
+        assert fast.color.tobytes() == slow.color.tobytes()
+
+
 class TestCodecProperties:
     @staticmethod
     def _rows(dtype):
