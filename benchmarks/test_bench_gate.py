@@ -1,104 +1,27 @@
-"""Perf-gate benchmarks: the gated kernels through ``run_gate``.
+"""Perf-gate benchmark: ``python -m repro bench --gate`` under pytest.
 
-These are the same kernels ``python -m repro bench --gate`` times
-against ``BENCH_10.json``; running them under pytest (marked ``perf``)
-wires the gate into the benchmark suite so a CI lane can fail on
-regressions without shelling out to the CLI.
+One check, marked ``perf``: every gated twin ratio against the best
+ratio in the committed ``BENCH_<n>.json`` trajectory, so a CI lane can
+fail on regressions without shelling out to the CLI.  The verdict's
+logic is covered on synthetic numbers in ``tests/test_perf.py``.
 """
 
 from __future__ import annotations
 
-import json
+from pathlib import Path
 
 import pytest
 
-from repro.perf.gate import KERNELS, THRESHOLD, run_gate
+from repro.perf.gate import KERNELS, run_gate
 
 pytestmark = pytest.mark.perf
 
 
-def test_gate_runs_every_kernel(tmp_path):
-    path = tmp_path / "BENCH.json"
-    report = run_gate(path=path, repeats=2)
-    assert report.ok
+def test_gate_holds_against_the_committed_trajectory():
+    root = Path(__file__).resolve().parents[1]
+    before = sorted(p.name for p in root.glob("BENCH_*.json"))
+    report = run_gate(root)
+    print("\n" + report.render())
+    assert report.ok, report.failures
     assert set(report.kernels) == set(KERNELS)
-    for k in report.kernels.values():
-        assert k["latest_s"] > 0 and k["reference_s"] > 0
-        assert k["status"] == "ok"
-    data = json.loads(path.read_text())
-    assert data["threshold"] == THRESHOLD
-    assert set(data["kernels"]) == set(KERNELS)
-
-
-def test_gate_records_speedups_on_hot_kernels(tmp_path):
-    """The headline kernels must beat their reference paths.
-
-    Generous floor (1.2x, not the 2x the PR demonstrates) so a loaded
-    CI box doesn't flake; BENCH_9.json records the real margins.
-    """
-    subset = {
-        name: KERNELS[name]
-        for name in ("gather_scatter_setup", "rasterize_mesh")
-    }
-    report = run_gate(path=tmp_path / "BENCH.json", repeats=3, kernels=subset)
-    for name, k in report.kernels.items():
-        assert k["speedup"] > 1.2, f"{name}: {k['speedup']:.2f}x"
-
-
-def test_compositing_beats_gather_rendering_2x(tmp_path):
-    """Sort-last at 8 ranks must model >= 2x over gather-to-root.
-
-    The kernel returns machine-modeled seconds (slowest rank's CPU plus
-    wire time for its metered ingress), so the margin is stable even on
-    a one-core container; the real margin recorded in BENCH_9.json is
-    an order of magnitude above this floor.
-    """
-    report = run_gate(
-        path=tmp_path / "BENCH.json", repeats=2,
-        kernels={"compositing": KERNELS["compositing"]},
-    )
-    assert report.kernels["compositing"]["speedup"] >= 2.0
-
-
-def test_collectives_beat_slot_exchange(tmp_path):
-    """Tree collectives at 8 ranks must beat the two-barrier allgather
-    reference in aggregate rank CPU time."""
-    report = run_gate(
-        path=tmp_path / "BENCH.json", repeats=3,
-        kernels={"collectives": KERNELS["collectives"]},
-    )
-    assert report.kernels["collectives"]["speedup"] > 1.1
-
-
-def test_device_render_beats_host_residency(tmp_path):
-    """The device-resident pipeline must cut the modeled 1120-rank
-    in situ overhead by >= 1.5x over the host-resident gather (the
-    row itself also enforces this floor internally); BENCH_9.json
-    records ~6x."""
-    report = run_gate(
-        path=tmp_path / "BENCH.json", repeats=1,
-        kernels={"device_render": KERNELS["device_render"]},
-    )
-    assert report.kernels["device_render"]["speedup"] >= 1.5
-
-
-def test_gate_fails_on_synthetic_regression(tmp_path):
-    """Doctoring the baseline below latest/threshold must fail the gate."""
-    path = tmp_path / "BENCH.json"
-    first = run_gate(path=path, repeats=1,
-                     kernels={"stiffness_apply": KERNELS["stiffness_apply"]})
-    assert first.ok
-    data = json.loads(path.read_text())
-    kern = data["kernels"]["stiffness_apply"]
-    # pretend the recorded baseline was 4x faster than anything the
-    # machine can do now -> current timing exceeds threshold * baseline
-    # (the exact-25% boundary case is covered deterministically by
-    # tests/test_perf.py::test_compare_to_baseline_synthetic_regression)
-    kern["baseline_s"] = kern["latest_s"] / 4.0
-    path.write_text(json.dumps(data))
-
-    report = run_gate(path=path, repeats=1,
-                      kernels={"stiffness_apply": KERNELS["stiffness_apply"]})
-    assert not report.ok
-    assert report.kernels["stiffness_apply"]["status"] == "FAIL"
-    assert any("stiffness_apply" in msg for msg in report.failures)
+    assert sorted(p.name for p in root.glob("BENCH_*.json")) == before

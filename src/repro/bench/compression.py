@@ -20,9 +20,8 @@ Two halves, matching how the other figure drivers split work:
   conclusion (compressed step <= uncompressed step) is insensitive to
   the exact constant until it drops below PCIe bandwidth.
 
-``python -m repro.bench.compression`` prints the table;
-``python -m repro bench --gate`` pins the modeled compressed step and
-the measured >=4x ratio as the ``compression`` row in BENCH_9.json.
+``python -m repro.bench.compression`` prints the table; the measured
+>=4x velocity+pressure floor is asserted in ``tests/test_bench.py``.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ PAPER_SIM_RANKS = 896
 PAPER_ENDPOINT_RATIO = 4
 
 #: streamed bytes per gridpoint per step: velocity (3 x f8) + pressure
-#: (f8), the fields the gate row compresses.
+#: (f8), the fields ``gate_ratio`` covers.
 STREAM_BYTES_PER_GRIDPOINT = 32.0
 
 #: the gate budget: every lossy row runs at relative 1e-3.
@@ -207,10 +206,6 @@ def measure_compression(
     return result
 
 
-def clear_cache() -> None:
-    _measure_cache.clear()
-
-
 # -- modeled half --------------------------------------------------------
 
 def predict_compressed_step(
@@ -266,27 +261,6 @@ def predict_compressed_step(
     }
 
 
-def gate_step_seconds(compressed: bool, **measure_kwargs) -> float:
-    """The gate row's self-measured number: modeled step seconds.
-
-    Optimized path (`compressed`) replays the *measured* delta-rle
-    velocity+pressure ratio at the 1120-rank paper shape and enforces
-    the ISSUE's floor — a measured ratio under 4x at the 1e-3 budget
-    fails the gate loudly rather than quietly shipping a worse wire.
-    The reference path is the same step uncompressed.
-    """
-    if not compressed:
-        return predict_compressed_step(compression_ratio=1.0)["total_seconds"]
-    measured = measure_compression(**measure_kwargs)
-    ratio = measured["gate_ratio"]
-    if ratio < 4.0:
-        raise RuntimeError(
-            f"compression gate: measured velocity+pressure ratio {ratio:.2f}x "
-            f"at relative {GATE_BUDGET} is below the 4x floor"
-        )
-    return predict_compressed_step(compression_ratio=ratio)["total_seconds"]
-
-
 # -- table ---------------------------------------------------------------
 
 def run(measure_kwargs: dict | None = None) -> Table:
@@ -318,7 +292,7 @@ def run(measure_kwargs: dict | None = None) -> Table:
         ])
     table.add_row([
         "both", "velocity+pressure", "delta-rle", "", "",
-        f"{measured['gate_ratio']:.2f}x", "", "(gate, floor 4x)",
+        f"{measured['gate_ratio']:.2f}x", "", "(floor 4x)",
     ])
 
     ratio = max(measured["gate_ratio"], 1.0)

@@ -26,7 +26,6 @@ from repro.bench import (
     robustness,
     serving,
     storage,
-    telemetry,
 )
 from repro.bench.replay import predict_insitu_run
 from repro.bench.workloads import PB146_GRIDPOINTS, pb146_profiles
@@ -104,9 +103,6 @@ def build_report(quick: bool = True) -> str:
                           serving.mesh_serving_table(**serve_kwargs)))
     parts.append(_section("Observability — live telemetry plane overhead",
                           live_telemetry.overhead_table()))
-    parts.append(_section("Telemetry — per-phase time and memory HWM per mode",
-                          telemetry.run(measure_kwargs=pb_kwargs)))
-    parts.append("```\n" + telemetry.flame(measure_kwargs=pb_kwargs) + "\n```\n")
     return "\n".join(parts)
 
 

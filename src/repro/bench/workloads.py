@@ -103,7 +103,3 @@ def rbc_profiles(
             for mode in ("none", "checkpoint", "catalyst")
         }
     return _profile_cache[key]
-
-
-def clear_cache() -> None:
-    _profile_cache.clear()

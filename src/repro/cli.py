@@ -32,8 +32,8 @@ from pathlib import Path
 from repro.util.sizes import format_bytes
 
 _CASES = ("cavity", "pebble", "rbc")
-_FIGURES = ("fig2", "fig3", "fig5", "fig6", "storage", "ablations", "telemetry",
-            "fleet", "compression", "device_render", "report")
+_FIGURES = ("fig2", "fig3", "fig5", "fig6", "storage", "ablations", "fleet",
+            "compression", "report")
 
 
 def _build_case(name: str, steps: int | None, order: int | None, par: str | None):
@@ -559,10 +559,14 @@ def cmd_observe(args) -> int:
 def cmd_bench(args) -> int:
     import importlib
 
-    if args.gate or args.update_baseline:
-        from repro.perf.gate import run_gate
+    if args.gate or args.record:
+        from repro.perf.gate import TrajectoryError, run_gate
 
-        report = run_gate(update_baseline=args.update_baseline)
+        try:
+            report = run_gate(Path.cwd(), record=args.record)
+        except TrajectoryError as exc:
+            print(f"bench --gate: {exc}", file=sys.stderr)
+            return 2
         print(report.render())
         return 0 if report.ok else 1
     if args.figure is None:
@@ -775,12 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="use the smallest measurement workload")
     bench.add_argument("--gate", action="store_true",
-                       help="run the perf regression gate against BENCH_10.json "
-                            "(includes the compositing, collectives, "
-                            "live-telemetry, compression, and device-render "
-                            "rows)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="refresh the gate baselines with current timings")
+                       help="run the perf regression gate: optimized/reference "
+                            "twin ratios of seven kernels against the best "
+                            "ratio in ./BENCH_<n>.json; writes nothing")
+    bench.add_argument("--record", type=Path, metavar="BENCH_<n>.json",
+                       help="run the gate and write its ratios as the next "
+                            "file of the trajectory")
     bench.set_defaults(fn=cmd_bench)
     return parser
 

@@ -8,7 +8,7 @@ from repro.util.sizes import (
     format_bytes,
     parse_bytes,
 )
-from repro.util.timing import TimingStats, Timer
+from repro.util.timing import TimingStats
 from repro.util.tables import Table
 from repro.util.rng import make_rng
 
@@ -20,7 +20,6 @@ __all__ = [
     "format_bytes",
     "parse_bytes",
     "TimingStats",
-    "Timer",
     "Table",
     "make_rng",
 ]

@@ -90,30 +90,27 @@ class TimingStats:
         }
 
 
-class Timer:
-    """A single start/stop wall timer."""
+def seconds_of(fn) -> float:
+    """Seconds of one ``fn()`` call.
 
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed = 0.0
+    A callable that returns a plain ``float`` reports its *own*
+    measured seconds (per-rank CPU, machine-modeled time); anything
+    else is timed wall-clock here.
+    """
+    t0 = time.perf_counter()
+    out = fn()
+    elapsed = time.perf_counter() - t0
+    return out if type(out) is float else elapsed
 
-    def start(self) -> "Timer":
-        if self._start is not None:
-            raise RuntimeError("timer already running")
-        self._start = time.perf_counter()
-        return self
 
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("timer not running")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
+def interleaved_pairs(first, second, pairs: int) -> list[tuple[float, float]]:
+    """:func:`seconds_of` ``first()`` and ``second()``, alternately,
+    `pairs` times.
 
-    @property
-    def running(self) -> bool:
-        return self._start is not None
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
+    Two variants of one workload are compared pair by pair (ratio or
+    difference of adjacent runs, then the median over pairs), never
+    block against block: a load or frequency shift mid-measurement hits
+    both halves of a pair alike, and a scheduler spike moves one pair,
+    not the median.
+    """
+    return [(seconds_of(first), seconds_of(second)) for _ in range(pairs)]

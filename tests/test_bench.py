@@ -153,11 +153,27 @@ class TestDeviceResidentReplay:
         host_over = cat.total_seconds - base.total_seconds
         dev_over = dev.total_seconds - base.total_seconds
         assert 0 < dev_over < host_over
+        # the floor the device-resident pipeline was accepted on
+        assert host_over / dev_over >= 1.5
 
     def test_memory_drops_host_staging(self, profiles, device_profile):
         cat = predict_insitu_run(profiles["catalyst"], POLARIS, 280, 19.8e6)
         dev = predict_insitu_run(device_profile, POLARIS, 280, 19.8e6)
         assert dev.memory_per_rank_bytes < cat.memory_per_rank_bytes
+
+
+def test_delta_rle_velocity_pressure_ratio_at_least_4x():
+    """The wire codec's acceptance floor, on real solver fields: both
+    measurement cases, relative 1e-3, temporal chain as the SST writer
+    runs it."""
+    from repro.bench.compression import measure_compression
+    from repro.bench.report import QUICK_CODEC
+
+    measured = measure_compression(**QUICK_CODEC)
+    assert measured["gate_ratio"] >= 4.0
+    for row in measured["rows"]:
+        if row["bound"]:
+            assert row["max_abs_err"] <= row["bound"], row
 
 
 def _it_builder(nsim):

@@ -245,3 +245,29 @@ def test_the_pressure_preconditioner_is_not_an_option():
     """One preconditioner: no .par key, config field or CLI flag names it."""
     for rel in ("nekrs/config.py", "nekrs/parfile.py", "cli.py"):
         assert "preconditioner" not in (SRC / rel).read_text().lower(), rel
+
+
+def test_the_gate_measures_twins_without_the_bench_drivers():
+    """A gate row is a twin ratio of code that ships; ``repro.perf``
+    (imported by every hot path) never pulls ``repro.bench`` in."""
+    perf = Path(__file__).resolve().parents[1] / "src" / "repro" / "perf"
+    for path in sorted(perf.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(
+                n == "repro.bench" or n.startswith("repro.bench.") for n in names
+            ), f"{path.name}:{node.lineno}"
+
+
+def test_every_gate_row_is_in_the_newest_committed_bench_file():
+    """A renamed kernel fails here, not ten PRs later on a gate run."""
+    from repro.perf.gate import KERNELS, SCHEMA, load_trajectory
+
+    fname, newest = load_trajectory(Path(__file__).resolve().parents[1])[-1]
+    assert newest["schema"] == SCHEMA, fname
+    assert set(KERNELS) == set(newest["kernels"]), fname

@@ -202,26 +202,6 @@ class TestOverheadGuard:
 
 
 class TestBenchAndCli:
-    def test_bench_telemetry_table(self):
-        from repro.bench import telemetry
-
-        telemetry.clear_cache()
-        table = telemetry.run(
-            measure_kwargs=dict(ranks=2, steps=2, interval=2, num_pebbles=2,
-                                order=2, image_size=48)
-        )
-        text = table.render()
-        assert "catalyst" in text and "original" in text
-        rows = {r["mode"]: r for r in table.as_dicts()}
-        assert rows["catalyst"]["solver HWM [MiB]"] > 0
-        assert rows["checkpoint"]["checkpoint [s]"] > 0
-        flame = telemetry.flame(
-            measure_kwargs=dict(ranks=2, steps=2, interval=2, num_pebbles=2,
-                                order=2, image_size=48)
-        )
-        assert "solver.step" in flame
-        telemetry.clear_cache()
-
     def test_cli_trace_writes_artifacts(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -236,5 +216,5 @@ class TestBenchAndCli:
         assert (out / "metrics.prom").read_text()
         assert json.loads((out / "telemetry.json").read_text())["ranks"] == [0, 1]
         captured = capsys.readouterr().out
-        assert "span summary" in captured
+        assert "span summary" in captured and "solver.step" in captured
         assert "memory high-water marks" in captured

@@ -528,9 +528,8 @@ class TestOverheadGovernor:
         can land entirely in a bad phase; the median of a dozen
         adjacent pairs is immune to both.  One re-measure is allowed —
         a genuine >5% regression fails both medians, while a one-off
-        noise burst does not take down the suite.  The absolute
-        instrumented-run timing is pinned separately by the
-        ``live_telemetry`` gate row in BENCH_9.json.
+        noise burst does not take down the suite.  This is the live
+        plane's one timing verdict.
         """
         from repro.bench.live_telemetry import measure_overhead
 

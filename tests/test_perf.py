@@ -350,95 +350,126 @@ class TestZeroCopyMarshal:
                                       payload.variables["vel"])
 
 
+def _bench(tmp_path, n, rows, schema="repro-bench-gate/2"):
+    key = "ratio" if schema.endswith("/2") else "speedup"
+    (tmp_path / f"BENCH_{n}.json").write_text(json.dumps({
+        "schema": schema,
+        "kernels": {name: {key: value} for name, value in rows.items()},
+    }))
+
+
+def _snapshot(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
 class TestGate:
-    def test_compare_to_baseline_synthetic_regression(self):
-        """A 25% regression against baseline must fail the 20% gate."""
-        from repro.perf.gate import compare_to_baseline
+    """The verdict on synthetic numbers; wall-clock verdicts are ``perf``."""
 
-        baseline = {"k": {"baseline_s": 1.0}}
-        failures = compare_to_baseline(baseline, {"k": {"latest_s": 1.25}})
+    def test_compare_to_baseline_synthetic_regression(self, tmp_path):
+        """The baseline is the best ratio over every schema-2 file: 15%
+        below it fails, 5% below it passes."""
+        from repro.perf.gate import compare_to_trajectory, load_trajectory
+
+        _bench(tmp_path, 22, {"k": 2.0})
+        _bench(tmp_path, 23, {"k": 4.0})   # best is neither newest...
+        _bench(tmp_path, 24, {"k": 3.0})
+        _bench(tmp_path, 100, {"k": 1.0})  # ...nor first by name
+        trajectory = load_trajectory(tmp_path)
+        assert [f for f, _ in trajectory] == [
+            "BENCH_22.json", "BENCH_23.json", "BENCH_24.json", "BENCH_100.json"
+        ]
+        failures = compare_to_trajectory(trajectory, {"k": 4.0 * 0.85})
         assert len(failures) == 1 and failures[0].startswith("k:")
-        # 15% slower stays inside the 20% threshold
-        assert compare_to_baseline(baseline, {"k": {"latest_s": 1.15}}) == []
+        assert "BENCH_23.json" in failures[0]
+        assert compare_to_trajectory(trajectory, {"k": 4.0 * 0.95}) == []
 
-    def test_compare_ignores_unknown_kernels(self):
-        from repro.perf.gate import compare_to_baseline
+    def test_schema_1_files_are_history_and_never_gate(self, tmp_path):
+        from repro.perf.gate import GateReport, compare_to_trajectory, load_trajectory
 
-        assert compare_to_baseline({}, {"new": {"latest_s": 9.9}}) == []
+        _bench(tmp_path, 9, {"k": 16.48}, schema="repro-bench-gate/1")
+        _bench(tmp_path, 22, {"k": 10.0})
+        trajectory = load_trajectory(tmp_path)
+        assert compare_to_trajectory(trajectory, {"k": 9.5}) == []
+        row = {"ratio": 9.5, "ratio_quartiles": [9.4, 9.6], "pairs": 5,
+               "optimized_s": 1.0, "reference_s": 9.5}
+        text = GateReport({"k": row}, trajectory, []).render()
+        assert "16.48x" in text and "10.000x" in text
 
-    def test_run_gate_writes_baseline_and_passes(self, tmp_path):
+    def test_compare_ignores_unknown_kernels(self, tmp_path):
+        """Rows the files have and the gate does not measure (retired
+        since) do not gate; ``tests/test_benchmark_contract.py`` holds
+        ``KERNELS`` equal to the newest file's rows."""
+        from repro.perf.gate import compare_to_trajectory, load_trajectory
+
+        _bench(tmp_path, 22, {"k": 2.0, "retired": 5.0})
+        assert compare_to_trajectory(load_trajectory(tmp_path), {"k": 2.0}) == []
+
+    def test_a_row_missing_from_every_file_is_named(self, tmp_path):
+        from repro.perf.gate import compare_to_trajectory, load_trajectory
+
+        _bench(tmp_path, 9, {"new_name": 3.0}, schema="repro-bench-gate/1")
+        _bench(tmp_path, 22, {"k": 2.0, "old_name": 3.0})
+        trajectory = load_trajectory(tmp_path)
+        failures = compare_to_trajectory(trajectory, {"k": 2.0, "new_name": 3.0})
+        assert [f.split(":")[0] for f in failures] == ["new_name"]
+        # recording the next file is how a row is renamed
+        assert compare_to_trajectory(
+            trajectory, {"k": 2.0, "new_name": 3.0}, recording=True
+        ) == []
+
+    def test_missing_trajectory_is_an_error_and_creates_nothing(self, tmp_path):
+        from repro.perf.gate import TrajectoryError, run_gate
+
+        _bench(tmp_path, 10, {"noop": 1.0}, schema="repro-bench-gate/1")
+        before = _snapshot(tmp_path)
+        with pytest.raises(TrajectoryError, match="BENCH_<n>.json"):
+            run_gate(tmp_path, kernels={"noop": lambda: (lambda: None)})
+        assert _snapshot(tmp_path) == before
+
+    def test_run_gate_writes_only_what_record_names(self, tmp_path):
         from repro.perf.gate import SCHEMA, run_gate
 
-        path = tmp_path / "BENCH.json"
-        kernels = {"noop": lambda: (lambda: None)}
-        report = run_gate(path=path, repeats=1, kernels=kernels)
-        assert report.ok
-        data = json.loads(path.read_text())
+        kernels = {"noop": lambda: (lambda: 1.0)}
+        record = tmp_path / "BENCH_1.json"
+        report = run_gate(tmp_path, record=record, kernels=kernels)
+        assert report.ok and "gate PASSED" in report.render()
+        data = json.loads(record.read_text())
         assert data["schema"] == SCHEMA
-        kern = data["kernels"]["noop"]
-        assert kern["baseline_s"] == kern["latest_s"]
-        assert "arena" in data["allocation_stats"]
-        assert "gate PASSED" in report.render()
+        assert set(data["kernels"]["noop"]) == {
+            "ratio", "ratio_quartiles", "pairs", "optimized_s", "reference_s"
+        }
+        assert data["kernels"]["noop"]["ratio"] == 1.0
 
-    def test_run_gate_preserves_baseline_unless_updated(self, tmp_path):
-        from repro.perf.gate import run_gate
-
-        path = tmp_path / "BENCH.json"
-        kernels = {"noop": lambda: (lambda: None)}
-        run_gate(path=path, repeats=1, kernels=kernels)
-        data = json.loads(path.read_text())
-        data["kernels"]["noop"]["baseline_s"] = 123.0
-        path.write_text(json.dumps(data))
-
-        run_gate(path=path, repeats=1, kernels=kernels)
-        kept = json.loads(path.read_text())["kernels"]["noop"]["baseline_s"]
-        assert kept == 123.0
-
-        run_gate(path=path, repeats=1, kernels=kernels, update_baseline=True)
-        refreshed = json.loads(path.read_text())["kernels"]["noop"]
-        assert refreshed["baseline_s"] == refreshed["latest_s"] != 123.0
+        before = _snapshot(tmp_path)
+        assert run_gate(tmp_path, kernels=kernels).ok
+        assert _snapshot(tmp_path) == before
 
     def test_run_gate_fails_on_doctored_baseline(self, tmp_path):
         from repro.perf.gate import run_gate
 
-        path = tmp_path / "BENCH.json"
-
-        def build():
-            def body():
-                x = 0
-                for i in range(20000):
-                    x += i
-                return x
-
-            return body
-
-        kernels = {"spin": build}
-        first = run_gate(path=path, repeats=1, kernels=kernels)
-        assert first.ok
-        data = json.loads(path.read_text())
-        data["kernels"]["spin"]["baseline_s"] = (
-            data["kernels"]["spin"]["latest_s"] / 1e6
-        )
-        path.write_text(json.dumps(data))
-
-        report = run_gate(path=path, repeats=1, kernels=kernels)
+        _bench(tmp_path, 22, {"same": 1e6})
+        report = run_gate(tmp_path, kernels={"same": lambda: (lambda: 1.0)})
         assert not report.ok
-        assert report.kernels["spin"]["status"] == "FAIL"
+        assert report.failures[0].startswith("same:")
         assert "FAIL" in report.render()
 
-    def test_cli_gate_exit_codes(self, tmp_path, monkeypatch):
+    def test_cli_gate_exit_codes(self, tmp_path, monkeypatch, capsys):
         from repro import cli
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(
-            "repro.perf.gate.KERNELS", {"noop": lambda: (lambda: None)}
+            "repro.perf.gate.KERNELS", {"noop": lambda: (lambda: 1.0)}
         )
-        from repro.perf import gate
+        assert cli.main(["bench", "--gate"]) == 2
+        assert "BENCH_<n>.json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
+        assert cli.main(["bench", "--record", "BENCH_1.json"]) == 0
+        before = _snapshot(tmp_path)
         assert cli.main(["bench", "--gate"]) == 0
-        data = json.loads((tmp_path / gate.BASELINE_FILE).read_text())
-        data["kernels"]["noop"]["baseline_s"] = -1.0
-        (tmp_path / gate.BASELINE_FILE).write_text(json.dumps(data))
+        assert _snapshot(tmp_path) == before
+
+        _bench(tmp_path, 2, {"noop": 2.0})
         assert cli.main(["bench", "--gate"]) == 1
 
     def test_bench_requires_figure_or_gate(self):

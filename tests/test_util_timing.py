@@ -1,12 +1,11 @@
 """Tests for repro.util.timing."""
 
 import math
-import time
 
 import numpy as np
 import pytest
 
-from repro.util.timing import Timer, TimingStats
+from repro.util.timing import TimingStats, interleaved_pairs
 
 
 class TestTimingStats:
@@ -85,31 +84,18 @@ class TestTimingStats:
         assert set(d) == {"count", "total", "mean", "min", "max", "std"}
 
 
-class TestTimer:
-    def test_measures_time(self):
-        t = Timer().start()
-        time.sleep(0.01)
-        elapsed = t.stop()
-        assert elapsed >= 0.009
+class TestInterleavedPairs:
+    def test_alternates_and_prefers_self_reported_seconds(self):
+        order = []
 
-    def test_double_start_raises(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
+        def first():
+            order.append("a")
+            return 2.0  # self-measured seconds win over the wall clock
 
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
+        def second():
+            order.append("b")  # returns None: timed here
 
-    def test_accumulates(self):
-        t = Timer()
-        t.start(); t.stop()
-        first = t.elapsed
-        t.start(); t.stop()
-        assert t.elapsed >= first
-
-    def test_reset(self):
-        t = Timer().start()
-        t.stop()
-        t.reset()
-        assert t.elapsed == 0.0 and not t.running
+        pairs = interleaved_pairs(first, second, 3)
+        assert order == ["a", "b"] * 3
+        assert [a for a, _ in pairs] == [2.0] * 3
+        assert all(0.0 <= b < 1.0 for _, b in pairs)
