@@ -90,18 +90,3 @@ def apply_colormap(
     rgb = table[i0] * (1.0 - frac) + table[i1] * frac
     rgb[nan_mask] = 0.5
     return (rgb * 255.0 + 0.5).astype(np.uint8)
-
-
-def apply_colormap_device(
-    device,
-    values,
-    vmin: float | None = None,
-    vmax: float | None = None,
-    name: str = "viridis",
-) -> np.ndarray:
-    """Device twin: colormap a :class:`DeviceMemory` buffer through the
-    registered ``catalyst.colormap`` kernel — same table walk, no
-    device→host transfer charged."""
-    from repro.occa.kernels import install_render_kernels
-
-    return install_render_kernels(device).colormap(values, vmin, vmax, name)

@@ -37,6 +37,12 @@ lost).  Colormap and annotation ranges are min/max allreduces of local
 extrema — bitwise equal to the global scan.  Slices gather only the
 two contributing lattice planes to the root.  For opaque surfaces the
 result is pixel-identical to the gather-to-root reference.
+
+Everything here works on NumPy arrays and borrows its scratch —
+ghost-extended volumes, framebuffers, owner buffers, slice planes —
+from the one `arena` argument.  Where those arrays live is the
+caller's business: handed raw views of device buffers and a device's
+``raw_view()``, the same code renders in device memory.
 """
 
 from __future__ import annotations
@@ -193,9 +199,8 @@ def composite_binary_swap(
     keeps, so after log2(N) rounds every rank owns a disjoint, fully
     composited 1/N of the image; the root then collects the regions.
 
-    `arena` supplies the owner-buffer scratch; the device-resident path
-    passes its ``Device.raw_view()`` so the merge rounds recycle
-    device memory (defaults to the host :func:`get_arena`).
+    `arena` supplies the owner-buffer scratch (default: the host
+    :func:`get_arena`).
     """
     size, rank = comm.size, comm.rank
     if size & (size - 1):
@@ -454,7 +459,7 @@ def render_composited(
     time: float,
     method: str = "binary_swap",
     depth_dtype=np.float32,
-    device=None,
+    arena=None,
 ):
     """Distributed :meth:`RenderPipeline.render`: composited at root.
 
@@ -465,44 +470,22 @@ def render_composited(
     surfaces — and every other rank returns ``None``.  Collective: all
     ranks must call with identical pipeline/spec state.
 
-    With `device` set, the pipeline runs device-resident: fragment
-    payloads may be :class:`~repro.occa.device.DeviceMemory`, every
-    stage routes through the registered ``catalyst.*`` kernels
-    (``repro.occa.kernels``), scratch comes from the device arena, and
-    the root's frames come back as ``DeviceMemory`` tiles — the caller
-    performs the single metered D2H.  Inter-rank ghost/composite
-    traffic moves device buffers rank-to-rank directly (modeled
-    GPUDirect: metered on the network channel, never on PCIe).  The
-    kernel bodies are the host implementations, so the device path is
-    byte-identical to the host path.
+    `arena` lends the ghost-extended volumes, the framebuffers, the
+    compositor's owner buffers and the slice planes (default: this
+    rank's host arena).  A device-resident caller passes its device's
+    ``raw_view()`` together with fragments that are raw views of device
+    buffers: the same code then runs in device memory, inter-rank
+    ghost/composite traffic is device-to-device (modeled GPUDirect:
+    metered on the network channel, never on PCIe), and the returned
+    frames are device arrays the caller copies to the host.
     """
     tel = get_telemetry()
+    if arena is None:
+        arena = get_arena()
     gorigin = tuple(float(x) for x in np.asarray(global_origin, dtype=float))
     gspacing = tuple(float(x) for x in np.asarray(global_spacing, dtype=float))
     gdims = tuple(int(x) for x in global_dims)
     bounds = _global_bounds(gdims, gorigin, gspacing)
-    if device is not None:
-        from repro.occa.device import DeviceMemory
-        from repro.occa.kernels import install_render_kernels
-
-        kern = install_render_kernels(device)
-        # device-side views of the fragment payloads: stage kernels and
-        # rank-to-rank exchanges work on raw device arrays throughout
-        fragments = [
-            (
-                origin,
-                dims,
-                {
-                    name: vol._raw() if isinstance(vol, DeviceMemory) else vol
-                    for name, vol in payload.items()
-                },
-            )
-            for origin, dims, payload in fragments
-        ]
-        arena = device.raw_view()
-    else:
-        kern = None
-        arena = get_arena()
     offsets = _fragment_offsets(fragments, gorigin, gspacing)
     contours = [s for s in pipeline.specs if s.kind == "contour"]
     slices = [s for s in pipeline.specs if s.kind == "slice"]
@@ -529,12 +512,7 @@ def render_composited(
             ext_frags, scratch = exchange_ghost_layers(
                 comm, fragments, offsets, ghost_arrays, arena=arena
             )
-        if device is not None:
-            from repro.catalyst.rasterizer import DeviceRasterizer
-
-            raster = DeviceRasterizer(device, pipeline.width, pipeline.height)
-        else:
-            raster = Rasterizer(pipeline.width, pipeline.height, from_arena=True)
+        raster = Rasterizer(pipeline.width, pipeline.height, arena=arena)
         try:
             with tel.tracer.span("catalyst.render_local", step=step):
                 for spec in contours:
@@ -544,33 +522,20 @@ def render_composited(
                         if spec.has_threshold:
                             selector = vols[spec.threshold_array or spec.array]
                             tlo, thi = _threshold_band(spec)
-                            if kern is not None:
-                                vol = kern.threshold(
-                                    vol, selector, vmin=tlo, vmax=thi
-                                )
-                            else:
-                                vol = threshold_by(
-                                    vol, selector, vmin=tlo, vmax=thi
-                                )
+                            vol = threshold_by(vol, selector, vmin=tlo, vmax=thi)
                         aux = (
                             vols[spec.color_array]
                             if spec.color_array and spec.color_array != spec.array
                             else None
                         )
-                        if kern is not None:
-                            verts, faces, vals = kern.contour(
-                                vol, spec.isovalue, gorigin, gspacing,
-                                aux, off,
-                            )
-                        else:
-                            verts, faces, vals = marching_tetrahedra(
-                                vol,
-                                spec.isovalue,
-                                origin=gorigin,
-                                spacing=gspacing,
-                                aux=aux,
-                                index_offset=off,
-                            )
+                        verts, faces, vals = marching_tetrahedra(
+                            vol,
+                            spec.isovalue,
+                            origin=gorigin,
+                            spacing=gspacing,
+                            aux=aux,
+                            index_offset=off,
+                        )
                         if len(faces):
                             pieces.append((verts, faces, vals))
                     # global colormap range: min of mins is bitwise the
@@ -585,17 +550,8 @@ def render_composited(
                         if vmax is None:
                             vmax = ghi if np.isfinite(ghi) else None
                     for verts, faces, vals in pieces:
-                        if device is not None:
-                            # fused colormap + rasterize launch
-                            raster.shade_draw(
-                                camera, verts, faces, vals,
-                                vmin, vmax, spec.colormap,
-                            )
-                        else:
-                            colors = apply_colormap(
-                                vals, vmin, vmax, spec.colormap
-                            )
-                            raster.draw_mesh(camera, verts, faces, colors)
+                        colors = apply_colormap(vals, vmin, vmax, spec.colormap)
+                        raster.draw_mesh(camera, verts, faces, colors)
             composited = composite(
                 comm,
                 raster.image(),
@@ -666,65 +622,42 @@ def render_composited(
             continue
         vol_shape = (gdims[2], gdims[1], gdims[0])
         plane_shape = (vol_shape[rem[0]], vol_shape[rem[1]])
-        lo_plane = np.full(plane_shape, np.nan)
-        hi_plane = np.full(plane_shape, np.nan)
-        with tel.tracer.span("catalyst.slice_assemble", step=step):
-            for chunk in gathered:
-                for which, row_off, col_off, patch in chunk:
-                    target = lo_plane if which == 0 else hi_plane
-                    target[
-                        row_off : row_off + patch.shape[0],
-                        col_off : col_off + patch.shape[1],
-                    ] = patch
-        if kern is not None:
-            slice_planes.append(kern.plane_blend(lo_plane, hi_plane, t))
-        else:
-            slice_planes.append((1.0 - t) * lo_plane + t * hi_plane)
+        planes = [arena.borrow(plane_shape), arena.borrow(plane_shape)]
+        try:
+            with tel.tracer.span("catalyst.slice_assemble", step=step):
+                for plane in planes:
+                    plane.fill(np.nan)
+                for chunk in gathered:
+                    for which, row_off, col_off, patch in chunk:
+                        planes[which][
+                            row_off : row_off + patch.shape[0],
+                            col_off : col_off + patch.shape[1],
+                        ] = patch
+            slice_planes.append((1.0 - t) * planes[0] + t * planes[1])
+        finally:
+            arena.release(*planes)
 
     if not comm.is_root:
         return None
 
     outputs: list[tuple[str, np.ndarray]] = []
+
+    def annotated(frame, spec):
+        if pipeline.annotate:
+            vmin, vmax = ann_range[spec.color_array or spec.array]
+            vmin = spec.vmin if spec.vmin is not None else vmin
+            vmax = spec.vmax if spec.vmax is not None else vmax
+            draw_annotations(frame, spec, vmin, vmax, step, time)
+        return frame
+
     if contours:
         frame, depth = composited
-        if kern is not None:
-            kern.background(frame, depth)
-        else:
-            apply_background_gradient(frame, depth)
-        if pipeline.annotate:
-            spec = contours[0]
-            vmin, vmax = ann_range[spec.color_array or spec.array]
-            vmin = spec.vmin if spec.vmin is not None else vmin
-            vmax = spec.vmax if spec.vmax is not None else vmax
-            if kern is not None:
-                kern.annotate(frame, spec, vmin, vmax, step, time)
-            else:
-                draw_annotations(frame, spec, vmin, vmax, step, time)
-        if device is not None:
-            # composited tile stays device-resident; the adaptor does
-            # the one metered D2H when it encodes the frame
-            frame = DeviceMemory(device, frame)
-        outputs.append((f"{pipeline.name}_surface", frame))
+        apply_background_gradient(frame, depth)
+        outputs.append((f"{pipeline.name}_surface", annotated(frame, contours[0])))
     for i, (spec, plane) in enumerate(zip(slices, slice_planes)):
-        if kern is not None:
-            # fused colormap + orient + resize launch
-            frame = kern.slice_frame(
-                plane, spec.vmin, spec.vmax, spec.colormap,
-                pipeline.height, pipeline.width,
-            )
-        else:
-            rgb = apply_colormap(plane, spec.vmin, spec.vmax, spec.colormap)
-            rgb = rgb[::-1]
-            frame = _resize_nearest(rgb, pipeline.height, pipeline.width)
-        if pipeline.annotate:
-            vmin, vmax = ann_range[spec.color_array or spec.array]
-            vmin = spec.vmin if spec.vmin is not None else vmin
-            vmax = spec.vmax if spec.vmax is not None else vmax
-            if kern is not None:
-                kern.annotate(frame, spec, vmin, vmax, step, time)
-            else:
-                draw_annotations(frame, spec, vmin, vmax, step, time)
-        if device is not None:
-            frame = DeviceMemory(device, frame)
-        outputs.append((f"{pipeline.name}_slice{i}_{spec.array}", frame))
+        rgb = apply_colormap(plane, spec.vmin, spec.vmax, spec.colormap)
+        frame = _resize_nearest(rgb[::-1], pipeline.height, pipeline.width)
+        outputs.append(
+            (f"{pipeline.name}_slice{i}_{spec.array}", annotated(frame, spec))
+        )
     return outputs

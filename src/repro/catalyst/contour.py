@@ -289,22 +289,3 @@ def _extract_reference(vol, aux_vol, isovalue, org, sp, offset, cubes):
         np.asarray(faces, dtype=np.int64),
         np.asarray(vals),
     )
-
-
-def marching_tetrahedra_device(
-    device,
-    volume,
-    isovalue: float,
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    aux=None,
-    index_offset: tuple[int, int, int] = (0, 0, 0),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Device twin: contour a :class:`DeviceMemory` volume via the
-    registered ``catalyst.mtet`` kernel — identical triangles, no
-    device→host transfer (the launch unwraps the buffer device-side)."""
-    from repro.occa.kernels import install_render_kernels
-
-    return install_render_kernels(device).contour(
-        volume, isovalue, origin, spacing, aux, index_offset
-    )

@@ -22,6 +22,7 @@ from repro.catalyst.colormaps import apply_colormap
 from repro.catalyst.contour import marching_tetrahedra
 from repro.catalyst.rasterizer import Rasterizer
 from repro.catalyst.slicefilter import axis_slice
+from repro.perf.arena import get_arena
 from repro.vtkdata.dataset import ImageData
 
 
@@ -92,13 +93,21 @@ class RenderPipeline:
     #: production in situ imagery does (the state is gone afterwards)
     annotate: bool = True
 
-    def render(self, image: ImageData, step: int, time: float) -> list[tuple[str, np.ndarray]]:
-        """Produce [(image_name, (H, W, 3) uint8), ...] for this state."""
+    def render(
+        self, image: ImageData, step: int, time: float, arena=None
+    ) -> list[tuple[str, np.ndarray]]:
+        """Produce [(image_name, (H, W, 3) uint8), ...] for this state.
+
+        `arena` lends the framebuffers (default: this rank's host
+        arena; a device's ``raw_view()`` when `image` lives there).
+        """
         outputs: list[tuple[str, np.ndarray]] = []
         contours = [s for s in self.specs if s.kind == "contour"]
         slices = [s for s in self.specs if s.kind == "slice"]
         if contours:
-            frame = self._render_contours(image, contours)
+            frame = self._render_contours(
+                image, contours, get_arena() if arena is None else arena
+            )
             self._annotate(frame, image, contours[0], step, time)
             outputs.append((f"{self.name}_surface", frame))
         for i, spec in enumerate(slices):
@@ -131,14 +140,16 @@ class RenderPipeline:
         hi = org + (dims - 1) * sp
         return np.stack([org, hi], axis=1)
 
-    def _render_contours(self, image: ImageData, specs: list[RenderSpec]) -> np.ndarray:
+    def _render_contours(
+        self, image: ImageData, specs: list[RenderSpec], arena
+    ) -> np.ndarray:
         camera = Camera.fit_bounds(
             self._bounds(image),
             direction=self.view_direction,
             width=self.width,
             height=self.height,
         )
-        raster = Rasterizer(self.width, self.height, from_arena=True)
+        raster = Rasterizer(self.width, self.height, arena=arena)
         for spec in specs:
             vol = spec.apply_threshold(image.as_volume(spec.array), image)
             aux = (

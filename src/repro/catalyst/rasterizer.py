@@ -55,54 +55,26 @@ class Rasterizer:
         width: int,
         height: int,
         background: tuple[int, int, int] = (18, 22, 30),
-        from_arena: bool = False,
+        arena=None,
     ):
+        """`arena` (a :class:`~repro.perf.arena.WorkspaceArena` or a
+        device's ``raw_view()``) lends the two framebuffers until
+        :meth:`close`; without one they are plain allocations."""
         if width < 1 or height < 1:
             raise ValueError("image dimensions must be positive")
         self.width = width
         self.height = height
-        if from_arena and config.enabled():
-            from repro.perf.arena import get_arena
-
-            arena = get_arena()
+        if arena is not None:
             self.color = arena.borrow((height, width, 3), np.uint8)
             self.depth = arena.borrow((height, width), np.float64)
             self.depth.fill(np.inf)
-            self._arena = arena
         else:
             self.color = np.empty((height, width, 3), dtype=np.uint8)
             self.depth = np.full((height, width), np.inf)
-            self._arena = None
+        self._arena = arena
         self.color[:] = np.asarray(background, dtype=np.uint8)
         self.triangles_drawn = 0
         self.candidates_tested = 0
-
-    @classmethod
-    def wrap(
-        cls,
-        color: np.ndarray,
-        depth: np.ndarray,
-        background: tuple[int, int, int] = (18, 22, 30),
-    ) -> "Rasterizer":
-        """Rasterizer over caller-owned framebuffers.
-
-        Initializes `color`/`depth` exactly as the constructor does
-        (background fill, ``inf`` depth) but allocates nothing — the
-        device-resident path hands in raw views of device-arena
-        buffers, so every fill and depth test runs on device memory.
-        """
-        if color.shape[:2] != depth.shape or color.shape[2:] != (3,):
-            raise ValueError("color must be (H, W, 3) matching depth (H, W)")
-        raster = cls.__new__(cls)
-        raster.height, raster.width = depth.shape
-        raster.color = color
-        raster.depth = depth
-        raster._arena = None
-        raster.depth.fill(np.inf)
-        raster.color[:] = np.asarray(background, dtype=np.uint8)
-        raster.triangles_drawn = 0
-        raster.candidates_tested = 0
-        return raster
 
     def image(self) -> np.ndarray:
         """The current framebuffer (H, W, 3) uint8.
@@ -376,75 +348,6 @@ class Rasterizer:
     ) -> None:
         """Vertical gradient backdrop (drawn only where nothing rendered)."""
         apply_background_gradient(self.color, self.depth, top, bottom)
-
-
-class DeviceRasterizer:
-    """Device twin of :class:`Rasterizer`: framebuffers stay on device.
-
-    Color and depth buffers come from the device scratch arena
-    (``Device.arena``) and every draw is a
-    registered-kernel launch over the raw device buffers — the same
-    per-pixel math as the host rasterizer, so the composited image is
-    bitwise identical; only the residency of the working set changes.
-    ``close`` recycles the buffers; nothing here touches the transfer
-    ledger.
-    """
-
-    def __init__(
-        self,
-        device,
-        width: int,
-        height: int,
-        background: tuple[int, int, int] = (18, 22, 30),
-    ):
-        from repro.occa.kernels import install_render_kernels
-
-        self.device = device
-        self.width = width
-        self.height = height
-        self._kernels = install_render_kernels(device)
-        arena = device.arena
-        self.color_mem = arena.borrow((height, width, 3), np.uint8)
-        self.depth_mem = arena.borrow((height, width), np.float64)
-        self._core = Rasterizer.wrap(
-            self.color_mem._raw(), self.depth_mem._raw(), background
-        )
-
-    @property
-    def triangles_drawn(self) -> int:
-        return self._core.triangles_drawn
-
-    def draw_mesh(self, camera, vertices, faces, vertex_colors) -> int:
-        return self._kernels.raster_mesh(
-            self._core, camera, vertices, faces, vertex_colors
-        )
-
-    def shade_draw(self, camera, vertices, faces, values, vmin, vmax,
-                   colormap) -> int:
-        """Fused colormap + draw launch (one kernel per contour piece)."""
-        return self._kernels.shade_draw(
-            self._core, camera, vertices, faces, values, vmin, vmax, colormap
-        )
-
-    def image(self) -> np.ndarray:
-        """Raw device view of the framebuffer (kernel-side use only)."""
-        return self._core.image()
-
-    def depth_image(self, dtype=np.float32) -> np.ndarray:
-        return self._core.depth_image(dtype)
-
-    def draw_background_gradient(self, *args, **kwargs) -> None:
-        self._kernels.background(
-            self.color_mem, self.depth_mem, *args, **kwargs
-        )
-
-    def close(self) -> None:
-        """Return the device framebuffers to the arena pool."""
-        mems, self.color_mem, self.depth_mem = (
-            (self.color_mem, self.depth_mem), None, None,
-        )
-        if mems[0] is not None:
-            self.device.arena.release(*mems)
 
 
 def apply_background_gradient(

@@ -145,20 +145,3 @@ def trilinear_sample(
     c1 = c01 * (1 - fy) + c11 * fy
     out[valid] = c0 * (1 - fz) + c1 * fz
     return out
-
-
-def axis_slice_device(
-    device,
-    volume,
-    axis: str,
-    position: float,
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> np.ndarray:
-    """Device twin: slice a :class:`DeviceMemory` volume through the
-    registered ``catalyst.slice`` kernel — same blend, no transfer."""
-    from repro.occa.kernels import install_render_kernels
-
-    return install_render_kernels(device).slice(
-        volume, axis, position, origin=origin, spacing=spacing
-    )

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nekrs.diagnostics import q_criterion, vorticity_magnitude
 from repro.nekrs.solver import NekRSSolver
+from repro.perf.arena import WorkspaceArena
 from repro.sem.interp import grid_dims, resample_field
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.sensei.metadata import ArrayMetadata, MeshMetadata
@@ -56,6 +58,17 @@ def _subcell_connectivity(num_elements: int, nq: int) -> np.ndarray:
     return (corners[None, :, :] + offsets).reshape(-1, 8)
 
 
+_VELOCITY = ("velocity_x", "velocity_y", "velocity_z")
+
+#: scalar fields derived from the velocity components, ``fn(ops, u, v,
+#: w)`` — evaluated on host mirrors or on device views alike
+_DERIVED = {
+    "velocity_magnitude": lambda ops, u, v, w: np.sqrt(u * u + v * v + w * w),
+    "vorticity_magnitude": vorticity_magnitude,
+    "q_criterion": q_criterion,
+}
+
+
 class NekDataAdaptor(DataAdaptor):
     MESH = "mesh"
     UNIFORM = "uniform"
@@ -85,16 +98,17 @@ class NekDataAdaptor(DataAdaptor):
 
         self._host_cache: dict[str, np.ndarray] = {}
         self._resample_cache: dict[str, np.ndarray] = {}
-        from repro.perf.arena import WorkspaceArena
-
         #: adaptor-private scratch pool for host mirrors of device
         #: fields — step-scoped borrows (released in release_data) that
         #: must not count against the shared per-thread arena
         self.scratch_arena = WorkspaceArena()
         self._host_borrowed: list[np.ndarray] = []
-        self._device_cache: dict[str, object] = {}
-        self._device_resample_cache: dict[str, object] = {}
-        self._device_borrowed: list[object] = []
+        # device residency: the same caches over raw views of device
+        # buffers, derived and resampled fields in device-arena scratch
+        self._device_scratch = solver.device.raw_view()
+        self._device_cache: dict[str, np.ndarray] = {}
+        self._device_resample_cache: dict[str, np.ndarray] = {}
+        self._device_borrowed: list[np.ndarray] = []
         self.staging_bytes_current = 0
         self.staging_bytes_peak = 0
 
@@ -103,11 +117,10 @@ class NekDataAdaptor(DataAdaptor):
         return 2
 
     def _array_metadata(self) -> tuple[ArrayMetadata, ...]:
-        names = list(self.solver.device_fields)
-        arrays = [ArrayMetadata(n, "point", 1) for n in names]
-        arrays.append(ArrayMetadata("velocity_magnitude", "point", 1))
-        arrays.append(ArrayMetadata("vorticity_magnitude", "point", 1))
-        arrays.append(ArrayMetadata("q_criterion", "point", 1))
+        arrays = [
+            ArrayMetadata(n, "point", 1)
+            for n in (*self.solver.device_fields, *_DERIVED)
+        ]
         arrays.append(ArrayMetadata("velocity", "point", 3))
         return tuple(arrays)
 
@@ -179,37 +192,13 @@ class NekDataAdaptor(DataAdaptor):
         cached = self._host_cache.get(name)
         if cached is not None:
             return cached
-        if name == "velocity_magnitude":
-            u = self._host_field("velocity_x")
-            v = self._host_field("velocity_y")
-            w = self._host_field("velocity_z")
-            out = np.sqrt(u * u + v * v + w * w)
-        elif name == "vorticity_magnitude":
-            from repro.nekrs.diagnostics import vorticity_magnitude
-
-            out = vorticity_magnitude(
-                self.solver.ops,
-                self._host_field("velocity_x"),
-                self._host_field("velocity_y"),
-                self._host_field("velocity_z"),
-            )
-        elif name == "q_criterion":
-            from repro.nekrs.diagnostics import q_criterion
-
-            out = q_criterion(
-                self.solver.ops,
-                self._host_field("velocity_x"),
-                self._host_field("velocity_y"),
-                self._host_field("velocity_z"),
+        if name in _DERIVED:
+            out = _DERIVED[name](
+                self.solver.ops, *(self._host_field(c) for c in _VELOCITY)
             )
         elif name == "velocity":
             out = np.stack(
-                [
-                    self._host_field("velocity_x").ravel(),
-                    self._host_field("velocity_y").ravel(),
-                    self._host_field("velocity_z").ravel(),
-                ],
-                axis=1,
+                [self._host_field(c).ravel() for c in _VELOCITY], axis=1
             )
         else:
             try:
@@ -272,56 +261,27 @@ class NekDataAdaptor(DataAdaptor):
         """The solver's OCCA device (device-resident render path)."""
         return self.solver.device
 
-    def _device_field(self, name: str):
-        """:class:`DeviceMemory` of a GLL field; derived fields are
-        computed by registered kernels into device-arena scratch —
-        nothing crosses PCIe."""
+    def _device_field(self, name: str) -> np.ndarray:
+        """Raw device view of a GLL field; derived fields are computed
+        into device-arena scratch — nothing crosses PCIe."""
         cached = self._device_cache.get(name)
         if cached is not None:
             return cached
-        from repro.occa.kernels import install_field_kernels
-
-        fields = install_field_kernels(self.device)
-        base = self.solver.device_fields.get(name)
-        if base is not None:
-            mem = base
-        elif name in ("velocity_magnitude", "vorticity_magnitude", "q_criterion"):
-            u = self._device_field("velocity_x")
-            v = self._device_field("velocity_y")
-            w = self._device_field("velocity_z")
-            mem = self.device.arena.borrow(u.shape, u.dtype)
-            self._device_borrowed.append(mem)
-            if name == "velocity_magnitude":
-                fields.magnitude(u, v, w, mem)
-            elif name == "vorticity_magnitude":
-                fields.vorticity_magnitude(self.solver.ops, u, v, w, mem)
-            else:
-                fields.q_criterion(self.solver.ops, u, v, w, mem)
+        if name in _DERIVED:
+            u, v, w = (self._device_field(c) for c in _VELOCITY)
+            raw = self._device_scratch.borrow(u.shape, u.dtype)
+            self._device_borrowed.append(raw)
+            raw[...] = _DERIVED[name](self.solver.ops, u, v, w)
         else:
-            raise KeyError(
-                f"simulation provides no device array {name!r}; have "
-                f"{sorted(self.solver.device_fields)}"
-            )
-        self._device_cache[name] = mem
-        return mem
-
-    def _device_resample(self, name: str):
-        """Per-element uniform resampling, device-resident (E, s, s, s)."""
-        res = self._device_resample_cache.get(name)
-        if res is not None:
-            return res
-        from repro.occa.kernels import install_field_kernels
-
-        fields = install_field_kernels(self.device)
-        field = self._device_field(name)
-        s = self.samples
-        res = self.device.arena.borrow(
-            (self.solver.mesh.num_elements, s, s, s), np.float64
-        )
-        self._device_borrowed.append(res)
-        fields.resample(self.solver.mesh, field, s, res)
-        self._device_resample_cache[name] = res
-        return res
+            try:
+                raw = self.solver.device_fields[name]._raw()
+            except KeyError:
+                raise KeyError(
+                    f"simulation provides no device array {name!r}; have "
+                    f"{sorted(self.solver.device_fields)}"
+                ) from None
+        self._device_cache[name] = raw
+        return raw
 
     def device_uniform_fragments(self, arrays: tuple[str, ...]):
         """Device twin of the uniform-mesh fragment walk.
@@ -329,24 +289,29 @@ class NekDataAdaptor(DataAdaptor):
         Returns ``(global_dims, global_origin, global_spacing,
         fragments)`` exactly like
         :func:`repro.sensei.analyses.catalyst_adaptor.local_uniform_fragments`,
-        except every payload volume is a
-        :class:`~repro.occa.device.DeviceMemory` view — the resampled
-        working set never leaves the device, so the transfer ledger
-        records no per-field D2H for ``residency="device"``.
+        except every payload volume is a raw view of a device-arena
+        buffer, valid until :meth:`release_data` — the resampled working
+        set never leaves the device, so the transfer ledger records no
+        per-field D2H for ``residency="device"``.
         """
-        from repro.occa.device import DeviceMemory
-
         s = self.samples
-        resampled = {name: self._device_resample(name) for name in arrays}
-        fragments = []
-        for e in range(self.solver.mesh.num_elements):
-            payload = {
-                name: DeviceMemory(self.device, resampled[name]._raw()[e])
-                for name in arrays
-            }
-            fragments.append(
-                (tuple(self._frag_origins[e]), (s, s, s), payload)
+        mesh = self.solver.mesh
+        for name in arrays:
+            if name not in self._device_resample_cache:
+                res = self._device_scratch.borrow(
+                    (mesh.num_elements, s, s, s), np.float64
+                )
+                self._device_borrowed.append(res)
+                res[...] = resample_field(mesh, self._device_field(name), s)
+                self._device_resample_cache[name] = res
+        fragments = [
+            (
+                tuple(self._frag_origins[e]),
+                (s, s, s),
+                {name: self._device_resample_cache[name][e] for name in arrays},
             )
+            for e in range(mesh.num_elements)
+        ]
         return (
             self._global_dims,
             np.asarray(self._global_origin, dtype=float),
@@ -365,7 +330,7 @@ class NekDataAdaptor(DataAdaptor):
         self._device_cache.clear()
         self._device_resample_cache.clear()
         if self._device_borrowed:
-            self.device.arena.release(*self._device_borrowed)
+            self._device_scratch.release(*self._device_borrowed)
             self._device_borrowed.clear()
         self.staging_bytes_current = 0
         get_telemetry().memory.observe("sensei.staging", 0)

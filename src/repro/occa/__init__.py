@@ -21,17 +21,19 @@ Two backends are provided:
 Short-lived device buffers come from ``Device.arena``: the repo's one
 pool class (:class:`repro.perf.WorkspaceArena`) with a
 :class:`DeviceMemory` allocator.  Code that runs on the device borrows
-raw arrays from the same pool through ``Device.raw_view()``.
+raw arrays from the same pool through ``Device.raw_view()`` — that is
+all ``residency="device"`` rendering needs from this package: the
+render code is the host's, run on those arrays, and only
+:meth:`DeviceMemory.copy_to_host` is metered.  ``build_kernel`` /
+``kernel`` mirror OCCA's launch API (``DeviceMemory`` arguments arrive
+unwrapped); nothing in ``repro`` registers a kernel of its own.
 """
 
 from repro.occa.device import Device, DeviceMemory, KernelError, TransferLedger
-from repro.occa.kernels import install_field_kernels, install_render_kernels
 
 __all__ = [
     "Device",
     "DeviceMemory",
     "KernelError",
     "TransferLedger",
-    "install_field_kernels",
-    "install_render_kernels",
 ]

@@ -212,17 +212,6 @@ class Device:
         self._kernels[name] = fn
         return self.kernel(name)
 
-    def ensure_kernel(self, name: str, fn: Callable) -> Callable:
-        """Idempotent :meth:`build_kernel`: reuse `name` if present.
-
-        Kernel libraries (``repro.occa.kernels``) install themselves on
-        first use and are re-requested every in situ step; rebuilding
-        would raise, so they register through this instead.
-        """
-        if name not in self._kernels:
-            self._kernels[name] = fn
-        return self.kernel(name)
-
     def kernel(self, name: str) -> Callable:
         if name not in self._kernels:
             raise KernelError(f"no kernel named {name!r} on this device")

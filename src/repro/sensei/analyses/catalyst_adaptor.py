@@ -13,6 +13,12 @@ Adaptor for rendering tasks."  Here the adaptor
    ParaView Catalyst, or a declarative :class:`RenderPipeline` —
 4. writes the resulting PNGs and accounts their bytes (the
    storage-economy numerator).
+
+``residency="device"`` is the same four steps with the copy moved to
+the end: step 1 takes raw views of device buffers from
+``data.device_uniform_fragments`` (nothing crosses PCIe), steps 2–3 run
+the same render code with the device's arena lending every buffer, and
+the finished frame is the one metered D→H before step 4.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ import numpy as np
 
 from repro.catalyst.pipeline import RenderPipeline, RenderSpec, load_pipeline_script
 from repro.observe.session import get_telemetry
+from repro.occa.device import DeviceMemory
 from repro.parallel.comm import Communicator
+from repro.perf.arena import get_arena
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.util.png import encode_png
@@ -72,67 +80,46 @@ def local_uniform_fragments(
     return gdims, gorigin, gspacing, fragments
 
 
-def gather_uniform_volume_device(
+def assemble_uniform_volume(
     comm: Communicator,
-    data: DataAdaptor,
-    mesh_name: str,
     arrays: tuple[str, ...],
-    device,
-):
-    """Device twin of :func:`gather_uniform_volume`.
+    gdims,
+    gorigin,
+    gspacing,
+    fragments,
+    arena=None,
+) -> tuple[ImageData | None, list]:
+    """Gather every rank's fragments and assemble the global volume.
 
-    Fragments come from the data adaptor's
-    ``device_uniform_fragments`` — :class:`DeviceMemory` payloads that
-    never crossed PCIe.  Raw device views travel rank-to-rank (modeled
-    GPUDirect: network-metered, never ledger-charged) and the root
-    scatters them into device-arena global volumes with the
-    ``catalyst.scatter`` kernel, zero-filled exactly like the host
-    path's ``np.zeros``.  Returns ``(image, borrowed)`` on the root —
-    `image` wraps raw device views, `borrowed` the arena buffers the
-    caller must release after rendering — and ``(None, [])`` elsewhere.
+    Takes what :func:`local_uniform_fragments` returns; gives ``(image,
+    borrowed)`` on rank 0 and ``(None, [])`` elsewhere.  With an `arena`
+    the volumes are borrowed from it and `borrowed` is what the caller
+    releases once it is done with `image`; without one they are fresh,
+    caller-owned arrays.  Lattice points no fragment covers are zero
+    either way.
     """
-    from repro.occa.device import DeviceMemory
-    from repro.occa.kernels import install_render_kernels
-
-    fetch = getattr(data, "device_uniform_fragments", None)
-    if fetch is None:
-        raise TypeError(
-            "residency='device' requires a device-capable data adaptor "
-            "(one providing device_uniform_fragments)"
-        )
-    gdims, gorigin, gspacing, fragments = fetch(arrays)
-    raw_frags = [
-        (
-            origin,
-            dims,
-            {
-                name: vol._raw() if isinstance(vol, DeviceMemory) else vol
-                for name, vol in payload.items()
-            },
-        )
-        for origin, dims, payload in fragments
-    ]
-    gathered = comm.gather(raw_frags)
+    gathered = comm.gather(fragments)
     if not comm.is_root:
         return None, []
 
-    kern = install_render_kernels(device)
-    nx, ny, nz = gdims
-    image = ImageData(dims=gdims, origin=tuple(gorigin), spacing=tuple(gspacing))
-    borrowed = []
-    volumes = {}
-    for name in arrays:
-        mem = device.arena.borrow((nz, ny, nx), np.float64)
-        mem.fill(0.0)
-        borrowed.append(mem)
-        volumes[name] = mem
+    shape = tuple(gdims)[::-1]  # volumes are [z, y, x]
+    volumes = {
+        name: np.zeros(shape) if arena is None else arena.borrow(shape)
+        for name in arrays
+    }
+    borrowed = [] if arena is None else list(volumes.values())
+    for vol in borrowed:
+        vol.fill(0.0)
     for chunk in gathered:
         for origin, dims, payload in chunk:
             off = np.rint((np.asarray(origin) - gorigin) / gspacing).astype(int)
+            ox, oy, oz = off
+            fx, fy, fz = dims
             for name, vol in payload.items():
-                kern.scatter(volumes[name], vol, tuple(int(x) for x in off))
-    for name, mem in volumes.items():
-        image.add_array(DataArray(name, mem._raw().reshape(-1)))
+                volumes[name][oz : oz + fz, oy : oy + fy, ox : ox + fx] = vol
+    image = ImageData(dims=gdims, origin=tuple(gorigin), spacing=tuple(gspacing))
+    for name, vol in volumes.items():
+        image.add_array(DataArray(name, vol.ravel()))
     return image, borrowed
 
 
@@ -146,27 +133,12 @@ def gather_uniform_volume(
 
     Expects the mesh's metadata ``extra`` to carry ``global_dims``,
     ``origin`` and ``spacing``, and its blocks to be ImageData
-    fragments whose origins locate them in the global grid.
+    fragments whose origins locate them in the global grid.  The
+    returned arrays are fresh and the caller's to keep.
     """
-    gdims, gorigin, gspacing, fragments = local_uniform_fragments(
-        data, mesh_name, arrays
+    image, _ = assemble_uniform_volume(
+        comm, arrays, *local_uniform_fragments(data, mesh_name, arrays)
     )
-    gathered = comm.gather(fragments)
-    if not comm.is_root:
-        return None
-
-    nx, ny, nz = gdims
-    image = ImageData(dims=gdims, origin=tuple(gorigin), spacing=tuple(gspacing))
-    volumes = {name: np.zeros((nz, ny, nx)) for name in arrays}
-    for chunk in gathered:
-        for origin, dims, payload in chunk:
-            off = np.rint((np.asarray(origin) - gorigin) / gspacing).astype(int)
-            ox, oy, oz = off
-            fx, fy, fz = dims
-            for name, vol in payload.items():
-                volumes[name][oz : oz + fz, oy : oy + fy, ox : ox + fx] = vol
-    for name, vol in volumes.items():
-        image.add_array(DataArray(name, vol.ravel()))
     return image
 
 
@@ -302,55 +274,51 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         step = data.get_data_time_step()
         time = data.get_data_time()
         tel = get_telemetry()
-        device = None
-        if self.residency == "device":
-            device = getattr(data, "device", None)
-            if device is None:
-                raise TypeError(
-                    "residency='device' requires a device-capable data "
-                    "adaptor (one exposing its OCCA device)"
-                )
         # the staging of the data — local fragments for sort-last
         # compositing, else the volume gathered to rank 0 — is what the
         # live timeline calls the `composite` stage
         sort_last = self.compositing != "gather" and self.comm.size > 1
-        if sort_last:
-            with tel.tracer.span(
-                "catalyst.fragments", step=step, stage="composite",
-                residency=self.residency,
-            ):
-                if device is not None:
-                    gdims, gorigin, gspacing, fragments = (
-                        data.device_uniform_fragments(self.arrays)
+        with tel.tracer.span(
+            "catalyst.fragments" if sort_last else "catalyst.gather",
+            step=step, stage="composite", residency=self.residency,
+        ):
+            # residency picks where the fragments live and which pool
+            # lends every buffer rendered from them; the render code
+            # below is the same either way
+            if self.residency == "device":
+                device = getattr(data, "device", None)
+                fetch = getattr(data, "device_uniform_fragments", None)
+                if device is None or fetch is None:
+                    raise TypeError(
+                        "residency='device' requires a device-capable data "
+                        "adaptor (one exposing its OCCA device and "
+                        "device_uniform_fragments)"
                     )
-                else:
-                    gdims, gorigin, gspacing, fragments = (
-                        local_uniform_fragments(
-                            data, self.mesh_name, self.arrays
-                        )
-                    )
-            staged_bytes = sum(
-                vol.nbytes
-                for _origin, _dims, payload in fragments
-                for vol in payload.values()
-            )
-        else:
-            borrowed = []
-            with tel.tracer.span(
-                "catalyst.gather", step=step, stage="composite",
-                residency=self.residency,
-            ):
-                if device is not None:
-                    image, borrowed = gather_uniform_volume_device(
-                        self.comm, data, self.mesh_name, self.arrays, device
-                    )
-                else:
-                    image = gather_uniform_volume(
-                        self.comm, data, self.mesh_name, self.arrays
-                    )
-            if image is None:
-                return True  # only the root holds the volume and renders
-            staged_bytes = image.nbytes
+                gdims, gorigin, gspacing, fragments = fetch(self.arrays)
+                arena = device.raw_view()
+            else:
+                device = None
+                gdims, gorigin, gspacing, fragments = local_uniform_fragments(
+                    data, self.mesh_name, self.arrays
+                )
+                arena = get_arena()
+            if sort_last:
+                staged_bytes = sum(
+                    vol.nbytes
+                    for _origin, _dims, payload in fragments
+                    for vol in payload.values()
+                )
+            else:
+                # a pythonscript render is handed fresh arrays it may
+                # keep, and allocates for itself; the pipeline borrows
+                lend = {} if self.pipeline is None else {"arena": arena}
+                image, volumes = assemble_uniform_volume(
+                    self.comm, self.arrays, gdims, gorigin, gspacing,
+                    fragments, **lend,
+                )
+                if image is None:
+                    return True  # only the root holds the volume and renders
+                staged_bytes = image.nbytes
         t0 = _time.perf_counter()
         if device is None:
             # host residency stages the resampled working set in
@@ -375,33 +343,20 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                     step,
                     time,
                     method=self.compositing,
-                    device=device,
+                    arena=arena,
                 )
         else:
-            with tel.tracer.span("catalyst.render", step=step, stage="render"):
-                if device is not None:
-                    from repro.occa.device import DeviceMemory
-                    from repro.occa.kernels import install_render_kernels
-
-                    # whole-pipeline fused launch on the assembled
-                    # device volume; frames stay device-resident
-                    outputs = install_render_kernels(device).render(
-                        self.render, image, step, time
-                    )
-                    outputs = [
-                        (name, DeviceMemory(device, rgb))
-                        for name, rgb in outputs
-                    ]
-                else:
-                    outputs = self.render(image, step, time)
-            if borrowed:
-                device.arena.release(*borrowed)
+            try:
+                with tel.tracer.span("catalyst.render", step=step, stage="render"):
+                    outputs = self.render(image, step, time, **lend)
+            finally:
+                arena.release(*volumes)
         if outputs is not None:
             self.output_dir.mkdir(parents=True, exist_ok=True)
             with tel.tracer.span("catalyst.write", step=step):
                 written = 0
                 for name, rgb in outputs:
-                    rgb = self._to_host_frame(rgb, step, tel)
+                    rgb = self._to_host_frame(rgb, device, step, tel)
                     with tel.tracer.span("catalyst.encode", step=step, stage="encode"):
                         data = encode_png(rgb)
                     with tel.tracer.span("catalyst.deliver", step=step, stage="deliver"):
@@ -422,19 +377,19 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                 ).inc(written)
         return True
 
-    def _to_host_frame(self, rgb, step: int, tel) -> "np.ndarray":
+    def _to_host_frame(self, rgb: np.ndarray, device, step: int, tel) -> np.ndarray:
         """Materialize one frame on the host for encoding.
 
-        Host residency: the frame already is a host array.  Device
-        residency: this is the *single* metered D2H of the step — the
-        composited tile, a few hundred KB, where the host path shipped
-        the full resampled working set — traced as ``catalyst.d2h``.
+        Host residency (`device` is None): the frame already is a host
+        array.  Device residency: `rgb` is device memory, and copying
+        it out is the *single* metered D2H of the step — the composited
+        tile, a few hundred KB, where the host path shipped the full
+        resampled working set — traced as ``catalyst.d2h``.
         """
-        from repro.occa.device import DeviceMemory
-
-        if not isinstance(rgb, DeviceMemory):
+        if device is None:
             return rgb
-        with tel.tracer.span("catalyst.d2h", step=step, nbytes=rgb.nbytes):
-            host = rgb.copy_to_host()
+        frame = DeviceMemory(device, rgb)
+        with tel.tracer.span("catalyst.d2h", step=step, nbytes=frame.nbytes):
+            host = frame.copy_to_host()
         self.peak_staging_bytes = max(self.peak_staging_bytes, host.nbytes)
         return host

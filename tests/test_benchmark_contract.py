@@ -224,6 +224,28 @@ def test_one_pool_class_and_one_mode_independent_frame_writer():
     assert not [n for n in names if n.endswith("_reference")]
 
 
+def test_residency_is_not_a_second_renderer():
+    """Source scan: the render code never learns where its arrays live.
+    ``repro.catalyst`` names no ``repro.occa``; ``._raw(`` is unwrapped
+    only by ``repro.occa`` and the data adaptor that serves the
+    fragments; and in the viz layers ``DeviceMemory`` is constructed
+    only where the finished frame is copied out."""
+    unwraps, wraps = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        if rel.startswith("catalyst/"):
+            assert "repro.occa" not in text, rel
+        if rel.startswith("occa/"):
+            continue
+        if "._raw(" in text:
+            unwraps.append(rel)
+        if "DeviceMemory(" in text and not rel.startswith("nekrs/"):
+            wraps.append(rel)  # nekrs: the solver wrapping its own fields
+    assert unwraps == ["insitu/adaptor.py"]
+    assert wraps == ["sensei/analyses/catalyst_adaptor.py"]
+
+
 def test_pressure_iteration_count_cannot_decay_silently():
     """The benchmark's pebble shape, steps 2-6 on one rank: the two-level
     preconditioner holds the pressure solve at 45-46 iterations (156-161

@@ -1,11 +1,11 @@
 """Device-resident render path: parity, PCIe accounting, allocations.
 
-The pipeline invariant under test (ISSUE 9): with ``residency="device"``
-the contour/slice/colormap/raster/composite stages run as registered
-``repro.occa`` kernels on :class:`DeviceMemory`, the only per-step D2H
-is the composited tile on the writing rank, and every rendered PNG is
-byte-identical to the host-resident path — optimized and under
-``naive_mode()`` alike.
+The pipeline invariant under test (ISSUE 9, restated by ISSUE 23): with
+``residency="device"`` the one render call graph runs on raw views of
+device buffers with all scratch from ``Device.arena``, the only
+per-step D2H is the composited tile on the writing rank, and every
+rendered PNG is byte-identical to the host-resident path — optimized
+and under ``naive_mode()`` alike.
 """
 
 import numpy as np
@@ -76,8 +76,10 @@ class TestGoldenParity:
         "case_name,ranks,comp",
         [
             ("pebble", 1, "gather"),
+            ("pebble", 4, "gather"),  # device-to-device scatter to the root
             ("pebble", 4, "binary_swap"),
             ("rbc", 6, "binary_swap"),  # non-pow2: direct-send fallback
+            ("rbc", 6, "direct_send"),
         ],
     )
     def test_device_matches_host_and_naive(self, tmp_path, case_name, ranks, comp):
@@ -209,6 +211,44 @@ class TestSteadyStateAllocations:
         assert scratch.outstanding == 0
         assert device.arena.outstanding == 0
         bridge.finalize()
+
+
+class TestOnePoolPerResidency:
+    @pytest.mark.parametrize("comp", ["gather", "binary_swap"])
+    def test_device_step_borrows_nothing_from_the_host_arena(self, tmp_path, comp):
+        """Contour + slice on 4 ranks: a device-resident viz step takes
+        every framebuffer, ghost volume, owner buffer and slice plane
+        from ``Device.arena`` — in both topologies — and returns them."""
+
+        def body(comm):
+            device = Device("cuda-sim")
+            solver = NekRSSolver(_case("pebble"), comm, device)
+            bridge = Bridge(
+                solver,
+                config_xml=XML.format(comp=comp, res="device"),
+                output_dir=tmp_path,
+            )
+            solver.run(1)
+            # the spectral resampling is a solver-side SEM contraction
+            # whose intermediates are the solver's own (host-arena)
+            # scratch; it is cached for the step, so stage it first and
+            # measure the render call graph alone
+            bridge.adaptor.device_uniform_fragments(("velocity_magnitude",))
+
+            def host_stats():
+                stats = get_arena().stats()
+                return [stats[k] for k in ("hits", "misses", "outstanding")]
+
+            before = host_stats()
+            bridge.update(solver.step_index, solver.time)
+            after = host_stats()
+            borrows = device.arena.hits + device.arena.misses
+            bridge.finalize()
+            return before == after, borrows, device.arena.outstanding
+
+        for unchanged, device_borrows, outstanding in run_spmd(4, body):
+            assert unchanged
+            assert device_borrows > 0 and outstanding == 0
 
 
 class TestResidencyValidation:

@@ -253,6 +253,14 @@ class TestDeviceArena(_ArenaContract):
             view.release(raw)  # already returned
         assert device.transfers.total_bytes == 0
 
+    def test_raw_view_adopt_ends_accounting_without_pooling(self, device, arena):
+        view = device.raw_view()
+        frame = view.borrow((2, 2, 3), np.uint8)
+        view.adopt(frame)  # escapes with the caller, like a finished frame
+        check_arena(arena, misses=1, pooled_arrays=0)
+        with pytest.raises(KeyError):
+            view.release(frame)  # no longer the view's to return
+
 
 class TestPublishStats:
     def test_gauges_exported(self):
