@@ -16,10 +16,11 @@ degradation sites.  These types carry the distinction:
 - :class:`CorruptPayloadError` — a BP payload failed its CRC32 check
   or is structurally unreadable.  Subclasses :class:`ValueError` for
   compatibility with the seed's marshaling errors.
-- :class:`RankStallError` — a rank missed a collective barrier: the
-  typed form of ``threading.BrokenBarrierError`` escaping a
-  thread-SPMD collective.  Subclasses :class:`TimeoutError` so the
-  SPMD driver's "prefer the root-cause exception" logic still holds.
+- :class:`RankStallError` — a thread-SPMD collective did not complete:
+  this rank timed out waiting for its peers, or the group was aborted
+  because another rank failed (the ``detail`` text says which).
+  Subclasses :class:`TimeoutError` so the SPMD driver's "prefer the
+  root-cause exception" logic still holds.
 """
 
 from __future__ import annotations

@@ -105,8 +105,8 @@ class TrafficMeter:
     **every participating rank** with the bytes that rank *receives*
     (ingress).  Ingress accounting is implementation-independent — a
     binomial-tree gather delivers the same logical bytes to the root as
-    a flat one — so optimized and reference collectives meter
-    identically, and ``peak_rank_bytes`` exposes the hot-spot rank
+    a flat one — so the metered bytes do not depend on the collective
+    algorithm, and ``peak_rank_bytes`` exposes the hot-spot rank
     (e.g. the root of a gather-to-root rendering pipeline).
     """
 
@@ -204,11 +204,10 @@ class Communicator(abc.ABC):
     # -- collectives ---------------------------------------------------
     #
     # The public methods validate, dispatch to an ``_*_impl`` hook, and
-    # meter ingress bytes per rank (see TrafficMeter).  The base-class
-    # impls below route everything through ``_allgather_impl`` — the
-    # textbook-correct but O(N * payload) reference algorithms that
-    # ``naive_mode()`` equivalence tests compare the optimized tree
-    # collectives in ThreadCommunicator against.
+    # meter ingress bytes per rank (see TrafficMeter).  The impls below
+    # route everything through ``_allgather_impl``, so a communicator
+    # provides one primitive and every rank combines the same
+    # rank-ordered values.
 
     @abc.abstractmethod
     def barrier(self) -> None: ...

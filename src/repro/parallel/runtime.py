@@ -62,9 +62,10 @@ def run_spmd(
 ) -> list:
     """Run `body(comm, *args)` on `nranks` ranks; return per-rank results.
 
-    Exceptions raised by any rank abort the whole group: the barrier is
-    broken so peers blocked in collectives fail fast, and the first
-    rank's exception (by rank order) is re-raised in the caller.
+    Exceptions raised by any rank abort the whole group: the world (and
+    every subgroup ``split`` from it) is aborted so peers parked in
+    collectives fail fast, and the first rank's exception (by rank
+    order) is re-raised in the caller.
     """
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
@@ -85,9 +86,9 @@ def run_spmd(
             results[r] = body(comms[r], *args)
         except BaseException as exc:  # noqa: BLE001 - must capture rank failures
             errors[r] = exc
-            # Break the group barrier so peers blocked in collectives
-            # raise instead of hanging until timeout.
-            comms[r]._world.barrier.abort()
+            # Abort the world so peers parked in collectives raise
+            # instead of hanging until timeout.
+            comms[r]._world.abort()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)

@@ -3,12 +3,17 @@
 Each rank runs in its own thread; all ranks of a group share a
 ``_World`` object that holds the synchronization state:
 
-- a reusable :class:`threading.Barrier` drives collectives via a
-  slot-exchange protocol (write your slot -> barrier -> read all slots
-  -> barrier), which is the textbook shared-memory allgather;
+- every collective is **one rendezvous** (:meth:`_World.exchange`):
+  under one lock each rank writes its slot and counts itself in, then
+  parks on its own pre-acquired lock (a C-level ``acquire``).  The last
+  arrival swaps the filled slot buffer for an empty one and releases
+  the parked ranks; every rank then copies the filled buffer into a
+  list of its own.  The swap is the double buffering that makes a
+  second barrier unnecessary: a fast rank's next exchange writes into
+  the fresh buffer, never into the one a slow rank is still reading;
 - point-to-point messages travel through per-(src, dest, tag) queues
-  created lazily under a lock and swept (LRU, empty-only) by the
-  barrier action so the mailbox table stays bounded.
+  created lazily under a lock and swept (LRU, empty-only) by the last
+  arrival of a rendezvous so the mailbox table stays bounded.
 
 Because NumPy releases the GIL for bulk array work, ranks overlap their
 compute phases for real, which is what lets instrumented runs measure
@@ -16,27 +21,22 @@ realistic contention between solver and in situ phases.
 
 Collectives
 -----------
-``bcast``/``gather``/``scatter``/``reduce`` run on a **binomial tree**
-(log2(N) rounds instead of the O(N)-payload two-barrier allgather) and
-``alltoall`` as a **pairwise exchange** (N-1 shifted rounds, each rank
-moving only what its peers actually need).  Payloads are passed by
-reference between threads, so the trees are zero-copy for NumPy
-arrays; ``reduce`` additionally stacks array contributions into
-scratch from the rank's host arena (:func:`repro.perf.get_arena`)
-before combining.  The allgather-based base-class algorithms in
-:class:`repro.parallel.comm.Communicator` remain the reference: under
-:func:`repro.perf.naive_mode` every collective routes through them,
-which is what the parity suite in ``tests/test_collectives_parity.py``
-exploits.
+``exchange`` is the one collective primitive.  ``barrier`` is an
+exchange of ``None``; every other collective runs the allgather-based
+algorithm of :class:`repro.parallel.comm.Communicator` over it, so each
+rank combines the same rank-ordered values and meters its own ingress
+(see :class:`repro.parallel.comm.TrafficMeter`).  Payloads pass by
+reference.  Per-op binomial trees and a pairwise alltoall over the
+mailboxes were measured slower than this single rendezvous
+(docs/performance.md) and are not kept.  Negative mailbox tags are
+reserved for internal traffic that meters itself (the sort-last
+compositor's ``_put`` / ``_take``).
 
-Tree collectives address peers by *virtual rank* ``(rank - root) %
-size`` so any root works; a non-root vrank ``v`` has parent
-``v - lowbit(v)`` and children ``v + m`` for each power of two
-``m < lowbit(v)``.  Internal messages travel through reserved negative
-tags (user tags are validated non-negative by ``send``/``recv``
-callers by convention) and are *not* metered as sends — each public
-collective records its own per-rank ingress bytes (see
-:class:`repro.parallel.comm.TrafficMeter`).
+A rank parked past its ``timeout`` aborts the world and raises
+:class:`~repro.faults.errors.RankStallError`.  :meth:`_World.abort`
+(``run_spmd`` calls it when a rank raises) wakes every parked rank with
+the same error, worded as an abort, and cascades to the worlds
+:meth:`ThreadCommunicator.split` created from this one.
 """
 
 from __future__ import annotations
@@ -44,36 +44,19 @@ from __future__ import annotations
 import queue
 import threading
 
-import numpy as np
-
 from repro.faults.errors import RankStallError
-from repro.observe import get_telemetry
-from repro.parallel.comm import (
-    Communicator,
-    ReduceOp,
-    TrafficMeter,
-    _combine,
-    payload_nbytes,
-)
-from repro.perf import config as perf_config
+from repro.parallel.comm import Communicator, TrafficMeter, payload_nbytes
 
-#: reserved internal tags for tree-collective hops (distinct per op so
-#: overlapping collectives of different kinds can never cross wires;
-#: per-(src, dest, tag) FIFO ordering keeps back-to-back collectives of
-#: the *same* kind in order)
-_TAG_BCAST = -101
-_TAG_GATHER = -102
-_TAG_SCATTER = -103
-_TAG_REDUCE = -104
-_TAG_ALLTOALL = -105
+_TIMED_OUT = "timed out waiting for the other ranks"
+_ABORTED = "the group was aborted because another rank failed"
 
 
 class _World:
     """Shared state for one thread-communicator group."""
 
     #: soft cap on live mailbox queues; crossing it triggers an LRU
-    #: sweep of *empty* queues at the next barrier (safe point: every
-    #: rank is parked in ``Barrier.wait`` while the action runs)
+    #: sweep of *empty* queues at the next rendezvous (safe point: every
+    #: other rank is parked while the last arrival runs it)
     mailbox_cap: int = 64
 
     def __init__(self, size: int, meter: TrafficMeter):
@@ -81,13 +64,21 @@ class _World:
             raise ValueError(f"communicator size must be >= 1, got {size}")
         self.size = size
         self.meter = meter
-        self.barrier = threading.Barrier(size, action=self._sweep_mailboxes)
-        self.slots: list = [None] * size
         self.mailbox_lock = threading.Lock()
         self.mailboxes: dict[tuple[int, int, int], queue.Queue] = {}
-        # split() rendezvous: one shared cell per generation
-        self.split_lock = threading.Lock()
-        self.split_result: dict | None = None
+        # rendezvous state, guarded by _lock
+        self._lock = threading.Lock()
+        self._slots: list = [None] * size
+        self._arrived: list[int] = []  # ranks parked in the open exchange
+        self._result: list = []  # filled buffer of the last exchange
+        self._generation = 0
+        self._aborted = False
+        self._children: list[_World] = []  # worlds split from this one
+        # one lock per rank, held while it is not parked; parking is an
+        # acquire that the last arrival (or an abort) releases
+        self._parked = [threading.Lock() for _ in range(size)]
+        for lock in self._parked:
+            lock.acquire()
 
     def mailbox(self, src: int, dest: int, tag: int) -> queue.Queue:
         key = (src, dest, tag)
@@ -100,12 +91,12 @@ class _World:
             return q
 
     def _sweep_mailboxes(self) -> None:
-        """Barrier action: drop cold empty queues once over the cap.
+        """Drop cold empty queues once over the cap.
 
-        Runs in exactly one thread while all `size` ranks are blocked
-        inside ``Barrier.wait`` — no rank can be mid-``send``/``recv``
-        (they would not have reached the barrier), so removing an empty
-        queue cannot lose a message.
+        Runs in the last arrival of a rendezvous while every other rank
+        is parked — no rank can be mid-``send``/``recv`` (they would not
+        have reached the rendezvous), so removing an empty queue cannot
+        lose a message.
         """
         if len(self.mailboxes) <= self.mailbox_cap:
             return
@@ -115,6 +106,61 @@ class _World:
                     break
                 if self.mailboxes[key].empty():
                     del self.mailboxes[key]
+
+    # -- rendezvous --------------------------------------------------------
+    def exchange(self, obj, rank: int, timeout: float, channel: str) -> list:
+        """Collective: every rank's `obj` in rank order, as a new list."""
+        if self.size == 1:
+            return [obj]
+        with self._lock:
+            if self._aborted:
+                raise RankStallError(rank, channel, timeout, detail=_ABORTED)
+            self._slots[rank] = obj
+            if len(self._arrived) == self.size - 1:
+                return list(self._complete())
+            self._arrived.append(rank)
+            generation = self._generation
+        parked = self._parked[rank]
+        if not parked.acquire(timeout=timeout):
+            with self._lock:
+                if self._generation == generation and not self._aborted:
+                    self._abort()
+                    raise RankStallError(rank, channel, timeout, detail=_TIMED_OUT)
+            # a peer completed or aborted the exchange after the timeout
+            # fired; its release is in, so this returns at once
+            parked.acquire()
+        if self._generation == generation:
+            raise RankStallError(rank, channel, timeout, detail=_ABORTED)
+        return list(self._result)
+
+    def _complete(self) -> list:
+        """Close the open exchange (last arrival, `_lock` held)."""
+        self._sweep_mailboxes()
+        filled, self._slots = self._slots, [None] * self.size
+        self._result = filled
+        self._generation += 1
+        for r in self._arrived:
+            self._parked[r].release()
+        self._arrived.clear()
+        return filled
+
+    def adopt(self, child: "_World") -> None:
+        """Abort `child` whenever this world aborts."""
+        with self._lock:
+            self._children.append(child)
+
+    def abort(self) -> None:
+        """Fail every parked and future exchange here and in child worlds."""
+        with self._lock:
+            self._abort()
+
+    def _abort(self) -> None:
+        self._aborted = True
+        for r in self._arrived:
+            self._parked[r].release()
+        self._arrived.clear()
+        for child in self._children:
+            child.abort()
 
 
 class ThreadCommunicator(Communicator):
@@ -178,7 +224,7 @@ class ThreadCommunicator(Communicator):
         return self._take(source, tag)
 
     def _put(self, obj, dest: int, tag: int) -> None:
-        """Unmetered internal enqueue (collective hops meter themselves)."""
+        """Unmetered internal enqueue (the caller meters its own traffic)."""
         self._world.mailbox(self._rank, dest, tag).put(obj)
 
     def _take(self, source: int, tag: int):
@@ -198,168 +244,18 @@ class ThreadCommunicator(Communicator):
 
     # -- collectives -------------------------------------------------------
     def barrier(self) -> None:
-        self._wait(self._world.barrier)
-
-    def _wait(self, barrier: threading.Barrier) -> None:
-        try:
-            barrier.wait(timeout=self.timeout)
-        except threading.BrokenBarrierError:
-            raise RankStallError(
-                self._rank,
-                self.channel,
-                self.timeout,
-                detail="another rank likely raised, stalled, or deadlocked",
-            ) from None
+        self._world.exchange(None, self._rank, self.timeout, self.channel)
 
     def _allgather_impl(self, obj) -> list:
-        world = self._world
-        world.slots[self._rank] = obj
-        self._wait(world.barrier)
-        result = list(world.slots)
-        self._wait(world.barrier)
-        return result
-
-    # -- binomial-tree collectives ---------------------------------------
-    #
-    # vrank = (rank - root) % size maps the tree onto any root.  lowbit
-    # of a non-root vrank names its parent (v - lowbit) and bounds its
-    # children (v + m, power-of-two m < lowbit); vrank 0 parents every
-    # power of two below the next power of two >= size.
-
-    def _tree_geometry(self, root: int) -> tuple[int, int]:
-        """(vrank, lowbit) for this rank in the binomial tree at `root`."""
-        vrank = (self._rank - root) % self.size
-        if vrank == 0:
-            peak = 1
-            while peak < self.size:
-                peak <<= 1
-            return 0, peak
-        return vrank, vrank & -vrank
-
-    def _bcast_impl(self, obj, root: int):
-        if self.size == 1 or not perf_config.enabled():
-            return super()._bcast_impl(obj, root)
-        size = self.size
-        vrank, lowbit = self._tree_geometry(root)
-        with get_telemetry().tracer.span("comm.bcast_tree", root=root):
-            if vrank:
-                obj = self._take((root + vrank - lowbit) % size, _TAG_BCAST)
-            m = lowbit >> 1
-            while m:
-                if vrank + m < size:
-                    self._put(obj, (root + vrank + m) % size, _TAG_BCAST)
-                m >>= 1
-        return obj
-
-    def _gather_refs(self, obj, root: int, tag: int) -> list | None:
-        """Binomial gather of raw references, vrank-ordered sublists.
-
-        Child subtrees span contiguous vrank ranges, so extending in
-        ascending child order keeps the bundle sorted; the root ends up
-        with ``sub[i]`` holding vrank ``i``'s contribution.
-        """
-        size = self.size
-        vrank, lowbit = self._tree_geometry(root)
-        sub = [obj]
-        m = 1
-        while m < lowbit and vrank + m < size:
-            sub.extend(self._take((root + vrank + m) % size, tag))
-            m <<= 1
-        if vrank:
-            self._put(sub, (root + vrank - lowbit) % size, tag)
-            return None
-        return sub
-
-    def _gather_impl(self, obj, root: int) -> list | None:
-        if self.size == 1 or not perf_config.enabled():
-            return super()._gather_impl(obj, root)
-        with get_telemetry().tracer.span("comm.gather_tree", root=root):
-            sub = self._gather_refs(obj, root, _TAG_GATHER)
-            if sub is None:
-                return None
-            # rotate from vrank order back to rank order
-            return [sub[(r - root) % self.size] for r in range(self.size)]
-
-    def _scatter_impl(self, objs, root: int):
-        if self.size == 1 or not perf_config.enabled():
-            return super()._scatter_impl(objs, root)
-        size = self.size
-        vrank, lowbit = self._tree_geometry(root)
-        with get_telemetry().tracer.span("comm.scatter_tree", root=root):
-            if self._rank == root:
-                bundle = [objs[(root + v) % size] for v in range(size)]
-            else:
-                bundle = self._take((root + vrank - lowbit) % size, _TAG_SCATTER)
-            m = lowbit >> 1
-            while m:
-                if vrank + m < size:
-                    self._put(bundle[m:], (root + vrank + m) % size, _TAG_SCATTER)
-                    bundle = bundle[:m]
-                m >>= 1
-        return bundle[0]
-
-    def _reduce_impl(self, value, op: ReduceOp, root: int):
-        if self.size == 1 or not perf_config.enabled():
-            return super()._reduce_impl(value, op, root)
-        with get_telemetry().tracer.span("comm.reduce_tree", root=root):
-            sub = self._gather_refs(value, root, _TAG_REDUCE)
-            if sub is None:
-                return None
-            # combine once at the root in *rank* order so the float
-            # summation order matches the allgather-based reference
-            # bit for bit
-            values = [sub[(r - root) % self.size] for r in range(self.size)]
-            return self._combine_fast(op, values)
-
-    def _combine_fast(self, op: ReduceOp, values):
-        """`_combine`, staging array stacks in arena scratch.
-
-        Mirrors ``np.stack(values).<op>(axis=0)`` exactly (same layout,
-        same reduction order) so results stay bitwise identical to the
-        reference; only the temporary stack avoids the allocator.
-        """
-        first = values[0]
-        if (
-            isinstance(first, np.ndarray)
-            and op in (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX, ReduceOp.PROD)
-            and all(
-                isinstance(v, np.ndarray)
-                and v.shape == first.shape
-                and v.dtype == first.dtype
-                for v in values[1:]
-            )
-        ):
-            from repro.perf.arena import get_arena
-
-            arena = get_arena()
-            with arena.scratch((len(values),) + first.shape, first.dtype) as stk:
-                np.stack(values, out=stk)
-                if op is ReduceOp.SUM:
-                    return stk.sum(axis=0)
-                if op is ReduceOp.MIN:
-                    return stk.min(axis=0)
-                if op is ReduceOp.MAX:
-                    return stk.max(axis=0)
-                return stk.prod(axis=0)
-        return _combine(op, values)
-
-    def _alltoall_impl(self, objs) -> list:
-        if self.size == 1 or not perf_config.enabled():
-            return super()._alltoall_impl(objs)
-        size, rank = self.size, self._rank
-        result = [None] * size
-        result[rank] = objs[rank]
-        with get_telemetry().tracer.span("comm.alltoall_pairwise"):
-            for shift in range(1, size):
-                dest = (rank + shift) % size
-                src = (rank - shift) % size
-                self._put(objs[dest], dest, _TAG_ALLTOALL)
-                result[src] = self._take(src, _TAG_ALLTOALL)
-        return result
+        return self._world.exchange(obj, self._rank, self.timeout, self.channel)
 
     # -- subgroups -----------------------------------------------------
     def split(self, color: int, key: int | None = None) -> "ThreadCommunicator":
-        """Collective: partition ranks by color into new thread groups."""
+        """Collective: partition ranks by color into new thread groups.
+
+        Subgroups keep this handle's ``timeout`` and are aborted with
+        this group.
+        """
         entries = self.allgather((color, self._rank if key is None else key, self._rank))
         # Build group membership deterministically on every rank.
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -372,10 +268,13 @@ class ThreadCommunicator(Communicator):
         my_world = None
         if new_rank == 0:
             my_world = _World(len(members), self.meter)
+            self._world.adopt(my_world)
         published = self.allgather((color, my_world))
         for c, w in published:
             if c == color and w is not None:
                 my_world = w
                 break
         assert my_world is not None
-        return ThreadCommunicator(my_world, new_rank, self.channel)
+        sub = ThreadCommunicator(my_world, new_rank, self.channel)
+        sub.timeout = self.timeout
+        return sub

@@ -127,21 +127,18 @@ def _kernel_rasterize_mesh():
     return run
 
 
-def _spmd_seconds(body, nranks: int, modeled: bool):
-    """Run an SPMD workload once and return its measured seconds.
+def _spmd_seconds(body, nranks: int):
+    """Run an SPMD workload once and return its machine-modeled seconds.
 
     ``perf.config.enabled`` is thread-local, so the gate's
     ``naive_mode()`` (entered in the main thread) is captured here and
     re-applied inside every rank body — otherwise spawned ranks would
     silently run the optimized paths during the reference measurement.
 
-    With `modeled` False the result is aggregate rank CPU time — on
-    this container every rank shares one core, so summed thread time is
-    what wall-clock pays, minus scheduler noise.  With `modeled` True
-    the result is machine-modeled: the slowest rank's CPU seconds plus
-    Hockney wire time for its metered ingress bytes on the paper
-    machine's fabric (per-rank attribution makes the gather hot spot
-    visible, which wall-clock on one shared core never could).
+    The result is the slowest rank's CPU seconds plus Hockney wire time
+    for its metered ingress bytes on the paper machine's fabric
+    (per-rank attribution makes the gather hot spot visible, which
+    wall-clock on one shared core never could).
     """
     from repro.machine.netmodel import NetworkModel
     from repro.machine.specs import POLARIS
@@ -158,32 +155,12 @@ def _spmd_seconds(body, nranks: int, modeled: bool):
         return time.thread_time() - t0
 
     cpu = run_spmd(nranks, rank_body, meter=meter)
-    if not modeled:
-        return float(sum(cpu))
     net = NetworkModel(POLARIS)
     per_rank = meter.per_rank_bytes()
     hops = 3  # typical inter-group route for a multi-node job
     return float(max(
         c + net.p2p_time(per_rank.get(r, 0), hops) for r, c in enumerate(cpu)
     ))
-
-
-def _kernel_collectives():
-    from repro.parallel import ReduceOp
-
-    nranks, rounds = 8, 50
-    arr = np.arange(4096, dtype=np.float64)
-
-    def body(comm):
-        for _ in range(rounds):
-            comm.bcast(arr if comm.rank == 0 else None)
-            comm.gather(arr)
-            comm.scatter([arr] * comm.size if comm.rank == 0 else None)
-            comm.reduce(arr, ReduceOp.SUM)
-
-    # binomial trees / pairwise exchange vs the two-barrier slot
-    # allgather: same results bit for bit, fewer synchronization hops
-    return lambda: _spmd_seconds(body, nranks, modeled=False)
 
 
 def _kernel_compositing():
@@ -248,7 +225,7 @@ def _kernel_compositing():
             if gathered is not None:
                 pipeline.render(assemble(), step=0, time=0.0)
 
-    return lambda: _spmd_seconds(body, nranks, modeled=True)
+    return lambda: _spmd_seconds(body, nranks)
 
 
 KERNELS = {
@@ -257,7 +234,6 @@ KERNELS = {
     "cg_solve": _kernel_cg_solve,
     "solver_step": _kernel_solver_step,
     "rasterize_mesh": _kernel_rasterize_mesh,
-    "collectives": _kernel_collectives,
     "compositing": _kernel_compositing,
 }
 

@@ -1,13 +1,16 @@
 """Collective-semantics parity and metering regression tests.
 
-The tree collectives in ``ThreadCommunicator`` must be *indistinguishable*
-from the allgather-based reference algorithms in ``Communicator`` — same
-results bit for bit (including float summation order), same metered
-traffic — for every payload shape the codebase sends: scalars, ragged
-lists, float64 and bool arrays, at group sizes both power-of-two and
-ragged.  ``naive_mode()`` routes the same public API through the
-reference impls, which is what makes the comparison honest.
+Every collective of ``ThreadCommunicator`` must equal its definition
+bit for bit — ``allgather`` is the payload list, ``reduce`` and
+``allreduce`` are a rank-order fold (which fixes the float summation
+order), and so on — for every payload shape the codebase sends:
+scalars, ragged lists, float64 and bool arrays, at group sizes both
+power-of-two and ragged.  Metered traffic is per-rank ingress whatever
+the algorithm.
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -61,6 +64,42 @@ def _exercise(comm, kind):
     return out
 
 
+#: each op as a pairwise step, folded over ranks 0, 1, ..., size-1
+_FOLD = {
+    "sum": operator.add,
+    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
+    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
+    "lor": np.logical_or,
+    "land": np.logical_and,
+}
+
+
+def _definitions(kind, size, rank):
+    """What `_exercise` must return on `rank`, from first principles."""
+    root = size // 2
+    mine = [_payload(kind, r) for r in range(size)]
+
+    def fold(op):
+        return functools.reduce(_FOLD[op], mine)
+
+    out = {
+        "allgather": mine,
+        "bcast": _payload(kind, 7),
+        "gather": mine if rank == root else None,
+        "scatter": _payload(kind, rank + 1),
+        "alltoall": [_payload(kind, src + rank) for src in range(size)],
+    }
+    if kind in ("scalar", "float64"):
+        out["reduce_sum"] = fold("sum") if rank == root else None
+        out["reduce_min"] = fold("min") if rank == root else None
+        out["allreduce_sum"] = fold("sum")
+        out["allreduce_max"] = fold("max")
+    if kind == "bool":
+        out["reduce_lor"] = fold("lor") if rank == root else None
+        out["allreduce_land"] = fold("land")
+    return out
+
+
 def _assert_same(a, b, path=""):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), path
@@ -83,18 +122,10 @@ class TestTreeReferenceParity:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("kind", KINDS)
     def test_tree_matches_reference(self, size, kind):
-        """Optimized collectives == allgather reference, bit for bit."""
-
-        def naive_body(comm):
-            # perf.config.enabled is thread-local: enter naive mode
-            # inside each rank body so the flag is uniform group-wide
-            with naive_mode():
-                return _exercise(comm, kind)
-
-        optimized = run_spmd(size, lambda c: _exercise(c, kind))
-        reference = run_spmd(size, naive_body)
-        for rank, (opt, ref) in enumerate(zip(optimized, reference)):
-            _assert_same(opt, ref, f"rank{rank}")
+        """Every collective == its definition, bit for bit."""
+        results = run_spmd(size, lambda c: _exercise(c, kind))
+        for rank, got in enumerate(results):
+            _assert_same(got, _definitions(kind, size, rank), f"rank{rank}")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_serial_matches_single_rank_group(self, kind):
@@ -104,7 +135,7 @@ class TestTreeReferenceParity:
 
     @pytest.mark.parametrize("size", [3, 4, 7, 8])
     def test_every_root(self, size):
-        """Tree collectives work for any root, not just rank 0."""
+        """Rooted collectives work for any root, not just rank 0."""
 
         def body(comm):
             out = []
@@ -127,6 +158,49 @@ class TestTreeReferenceParity:
                 assert g == ([2 * x for x in range(size)] if rank == root else None)
                 assert s == 100 + rank
                 assert r == (size * (size + 1) // 2 if rank == root else None)
+
+
+class TestRendezvous:
+    """Back-to-back exchanges reuse the world's state without a barrier."""
+
+    @pytest.mark.parametrize("size", [2, 3, 8])
+    def test_back_to_back_collectives_without_barriers(self, size):
+        rounds = 500
+
+        def body(comm):
+            bad = []
+            for i in range(rounds):
+                if i % 3 == 0:
+                    got = comm.allreduce(comm.rank + i)
+                    want = size * i + size * (size - 1) // 2
+                elif i % 3 == 1:
+                    got = comm.allgather((comm.rank, i))
+                    want = [(r, i) for r in range(size)]
+                else:
+                    root = i % size
+                    got = comm.bcast((root, i) if comm.rank == root else None, root)
+                    want = (root, i)
+                if got != want:
+                    bad.append((i, got, want))
+            return bad
+
+        assert run_spmd(size, body) == [[]] * size
+
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_mutating_a_returned_list_leaves_peers_intact(self, size):
+        def body(comm):
+            bad = []
+            for i in range(50):
+                values = comm.allgather((comm.rank, i))
+                if comm.rank == 0:
+                    values.clear()
+                    values.append("mutated")
+                comm.barrier()  # rank 0's mutation is done before anyone checks
+                if comm.rank != 0 and values != [(r, i) for r in range(size)]:
+                    bad.append((i, values))
+            return bad
+
+        assert run_spmd(size, body) == [[]] * size
 
 
 class TestMeteringRegression:

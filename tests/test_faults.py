@@ -355,6 +355,7 @@ class TestRankStall:
         assert err.value.rank == 0
         assert err.value.channel == "default"
         assert "stalled" in str(err.value)
+        assert "timed out" in str(err.value)  # not "aborted": nobody failed
         assert isinstance(err.value, TimeoutError)  # SPMD driver contract
 
 

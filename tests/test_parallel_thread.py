@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults.errors import RankStallError
 from repro.parallel import ReduceOp, ThreadCommunicator, run_spmd
 from repro.parallel.comm import TrafficMeter
 
@@ -158,6 +159,13 @@ class TestSplit:
 
         assert run_spmd(4, body) == [1, 1, 1, 1]
 
+    def test_split_keeps_the_timeout(self):
+        def body(c):
+            sub = c.split(c.rank % 2)
+            return (sub.timeout, sub.split(0).timeout)
+
+        assert run_spmd(4, body, timeout=3) == [(3, 3)] * 4
+
 
 class TestRuntime:
     def test_exception_propagates(self):
@@ -169,6 +177,28 @@ class TestRuntime:
 
         with pytest.raises(RuntimeError, match="rank 1 exploded"):
             run_spmd(3, body)
+
+    def test_failure_aborts_split_subgroups(self):
+        """A peer parked in a subgroup collective fails by abort, not by
+        waiting out its timeout (the conftest watchdog catches a hang)."""
+        stalls = []
+
+        def body(c):
+            sub = c.split(0 if c.rank == 0 else 1)
+            if c.rank == 0:
+                raise RuntimeError("rank 0 exploded")
+            if c.rank == 1:  # rank 2 never joins this allreduce
+                try:
+                    sub.allreduce(1)
+                except RankStallError as exc:
+                    stalls.append(str(exc))
+                    raise
+            return True
+
+        with pytest.raises(RuntimeError, match="rank 0 exploded"):
+            run_spmd(3, body)
+        assert len(stalls) == 1
+        assert "aborted" in stalls[0] and "timed out" not in stalls[0]
 
     def test_single_rank_is_serial(self):
         from repro.parallel import SerialCommunicator
