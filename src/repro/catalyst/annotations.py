@@ -8,6 +8,8 @@ characters annotations need; no font files, no dependencies.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.catalyst.colormaps import apply_colormap
@@ -46,11 +48,20 @@ _GLYPHS: dict[str, tuple[str, ...]] = {
     "c": ("00000", "00000", "01110", "10001", "10000", "10001", "01110"),
     "o": ("00000", "00000", "01110", "10001", "10001", "10001", "01110"),
     "d": ("00001", "00001", "01111", "10001", "10001", "10001", "01111"),
+    "f": ("00110", "01001", "01000", "11100", "01000", "01000", "01000"),
     "l": ("01100", "00100", "00100", "00100", "00100", "00100", "01110"),
 }
 
 GLYPH_WIDTH = 5
 GLYPH_HEIGHT = 7
+
+# Boolean glyph atlas, (glyphs, rows, GLYPH_WIDTH + 1): the last column
+# is the blank advance gap, so a string's mask is its glyphs side by side.
+_INDEX = {ch: i for i, ch in enumerate(_GLYPHS)}
+_ATLAS = np.array(
+    [[[bit == "1" for bit in row + "0"] for row in g] for g in _GLYPHS.values()]
+)
+_ATLAS.flags.writeable = False
 
 
 def text_extent(text: str, scale: int = 1) -> tuple[int, int]:
@@ -73,22 +84,22 @@ def draw_text(
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
+    chars = text.lower()
+    if not chars:
+        return image
+    blank = _INDEX[" "]
+    glyphs = _ATLAS[[_INDEX.get(ch, blank) for ch in chars]]
+    mask = glyphs.transpose(1, 0, 2).reshape(GLYPH_HEIGHT, -1)
+    if scale > 1:
+        mask = mask.repeat(scale, axis=0).repeat(scale, axis=1)
     h, w = image.shape[:2]
-    col = np.asarray(color, dtype=np.uint8)
-    cx = x
-    for ch in text.lower():
-        glyph = _GLYPHS.get(ch, _GLYPHS[" "])
-        for gy, row in enumerate(glyph):
-            for gx, bit in enumerate(row):
-                if bit != "1":
-                    continue
-                py0 = y + gy * scale
-                px0 = cx + gx * scale
-                py1, px1 = py0 + scale, px0 + scale
-                if px1 <= 0 or py1 <= 0 or px0 >= w or py0 >= h:
-                    continue
-                image[max(py0, 0) : min(py1, h), max(px0, 0) : min(px1, w)] = col
-        cx += (GLYPH_WIDTH + 1) * scale
+    y0, x0 = max(y, 0), max(x, 0)
+    y1, x1 = min(y + mask.shape[0], h), min(x + mask.shape[1], w)
+    if y1 > y0 and x1 > x0:
+        region = image[y0:y1, x0:x1]
+        region[mask[y0 - y : y1 - y, x0 - x : x1 - x]] = np.asarray(
+            color, dtype=np.uint8
+        )
     return image
 
 
@@ -98,6 +109,14 @@ def _format_value(v: float) -> str:
     if 0.01 <= abs(v) < 10000:
         return f"{v:.3g}"
     return f"{v:.1e}"
+
+
+@functools.lru_cache(maxsize=32)
+def _colorbar_ramp(bar_h: int, colormap: str) -> np.ndarray:
+    """Read-only ``(bar_h, 3)`` colorbar colours, top (high) to bottom."""
+    colors = apply_colormap(np.linspace(1.0, 0.0, bar_h), 0.0, 1.0, colormap)
+    colors.flags.writeable = False
+    return colors
 
 
 def draw_colorbar(
@@ -115,9 +134,9 @@ def draw_colorbar(
     left = w - margin - width
     if left < 0:
         raise ValueError("image too narrow for a colorbar")
-    ramp = np.linspace(1.0, 0.0, bar_h)
-    colors = apply_colormap(ramp, 0.0, 1.0, colormap)
-    image[top : top + bar_h, left : left + width] = colors[:, None, :]
+    image[top : top + bar_h, left : left + width] = _colorbar_ramp(
+        bar_h, colormap
+    )[:, None, :]
     # thin border
     image[top - 1, left - 1 : left + width + 1] = 255
     image[top + bar_h, left - 1 : left + width + 1] = 255

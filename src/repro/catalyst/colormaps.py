@@ -75,18 +75,30 @@ def apply_colormap(
         raise KeyError(f"unknown colormap {name!r}; known: {colormap_names()}")
     table = _MAPS[name]
     vals = np.asarray(values, dtype=float)
-    nan_mask = ~np.isfinite(vals)
+    bad = ~np.isfinite(vals)
+    clean = not bad.any()
     lo = float(np.nanmin(vals)) if vmin is None else float(vmin)
     hi = float(np.nanmax(vals)) if vmax is None else float(vmax)
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
-        t = np.zeros_like(vals)
+        pos = np.zeros_like(vals)
     else:
-        t = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
-    t = np.where(nan_mask, 0.0, t)
-    pos = t * (len(table) - 1)
-    i0 = np.floor(pos).astype(int)
+        pos = vals - lo
+        pos /= hi - lo
+        np.clip(pos, 0.0, 1.0, out=pos)
+        if not clean:
+            pos[bad] = 0.0
+        pos *= len(table) - 1
+    # pos >= 0, so truncation is floor
+    i0 = pos.astype(np.intp)
     i1 = np.minimum(i0 + 1, len(table) - 1)
     frac = (pos - i0)[..., None]
-    rgb = table[i0] * (1.0 - frac) + table[i1] * frac
-    rgb[nan_mask] = 0.5
-    return (rgb * 255.0 + 0.5).astype(np.uint8)
+    rgb = np.take(table, i0, axis=0)
+    rgb *= 1.0 - frac
+    upper = np.take(table, i1, axis=0)
+    upper *= frac
+    rgb += upper
+    if not clean:
+        rgb[bad] = 0.5
+    rgb *= 255.0
+    rgb += 0.5
+    return rgb.astype(np.uint8)

@@ -32,6 +32,8 @@ extent), a huge or overflowing extent — keeps the loop's full box.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.catalyst.camera import Camera
@@ -362,10 +364,18 @@ def apply_background_gradient(
     sort-last compositor, which must apply the identical backdrop to a
     *composited* framebuffer on the root rank.
     """
-    height, width = depth.shape
-    t = np.linspace(0.0, 1.0, height)[:, None, None]
-    grad = (1 - t) * np.asarray(top, float) + t * np.asarray(bottom, float)
-    untouched = ~np.isfinite(depth)
-    color[untouched] = np.broadcast_to(
-        grad, (height, width, 3)
-    )[untouched].astype(np.uint8)
+    rows = _gradient_rows(
+        depth.shape[0], tuple(map(float, top)), tuple(map(float, bottom))
+    )
+    np.copyto(color, rows[:, None], where=~np.isfinite(depth)[..., None])
+
+
+@functools.lru_cache(maxsize=16)
+def _gradient_rows(
+    height: int, top: tuple[float, ...], bottom: tuple[float, ...]
+) -> np.ndarray:
+    """Read-only ``(height, 3)`` uint8 backdrop, one colour per row."""
+    t = np.linspace(0.0, 1.0, height)[:, None]
+    rows = ((1 - t) * np.asarray(top) + t * np.asarray(bottom)).astype(np.uint8)
+    rows.flags.writeable = False
+    return rows

@@ -50,16 +50,16 @@ def encode_png(image: np.ndarray, compress_level: int = 6) -> bytes:
         raise ValueError("image must have nonzero dimensions")
     color_type = _COLOR_TYPE[c]
 
-    # Filter type 1 (Sub): each byte minus the byte `c` samples to its left.
-    left = np.zeros_like(img)
-    left[:, 1:, :] = img[:, :-1, :]
-    filtered = (img.astype(np.int16) - left.astype(np.int16)) % 256
+    # Filter type 1 (Sub): each byte minus the byte `c` samples to its
+    # left, written straight into the scanlines (uint8 wraps mod 256).
     raw = np.empty((h, 1 + w * c), dtype=np.uint8)
     raw[:, 0] = 1
-    raw[:, 1:] = filtered.astype(np.uint8).reshape(h, w * c)
+    lines = raw[:, 1:].reshape(h, w, c)
+    lines[:, 0] = img[:, 0]
+    np.subtract(img[:, 1:], img[:, :-1], out=lines[:, 1:])
 
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    idat = zlib.compress(raw.tobytes(), compress_level)
+    idat = zlib.compress(raw, compress_level)
     return b"".join(
         [
             _SIGNATURE,

@@ -43,6 +43,12 @@ class TestDrawText:
         draw_text(img, 2, 2, "@#$")
         assert img.sum() == 0
 
+    def test_inf_label_has_every_letter(self):
+        img = blank(16, 32)
+        draw_text(img, 0, 0, "inf")
+        for cell in range(3):
+            assert img[:, cell * 6 : cell * 6 + 5].any(), cell
+
     def test_scale(self):
         small, big = blank(), blank()
         draw_text(small, 0, 0, "1", scale=1)
