@@ -18,13 +18,12 @@ Experiment drivers (one per paper artifact):
 - :mod:`repro.bench.fig5` — RBC in transit weak scaling, time/step
 - :mod:`repro.bench.fig6` — RBC in transit memory per node
 - :mod:`repro.bench.ablations` — in situ frequency, SST queue, ratio
-- :mod:`repro.bench.robustness` — fault-injected in transit runs:
-  endpoint crash + payload corruption, FaultLog accounting
-- :mod:`repro.bench.serving` — serving-mesh fan-out load test: up to
-  100k loopback viewers, backpressure, churn, relay loss, latency
 
 Each driver has a ``run(...) -> Table`` and is executable as
-``python -m repro.bench.figN``.
+``python -m repro.bench.figN``.  Wall-clock cost of whole workflows
+(including the in transit, fault-tolerant and serving paths) is
+measured in one place, the ``benchmarks/e2e`` harness; fault, fleet
+and serving behaviour is pinned by deterministic tests.
 """
 
 from repro.bench.measure import measure_insitu_profile, measure_intransit_profiles

@@ -21,10 +21,7 @@ from repro.bench import (
     fig3,
     fig5,
     fig6,
-    fleet,
     live_telemetry,
-    robustness,
-    serving,
     storage,
 )
 from repro.bench.replay import predict_insitu_run
@@ -84,23 +81,10 @@ def build_report(quick: bool = True) -> str:
                           ablations.insitu_frequency(measure_kwargs=pb_kwargs)))
     parts.append(_section("Ablation — SST queue policy", ablations.sst_queue()))
     parts.append(_section("Ablation — endpoint ratio", ablations.endpoint_ratio()))
-    parts.append(_section("Robustness — fault-tolerant in transit",
-                          robustness.fault_tolerance()))
-    parts.append(_section("Fleet — endpoint-loss recovery SLO",
-                          fleet.recovery_slo()))
-    parts.append(_section("Fleet — elastic weak scaling",
-                          fleet.weak_scaling()))
     parts.append(_section(
         "Compression — codec ratios and modeled 1120-rank step",
         compression.run(measure_kwargs=QUICK_CODEC if quick else None),
     ))
-    serve_kwargs = (
-        dict(clients=64, frames=20, relays=2, workers=4, probe_clients=8)
-        if quick else {}
-    )
-    serve_kwargs["codec"] = "delta-rle"
-    parts.append(_section("Serving — multi-client frame fan-out",
-                          serving.mesh_serving_table(**serve_kwargs)))
     parts.append(_section("Observability — live telemetry plane overhead",
                           live_telemetry.overhead_table()))
     return "\n".join(parts)

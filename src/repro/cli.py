@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.util.sizes import format_bytes
 
 _CASES = ("cavity", "pebble", "rbc")
-_FIGURES = ("fig2", "fig3", "fig5", "fig6", "storage", "ablations", "fleet",
+_FIGURES = ("fig2", "fig3", "fig5", "fig6", "storage", "ablations",
             "compression", "report")
 
 

@@ -29,7 +29,6 @@ resolution attempt.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
@@ -181,50 +180,6 @@ class FaultInjector:
         if prob <= 0.0:
             return False
         return self._rng(kind, site, step, key).random() < prob
-
-    def fires_grid(
-        self, kind: str, site: str, steps, keys
-    ) -> dict[int, frozenset]:
-        """Bulk decisions over a (steps x keys) grid: key -> firing steps.
-
-        Calling :meth:`fires` per cell costs a fresh string-seeded RNG
-        each time (~10us) — prohibitive for the serving mesh bench's
-        100k-client churn grid.  This draws one geometric-gap stream
-        per key instead (expected cost ``len(steps) * prob`` draws, not
-        ``len(steps)`` draws), so a sparse grid is close to free.
-
-        Still a pure function of ``(seed, kind, site, steps, keys)``
-        and independent of thread interleaving, but a *different*
-        deterministic stream than per-call :meth:`fires` — pick one
-        form per experiment.  Scheduled entries (bare steps and
-        ``(step, key)`` pairs) fire unconditionally, same as `fires`.
-        """
-        if kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {kind!r}")
-        steps = list(steps)
-        scheduled = self.schedule.get(kind, ())
-        prob = self.probabilities.get(kind, 0.0)
-        log1mp = math.log1p(-prob) if 0.0 < prob < 1.0 else None
-        out: dict[int, frozenset] = {}
-        for key in keys:
-            fired: set = set()
-            if prob >= 1.0:
-                fired.update(steps)
-            elif log1mp is not None and steps:
-                rng = random.Random(f"{self.seed}|{kind}|{site}|grid|{key}")
-                index = -1
-                while True:
-                    u = rng.random()
-                    gap = int(math.log(u) / log1mp) + 1 if u > 0.0 else 1
-                    index += gap
-                    if index >= len(steps):
-                        break
-                    fired.add(steps[index])
-            for step in steps:
-                if step in scheduled or (step, key) in scheduled:
-                    fired.add(step)
-            out[key] = frozenset(fired)
-        return out
 
     def maybe(
         self, kind: str, site: str, step: int, key: int = 0

@@ -378,9 +378,9 @@ class FleetCoordinator:
         """Remove `eid` from routing; requeue its work onto survivors.
 
         Unplanned loss additionally requeues the in-flight tasks (the
-        member will never commit them) and records the recovery for the
-        SLO bench.  Planned retirement leaves in-flight tasks alone —
-        the member is alive and finishes what it holds.
+        member will never commit them) and records the recovery in
+        ``stats()["recoveries"]``.  Planned retirement leaves in-flight
+        tasks alone — the member is alive and finishes what it holds.
         """
         with self._lock:
             before = self.assignment()

@@ -20,7 +20,7 @@ from repro.insitu.adaptor import NekDataAdaptor
 from repro.insitu.bridge import Bridge
 from repro.insitu.streamed import StreamedDataAdaptor
 from repro.insitu.intransit import InTransitRunner, InTransitResult
-from repro.insitu.instrumentation import RunProfile, MemoryModel
+from repro.insitu.instrumentation import RunProfile
 from repro.insitu.adaptive import AdaptiveTrigger
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "InTransitRunner",
     "InTransitResult",
     "RunProfile",
-    "MemoryModel",
     "AdaptiveTrigger",
 ]

@@ -4,8 +4,7 @@ A :class:`RunProfile` captures, from a real scaled-down instrumented
 run, everything the machine model needs to predict leadership-scale
 behavior: per-step compute seconds, per-invocation in situ seconds,
 bytes moved per channel (device->host, checkpoint, stream, images) and
-per-rank memory.  :class:`MemoryModel` decomposes the memory
-high-water mark the way Figures 3 and 6 report it.
+per-rank memory.
 """
 
 from __future__ import annotations
@@ -43,34 +42,3 @@ class RunProfile:
         if self.insitu_interval <= 0:
             return 0
         return self.steps // self.insitu_interval
-
-    def scaled_gridpoints(self, target_ranks: int, weak: bool) -> float:
-        """Total gridpoints when re-run on `target_ranks` ranks.
-
-        weak scaling: per-rank load constant; strong scaling: the total
-        problem of the measured run is held fixed.
-        """
-        if weak:
-            return self.gridpoints_per_rank * target_ranks
-        return self.gridpoints_per_rank * self.ranks
-
-
-@dataclass
-class MemoryModel:
-    """Decomposed per-rank memory high-water mark (bytes)."""
-
-    solver: int
-    staging: int = 0        # SENSEI/VTK host mirrors + resample buffers
-    transport: int = 0      # SST queue occupancy / write buffers
-    render: int = 0         # gathered volume + framebuffer (root rank)
-
-    @property
-    def total(self) -> int:
-        return self.solver + self.staging + self.transport + self.render
-
-    def per_node(self, ranks_per_node: int) -> int:
-        return self.total * ranks_per_node
-
-    def aggregate(self, num_ranks: int) -> int:
-        """Sum over ranks, the way Figure 3 reports memory."""
-        return self.total * num_ranks

@@ -36,8 +36,9 @@ is the one synchronisation point that does, and ``close()`` settles
 first.  ``ServeMesh(start=False)`` runs no threads at all — ``settle``
 then services the relays on the caller's thread (deterministic tests).
 
-Load-test it with :mod:`repro.bench.serving`; run it with
-``python -m repro serve [--relays K]``.  See ``docs/serving.md``.
+Run it with ``python -m repro serve [--relays K]``; its cost is
+measured by the ``serve_fanout`` workload of ``benchmarks/e2e``.  See
+``docs/serving.md``.
 """
 
 from repro.serve.framestore import EdgeCache, Frame, FrameStore

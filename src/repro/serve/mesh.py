@@ -45,6 +45,10 @@ from repro.serve.pump import MeshSession, SessionPump
 
 __all__ = ["HubFull", "RelayHub", "ServeMesh"]
 
+#: how long an idle relay pump (or a settle() waiter) sleeps on its
+#: condition before re-checking liveness [s]
+POLL_INTERVAL_S = 0.002
+
 
 class HubFull(RuntimeError):
     """Raised when connect() would exceed the mesh's client budget."""
@@ -60,7 +64,6 @@ class RelayHub:
         clock=_time.perf_counter,
         cache_capacity: int = 128,
         history: int = 32,
-        poll_interval_s: float = 0.002,
         telemetry=None,
     ):
         self.rid = rid
@@ -68,7 +71,6 @@ class RelayHub:
         self.pump = SessionPump(
             rid, clock=clock, cache=EdgeCache(cache_capacity), history=history
         )
-        self.poll_interval_s = poll_interval_s
         self._tel = telemetry if telemetry is not None else get_telemetry()
         self._stop = False
         self._thread: threading.Thread | None = None
@@ -97,7 +99,7 @@ class RelayHub:
                 serviced = self.pump.pump_once(on_frame=self._heartbeat)
                 self._mirror_metrics()
                 if not serviced and not self._stop:
-                    self.pump.wait_for_work(self.poll_interval_s)
+                    self.pump.wait_for_work(POLL_INTERVAL_S)
 
     def settle(self) -> None:
         """Return once every frame ingested so far has been fanned out.
@@ -114,7 +116,7 @@ class RelayHub:
             return
         with pump.cond:
             while pump.frames_ingested != pump.notifies and self.alive:
-                pump.cond.wait(self.poll_interval_s)
+                pump.cond.wait(POLL_INTERVAL_S)
 
     def _heartbeat(self) -> None:
         try:
@@ -199,7 +201,6 @@ class ServeMesh:
         cache_capacity: int = 128,
         vnodes: int = 64,
         seed: int = 0,
-        poll_interval_s: float = 0.002,
         telemetry=None,
         start: bool = True,
     ):
@@ -209,8 +210,8 @@ class ServeMesh:
         self.max_clients = max_clients
         self._clock = clock
         #: a "stall" is a publish() that took suspiciously long — with
-        #: O(relays) inbox appends this should never fire; the bench
-        #: asserts 0
+        #: O(relays) inbox appends this should never fire; the tests
+        #: assert 0
         self.stall_threshold_s = stall_threshold_s
         self.bus = None
         self.store = FrameStore(history)
@@ -223,7 +224,6 @@ class ServeMesh:
         self._lost: list[int] = []
         self._history = history
         self._cache_capacity = cache_capacity
-        self._poll_interval_s = poll_interval_s
         self._lock = threading.Lock()
         self._sessions: dict[int, MeshSession] = {}
         self._by_label: dict[str, MeshSession] = {}
@@ -256,7 +256,6 @@ class ServeMesh:
             clock=self._clock,
             cache_capacity=self._cache_capacity,
             history=self._history,
-            poll_interval_s=self._poll_interval_s,
             telemetry=self._tel,
         )
         with self._lock:

@@ -3,9 +3,10 @@
 One thread per relay, not per client — an epoll-style multiplexer:
 
 - :class:`MeshSession` — one connected client's view of the stream,
-  transport-agnostic (loopback, HTTP stream handler and load generator
-  all consume the same object).  Backpressure is *drop-to-latest*,
-  mirroring ADIOS2 SST's ``Discard`` queue policy on the consumer
+  transport-agnostic (loopback, HTTP stream handler and the
+  ``serve_fanout`` benchmark all consume the same object).
+  Backpressure is *drop-to-latest*, mirroring ADIOS2 SST's
+  ``Discard`` queue policy on the consumer
   side: a small bounded queue whose **oldest** frame is evicted when a
   new one arrives, so a slow client sees a strictly increasing
   subsequence of steps and never stalls the publisher.  ``max_fps``

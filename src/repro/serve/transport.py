@@ -3,7 +3,7 @@
 Two transports share the :class:`~repro.serve.pump.MeshSession` layer:
 
 - :class:`LoopbackClient` — a deterministic in-process client for
-  tests, the CLI smoke path, and the load generator.  No sockets, no
+  tests and the CLI smoke path.  No sockets, no
   event loop; pulls are explicit, so tests control interleaving.
 - :class:`HttpFrameServer` — a real ``asyncio`` TCP server (own event
   loop on a daemon thread, so it coexists with the threaded SPMD

@@ -12,7 +12,7 @@ from repro.bench.replay import (
     predict_intransit_step,
 )
 from repro.bench.workloads import measurement_pebble_case
-from repro.insitu.instrumentation import MemoryModel, RunProfile
+from repro.insitu.instrumentation import RunProfile
 from repro.machine import JUWELS_BOOSTER, POLARIS
 from repro.nekrs.cases import weak_scaled_rbc_case
 
@@ -231,14 +231,6 @@ class TestPredictInTransit:
         )["endpoint"]
         assert end["ranks"] == 2
         assert end["steps"] == 2 and end["images"] == 4
-
-
-class TestMemoryModel:
-    def test_total_and_aggregation(self):
-        m = MemoryModel(solver=100, staging=20, transport=5, render=10)
-        assert m.total == 135
-        assert m.per_node(4) == 540
-        assert m.aggregate(280) == 135 * 280
 
 
 class TestPredictedRun:

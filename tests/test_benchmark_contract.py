@@ -246,6 +246,26 @@ def test_residency_is_not_a_second_renderer():
     assert wraps == ["sensei/analyses/catalyst_adaptor.py"]
 
 
+def test_sleep_call_sites_only_shrink():
+    """Source scan: ``time.sleep(`` survives at four sites — the fleet
+    coordinator's ``rest``, retry backoff, an injected fault delay and
+    ``observe top --url``'s refresh — and never in ``repro.bench``,
+    whose cost is measured by ``benchmarks/e2e``.  A new site fails
+    here; removing one means lowering the bound."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sleep"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("time", "_time")):
+                sites.append(f"{rel}:{node.lineno}")
+    assert not [s for s in sites if s.startswith("bench/")], sites
+    assert len(sites) <= 4, sites
+
+
 def test_pressure_iteration_count_cannot_decay_silently():
     """The benchmark's pebble shape, steps 2-6 on one rank: the two-level
     preconditioner holds the pressure solve at 45-46 iterations (156-161

@@ -426,6 +426,36 @@ class TestGracefulDegradation:
 # -- the acceptance scenario ------------------------------------------------
 
 
+def _faulted_intransit(output_dir, steps, crash_step, corrupt_probability,
+                       seed):
+    """RBC at 4 writers : 1 endpoint whose sole endpoint crashes at
+    `crash_step` while payloads are corrupted in flight; returns the
+    per-rank results and the broker's FaultLog."""
+    from repro.insitu import InTransitRunner
+    from repro.nekrs.cases import weak_scaled_rbc_case
+    from repro.parallel import run_spmd
+
+    def case_builder(nsim):
+        case = weak_scaled_rbc_case(nsim, elements_per_rank=4, order=3,
+                                    dt=1e-3)
+        return case.with_overrides(num_steps=steps)
+
+    injector = FaultInjector(
+        seed=seed,
+        probabilities={"corrupt_payload": corrupt_probability},
+        schedule={"endpoint_crash": (crash_step,)},
+    )
+    runner = InTransitRunner(
+        case_builder, mode="checkpoint", ratio=4, num_steps=steps,
+        stream_interval=1, arrays=("temperature", "velocity_magnitude"),
+        queue_limit=2, queue_full_policy="Block", output_dir=output_dir,
+        image_size=64, injector=injector,
+        retry=RetryPolicy(max_attempts=3, base_delay=0.01, attempt_timeout=0.1),
+        fallback="checkpoint",
+    )
+    return run_spmd(5, runner.run), injector.log
+
+
 @pytest.mark.timeout(120)
 class TestFaultedInTransitRun:
     def test_endpoint_crash_run_completes_with_full_accounting(self, tmp_path):
@@ -433,18 +463,13 @@ class TestFaultedInTransitRun:
         corruption: every sim rank completes every timestep, writers
         degrade to checkpoint fallback, and the FaultLog accounts for
         every injected fault."""
-        from repro.bench.robustness import run_faulted_intransit
-
-        out = run_faulted_intransit(
-            total_ranks=5,
-            steps=8,
-            crash_step=3,
+        results, log = _faulted_intransit(
+            tmp_path, steps=8, crash_step=3,
             corrupt_probability=0.25,  # high enough to observe detections
             seed=7,
-            output_dir=tmp_path,
         )
-        sims = [r for r in out["results"] if r.role == "simulation"]
-        ends = [r for r in out["results"] if r.role == "endpoint"]
+        sims = [r for r in results if r.role == "simulation"]
+        ends = [r for r in results if r.role == "endpoint"]
         assert len(sims) == 4 and len(ends) == 1
 
         # the run is never lost: all timesteps complete on every writer
@@ -454,7 +479,6 @@ class TestFaultedInTransitRun:
         assert ends[0].steps < 8
 
         # degradation kicked in past the retry budget
-        log = out["faults"]
         snap = log.snapshot()
         assert snap["injected"]["endpoint_crash"] == 1
         assert snap["degraded"]["endpoint_crash"] == 1
@@ -473,29 +497,10 @@ class TestFaultedInTransitRun:
         assert log.accounted
 
     def test_same_seed_reproduces_fault_counts(self, tmp_path):
-        from repro.bench.robustness import run_faulted_intransit
-
-        a = run_faulted_intransit(steps=5, crash_step=2, seed=13,
-                                  corrupt_probability=0.3,
-                                  output_dir=tmp_path / "a")
-        b = run_faulted_intransit(steps=5, crash_step=2, seed=13,
-                                  corrupt_probability=0.3,
-                                  output_dir=tmp_path / "b")
-        assert a["faults"].snapshot()["injected"] == b["faults"].snapshot()["injected"]
-
-
-class TestRobustnessBenchTable:
-    def test_table_reports_accounting(self, tmp_path):
-        from repro.bench.robustness import fault_tolerance
-
-        table = fault_tolerance(steps=6, crash_step=2, seed=7,
-                                output_dir=tmp_path)
-        text = table.render()
-        assert "endpoint_crash" in text
-        assert "UNACCOUNTED" not in text
-        rows = {r[0]: r[1:] for r in table.rows}
-        injected, detected, recovered, degraded = rows["TOTAL"]
-        assert injected == detected + recovered + degraded
+        kw = dict(steps=5, crash_step=2, corrupt_probability=0.3, seed=13)
+        _, a = _faulted_intransit(tmp_path / "a", **kw)
+        _, b = _faulted_intransit(tmp_path / "b", **kw)
+        assert a.snapshot()["injected"] == b.snapshot()["injected"]
 
 
 # -- endpoint empty-step handling -------------------------------------------

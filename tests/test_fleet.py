@@ -541,6 +541,9 @@ class TestFleetCoordinator:
         assert coord.membership.state(1) is EndpointState.ACTIVE
         assert auto.scale_ups >= 1
         assert 1 in coord.ring
+        # every decision stays inside the 2:1..16:1 ratio clamp
+        lo, hi = auto.bounds(pool_size=2)
+        assert all(lo <= n <= hi for pair in auto.decisions for n in pair)
 
     def test_geometry_is_cached_and_replayed(self):
         broker, coord = self._coordinator(writers=1, pool=1)

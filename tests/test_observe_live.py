@@ -728,15 +728,21 @@ class TestFrameStoreAccounting:
         peak = tel.memory.peaks().get("serve.framestore", 0)
         assert peak == store.stats()["peak_payload_bytes"] > 0
 
-    def test_serving_bench_surfaces_framestore_hwm(self):
-        from repro.bench.serving import run_mesh_load
+    def test_mesh_publish_surfaces_framestore_hwm(self):
+        from repro.observe import Telemetry, active
+        from repro.serve import ServeMesh
 
-        out = run_mesh_load(clients=8, frames=6, relays=1, workers=2,
-                            probe_clients=2, payload_size=16)
-        assert out["framestore_hwm_bytes"] > 0
-        assert out["framestore_hwm_bytes"] == (
-            out["store"]["peak_payload_bytes"]
-        )
+        tel = Telemetry.create(rank=0)
+        mesh = ServeMesh(relays=1, lease_timeout_s=300.0, telemetry=tel,
+                         start=False)
+        mesh.connect(label="v")
+        with active(tel):
+            for i in range(6):
+                mesh.publish("s", step=i, time=i * 0.1,
+                             data=bytes([i]) * 256)
+                mesh.settle()
+        peak = tel.memory.peaks().get("serve.framestore", 0)
+        assert peak == mesh.stats()["store"]["peak_payload_bytes"] > 0
 
 
 # -- CLI smoke (satellite) --------------------------------------------------

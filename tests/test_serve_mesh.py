@@ -316,9 +316,7 @@ class TestMaxFpsThroughPump:
 
 class TestRelayLoss:
     def test_crash_detected_by_lease_expiry_and_sessions_migrate(self):
-        mesh = ServeMesh(
-            relays=3, lease_timeout_s=0.15, poll_interval_s=0.001
-        )
+        mesh = ServeMesh(relays=3, lease_timeout_s=0.15)
         try:
             sessions = [
                 mesh.connect(label=f"viewer-{i}", depth=64) for i in range(12)
@@ -532,10 +530,7 @@ class TestMeshTelemetry:
     def test_cache_counters_and_relay_gauges_pass_naming_audit(self):
         tel = Telemetry.create(rank=0)
         with active(tel):
-            mesh = ServeMesh(
-                relays=2, lease_timeout_s=300.0, poll_interval_s=0.001,
-                telemetry=tel,
-            )
+            mesh = ServeMesh(relays=2, lease_timeout_s=300.0, telemetry=tel)
             try:
                 mesh.connect(label="v", depth=8)
                 for step in range(4):
@@ -609,9 +604,7 @@ class TestMeshTelemetry:
 
 class TestMeshTransport:
     def test_status_shard_map_and_steer_relay(self):
-        mesh = ServeMesh(
-            relays=2, lease_timeout_s=300.0, poll_interval_s=0.001
-        )
+        mesh = ServeMesh(relays=2, lease_timeout_s=300.0)
         bus = SteeringBus()
         server = HttpFrameServer(mesh, bus)
         server.start()
