@@ -4,15 +4,15 @@ The paper's in transit workflow uses ADIOS2 2.9.1 with the SST
 (Sustainable Staging Transport) engine: simulation ranks *put*
 variables each step; a separate endpoint application *gets* them over
 the network, decoupling visualization resources from simulation
-resources.  This package reproduces the API surface the coupling uses:
+resources.  This package reproduces the part of it the coupling uses:
 
-- :class:`ADIOS` -> :meth:`ADIOS.declare_io` -> :class:`IO` ->
-  :meth:`IO.open` -> an :class:`Engine` with
-  ``begin_step / put / get / end_step / close``;
-- an **SST** engine backed by bounded in-process queues (one per
-  writer rank) with ADIOS-style ``QueueLimit`` / ``QueueFullPolicy``
-  (Block = backpressure, Discard = drop oldest) semantics;
-- a **BPFile** engine writing BP-marshaled step files to a directory;
+- writer engines driven with ``begin_step / put / end_step / close``;
+- an **SST** broker with one bounded in-process queue per writer rank
+  and ADIOS-style ``QueueLimit`` / ``QueueFullPolicy`` (Block =
+  backpressure, Discard = drop oldest) semantics, consumed by the
+  endpoint fleet (:mod:`repro.fleet`);
+- a **BPFile** engine writing BP-marshaled step files to a directory,
+  and its reader for file-staged replay;
 - BP marshaling itself (:mod:`repro.adios.marshal`): a compact,
   deterministic binary encoding of named typed arrays + step metadata.
 
@@ -22,12 +22,9 @@ the stream volume on the JUWELS Booster interconnect at paper scale.
 
 from repro.adios.marshal import marshal_step, unmarshal_step, StepPayload
 from repro.adios.engine import (
-    ADIOS,
-    IO,
     Engine,
     SSTBroker,
     SSTWriterEngine,
-    SSTReaderEngine,
     BPFileWriterEngine,
     BPFileReaderEngine,
     EndOfStream,
@@ -42,12 +39,9 @@ from repro.faults.errors import (
 )
 
 __all__ = [
-    "ADIOS",
-    "IO",
     "Engine",
     "SSTBroker",
     "SSTWriterEngine",
-    "SSTReaderEngine",
     "BPFileWriterEngine",
     "BPFileReaderEngine",
     "EndOfStream",

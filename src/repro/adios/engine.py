@@ -1,9 +1,10 @@
-"""ADIOS-style IO objects and engines (SST streaming, BPFile).
+"""ADIOS-style engines (SST streaming, BPFile).
 
-The API follows adios2's shape: an :class:`ADIOS` object owns named
-:class:`IO` configurations (engine type + parameters); opening an IO
-yields an :class:`Engine` driven with ``begin_step / put / end_step``
-on the writer and ``begin_step / get / end_step`` on the reader.
+Writer engines follow adios2's shape, ``begin_step / put / end_step``.
+The SST stream has one consumer, the endpoint fleet's
+:class:`~repro.fleet.coordinator.FleetCoordinator`, which dequeues
+through :meth:`SSTBroker.get`; file-staged series replay through
+:class:`BPFileReaderEngine`.
 
 SST here is an in-process broker: one bounded queue per writer rank.
 ``QueueLimit`` and ``QueueFullPolicy`` reproduce the real engine's
@@ -18,9 +19,8 @@ where the frame goes — a broker queue or a ``.bp`` file.
 
 from __future__ import annotations
 
-import queue
 import threading
-import time as _time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -29,11 +29,7 @@ import numpy as np
 
 from repro.adios.marshal import StepPayload, marshal_step, unmarshal_step
 from repro.codec import CodecContext
-from repro.faults.errors import (
-    CorruptPayloadError,
-    EndpointDownError,
-    StreamTimeout,
-)
+from repro.faults.errors import EndpointDownError, StreamTimeout
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.faults.retry import RetryPolicy
 from repro.observe.session import get_telemetry
@@ -46,7 +42,6 @@ class EndOfStream(Exception):
 class StepStatus(Enum):
     OK = "ok"
     END_OF_STREAM = "end-of-stream"
-    NOT_READY = "not-ready"
 
 
 @dataclass
@@ -100,19 +95,23 @@ class StreamStats:
 
 
 class SSTBroker:
-    """Shared staging area between one writer group and one reader group.
+    """Shared staging area between one writer group and the endpoint fleet.
 
     Create it in the orchestrator, hand it to both sides.  `queue_limit`
     bounds the number of staged steps per writer rank (ADIOS
     ``QueueLimit``); `queue_full_policy` selects Block (writer waits —
     backpressure reaches the simulation) or Discard (oldest staged step
     is dropped, decoupling the simulation from a slow consumer).
+
+    One condition variable guards every stream.  Each change — a step
+    staged or dequeued, a stream ended, a side marked down — notifies
+    it, so a writer blocked on a full queue, a ``get`` blocked on an
+    empty one and an idle fleet member (:meth:`wait`) each wake on the
+    event itself; nothing re-checks on a timer.  :attr:`events` counts
+    the changes a consumer can act on, and the fleet coordinator adds
+    its own (a render step queued, a member gone) through
+    :meth:`notify`.
     """
-
-    _SENTINEL = object()
-
-    #: how often a blocked get re-checks for broker close / writer death
-    _POLL_S = 0.02
 
     def __init__(
         self,
@@ -133,37 +132,76 @@ class SSTBroker:
         self.queue_full_policy = queue_full_policy
         self.timeout = timeout
         self.injector = injector
-        self.queues: list[queue.Queue] = [
-            queue.Queue(maxsize=queue_limit) for _ in range(num_writers)
-        ]
         self.stats = StreamStats()
         if injector is not None:
             # one ledger: injector decisions and stream accounting share it
             self.stats.faults = injector.log
-        self.endpoint_down = threading.Event()
-        self.closed = threading.Event()
-        self._writer_down: list[threading.Event] = [
-            threading.Event() for _ in range(num_writers)
-        ]
+        self._cond = threading.Condition()
+        self._staged: list[deque] = [deque() for _ in range(num_writers)]
+        self._ended = [False] * num_writers        # close_writer was called
+        self._writer_down = [False] * num_writers  # producer declared dead
+        self.endpoint_down = False
+        self.closed = False
+        #: consumer-visible changes so far; see :meth:`wait`
+        self.events = 0
+
+    # -- events -----------------------------------------------------------
+    def _changed(self) -> None:
+        """Count one event and wake every waiter (caller holds the lock)."""
+        self.events += 1
+        self._cond.notify_all()
+
+    def notify(self) -> None:
+        """Count an event raised outside the broker; wake every waiter."""
+        with self._cond:
+            self._changed()
+
+    def wait(self, since: int, timeout: float | None = None) -> bool:
+        """Block until :attr:`events` moves past `since` (a value read
+        earlier) or `timeout` seconds pass; returns whether it moved."""
+        with self._cond:
+            return self._cond.wait_for(lambda: self.events != since, timeout)
 
     def mark_endpoint_down(self) -> None:
-        """Declare the consumer side dead: writers fail fast from now on."""
-        self.endpoint_down.set()
+        """Declare the consumer side dead: writers fail fast from now on,
+        including one already blocked on a full queue."""
+        with self._cond:
+            self.endpoint_down = True
+            self._changed()
 
     def mark_writer_down(self, writer_rank: int) -> None:
         """Declare one producer dead: readers of its stream fail fast
         (after draining whatever it already staged)."""
-        self._writer_down[writer_rank].set()
+        with self._cond:
+            self._writer_down[writer_rank] = True
+            self._changed()
 
     def close(self) -> None:
         """Shut the broker down: every blocked or future get fails fast
         with :class:`EndpointDownError` once its queue is drained,
         instead of burning the full stream timeout."""
-        self.closed.set()
+        with self._cond:
+            self.closed = True
+            self._changed()
 
-    def _stream_dead(self, writer_rank: int) -> bool:
-        return self.closed.is_set() or self._writer_down[writer_rank].is_set()
+    # -- views ------------------------------------------------------------
+    def staged_steps(self) -> int:
+        """Steps staged across every writer queue."""
+        with self._cond:
+            return sum(len(q) for q in self._staged)
 
+    def ready(self, writer_rank: int) -> bool:
+        """Whether a ``get`` on `writer_rank` would return or raise now."""
+        with self._cond:
+            return self._ready(writer_rank)
+
+    def _ready(self, writer_rank: int) -> bool:
+        return bool(
+            self._staged[writer_rank] or self._ended[writer_rank]
+            or self.closed or self._writer_down[writer_rank]
+        )
+
+    # -- writer side ------------------------------------------------------
     def put(
         self,
         writer_rank: int,
@@ -176,7 +214,7 @@ class SSTBroker:
             self._put(writer_rank, payload_bytes, step, timeout, tel)
 
     def _put(self, writer_rank, payload_bytes, step, timeout, tel) -> None:
-        if self.endpoint_down.is_set():
+        if self.endpoint_down:
             raise EndpointDownError(
                 f"SST writer {writer_rank}: endpoint marked down"
             )
@@ -193,34 +231,27 @@ class SSTBroker:
                 self.stats.record_discard(writer=writer_rank)
                 self.stats.faults.try_resolve("drop_step", "detected")
                 return
-        q = self.queues[writer_rank]
-        if self.queue_full_policy == "Block":
-            try:
-                q.put(payload_bytes, timeout=self.timeout if timeout is None else timeout)
-            except queue.Full:
+        q = self._staged[writer_rank]
+        limit = self.timeout if timeout is None else timeout
+        with self._cond:
+            if self.queue_full_policy == "Block" and not self._cond.wait_for(
+                lambda: self.endpoint_down or len(q) < self.queue_limit, limit
+            ):
                 raise StreamTimeout(
-                    f"SST writer {writer_rank} blocked > "
-                    f"{self.timeout if timeout is None else timeout:g}s "
+                    f"SST writer {writer_rank} blocked > {limit:g}s "
                     "(reader stalled?)"
-                ) from None
-        else:
-            # Discard: drop the oldest staged step to make room.  A
-            # concurrent reader may drain the queue between our failed
-            # put and the drop attempt, so loop until the put lands;
-            # record a discard only when we actually removed a step.
-            while True:
-                try:
-                    q.put_nowait(payload_bytes)
-                    break
-                except queue.Full:
-                    try:
-                        dropped = q.get_nowait()
-                    except queue.Empty:
-                        pass  # reader drained it concurrently; retry the put
-                    else:
-                        nbytes = len(dropped) if isinstance(dropped, (bytes, bytearray)) else 0
-                        self.stats.record_discard(nbytes, writer=writer_rank)
-        level = self.stats.record_put(len(payload_bytes), writer=writer_rank)
+                )
+            if self.endpoint_down:
+                raise EndpointDownError(
+                    f"SST writer {writer_rank}: endpoint marked down"
+                )
+            # Discard: drop the oldest staged steps to make room (under
+            # Block the wait above already did)
+            while len(q) >= self.queue_limit:
+                self.stats.record_discard(len(q.popleft()), writer=writer_rank)
+            q.append(payload_bytes)
+            level = self.stats.record_put(len(payload_bytes), writer=writer_rank)
+            self._changed()
         if tel.enabled:
             tel.metrics.counter(
                 "repro_sst_steps_put_total", "Steps staged into the SST broker"
@@ -231,62 +262,51 @@ class SSTBroker:
             tel.memory.observe("sst.queue", level)
 
     def close_writer(self, writer_rank: int) -> None:
-        if self.endpoint_down.is_set():
-            return  # nobody is listening for the sentinel
-        try:
-            self.queues[writer_rank].put(self._SENTINEL, timeout=self.timeout)
-        except queue.Full:
-            raise StreamTimeout(
-                f"SST writer {writer_rank} could not deliver end-of-stream "
-                f"within {self.timeout:g}s"
-            ) from None
+        """End writer `writer_rank`'s stream: its consumer gets
+        :class:`EndOfStream` once it has drained what was staged.  The
+        end mark takes no queue slot, so this never blocks."""
+        with self._cond:
+            self._ended[writer_rank] = True
+            self._changed()
 
+    # -- consumer side ----------------------------------------------------
     def get(self, writer_rank: int, step: int = -1, timeout: float | None = None) -> bytes:
         """Dequeue writer `writer_rank`'s next staged step (the only dequeue).
 
         Waits up to `timeout` seconds (default: the stream timeout) and
         raises :class:`StreamTimeout` when nothing was staged in time —
-        a polling consumer passes a zero or short timeout and reads that
-        as "nothing staged yet".  Raises :class:`EndOfStream` on the
-        writer's sentinel and :class:`EndpointDownError` when the stream
-        is dead (broker closed / producer marked down) *and* fully
-        drained.  Fault hooks and ``got`` accounting run only after a
-        successful dequeue, so injection probability is per delivered
-        step, not per call.
+        a caller that must not block passes ``timeout=0`` or asks
+        :meth:`ready` first.  Raises :class:`EndOfStream` once the
+        writer closed its stream and :class:`EndpointDownError` when the
+        stream is dead (broker closed / producer marked down), both only
+        after everything staged was drained.  Fault hooks and ``got``
+        accounting run only after a successful dequeue, so injection
+        probability is per delivered step, not per call.
         """
         tel = get_telemetry()
         with tel.tracer.span("sst.get", step=step, writer=writer_rank):
             return self._get(writer_rank, step, timeout, tel)
 
     def _get(self, writer_rank, step, timeout, tel) -> bytes:
-        # Wait in short slices so a broker close or producer death is
-        # noticed within _POLL_S, not after the full stream timeout —
-        # staged items are still drained before the stream fails.
-        deadline = _time.monotonic() + (self.timeout if timeout is None else timeout)
-        q = self.queues[writer_rank]
-        while True:
-            try:
-                item = q.get_nowait()
-                break
-            except queue.Empty:
-                pass
-            if self._stream_dead(writer_rank):
-                raise EndpointDownError(
-                    f"SST stream of writer {writer_rank} is down "
-                    f"({'broker closed' if self.closed.is_set() else 'producer dead'})"
-                )
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
+        q = self._staged[writer_rank]
+        with self._cond:
+            if not self._cond.wait_for(
+                lambda: self._ready(writer_rank),
+                self.timeout if timeout is None else timeout,
+            ):
                 raise StreamTimeout(
                     f"SST reader timed out waiting on writer {writer_rank}"
-                ) from None
-            try:
-                item = q.get(timeout=min(self._POLL_S, remaining))
-                break
-            except queue.Empty:
-                continue
-        if item is self._SENTINEL:
-            raise EndOfStream
+                )
+            if not q:
+                if self._ended[writer_rank]:
+                    raise EndOfStream
+                raise EndpointDownError(
+                    f"SST stream of writer {writer_rank} is down "
+                    f"({'broker closed' if self.closed else 'producer dead'})"
+                )
+            item = q.popleft()
+            # room for a writer blocked in put; not an event for consumers
+            self._cond.notify_all()
         inj = self.injector
         if inj is not None:
             slow = inj.maybe("slow_consumer", "broker.get", step, key=writer_rank)
@@ -420,7 +440,7 @@ class SSTWriterEngine(_StagingWriterEngine):
         self.wire_bytes_total = 0
 
     def begin_step(self) -> StepStatus:
-        if self.broker.endpoint_down.is_set():
+        if self.broker.endpoint_down:
             # fail before staging work the transport cannot deliver
             raise EndpointDownError(
                 f"SST writer {self.writer_rank}: endpoint marked down"
@@ -465,64 +485,6 @@ class SSTWriterEngine(_StagingWriterEngine):
         if not self.closed:
             self.broker.close_writer(self.writer_rank)
         super().close()
-
-
-class SSTReaderEngine(Engine):
-    """One reader rank's end: drains an assigned set of writer ranks.
-
-    A payload that fails its CRC check is counted and *skipped* — the
-    reader carries on with whatever the other writers delivered (an
-    all-corrupt step surfaces as OK with an empty payload set, which
-    the endpoint treats as a no-op).
-    """
-
-    def __init__(self, name: str, broker: SSTBroker, writer_ranks: list[int]):
-        super().__init__(name, "r")
-        self.broker = broker
-        self.writer_ranks = list(writer_ranks)
-        self._current: dict[int, StepPayload] = {}
-        self._ended: set[int] = set()
-        self._read_step = 0
-        self.corrupt_steps = 0
-        # per-writer decode contexts: RBP3 temporal deltas reference the
-        # previous step of the *same* writer's stream
-        self._codec_ctx: dict[int, CodecContext] = {}
-
-    def begin_step(self) -> StepStatus:
-        super().begin_step()
-        live = get_telemetry().live
-        self._current = {}
-        for w in self.writer_ranks:
-            if w in self._ended:
-                continue
-            try:
-                raw = self.broker.get(w, step=self._read_step)
-            except EndOfStream:
-                self._ended.add(w)
-                continue
-            try:
-                ctx = self._codec_ctx.setdefault(w, CodecContext())
-                payload = self._current[w] = unmarshal_step(raw, context=ctx)
-                live.wire_mark("got", payload.step, w, len(raw))
-            except CorruptPayloadError:
-                self.corrupt_steps += 1
-                self.broker.stats.record_corrupt()
-                self.broker.stats.faults.try_resolve("corrupt_payload", "detected")
-        self._read_step += 1
-        if len(self._ended) == len(self.writer_ranks) and not self._current:
-            self._in_step = False
-            return StepStatus.END_OF_STREAM
-        return StepStatus.OK
-
-    def get(self, writer_rank: int) -> StepPayload:
-        if not self._in_step:
-            raise RuntimeError("get outside begin_step/end_step")
-        return self._current[writer_rank]
-
-    def payloads(self) -> dict[int, StepPayload]:
-        if not self._in_step:
-            raise RuntimeError("payloads outside begin_step/end_step")
-        return dict(self._current)
 
 
 class BPFileWriterEngine(_StagingWriterEngine):
@@ -570,60 +532,3 @@ class BPFileReaderEngine(Engine):
         if not self._in_step or self._payload is None:
             raise RuntimeError("get outside a valid step")
         return self._payload
-
-
-@dataclass
-class IO:
-    """A named engine configuration (adios2.IO analog)."""
-
-    name: str
-    engine_type: str = "SST"
-    parameters: dict = field(default_factory=dict)
-
-    def set_engine(self, engine_type: str) -> None:
-        if engine_type not in ("SST", "BPFile"):
-            raise ValueError(f"unknown engine type {engine_type!r}")
-        self.engine_type = engine_type
-
-    def set_parameters(self, params: dict) -> None:
-        self.parameters.update(params)
-
-    def open(self, name: str, mode: str, **kwargs) -> Engine:
-        """Open an engine. SST needs broker=...; writers need
-        writer_rank=..., readers writer_ranks=[...]."""
-        if mode not in ("r", "w"):
-            raise ValueError("mode must be 'r' or 'w'")
-        if self.engine_type == "SST":
-            broker = kwargs.get("broker")
-            if broker is None:
-                raise ValueError("SST engines need a broker")
-            if mode == "w":
-                return SSTWriterEngine(
-                    name, broker, kwargs.get("writer_rank", 0),
-                    codec=kwargs.get("codec"),
-                )
-            return SSTReaderEngine(name, broker, kwargs.get("writer_ranks", [0]))
-        directory = kwargs.get("directory", self.parameters.get("directory", "."))
-        if mode == "w":
-            return BPFileWriterEngine(
-                name, directory, kwargs.get("writer_rank", 0),
-                codec=kwargs.get("codec"),
-            )
-        return BPFileReaderEngine(name, directory, kwargs.get("writer_rank", 0))
-
-
-class ADIOS:
-    """Root object holding named IO configurations."""
-
-    def __init__(self) -> None:
-        self._ios: dict[str, IO] = {}
-
-    def declare_io(self, name: str) -> IO:
-        if name in self._ios:
-            raise ValueError(f"IO {name!r} already declared")
-        io_obj = IO(name)
-        self._ios[name] = io_obj
-        return io_obj
-
-    def at_io(self, name: str) -> IO:
-        return self._ios[name]

@@ -14,8 +14,8 @@ Pieces (all in-process, mirroring the repo's threaded-SPMD transport):
 - :class:`~repro.fleet.ring.HashRing` — deterministic stream routing;
 - :class:`~repro.fleet.membership.FleetMembership` — heartbeat leases
   over mailbox queues; unplanned loss is detected by whichever peer
-  polls next, no monitor thread (a member busy on a task is slow, not
-  dead: the polling peer keeps its lease inside a measured bound);
+  polls next, no monitor thread (a member busy on a task, or resting
+  until the next event, is alive: the polling peer keeps its lease);
 - :class:`~repro.fleet.work.WorkQueues` — per-endpoint render queues
   with deterministic work stealing;
 - :class:`~repro.fleet.autoscaler.Autoscaler` — queue-depth policy;
@@ -53,7 +53,6 @@ class FleetConfig:
     """
 
     lease_timeout: float = 0.25     # seconds before a silent member is dead
-    poll_interval: float = 0.002    # longest idle/parked wait between polls
     initial_active: int | None = None
     autoscale: bool = False
     autoscaler: AutoscalerConfig | None = None
@@ -63,8 +62,6 @@ class FleetConfig:
     def __post_init__(self):
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
-        if self.poll_interval < 0:
-            raise ValueError("poll_interval must be >= 0")
         if self.initial_active is not None and self.initial_active < 1:
             raise ValueError("initial_active must be >= 1")
 

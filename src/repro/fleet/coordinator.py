@@ -7,9 +7,9 @@ for).  It composes the fleet pieces:
 
 - **membership** — heartbeat leases (:mod:`repro.fleet.membership`);
   an endpoint that stops polling is declared dead when its lease
-  lapses, with no dedicated monitor thread — unless it holds a task,
-  in which case it is working, not silent (see ``_reap``); one whose
-  loop raises reports its own death (``fail``);
+  lapses, with no dedicated monitor thread — unless it holds a task
+  or rests, in which case it is working or waiting, not silent (see
+  ``_reap``); one whose loop raises reports its own death (``fail``);
 - **routing** — producer streams (writer ranks) are assigned to
   endpoints through a consistent-hash ring
   (:mod:`repro.fleet.ring`), so membership changes move only the
@@ -20,6 +20,11 @@ for).  It composes the fleet pieces:
   or stream ended) becomes a :class:`~repro.fleet.work.RenderTask`;
 - **work stealing** — idle endpoints steal queued render steps from
   the hottest peer (:class:`~repro.fleet.work.WorkQueues`);
+- **waiting** — a member with nothing to do rests on the broker's one
+  condition (:meth:`FleetCoordinator.rest`) until an event can give it
+  work: a step staged, a stream ended, a render step queued, a
+  commit, a member joining or leaving.  The earliest active lease
+  bounds the wait, so a silent peer is still reaped on time;
 - **recovery** — a dead endpoint's queued *and in-flight* tasks are
   requeued to survivors (replay from the retained CRC-checked
   payloads), its streams rebalance, and the injected
@@ -63,7 +68,7 @@ from repro.observe.session import get_telemetry
 class Directive(Enum):
     """Non-task poll outcomes."""
 
-    IDLE = "idle"       # nothing to do right now; poll again
+    IDLE = "idle"       # nothing to do right now; rest, then poll again
     PARK = "park"       # endpoint is parked (autoscaler reserve)
     STOP = "stop"       # run complete; endpoint may finalize and exit
 
@@ -149,6 +154,10 @@ class FleetCoordinator:
         self.commits = 0
         self.corrupt_steps = 0
         self._inflight: dict[int, list[RenderTask]] = {}
+        # members blocked in rest(), and the broker's event count as each
+        # member's last poll began (what its next rest waits past)
+        self._resting: set[int] = set()
+        self._seen: dict[int, int] = {}
         # recovery bookkeeping
         self.recoveries: list[RecoveryRecord] = []
         self.rebalances = 0
@@ -167,6 +176,7 @@ class FleetCoordinator:
             self.membership.register(eid, parked=parked)
             if not parked:
                 self.ring.add(eid)
+            self.broker.notify()      # streams may have changed owner
 
     def depart(self, eid: int) -> None:
         """Planned, graceful exit (end of run)."""
@@ -183,12 +193,13 @@ class FleetCoordinator:
             if self.membership.fail(eid):
                 self._retire(eid, planned=False)
 
-    # -- the endpoint's main call ------------------------------------------
+    # -- the endpoint's main calls -----------------------------------------
     def poll(self, eid: int):
         """Heartbeat, reap, ingest, and hand out one unit of work.
 
         Returns a :class:`RenderTask`, or a :class:`Directive`.
         """
+        self._seen[eid] = self.broker.events
         self.membership.heartbeat(eid)
         self._reap(eid)
         self._flush_if_abandoned(eid)
@@ -225,17 +236,38 @@ class FleetCoordinator:
             self._inflight.setdefault(eid, []).append(task)
         return task
 
-    def rest(self, eid: int, seconds: float) -> None:
-        """Wait up to `seconds` for something to do (after PARK or IDLE).
+    def rest(self, eid: int) -> bool:
+        """Wait, after PARK or IDLE, until something may have changed.
 
-        A member that owns a live stream waits inside the broker's
-        ``get``: the next ``put`` wakes it, and the wait is accounted
-        where every consumer's is, as time spent waiting for data
-        (``sst.get``).  One that owns none — parked, or active on
-        stolen work only — has nothing to wait on and sleeps.
+        Everything that can give a member work bumps the broker's
+        ``events``: a step staged or a stream ended (the broker's own
+        events), and a render step queued, a commit, a member joining,
+        leaving or failing (this coordinator's, through
+        ``broker.notify``).  The member sleeps on the broker's condition
+        until the count moves past the value it read when its last poll
+        began, so nothing that happened since is missed.  A lease lapse
+        is the one event with a deadline instead of a notifier: the wait
+        ends at the earliest lease of any active member, so a silent
+        peer is reaped on time.  A resting member is alive by
+        construction (members are threads), so, like a task holder, its
+        peers renew its lease while it waits.  Returns whether an event
+        ended the wait.
         """
-        if not self._ingest(eid, wait=seconds):
-            time.sleep(seconds)
+        with self._lock:
+            self._resting.add(eid)
+            self._renew_busy()
+        deadline = self.membership.next_expiry()
+        timeout = (
+            self.membership.lease_timeout if deadline is None
+            else max(0.0, deadline - self.clock())
+        )
+        try:
+            with get_telemetry().tracer.span("fleet.rest", endpoint=eid):
+                return self.broker.wait(self._seen.get(eid, -1), timeout)
+        finally:
+            with self._lock:
+                self.membership.heartbeat(eid)
+                self._resting.discard(eid)
 
     def commit(self, eid: int, task: RenderTask) -> None:
         """Mark a render task done (idempotent per step)."""
@@ -256,6 +288,7 @@ class FleetCoordinator:
                     record.completed_at = now
                     record.commits_at_complete = self.commits
                     healed.append(record)
+            self.broker.notify()      # the run may be done
         if self.live is not None:
             for record in healed:
                 self.live.recovery_complete(record.eid, record.recovery_seconds)
@@ -299,8 +332,7 @@ class FleetCoordinator:
 
     def staged_depth(self) -> int:
         """Fleet-wide backlog: staged stream steps + queued render tasks."""
-        staged = sum(q.qsize() for q in self.broker.queues)
-        return staged + self.queues.total_depth()
+        return self.broker.staged_steps() + self.queues.total_depth()
 
     def stats(self) -> dict:
         with self._lock:
@@ -335,16 +367,15 @@ class FleetCoordinator:
     def _reap(self, reaper: int) -> None:
         """Expire lapsed leases; retire the newly dead.
 
-        Slow is not dead: a member renews its lease by polling, which
-        it cannot do while it renders, so the polling peer renews it on
-        behalf of every member that holds a task.  Members are threads:
-        the only way to die with a task in hand is to raise, and a
-        member that raises calls :meth:`fail` on its way out.
+        Slow is not dead, and idle is not dead either: a member renews
+        its lease by polling, which it cannot do while it renders or
+        rests, so the polling peer renews it on behalf of every member
+        that holds a task or waits in :meth:`rest`.  Members are
+        threads: the only way to die with a task in hand is to raise,
+        and a member that raises calls :meth:`fail` on its way out.
         """
         with self._lock:
-            for eid, tasks in self._inflight.items():
-                if tasks:
-                    self.membership.heartbeat(eid)
+            self._renew_busy()
         for eid in self.membership.expire():
             self._retire(eid, planned=False)
             tel = get_telemetry()
@@ -352,18 +383,22 @@ class FleetCoordinator:
                 tel.tracer.instant("fleet.endpoint_dead", endpoint=eid,
                                    reaper=reaper)
 
+    def _renew_busy(self) -> None:
+        """Heartbeat for every member that rests or holds a task.
+        Caller holds the lock."""
+        holders = {eid for eid, tasks in self._inflight.items() if tasks}
+        for eid in holders | self._resting:
+            self.membership.heartbeat(eid)
+
     def _flush_if_abandoned(self, eid: int) -> None:
         """End all streams once the producer side has given up.
 
         When every writer's retries exhausted (``mark_endpoint_down``),
-        the sim degrades its remaining steps locally and closes engines
-        *without* sentinels.  Treat drained streams as ended so pending
-        assemblies flush and ``done()`` can come true — otherwise the
-        fleet would poll forever.
+        the sim degrades its remaining steps locally and ends its
+        streams only when the run does.  Treat drained streams as ended
+        now so pending assemblies flush and ``done()`` can come true.
         """
-        if not self.broker.endpoint_down.is_set():
-            return
-        if not all(q.empty() for q in self.broker.queues):
+        if not self.broker.endpoint_down or self.broker.staged_steps():
             return
         with self._lock:
             if len(self._ended) == self.num_writers:
@@ -373,6 +408,7 @@ class FleetCoordinator:
             # from — flush pending assemblies toward an active member
             active = self.membership.active_ids()
             self._complete_assemblies(active[0] if active else eid)
+            self.broker.notify()
 
     def _retire(self, eid: int, planned: bool) -> None:
         """Remove `eid` from routing; requeue its work onto survivors.
@@ -402,6 +438,7 @@ class FleetCoordinator:
                     self.queues.push(self.ring.assign(("task", task.step)), task)
             moved = len(HashRing.moved(before, self.assignment()))
             self.rebalances += 1
+            self.broker.notify()      # streams and queued work moved
             if planned:
                 self.planned_retirements += 1
                 return
@@ -473,42 +510,39 @@ class FleetCoordinator:
                 self.membership.activate(promoted)
                 self.ring.add(promoted)
                 self.rebalances += 1
+                self.broker.notify()
             elif target < len(active) and len(active) > 1:
                 victim = active[-1]
                 self._retire(victim, planned=True)
                 self.membership.park(victim)
 
-    def _ingest(self, eid: int, wait: float = 0.0) -> bool:
+    def _ingest(self, eid: int) -> None:
         """Drain the broker queues of every stream `eid` currently owns.
 
-        The first dequeue may block up to `wait` seconds inside the
-        broker's ``get``; every other one is a zero-timeout poll, made
-        only when something is staged (an idle member then costs one
-        ``sst.get`` span per wait, not one per stream per poll), and a
-        :class:`StreamTimeout` just means nothing is staged yet.
-        Returns whether `eid` owns a live stream.
+        A dequeue is made only when the broker has one ready (a staged
+        step, or the stream's end), so an idle member costs no
+        ``sst.get`` span and never blocks here; waiting is
+        :meth:`rest`'s job.
         """
         owned = [
             w for w, owner in self.assignment().items()
             if owner == eid and w not in self._ended
         ]
         for w in owned:
-            while True:
+            while self.broker.ready(w):
                 with self._lock:
                     ordinal = self._got.get(w, 0)
-                timeout, wait = wait, 0.0
-                if not timeout and self.broker.queues[w].empty():
-                    break
                 try:
-                    raw = self.broker.get(w, step=ordinal, timeout=timeout)
+                    raw = self.broker.get(w, step=ordinal, timeout=0)
                 except StreamTimeout:
-                    break
+                    break     # the stream's previous owner drained it first
                 except (EndOfStream, EndpointDownError):
-                    # sentinel, or the producer side died and whatever
+                    # end mark, or the producer side died and whatever
                     # it staged was drained
                     with self._lock:
                         self._ended.add(w)
                         self._complete_assemblies(eid)
+                        self.broker.notify()
                     break
                 with self._lock:
                     self._got[w] = ordinal + 1
@@ -532,7 +566,6 @@ class FleetCoordinator:
                     )
                     self._assembly.setdefault(payload.step, {})[w] = payload
                     self._complete_assemblies(eid)
-        return bool(owned)
 
     def _complete_assemblies(self, completer: int) -> None:
         """Promote every provably complete assembly to a render task.
@@ -542,6 +575,7 @@ class FleetCoordinator:
         this one was dropped or corrupted), or has ended its stream.
         Caller holds the lock.
         """
+        queued = False
         for step in sorted(self._assembly):
             ready = all(
                 w in self._ended or self._highwater.get(w, -1) >= step
@@ -552,3 +586,6 @@ class FleetCoordinator:
             payloads = self._assembly.pop(step)
             self.assembled.add(step)
             self.queues.push(completer, RenderTask(step=step, payloads=payloads))
+            queued = True
+        if queued:
+            self.broker.notify()      # peers may steal it

@@ -5,8 +5,8 @@ heartbeats, polls the shared
 :class:`~repro.fleet.coordinator.FleetCoordinator` for a directive or
 a fully assembled :class:`~repro.fleet.work.RenderTask`, and feeds the
 task through its private sink.  With nothing to do it rests inside
-the coordinator (:meth:`FleetCoordinator.rest`), waiting on the
-transport rather than sleeping beside it.
+the coordinator (:meth:`FleetCoordinator.rest`) on the broker's
+condition until an event can give it work.
 
 Each endpoint gets its **own** :class:`~repro.parallel.comm.
 SerialCommunicator`-backed analysis (no collectives across the
@@ -98,13 +98,11 @@ class FleetEndpoint:
         coordinator: FleetCoordinator,
         sink: AnalysisSink,
         injector=None,
-        poll_interval: float = 0.001,
     ):
         self.eid = eid
         self.coordinator = coordinator
         self.sink = sink
         self.injector = injector
-        self.poll_interval = poll_interval
 
     def run(self) -> EndpointReport:
         coord = self.coordinator
@@ -130,11 +128,11 @@ class FleetEndpoint:
                 break
             if out is Directive.PARK:
                 report.parked_polls += 1
-                coord.rest(self.eid, self.poll_interval)
+                coord.rest(self.eid)
                 continue
             if out is Directive.IDLE:
                 report.idle_polls += 1
-                coord.rest(self.eid, self.poll_interval)
+                coord.rest(self.eid)
                 continue
             try:
                 if self.sink.process(out, coord):

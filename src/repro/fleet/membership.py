@@ -73,24 +73,41 @@ class FleetMembership:
         now = self.clock() if now is None else now
         dead: list[int] = []
         with self._lock:
-            for eid, mailbox in self._mailbox.items():
-                latest = None
-                while True:
-                    try:
-                        _, stamp = mailbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    latest = stamp
-                if latest is not None and self._state[eid] in (
-                    EndpointState.ACTIVE, EndpointState.PARKED
-                ):
-                    self._lease[eid] = latest + self.lease_timeout
+            self._drain_heartbeats()
             for eid, state in self._state.items():
                 if state is EndpointState.ACTIVE and self._lease[eid] < now:
                     self._state[eid] = EndpointState.DEAD
                     self._epoch += 1
                     dead.append(eid)
         return dead
+
+    def next_expiry(self) -> float | None:
+        """When the next :meth:`expire` could report a death: the
+        earliest lease of an ACTIVE member, heartbeats folded in first
+        (None when no member is active)."""
+        with self._lock:
+            self._drain_heartbeats()
+            return min(
+                (self._lease[e] for e, s in self._state.items()
+                 if s is EndpointState.ACTIVE),
+                default=None,
+            )
+
+    def _drain_heartbeats(self) -> None:
+        """Fold posted heartbeats into the leases of live members.
+        Caller holds the lock."""
+        for eid, mailbox in self._mailbox.items():
+            latest = None
+            while True:
+                try:
+                    _, stamp = mailbox.get_nowait()
+                except queue.Empty:
+                    break
+                latest = stamp
+            if latest is not None and self._state[eid] in (
+                EndpointState.ACTIVE, EndpointState.PARKED
+            ):
+                self._lease[eid] = latest + self.lease_timeout
 
     def fail(self, eid: int) -> bool:
         """Declare `eid` dead now (it reported its own failure);

@@ -356,7 +356,6 @@ class InTransitRunner:
             coordinator,
             sink,
             injector=self.injector,
-            poll_interval=self.fleet.poll_interval,
         )
         report = endpoint.run()
 

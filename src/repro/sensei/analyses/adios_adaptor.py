@@ -90,7 +90,7 @@ class ADIOSAnalysisAdaptor(AnalysisAdaptor):
 
     def execute(self, data: DataAdaptor) -> bool:
         broker = getattr(self.engine, "broker", None)
-        if broker is not None and broker.endpoint_down.is_set():
+        if broker is not None and broker.endpoint_down:
             # fail before staging a step the transport cannot deliver
             from repro.faults.errors import EndpointDownError
 

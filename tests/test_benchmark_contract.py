@@ -247,11 +247,12 @@ def test_residency_is_not_a_second_renderer():
 
 
 def test_sleep_call_sites_only_shrink():
-    """Source scan: ``time.sleep(`` survives at four sites — the fleet
-    coordinator's ``rest``, retry backoff, an injected fault delay and
-    ``observe top --url``'s refresh — and never in ``repro.bench``,
-    whose cost is measured by ``benchmarks/e2e``.  A new site fails
-    here; removing one means lowering the bound."""
+    """Source scan: ``time.sleep(`` survives at three sites — retry
+    backoff, an injected fault delay and ``observe top --url``'s
+    refresh — and never in ``repro.bench`` (its cost is measured by
+    ``benchmarks/e2e``) or on the in-transit stream (``repro.adios``,
+    ``repro.fleet``), which waits on the broker's condition.  A new
+    site fails here; removing one means lowering the bound."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
@@ -262,8 +263,9 @@ def test_sleep_call_sites_only_shrink():
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in ("time", "_time")):
                 sites.append(f"{rel}:{node.lineno}")
-    assert not [s for s in sites if s.startswith("bench/")], sites
-    assert len(sites) <= 4, sites
+    assert not [s for s in sites
+                if s.startswith(("bench/", "adios/", "fleet/"))], sites
+    assert len(sites) <= 3, sites
 
 
 def test_pressure_iteration_count_cannot_decay_silently():

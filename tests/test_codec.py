@@ -898,21 +898,22 @@ class TestTruncatedFrames:
                 unmarshal_step(frame)
 
     def test_short_read_counts_a_corrupt_step_at_the_endpoint(self):
-        from repro.adios.engine import SSTBroker, SSTReaderEngine, StepStatus
+        from repro.adios.engine import SSTBroker
+        from repro.fleet import Directive, FleetCoordinator
 
         frame = self._frames()["RBP3"]
         broker = SSTBroker(num_writers=1, queue_limit=3, timeout=5.0)
-        reader = SSTReaderEngine("s", broker, [0])
         broker.put(0, frame[:6], step=0)
         broker.put(0, frame[:40], step=1)
         broker.put(0, frame, step=2)
-        for _ in range(2):
-            assert reader.begin_step() is StepStatus.OK
-            assert reader.payloads() == {}
-            reader.end_step()
-        assert reader.corrupt_steps == 2
-        assert reader.begin_step() is StepStatus.OK
-        assert reader.payloads()[0].step == 1
+        broker.close_writer(0)
+        coord = FleetCoordinator(broker, num_writers=1, pool_size=1)
+        coord.join(0)
+        task = coord.poll(0)
+        assert coord.corrupt_steps == 2
+        assert list(task.payloads) == [0] and task.payloads[0].step == 1
+        coord.commit(0, task)
+        assert coord.poll(0) is Directive.STOP
 
 
 class TestCodecSpec:

@@ -7,7 +7,6 @@ the 4-writer/1-endpoint in-transit run that survives a mid-run
 endpoint crash with full fault accounting.
 """
 
-import queue
 import threading
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 
 from repro.adios import (
     SSTBroker,
-    SSTReaderEngine,
     SSTWriterEngine,
     StepPayload,
     StepStatus,
@@ -33,6 +31,7 @@ from repro.faults import (
     StreamTimeout,
     TransportError,
 )
+from repro.fleet import Directive, FleetCoordinator, RenderTask
 
 pytestmark = pytest.mark.faults
 
@@ -201,6 +200,19 @@ class TestPayloadIntegrity:
 # -- broker injection sites -------------------------------------------------
 
 
+def _drain_fleet(broker):
+    """Consume every (closed) stream of `broker` through a one-member
+    fleet; returns the coordinator and its render tasks in order."""
+    coord = FleetCoordinator(broker, num_writers=broker.num_writers, pool_size=1)
+    coord.join(0)
+    tasks = []
+    while (out := coord.poll(0)) is not Directive.STOP:
+        if isinstance(out, RenderTask):
+            tasks.append(out)
+            coord.commit(0, out)
+    return coord, tasks
+
+
 class TestBrokerInjection:
     def test_drop_step_is_detected_and_skipped(self):
         inj = FaultInjector(seed=0, schedule={"drop_step": (1,)})
@@ -255,25 +267,25 @@ class TestBrokerInjection:
         assert broker.stats.steps_got == staged
 
     def test_corrupted_payload_skipped_by_reader(self):
+        """The stream's consumer (the fleet coordinator) counts a payload
+        corrupted in flight and skips it; the next step arrives intact."""
         inj = FaultInjector(seed=0, schedule={"corrupt_payload": (0,)})
         broker = SSTBroker(num_writers=1, injector=inj)
         writer = SSTWriterEngine("s", broker, 0)
-        reader = SSTReaderEngine("s", broker, [0])
         for step in (0, 1):
             writer.set_step_info(step, 0.0)
             writer.begin_step()
             writer.put("u", np.arange(4.0))
             writer.end_step()
-        # read step 0 is corrupted in flight: OK status, empty payloads
-        assert reader.begin_step() is StepStatus.OK
-        assert reader.payloads() == {}
-        reader.end_step()
-        assert reader.corrupt_steps == 1
+        writer.close()
+        coord, tasks = _drain_fleet(broker)
+        # read step 0 was corrupted in flight: counted, never assembled
+        assert coord.corrupt_steps == 1
         assert broker.stats.steps_corrupt == 1
         assert broker.stats.faults.accounted
         # read step 1 arrives intact
-        assert reader.begin_step() is StepStatus.OK
-        assert 0 in reader.payloads()
+        assert [t.step for t in tasks] == [1]
+        assert 0 in tasks[0].payloads
 
     def test_writer_retry_exhaustion_raises_endpoint_down(self):
         broker = SSTBroker(num_writers=1, queue_limit=1)
@@ -310,9 +322,10 @@ class TestBrokerInjection:
 
 class TestDiscardRace:
     def test_discard_loops_until_put_succeeds(self):
-        """Hammer a Discard broker with a concurrent reader: the seed's
-        drop-oldest-then-put sequence could observe Full twice; the fix
-        loops until the put lands and never leaks queue.Full."""
+        """Hammer a Discard broker with a concurrent reader: dropping the
+        oldest step and staging the new one happen under one lock, so a
+        put never fails and every step is delivered, discarded, or still
+        staged."""
         broker = SSTBroker(num_writers=1, queue_limit=1,
                            queue_full_policy="Discard")
         n = 400
@@ -322,8 +335,8 @@ class TestDiscardRace:
         def reader():
             for _ in range(10 * n):
                 try:
-                    drained.append(broker.queues[0].get_nowait())
-                except queue.Empty:
+                    drained.append(broker.get(0, timeout=0))
+                except StreamTimeout:
                     pass
 
         t = threading.Thread(target=reader, daemon=True)
@@ -337,7 +350,7 @@ class TestDiscardRace:
         assert errors == []
         assert broker.stats.steps_put == n
         # every step is accounted: delivered, discarded, or still staged
-        left = broker.queues[0].qsize()
+        left = broker.staged_steps()
         assert len(drained) + broker.stats.steps_discarded + left == n
 
 
@@ -396,7 +409,7 @@ class TestGracefulDegradation:
         dumps = list((tmp_path / "fallback").iterdir())
         assert len(dumps) == 2
         # degradation marked the endpoint down so peers fail fast
-        assert broker.endpoint_down.is_set()
+        assert broker.endpoint_down
 
     def test_drop_fallback_skips_without_files(self, tiny_solver, tmp_path):
         bridge, _ = _sst_bridge(tiny_solver, tmp_path, "drop")
@@ -508,22 +521,23 @@ class TestFaultedInTransitRun:
 
 class TestEmptyStreamStep:
     def test_all_corrupt_step_skipped_by_endpoint_loop(self):
-        """An all-corrupt stream step reaches the adaptor as an empty
-        payload dict: consume() skips it instead of crashing."""
+        """A step whose every payload was corrupted in flight never becomes
+        a render task, and an empty payload set is a no-op for the
+        endpoint adaptor."""
         from repro.insitu.streamed import StreamedDataAdaptor
         from repro.parallel import SerialCommunicator
 
         inj = FaultInjector(seed=0, schedule={"corrupt_payload": (0,)})
         broker = SSTBroker(num_writers=2, injector=inj)
-        writers = [SSTWriterEngine("s", broker, w) for w in range(2)]
-        reader = SSTReaderEngine("s", broker, [0, 1])
-        for w, eng in enumerate(writers):
+        for w in range(2):
+            eng = SSTWriterEngine("s", broker, w)
             eng.set_step_info(0, 0.0)
             eng.begin_step()
             eng.put("u", np.arange(3.0))
             eng.end_step()
-        assert reader.begin_step() is StepStatus.OK
+            eng.close()
+        coord, tasks = _drain_fleet(broker)
+        assert tasks == [] and coord.corrupt_steps == 2
         adaptor = StreamedDataAdaptor(SerialCommunicator())
-        assert adaptor.consume(reader.payloads()) is False
+        assert adaptor.consume({}) is False
         assert adaptor.empty_steps == 1
-        assert reader.corrupt_steps == 2

@@ -185,6 +185,20 @@ class TestFleetMembership:
         assert m.expire() == []
         assert m.state(0) is EndpointState.DEAD
 
+    def test_next_expiry_is_the_earliest_active_lease(self):
+        clock = _Clock()
+        m = FleetMembership(lease_timeout=0.5, clock=clock)
+        assert m.next_expiry() is None
+        m.register(0)
+        m.register(1)
+        m.register(2, parked=True)       # parked leases never lapse
+        clock.advance(0.3)
+        m.heartbeat(0)                   # folded in: 0's lease -> 0.8
+        assert m.next_expiry() == pytest.approx(0.5)
+        clock.advance(0.3)
+        m.heartbeat(1)                   # 1's lease -> 1.1
+        assert m.next_expiry() == pytest.approx(0.8)
+
 
 # -- work queues ------------------------------------------------------------
 
@@ -467,7 +481,9 @@ class TestFleetCoordinator:
 
     def test_idle_member_dequeues_once_per_wait(self, monkeypatch):
         """An idle poll finds the queues empty without a dequeue (each
-        would be an ``sst.get`` span); only ``rest`` waits in ``get``."""
+        would be an ``sst.get`` span), and ``rest`` waits on the broker's
+        events, never inside ``get``: the puts that end the wait are
+        dequeued once each, by the next poll."""
         broker, coord = self._coordinator(writers=3, pool=1)
         coord.join(0)
         timeouts = []
@@ -480,9 +496,33 @@ class TestFleetCoordinator:
         monkeypatch.setattr(SSTBroker, "get", counting)
         for _ in range(5):
             assert coord.poll(0) is Directive.IDLE
+        _stage_steps(broker, steps=1, close=False)      # staged after the poll
+        assert coord.rest(0)          # an event ended the wait, not the lease
         assert timeouts == []
-        coord.rest(0, 0.001)
-        assert timeouts == [0.001]
+        out = coord.poll(0)
+        assert isinstance(out, RenderTask) and set(out.payloads) == {0, 1, 2}
+        assert timeouts == [0, 0, 0]
+
+    def test_rest_with_nothing_new_ends_at_the_earliest_lease(self):
+        broker, coord = self._coordinator(writers=1, pool=1, lease_timeout=0.01)
+        coord.join(0)
+        assert coord.poll(0) is Directive.IDLE
+        assert not coord.rest(0)
+        assert coord.membership.state(0) is EndpointState.ACTIVE
+
+    def test_a_put_wakes_a_member_resting_in_another_thread(self):
+        """With a 30 s lease bounding the wait, the resting member returns
+        because a writer staged a step, whichever ran first."""
+        broker, coord = self._coordinator(writers=1, pool=1, lease_timeout=30.0)
+        coord.join(0)
+        assert coord.poll(0) is Directive.IDLE
+        woke = []
+        t = threading.Thread(target=lambda: woke.append(coord.rest(0)),
+                             daemon=True)
+        t.start()
+        _stage_steps(broker, steps=1, close=False)
+        t.join(timeout=10.0)
+        assert not t.is_alive() and woke == [True]
 
     def test_planned_depart_keeps_inflight_with_the_survivor(self):
         broker, coord = self._coordinator(writers=2, pool=2, seed=1,
@@ -950,4 +990,4 @@ class TestFleetEndToEnd:
         with pytest.raises(ValueError):
             FleetConfig(lease_timeout=0.0)
         with pytest.raises(ValueError):
-            FleetConfig(poll_interval=-1.0)
+            FleetConfig(initial_active=0)

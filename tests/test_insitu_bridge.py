@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.adios import SSTBroker, SSTReaderEngine, SSTWriterEngine, StepStatus
+from repro.adios import SSTBroker, SSTWriterEngine
+from repro.fleet import Directive, FleetCoordinator
 from repro.insitu import Bridge, NekDataAdaptor, StreamedDataAdaptor
 from repro.insitu import bridge as bridge_mod
 from repro.nekrs import NekRSSolver
@@ -88,8 +89,8 @@ class TestFunctionalFacade:
 
 
 def _stream_solver_steps(mesh_name, arrays, steps=2):
-    """Drive solver -> ADIOS adaptor -> SST -> reader; return payload
-    dicts per streamed step."""
+    """Drive solver -> ADIOS adaptor -> SST -> the fleet coordinator;
+    return payload dicts per streamed step."""
     comm = SerialCommunicator()
     case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=5e-3)
     solver = NekRSSolver(case, comm)
@@ -100,11 +101,12 @@ def _stream_solver_steps(mesh_name, arrays, steps=2):
     solver.run(steps, observer=bridge.observer)
     bridge.finalize()
 
-    reader = SSTReaderEngine("s", broker, [0])
+    coord = FleetCoordinator(broker, num_writers=1, pool_size=1)
+    coord.join(0)
     received = []
-    while reader.begin_step() is StepStatus.OK:
-        received.append(reader.payloads())
-        reader.end_step()
+    while (task := coord.poll(0)) is not Directive.STOP:
+        received.append(task.payloads)
+        coord.commit(0, task)
     return received
 
 
