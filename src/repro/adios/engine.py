@@ -136,6 +136,21 @@ class SSTBroker:
         if injector is not None:
             # one ledger: injector decisions and stream accounting share it
             self.stats.faults = injector.log
+        # the telemetry active here reads the ledger: a shared broker's
+        # counters sit on the registry of the rank that built it
+        metrics = get_telemetry().metrics
+        metrics.counter("repro_sst_steps_put_total",
+                        "Steps staged into the SST broker",
+                        read=lambda: self.stats.steps_put)
+        metrics.counter("repro_sst_bytes_put_total",
+                        "Bytes staged into the SST broker",
+                        read=lambda: self.stats.bytes_put)
+        metrics.counter("repro_sst_steps_got_total",
+                        "Steps drained from the SST broker",
+                        read=lambda: self.stats.steps_got)
+        metrics.counter("repro_sst_bytes_got_total",
+                        "Bytes drained from the SST broker",
+                        read=lambda: self.stats.bytes_got)
         self._cond = threading.Condition()
         self._staged: list[deque] = [deque() for _ in range(num_writers)]
         self._ended = [False] * num_writers        # close_writer was called
@@ -252,14 +267,7 @@ class SSTBroker:
             q.append(payload_bytes)
             level = self.stats.record_put(len(payload_bytes), writer=writer_rank)
             self._changed()
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_sst_steps_put_total", "Steps staged into the SST broker"
-            ).inc()
-            tel.metrics.counter(
-                "repro_sst_bytes_put_total", "Bytes staged into the SST broker"
-            ).inc(len(payload_bytes))
-            tel.memory.observe("sst.queue", level)
+        tel.memory.observe("sst.queue", level)
 
     def close_writer(self, writer_rank: int) -> None:
         """End writer `writer_rank`'s stream: its consumer gets
@@ -319,13 +327,6 @@ class SSTBroker:
                 tel.tracer.instant("fault.corrupt_payload", step=step, writer=writer_rank)
                 item = inj.corrupt(item, corrupt)
         self.stats.record_get(len(item), writer=writer_rank)
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_sst_steps_got_total", "Steps drained from the SST broker"
-            ).inc()
-            tel.metrics.counter(
-                "repro_sst_bytes_got_total", "Bytes drained from the SST broker"
-            ).inc(len(item))
         return item
 
 

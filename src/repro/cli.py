@@ -84,26 +84,26 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _inject_compositing(config_xml: str, compositing: str) -> str:
-    """Force ``compositing=`` onto every catalyst analysis element."""
+def _override_catalyst(config_xml: str, **attrs: str | None) -> str:
+    """Force the non-empty `attrs` onto every catalyst analysis element."""
     import xml.etree.ElementTree as ET
 
+    attrs = {key: value for key, value in attrs.items() if value}
+    if not attrs:
+        return config_xml
     root = ET.fromstring(config_xml)
     for el in root.iter("analysis"):
         if el.get("type") == "catalyst":
-            el.set("compositing", compositing)
+            el.attrib.update(attrs)
     return ET.tostring(root, encoding="unicode")
+
+
+def _inject_compositing(config_xml: str, compositing: str) -> str:
+    return _override_catalyst(config_xml, compositing=compositing)
 
 
 def _inject_residency(config_xml: str, residency: str) -> str:
-    """Force ``residency=`` onto every catalyst analysis element."""
-    import xml.etree.ElementTree as ET
-
-    root = ET.fromstring(config_xml)
-    for el in root.iter("analysis"):
-        if el.get("type") == "catalyst":
-            el.set("residency", residency)
-    return ET.tostring(root, encoding="unicode")
+    return _override_catalyst(config_xml, residency=residency)
 
 
 def cmd_run(args) -> int:
@@ -116,10 +116,9 @@ def cmd_run(args) -> int:
     config_xml = (
         Path(args.config).read_text() if args.config else "<sensei></sensei>"
     )
-    if args.compositing:
-        config_xml = _inject_compositing(config_xml, args.compositing)
-    if args.residency:
-        config_xml = _inject_residency(config_xml, args.residency)
+    config_xml = _override_catalyst(
+        config_xml, compositing=args.compositing, residency=args.residency
+    )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -22,8 +22,6 @@ Wire conventions (all little-endian):
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from repro.perf import config
@@ -470,12 +468,3 @@ def byte_unshuffle_reference(data: bytes, dtype, count: int) -> np.ndarray:
             out[i * size + plane] = data[plane * count + i]
     return np.frombuffer(bytes(out), dtype=dtype).copy()
 
-
-def pack_f64(value: float) -> bytes:
-    """Eight little-endian bytes for one float (constant-field codec)."""
-    return struct.pack("<d", float(value))
-
-
-def unpack_f64(data: bytes) -> float:
-    (v,) = struct.unpack("<d", data)
-    return v

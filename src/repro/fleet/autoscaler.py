@@ -15,9 +15,8 @@ stalls (blocked puts / retries).  The policy is deliberately boring:
   ``cooldown`` observation count so membership never flaps.
 
 Every observation publishes ``repro_fleet_queue_depth`` /
-``repro_fleet_ratio`` gauges and scale decisions increment
-``repro_fleet_scale_{up,down}_total`` counters through
-:func:`repro.observe.get_telemetry`.
+``repro_fleet_ratio`` gauges; the ``repro_fleet_scale_{up,down}_total``
+counters read ``scale_ups`` / ``scale_downs``.
 """
 
 from __future__ import annotations
@@ -58,6 +57,15 @@ class Autoscaler:
         self.scale_ups = 0
         self.scale_downs = 0
         self.decisions: list[tuple[int, int]] = []   # (before, after) counts
+        metrics = get_telemetry().metrics
+        metrics.counter(
+            "repro_fleet_scale_up_total", "Autoscaler membership changes",
+            read=lambda: self.scale_ups,
+        )
+        metrics.counter(
+            "repro_fleet_scale_down_total", "Autoscaler membership changes",
+            read=lambda: self.scale_downs,
+        )
 
     # -- bounds ------------------------------------------------------------
     def bounds(self, pool_size: int) -> tuple[int, int]:
@@ -131,12 +139,8 @@ class Autoscaler:
                 self.scale_ups += 1
             else:
                 self.scale_downs += 1
-            if tel.enabled:
-                name = ("repro_fleet_scale_up_total" if target > active
-                        else "repro_fleet_scale_down_total")
-                tel.metrics.counter(name, "Autoscaler membership changes").inc()
-                tel.tracer.instant(
-                    "fleet.autoscale", before=active, after=target,
-                    depth=round(depth, 3),
-                )
+            tel.tracer.instant(
+                "fleet.autoscale", before=active, after=target,
+                depth=round(depth, 3),
+            )
         return target

@@ -164,6 +164,17 @@ class FleetCoordinator:
         self.crashes_detected = 0
         self.planned_retirements = 0
         self._ticks = 0
+        # the coordinator is shared by every endpoint rank: its counters
+        # sit on the registry of the rank that built it
+        metrics = get_telemetry().metrics
+        metrics.counter(
+            "repro_fleet_commits_total", "Render steps committed by the fleet",
+            read=lambda: self.commits,
+        )
+        metrics.counter(
+            "repro_fleet_steals_total", "Render steps stolen by idle endpoints",
+            read=lambda: self.queues.stolen,
+        )
 
     # -- membership entry points -------------------------------------------
     def join(self, eid: int) -> None:
@@ -221,15 +232,9 @@ class FleetCoordinator:
             stolen = self.queues.steal(eid, candidates=self.membership.active_ids())
             if stolen is not None:
                 task, victim = stolen
-                tel = get_telemetry()
-                if tel.enabled:
-                    tel.tracer.instant(
-                        "fleet.steal", thief=eid, victim=victim, step=task.step
-                    )
-                    tel.metrics.counter(
-                        "repro_fleet_steals_total",
-                        "Render steps stolen by idle endpoints",
-                    ).inc()
+                get_telemetry().tracer.instant(
+                    "fleet.steal", thief=eid, victim=victim, step=task.step
+                )
         if task is None:
             return Directive.IDLE
         with self._lock:
@@ -292,11 +297,6 @@ class FleetCoordinator:
         if self.live is not None:
             for record in healed:
                 self.live.recovery_complete(record.eid, record.recovery_seconds)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_fleet_commits_total", "Render steps committed by the fleet"
-            ).inc()
 
     # -- geometry replay ----------------------------------------------------
     def geometry(self, writer: int):

@@ -75,6 +75,16 @@ class Bridge:
         self.fallback_bytes = 0
         self.transport_down = False
         self._log = get_logger("repro.insitu.bridge", solver.comm)
+        metrics = get_telemetry().metrics
+        metrics.counter(
+            "repro_bridge_invocations_total", "Bridge analysis invocations",
+            read=lambda: self.invocations,
+        )
+        metrics.counter(
+            "repro_bridge_degraded_steps_total",
+            "Steps served by the degraded fallback path",
+            read=lambda: self.degraded_steps,
+        )
 
     def update(self, step: int, time: float) -> bool:
         """Offer the current state to the analyses; False = stop."""
@@ -91,10 +101,6 @@ class Bridge:
                 self.adaptor.release_data()
         self.insitu_seconds += perf_counter() - t0
         self.invocations += 1
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_bridge_invocations_total", "Bridge analysis invocations"
-            ).inc()
         if not keep_going:
             self.stop_requested = True
         return keep_going
@@ -117,16 +123,10 @@ class Bridge:
         # exactly once; later degraded steps are clamped to no-ops
         self.fault_log.try_resolve("endpoint_crash", "degraded")
         self.degraded_steps += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.tracer.instant(
-                "bridge.degraded", step=step, fallback=self.fallback,
-                error=type(exc).__name__,
-            )
-            tel.metrics.counter(
-                "repro_bridge_degraded_steps_total",
-                "Steps served by the degraded fallback path",
-            ).inc()
+        get_telemetry().tracer.instant(
+            "bridge.degraded", step=step, fallback=self.fallback,
+            error=type(exc).__name__,
+        )
         if self.fallback == "checkpoint":
             self._write_fallback_checkpoint(step, time)
         return True

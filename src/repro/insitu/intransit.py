@@ -152,23 +152,6 @@ class InTransitRunner:
     def run(self, comm: Communicator) -> InTransitResult:
         num_sim, num_end = self.split_counts(comm.size)
         is_sim = comm.rank < num_sim
-
-        broker = None
-        coordinator = None
-        if self.mode != "none":
-            if comm.rank == 0:
-                broker = SSTBroker(
-                    num_writers=num_sim,
-                    queue_limit=self.queue_limit,
-                    queue_full_policy=self.queue_full_policy,
-                    injector=self.injector,
-                )
-                coordinator = self._build_coordinator(broker, num_sim, num_end)
-            broker, coordinator = comm.bcast((broker, coordinator), root=0)
-            self.last_broker = broker
-            self.last_coordinator = coordinator
-
-        sub = comm.split(0 if is_sim else 1)
         # telemetry tracks stay keyed by the *global* rank, so one
         # merged trace shows simulation and endpoint groups side by side
         scope = (
@@ -177,6 +160,24 @@ class InTransitRunner:
         )
         try:
             with scope:
+                broker = coordinator = None
+                if self.mode != "none":
+                    # built inside rank 0's scope: the shared broker's and
+                    # coordinator's counters read into rank 0's registry
+                    if comm.rank == 0:
+                        broker = SSTBroker(
+                            num_writers=num_sim,
+                            queue_limit=self.queue_limit,
+                            queue_full_policy=self.queue_full_policy,
+                            injector=self.injector,
+                        )
+                        coordinator = self._build_coordinator(
+                            broker, num_sim, num_end
+                        )
+                    broker, coordinator = comm.bcast((broker, coordinator), root=0)
+                    self.last_broker = broker
+                    self.last_coordinator = coordinator
+                sub = comm.split(0 if is_sim else 1)
                 if is_sim:
                     return self._run_simulation(sub, broker, num_sim)
                 return self._run_endpoint_fleet(sub, coordinator)

@@ -142,6 +142,14 @@ class HybridRouter:
         self._parked_steps = 0       # steps since last streamed (for probes)
         self.route_counts = {r: 0 for r in ROUTES}
         self.decisions: deque[RouteDecision] = deque(maxlen=128)
+        metrics = get_telemetry().metrics
+        for route in ROUTES:
+            metrics.counter(
+                "repro_router_route_total",
+                "Steps sent down each visualization route",
+                {"route": route},
+                read=lambda r=route: self.route_counts[r],
+            )
 
     # -- feedback ------------------------------------------------------
     def observe(self, raw_bytes: int, wire_bytes: int) -> None:
@@ -230,13 +238,6 @@ class HybridRouter:
         )
         self.route_counts[route] += 1
         self.decisions.append(decision)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_router_route_total",
-                "Steps sent down each visualization route",
-                {"route": route},
-            ).inc()
         return decision
 
     def stats(self) -> dict:

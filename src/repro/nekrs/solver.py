@@ -35,8 +35,8 @@ from repro.nekrs.timestepper import bdf_coefficients, effective_order, ext_coeff
 from repro.observe.session import get_telemetry
 from repro.occa import Device, DeviceMemory
 from repro.parallel.comm import Communicator, ReduceOp
-from repro.perf import publish_stats
 from repro.perf.arena import get_arena
+from repro.perf.plans import get_plan_cache
 from repro.sem.coarse import CoarseGrid
 from repro.sem.krylov import cg_solve
 from repro.sem.mesh import BoxMesh
@@ -181,6 +181,27 @@ class NekRSSolver:
             self.device_fields["temperature"] = DeviceMemory(self.device, self.T)
         for name, field in self.scalars.items():
             self.device_fields[name] = DeviceMemory(self.device, field)
+
+        # this rank's arena and plan cache, read live by its telemetry
+        arena, plans = get_arena(), get_plan_cache()
+        metrics = get_telemetry().metrics
+        metrics.gauge("repro_perf_plan_cache_hits", "plan cache hits this rank",
+                      agg="sum", read=lambda: plans.hits)
+        metrics.gauge("repro_perf_plan_cache_misses",
+                      "plan cache misses (plans built) this rank",
+                      agg="sum", read=lambda: plans.misses)
+        metrics.gauge("repro_perf_arena_hits",
+                      "arena borrows served from the pool this rank",
+                      agg="sum", read=lambda: arena.hits)
+        metrics.gauge("repro_perf_arena_misses",
+                      "arena borrows that allocated this rank",
+                      agg="sum", read=lambda: arena.misses)
+        metrics.gauge("repro_perf_arena_peak_borrowed_bytes",
+                      "peak bytes simultaneously borrowed this rank",
+                      agg="sum", read=lambda: arena.peak_borrowed_bytes)
+        metrics.gauge("repro_perf_arena_pooled_bytes",
+                      "bytes parked in the arena pool this rank",
+                      agg="sum", read=arena.pooled_bytes)
 
     # ------------------------------------------------------------------
     # boundary conditions
@@ -358,7 +379,6 @@ class NekRSSolver:
                 "Linear solves that stopped short of their tolerance",
             ).inc(report.unconverged_solves)
             tel.memory.observe("solver", self.memory_bytes())
-            publish_stats(tel)
         return report
 
     def _step_impl(self, tel) -> StepReport:

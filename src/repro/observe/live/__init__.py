@@ -11,7 +11,7 @@ is in flight* — the regime the elastic fleet (PR 6) and live serving
 - :mod:`~repro.observe.live.collector` — per-rank ring-buffer
   collectors with delta-snapshot flush, plus the
   :class:`AdaptiveSampler` that degrades detail
-  (full → stage → counters) when measured cost blows the 5% budget;
+  (stage → counters) when measured cost blows the 5% budget;
 - :mod:`~repro.observe.live.aggregate` — the streaming
   :class:`LiveAggregator`: rolling p50/p99 per stage, wire pairing,
   bytes on wire, windowed counts, retained step events;
@@ -30,7 +30,6 @@ See ``docs/observability.md`` ("Live telemetry").
 from repro.observe.live.aggregate import LiveAggregator, percentile
 from repro.observe.live.collector import (
     LEVEL_COUNTERS,
-    LEVEL_FULL,
     LEVEL_NAMES,
     LEVEL_STAGE,
     AdaptiveSampler,
@@ -75,7 +74,6 @@ __all__ = [
     "RingCollector",
     "Snapshot",
     "WireMark",
-    "LEVEL_FULL",
     "LEVEL_STAGE",
     "LEVEL_COUNTERS",
     "LEVEL_NAMES",

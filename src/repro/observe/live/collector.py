@@ -20,10 +20,9 @@ The sampler is the overhead governor: it compares recording cost to
 wall time per flush window and degrades detail when the ratio blows
 the budget —
 
-- levels 0 ``full`` and 1 ``stage`` — the seven canonical stages
-  (and the wire put/got marks that build the ``wire`` stage) enter the
-  ring;
-- level 2 ``counters`` — nothing enters the ring; only durations and
+- level 0 ``stage`` — the seven canonical stages (and the wire
+  put/got marks that build the ``wire`` stage) enter the ring;
+- level 1 ``counters`` — nothing enters the ring; only durations and
   counts flow, so SLO evaluation keeps working while timelines stop.
 
 Recovery is hysteretic: the level steps back up only after `patience`
@@ -44,16 +43,14 @@ __all__ = [
     "RingCollector",
     "Snapshot",
     "WireMark",
-    "LEVEL_FULL",
     "LEVEL_STAGE",
     "LEVEL_COUNTERS",
     "LEVEL_NAMES",
 ]
 
-LEVEL_FULL = 0
-LEVEL_STAGE = 1
-LEVEL_COUNTERS = 2
-LEVEL_NAMES = ("full", "stage", "counters")
+LEVEL_STAGE = 0
+LEVEL_COUNTERS = 1
+LEVEL_NAMES = ("stage", "counters")
 
 #: max retained durations per stage per flush window (keeps a snapshot
 #: bounded even if a rank goes a long time between flushes)
@@ -76,7 +73,7 @@ class AdaptiveSampler:
         self.min_wall_s = min_wall_s
         self.upgrade_margin = upgrade_margin
         self.patience = patience
-        self.level = LEVEL_FULL
+        self.level = LEVEL_STAGE
         self.downgrades = 0
         self.upgrades = 0
         self.last_ratio = 0.0
@@ -101,7 +98,7 @@ class AdaptiveSampler:
                     self.downgrades += 1
             elif ratio < self.budget * self.upgrade_margin:
                 self._calm += 1
-                if self._calm >= self.patience and self.level > LEVEL_FULL:
+                if self._calm >= self.patience and self.level > LEVEL_STAGE:
                     self.level -= 1
                     self.upgrades += 1
                     self._calm = 0
@@ -202,7 +199,7 @@ class RingCollector:
             durs = self._durations.setdefault(name, [])
             if len(durs) < _MAX_DURATIONS:
                 durs.append(t1 - t0)
-            if self._plane.sampler.level <= LEVEL_STAGE:
+            if self._plane.sampler.level == LEVEL_STAGE:
                 self._push_locked(
                     StageEvent(stage=name, step=step, t0=t0, t1=t1,
                                rank=self.rank, stream=stream),
@@ -220,7 +217,7 @@ class RingCollector:
         with self._lock:
             key = f"wire_{kind}_bytes"
             self._counts[key] = self._counts.get(key, 0) + nbytes
-            if self._plane.sampler.level <= LEVEL_STAGE:
+            if self._plane.sampler.level == LEVEL_STAGE:
                 self._push_locked(
                     WireMark(kind=kind, step=step, stream=stream, t=c0,
                              nbytes=nbytes, rank=self.rank),

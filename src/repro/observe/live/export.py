@@ -86,7 +86,7 @@ def _pcie_line(plane) -> str | None:
 
 
 def _serve_line(plane) -> str | None:
-    """The serving mesh, when a hub has mirrored cache/relay metrics."""
+    """The serving mesh, once a relay has registered its metrics."""
     metrics = plane.merged_metrics()
     hits = metrics.get("repro_serve_cache_hits_total")
     misses = metrics.get("repro_serve_cache_misses_total")

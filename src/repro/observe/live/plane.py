@@ -130,7 +130,7 @@ class LivePlane:
             ).inc(len(fired))
         reg.gauge(
             "repro_live_sampler_level",
-            "Adaptive sampler level (0 full, 1 stage, 2 counters)",
+            "Adaptive sampler level (0 stage, 1 counters)",
         ).set(self.sampler.level)
         reg.gauge(
             "repro_live_overhead_ratio",

@@ -9,6 +9,12 @@ Welford merge already proven out in
 :meth:`MetricsRegistry.reduce` runs that merge across an SPMD group
 through ``Communicator.allgather``.
 
+A counter or gauge registered with ``read=`` (a callable returning an
+owner's ledger value, e.g. ``Device.transfers``) is *read-backed*: its
+value is the sum of its readers (a gauge: its ``agg`` over them),
+evaluated whenever it is read, merged or exported, so each fact is
+counted once, by its owner, and a merged registry holds plain numbers.
+
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition
 format, one sample per line) and :meth:`MetricsRegistry.to_json`.
 """
@@ -17,8 +23,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import re
 import threading
+from functools import reduce
 
 from repro.util.timing import TimingStats
 
@@ -37,7 +45,14 @@ __all__ = [
 DEFAULT_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_GAUGE_AGGS = ("max", "min", "sum", "last")
+#: how a gauge combines two values: across ranks on merge, and across
+#: the readers of a read-backed gauge
+_GAUGE_AGG = {
+    "max": max,
+    "min": min,
+    "sum": operator.add,
+    "last": lambda _old, new: new,   # the merged-in value wins
+}
 
 
 def _check_name(name: str) -> str:
@@ -63,33 +78,38 @@ def _merge_label_str(labels: str, const_labels: dict[str, str]) -> str:
     return "{" + merged + "}"
 
 
-class Counter:
-    """Monotonically increasing count; merges by summation.
-
-    `const_labels` (e.g. ``{"route": "insitu"}``) distinguish samples
-    of the same metric name: each label set is its own registry entry
-    and exports its own sample line.
-    """
-
-    kind = "counter"
+class _Metric:
+    """Counter/gauge core: a stored value or, once a reader is added,
+    the combination of its readers' values (see the module docstring)."""
 
     def __init__(self, name: str, help: str = "",
                  const_labels: dict[str, str] | None = None):
         self.name = _check_name(name)
         self.help = help
         self.const_labels = dict(const_labels or {})
-        self.value = 0.0
+        self._value = 0.0
+        self._readers: list = []
         self._lock = threading.Lock()
 
-    def inc(self, n: float = 1.0) -> None:
-        if n < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self.value += n
+    @property
+    def value(self) -> float:
+        readers = self._readers
+        if not readers:
+            return self._value
+        return float(reduce(self._combine, (read() for read in readers)))
 
-    def merge_from(self, other: "Counter") -> None:
+    def _store(self, update) -> None:
         with self._lock:
-            self.value += other.value
+            if self._readers:
+                raise TypeError(
+                    f"metric {self.name!r} reads its owner's ledger; "
+                    "it cannot be set or incremented"
+                )
+            self._value = update(self._value)
+
+    def merge_from(self, other: "_Metric") -> None:
+        v = other.value
+        self._store(lambda mine: self._combine(mine, v))
 
     def samples(self, labels: str) -> list[str]:
         labels = _merge_label_str(labels, self.const_labels)
@@ -102,7 +122,31 @@ class Counter:
         return out
 
 
-class Gauge:
+class Counter(_Metric):
+    """Monotonically increasing count; merges by summation.
+
+    `const_labels` (e.g. ``{"route": "insitu"}``) distinguish samples
+    of the same metric name: each label set is its own registry entry
+    and exports its own sample line.
+    """
+
+    kind = "counter"
+    _combine = operator.add      # a builtin: never bound to the instance
+
+    def inc(self, n: float = 1.0) -> None:
+        if n < 0:
+            raise ValueError("counters only go up; use a Gauge")
+        self._store(lambda v: v + n)
+
+    @property
+    def counted(self) -> bool:
+        """False for a read-backed counter whose ledger is still at zero:
+        it is left out of merges and exports until its first count, the
+        moment an incremented counter would have been created."""
+        return not self._readers or self.value != 0
+
+
+class Gauge(_Metric):
     """Point-in-time value; `agg` picks the cross-rank combination.
 
     Like counters, gauges accept `const_labels` (e.g.
@@ -115,47 +159,25 @@ class Gauge:
 
     def __init__(self, name: str, help: str = "", agg: str = "max",
                  const_labels: dict[str, str] | None = None):
-        if agg not in _GAUGE_AGGS:
-            raise ValueError(f"gauge agg must be one of {_GAUGE_AGGS}, got {agg!r}")
-        self.name = _check_name(name)
-        self.help = help
+        if agg not in _GAUGE_AGG:
+            raise ValueError(
+                f"gauge agg must be one of {tuple(_GAUGE_AGG)}, got {agg!r}"
+            )
+        super().__init__(name, help, const_labels)
         self.agg = agg
-        self.const_labels = dict(const_labels or {})
-        self.value = 0.0
-        self._lock = threading.Lock()
+        self._combine = _GAUGE_AGG[agg]
 
     def set(self, v: float) -> None:
-        with self._lock:
-            self.value = float(v)
+        self._store(lambda _old: float(v))
 
     def inc(self, n: float = 1.0) -> None:
-        with self._lock:
-            self.value += n
+        self._store(lambda v: v + n)
 
     def dec(self, n: float = 1.0) -> None:
         self.inc(-n)
 
-    def merge_from(self, other: "Gauge") -> None:
-        with self._lock:
-            if self.agg == "sum":
-                self.value += other.value
-            elif self.agg == "max":
-                self.value = max(self.value, other.value)
-            elif self.agg == "min":
-                self.value = min(self.value, other.value)
-            else:  # "last": the merged-in value wins
-                self.value = other.value
-
-    def samples(self, labels: str) -> list[str]:
-        labels = _merge_label_str(labels, self.const_labels)
-        return [f"{self.name}{labels} {_fmt(self.value)}"]
-
     def as_dict(self) -> dict:
-        out = {"type": self.kind, "help": self.help, "agg": self.agg,
-               "value": self.value}
-        if self.const_labels:
-            out["labels"] = dict(self.const_labels)
-        return out
+        return {"agg": self.agg, **super().as_dict()}
 
 
 class Histogram:
@@ -240,39 +262,48 @@ class MetricsRegistry:
         self._metrics: dict[str, object] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, cls, key: str, name: str, *args, **kwargs):
+    def _get_or_create(self, cls, key: str, name: str, *args, read=None):
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = self._metrics[key] = cls(name, *args, **kwargs)
+                metric = self._metrics[key] = cls(name, *args)
             elif not isinstance(metric, cls):
                 raise TypeError(
                     f"metric {name!r} already registered as {metric.kind}"
                 )
+            if read is not None:
+                metric._readers.append(read)
             return metric
 
     def counter(self, name: str, help: str = "",
-                const_labels: dict[str, str] | None = None) -> Counter:
+                const_labels: dict[str, str] | None = None,
+                read=None) -> Counter:
+        """Get or create a counter; `read` adds a reader to it (each
+        owner registers its ledger once)."""
         # one registry entry per (name, label set): labeled variants of a
         # metric accumulate and export independently
         key = name + _render_labels(const_labels or {})
-        return self._get_or_create(Counter, key, name, help, const_labels)
+        return self._get_or_create(Counter, key, name, help, const_labels,
+                                   read=read)
 
     def gauge(self, name: str, help: str = "", agg: str = "max",
-              const_labels: dict[str, str] | None = None) -> Gauge:
+              const_labels: dict[str, str] | None = None,
+              read=None) -> Gauge:
         key = name + _render_labels(const_labels or {})
-        return self._get_or_create(Gauge, key, name, help, agg, const_labels)
+        return self._get_or_create(Gauge, key, name, help, agg, const_labels,
+                                   read=read)
 
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> Histogram:
         return self._get_or_create(Histogram, name, name, help, buckets)
 
     def __iter__(self):
         with self._lock:
-            return iter(sorted(
-                self._metrics.values(),
-                key=lambda m: (m.name,
-                               _render_labels(getattr(m, "const_labels", {}))),
-            ))
+            metrics = list(self._metrics.values())
+        return iter(sorted(
+            (m for m in metrics if getattr(m, "counted", True)),
+            key=lambda m: (m.name,
+                           _render_labels(getattr(m, "const_labels", {}))),
+        ))
 
     def __len__(self) -> int:
         with self._lock:
@@ -400,10 +431,13 @@ class NullMetricsRegistry:
     labels: dict = {}
 
     def counter(self, name: str, help: str = "",
-                const_labels: dict[str, str] | None = None) -> _NullMetric:
+                const_labels: dict[str, str] | None = None,
+                read=None) -> _NullMetric:
         return _NULL_METRIC
 
-    def gauge(self, name: str, help: str = "", agg: str = "max") -> _NullMetric:
+    def gauge(self, name: str, help: str = "", agg: str = "max",
+              const_labels: dict[str, str] | None = None,
+              read=None) -> _NullMetric:
         return _NULL_METRIC
 
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> _NullMetric:

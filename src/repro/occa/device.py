@@ -133,8 +133,22 @@ class Device:
         self.pcie = pcie
         self.transfers = TransferLedger()
         self._kernels: dict[str, Callable] = {}
-        self._pcie_counters: tuple | None = None
         self.allocated_bytes = 0
+        if mode != "serial":
+            # the ledger is the record; the active telemetry reads it
+            from repro.observe.session import get_telemetry
+
+            metrics = get_telemetry().metrics
+            metrics.counter(
+                "repro_pcie_h2d_bytes_total",
+                "bytes moved host->device over the modeled PCIe link",
+                read=lambda: self.transfers.h2d_bytes,
+            )
+            metrics.counter(
+                "repro_pcie_d2h_bytes_total",
+                "bytes moved device->host over the modeled PCIe link",
+                read=lambda: self.transfers.d2h_bytes,
+            )
 
     # -- memory ---------------------------------------------------------
     def malloc(self, shape, dtype=np.float64) -> DeviceMemory:
@@ -158,29 +172,6 @@ class Device:
             return
         seconds = self.pcie.transfer_time(nbytes) if self.pcie else 0.0
         self.transfers.record(direction, nbytes, seconds)
-        from repro.observe.session import get_telemetry
-
-        tel = get_telemetry()
-        if not tel.enabled:
-            return
-        # counters cached per telemetry session: _charge is on the
-        # per-copy hot path and must not pay a registry lookup each time
-        cached = self._pcie_counters
-        if cached is None or cached[0] is not tel:
-            cached = self._pcie_counters = (
-                tel,
-                {
-                    "h2d": tel.metrics.counter(
-                        "repro_pcie_h2d_bytes_total",
-                        "bytes moved host->device over the modeled PCIe link",
-                    ),
-                    "d2h": tel.metrics.counter(
-                        "repro_pcie_d2h_bytes_total",
-                        "bytes moved device->host over the modeled PCIe link",
-                    ),
-                },
-            )
-        cached[1][direction].inc(nbytes)
 
     @property
     def arena(self):

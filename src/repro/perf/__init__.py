@@ -30,37 +30,6 @@ __all__ = [
     "get_arena",
     "get_plan_cache",
     "naive_mode",
-    "publish_stats",
     "set_enabled",
 ]
 
-
-def publish_stats(tel=None) -> None:
-    """Export this rank's arena/plan-cache stats as observe gauges.
-
-    Called from the solver step when telemetry is active, so
-    ``python -m repro trace`` shows allocation behavior per rank.
-    """
-    if tel is None:
-        from repro.observe import get_telemetry
-
-        tel = get_telemetry()
-    if not tel.enabled:
-        return
-    arena = get_arena()
-    plans = get_plan_cache()
-    m = tel.metrics
-    m.gauge("repro_perf_plan_cache_hits",
-            "plan cache hits this rank", agg="sum").set(plans.hits)
-    m.gauge("repro_perf_plan_cache_misses",
-            "plan cache misses (plans built) this rank", agg="sum").set(plans.misses)
-    m.gauge("repro_perf_arena_hits",
-            "arena borrows served from the pool this rank", agg="sum").set(arena.hits)
-    m.gauge("repro_perf_arena_misses",
-            "arena borrows that allocated this rank", agg="sum").set(arena.misses)
-    m.gauge("repro_perf_arena_peak_borrowed_bytes",
-            "peak bytes simultaneously borrowed this rank",
-            agg="sum").set(arena.peak_borrowed_bytes)
-    m.gauge("repro_perf_arena_pooled_bytes",
-            "bytes parked in the arena pool this rank",
-            agg="sum").set(arena.pooled_bytes())

@@ -29,8 +29,9 @@ per :class:`~repro.occa.device.Device`, so there is no lock and buffers
 never travel between ranks or devices.  In-use bytes are charged to the
 rank's :class:`MemoryMeter` under the arena's category (``perf.arena``
 on the host, ``occa.arena`` on a device), and the host arena's
-hit/miss/peak statistics are exported as gauges by
-:func:`repro.perf.publish_stats`.
+hit/miss/peak statistics are read live by the ``repro_perf_*`` gauges
+each :class:`~repro.nekrs.NekRSSolver` registers on its rank's
+telemetry.
 """
 
 from __future__ import annotations

@@ -188,6 +188,15 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         self.output_dir = Path(output_dir)
         self.images_written = 0
         self.image_bytes = 0
+        metrics = get_telemetry().metrics
+        metrics.counter(
+            "repro_catalyst_images_total", "PNG images rendered in situ",
+            read=lambda: self.images_written,
+        )
+        metrics.counter(
+            "repro_catalyst_image_bytes_total", "PNG bytes written in situ",
+            read=lambda: self.image_bytes,
+        )
         #: wall seconds of render + PNG write on the rank that renders;
         #: always on, like the two counters above
         self.render_seconds = 0.0
@@ -368,13 +377,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                             self.publisher(name, step, time, data)
                 self.image_bytes += written
             self.render_seconds += _time.perf_counter() - t0
-            if tel.enabled:
-                tel.metrics.counter(
-                    "repro_catalyst_images_total", "PNG images rendered in situ"
-                ).inc(len(outputs))
-                tel.metrics.counter(
-                    "repro_catalyst_image_bytes_total", "PNG bytes written in situ"
-                ).inc(written)
         return True
 
     def _to_host_frame(self, rgb: np.ndarray, device, step: int, tel) -> np.ndarray:

@@ -76,10 +76,29 @@ class RelayHub:
         self._thread: threading.Thread | None = None
         self.steer_forwarded = 0
         self.origin_fetches = 0
-        # last values mirrored into telemetry counters (deltas only)
-        self._mirrored_hits = 0
-        self._mirrored_misses = 0
-        self._mirrored_dropped = 0
+        # the pump's ledgers are the record; the mesh's registry reads
+        # them (every relay adds its reader to the same counters)
+        metrics = self._tel.metrics
+        pump = self.pump
+        metrics.counter(
+            "repro_serve_cache_hits_total", "Edge-cache hits across relay hubs",
+            read=lambda: pump.cache.hits,
+        )
+        metrics.counter(
+            "repro_serve_cache_misses_total",
+            "Edge-cache misses across relay hubs",
+            read=lambda: pump.cache.misses,
+        )
+        metrics.counter(
+            "repro_serve_frames_dropped_total",
+            "Frames evicted by drop-to-latest backpressure",
+            read=lambda: pump.dropped,
+        )
+        metrics.gauge(
+            "repro_serve_relay_clients", "Clients attached to a relay hub",
+            agg="max", const_labels={"relay": str(rid)},
+            read=lambda: len(pump.sessions),
+        )
 
     def start(self) -> None:
         self.membership.register(self.rid)
@@ -89,15 +108,15 @@ class RelayHub:
         self._thread.start()
 
     def _run(self) -> None:
-        # telemetry is thread-local; adopt the mesh's session so cache
-        # counters and relay gauges land in the publisher's registry
+        # telemetry is thread-local; adopt the mesh's session so what
+        # the pump records lands in the publisher's registry
         with active(self._tel):
             while not self._stop:
                 self._heartbeat()
                 # heartbeat rides the fan-out too: a pass over a big
                 # shard must not outlive the relay's own lease
                 serviced = self.pump.pump_once(on_frame=self._heartbeat)
-                self._mirror_metrics()
+                self._meter_cache()
                 if not serviced and not self._stop:
                     self.pump.wait_for_work(POLL_INTERVAL_S)
 
@@ -112,7 +131,7 @@ class RelayHub:
         pump = self.pump
         if self._thread is None:
             pump.pump_once()
-            self._mirror_metrics()
+            self._meter_cache()
             return
         with pump.cond:
             while pump.frames_ingested != pump.notifies and self.alive:
@@ -124,41 +143,12 @@ class RelayHub:
         except KeyError:
             pass
 
-    def _mirror_metrics(self) -> None:
+    def _meter_cache(self) -> None:
         tel = self._tel
-        if not tel.enabled:
-            return
-        cache = self.pump.cache
-        dh = cache.hits - self._mirrored_hits
-        dm = cache.misses - self._mirrored_misses
-        if dh:
-            tel.metrics.counter(
-                "repro_serve_cache_hits_total",
-                "Edge-cache hits across relay hubs",
-            ).inc(dh)
-            self._mirrored_hits = cache.hits
-        if dm:
-            tel.metrics.counter(
-                "repro_serve_cache_misses_total",
-                "Edge-cache misses across relay hubs",
-            ).inc(dm)
-            self._mirrored_misses = cache.misses
-        dd = self.pump.dropped - self._mirrored_dropped
-        if dd:
-            tel.metrics.counter(
-                "repro_serve_frames_dropped_total",
-                "Frames evicted by drop-to-latest backpressure",
-            ).inc(dd)
-            self._mirrored_dropped += dd
-        tel.metrics.gauge(
-            "repro_serve_relay_clients",
-            "Clients attached to a relay hub",
-            agg="max",
-            const_labels={"relay": str(self.rid)},
-        ).set(len(self.pump.sessions))
-        tel.memory.observe(
-            f"serve.edgecache.{self.rid}", cache.payload_bytes
-        )
+        if tel.enabled:
+            tel.memory.observe(
+                f"serve.edgecache.{self.rid}", self.pump.cache.payload_bytes
+            )
 
     def stop(self) -> None:
         """Stop the pump thread (planned departure or teardown)."""
@@ -236,6 +226,11 @@ class ServeMesh:
         self.frames_published = 0
         self.peak_clients = 0
         self.migrations: list[dict] = []
+        self._tel.metrics.counter(
+            "repro_serve_relay_migrations_total",
+            "Relay departures that moved sessions",
+            read=lambda: len(self._lost),
+        )
         for _ in range(relays):
             self.add_relay(start=start)
 
@@ -319,15 +314,9 @@ class ServeMesh:
         }
         self._lost.append(rid)
         self.migrations.append(record)
-        tel = self._tel
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_serve_relay_migrations_total",
-                "Relay departures that moved sessions",
-            ).inc()
-            tel.tracer.instant(
-                "serve.migrate", relay=rid, moved=moved, planned=planned
-            )
+        self._tel.tracer.instant(
+            "serve.migrate", relay=rid, moved=moved, planned=planned
+        )
         return record
 
     def check(self, now: float | None = None) -> list[dict]:

@@ -224,6 +224,46 @@ def test_one_pool_class_and_one_mode_independent_frame_writer():
     assert not [n for n in names if n.endswith("_reference")]
 
 
+def test_each_ledger_is_counted_once():
+    """Source scan: a metric that reads its owner's ledger (``read=``)
+    is never also incremented or set through a plain ``counter(`` /
+    ``gauge(`` call, and the twin-increment machinery is gone."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                read = any(k.arg == "read" for k in node.keywords)
+                calls.append((node.args[0].value, read,
+                              path.relative_to(SRC).as_posix()))
+    read_backed = {name for name, read, _ in calls if read}
+    assert {
+        "repro_pcie_h2d_bytes_total", "repro_pcie_d2h_bytes_total",
+        "repro_sst_steps_put_total", "repro_sst_bytes_put_total",
+        "repro_sst_steps_got_total", "repro_sst_bytes_got_total",
+        "repro_bridge_invocations_total", "repro_bridge_degraded_steps_total",
+        "repro_catalyst_images_total", "repro_catalyst_image_bytes_total",
+        "repro_router_route_total", "repro_fleet_commits_total",
+        "repro_fleet_steals_total", "repro_fleet_scale_up_total",
+        "repro_fleet_scale_down_total", "repro_serve_cache_hits_total",
+        "repro_serve_cache_misses_total", "repro_serve_frames_dropped_total",
+        "repro_serve_relay_clients", "repro_perf_arena_hits",
+    } <= read_backed
+    twins = sorted((name, rel) for name, read, rel in calls
+                   if not read and name in read_backed)
+    assert twins == []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        for word in ("_mirror_metrics", "_mirrored_", "_pcie_counters",
+                     "publish_stats"):
+            assert word not in text, (path.relative_to(SRC).as_posix(), word)
+
+
 def test_residency_is_not_a_second_renderer():
     """Source scan: the render code never learns where its arrays live.
     ``repro.catalyst`` names no ``repro.occa``; ``._raw(`` is unwrapped

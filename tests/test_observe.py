@@ -10,6 +10,7 @@ from repro.observe import (
     Histogram,
     MemoryMeter,
     MetricsRegistry,
+    NullMetricsRegistry,
     NullTracer,
     Telemetry,
     TelemetrySession,
@@ -180,6 +181,35 @@ class TestMetrics:
         a.merge(b)
         assert a.get("c").value == 3
         assert b.get("c").value == 2
+
+    def test_read_backed_metrics_read_their_ledgers(self):
+        ledger = {"a": 0, "b": 2}
+        reg = MetricsRegistry()
+        c = reg.counter("repro_x_total", "x", read=lambda: ledger["a"])
+        assert reg.counter("repro_x_total", read=lambda: ledger["b"]) is c
+        g = reg.gauge("repro_y", agg="max", read=lambda: ledger["a"])
+        reg.gauge("repro_y", agg="max", read=lambda: ledger["b"])
+        assert (c.value, g.value) == (2, 2)      # sum / agg over readers
+        ledger["a"] = 5
+        assert (c.value, g.value) == (7, 5)      # read when asked
+        with pytest.raises(TypeError):
+            c.inc()
+        with pytest.raises(TypeError):
+            g.set(1)
+        merged = MetricsRegistry().merge(reg)
+        ledger["a"] = 9
+        assert merged.get("repro_x_total").value == 7   # a plain number
+        merged.get("repro_x_total").inc()                # and a plain counter
+        # a read-backed counter is exported from its first count on
+        zero = reg.counter("repro_z_total", read=lambda: 0)
+        assert zero.value == 0 and "repro_z_total" not in reg.to_prometheus()
+        assert "repro_y 9" in reg.to_prometheus()
+
+    def test_null_registry_ignores_readers(self):
+        reg = NullMetricsRegistry()
+        reg.counter("repro_x_total", "x", {"l": "1"}, read=lambda: 1).inc()
+        reg.gauge("repro_y", agg="sum", const_labels={}, read=lambda: 1).set(2)
+        assert list(reg) == []
 
     def test_reduce_across_spmd_ranks(self):
         def body(comm):

@@ -133,6 +133,74 @@ class TestTracedInTransitRun:
         assert merged.get("repro_sst_steps_put_total").value == 6
         assert merged.get("repro_sst_steps_got_total").value == 6
 
+    def test_merged_counters_equal_the_ledgers(self, tmp_path, monkeypatch):
+        """Each read-backed family's merged value is its owners' ledger."""
+        from repro.insitu import Bridge, InTransitRunner
+        from repro.occa import Device
+        from repro.parallel import run_spmd
+        from repro.sensei.analyses.catalyst_adaptor import (
+            CatalystAnalysisAdaptor,
+        )
+
+        def instances(cls):
+            made, init = [], cls.__init__
+
+            def recording(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                made.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+            return made
+
+        bridges = instances(Bridge)
+        adaptors = instances(CatalystAnalysisAdaptor)
+        devices = instances(Device)
+
+        def case_builder(nsim):
+            c = weak_scaled_rbc_case(nsim, elements_per_rank=4, order=3, dt=1e-3)
+            return c.with_overrides(num_steps=3)
+
+        session = TelemetrySession("it-ledgers")
+        runner = InTransitRunner(
+            case_builder, mode="catalyst", ratio=1, num_steps=3,
+            output_dir=tmp_path, image_size=64, session=session,
+        )
+        run_spmd(4, runner.run)
+        broker, coordinator = runner.last_broker, runner.last_coordinator
+        ledgers = {
+            "repro_sst_steps_put_total": broker.stats.steps_put,
+            "repro_sst_bytes_put_total": broker.stats.bytes_put,
+            "repro_sst_steps_got_total": broker.stats.steps_got,
+            "repro_sst_bytes_got_total": broker.stats.bytes_got,
+            "repro_fleet_commits_total": coordinator.commits,
+            "repro_fleet_steals_total": coordinator.queues.stolen,
+            "repro_bridge_invocations_total":
+                sum(b.invocations for b in bridges),
+            "repro_catalyst_images_total":
+                sum(a.images_written for a in adaptors),
+            "repro_catalyst_image_bytes_total":
+                sum(a.image_bytes for a in adaptors),
+            "repro_pcie_h2d_bytes_total":
+                sum(d.transfers.h2d_bytes for d in devices),
+            "repro_pcie_d2h_bytes_total":
+                sum(d.transfers.d2h_bytes for d in devices),
+        }
+        merged = session.merged_metrics()
+        # a read-backed counter is exported from its first count on
+        values = {
+            name: merged.get(name).value if merged.get(name) else 0
+            for name in ledgers
+        }
+        assert values == ledgers
+        assert broker.stats.steps_put == 6 and coordinator.commits == 3
+        assert ledgers["repro_catalyst_images_total"] > 0
+        assert ledgers["repro_pcie_d2h_bytes_total"] > 0
+        # the shared broker's counters sit on the rank that built it
+        assert session.rank(0).metrics.get(
+            "repro_sst_steps_got_total"
+        ).value == broker.stats.steps_got
+        assert session.rank(2).metrics.get("repro_sst_steps_got_total") is None
+
     def test_fault_instants_appear_in_trace(self, tmp_path):
         from repro.faults.injector import FaultInjector
 

@@ -31,7 +31,7 @@ from repro.nekrs.cases import weak_scaled_rbc_case
 from repro.observe import TelemetrySession, naming_violations
 from repro.observe.live import (
     LEVEL_COUNTERS,
-    LEVEL_FULL,
+    LEVEL_STAGE,
     STAGES,
     AdaptiveSampler,
     LiveAggregator,
@@ -135,32 +135,32 @@ class TestTimelineAttribution:
 class TestAdaptiveSampler:
     def test_downgrades_when_budget_blown(self):
         sampler = AdaptiveSampler(budget=0.05)
-        assert sampler.update(cost_s=0.02, wall_s=0.1) == LEVEL_FULL + 1
-        assert sampler.downgrades == 1
+        # one over-budget window reaches the floor
         assert sampler.update(cost_s=0.02, wall_s=0.1) == LEVEL_COUNTERS
+        assert sampler.downgrades == 1
         # already at the floor: stays
         assert sampler.update(cost_s=0.02, wall_s=0.1) == LEVEL_COUNTERS
-        assert sampler.downgrades == 2
+        assert sampler.downgrades == 1
 
     def test_upgrade_is_hysteretic(self):
         sampler = AdaptiveSampler(budget=0.05, patience=3)
-        sampler.update(cost_s=0.02, wall_s=0.1)        # -> stage
+        sampler.update(cost_s=0.02, wall_s=0.1)        # -> counters
         for _ in range(2):
-            assert sampler.update(cost_s=1e-5, wall_s=0.1) != LEVEL_FULL
-        assert sampler.update(cost_s=1e-5, wall_s=0.1) == LEVEL_FULL
+            assert sampler.update(cost_s=1e-5, wall_s=0.1) != LEVEL_STAGE
+        assert sampler.update(cost_s=1e-5, wall_s=0.1) == LEVEL_STAGE
         assert sampler.upgrades == 1
 
     def test_borderline_window_resets_calm(self):
         sampler = AdaptiveSampler(budget=0.05, patience=2)
-        sampler.update(cost_s=0.02, wall_s=0.1)        # -> stage
+        sampler.update(cost_s=0.02, wall_s=0.1)        # -> counters
         sampler.update(cost_s=1e-5, wall_s=0.1)        # calm 1
         sampler.update(cost_s=0.004, wall_s=0.1)       # in-budget, not calm
         sampler.update(cost_s=1e-5, wall_s=0.1)        # calm 1 again
-        assert sampler.level != LEVEL_FULL
+        assert sampler.level != LEVEL_STAGE
 
     def test_tiny_wall_ignored(self):
         sampler = AdaptiveSampler(budget=0.05, min_wall_s=1e-3)
-        assert sampler.update(cost_s=1.0, wall_s=1e-6) == LEVEL_FULL
+        assert sampler.update(cost_s=1.0, wall_s=1e-6) == LEVEL_STAGE
         assert sampler.downgrades == 0
 
 
@@ -512,7 +512,7 @@ class TestOverheadGovernor:
         run_spmd(3, runner.run)
         plane.flush_all()
         assert plane.sampler.downgrades >= 1
-        assert plane.sampler.level > LEVEL_FULL
+        assert plane.sampler.level > LEVEL_STAGE
         # counters keep flowing even at degraded levels, so SLO
         # evaluation never goes blind
         assert plane.aggregator.snapshots > 0

@@ -24,7 +24,6 @@ from repro.perf import (
     get_arena,
     get_plan_cache,
     naive_mode,
-    publish_stats,
     set_enabled,
 )
 
@@ -262,21 +261,34 @@ class TestDeviceArena(_ArenaContract):
             view.release(frame)  # no longer the view's to return
 
 
-class TestPublishStats:
-    def test_gauges_exported(self):
+class TestPerfGauges:
+    @staticmethod
+    def _solver():
+        from repro.nekrs import NekRSSolver
+        from repro.nekrs.cases import lid_cavity_case
+        from repro.parallel import SerialCommunicator
+
+        case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=5e-3,
+                               num_steps=1)
+        return NekRSSolver(case, SerialCommunicator())
+
+    def test_gauges_read_the_rank_arena(self):
         tel = Telemetry.create(rank=0)
         with active(tel):
-            arena = get_arena()
+            self._solver()
+            arena, plans = get_arena(), get_plan_cache()
+            # after the solver registered: the gauges read live values,
+            # not a snapshot taken at a solver step
             arena.release(arena.borrow((16,)))
-            get_plan_cache().get(("publish-stats-test",), lambda: 1)
-            publish_stats()
+            plans.get(("perf-gauges-test",), lambda: 1)
         reg = tel.metrics
-        assert reg.get("repro_perf_arena_misses").value >= 1
-        assert reg.get("repro_perf_plan_cache_misses").value >= 1
-        assert reg.get("repro_perf_arena_pooled_bytes").value >= 16 * 8
+        assert reg.get("repro_perf_arena_misses").value == arena.misses >= 1
+        assert reg.get("repro_perf_plan_cache_misses").value == plans.misses >= 1
+        pooled = reg.get("repro_perf_arena_pooled_bytes").value
+        assert pooled == arena.pooled_bytes() >= 16 * 8
 
     def test_noop_without_telemetry(self):
-        publish_stats()  # must not raise against the null bundle
+        self._solver()  # registers on the null registry without raising
 
 
 class TestZeroCopyMarshal:
