@@ -49,11 +49,12 @@ def test_data_reduction_spectrum(benchmark, results_dir):
 
     rows = table.as_dicts()
     raw = rows[0]["bytes/dump"]
-    # compressed dumps sit strictly between raw checkpoints and images
-    for row in rows[1:-1]:
-        assert row["bytes/dump"] < raw, row
+    compressed = [r["bytes/dump"] for r in rows
+                  if r["representation"].startswith("delta-rle")]
+    assert len(compressed) == 2
+    # compressed dumps sit strictly below raw checkpoints
+    assert max(compressed) < raw
     # looser bounds compress harder
-    compressed = [r["bytes/dump"] for r in rows[1:-1]]
     assert compressed == sorted(compressed)
 
 

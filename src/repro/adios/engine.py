@@ -15,11 +15,21 @@ Both writer engines stage, marshal and reset through one base
 (``_StagingWriterEngine``): a step is one :func:`marshal_step` frame
 (RBP2, or RBP3 under an active codec) and the engines differ only in
 where the frame goes — a broker queue or a ``.bp`` file.
+
+The SST wire carries the frame as is.  A ``.bp`` file is where bytes
+are *stored*, so it is the one place that pays for an entropy stage:
+:func:`pack_bp_file` deflates the whole frame into one stdlib ``zlib``
+stream behind a fixed header (magic + inflated length), and
+:func:`unpack_bp_file` inflates no further than that declared length
+and hands :func:`unmarshal_step` nothing but a stream that ends
+exactly there.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +39,11 @@ import numpy as np
 
 from repro.adios.marshal import StepPayload, marshal_step, unmarshal_step
 from repro.codec import CodecContext
-from repro.faults.errors import EndpointDownError, StreamTimeout
+from repro.faults.errors import (
+    CorruptPayloadError,
+    EndpointDownError,
+    StreamTimeout,
+)
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.faults.retry import RetryPolicy
 from repro.observe.session import get_telemetry
@@ -488,8 +502,46 @@ class SSTWriterEngine(_StagingWriterEngine):
         super().close()
 
 
+#: ``.bp`` file header: magic, then the inflated frame's length
+_BP_FILE = struct.Struct("<4sQ")
+_BP_MAGIC = b"RBPZ"
+
+
+def pack_bp_file(frame) -> bytes:
+    """A ``.bp`` file's bytes: header + the frame as one zlib stream."""
+    return _BP_FILE.pack(_BP_MAGIC, len(frame)) + zlib.compress(frame)
+
+
+def unpack_bp_file(data) -> bytes:
+    """Invert :func:`pack_bp_file`; the inflated frame.
+
+    Inflation stops at the declared length, so a hostile file cannot
+    inflate past it.  Anything but one whole zlib stream that inflates
+    to exactly the declared length and ends the file raises
+    :class:`CorruptPayloadError`.
+    """
+    if len(data) < _BP_FILE.size:
+        raise CorruptPayloadError("BP file shorter than its header")
+    magic, declared = _BP_FILE.unpack_from(data)
+    if magic != _BP_MAGIC:
+        raise CorruptPayloadError("not a BP file (bad magic)")
+    if not 0 < declared <= len(data) * 1032:
+        # deflate's best case is ~1032:1; 0 would mean "no limit" below
+        raise CorruptPayloadError(f"BP file declares {declared} B")
+    inflater = zlib.decompressobj()
+    try:
+        frame = inflater.decompress(memoryview(data)[_BP_FILE.size:], declared)
+    except zlib.error as exc:
+        raise CorruptPayloadError(f"BP file does not inflate: {exc}") from exc
+    if not inflater.eof or inflater.unused_data or len(frame) != declared:
+        raise CorruptPayloadError(
+            "BP file stream does not end at its declared length"
+        )
+    return frame
+
+
 class BPFileWriterEngine(_StagingWriterEngine):
-    """File-based engine: one BP payload file per (step, rank)."""
+    """File-based engine: one deflated BP payload file per (step, rank)."""
 
     def __init__(self, name: str, directory, writer_rank: int = 0, codec=None):
         super().__init__(name, writer_rank, codec)
@@ -499,6 +551,7 @@ class BPFileWriterEngine(_StagingWriterEngine):
 
     def _ship(self, data: bytearray) -> None:
         path = self.directory / f"{self.name}.step{self._step:06d}.rank{self.writer_rank:04d}.bp"
+        data = pack_bp_file(data)
         path.write_bytes(data)
         self.bytes_written += len(data)
 
@@ -524,7 +577,8 @@ class BPFileReaderEngine(Engine):
             self._in_step = False
             return StepStatus.END_OF_STREAM
         self._payload = unmarshal_step(
-            self._files[self._index].read_bytes(), context=self.codec_context
+            unpack_bp_file(self._files[self._index].read_bytes()),
+            context=self.codec_context,
         )
         self._index += 1
         return StepStatus.OK

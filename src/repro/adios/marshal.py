@@ -10,9 +10,9 @@ executing anything on the receive side.
 Version 2 payloads (``RBP2``) prepend a CRC32 of the body so
 in-flight corruption is *detected* on unmarshal — raised as
 :class:`~repro.faults.errors.CorruptPayloadError` — instead of
-silently feeding garbage arrays to the analysis side.  Version 1
-(``RBP1``, no checksum) payloads are still readable, so BP files
-written by older runs replay unchanged.
+silently feeding garbage arrays to the analysis side.  Every frame
+carries a CRC: the unchecked version 1 (``RBP1``) is rejected like
+any other unknown magic.
 
 Version 3 payloads (``RBP3``) carry codec-compressed field blocks:
 :func:`marshal_step` takes an optional :class:`~repro.codec.CodecSpec`
@@ -23,7 +23,7 @@ body — exactly the bytes on the wire — so the broker, the fleet's
 replay cache, and BP files all verify what they actually stored.  An
 inactive/lossless spec (or ``codec=None``) emits the plain ``RBP2``
 frame, byte identical to an uncompressed run, and
-:func:`unmarshal_step` auto-detects all three versions.
+:func:`unmarshal_step` auto-detects both versions.
 
 There is one writer and one reader.  :func:`marshal_step` lays out
 every frame itself: it sizes the payload first and writes header,
@@ -53,7 +53,6 @@ from repro.faults.errors import CorruptPayloadError
 from repro.observe.session import get_telemetry
 
 _MAGIC = b"RBP2"
-_MAGIC_V1 = b"RBP1"
 _MAGIC_V3 = b"RBP3"
 _HEADER = "<qdqI"
 _HEADER_SIZE = struct.calcsize(_HEADER)
@@ -206,7 +205,7 @@ def unmarshal_step(data, context=None) -> StepPayload:
 def _read_frame(data) -> tuple[StepPayload, list[tuple] | None]:
     """The frame parser: magic, CRC, step header, variable headers.
 
-    RBP1/RBP2 variables come back as read-only views on the payload
+    RBP2 variables come back as read-only views on the payload
     (and no block list); RBP3 ones as ``(name, codec_id, params, data,
     dtype, shape)`` blocks for :func:`repro.codec.decode_fields`, the
     payload's variables still to be filled.  Parsing is total:
@@ -215,20 +214,17 @@ def _read_frame(data) -> tuple[StepPayload, list[tuple] | None]:
     """
     view = memoryview(data)
     magic = bytes(view[:4])
-    if magic not in (_MAGIC, _MAGIC_V1, _MAGIC_V3):
+    if magic not in (_MAGIC, _MAGIC_V3):
         raise CorruptPayloadError("not a BP step payload (bad magic)")
     v3 = magic == _MAGIC_V3
     try:
-        off = 4
-        if magic != _MAGIC_V1:
-            (stored,) = struct.unpack_from("<I", view, 4)
-            if zlib.crc32(view[8:]) & 0xFFFFFFFF != stored:
-                raise CorruptPayloadError(
-                    "BP payload CRC32 mismatch (corrupt or trailing bytes)"
-                )
-            off = 8
-        step, time, rank, attr_len = struct.unpack_from(_HEADER, view, off)
-        off += _HEADER_SIZE
+        (stored,) = struct.unpack_from("<I", view, 4)
+        if zlib.crc32(view[8:]) & 0xFFFFFFFF != stored:
+            raise CorruptPayloadError(
+                "BP payload CRC32 mismatch (corrupt or trailing bytes)"
+            )
+        step, time, rank, attr_len = struct.unpack_from(_HEADER, view, 8)
+        off = 8 + _HEADER_SIZE
         attributes = json.loads(bytes(view[off : off + attr_len]).decode())
         off += attr_len
         (nvars,) = struct.unpack_from("<I", view, off)

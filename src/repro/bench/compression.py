@@ -62,7 +62,7 @@ STREAM_BYTES_PER_GRIDPOINT = 32.0
 #: the gate budget: every lossy row runs at relative 1e-3.
 GATE_BUDGET = "1e-3"
 
-_CODECS = ("lossless", "delta-rle", "bitplane-rle")
+_CODECS = ("lossless", "delta-rle")
 
 _measure_cache: dict = {}
 

@@ -607,9 +607,11 @@ def cmd_bench(args) -> int:
 
 def _add_codec_args(parser) -> None:
     """The shared --codec / --error-budget / --route flag family."""
+    from repro.codec import CLI_CODECS
+
     parser.add_argument(
         "--codec",
-        choices=("none", "lossless", "delta-rle", "bitplane-rle"),
+        choices=CLI_CODECS,
         default=None,
         help="compress streamed field payloads (RBP3 wire frames); "
              "'lossless' keeps frames byte-identical to an uncompressed run",

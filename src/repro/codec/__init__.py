@@ -11,6 +11,7 @@ design.
 """
 
 from repro.codec.pipeline import (
+    CLI_CODECS,
     CODEC_NAMES,
     CodecContext,
     CodecSpec,
@@ -25,6 +26,7 @@ from repro.codec.pipeline import (
 from repro.codec.stages import CodecError, MissingReferenceError
 
 __all__ = [
+    "CLI_CODECS",
     "CODEC_NAMES",
     "CodecContext",
     "CodecError",

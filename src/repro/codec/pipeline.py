@@ -8,15 +8,15 @@ pipelines compose the :mod:`repro.codec.stages` primitives:
     quantize under the budget -> delta (spatial along the fastest
     axis, or temporal vs. the previous step's quanta when enabled and
     a compatible reference exists) -> zero-gap RLE/varint.
-``bitplane-rle``
-    truncate float mantissas to the budget's precision -> byte-plane
-    shuffle -> zero-gap RLE/varint.  Pointwise-relative, no quantizer
-    overflow to worry about.
 ``raw``
     verbatim bytes — the lossless path, and the automatic fallback
-    whenever a lossy pipeline cannot honor its bound (non-finite
+    whenever the lossy pipeline cannot honor its bound (non-finite
     values, quantizer overflow) or would not actually shrink the
     field.
+
+``delta-rle`` is the only lossy pipeline.  It has no entropy stage:
+stored bytes get theirs once, where they are stored (the BP file
+engines deflate each whole frame), and the wire stays cheap.
 
 Every encode is self-describing: the per-field params that went into
 the wire block are all a decoder needs (plus, for temporal deltas
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import fnmatch
 import math
-import struct
 import threading
 import time as _time
 from dataclasses import dataclass, field
@@ -47,18 +46,13 @@ import numpy as np
 from repro.codec.stages import (
     CodecError,
     MissingReferenceError,
-    byte_shuffle,
-    byte_unshuffle,
     delta_decode,
     delta_encode,
     dequantize,
-    mantissa_bits,
     quantize_rows,
     rle_decode,
     rle_decode_rows,
-    rle_encode,
     rle_encode_rows,
-    truncate_mantissa,
 )
 from repro.perf import config
 
@@ -73,13 +67,15 @@ __all__ = [
     "decode_field",
     "decode_fields",
     "CODEC_NAMES",
+    "CLI_CODECS",
 ]
 
 #: wire codec ids (u8 in the RBP3 field block)
-RAW, CONSTANT, DELTA_RLE, BITPLANE_RLE = 0, 1, 2, 3
-CODEC_NAMES = {RAW: "raw", CONSTANT: "constant", DELTA_RLE: "delta-rle",
-               BITPLANE_RLE: "bitplane-rle"}
-_CODEC_IDS = {v: k for k, v in CODEC_NAMES.items()}
+RAW, CONSTANT, DELTA_RLE = 0, 1, 2
+CODEC_NAMES = {RAW: "raw", CONSTANT: "constant", DELTA_RLE: "delta-rle"}
+
+#: the ``--codec`` vocabulary :meth:`CodecSpec.from_cli` accepts
+CLI_CODECS = ("none", "lossless", "delta-rle")
 
 _FLOAT_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
@@ -144,9 +140,9 @@ class FieldCodecConfig:
     temporal: bool = False      # delta vs previous step when possible
 
     def __post_init__(self):
-        if self.codec not in _CODEC_IDS:
+        if self.codec not in ("raw", "delta-rle"):
             raise ValueError(
-                f"unknown codec {self.codec!r}; choose from {sorted(_CODEC_IDS)}"
+                f"unknown codec {self.codec!r}; choose from raw, delta-rle"
             )
 
 
@@ -212,18 +208,18 @@ class CodecSpec:
     ) -> "CodecSpec | None":
         """Build a spec from ``--codec`` / ``--error-budget`` strings.
 
-        ``--error-budget`` accepts ``1e-3`` (relative), ``rel:1e-3``
-        or ``abs:0.05``; the default is relative 1e-3.
+        `codec` is one of :data:`CLI_CODECS` (or None, which is
+        ``none``).  ``--error-budget`` accepts ``1e-3`` (relative),
+        ``rel:1e-3`` or ``abs:0.05``; the default is relative 1e-3.
         """
-        if codec is None or codec == "none":
+        if codec not in (None, *CLI_CODECS):
+            raise ValueError(
+                f"unknown codec {codec!r}; choose from {', '.join(CLI_CODECS)}"
+            )
+        if codec in (None, "none"):
             return None
         if codec == "lossless":
             return cls.lossless()
-        if codec not in _CODEC_IDS or codec in ("constant",):
-            raise ValueError(
-                f"unknown codec {codec!r}; choose from "
-                "lossless, delta-rle, bitplane-rle"
-            )
         budget = ErrorBudget(relative=1e-3)
         if error_budget is not None:
             text = str(error_budget)
@@ -316,113 +312,8 @@ class CodecContext:
             self._prev.clear()
 
 
-def _keep_bits_for(budget: ErrorBudget, arr: np.ndarray) -> int:
-    """Mantissa bits to keep so truncation honors the budget.
-
-    Truncating to k bits bounds pointwise relative error by ``2**-k``.
-    A relative budget maps directly; an absolute budget maps through
-    the field's max magnitude (|err| <= 2**-k * max|x|).  With both
-    set, the effective bound is the tighter of the two, mirroring
-    :meth:`ErrorBudget.bound_for`.
-    """
-    rels = []
-    if budget.relative is not None:
-        rels.append(budget.relative)
-    if budget.absolute is not None:
-        finite = np.abs(arr[np.isfinite(arr)]) if arr.size else arr
-        vmax = float(finite.max()) if np.size(finite) else 0.0
-        if vmax > 0.0:
-            rels.append(budget.absolute / vmax)
-    if not rels:
-        return mantissa_bits(arr.dtype)
-    rel = min(rels)
-    if rel >= 1.0:
-        return 1
-    return int(np.ceil(np.log2(1.0 / rel)))
-
-
-#: per-plane storage tags in the bit-plane stream
-_PLANE_ZERO, _PLANE_RAW, _PLANE_RLE = 0, 1, 2
-
-
-def _bitplane_encode(truncated: np.ndarray) -> bytes:
-    """Shuffle to byte planes, then store each plane as cheaply as it goes.
-
-    Mantissa truncation zeroes whole low-order byte planes, which cost
-    one tag byte here; the surviving planes are kept raw unless their
-    zero-gap RLE is strictly smaller.  Layout: one tag byte per plane
-    (itemsize of them), then each kept plane's block — RLE blocks are
-    preceded by their ``<q`` length, raw blocks are exactly ``n`` bytes.
-    """
-    shuffled = np.frombuffer(byte_shuffle(truncated), dtype=np.uint8)
-    n = truncated.size
-    itemsize = truncated.dtype.itemsize
-    tags = bytearray(itemsize)
-    blob = bytearray()
-    for i in range(itemsize):
-        plane = shuffled[i * n:(i + 1) * n]
-        if not plane.any():
-            tags[i] = _PLANE_ZERO
-            continue
-        packed = rle_encode(plane.astype(np.int64))
-        if len(packed) + 8 < n:
-            tags[i] = _PLANE_RLE
-            blob += struct.pack("<q", len(packed)) + packed
-        else:
-            tags[i] = _PLANE_RAW
-            blob += plane.tobytes()
-    return bytes(tags) + bytes(blob)
-
-
-def _bitplane_decode(data: bytes, dtype: np.dtype, count: int) -> np.ndarray:
-    """Reassemble byte planes written by :func:`_bitplane_encode`."""
-    itemsize = dtype.itemsize
-    if len(data) < itemsize:
-        raise CodecError("bit-plane stream shorter than its tag header")
-    tags = data[:itemsize]
-    off = itemsize
-    planes = np.zeros(itemsize * count, dtype=np.uint8)
-    for i, tag in enumerate(tags):
-        if tag == _PLANE_ZERO:
-            continue
-        if tag == _PLANE_RAW:
-            if off + count > len(data):
-                raise CodecError("raw byte plane truncated")
-            planes[i * count:(i + 1) * count] = np.frombuffer(
-                data, dtype=np.uint8, count=count, offset=off
-            )
-            off += count
-        elif tag == _PLANE_RLE:
-            if off + 8 > len(data):
-                raise CodecError("RLE byte plane truncated")
-            (plen,) = struct.unpack_from("<q", data, off)
-            off += 8
-            if plen < 0 or off + plen > len(data):
-                raise CodecError("RLE byte plane truncated")
-            vals = rle_decode(data[off:off + plen])
-            off += plen
-            if vals.size != count or (
-                vals.size and (vals.min() < 0 or vals.max() > 0xFF)
-            ):
-                raise CodecError("RLE byte plane holds non-byte values")
-            planes[i * count:(i + 1) * count] = vals.astype(np.uint8)
-        else:
-            raise CodecError(f"unknown byte-plane tag {tag}")
-    if off != len(data):
-        raise CodecError("bit-plane stream has trailing bytes")
-    return byte_unshuffle(planes.tobytes(), dtype, count)
-
-
-def _encode_bitplane(row: np.ndarray, cfg: FieldCodecConfig):
-    keep = _keep_bits_for(cfg.budget, row)
-    if keep >= mantissa_bits(row.dtype):
-        return None
-    data = _bitplane_encode(truncate_mantissa(row, keep))
-    return (BITPLANE_RLE, {"k": keep}, data) if len(data) < row.nbytes else None
-
-
 def _encode_group(names, arrs, cfg, step, context) -> list:
-    """Run same-(config, dtype, shape) fields through their lossy pipeline.
+    """Run same-(config, dtype, shape) fields through ``delta-rle``.
 
     The fields are stacked into an ``(F, n)`` matrix and every stage —
     budget, quantize, delta, RLE, varint — runs once over it, while each
@@ -447,12 +338,8 @@ def _encode_group(names, arrs, cfg, step, context) -> list:
         idx, a, bound = idx[live], a[live], bound[live]
     if not idx.size:
         return out
-    if cfg.codec == "bitplane-rle":
-        for i, row in zip(idx, a):
-            out[i] = _encode_bitplane(row, cfg)
-        return out
 
-    # delta-rle: quantize under the bound, then the cheapest valid delta
+    # quantize under the bound, then the cheapest valid delta
     qstep = 2.0 * bound
     refs: dict[int, tuple] = {}         # row -> its usable temporal reference
     if cfg.temporal and context is not None:
@@ -611,8 +498,6 @@ def _decode_blocks(blocks, context):
             arrs[i] = arr.reshape(shape)
         elif codec_id == CONSTANT:
             arrs[i] = np.full(shape, params["v"], dtype=dtype)
-        elif codec_id == BITPLANE_RLE:
-            arrs[i] = _bitplane_decode(data, dtype, count).reshape(shape)
         elif codec_id == DELTA_RLE:
             groups.setdefault((dtype, tuple(shape)), []).append(i)
         else:

@@ -1,8 +1,7 @@
 """Codec stages: the NumPy-only primitives field pipelines compose.
 
 Every stage is a pure function over arrays/bytes with an exact inverse
-(delta, varint, RLE, byte-plane shuffle) or a bounded-error inverse
-(quantization, mantissa truncation).  The *decoders* carry two
+(delta, varint, RLE) or a bounded-error inverse (quantization).  The *decoders* carry two
 implementations, the gate's idiom: a vectorized NumPy path and a
 retained pure-Python ``*_reference`` path dispatched through
 ``repro.perf.config`` — under :func:`repro.perf.naive_mode` every
@@ -42,9 +41,6 @@ __all__ = [
     "quantize",
     "quantize_rows",
     "dequantize",
-    "truncate_mantissa",
-    "byte_shuffle",
-    "byte_unshuffle",
 ]
 
 _U64 = np.uint64
@@ -398,73 +394,3 @@ def dequantize_reference(q: np.ndarray, step: float, dtype=np.float64) -> np.nda
     """Reference decoder: scalar multiply-accumulate loop."""
     flat = [float(v) * step for v in np.asarray(q).ravel().tolist()]
     return np.array(flat, dtype=dtype).reshape(np.asarray(q).shape)
-
-
-# -- bit-plane truncation ------------------------------------------------
-
-_FLOAT_LAYOUT = {
-    np.dtype("<f4"): (np.uint32, 23),
-    np.dtype("<f8"): (np.uint64, 52),
-}
-
-
-def mantissa_bits(dtype) -> int:
-    layout = _FLOAT_LAYOUT.get(np.dtype(dtype))
-    if layout is None:
-        raise CodecError(f"bit-plane truncation needs f4/f8, got {dtype}")
-    return layout[1]
-
-
-def truncate_mantissa(arr: np.ndarray, keep_bits: int) -> np.ndarray:
-    """Zero the low mantissa bits, keeping `keep_bits` of precision.
-
-    Pointwise relative error is bounded by ``2**-keep_bits`` (for
-    ``keep_bits >= 1``); sign, exponent, NaN and Inf survive intact.
-    """
-    a = np.ascontiguousarray(arr)
-    uint_t, mant = _FLOAT_LAYOUT.get(a.dtype, (None, None))
-    if uint_t is None:
-        raise CodecError(f"bit-plane truncation needs f4/f8, got {a.dtype}")
-    keep = int(np.clip(keep_bits, 0, mant))
-    drop = mant - keep
-    if drop == 0:
-        return a.copy()
-    bits = a.view(uint_t)
-    mask = uint_t(~((1 << drop) - 1) & ((1 << (8 * a.dtype.itemsize)) - 1))
-    return (bits & mask).view(a.dtype)
-
-
-def byte_shuffle(arr: np.ndarray) -> bytes:
-    """Transpose an array's bytes into planes (all byte-0s, then 1s...).
-
-    After mantissa truncation the low planes are mostly zero, which
-    turns the RLE stage's zero-gap coding into the actual size win.
-    """
-    a = np.ascontiguousarray(arr)
-    raw = a.view(np.uint8).reshape(-1, a.dtype.itemsize)
-    return np.ascontiguousarray(raw.T).tobytes()
-
-
-def byte_unshuffle(data: bytes, dtype, count: int) -> np.ndarray:
-    """Invert :func:`byte_shuffle` for `count` items of `dtype`."""
-    if not config.enabled():
-        return byte_unshuffle_reference(data, dtype, count)
-    dtype = np.dtype(dtype)
-    if len(data) != count * dtype.itemsize:
-        raise CodecError("byte-plane stream has the wrong length")
-    planes = np.frombuffer(data, dtype=np.uint8).reshape(dtype.itemsize, count)
-    return np.ascontiguousarray(planes.T).reshape(-1).view(dtype)[:count].copy()
-
-
-def byte_unshuffle_reference(data: bytes, dtype, count: int) -> np.ndarray:
-    """Reference decoder: per-item byte gather."""
-    dtype = np.dtype(dtype)
-    size = dtype.itemsize
-    if len(data) != count * size:
-        raise CodecError("byte-plane stream has the wrong length")
-    out = bytearray(count * size)
-    for i in range(count):
-        for plane in range(size):
-            out[i * size + plane] = data[plane * count + i]
-    return np.frombuffer(bytes(out), dtype=dtype).copy()
-

@@ -20,11 +20,9 @@ from repro.sensei.analyses.adios_adaptor import ADIOSAnalysisAdaptor
 from repro.sensei.analyses.binning import DataBinning
 from repro.sensei.analyses.particles import ParticleTracer
 from repro.sensei.analyses.steering import DivergenceGuard, SteadyStateDetector
-from repro.sensei.analyses.compressed_io import CompressedIO
 from repro.sensei.analyses.probe import HistoryPoints
 
 __all__ = [
-    "CompressedIO",
     "HistoryPoints",
     "HistogramAnalysis",
     "AutocorrelationAnalysis",
@@ -142,15 +140,23 @@ def _make_divergence_guard(comm: Communicator, attrs: dict, output_dir: Path):
 
 
 def _make_compressed_io(comm: Communicator, attrs: dict, output_dir: Path):
+    """Error-bounded field dumps: ``delta-rle`` under an absolute bound,
+    written as deflated ``dump.step*.rank*.bp`` files (replay them with
+    :func:`repro.insitu.streamed.replay_file_staged`).  Geometry goes
+    out once and exact."""
+    from repro.adios.engine import BPFileWriterEngine
+    from repro.codec import CodecSpec
+
     arrays = tuple(
         a.strip() for a in attrs.get("arrays", "pressure").split(",") if a.strip()
     )
-    return CompressedIO(
-        comm,
-        output_dir=Path(attrs.get("output", str(output_dir))),
-        arrays=arrays,
-        error_bound=float(attrs.get("error_bound", "1e-4")),
-        mesh_name=attrs.get("mesh", "mesh"),
+    bound = attrs.get("error_bound", "1e-4")
+    engine = BPFileWriterEngine(
+        "dump", attrs.get("output", str(output_dir)), writer_rank=comm.rank,
+        codec=CodecSpec.from_cli("delta-rle", f"abs:{bound}"),
+    )
+    return ADIOSAnalysisAdaptor(
+        comm, engine, mesh_name=attrs.get("mesh", "mesh"), arrays=arrays
     )
 
 

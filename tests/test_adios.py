@@ -1,7 +1,9 @@
 """Tests for BP marshaling, SST streaming, and BPFile engines."""
 
+import struct
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,9 @@ from repro.adios import (
     marshal_step,
     unmarshal_step,
 )
+from repro.adios.engine import pack_bp_file, unpack_bp_file
 from repro.codec import CodecContext, CodecSpec
+from repro.faults.errors import CorruptPayloadError
 
 
 class TestMarshal:
@@ -335,8 +339,25 @@ class TestBPFileEngines:
         writer.end_step()
         (path,) = tmp_path.glob("*.bp")
         assert writer.bytes_written == path.stat().st_size
-        out = unmarshal_step(path.read_bytes())
+        out = unmarshal_step(unpack_bp_file(path.read_bytes()))
         assert out.step == 2 and set(out.variables) == {"kept"}
+
+    def test_files_are_deflated_and_the_wire_is_not(self, tmp_path):
+        spec = CodecSpec.from_cli("delta-rle", "1e-3")
+        payload = StepPayload(1, 0.1, 0, {"u": np.linspace(0, 1, 4096)})
+        frame = bytes(marshal_step(payload, codec=spec))
+        bp = BPFileWriterEngine("run", tmp_path, codec=spec)
+        broker = SSTBroker(num_writers=1)
+        sst = SSTWriterEngine("run", broker, 0, codec=spec)
+        for engine in (bp, sst):
+            engine.set_step_info(1, 0.1)
+            engine.begin_step()
+            engine.put("u", payload.variables["u"])
+            engine.end_step()
+        assert broker.get(0) == frame
+        (path,) = tmp_path.glob("*.bp")
+        assert path.read_bytes() == pack_bp_file(frame)
+        assert bp.bytes_written < len(frame)
 
     def test_rank_separation(self, tmp_path):
         for rank in (0, 1):
@@ -348,3 +369,53 @@ class TestBPFileEngines:
         r1.begin_step()
         np.testing.assert_array_equal(r1.get().variables["r"], [1.0])
 
+
+class TestBPFileContainer:
+    """``unpack_bp_file`` accepts one zlib stream that inflates to exactly
+    its declared length and ends the file; everything else is a corrupt
+    payload, raised before any frame parsing."""
+
+    FRAME = bytes(marshal_step(StepPayload(
+        4, 0.5, 0, {"u": np.linspace(0, 1, 512)}, {"a": "b"})))
+
+    def _file(self, declared=None, stream=None):
+        stream = zlib.compress(self.FRAME) if stream is None else stream
+        declared = len(self.FRAME) if declared is None else declared
+        return b"RBPZ" + struct.pack("<Q", declared) + stream
+
+    def test_roundtrip(self):
+        assert unpack_bp_file(pack_bp_file(self.FRAME)) == self.FRAME
+        assert self._file() == pack_bp_file(self.FRAME)
+
+    @pytest.mark.parametrize("delta", [-1, 1, -len(FRAME) // 2, 10**6])
+    def test_a_lie_about_the_inflated_length(self, delta):
+        with pytest.raises(CorruptPayloadError):
+            unpack_bp_file(self._file(declared=len(self.FRAME) + delta))
+
+    @pytest.mark.parametrize("declared", [0, 2**63, 2**64 - 1])
+    def test_impossible_declared_lengths(self, declared):
+        with pytest.raises(CorruptPayloadError):
+            unpack_bp_file(self._file(declared=declared))
+
+    def test_a_truncated_stream(self):
+        data = self._file()
+        for n in range(len(data)):
+            with pytest.raises(CorruptPayloadError):
+                unpack_bp_file(data[:n])
+
+    @pytest.mark.parametrize("extra", [b"\0", b"junk", pack_bp_file(b"x")])
+    def test_trailing_bytes_after_the_stream(self, extra):
+        with pytest.raises(CorruptPayloadError):
+            unpack_bp_file(self._file() + extra)
+
+    def test_a_stream_that_inflates_past_its_declared_length(self):
+        bomb = zlib.compress(self.FRAME + bytes(1 << 20), 9)
+        with pytest.raises(CorruptPayloadError):
+            unpack_bp_file(self._file(stream=bomb))
+
+    def test_reader_rejects_before_parsing_the_frame(self, tmp_path):
+        path = tmp_path / "run.step000001.rank0000.bp"
+        path.write_bytes(self._file(declared=len(self.FRAME) - 1))
+        reader = BPFileReaderEngine("run", tmp_path)
+        with pytest.raises(CorruptPayloadError, match="declared length"):
+            reader.begin_step()

@@ -355,3 +355,31 @@ def test_every_gate_row_is_in_the_newest_committed_bench_file():
     fname, newest = load_trajectory(Path(__file__).resolve().parents[1])[-1]
     assert newest["schema"] == SCHEMA, fname
     assert set(KERNELS) == set(newest["kernels"]), fname
+
+
+# -- one compressor ----------------------------------------------------------
+
+
+def test_one_lossy_pipeline_and_one_storage_entropy_stage():
+    """Source scan: ``delta-rle`` is the only lossy pipeline (the
+    bit-plane codec, SZ-lite and the unchecked RBP1 frame are gone), and
+    deflate runs in exactly two places — PNG encoding and the BP file
+    engine — so the wire codec never grows a second entropy stage."""
+    deflaters = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        for word in ("bitplane", "BITPLANE", "truncate_mantissa",
+                     "byte_shuffle", "SZL1", "compress_field",
+                     "CompressedIO", "_MAGIC_V1"):
+            assert word not in text, (rel, word)
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("compress", "compressobj")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "zlib"):
+                deflaters.add(rel)
+    assert deflaters == {"util/png.py", "adios/engine.py"}
+    assert not (SRC / "util" / "compress.py").exists()
+    assert not (SRC / "sensei" / "analyses" / "compressed_io.py").exists()

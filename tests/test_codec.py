@@ -4,7 +4,7 @@ Covers the :mod:`repro.codec` stage primitives (against their
 ``naive_mode`` reference twins), the per-field pipelines across the
 edge-case zoo (NaN/Inf, constants, single elements, odd shapes, both
 float widths), the RBP3 frame (round trips, CRC over compressed
-bytes, lossless byte-identity with RBP2, RBP1/RBP2 back-compat,
+bytes, lossless byte-identity with RBP2, RBP2 decode and RBP1 rejection,
 geometry pinning, copy-on-write isolation), the batched codec against
 its one-row case (bytes, contexts, hostile blocks, golden frames), the
 :class:`~repro.insitu.router.HybridRouter` state machine, the labeled
@@ -36,7 +36,7 @@ from repro.codec import (
     encode_fields,
 )
 from repro.codec import stages
-from repro.codec.pipeline import BITPLANE_RLE, CONSTANT, DELTA_RLE, RAW
+from repro.codec.pipeline import CONSTANT, DELTA_RLE, RAW
 from repro.faults.errors import CorruptPayloadError
 from repro.insitu.router import HybridRouter, RouteDecision, RouterPolicy
 from repro.perf import naive_mode
@@ -58,6 +58,8 @@ EDGE_ARRAYS = {
     "odd_shape": _smooth((7, 3, 5), seed=3),
     "f4": _smooth((5, 5), seed=4).astype(np.float32),
     "tiny_range": 1.0 + 1e-14 * np.arange(8.0),
+    # a range-relative bound is far below the values' magnitude
+    "offset": 100 + np.linspace(0, 1, 4096),
 }
 
 
@@ -103,13 +105,6 @@ class TestStages:
         ref = stages.dequantize_reference(stages.quantize(arr, step), step)
         np.testing.assert_array_equal(out, ref)
 
-    def test_truncate_mantissa_relative_bound(self, rng):
-        arr = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
-        for keep in (4, 10, 20):
-            out = stages.truncate_mantissa(arr, keep)
-            rel = np.abs(out - arr) / np.abs(arr)
-            assert rel.max() <= 2.0 ** -keep
-
     def test_rle_decode_rejects_adversarial_gap(self):
         """A gap >= 2**63 must raise, not wrap into negative indexing.
 
@@ -129,17 +124,9 @@ class TestStages:
         with pytest.raises(CodecError):
             stages.rle_decode_reference(payload)
 
-    def test_byte_shuffle_roundtrip_and_reference(self, rng):
-        arr = rng.normal(size=64)
-        data = stages.byte_shuffle(arr)
-        out = stages.byte_unshuffle(data, arr.dtype, arr.size)
-        ref = stages.byte_unshuffle_reference(data, arr.dtype, arr.size)
-        np.testing.assert_array_equal(out, arr)
-        np.testing.assert_array_equal(ref, arr)
-
 
 class TestFieldPipelines:
-    @pytest.mark.parametrize("codec", ["delta-rle", "bitplane-rle"])
+    @pytest.mark.parametrize("codec", ["delta-rle"])
     @pytest.mark.parametrize("case", sorted(EDGE_ARRAYS))
     def test_roundtrip_within_budget(self, codec, case):
         arr = EDGE_ARRAYS[case]
@@ -154,7 +141,7 @@ class TestFieldPipelines:
         else:
             assert np.abs(out - arr).max() <= (bound or 0) + 1e-12
 
-    @pytest.mark.parametrize("codec", ["delta-rle", "bitplane-rle"])
+    @pytest.mark.parametrize("codec", ["delta-rle"])
     def test_smooth_field_compresses(self, codec):
         arr = _smooth((8, 8, 8), seed=1)
         cfg = FieldCodecConfig(codec=codec, budget=ErrorBudget(relative=1e-3))
@@ -196,14 +183,12 @@ class TestFieldPipelines:
                            arr.shape, 0)
         assert np.abs(out - arr).max() <= 0.05 + 1e-12
 
-    @pytest.mark.parametrize("codec", ["delta-rle", "bitplane-rle"])
+    @pytest.mark.parametrize("codec", ["delta-rle"])
     def test_combined_budget_honors_tighter_absolute_bound(self, codec, rng):
         """With both bounds set, the tighter one wins (bound_for's rule).
 
         A large-magnitude field makes the absolute bound far tighter
-        than the relative one; bitplane-rle used to key its mantissa
-        keep-bits off the relative bound alone and blow the absolute
-        budget by orders of magnitude.
+        than the relative one.
         """
         arr = 2e6 + rng.normal(size=(8, 8, 8))
         budget = ErrorBudget(absolute=1e-6, relative=1e-1)
@@ -213,7 +198,7 @@ class TestFieldPipelines:
                            arr.shape, 0)
         assert np.abs(out - arr).max() <= budget.bound_for(arr) + 1e-12
 
-    @pytest.mark.parametrize("codec", ["delta-rle", "bitplane-rle"])
+    @pytest.mark.parametrize("codec", ["delta-rle"])
     def test_naive_mode_decode_parity(self, codec, rng):
         arr = _smooth((6, 6, 6), seed=7)
         cfg = FieldCodecConfig(codec=codec, budget=ErrorBudget(relative=1e-3))
@@ -227,9 +212,10 @@ class TestFieldPipelines:
 
     def test_corrupt_block_raises(self):
         arr = _smooth((6, 6), seed=2)
-        cfg = FieldCodecConfig(codec="bitplane-rle",
+        cfg = FieldCodecConfig(codec="delta-rle",
                                budget=ErrorBudget(relative=1e-3))
         codec_id, params, data = encode_field("f", arr, cfg, 0)
+        assert codec_id == DELTA_RLE
         with pytest.raises(CodecError):
             decode_field("f", codec_id, params, data[:-3], arr.dtype,
                          arr.shape, 0)
@@ -413,7 +399,7 @@ class TestMarshalRBP3:
         assert via_spec[:4] == b"RBP2"
         assert bytes(marshal_step(payload, codec=None)) == plain
 
-    def test_rbp2_and_rbp1_still_decode(self):
+    def test_rbp2_decodes_and_rbp1_is_rejected(self):
         payload = _payload()
         rbp2 = bytes(marshal_step(payload))
         assert rbp2[:4] == b"RBP2"
@@ -422,10 +408,8 @@ class TestMarshalRBP3:
             out2.variables["temperature"], payload.variables["temperature"]
         )
         rbp1 = b"RBP1" + rbp2[8:]       # v1 framing: magic, no CRC
-        out1 = unmarshal_step(rbp1)
-        np.testing.assert_array_equal(
-            out1.variables["temperature"], payload.variables["temperature"]
-        )
+        with pytest.raises(CorruptPayloadError, match="bad magic"):
+            unmarshal_step(rbp1)
 
     def test_decoded_fields_are_read_only_with_cow_escape(self):
         spec = CodecSpec.from_cli("delta-rle", "1e-3")
@@ -511,7 +495,7 @@ def _zoo_batch(seed, temporal=True):
         FieldCodecConfig("delta-rle", BUDGETS[rng.integers(len(BUDGETS))],
                          temporal=temporal),
         FieldCodecConfig("delta-rle", BUDGETS[rng.integers(len(BUDGETS))]),
-        FieldCodecConfig("bitplane-rle", ErrorBudget(relative=1e-3)),
+        FieldCodecConfig("delta-rle", ErrorBudget(relative=1e-3)),
         FieldCodecConfig("raw"), None,
     ]
     shapes = [(216,), (216,), (6, 6, 6), (9,), (1,), (7, 3), (0,)]
@@ -877,7 +861,11 @@ class TestTruncatedFrames:
     @pytest.mark.parametrize("version", ["RBP1", "RBP2", "RBP3"])
     def test_every_prefix_is_a_corrupt_payload(self, version):
         frame = self._frames()[version]
-        assert unmarshal_step(frame, context=CodecContext()).step == 1
+        if version == "RBP1":       # no CRC: the whole frame is rejected too
+            with pytest.raises(CorruptPayloadError, match="bad magic"):
+                unmarshal_step(frame, context=CodecContext())
+        else:
+            assert unmarshal_step(frame, context=CodecContext()).step == 1
         for n in range(len(frame)):
             for naive in (False, True):
                 with pytest.raises(CorruptPayloadError):
@@ -921,12 +909,13 @@ class TestCodecSpec:
         assert CodecSpec.from_cli(None) is None
         assert CodecSpec.from_cli("none") is None
         assert not CodecSpec.from_cli("lossless").active
-        spec = CodecSpec.from_cli("bitplane-rle", "abs:0.5")
+        spec = CodecSpec.from_cli("delta-rle", "abs:0.5")
         assert spec.active
         cfg = spec.config_for("temperature", np.float64)
-        assert cfg.codec == "bitplane-rle" and cfg.budget.absolute == 0.5
-        with pytest.raises(ValueError):
-            CodecSpec.from_cli("gzip")
+        assert cfg.codec == "delta-rle" and cfg.budget.absolute == 0.5
+        for name in ("gzip", "raw", "constant", "bitplane-rle"):
+            with pytest.raises(ValueError, match="none, lossless, delta-rle"):
+                CodecSpec.from_cli(name)
 
     def test_geometry_globs_pin_raw(self):
         spec = CodecSpec.from_cli("delta-rle", "1e-3")

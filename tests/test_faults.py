@@ -191,10 +191,11 @@ class TestPayloadIntegrity:
         assert issubclass(CorruptPayloadError, TransportError)
         assert issubclass(CorruptPayloadError, ValueError)
 
-    def test_legacy_v1_payload_still_reads(self):
+    def test_legacy_v1_payload_is_rejected(self):
         data = marshal_step(self._payload())
         legacy = b"RBP1" + data[8:]  # v1: same body, no CRC header
-        assert unmarshal_step(legacy).step == 3
+        with pytest.raises(CorruptPayloadError, match="bad magic"):
+            unmarshal_step(legacy)
 
 
 # -- broker injection sites -------------------------------------------------

@@ -1,15 +1,19 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.adios.engine import pack_bp_file, unpack_bp_file
 from repro.adios.marshal import StepPayload, marshal_step, unmarshal_step
 from repro.catalyst.colormaps import apply_colormap
 from repro.catalyst.contour import marching_tetrahedra
 from repro.codec import (
     CodecContext,
+    CodecSpec,
     ErrorBudget,
     FieldCodecConfig,
     decode_field,
@@ -17,6 +21,7 @@ from repro.codec import (
     encode_field,
     encode_fields,
 )
+from repro.faults.errors import CorruptPayloadError
 from repro.parallel.comm import ReduceOp, _combine
 from repro.parallel.partition import block_partition, owner_of
 from repro.perf import naive_mode
@@ -90,6 +95,48 @@ class TestMarshalProperties:
         assert out.time == time
         np.testing.assert_array_equal(out.variables["v"], arr)
         assert out.variables["v"].dtype == arr.dtype
+
+
+_BP_FILE = pack_bp_file(marshal_step(
+    StepPayload(2, 0.5, 1, {"u": np.linspace(0.0, 1.0, 64),
+                            "ids": np.arange(5)}, {"k": "v"}),
+    codec=CodecSpec.from_cli("delta-rle", "1e-3"),
+))
+
+
+@st.composite
+def _hostile_bp_files(draw):
+    """A valid BP file after a few flips, cuts, extensions and length lies."""
+    data = bytearray(_BP_FILE)
+    for _ in range(draw(st.integers(0, 4))):
+        how = draw(st.sampled_from(["flip", "cut", "extend", "declare"]))
+        if how == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] ^= draw(st.integers(1, 255))
+        elif how == "cut":
+            del data[draw(st.integers(0, len(data))):]
+        elif how == "extend":
+            data += draw(st.binary(min_size=1, max_size=64))
+        elif how == "declare" and len(data) >= 12:
+            data[4:12] = struct.pack("<Q", draw(st.integers(0, 2**64 - 1)))
+    return bytes(data)
+
+
+class TestBPFileProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        _hostile_bp_files(),
+        st.binary(max_size=256),
+        st.binary(max_size=256).map(lambda b: b"RBPZ" + b),
+    ))
+    def test_any_bytes_decode_or_raise_corrupt_payload(self, data):
+        """The BP reader is total: whatever a file holds, it decodes or
+        raises :class:`CorruptPayloadError` — never anything else."""
+        try:
+            out = unmarshal_step(unpack_bp_file(data), context=CodecContext())
+        except CorruptPayloadError:
+            return
+        assert out.step == 2 and set(out.variables) == {"u", "ids"}
 
 
 class TestReduceProperties:
