@@ -312,6 +312,14 @@ class CodecContext:
             self._prev.clear()
 
 
+def _within_bound(q, qstep, a64, bound, dtype) -> np.ndarray:
+    """Per row: does the decoder's ``(q * qstep).astype(dtype)`` stay
+    within `bound` of the field?  Overflowed rows come out False."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs((q * qstep[:, None]).astype(dtype) - a64)
+    return err.max(axis=1, initial=0.0) <= bound
+
+
 def _encode_group(names, arrs, cfg, step, context) -> list:
     """Run same-(config, dtype, shape) fields through ``delta-rle``.
 
@@ -319,7 +327,8 @@ def _encode_group(names, arrs, cfg, step, context) -> list:
     budget, quantize, delta, RLE, varint — runs once over it, while each
     row still decides for itself.  A row left at None goes out raw: it
     is non-finite (only raw is exact), its bound is zero or overflows
-    the quantizer, or its block would not shrink.
+    the quantizer, its reconstruction misses the bound even at half
+    the step, or its block would not shrink.
     """
     out: list = [None] * len(arrs)
     shape, nbytes = arrs[0].shape, arrs[0].nbytes
@@ -356,7 +365,21 @@ def _encode_group(names, arrs, cfg, step, context) -> list:
             if ref is not None and 0.25 * qstep[j] <= ref[1] <= qstep[j] \
                     and ref[2].shape == shape:
                 refs[j], qstep[j] = ref, ref[1]
-    q, fits = quantize_rows(np.asarray(a, dtype=np.float64), qstep)
+    a64 = np.asarray(a, dtype=np.float64)
+    q, fits = quantize_rows(a64, qstep)
+    within = _within_bound(q, qstep, a64, bound, a.dtype)
+    missed = np.flatnonzero(fits & ~within)
+    fits &= within
+    if missed.size:
+        # half a step of quantum error plus the rounding of a/qstep and
+        # q*qstep can land an ulp past the bound: requantize those rows
+        # spatially at half the step (or, failing that, ship them raw)
+        for j in missed:
+            refs.pop(j, None)
+        qstep[missed] = bound[missed]
+        q[missed], fits[missed] = quantize_rows(a64[missed], qstep[missed])
+        fits[missed] &= _within_bound(q[missed], qstep[missed], a64[missed],
+                                      bound[missed], a.dtype)
     q[~fits] = 0.0
     q = q.astype(np.int64)
     deltas = delta_encode(q, axis=1)

@@ -2,17 +2,17 @@
 
 JUWELS Booster's network is a DragonFly+ (leaf/spine cells joined
 all-to-all by global links); Polaris' Slingshot network is a dragonfly
-variant that the same model approximates.  We build the switch graph
-with networkx and answer hop counts and path routes between compute
-nodes; the network model converts hops into latency.
+variant that the same model approximates.  We answer hop counts
+between compute nodes in closed form from the construction below; the
+network model converts hops into latency.
 
 Topology construction:
 
 - each *cell* (group) contains ``switches_per_group`` leaf switches and
   the same number of spine switches, leaf-spine fully bipartite;
 - spines of different cells are connected all-to-all (one global link
-  per cell pair per spine, collapsed to a single graph edge — we model
-  hop counts, not link contention at the per-link level);
+  per cell pair per spine — we model hop counts, not link contention at
+  the per-link level);
 - each leaf switch hosts ``nodes_per_switch`` compute nodes.
 
 Minimal routes are therefore: same switch = 1 switch hop,
@@ -23,9 +23,6 @@ same cell = leaf-spine-leaf = 3, different cell = leaf-spine-spine-leaf
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import networkx as nx
 
 from repro.machine.specs import ClusterSpec
 
@@ -40,26 +37,12 @@ class NodeLocation:
 
 
 class DragonflyPlusTopology:
-    """Switch-level DragonFly+ graph for a :class:`ClusterSpec`."""
+    """Switch-level DragonFly+ topology for a :class:`ClusterSpec`."""
 
     def __init__(self, spec: ClusterSpec):
         self.spec = spec
         per_cell = spec.nodes_per_switch * spec.switches_per_group
         self.num_cells = -(-spec.num_nodes // per_cell)
-        self.graph = nx.Graph()
-        for cell in range(self.num_cells):
-            leaves = [("leaf", cell, s) for s in range(spec.switches_per_group)]
-            spines = [("spine", cell, s) for s in range(spec.switches_per_group)]
-            self.graph.add_nodes_from(leaves)
-            self.graph.add_nodes_from(spines)
-            for leaf in leaves:
-                for spine in spines:
-                    self.graph.add_edge(leaf, spine)
-        # global links: all-to-all between cells through spines
-        for a in range(self.num_cells):
-            for b in range(a + 1, self.num_cells):
-                for s in range(spec.switches_per_group):
-                    self.graph.add_edge(("spine", a, s), ("spine", b, s))
 
     def locate(self, node_id: int) -> NodeLocation:
         """Deterministic placement of compute node `node_id`."""
@@ -74,21 +57,18 @@ class DragonflyPlusTopology:
         switch, port = divmod(rem, per_switch)
         return NodeLocation(cell=cell, switch=switch, port=port)
 
-    @lru_cache(maxsize=4096)
     def switch_hops(self, node_a: int, node_b: int) -> int:
         """Number of switches traversed between two compute nodes.
 
         0 for the same node (intra-node traffic never enters the
-        fabric).
+        fabric), then 1 / 3 / 4 for the same switch / cell / neither.
         """
         if node_a == node_b:
             return 0
         la, lb = self.locate(node_a), self.locate(node_b)
-        if la.cell == lb.cell and la.switch == lb.switch:
-            return 1
-        src = ("leaf", la.cell, la.switch)
-        dst = ("leaf", lb.cell, lb.switch)
-        return nx.shortest_path_length(self.graph, src, dst) + 1
+        if la.cell != lb.cell:
+            return 4
+        return 1 if la.switch == lb.switch else 3
 
     def max_hops(self) -> int:
         """Worst-case minimal route length (diameter in switch hops)."""

@@ -116,6 +116,11 @@ class CaseDefinition:
     #: quadrature over-integration (3/2 rule) of advection terms —
     #: NekRS's standard dealiasing for marginally resolved turbulence
     dealias: bool = False
+    #: linear-solve tolerances, relative to the right-hand side: a solve
+    #: stops once ``||r|| <= tol * ||b||``, however good its initial
+    #: guess (every solve starts from the last step's field).  The
+    #: ``.par`` key ``residualTol`` of [PRESSURE] / [VELOCITY] /
+    #: [TEMPERATURE] maps onto these.
     pressure_tol: float = 1e-6
     velocity_tol: float = 1e-8
     scalar_tol: float = 1e-8

@@ -276,8 +276,10 @@ class NekRSSolver:
         mask: np.ndarray,
         tol: float,
         key: str,
+        previous: np.ndarray,
     ):
-        """Solve (h1 A + h0 B) x = rhs with Dirichlet values in `lift`."""
+        """Solve (h1 A + h0 B) x = rhs with Dirichlet values in `lift`,
+        starting from the homogeneous part of the `previous` field."""
         arena = get_arena()
 
         def apply_masked(f):
@@ -293,14 +295,17 @@ class NekRSSolver:
             b = self.ops.assemble(hb)
         b *= mask
         pre = self._jacobi(h1, h0, mask, key)
-        result = cg_solve(
-            apply_masked,
-            b,
-            self.ops.dot,
-            precond=pre,
-            tol=tol,
-            max_iterations=self.case.max_iterations,
-        )
+        with arena.scratch(b.shape, b.dtype) as x0:
+            np.multiply(previous, mask, out=x0)
+            result = cg_solve(
+                apply_masked,
+                b,
+                self.ops.dot,
+                precond=pre,
+                x0=x0,
+                tol=tol,
+                max_iterations=self.case.max_iterations,
+            )
         return result.x + lift, result
 
     # ------------------------------------------------------------------
@@ -419,6 +424,7 @@ class NekRSSolver:
                     self.temperature_mask,
                     case.scalar_tol,
                     f"temperature:h0={h0:.6e}",
+                    self.T,
                 )
                 self.T[:] = Tnew
                 scalar_iters = result.iterations
@@ -453,6 +459,7 @@ class NekRSSolver:
                     mask,
                     case.scalar_tol,
                     f"scalar:{name}:h0={h0:.6e}",
+                    field,
                 )
                 field[:] = snew
                 scalar_iters += result.iterations
@@ -532,7 +539,9 @@ class NekRSSolver:
                 vel_key = f"velocity:h0={h0_scalar:.6e}"
                 rho_b0_dt = case.density * (b0 / dt)
                 with arena.scratch(shape, n=2) as (rhs_buf, lift_buf):
-                    for star, lift_field in ((us, ub), (vs, vb), (ws, wb)):
+                    for star, lift_field, previous in (
+                        (us, ub, self.u), (vs, vb, self.v), (ws, wb, self.w)
+                    ):
                         np.multiply(star, rho_b0_dt, out=rhs_buf)
                         self.ops.mass_apply(rhs_buf, out=rhs_buf)
                         np.multiply(lift_field, bc_nodes, out=lift_buf)
@@ -544,6 +553,7 @@ class NekRSSolver:
                             self.velocity_mask,
                             case.velocity_tol,
                             vel_key,
+                            previous,
                         )
                         new_vel.append(sol)
                         vel_iters += result.iterations

@@ -8,7 +8,10 @@ Helmholtz solves need no more) or a callable ``M(r, out)`` (the
 pressure solve's two-level :class:`repro.sem.coarse.CoarseGrid`).
 Inner products use the assembled dot product (every global dof
 counted once) and reduce across ranks through the communicator, which
-is exactly where NekRS spends its allreduce traffic.
+is exactly where NekRS spends its allreduce traffic.  A solve stops at
+``||r|| <= tol * ||b||`` like NekRS's ``residualTol``, so an initial
+guess close to the solution ends it early instead of tightening its
+finish line.
 
 The default path borrows its vectors (r, z, p and one temporary) from
 the per-rank workspace arena and updates them in place, so an
@@ -35,6 +38,7 @@ class CGResult:
     x: np.ndarray
     iterations: int
     residual: float
+    #: ``||r||`` of the iterate CG started from: the guess, or x = 0
     initial_residual: float
     converged: bool
 
@@ -52,6 +56,31 @@ def _precondition(precond, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(r, precond, out=out)
 
 
+def _starting_iterate(apply_op, b, dot, x0, project_nullspace):
+    """``(x, r, ||b||, ||r||)`` that CG starts from.
+
+    `b` is taken after the nullspace projection.  A guess `x0` whose
+    residual exceeds ``||b||`` is dropped for x = 0, so no solve starts
+    worse than, or iterates more than, its cold start.  Every array
+    returned is fresh.
+    """
+    r = b.copy()
+    if project_nullspace is not None:
+        r = project_nullspace(r)
+    b_norm = float(np.sqrt(max(dot(r, r), 0.0)))
+    if x0 is not None:
+        x = x0.copy()
+        if project_nullspace is not None:
+            x = project_nullspace(x)
+        r_guess = b - apply_op(x)
+        if project_nullspace is not None:
+            r_guess = project_nullspace(r_guess)
+        guess_norm = float(np.sqrt(max(dot(r_guess, r_guess), 0.0)))
+        if guess_norm <= b_norm:
+            return x, r_guess, b_norm, guess_norm
+    return np.zeros_like(b), r, b_norm, b_norm
+
+
 def cg_solve_reference(
     apply_op: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -63,20 +92,13 @@ def cg_solve_reference(
     project_nullspace: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
     """Original allocating PCG, kept as the gate/equivalence reference."""
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    if project_nullspace is not None:
-        x = project_nullspace(x)
-
-    r = b - apply_op(x) if x0 is not None else b.copy()
-    if project_nullspace is not None:
-        r = project_nullspace(r)
+    x, r, b_norm, r0 = _starting_iterate(apply_op, b, dot, x0, project_nullspace)
+    target = tol * b_norm
+    if r0 <= target:
+        return CGResult(x, 0, r0, r0, True)
 
     z = _precondition(precond, r, np.empty_like(r)) if precond is not None else r
     rz = dot(r, z)
-    r0 = float(np.sqrt(max(dot(r, r), 0.0)))
-    if r0 == 0.0:
-        return CGResult(x, 0, 0.0, 0.0, True)
-    target = tol * r0
 
     p = z.copy()
     res = r0
@@ -136,9 +158,16 @@ def cg_solve(
     project_nullspace:
         optional projector applied to iterates/residuals (used to pin
         the pressure mean for the all-Neumann Poisson problem).
+    x0:
+        initial guess (not modified).  Kept only if its residual is no
+        larger than ``||b||``; otherwise CG starts from x = 0.
     tol:
-        relative to the initial *unpreconditioned* assembled residual
-        ``||b - A x0||``: converged once ``||r|| <= tol * ||r0||``.
+        relative to the *unpreconditioned* assembled right-hand side:
+        converged once ``||r|| <= tol * ||b||`` (b after the nullspace
+        projection), whatever the initial guess.  So a cold start
+        (``x0=None``, ``r0 = b``) stops where a residual-relative rule
+        would, and a good guess stops sooner instead of being held to
+        a stricter bound.
     """
     if not config.enabled():
         return cg_solve_reference(
@@ -146,13 +175,16 @@ def cg_solve(
             max_iterations=max_iterations, project_nullspace=project_nullspace,
         )
 
-    arena = get_arena()
     # x escapes in the result, so it is a real allocation; the working
     # vectors are borrowed and released on every exit path.
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    if project_nullspace is not None:
-        x = project_nullspace(x)
+    x, r_start, b_norm, r0 = _starting_iterate(
+        apply_op, b, dot, x0, project_nullspace
+    )
+    target = tol * b_norm
+    if r0 <= target:
+        return CGResult(x, 0, r0, r0, True)
 
+    arena = get_arena()
     r = arena.borrow(b.shape, b.dtype)
     p = arena.borrow(b.shape, b.dtype)
     tmp = arena.borrow(b.shape, b.dtype)
@@ -163,20 +195,10 @@ def cg_solve(
     else:
         z = r  # the reference path aliases z = r too
     try:
-        if x0 is not None:
-            np.subtract(b, apply_op(x), out=r)
-        else:
-            np.copyto(r, b)
-        if project_nullspace is not None:
-            np.copyto(r, project_nullspace(r))
-
+        np.copyto(r, r_start)
         if precond is not None:
             _precondition(precond, r, z)
         rz = dot(r, z)
-        r0 = float(np.sqrt(max(dot(r, r), 0.0)))
-        if r0 == 0.0:
-            return CGResult(x, 0, 0.0, 0.0, True)
-        target = tol * r0
 
         np.copyto(p, z)
         res = r0

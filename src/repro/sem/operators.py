@@ -52,6 +52,8 @@ class SEMOperators:
         self.comm = comm
         self.geom = GeometricFactors(mesh)
         self.D = derivative_matrix(mesh.order)
+        # the forward x-derivative's BLAS operand, made contiguous once
+        self.DT = np.ascontiguousarray(self.D.T)
         self.gs = GatherScatter(mesh.global_ids, comm)
         self._volume: float | None = None
         self._ndofs: float | None = None
@@ -162,7 +164,7 @@ class SEMOperators:
                 out,
             )
         with get_arena().scratch(f.shape, f.dtype, n=3) as (fr, fs, ft):
-            local_grad(self.D, f, out=(fr, fs, ft))
+            local_grad(self.D, f, out=(fr, fs, ft), DT=self.DT)
             fr *= self.geom.grr
             fs *= self.geom.gss
             ft *= self.geom.gtt
@@ -230,7 +232,7 @@ class SEMOperators:
             return tuple(out)
         if out is None:
             out = (np.empty_like(f), np.empty_like(f), np.empty_like(f))
-        fx, fy, fz = local_grad(self.D, f, out=out)
+        fx, fy, fz = local_grad(self.D, f, out=out, DT=self.DT)
         fx *= self.geom.rx
         fy *= self.geom.sy
         fz *= self.geom.tz
@@ -244,7 +246,7 @@ class SEMOperators:
             res += self.geom.sy * apply_1d_y(self.D, v)
             res += self.geom.tz * apply_1d_z(self.D, w)
             return _into(res, out)
-        out = apply_1d_x(self.D, u, out=out)
+        out = apply_1d_x(self.D, u, out=out, AT=self.DT)
         out *= self.geom.rx
         with get_arena().scratch(out.shape, out.dtype) as tmp:
             apply_1d_y(self.D, v, out=tmp)

@@ -85,15 +85,23 @@ def _fast_ok(A: np.ndarray, f: np.ndarray, out: np.ndarray) -> bool:
     )
 
 
-def apply_1d_x(A: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply A along the x (last) axis: out[e,k,j,a] = A[a,i] f[e,k,j,i]."""
+def apply_1d_x(
+    A: np.ndarray, f: np.ndarray, out: np.ndarray | None = None,
+    AT: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply A along the x (last) axis: out[e,k,j,a] = A[a,i] f[e,k,j,i].
+
+    `AT` is ``A.T`` made C-contiguous, for a caller that applies one
+    matrix many times: BLAS runs the strided view ``A.T`` of a
+    C-contiguous `A` at under half the speed, with the same bits.
+    """
     if not config.enabled():
         return _into(apply_1d_x_reference(A, f), out)
     out_shape, f2, o2 = _plan_1d("a1x", A, f)
     if out is None:
         out = np.empty(out_shape, np.result_type(A, f))
     if _fast_ok(A, f, out):
-        np.matmul(f.reshape(f2), A.T, out=out.reshape(o2))
+        np.matmul(f.reshape(f2), A.T if AT is None else AT, out=out.reshape(o2))
     else:
         get_plan_cache().einsum("ai,ekji->ekja", A, f, out=out)
     return out
@@ -158,17 +166,19 @@ def apply_3d(
 def local_grad(
     D: np.ndarray, f: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    DT: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference-space gradient (df/dr, df/ds, df/dt) of each element.
 
     `D` is the 1-D GLL differentiation matrix; r/s/t are the reference
     coordinates along x/y/z respectively.  Pass ``out=(fr, fs, ft)`` to
-    reuse buffers.
+    reuse buffers, and `DT`, a C-contiguous ``D.T``, to run the
+    x-derivative on it (see :func:`apply_1d_x`).
     """
     if out is None:
-        return apply_1d_x(D, f), apply_1d_y(D, f), apply_1d_z(D, f)
+        return apply_1d_x(D, f, AT=DT), apply_1d_y(D, f), apply_1d_z(D, f)
     fr, fs, ft = out
-    apply_1d_x(D, f, out=fr)
+    apply_1d_x(D, f, out=fr, AT=DT)
     apply_1d_y(D, f, out=fs)
     apply_1d_z(D, f, out=ft)
     return fr, fs, ft

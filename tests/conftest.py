@@ -108,6 +108,20 @@ def _serve_event_loop_guard():
 
 
 @pytest.fixture
+def cold_start(monkeypatch):
+    """Call it to make every linear solve of the stepper drop its
+    initial guess and start from x = 0, where ``||r0|| = ||b||``: the
+    warm-against-cold test seam, not an option."""
+    def install():
+        from repro.nekrs import solver
+
+        real_cg = solver.cg_solve
+        monkeypatch.setattr(solver, "cg_solve",
+                            lambda *args, x0=None, **kw: real_cg(*args, **kw))
+    return install
+
+
+@pytest.fixture
 def comm():
     """A single-rank communicator."""
     return SerialCommunicator()

@@ -14,6 +14,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,20 @@ def test_api_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_the_benchmarked_surface_leaves_networkx_unloaded():
+    """Hop counts are closed-form: importing every name ``api.py`` lists
+    in a fresh interpreter keeps networkx (a test oracle only) out of
+    ``sys.modules``, and so out of every workload's resident set."""
+    tree = ast.parse((E2E / "api.py").read_text())
+    imports = [ast.unparse(n) for n in tree.body if isinstance(n, ast.ImportFrom)]
+    assert imports
+    code = "\n".join(imports + ["import sys", "print('networkx' in sys.modules)"])
+    env = dict(os.environ, PYTHONPATH=str(E2E.parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_contour_call_sites_hold_the_traced_object():
@@ -309,10 +326,13 @@ def test_sleep_call_sites_only_shrink():
 
 
 def test_pressure_iteration_count_cannot_decay_silently():
-    """The benchmark's pebble shape, steps 2-6 on one rank: the two-level
-    preconditioner holds the pressure solve at 45-46 iterations (156-161
-    under Jacobi alone), and the Jacobi Helmholtz solves stay at 3 x 8.
-    Counts, not clocks: they repeat exactly."""
+    """The benchmark's pebble shape, steps 2-6 on one rank.  Every solve
+    starts from the last step's field and stops at ``tol * ||b||``, so
+    the warm starts pay: the two-level pressure solve falls from 46 to
+    38 iterations (45-46 a step when its tolerance was relative to the
+    guess's residual; 156-161 under Jacobi alone), and the three Jacobi
+    velocity solves from 23 to 20 (3 x 8 from a cold start).  Counts,
+    not clocks: they repeat exactly."""
     from repro.nekrs import NekRSSolver
     from repro.nekrs.cases import pebble_bed_case
     from repro.parallel import SerialCommunicator
@@ -320,8 +340,9 @@ def test_pressure_iteration_count_cannot_decay_silently():
     case = pebble_bed_case(num_pebbles=5, elements_per_unit=4, order=5,
                            dt=1e-3, viscosity=5e-2)
     reports = NekRSSolver(case, SerialCommunicator()).run(6)[1:]
-    assert all(r.pressure_iterations <= 60 for r in reports), reports
-    assert all(r.velocity_iterations == 24 for r in reports), reports
+    pressure = [r.pressure_iterations for r in reports]
+    assert max(pressure) <= 46 and pressure[-1] <= 38, reports
+    assert [r.velocity_iterations for r in reports] == [23, 21, 20, 20, 20], reports
     assert not any(r.unconverged_solves for r in reports)
 
 

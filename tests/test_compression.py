@@ -3,7 +3,7 @@ deflated BP files, and the ``compressed_io`` dump analysis built on them."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.adios.engine import pack_bp_file, unpack_bp_file
 from repro.adios.marshal import StepPayload, marshal_step, unmarshal_step
@@ -83,6 +83,9 @@ class TestCompressField:
         ),
         bound=st.floats(1e-9, 1.0),
     )
+    # half a quantum step plus the rounding of q * step once overshot
+    # the bound by half an ulp of 34.8
+    @example(values=[0.0, 34.833984375], bound=1e-09)
     def test_property_error_bound(self, values, bound):
         arr = np.asarray(values)
         out = _load(_store(arr, bound))

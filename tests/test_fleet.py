@@ -818,14 +818,18 @@ def _dir_bytes(root):
     }
 
 
-# What the fleet loop writes at the commit that last recorded it: PR 20
-# (two-level pressure preconditioner) re-recorded `checkpoint_4+1` and
-# `codec_1+1` with `pytest tests/test_fleet.py --record-goldens`, after
-# `test_two_level_artefacts_match_jacobi` below compared old and new
-# artefact by artefact.  The file was first recorded at b3f748a from the
-# retired static `block_range` split; the fleet loop reproduced it byte
-# for byte from da23582 on, and the `catalyst_*` hashes, which PR 20 did
-# not move, still carry that equivalence.
+# What the fleet loop writes at the commit that last recorded it.  Warm
+# starts that count (every solve starts from the last step's field and
+# stops at `tol * ||b||` instead of `tol * ||r0||`) moved the solution
+# within its tolerance, so `checkpoint_4+1`, `catalyst_4+1` and
+# `catalyst_4+2` were re-recorded with `pytest tests/test_fleet.py
+# --record-goldens`, after `test_warm_start_artefacts_match_cold_start`
+# below compared warm and cold starts artefact by artefact; `codec_1+1`
+# did not move.  Before that, the two-level pressure preconditioner
+# re-recorded `checkpoint_4+1` and `codec_1+1` the same way, checked by
+# `test_two_level_artefacts_match_jacobi`.  The file was first recorded
+# at b3f748a from the retired static `block_range` split; the fleet loop
+# reproduced it byte for byte from da23582 on.
 _GOLDEN = Path(__file__).with_name("golden_intransit_outputs.json")
 
 _GOLDEN_SCENARIOS = {
@@ -979,6 +983,17 @@ class TestFleetEndToEnd:
         )
         _golden_hashes(name, tmp_path / "jacobi")
         _assert_same_artefacts(tmp_path / "two_level", tmp_path / "jacobi")
+
+    @pytest.mark.parametrize("name", _GOLDEN_SCENARIOS)
+    def test_warm_start_artefacts_match_cold_start(self, name, tmp_path, cold_start):
+        """The same pin for warm starts: every scenario run with every
+        solve started from zero (a test seam; where a cold solve stops,
+        ``tol * ||b||`` and ``tol * ||r0||`` agree) writes the same
+        pictures and the same fields."""
+        _golden_hashes(name, tmp_path / "warm")
+        cold_start()
+        _golden_hashes(name, tmp_path / "cold")
+        _assert_same_artefacts(tmp_path / "warm", tmp_path / "cold")
 
     def test_naive_mode_selects_no_other_topology(self, tmp_path):
         """naive_mode() picks numerical reference kernels, not a second

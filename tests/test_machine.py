@@ -81,6 +81,39 @@ class TestTopology:
         topo = DragonflyPlusTopology(POLARIS)
         assert topo.mean_hops(1) == 0.0
 
+    @pytest.mark.parametrize("spec", [POLARIS, JUWELS_BOOSTER], ids=lambda s: s.name)
+    def test_closed_form_is_the_switch_graphs_shortest_path(self, spec):
+        """Every pair of leaf switches (two nodes on each, so same-node
+        and same-switch pairs occur too) against the leaf/spine graph
+        the module docstring describes, built with networkx."""
+        nx = pytest.importorskip("networkx")
+        topo = DragonflyPlusTopology(spec)
+        switches = range(spec.switches_per_group)
+        graph = nx.Graph()
+        for cell in range(topo.num_cells):
+            graph.add_edges_from(
+                (("leaf", cell, leaf), ("spine", cell, spine))
+                for leaf in switches for spine in switches
+            )
+        for a in range(topo.num_cells):
+            for b in range(a + 1, topo.num_cells):
+                graph.add_edges_from(
+                    (("spine", a, s), ("spine", b, s)) for s in switches
+                )
+        dist = dict(nx.all_pairs_shortest_path_length(graph))
+        nodes = [n for n in range(spec.num_nodes) if topo.locate(n).port < 2]
+        leaf = {n: ("leaf", topo.locate(n).cell, topo.locate(n).switch) for n in nodes}
+        assert len(nodes) == 2 * len({leaf[n] for n in nodes})
+        for a in nodes:
+            for b in nodes:
+                if a == b:
+                    expected = 0
+                elif leaf[a] == leaf[b]:
+                    expected = 1
+                else:
+                    expected = dist[leaf[a]][leaf[b]] + 1
+                assert topo.switch_hops(a, b) == expected, (a, b)
+
 
 class TestNetworkModel:
     def test_latency_grows_with_hops(self):

@@ -52,7 +52,9 @@ class TestCGOnSPDMatrix:
         assert out.converged and out.iterations == 0
         np.testing.assert_array_equal(out.x, 0.0)
 
-    def test_x0_warm_start(self):
+    @staticmethod
+    def _warm_and_cold(guess, tol=1e-10):
+        """One SPD system solved from ``guess(x_true)`` and from zero."""
         rng = np.random.default_rng(3)
         n = 15
         M = rng.normal(size=(n, n))
@@ -60,14 +62,34 @@ class TestCGOnSPDMatrix:
         x_true = rng.normal(size=n)
         b = A @ x_true
         dot = lambda u, v: float(u @ v)
-        cold = cg_solve(lambda v: A @ v, b, dot, tol=1e-10, max_iterations=300)
-        warm = cg_solve(
-            lambda v: A @ v, b, dot, x0=x_true + 1e-6, tol=1e-10, max_iterations=300
-        )
-        # a good initial guess starts with a far smaller residual (the
-        # tolerance is relative, so iteration counts may match)
+
+        def solve(x0):
+            return cg_solve(lambda v: A @ v, b, dot, x0=x0, tol=tol,
+                            max_iterations=300)
+
+        return solve(guess(x_true)), solve(None), x_true, b
+
+    def test_x0_warm_start(self):
+        warm, cold, x_true, b = self._warm_and_cold(lambda x: x + 1e-6)
+        # the tolerance is relative to ||b||, not to the guess's residual,
+        # so a good initial guess starts closer and stops sooner
         assert warm.initial_residual < 1e-3 * cold.initial_residual
+        assert warm.iterations < cold.iterations
+        assert warm.residual <= 1e-10 * np.linalg.norm(b)
         np.testing.assert_allclose(warm.x, x_true, atol=1e-8)
+
+    def test_x0_worse_than_zero_is_dropped(self):
+        """A guess whose residual exceeds ||b|| (here 11 ||b||) iterates
+        exactly like the cold start."""
+        warm, cold, _, _ = self._warm_and_cold(lambda x: -10.0 * x)
+        assert warm.iterations == cold.iterations
+        assert warm.initial_residual == cold.initial_residual
+        np.testing.assert_array_equal(warm.x, cold.x)
+
+    def test_x0_that_already_meets_the_bound_costs_no_iteration(self):
+        warm, _, x_true, _ = self._warm_and_cold(lambda x: x + 1e-12, tol=1e-8)
+        assert warm.converged and warm.iterations == 0
+        np.testing.assert_array_equal(warm.x, x_true + 1e-12)
 
     def test_max_iterations_reports_not_converged(self):
         res, _ = self._solve(tol=1e-14, max_iterations=1)
