@@ -3,7 +3,8 @@
 Plain ``.fld`` checkpoints carry only the primary fields (that is what
 the paper's "Checkpointing" configuration writes, and what its storage
 numbers count).  Restarting a BDF2/3 run bit-exactly additionally needs
-the time histories, so restart files extend the same container with
+the time histories and the basis the pressure solve projects its
+starting guess onto, so restart files extend the same container with
 ``hist/...`` entries plus step/time bookkeeping.
 
 Round-trip guarantee (tested): run A for n+m steps, versus run B for n
@@ -43,6 +44,9 @@ def state_dict(solver: NekRSSolver) -> dict[str, np.ndarray]:
         fields[f"hist/T{j}"] = t
     for j, t in enumerate(solver._hist_advT):
         fields[f"hist/advT{j}"] = t
+    proj = solver._pressure_proj
+    for j in range(proj.count):
+        fields[f"hist/pproj{j}"] = proj.basis[j]
     for name, arr in solver.scalars.items():
         fields[f"scalar/{name}"] = arr
         for j, s in enumerate(solver._hist_s[name]):
@@ -90,6 +94,10 @@ def load_state_dict(solver: NekRSSolver, fields: dict[str, np.ndarray]) -> None:
     solver._hist_adv = collect_vectors("adv")
     solver._hist_T = collect_scalars("T")
     solver._hist_advT = collect_scalars("advT")
+    basis = collect_scalars("pproj")
+    solver._pressure_proj.count = len(basis)
+    for j, x in enumerate(basis):
+        solver._pressure_proj.basis[j] = x
     for name, arr in solver.scalars.items():
         arr[:] = fields[f"scalar/{name}"]
         solver._hist_s[name] = collect_scalars(f"s.{name}.")

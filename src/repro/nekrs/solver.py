@@ -16,7 +16,10 @@ Poisson solve is preconditioned by Jacobi plus a Galerkin vertex coarse
 grid (:class:`repro.sem.coarse.CoarseGrid`), which removes the growth
 of its iteration count with the number of elements across the domain;
 the velocity, temperature and scalar Helmholtz solves are mass-dominated
-(a handful of iterations) and keep diagonal Jacobi.
+(a handful of iterations) and keep diagonal Jacobi.  Each solve starts
+from what the last steps know: pressure from the projection of its
+right-hand side onto its last solutions (NekRS's ``residualProj``), the
+Helmholtz solves from the EXT extrapolation of their field's history.
 
 Fields live in ``repro.occa`` device buffers wrapping the solver's
 arrays; the in situ layer must pull them through ``copy_to_host``,
@@ -38,7 +41,7 @@ from repro.parallel.comm import Communicator, ReduceOp
 from repro.perf.arena import get_arena
 from repro.perf.plans import get_plan_cache
 from repro.sem.coarse import CoarseGrid
-from repro.sem.krylov import cg_solve
+from repro.sem.krylov import ResidualProjection, cg_solve
 from repro.sem.mesh import BoxMesh
 from repro.sem.operators import SEMOperators
 from repro.sem.quadrature import gll_nodes_weights
@@ -157,6 +160,8 @@ class NekRSSolver:
         # -- preconditioners (depend on dt through h0; built lazily) -------------
         self._pre_cache: dict[tuple, np.ndarray] = {}
         self._pressure_pre: CoarseGrid | None = None
+        # the last pressure solutions, the pressure solve's start
+        self._pressure_proj = ResidualProjection(self.ops)
         self._warned_unconverged = False
 
         # minimum GLL spacing for CFL
@@ -276,10 +281,12 @@ class NekRSSolver:
         mask: np.ndarray,
         tol: float,
         key: str,
-        previous: np.ndarray,
+        history: list[np.ndarray],
+        a: tuple[float, ...],
     ):
         """Solve (h1 A + h0 B) x = rhs with Dirichlet values in `lift`,
-        starting from the homogeneous part of the `previous` field."""
+        starting from the homogeneous part of the EXT extrapolation
+        ``sum_j a[j] * history[-1-j]`` of the field's last steps."""
         arena = get_arena()
 
         def apply_masked(f):
@@ -296,7 +303,12 @@ class NekRSSolver:
         b *= mask
         pre = self._jacobi(h1, h0, mask, key)
         with arena.scratch(b.shape, b.dtype) as x0:
-            np.multiply(previous, mask, out=x0)
+            np.multiply(history[-1], a[0], out=x0)
+            with arena.scratch(b.shape, b.dtype) as tmp:
+                for j in range(1, len(a)):
+                    np.multiply(history[-1 - j], a[j], out=tmp)
+                    x0 += tmp
+            x0 *= mask
             result = cg_solve(
                 apply_masked,
                 b,
@@ -424,7 +436,8 @@ class NekRSSolver:
                     self.temperature_mask,
                     case.scalar_tol,
                     f"temperature:h0={h0:.6e}",
-                    self.T,
+                    self._hist_T,
+                    a,
                 )
                 self.T[:] = Tnew
                 scalar_iters = result.iterations
@@ -459,7 +472,8 @@ class NekRSSolver:
                     mask,
                     case.scalar_tol,
                     f"scalar:{name}:h0={h0:.6e}",
-                    field,
+                    self._hist_s[name],
+                    a,
                 )
                 field[:] = snew
                 scalar_iters += result.iterations
@@ -510,16 +524,19 @@ class NekRSSolver:
 
                 pre_p = self._pressure_preconditioner()
                 with arena.scratch(shape) as x0buf:
-                    np.multiply(self.p, self.pressure_mask, out=x0buf)
+                    guess = self._pressure_proj.guess(rp, out=x0buf)
                     pres = cg_solve(
                         apply_pressure,
                         rp,
                         self.ops.dot,
                         precond=pre_p,
-                        x0=x0buf,
+                        x0=guess,
                         tol=case.pressure_tol,
                         max_iterations=case.max_iterations,
                         project_nullspace=project,
+                    )
+                    self._pressure_proj.update(
+                        pres.x, apply_pressure, project, guess=guess
                     )
                 self.p[:] = pres.x
                 unconverged += not pres.converged
@@ -539,8 +556,8 @@ class NekRSSolver:
                 vel_key = f"velocity:h0={h0_scalar:.6e}"
                 rho_b0_dt = case.density * (b0 / dt)
                 with arena.scratch(shape, n=2) as (rhs_buf, lift_buf):
-                    for star, lift_field, previous in (
-                        (us, ub, self.u), (vs, vb, self.v), (ws, wb, self.w)
+                    for i, (star, lift_field) in enumerate(
+                        ((us, ub), (vs, vb), (ws, wb))
                     ):
                         np.multiply(star, rho_b0_dt, out=rhs_buf)
                         self.ops.mass_apply(rhs_buf, out=rhs_buf)
@@ -553,7 +570,8 @@ class NekRSSolver:
                             self.velocity_mask,
                             case.velocity_tol,
                             vel_key,
-                            previous,
+                            [h[i] for h in self._hist_u[-len(a):]],
+                            a,
                         )
                         new_vel.append(sol)
                         vel_iters += result.iterations
@@ -660,6 +678,7 @@ class NekRSSolver:
         total += sum(f.nbytes for f in self.scalars.values())
         if self.chi is not None:
             total += self.chi.nbytes
+        total += self._pressure_proj.basis.nbytes
         # mesh coordinates + geometric factors + numbering
         total += self.mesh.x.nbytes * 3
         total += self.ops.geom.mass.nbytes * 4  # mass + grr/gss/gtt

@@ -3,18 +3,25 @@
 For each element the mapping from the reference cube [-1,1]^3 to
 physical space yields the Jacobian J and the metric derivatives
 (dr/dx, ds/dy, dt/dz).  BoxMesh elements are axis-aligned, so the
-metric tensor is diagonal and constant per element — but the factors
-are stored as full per-quad-point arrays, which is the layout general
-curvilinear SEM uses, so the operator code is geometry-agnostic.
+metric tensor is diagonal and constant per element.  The factors the
+operators weight by quadrature are stored as full per-quad-point
+arrays, the layout general curvilinear SEM uses; the uniform box's
+constants are ``np.float64`` scalars, which broadcast into the same
+products bit for bit without holding a field each.
 
-Stored arrays (all shaped like fields, ``(E, Nq, Nq, Nq)``):
+Stored arrays (shaped like fields, ``(E, Nq, Nq, Nq)``):
 
 ``mass``
     w3d * J — the diagonal lumped mass matrix ("B" in Nek).
 ``grr, gss, gtt``
     w3d * J * (dr/dx)^2 etc. — diagonal stiffness factors ("G").
+
+Stored scalars:
+
 ``rx, sy, tz``
     metric derivatives for chain-rule physical gradients.
+``jacobian``
+    J, the element volume over the reference cube's.
 """
 
 from __future__ import annotations
@@ -35,13 +42,11 @@ class GeometricFactors:
         jac = (hx / 2.0) * (hy / 2.0) * (hz / 2.0)
         shape = mesh.field_shape()
 
-        self.jacobian = np.full(shape, jac)
+        self.jacobian = np.float64(jac)
         self.mass = np.broadcast_to(w3d * jac, shape).copy()
 
         rx, sy, tz = 2.0 / hx, 2.0 / hy, 2.0 / hz
-        self.rx = np.full(shape, rx)
-        self.sy = np.full(shape, sy)
-        self.tz = np.full(shape, tz)
+        self.rx, self.sy, self.tz = np.float64(rx), np.float64(sy), np.float64(tz)
 
         self.grr = self.mass * rx * rx
         self.gss = self.mass * sy * sy

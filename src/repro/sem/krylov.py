@@ -11,7 +11,8 @@ counted once) and reduce across ranks through the communicator, which
 is exactly where NekRS spends its allreduce traffic.  A solve stops at
 ``||r|| <= tol * ||b||`` like NekRS's ``residualTol``, so an initial
 guess close to the solution ends it early instead of tightening its
-finish line.
+finish line.  :class:`ResidualProjection` builds such a guess from the
+last few solutions (NekRS's ``residualProj``).
 
 The default path borrows its vectors (r, z, p and one temporary) from
 the per-rank workspace arena and updates them in place, so an
@@ -233,3 +234,82 @@ def cg_solve(
         return CGResult(x, max_iterations, res, r0, False)
     finally:
         arena.release(*borrowed)
+
+
+class ResidualProjection:
+    """Successive right-hand-side projection (Fischer, CMAME 163, 1998).
+
+    Keeps an A-orthonormal basis ``X`` (under ``ops.dot``) of the last
+    ``L`` solutions of one operator.  :meth:`guess` returns the
+    A-projection ``X X^T b`` of a new right-hand side, the best start
+    the span holds; :meth:`update` folds each new solution in with one
+    operator apply, classical Gram-Schmidt and a normalising dot.  A X
+    is not stored.  When the basis is full it restarts from the newest
+    solution.  `ops` (a :class:`repro.sem.operators.SEMOperators`)
+    supplies the field shape, ``dot``, ``comm`` and the assembled-dot
+    weights ``gs.inv_multiplicity``.
+    """
+
+    #: basis size: NekRS's default, and the only one
+    L = 8
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.basis = np.zeros((self.L,) + tuple(ops.mesh.field_shape()))
+        self._rows = self.basis.reshape(self.L, -1)  # a view
+        self.count = 0
+
+    def _coefficients(self, v: np.ndarray, n: int, extra=None) -> np.ndarray:
+        """``X[:n]^T v`` (and ``extra . v`` appended): one local GEMV
+        and one allreduce of the n (+1) values."""
+        local = np.empty(n + (extra is not None))
+        with get_arena().scratch(v.shape, v.dtype) as wv:
+            np.multiply(v, self.ops.gs.inv_multiplicity, out=wv)
+            local[:n] = self._rows[:n] @ wv.reshape(-1)
+            if extra is not None:
+                local[n] = extra.reshape(-1) @ wv.reshape(-1)
+        return self.ops.comm.allreduce_array(local)
+
+    def guess(self, b: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+        """Write the projection of ``A^-1 b`` onto the basis into `out`
+        and return it; None while the basis is empty."""
+        n = self.count
+        if n == 0:
+            return None
+        alpha = self._coefficients(b, n)
+        np.dot(alpha, self._rows[:n], out=out.reshape(-1))
+        return out
+
+    def update(self, x: np.ndarray, apply_op, project=None,
+               guess: np.ndarray | None = None) -> None:
+        """Add solution `x` of the solve that started from `guess` (what
+        :meth:`guess` returned) to the basis.
+
+        The new direction is the correction ``x - guess``, already
+        nearly A-orthogonal to the basis, so one Gram-Schmidt pass keeps
+        X^T A X = I to round-off; a full basis restarts from `x` itself.
+        `project` keeps the vector in the nullspace-projected space of a
+        singular operator.
+        """
+        if self.count == self.L:
+            self.count, guess = 0, None
+        n = self.count
+        v = self.basis[n]
+        if guess is None:
+            np.copyto(v, x)
+        else:
+            np.subtract(x, guess, out=v)
+        av = apply_op(v)
+        coeffs = self._coefficients(av, n, extra=v)
+        with get_arena().scratch(v.shape, v.dtype) as xc:
+            np.dot(coeffs[:n], self._rows[:n], out=xc.reshape(-1))
+            v -= xc
+        if project is not None:
+            np.copyto(v, project(v))
+        # v^T A v = v^T A v_old once v is A-orthogonal to X; a direction
+        # that keeps under 1e-7 of its A-norm (NekRS's test) is already
+        # in the span and adds nothing
+        norm2 = self.ops.dot(v, av)
+        if norm2 > 1e-14 * coeffs[n]:
+            v /= np.sqrt(norm2)
+            self.count = n + 1

@@ -327,12 +327,14 @@ def test_sleep_call_sites_only_shrink():
 
 def test_pressure_iteration_count_cannot_decay_silently():
     """The benchmark's pebble shape, steps 2-6 on one rank.  Every solve
-    starts from the last step's field and stops at ``tol * ||b||``, so
-    the warm starts pay: the two-level pressure solve falls from 46 to
-    38 iterations (45-46 a step when its tolerance was relative to the
-    guess's residual; 156-161 under Jacobi alone), and the three Jacobi
-    velocity solves from 23 to 20 (3 x 8 from a cold start).  Counts,
-    not clocks: they repeat exactly."""
+    stops at ``tol * ||b||`` and starts from what the last steps know:
+    the two-level pressure solve from the projection onto its last
+    solutions falls 46, 44, 40, 37, 34 (46 to 38 when it started from
+    the last step's p; 45-46 a step when its tolerance was relative to
+    the guess's residual; 156-161 under Jacobi alone), and the three
+    Jacobi velocity solves from their EXT extrapolation take 24, 21,
+    20, 20, 18 (23, 21, 20, 20, 20 from the last step's field; 3 x 8
+    from a cold start).  Counts, not clocks: they repeat exactly."""
     from repro.nekrs import NekRSSolver
     from repro.nekrs.cases import pebble_bed_case
     from repro.parallel import SerialCommunicator
@@ -341,8 +343,9 @@ def test_pressure_iteration_count_cannot_decay_silently():
                            dt=1e-3, viscosity=5e-2)
     reports = NekRSSolver(case, SerialCommunicator()).run(6)[1:]
     pressure = [r.pressure_iterations for r in reports]
-    assert max(pressure) <= 46 and pressure[-1] <= 38, reports
-    assert [r.velocity_iterations for r in reports] == [23, 21, 20, 20, 20], reports
+    assert max(pressure) <= 46 and max(pressure[1:]) <= 44, reports
+    assert pressure[-1] <= 34, reports
+    assert [r.velocity_iterations for r in reports] == [24, 21, 20, 20, 18], reports
     assert not any(r.unconverged_solves for r in reports)
 
 

@@ -818,15 +818,18 @@ def _dir_bytes(root):
     }
 
 
-# What the fleet loop writes at the commit that last recorded it.  Warm
-# starts that count (every solve starts from the last step's field and
-# stops at `tol * ||b||` instead of `tol * ||r0||`) moved the solution
-# within its tolerance, so `checkpoint_4+1`, `catalyst_4+1` and
-# `catalyst_4+2` were re-recorded with `pytest tests/test_fleet.py
-# --record-goldens`, after `test_warm_start_artefacts_match_cold_start`
-# below compared warm and cold starts artefact by artefact; `codec_1+1`
-# did not move.  Before that, the two-level pressure preconditioner
-# re-recorded `checkpoint_4+1` and `codec_1+1` the same way, checked by
+# What the fleet loop writes at the commit that last recorded it.  The
+# pressure solve starting from the projection onto its last 8 solutions,
+# and the Helmholtz solves from the EXT extrapolation of their history,
+# moved the solution within its tolerance: `checkpoint_4+1` (8 of 15
+# files), `catalyst_4+1` and `catalyst_4+2` (1 PNG each) were
+# re-recorded with `pytest tests/test_fleet.py --record-goldens` after
+# `test_warm_start_artefacts_match_cold_start` below passed on the new
+# starts; `codec_1+1` did not move.  Before that, warm starts that count
+# (every solve starts from the last step's field and stops at
+# `tol * ||b||` instead of `tol * ||r0||`) re-recorded the same three
+# scenarios, and before them the two-level pressure preconditioner
+# re-recorded `checkpoint_4+1` and `codec_1+1`, checked by
 # `test_two_level_artefacts_match_jacobi`.  The file was first recorded
 # at b3f748a from the retired static `block_range` split; the fleet loop
 # reproduced it byte for byte from da23582 on.

@@ -310,3 +310,89 @@ class TestUnconvergedSolves:
         assert tel.metrics.get("repro_solver_unconverged_solves_total").value == total
         assert tel.metrics.get("repro_solver_pressure_iterations").stats.count == 2
         assert naming_violations(tel.metrics) == []
+
+
+class TestStartingGuesses:
+    """Pressure starts from the projection onto its last solutions,
+    velocity and scalars from the EXT extrapolation of their history."""
+
+    L = 8  # NekRS's default basis size
+
+    @staticmethod
+    def _gram(solver):
+        ops, proj = solver.ops, solver._pressure_proj
+
+        def apply_pressure(f):
+            return ops.assemble(ops.stiffness_apply(f)) * solver.pressure_mask
+
+        X = proj.basis[: proj.count]
+        return np.array([[ops.dot(a, apply_pressure(b)) for b in X] for a in X])
+
+    @pytest.mark.parametrize("case", ["cavity", "pebble"])
+    def test_pressure_basis_stays_a_orthonormal_through_the_rollover(self, case):
+        """Cavity: all-Neumann pressure (nullspace-projected basis);
+        pebble: Dirichlet outflow (masked basis)."""
+        if case == "cavity":
+            case = lid_cavity_case(elements=2, order=3, dt=5e-3)
+        else:
+            case = pebble_bed_case(num_pebbles=2, elements_per_unit=2,
+                                   order=4, dt=1e-3)
+        solver = NekRSSolver(case, SerialCommunicator())
+        counts = []
+        for _ in range(self.L + 2):
+            solver.step()
+            counts.append(solver._pressure_proj.count)
+            gram = self._gram(solver)
+            assert np.abs(gram - np.eye(len(gram))).max() < 1e-10
+        assert counts == [1, 2, 3, 4, 5, 6, 7, 8, 1, 2]
+
+    @pytest.mark.parametrize("steps", [1, L - 1, L])
+    def test_restart_at_any_basis_count_continues_bitexactly(self, tmp_path, steps):
+        from repro.nekrs.restart import read_restart, write_restart
+
+        case = lid_cavity_case(elements=2, order=3, dt=5e-3)
+        direct = NekRSSolver(case, SerialCommunicator())
+        tail = direct.run(steps + 2)[-2:]
+
+        first = NekRSSolver(case, SerialCommunicator())
+        first.run(steps)
+        assert first._pressure_proj.count == steps
+        write_restart(tmp_path, first)
+        resumed = NekRSSolver(case, SerialCommunicator())
+        read_restart(tmp_path, resumed)
+        assert resumed._pressure_proj.count == steps
+        reports = resumed.run(2)
+
+        assert [r.pressure_iterations for r in reports] == [
+            r.pressure_iterations for r in tail
+        ]
+        np.testing.assert_array_equal(resumed.u, direct.u)
+        np.testing.assert_array_equal(resumed.p, direct.p)
+        np.testing.assert_array_equal(
+            resumed._pressure_proj.basis[: resumed._pressure_proj.count],
+            direct._pressure_proj.basis[: direct._pressure_proj.count],
+        )
+
+    def test_memory_bytes_counts_the_projection_basis(self, tiny_solver):
+        proj = tiny_solver._pressure_proj
+        assert proj.basis.shape == (self.L,) + tiny_solver.p.shape
+        full = tiny_solver.memory_bytes()
+        proj.basis = proj.basis[:1]
+        assert full - tiny_solver.memory_bytes() == (self.L - 1) * tiny_solver.p.nbytes
+
+    def test_the_projection_is_not_an_option(self):
+        """One basis size: no .par key, config field, CLI flag or
+        environment variable names the starting guesses."""
+        import dataclasses
+        from pathlib import Path
+
+        src = Path(solver_module.__file__).resolve().parents[1]
+        for rel in ("nekrs/config.py", "nekrs/parfile.py", "cli.py"):
+            text = (src / rel).read_text().lower()
+            for word in ("residualproj", "residual_proj", "initialguess",
+                         "initial_guess", "extrapolat", "pproj"):
+                assert word not in text, (rel, word)
+        names = [f.name for f in dataclasses.fields(CaseDefinition)]
+        assert not [n for n in names if "proj" in n or "guess" in n], names
+        for path in (src / "nekrs/solver.py", src / "sem/krylov.py"):
+            assert "environ" not in path.read_text(), path

@@ -5,6 +5,7 @@ import pytest
 
 from repro.parallel import SerialCommunicator, run_spmd
 from repro.sem import BoxMesh, SEMOperators, cg_solve, BoundaryTag
+from repro.sem.krylov import ResidualProjection
 from repro.sem.interp import (
     assemble_global_grid,
     grid_dims,
@@ -175,6 +176,112 @@ class TestCGOnSEM:
         assert res.iterations > 5  # the loop actually ran
         assert arena.misses == misses_before  # zero fresh allocations
         assert arena.outstanding == 0  # every borrow released
+
+
+class TestResidualProjection:
+    """The pressure solve's start: an A-orthonormal basis of the last
+    solutions, on the masked (Dirichlet) and the nullspace-projected
+    (periodic) Poisson operator."""
+
+    L = ResidualProjection.L
+
+    @staticmethod
+    def _poisson(comm, periodic):
+        mesh = BoxMesh((2, 2, 2), order=4, periodic=(periodic,) * 3,
+                       rank=comm.rank, size=comm.size)
+        ops = SEMOperators(mesh, comm)
+        mask = (np.ones(mesh.field_shape(), dtype=bool) if periodic
+                else ~mesh.boundary_union(list(BoundaryTag)))
+        project = ops.project_out_nullspace if periodic else None
+
+        def apply_op(u):
+            return ops.assemble(ops.stiffness_apply(u)) * mask
+
+        def field(seed):
+            """A continuous, masked (mean-free when periodic) field."""
+            rng = np.random.default_rng([seed, comm.rank])
+            f = ops.continuize(rng.normal(size=mesh.field_shape())) * mask
+            return f if project is None else project(f)
+
+        return ops, apply_op, field, project
+
+    def _gram(self, ops, apply_op, proj):
+        X = proj.basis[: proj.count]
+        return np.array([[ops.dot(xi, apply_op(xj)) for xj in X] for xi in X])
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_basis_is_a_orthonormal_before_and_after_the_rollover(
+        self, periodic, ranks
+    ):
+        def body(comm):
+            ops, apply_op, field, project = self._poisson(comm, periodic)
+            proj = ResidualProjection(ops)
+            counts, errors = [], []
+            for k in range(self.L + 3):
+                proj.update(field(k), apply_op, project)
+                counts.append(proj.count)
+                errors.append(np.abs(self._gram(ops, apply_op, proj)
+                                     - np.eye(proj.count)).max())
+            return counts, max(errors)
+
+        for counts, error in run_spmd(ranks, body):
+            assert counts == [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3]
+            assert error < 1e-10
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_rhs_in_the_span_of_earlier_solutions_takes_no_iteration(
+        self, periodic
+    ):
+        ops, apply_op, field, project = self._poisson(
+            SerialCommunicator(), periodic)
+        proj = ResidualProjection(ops)
+        xs = [field(k) for k in range(3)]
+        for x in xs:
+            proj.update(x, apply_op, project)
+        x_true = 0.5 * xs[0] - 2.0 * xs[1] + 3.0 * xs[2]
+        b = apply_op(x_true)
+        guess = proj.guess(b, out=np.empty_like(b))
+        res = cg_solve(apply_op, b, ops.dot, x0=guess, tol=1e-8,
+                       project_nullspace=project)
+        assert res.converged and res.iterations == 0
+        assert ops.norm(res.x - x_true) <= 1e-8 * ops.norm(x_true)
+        cold = cg_solve(apply_op, b, ops.dot, tol=1e-8,
+                        project_nullspace=project)
+        assert cold.iterations > 5
+
+    def test_empty_basis_offers_no_guess(self):
+        ops, apply_op, field, _ = self._poisson(SerialCommunicator(), False)
+        proj = ResidualProjection(ops)
+        assert proj.guess(apply_op(field(0)), out=np.empty(proj.basis.shape[1:])) is None
+
+    def test_a_solution_already_in_the_span_is_not_added(self):
+        ops, apply_op, field, _ = self._poisson(SerialCommunicator(), False)
+        proj = ResidualProjection(ops)
+        x = field(0)
+        proj.update(x, apply_op)
+        proj.update(2.0 * x, apply_op)
+        assert proj.count == 1
+
+    def test_a_projected_guess_worse_than_zero_is_still_dropped(self):
+        """A basis built for A projects b onto the solution of A, which
+        is 3x the solution of the 3A solved here: its residual is
+        2 ||b||, so CG drops it and iterates exactly like a cold start."""
+        ops, apply_op, field, _ = self._poisson(SerialCommunicator(), False)
+        proj = ResidualProjection(ops)
+        x = field(0)
+        proj.update(x, apply_op)
+        b = apply_op(x)
+
+        def apply_3a(u):
+            return 3.0 * apply_op(u)
+
+        guess = proj.guess(b, out=np.empty_like(b))
+        warm = cg_solve(apply_3a, b, ops.dot, x0=guess, tol=1e-8)
+        cold = cg_solve(apply_3a, b, ops.dot, tol=1e-8)
+        assert warm.initial_residual == cold.initial_residual == ops.norm(b)
+        assert warm.iterations == cold.iterations
+        np.testing.assert_array_equal(warm.x, cold.x)
 
 
 class TestResampling:
