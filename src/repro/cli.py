@@ -12,8 +12,8 @@ Subcommands:
     complement to the in situ pipeline).
 ``intransit``
     Run the in transit topology: simulation ranks stream to a fleet
-    of SENSEI endpoint ranks (fixed membership by default; lease-based
-    loss recovery, rebalance, work stealing, optional autoscaling).
+    of SENSEI endpoint ranks (fixed membership; lease-based loss
+    recovery, rebalance, work stealing).
 ``bench``
     Regenerate a paper figure/table.
 ``serve``
@@ -304,12 +304,9 @@ def cmd_serve(args) -> int:
         )
         router = HybridRouter(policy, mode=args.route)
 
-    # mesh and bus are shared-memory singletons across the rank threads,
-    # exactly like the SST broker in the in-transit topology.  The lease
-    # is generous: a relay thread starved by the solver ranks is slow,
-    # not dead, and a false expiry would close every viewer
-    hub = ServeMesh(relays=args.relays, history=args.history,
-                    max_clients=args.max_clients, lease_timeout_s=2.0)
+    # hub and bus are shared-memory singletons across the rank threads,
+    # exactly like the SST broker in the in-transit topology
+    hub = ServeMesh(history=args.history, max_clients=args.max_clients)
     bus = SteeringBus()
     server = None
     client = None
@@ -402,7 +399,7 @@ def cmd_serve(args) -> int:
     finally:
         if server is not None:
             server.stop()
-        hub.close()         # once, after the drain: stops the relay threads
+        hub.close()         # once, after the drain: stops the pump thread
     return 0
 
 
@@ -434,11 +431,7 @@ def cmd_intransit(args) -> int:
         arrays=("temperature", "velocity_magnitude"),
         output_dir=args.output,
         image_size=args.size,
-        fleet=FleetConfig(
-            lease_timeout=args.lease_timeout,
-            initial_active=args.initial_active,
-            autoscale=args.autoscale,
-        ),
+        fleet=FleetConfig(lease_timeout=args.lease_timeout),
         codec=CodecSpec.from_cli(args.codec, args.error_budget),
         route=args.route,
         router_policy=router_policy,
@@ -711,9 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "omit for in-process loopback mode")
     serve.add_argument("--history", type=int, default=32,
                        help="frames kept per stream for /replay")
-    serve.add_argument("--relays", type=int, default=1,
-                       help="relay hubs the ServeMesh shards clients over "
-                            "(>= 1; /status reports the relay shard map)")
     serve.add_argument("--max-clients", type=int, default=None,
                        help="refuse connections beyond this many clients")
     serve.add_argument("--output", default="serve_output")
@@ -739,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     intransit.add_argument("--lease-timeout", type=float, default=0.25,
                            help="seconds without a heartbeat before an "
                                 "endpoint is declared dead")
-    intransit.add_argument("--initial-active", type=int, default=None,
-                           help="endpoints active at start (rest parked as "
-                                "autoscaler reserve)")
-    intransit.add_argument("--autoscale", action="store_true",
-                           help="let the queue-depth autoscaler vary the "
-                                "sim:endpoint ratio (2:1..16:1)")
     intransit.add_argument("--output", default="intransit_output")
     _add_codec_args(intransit)
     intransit.set_defaults(fn=cmd_intransit)

@@ -1,13 +1,11 @@
 """repro.fleet: the endpoint side of in transit visualization.
 
 The paper's in transit topology fixes a 4:1 sim:endpoint node split at
-launch.  Here that split is the default :class:`FleetConfig` — every
-pooled endpoint active from the start, membership fixed, autoscaler
-off — of a fleet that can also be *elastic*: endpoints join and leave
-mid-run, producer streams rebalance over a consistent-hash ring with
-bounded disruption, idle endpoints steal queued render steps, and an
-autoscaler driven by the transport's queue-depth gauges picks the
-sim:endpoint ratio inside a 2:1..16:1 clamp.
+launch, and so does the fleet: every pooled endpoint is active from the
+start, and membership changes only when a member fails or leaves at the
+end of the run.  Producer streams are placed over a consistent-hash ring,
+so a loss moves only the lost member's streams; idle endpoints steal
+queued render steps.
 
 Pieces (all in-process, mirroring the repo's threaded-SPMD transport):
 
@@ -18,7 +16,6 @@ Pieces (all in-process, mirroring the repo's threaded-SPMD transport):
   until the next event, is alive: the polling peer keeps its lease);
 - :class:`~repro.fleet.work.WorkQueues` — per-endpoint render queues
   with deterministic work stealing;
-- :class:`~repro.fleet.autoscaler.Autoscaler` — queue-depth policy;
 - :class:`~repro.fleet.coordinator.FleetCoordinator` — ties the above
   into the poll/commit protocol endpoints drive;
 - :class:`~repro.fleet.endpoint.FleetEndpoint` — one endpoint rank's
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.coordinator import Directive, FleetCoordinator, RecoveryRecord
 from repro.fleet.endpoint import AnalysisSink, EndpointReport, FleetEndpoint
 from repro.fleet.membership import EndpointState, FleetMembership
@@ -43,32 +39,17 @@ from repro.fleet.work import RenderTask, WorkQueues
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Tuning knobs for the in transit endpoint fleet.
-
-    The defaults are the paper's static N:1 split.
-    ``initial_active=None`` starts every pooled endpoint active;
-    setting it lower parks the remainder as the autoscaler's reserve.
-    ``autoscale=False`` keeps membership fixed unless faults or an
-    explicit ``depart`` change it.
-    """
+    """Tuning knobs for the in transit endpoint fleet."""
 
     lease_timeout: float = 0.25     # seconds before a silent member is dead
-    initial_active: int | None = None
-    autoscale: bool = False
-    autoscaler: AutoscalerConfig | None = None
-    autoscale_every: int = 8        # polls between autoscaler observations
     seed: int = 0
 
     def __post_init__(self):
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
-        if self.initial_active is not None and self.initial_active < 1:
-            raise ValueError("initial_active must be >= 1")
 
 
 __all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
     "AnalysisSink",
     "Directive",
     "EndpointReport",

@@ -29,12 +29,12 @@ for).  It composes the fleet pieces:
   requeued to survivors (replay from the retained CRC-checked
   payloads), its streams rebalance, and the injected
   ``endpoint_crash`` resolves as ``recovered`` in the
-  :class:`~repro.faults.injector.FaultLog`; planned scale-down reuses
-  the same retirement path without the fault accounting;
-- **autoscaling** — a queue-depth-driven
-  :class:`~repro.fleet.autoscaler.Autoscaler` activates parked
-  endpoints or parks active ones, keeping the sim:endpoint ratio
-  inside its 2:1..16:1 clamp.
+  :class:`~repro.faults.injector.FaultLog`; a planned leave at the end
+  of the run reuses the same retirement path without the fault
+  accounting.
+
+Membership is fixed at the paper's static split: every pooled endpoint
+joins active and the set only shrinks, on failure or planned leave.
 
 Delivery is at-least-once: a task replayed after its first holder was
 written off may be committed twice.  Sinks are idempotent per step
@@ -58,7 +58,6 @@ from repro.faults.errors import (
     EndpointDownError,
     StreamTimeout,
 )
-from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.membership import EndpointState, FleetMembership
 from repro.fleet.ring import HashRing
 from repro.fleet.work import RenderTask, WorkQueues
@@ -69,7 +68,6 @@ class Directive(Enum):
     """Non-task poll outcomes."""
 
     IDLE = "idle"       # nothing to do right now; rest, then poll again
-    PARK = "park"       # endpoint is parked (autoscaler reserve)
     STOP = "stop"       # run complete; endpoint may finalize and exit
 
 
@@ -111,33 +109,23 @@ class FleetCoordinator:
         broker: SSTBroker,
         num_writers: int,
         pool_size: int,
-        initial_active: int | None = None,
         lease_timeout: float = 0.25,
         seed: int = 0,
-        autoscaler: Autoscaler | None = None,
-        autoscale_every: int = 8,
         clock=time.monotonic,
         live=None,
     ):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if initial_active is not None and not 1 <= initial_active <= pool_size:
-            raise ValueError("initial_active must be in [1, pool_size]")
         self.broker = broker
         self.num_writers = num_writers
         self.pool = tuple(range(pool_size))
-        self.initial_active = pool_size if initial_active is None else initial_active
         self.clock = clock
         self.membership = FleetMembership(lease_timeout, clock=clock)
         self.ring = HashRing(seed=seed)
         self.queues = WorkQueues(self.pool)
-        self.autoscaler = autoscaler
-        self.autoscale_every = autoscale_every
         #: attached :class:`~repro.observe.live.plane.LivePlane`, if any;
-        #: gets crash/recovery events, and its SLO alert pressure is
-        #: accumulated into the autoscaler's stall signal
+        #: gets crash/recovery events
         self.live = live
-        self._pressure_accum = 0
         self._lock = threading.RLock()
         # per-writer stream progress
         self._got: dict[int, int] = {}           # delivered payload ordinal
@@ -163,7 +151,6 @@ class FleetCoordinator:
         self.rebalances = 0
         self.crashes_detected = 0
         self.planned_retirements = 0
-        self._ticks = 0
         # the coordinator is shared by every endpoint rank: its counters
         # sit on the registry of the rank that built it
         metrics = get_telemetry().metrics
@@ -178,15 +165,12 @@ class FleetCoordinator:
 
     # -- membership entry points -------------------------------------------
     def join(self, eid: int) -> None:
-        """Register an endpoint; the first `initial_active` ids run, the
-        rest park as the autoscaler's reserve."""
+        """Register an endpoint as an active member."""
         if eid not in self.pool:
             raise ValueError(f"endpoint {eid} is not in the fleet pool")
         with self._lock:
-            parked = eid >= self.initial_active
-            self.membership.register(eid, parked=parked)
-            if not parked:
-                self.ring.add(eid)
+            self.membership.register(eid)
+            self.ring.add(eid)
             self.broker.notify()      # streams may have changed owner
 
     def depart(self, eid: int) -> None:
@@ -221,11 +205,6 @@ class FleetCoordinator:
             return Directive.STOP
         if self.done():
             return Directive.STOP
-        if state is EndpointState.PARKED:
-            return Directive.PARK
-        self._autoscale_tick()
-        if self.membership.state(eid) is not EndpointState.ACTIVE:
-            return Directive.PARK     # the tick just parked us
         self._ingest(eid)
         task = self.queues.pop(eid)
         if task is None:
@@ -242,7 +221,7 @@ class FleetCoordinator:
         return task
 
     def rest(self, eid: int) -> bool:
-        """Wait, after PARK or IDLE, until something may have changed.
+        """Wait, after IDLE, until something may have changed.
 
         Everything that can give a member work bumps the broker's
         ``events``: a step staged or a stream ended (the broker's own
@@ -330,16 +309,11 @@ class FleetCoordinator:
                 for w in range(self.num_writers)
             }
 
-    def staged_depth(self) -> int:
-        """Fleet-wide backlog: staged stream steps + queued render tasks."""
-        return self.broker.staged_steps() + self.queues.total_depth()
-
     def stats(self) -> dict:
         with self._lock:
             return {
                 "epoch": self.membership.epoch,
                 "active": len(self.membership.active_ids()),
-                "parked": len(self.membership.parked_ids()),
                 "dead": len(self.membership.dead_ids()),
                 "assembled": len(self.assembled),
                 "committed": len(self.committed),
@@ -404,8 +378,8 @@ class FleetCoordinator:
             if len(self._ended) == self.num_writers:
                 return
             self._ended = set(range(self.num_writers))
-            # `eid` may be parked, and parked queues are never stolen
-            # from — flush pending assemblies toward an active member
+            # `eid` may be a zombie, whose queue nobody steals from —
+            # flush pending assemblies toward an active member
             active = self.membership.active_ids()
             self._complete_assemblies(active[0] if active else eid)
             self.broker.notify()
@@ -424,14 +398,6 @@ class FleetCoordinator:
             orphans = self.queues.drain(eid)
             if not planned:
                 orphans += self._inflight.pop(eid, [])
-            survivors = self.membership.active_ids()
-            survivors = tuple(s for s in survivors if s != eid)
-            if not survivors and self.membership.parked_ids():
-                # never strand work: promote the lowest parked member
-                promoted = self.membership.parked_ids()[0]
-                self.membership.activate(promoted)
-                self.ring.add(promoted)
-                survivors = (promoted,)
             for task in orphans:
                 task.attempts += 1
                 if len(self.ring):
@@ -470,51 +436,8 @@ class FleetCoordinator:
                 self.live.crash_detected(
                     eid, rank_hint=self.num_writers + eid
                 )
-                # the alert can resolve before any poll's autoscale tick
-                # lands (an empty replay resolves two lines down): feed
-                # it to the autoscaler now, while it is certainly firing
-                if self.autoscaler is not None:
-                    self._read_slo_pressure()
                 if record.completed_at is not None:
                     self.live.recovery_complete(eid, record.recovery_seconds)
-
-    def _read_slo_pressure(self) -> None:
-        """Add the live plane's firing-alert count to the stall signal."""
-        if self.live is None:
-            return
-        # accumulate: the autoscaler reacts to stall *deltas*, so a
-        # persistently firing alert must keep adding to the signal to
-        # sustain scale-up pressure
-        pressure = self.live.pressure()
-        self._pressure_accum += pressure
-        self.live.note_autoscaler_pressure(pressure)
-
-    def _autoscale_tick(self) -> None:
-        if self.autoscaler is None:
-            return
-        with self._lock:
-            self._ticks += 1
-            if self._ticks % self.autoscale_every:
-                return
-            active = self.membership.active_ids()
-            parked = self.membership.parked_ids()
-            self._read_slo_pressure()
-            target = self.autoscaler.observe(
-                staged_steps=self.staged_depth(),
-                active=len(active),
-                pool_size=len(active) + len(parked),
-                stalls=self.broker.stats.faults.retries + self._pressure_accum,
-            )
-            if target > len(active) and parked:
-                promoted = parked[0]
-                self.membership.activate(promoted)
-                self.ring.add(promoted)
-                self.rebalances += 1
-                self.broker.notify()
-            elif target < len(active) and len(active) > 1:
-                victim = active[-1]
-                self._retire(victim, planned=True)
-                self.membership.park(victim)
 
     def _ingest(self, eid: int) -> None:
         """Drain the broker queues of every stream `eid` currently owns.

@@ -40,7 +40,6 @@ class EndpointReport:
     steps: int = 0               # tasks committed by this endpoint
     crashed: bool = False
     idle_polls: int = 0
-    parked_polls: int = 0
     wall_seconds: float = 0.0
     recv_bytes: int = 0
     staging_peak: int = 0
@@ -126,10 +125,6 @@ class FleetEndpoint:
             out = coord.poll(self.eid)
             if out is Directive.STOP:
                 break
-            if out is Directive.PARK:
-                report.parked_polls += 1
-                coord.rest(self.eid)
-                continue
             if out is Directive.IDLE:
                 report.idle_polls += 1
                 coord.rest(self.eid)

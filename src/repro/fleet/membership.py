@@ -9,10 +9,10 @@ hot endpoint loop, detection folded into whoever polls next — is what
 lets an *unplanned* loss (a crashed endpoint thread simply stops
 heartbeating) surface without any dedicated monitor thread.
 
-States: ``ACTIVE`` (owns streams, processes work), ``PARKED`` (alive
-but idle — the autoscaler's reserve pool), ``LEFT`` (planned
+States: ``ACTIVE`` (owns streams, processes work), ``LEFT`` (planned
 departure), ``DEAD`` (lease expired, or the member reported its own
-failure).  Every transition bumps the membership ``epoch``; the
+failure).  A member registers active and then only leaves or dies;
+nothing re-activates it.  Every transition bumps the membership ``epoch``; the
 coordinator rebalances when it observes an epoch it has not seen.
 """
 
@@ -26,7 +26,6 @@ from enum import Enum
 
 class EndpointState(Enum):
     ACTIVE = "active"
-    PARKED = "parked"
     LEFT = "left"
     DEAD = "dead"
 
@@ -44,16 +43,13 @@ class FleetMembership:
         self._lease: dict[int, float] = {}
         self._mailbox: dict[int, queue.Queue] = {}
         self._epoch = 0
-        self.heartbeats = 0
 
     # -- registration ------------------------------------------------------
-    def register(self, eid: int, parked: bool = False) -> int:
-        """Add a member (idempotent); returns the new epoch."""
+    def register(self, eid: int) -> int:
+        """Add an active member (idempotent); returns the new epoch."""
         with self._lock:
             if eid not in self._state:
-                self._state[eid] = (
-                    EndpointState.PARKED if parked else EndpointState.ACTIVE
-                )
+                self._state[eid] = EndpointState.ACTIVE
                 self._lease[eid] = self.clock() + self.lease_timeout
                 self._mailbox[eid] = queue.Queue()
                 self._epoch += 1
@@ -66,7 +62,6 @@ class FleetMembership:
         if mailbox is None:
             raise KeyError(f"endpoint {eid} is not a member")
         mailbox.put((eid, self.clock()))
-        self.heartbeats += 1
 
     def expire(self, now: float | None = None) -> list[int]:
         """Drain heartbeat mailboxes, then return newly dead members."""
@@ -104,42 +99,25 @@ class FleetMembership:
                 except queue.Empty:
                     break
                 latest = stamp
-            if latest is not None and self._state[eid] in (
-                EndpointState.ACTIVE, EndpointState.PARKED
-            ):
+            if latest is not None and self._state[eid] is EndpointState.ACTIVE:
                 self._lease[eid] = latest + self.lease_timeout
 
     def fail(self, eid: int) -> bool:
         """Declare `eid` dead now (it reported its own failure);
         returns False when it was not a live member."""
         with self._lock:
-            if self._state.get(eid) not in (
-                EndpointState.ACTIVE, EndpointState.PARKED
-            ):
+            if self._state.get(eid) is not EndpointState.ACTIVE:
                 return False
             self._state[eid] = EndpointState.DEAD
             self._epoch += 1
             return True
 
-    # -- planned transitions ----------------------------------------------
-    def activate(self, eid: int) -> None:
-        self._transition(eid, EndpointState.PARKED, EndpointState.ACTIVE)
-
-    def park(self, eid: int) -> None:
-        self._transition(eid, EndpointState.ACTIVE, EndpointState.PARKED)
-
+    # -- planned departure ------------------------------------------------
     def leave(self, eid: int) -> None:
-        """Planned departure (scale-down or shutdown)."""
+        """Planned departure (end of run)."""
         with self._lock:
-            if self._state.get(eid) in (EndpointState.ACTIVE, EndpointState.PARKED):
+            if self._state.get(eid) is EndpointState.ACTIVE:
                 self._state[eid] = EndpointState.LEFT
-                self._epoch += 1
-
-    def _transition(self, eid: int, expected: EndpointState, to: EndpointState):
-        with self._lock:
-            if self._state.get(eid) is expected:
-                self._state[eid] = to
-                self._lease[eid] = self.clock() + self.lease_timeout
                 self._epoch += 1
 
     # -- views -------------------------------------------------------------
@@ -155,20 +133,9 @@ class FleetMembership:
     def active_ids(self) -> tuple[int, ...]:
         return self._ids(EndpointState.ACTIVE)
 
-    def parked_ids(self) -> tuple[int, ...]:
-        return self._ids(EndpointState.PARKED)
-
     def dead_ids(self) -> tuple[int, ...]:
         return self._ids(EndpointState.DEAD)
 
     def _ids(self, state: EndpointState) -> tuple[int, ...]:
         with self._lock:
             return tuple(sorted(e for e, s in self._state.items() if s is state))
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "epoch": self._epoch,
-                "states": {e: s.value for e, s in sorted(self._state.items())},
-                "heartbeats": self.heartbeats,
-            }

@@ -5,9 +5,9 @@ into simulation ranks and endpoint ranks at a configurable ratio (the
 paper uses 4:1), an SST stream connects them, and every endpoint rank
 is a member of one :mod:`repro.fleet`, polling the shared
 :class:`~repro.fleet.FleetCoordinator` for assembled steps.  The
-paper's static N:1 split is the default ``FleetConfig()``: every
-endpoint active from the start, membership fixed, autoscaler off.
-The endpoint runs a SENSEI data consumer in one of three measurement
+paper's static N:1 split is the fleet: every endpoint active from the
+start, membership changing only on failure or planned leave.  The
+endpoint runs a SENSEI data consumer in one of three measurement
 modes:
 
 - ``none``        — No Transport: SENSEI runtime loaded, no analysis
@@ -32,7 +32,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.fleet import (
     AnalysisSink,
-    Autoscaler,
     FleetConfig,
     FleetCoordinator,
     FleetEndpoint,
@@ -192,21 +191,12 @@ class InTransitRunner:
         self, broker: SSTBroker, num_sim: int, num_end: int
     ) -> FleetCoordinator:
         cfg = self.fleet
-        autoscaler = (
-            Autoscaler(num_sim, cfg.autoscaler) if cfg.autoscale else None
-        )
-        initial = cfg.initial_active
-        if initial is not None:
-            initial = min(initial, num_end)
         return FleetCoordinator(
             broker,
             num_writers=num_sim,
             pool_size=num_end,
-            initial_active=initial,
             lease_timeout=cfg.lease_timeout,
             seed=cfg.seed,
-            autoscaler=autoscaler,
-            autoscale_every=cfg.autoscale_every,
             live=getattr(self.session, "live", None),
         )
 
@@ -372,7 +362,6 @@ class InTransitRunner:
         result.extra.update(
             crashed=report.crashed,
             idle_polls=report.idle_polls,
-            parked_polls=report.parked_polls,
             empty_steps=sink.adaptor.empty_steps,
             corrupt_steps=coordinator.corrupt_steps,
         )

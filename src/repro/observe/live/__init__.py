@@ -16,8 +16,8 @@ is in flight* — the regime the elastic fleet (PR 6) and live serving
   :class:`LiveAggregator`: rolling p50/p99 per stage, wire pairing,
   bytes on wire, windowed counts, retained step events;
 - :mod:`~repro.observe.live.slo` — declarative SLO specs with
-  burn-rate evaluation; alerts feed the fleet autoscaler as pressure
-  and the steering bus as advisories;
+  burn-rate evaluation; alerts degrade ``/healthz`` and reach the
+  steering bus as advisories;
 - :mod:`~repro.observe.live.export` — payloads for ``/metrics``,
   ``/healthz``, ``/slo``, ``/timeline`` and the ``observe top``
   dashboard;

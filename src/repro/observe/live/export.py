@@ -10,7 +10,7 @@ terminal dashboard:
   exposition format 0.0.4;
 - :func:`healthz_payload` — ``GET /healthz``: liveness + degradation;
 - :func:`slo_payload` — ``GET /slo``: specs, burn rates, active and
-  historical alerts, autoscaler pressure;
+  historical alerts;
 - :func:`timeline_payload` — ``GET /timeline?step=N``: one step's
   reconstructed :class:`StepTimeline` (the newest complete one when
   no step is given) plus the retained step index;
@@ -45,7 +45,6 @@ def slo_payload(plane) -> dict:
     payload = plane.watchdog.to_json()
     payload["run_id"] = plane.run_id
     payload["sampler"] = plane.sampler.as_dict()
-    payload["autoscaler_pressure_seen"] = plane.autoscaler_pressure_seen
     return payload
 
 
@@ -86,29 +85,20 @@ def _pcie_line(plane) -> str | None:
 
 
 def _serve_line(plane) -> str | None:
-    """The serving mesh, once a relay has registered its metrics."""
+    """The serving hub, once it has registered its metrics."""
     metrics = plane.merged_metrics()
     hits = metrics.get("repro_serve_cache_hits_total")
     misses = metrics.get("repro_serve_cache_misses_total")
-    relays = [
-        m for m in metrics
-        if m.name == "repro_serve_relay_clients"
-    ]
-    if hits is None and misses is None and not relays:
+    clients = metrics.get("repro_serve_clients")
+    if hits is None and misses is None and clients is None:
         return None
     h = int(hits.value) if hits else 0
     m = int(misses.value) if misses else 0
     total = h + m
     rate = f"{h / total:.0%}" if total else "-"
     line = f"serve: cache {h} hit / {m} miss ({rate})"
-    if relays:
-        per = "  ".join(
-            f"{r.const_labels.get('relay', '?')}:{int(r.value)}"
-            for r in sorted(
-                relays, key=lambda r: r.const_labels.get("relay", "")
-            )
-        )
-        line += f"  relays {per}"
+    if clients is not None:
+        line += f"  clients {int(clients.value)}"
     return line
 
 
@@ -160,8 +150,7 @@ def render_top(plane, now: float | None = None) -> str:
         state = "FIRING" if spec["name"] in active_names else "ok"
         lines.append(f"{spec['name']:<18} {burn:>7.2f}  {state}")
     lines.append(
-        f"alerts: {len(slo['active'])} active / {slo['fired']} fired, "
-        f"autoscaler pressure seen {plane.autoscaler_pressure_seen}"
+        f"alerts: {len(slo['active'])} active / {slo['fired']} fired"
     )
     for alert in slo["active"][-3:]:
         lines.append(f"  ! {alert['message']}")

@@ -21,11 +21,9 @@ maintains the live plane's own ``repro_live_*`` / ``repro_slo_*``
 metrics (merged with the session's registries for ``/metrics``).
 
 Fleet integration: the :class:`~repro.fleet.coordinator.
-FleetCoordinator` calls :meth:`pressure` from its autoscale tick
-(alerts become scale-up pressure alongside broker retry stalls),
-:meth:`crash_detected` when an unplanned loss is reaped (fires the
-recovery-time alert and finalizes the dead rank's trace track), and
-:meth:`recovery_complete` when the replay drains.
+FleetCoordinator` calls :meth:`crash_detected` when an unplanned loss
+is reaped (fires the recovery-time alert and finalizes the dead rank's
+trace track), and :meth:`recovery_complete` when the replay drains.
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ class LivePlane:
         #: session's per-rank registries
         self.registry = MetricsRegistry(labels={"plane": "live"})
         self.started_at = clock()
-        self.pressure_reads = 0
-        self.autoscaler_pressure_seen = 0
         # adopt the session: ranks created from now on bind automatically
         session.live = self
         for tel in session.telemetries():
@@ -160,21 +156,6 @@ class LivePlane:
         ]
 
     # -- fleet hooks ---------------------------------------------------
-    def pressure(self) -> int:
-        """Active-alert count, read by the coordinator's autoscale tick."""
-        self.pressure_reads += 1
-        return self.watchdog.pressure()
-
-    def note_autoscaler_pressure(self, pressure: int) -> None:
-        """The autoscaler observed `pressure` on its last tick."""
-        self.autoscaler_pressure_seen = max(
-            self.autoscaler_pressure_seen, pressure
-        )
-        self.registry.gauge(
-            "repro_fleet_slo_pressure",
-            "SLO alert pressure fed to the autoscaler", agg="max",
-        ).set(pressure)
-
     def crash_detected(self, eid: int, rank_hint: int | None = None) -> None:
         """Unplanned endpoint loss: fire the recovery SLO, close the track."""
         self.watchdog.recovery_started(eid)
@@ -201,7 +182,7 @@ class LivePlane:
         return self.merged_metrics().to_prometheus()
 
     def healthz(self) -> dict:
-        active = self.watchdog.pressure()
+        active = len(self.watchdog.active)
         return {
             "status": "degraded" if active else "ok",
             "run_id": self.run_id,
@@ -218,5 +199,4 @@ class LivePlane:
             "sampler": self.sampler.as_dict(),
             "summary": self.aggregator.summary(),
             "slo": self.watchdog.to_json(),
-            "autoscaler_pressure_seen": self.autoscaler_pressure_seen,
         }

@@ -9,15 +9,10 @@ snapshot lands, firing typed :class:`Alert` objects when the **burn
 rate** — consumed budget over allowed budget in the rolling window —
 reaches 1.0.
 
-Alerts feed two consumers:
-
-- the fleet :class:`~repro.fleet.autoscaler.Autoscaler` reads
-  :meth:`SLOWatchdog.pressure` (the number of currently-firing
-  alerts) through the coordinator's autoscale tick, turning SLO burn
-  into scale-up pressure exactly like broker retry stalls;
-- a :class:`~repro.serve.steering.SteeringBus`, when attached, gets
-  each newly fired alert as an ``advisory`` steer command, so
-  connected viewers see operator guidance inline with the stream.
+Firing alerts set ``/healthz`` to ``degraded``, and a
+:class:`~repro.serve.steering.SteeringBus`, when attached, gets each
+newly fired alert as an ``advisory`` steer command, so connected
+viewers see operator guidance inline with the stream.
 
 Recovery-time is event-driven rather than windowed: the coordinator
 reports detection (`recovery_started`, which fires the alert
@@ -284,11 +279,6 @@ class SLOWatchdog:
         raise KeyError(f"no SLO named {name!r}")
 
     # -- consumers -----------------------------------------------------
-    def pressure(self) -> int:
-        """Currently-firing alerts, as autoscaler scale-up pressure."""
-        with self._lock:
-            return len(self.active)
-
     def _advise(self, alert: Alert) -> None:
         if self.bus is None:
             return
@@ -313,5 +303,4 @@ class SLOWatchdog:
                 "history": [a.as_dict() for a in self.history],
                 "fired": self.fired,
                 "evaluations": self.evaluations,
-                "pressure": len(self.active),
             }

@@ -149,10 +149,8 @@ class Counter(_Metric):
 class Gauge(_Metric):
     """Point-in-time value; `agg` picks the cross-rank combination.
 
-    Like counters, gauges accept `const_labels` (e.g.
-    ``{"relay": "2"}``): each label set is its own registry entry with
-    its own sample line — the per-relay client-count gauges of the
-    serving mesh use this.
+    Like counters, gauges accept `const_labels`: each label set is its
+    own registry entry with its own sample line.
     """
 
     kind = "gauge"

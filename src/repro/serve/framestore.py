@@ -1,6 +1,6 @@
 """Frame storage for the in situ service: latest slots, history, dedup.
 
-The mesh publishes one :class:`Frame` per rendered output stream (the
+The hub publishes one :class:`Frame` per rendered output stream (the
 "pipeline" name the Catalyst adaptor writes, e.g. ``catalyst_surface``).
 A :class:`FrameStore` keeps, per stream,
 
@@ -10,7 +10,11 @@ A :class:`FrameStore` keeps, per stream,
   packs into an APNG,
 - *content-hash dedup* — a quiescent flow renders the same pixels step
   after step; identical PNG payloads are interned once and shared by
-  every Frame that references them.
+  every Frame that references them.  ``frames_deduped`` counts the
+  puts whose payload was already interned: the hub's cache hits.
+
+It is the hub's one copy of the retained frames: a late joiner's
+backfill and the replay window read it directly.
 
 The store charges its unique payload bytes to the
 :class:`~repro.observe.memory.MemoryMeter` under ``serve.framestore``,
@@ -22,12 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 
 from repro.observe.session import get_telemetry
 
-__all__ = ["Frame", "FrameStore", "EdgeCache"]
+__all__ = ["Frame", "FrameStore"]
 
 
 @dataclass(frozen=True)
@@ -63,90 +67,6 @@ def content_digest(data: bytes) -> str:
 class _Interned:
     data: bytes
     refs: int = 0
-
-
-class EdgeCache:
-    """Content-addressed LRU of already-encoded frames, one per relay.
-
-    The serving mesh's edge tier: frames are keyed by the blake2b
-    interning digest the :class:`FrameStore` already computes
-    (:func:`content_digest`), so a replayed or late-joining client
-    whose relay still holds the bytes is served **without touching the
-    publisher**.  A converged flow that renders the same pixels step
-    after step collapses to one cached entry per stream — the ingest
-    path records those as hits too, which is what the
-    ``repro_serve_cache_{hits,misses}_total`` counters in
-    ``observe top``'s serve line measure.
-
-    Thread-safety is the caller's job: the relay's
-    :class:`~repro.serve.pump.SessionPump` owns the cache and touches
-    it only under its own condition lock.
-    """
-
-    def __init__(self, capacity: int = 128):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._frames: OrderedDict[str, Frame] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._frames
-
-    def put(self, frame: Frame) -> bool:
-        """Insert (LRU-refreshing); True when the digest was new.
-
-        A re-inserted digest counts as a *hit* — the payload was
-        already at the edge, so this publish cost the relay nothing.
-        """
-        digest = frame.digest
-        if digest in self._frames:
-            self._frames.move_to_end(digest)
-            # keep the newest metadata (step/seq) for the shared bytes
-            self._frames[digest] = frame
-            self.hits += 1
-            return False
-        self._frames[digest] = frame
-        self.misses += 1
-        while len(self._frames) > self.capacity:
-            self._frames.popitem(last=False)
-            self.evictions += 1
-        return True
-
-    def get(self, digest: str) -> Frame | None:
-        """Cached frame for `digest`, counting the hit/miss."""
-        frame = self._frames.get(digest)
-        if frame is None:
-            self.misses += 1
-            return None
-        self._frames.move_to_end(digest)
-        self.hits += 1
-        return frame
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(f.nbytes for f in self._frames.values())
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._frames),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "payload_bytes": self.payload_bytes,
-        }
 
 
 class FrameStore:

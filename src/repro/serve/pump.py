@@ -1,6 +1,7 @@
 """Client sessions and the multiplexed pump that feeds them.
 
-One thread per relay, not per client — an epoll-style multiplexer:
+One thread for the whole hub, not one per client — an epoll-style
+multiplexer:
 
 - :class:`MeshSession` — one connected client's view of the stream,
   transport-agnostic (loopback, HTTP stream handler and the
@@ -14,23 +15,22 @@ One thread per relay, not per client — an epoll-style multiplexer:
   single deferred slot (newest wins) and are promoted once the
   interval elapses.  The session is *externally synchronized*: it
   carries no lock of its own.  All publisher-side state is touched
-  only under the owning pump's condition, which is what makes a
-  session cheap enough to have 100k of and trivially migratable
-  between relays (its queue, deferred slot and cursor are plain
-  fields that move with the object).
-- :class:`SessionPump` — one condition + one service loop per relay.
-  ``ingest`` is the publisher-facing edge: an O(1) inbox append and a
-  single ``notify_all``, independent of how many sessions the relay
-  carries (the ``notifies`` counter is the "O(1) wakeups per publish"
-  invariant the mesh tests pin).  The pump's service pass drains the
-  inbox and fans each frame out to its sessions — on the *relay's*
-  thread, never the publisher's.
+  only under the pump's condition, which is what makes a session
+  cheap enough to have 100k of.
+- :class:`SessionPump` — one condition + one service loop.  ``ingest``
+  is the publisher-facing edge: an O(1) inbox append and one ``wake``
+  event set, independent of how many sessions there are (the
+  ``notifies`` counter is the "O(1) wakeups per publish" invariant the
+  hub tests pin).  The pump's service pass drains the inbox and fans
+  each frame out to its sessions — on the *pump's* thread, never the
+  publisher's.
 
-A global publish sequence number (``Frame.seq``) doubles as the
-cross-relay dedup cursor: every relay sees every frame, so after a
-relay handoff the new relay may replay frames the session already
-consumed — ``MeshSession`` skips anything at or below its cursor,
-keeping delivered steps strictly increasing across migrations.
+A hub-wide publish sequence number (``Frame.seq``) doubles as each
+session's dedup cursor: a late joiner's backfill, read from the
+:class:`~repro.serve.framestore.FrameStore`, may include frames still
+waiting in the inbox, and ``MeshSession`` skips anything at or below
+its cursor when the pump offers them again, keeping delivered steps
+strictly increasing.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.serve.framestore import EdgeCache, Frame
+from repro.serve.framestore import Frame, FrameStore
 
 __all__ = ["MeshSession", "SessionPump", "SessionStats"]
 
@@ -67,10 +67,10 @@ class SessionStats:
 
 
 class MeshSession:
-    """One mesh client: session state synchronized by its relay's pump."""
+    """One hub client: session state synchronized by the pump."""
 
     __slots__ = (
-        "sid", "key", "streams", "depth", "label", "closed", "stats",
+        "sid", "streams", "depth", "label", "closed", "stats",
         "_min_interval", "_clock", "_pending", "_deferred",
         "_last_enqueue", "_last_seq", "_on_delivered", "_on_close",
         "_pump", "_plain",
@@ -79,7 +79,6 @@ class MeshSession:
     def __init__(
         self,
         sid: int,
-        key: str | None = None,
         streams: tuple[str, ...] | None = None,
         depth: int = 2,
         max_fps: float | None = None,
@@ -94,9 +93,6 @@ class MeshSession:
             raise ValueError("max_fps must be positive")
         self.sid = sid
         self.label = label or f"client-{sid}"
-        #: consistent-hash placement key (stable across reconnects of
-        #: the same viewer, so a client lands on the same relay)
-        self.key = key if key is not None else self.label
         self.streams = tuple(streams) if streams else None
         self.depth = depth
         self._min_interval = (1.0 / max_fps) if max_fps else 0.0
@@ -105,7 +101,7 @@ class MeshSession:
         self._deferred: Frame | None = None
         self._last_enqueue = -float("inf")
         #: highest publish seq this session has observed — the dedup
-        #: cursor that makes post-migration re-offers harmless
+        #: cursor that makes re-offers after a backfill harmless
         self._last_seq = -1
         self._on_delivered = on_delivered
         self._on_close = on_close
@@ -120,13 +116,13 @@ class MeshSession:
         return self.streams is None or stream in self.streams
 
     def _offer_locked(self, frame: Frame, now: float) -> bool:
-        """Offer under the owning pump's condition; False once closed."""
+        """Offer under the pump's condition; False once closed."""
         if self.closed:
             return False
         if not self.wants(frame.stream):
             return True
         if frame.seq <= self._last_seq:
-            return True       # already seen (relay handoff replay)
+            return True       # already seen (backfilled from the store)
         self._last_seq = frame.seq
         self.stats.offered += 1
         if self._min_interval and (
@@ -162,41 +158,40 @@ class MeshSession:
     def take(self, timeout: float | None = None, block: bool = True) -> Frame | None:
         """Next pending frame, oldest first; None on timeout/close.
 
-        Re-reads the owning pump each wait slice, so a blocked take
-        survives a mid-wait relay migration: it simply resumes waiting
-        on the new relay's condition.
+        A blocked take sleeps on the pump's condition (notified after
+        every fan-out pass and on close), waking early only to promote
+        a deferred frame whose interval has elapsed.
         """
+        pump = self._pump
+        if pump is None:
+            return None                     # never attached
         deadline = None
         if block and timeout is not None:
             deadline = self._clock() + timeout
-        while True:
-            pump = self._pump
-            if pump is None:
-                return None                 # never attached / torn down
-            frame = None
-            with pump.cond:
+        with pump.cond:
+            while True:
                 self._promote_deferred_locked()
                 if self._pending:
                     frame = self._pending.popleft()
                     self.stats.delivered += 1
                     self.stats.bytes_out += frame.nbytes
                     self.stats.steps.append(frame.step)
-                elif self.closed or not block:
+                    break
+                if self.closed or not block:
                     return None
-                elif self._pump is pump:
-                    if deadline is None:
-                        pump.cond.wait(0.1)
-                    else:
-                        remaining = deadline - self._clock()
-                        if remaining <= 0:
-                            return None
-                        # short slices: promote deferred frames on time
-                        # and notice migrations to another pump
-                        pump.cond.wait(min(remaining, 0.05))
-            if frame is not None:
-                if self._on_delivered is not None:
-                    self._on_delivered(frame)
-                return frame
+                wait = None
+                if deadline is not None:
+                    wait = deadline - self._clock()
+                    if wait <= 0:
+                        return None
+                if self._deferred is not None:
+                    due = (self._last_enqueue + self._min_interval
+                           - self._clock())
+                    wait = due if wait is None else min(wait, due)
+                pump.cond.wait(wait)
+        if self._on_delivered is not None:
+            self._on_delivered(frame)
+        return frame
 
     def drain(self) -> list[Frame]:
         """Take every immediately available frame (non-blocking)."""
@@ -206,14 +201,6 @@ class MeshSession:
             if frame is None:
                 return out
             out.append(frame)
-
-    @property
-    def backlog(self) -> int:
-        pump = self._pump
-        if pump is None:
-            return len(self._pending)
-        with pump.cond:
-            return len(self._pending)
 
     def close(self) -> None:
         pump = self._pump
@@ -228,31 +215,24 @@ class MeshSession:
 
 
 class SessionPump:
-    """Per-relay frame multiplexer: one condition, one service loop.
+    """The hub's frame multiplexer: one condition, one service loop.
 
     The publisher calls :meth:`ingest` (O(1): inbox append + one
-    notify); the relay's thread calls :meth:`pump_once` to fan the
-    inbox out to sessions, feed the edge cache, and maintain the
-    recent-frame ring used to backfill migrated or late-joining
-    sessions without touching the publisher.
+    ``wake`` set); the hub's pump thread waits on ``wake``, clears it,
+    and calls :meth:`pump_once` to fan the inbox out to every session.
+    Backfill reads the hub's :class:`FrameStore`, the one copy of the
+    retained frames.
     """
 
-    def __init__(
-        self,
-        rid: int,
-        clock=_time.perf_counter,
-        cache: EdgeCache | None = None,
-        history: int = 32,
-    ):
-        self.rid = rid
+    def __init__(self, store: FrameStore, clock=_time.perf_counter):
+        self.store = store
         self.cond = threading.Condition()
-        self.cache = cache if cache is not None else EdgeCache()
-        self.history = history
+        #: set by every ingest, cleared by the pump thread before it
+        #: drains the inbox
+        self.wake = threading.Event()
         self._clock = clock
         self.sessions: dict[int, MeshSession] = {}
         self._inbox: deque[Frame] = deque()
-        self._recent: dict[str, deque[Frame]] = {}
-        self._latest: dict[str, Frame] = {}
         #: publisher-side wakeups issued (one per ingest, independent
         #: of session count — the O(1)-per-publish invariant)
         self.notifies = 0
@@ -267,27 +247,17 @@ class SessionPump:
         """Accept one frame from the publisher; never blocks on clients.
 
         The append is a bare deque op (atomic under the GIL) and the
-        wakeup is *opportunistic*: if the condition is free the pump
-        may be asleep, so notify; if it is held, the pump is mid-pass
-        and will re-check the inbox anyway — blocking the publisher
-        behind a 12k-session fan-out would be a stall by construction.
+        wakeup is an :class:`threading.Event` set, which never waits
+        behind a fan-out pass — the pump holds ``cond``, not the event,
+        while it serves sessions.
         """
         self._inbox.append(frame)
         self.notifies += 1
-        if self.cond.acquire(blocking=False):
-            try:
-                self.cond.notify_all()
-            finally:
-                self.cond.release()
+        self.wake.set()
 
-    # -- relay service loop --------------------------------------------------
-    def pump_once(self, on_frame=None) -> int:
-        """Fan the inbox out to every session; returns frames processed.
-
-        `on_frame` fires once per frame *inside* the pass — the relay
-        threads its membership heartbeat through it, so a long fan-out
-        over a big shard can never outlive its own lease.
-        """
+    # -- service loop --------------------------------------------------------
+    def pump_once(self) -> int:
+        """Fan the inbox out to every session; returns frames processed."""
         inbox = self._inbox
         frames = []
         while True:                 # popleft is GIL-atomic, like append
@@ -302,14 +272,6 @@ class SessionPump:
             dropped = 0
             for frame in frames:
                 self.frames_ingested += 1
-                self.cache.put(frame)
-                ring = self._recent.get(frame.stream)
-                if ring is None:
-                    ring = self._recent[frame.stream] = deque()
-                ring.append(frame)
-                if len(ring) > self.history:
-                    ring.popleft()
-                self._latest[frame.stream] = frame
                 seq = frame.seq
                 sessions = self.sessions.values()
                 self.offers += len(sessions)
@@ -336,76 +298,34 @@ class SessionPump:
                         session._last_enqueue = now
                     else:
                         session._offer_locked(frame, now)
-                if on_frame is not None:
-                    on_frame()
             self.dropped += dropped
             self.service_passes += 1
             self.cond.notify_all()          # wake blocked takers
         return len(frames)
 
-    def wait_for_work(self, timeout: float) -> None:
-        with self.cond:
-            if not self._inbox:
-                self.cond.wait(timeout)
-
     # -- session management --------------------------------------------------
     def attach(self, session: MeshSession, backfill: bool = False) -> None:
-        """Adopt a session; optionally replay retained frames it missed.
+        """Adopt a session; optionally replay the store's retained frames.
 
-        Backfill serves the relay's recent ring through the session's
-        normal offer path — the seq cursor drops anything it already
-        consumed, so a migrated session resumes exactly where it left
-        off and a late joiner paints from the edge cache without a
-        publisher round-trip.
+        Backfill serves the history ring through the session's normal
+        offer path, in publish order, so a late joiner paints at once
+        without a publisher round-trip; the seq cursor then drops any
+        of those frames the pump offers again.
         """
         with self.cond:
             self.sessions[session.sid] = session
             session._pump = self
             if backfill:
                 now = self._clock()
-                frames = sorted(
-                    (f for ring in self._recent.values() for f in ring),
-                    key=lambda f: f.seq,
-                )
-                for frame in frames:
-                    if frame.seq > session._last_seq:
-                        self.cache.get(frame.digest)   # served from edge
-                        session._offer_locked(frame, now)
+                store = self.store
+                retained = [f for s in store.streams() for f in store.frames(s)]
+                for frame in sorted(retained, key=lambda f: f.seq):
+                    session._offer_locked(frame, now)
             self.cond.notify_all()
 
     def detach(self, session: MeshSession) -> None:
         with self.cond:
             self.sessions.pop(session.sid, None)
-
-    def drain_sessions(self) -> list[MeshSession]:
-        """Remove and return every session (relay loss / rebalance)."""
-        with self.cond:
-            sessions = list(self.sessions.values())
-            self.sessions.clear()
-            return sessions
-
-    # -- edge reads ----------------------------------------------------------
-    def latest(self, stream: str) -> Frame | None:
-        """Latest frame for `stream` from the edge cache (counts hit/miss)."""
-        with self.cond:
-            frame = self._latest.get(stream)
-            if frame is None:
-                self.cache.misses += 1
-                return None
-            return self.cache.get(frame.digest) or frame
-
-    def replay(self, stream: str) -> list[Frame]:
-        """The retained ring for `stream`, oldest first, cache-counted."""
-        with self.cond:
-            frames = list(self._recent.get(stream, ()))
-            for frame in frames:
-                self.cache.get(frame.digest)
-            return frames
-
-    @property
-    def clients(self) -> int:
-        with self.cond:
-            return len(self.sessions)
 
     def stats(self) -> dict:
         with self.cond:
@@ -417,5 +337,4 @@ class SessionPump:
                 "service_passes": self.service_passes,
                 "dropped": self.dropped,
                 "inbox_depth": len(self._inbox),
-                "cache": self.cache.stats(),
             }

@@ -37,9 +37,6 @@ def attach_serving(
 ) -> SteeringEndpoint | None:
     """Wire `hub` (and optionally `bus`) into a configured analysis.
 
-    The mesh learns the bus so steering can route through the
-    client's relay.
-
     Returns the rank's :class:`SteeringEndpoint` (None when no bus).
     """
     catalysts = [
@@ -51,7 +48,6 @@ def attach_serving(
         adaptor.publisher = hub.publish
     if bus is None:
         return None
-    hub.attach_bus(bus)
     endpoint = SteeringEndpoint(
         comm if comm is not None else analysis.comm,
         bus,

@@ -124,9 +124,6 @@ class HttpFrameServer:
     ):
         self.hub = hub
         self.bus = bus
-        if bus is not None and hub.bus is None:
-            # the mesh learns the bus so /steer routes via the client's relay
-            hub.attach_bus(bus)
         #: attached :class:`~repro.observe.live.plane.LivePlane`; serves
         #: /metrics, /slo and /timeline (``/healthz`` works without one)
         self.live = live
@@ -291,12 +288,8 @@ class HttpFrameServer:
             status.update(self.status_provider())
         return status
 
-    def _latest(self, stream: str) -> Frame | None:
-        """Latest frame via the mesh's edge tier."""
-        return self.hub.relay_latest(stream, key=f"http-{stream}")
-
     async def _serve_latest(self, writer, stream: str) -> None:
-        frame = self._latest(stream)
+        frame = self.hub.store.latest(stream)
         if frame is None:
             await self._respond(writer, 404, {"error": f"no frames for {stream!r}"})
             return
@@ -306,7 +299,7 @@ class HttpFrameServer:
     async def _serve_replay(self, writer, stream: str, query: dict) -> None:
         from repro.util.apng import ApngWriter
 
-        frames = self.hub.relay_replay(stream, key=f"http-{stream}")
+        frames = self.hub.store.frames(stream)
         if not frames:
             await self._respond(writer, 404, {"error": f"no frames for {stream!r}"})
             return
@@ -340,7 +333,7 @@ class HttpFrameServer:
             )
             await writer.drain()
             # seed with the latest frame so a new client paints at once
-            latest = self._latest(stream)
+            latest = self.hub.store.latest(stream)
             if latest is not None:
                 await self._write_part(writer, latest)
             while not (self.hub.closed or session.closed or self._shutdown.is_set()):
@@ -378,11 +371,8 @@ class HttpFrameServer:
         except (ValueError, KeyError) as exc:
             await self._respond(writer, 400, {"error": f"bad steer payload: {exc}"})
             return
-        relay = self.hub.route_steer(command)
-        reply = {"ok": True, "pending": self.bus.pending}
-        if relay is not None:
-            reply["relay"] = relay
-        await self._respond(writer, 200, reply)
+        self.bus.submit(command)
+        await self._respond(writer, 200, {"ok": True, "pending": self.bus.pending})
 
     # -- live telemetry routes ---------------------------------------------
     async def _serve_healthz(self, writer) -> None:

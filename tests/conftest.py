@@ -45,9 +45,9 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "test_device_render" in str(item.fspath):
             item.add_marker(pytest.mark.device)
-        # same deal for the relay-mesh suite: `-m mesh` selects every
+        # same deal for the serving-hub suite: `-m mesh` selects every
         # test in the module, and the deadlock watchdog above covers the
-        # threaded relay pumps like any other test
+        # threaded pump like any other test
         if "test_serve_mesh" in str(item.fspath):
             item.add_marker(pytest.mark.mesh)
     # a wall-clock verdict does not belong in the default run: a

@@ -266,10 +266,9 @@ def test_each_ledger_is_counted_once():
         "repro_bridge_invocations_total", "repro_bridge_degraded_steps_total",
         "repro_catalyst_images_total", "repro_catalyst_image_bytes_total",
         "repro_router_route_total", "repro_fleet_commits_total",
-        "repro_fleet_steals_total", "repro_fleet_scale_up_total",
-        "repro_fleet_scale_down_total", "repro_serve_cache_hits_total",
+        "repro_fleet_steals_total", "repro_serve_cache_hits_total",
         "repro_serve_cache_misses_total", "repro_serve_frames_dropped_total",
-        "repro_serve_relay_clients", "repro_perf_arena_hits",
+        "repro_perf_arena_hits",
     } <= read_backed
     twins = sorted((name, rel) for name, read, rel in calls
                    if not read and name in read_backed)
@@ -407,3 +406,41 @@ def test_one_lossy_pipeline_and_one_storage_entropy_stage():
     assert deflaters == {"util/png.py", "adios/engine.py"}
     assert not (SRC / "util" / "compress.py").exists()
     assert not (SRC / "sensei" / "analyses" / "compressed_io.py").exists()
+
+
+def test_one_serving_hub_and_a_fixed_endpoint_fleet():
+    """The ``serve_fanout`` surface stands on one hub with one pump
+    thread; the relay shards, the edge cache, the autoscaler and its
+    parked reserve are gone."""
+    import threading
+
+    import repro.serve
+    from repro.fleet import EndpointState
+    from repro.serve import ServeMesh
+
+    with pytest.raises(ValueError):
+        ServeMesh(relays=2, start=False)
+    before = set(threading.enumerate())
+    mesh = ServeMesh(relays=1, history=4, default_depth=2)
+    try:
+        started = set(threading.enumerate()) - before
+        assert len(started) == 1, started
+        session = mesh.connect(label="client-0")
+        frame = mesh.publish("main", 0, 0.0, b"frame-0")
+        assert session.take(timeout=5) is frame
+        late = mesh.connect(label="client-1", backfill=True)
+        assert [f.step for f in late.drain()] == [0]
+        assert [f.step for f in mesh.relay_replay("main")] == [0]
+        stats = mesh.stats()
+        assert stats["stalls"] == 0 and stats["frames_published"] == 1
+        assert stats["cache"]["hit_rate"] == 0.0
+        assert stats["store"]["payload_bytes"] == len(b"frame-0")
+    finally:
+        mesh.close()
+    assert not any(t.is_alive() for t in started)
+    for name in ("RelayHub", "EdgeCache"):
+        assert not hasattr(repro.serve, name), name
+    assert importlib.util.find_spec("repro.fleet.autoscaler") is None
+    assert "PARKED" not in EndpointState.__members__
+    for path in sorted(SRC.rglob("*.py")):
+        assert "POLL_INTERVAL_S" not in path.read_text(), path

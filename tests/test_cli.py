@@ -224,6 +224,18 @@ class TestInTransit:
             build_parser().parse_args(["intransit", "--fleet"])
         assert "unrecognized arguments: --fleet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--relays", "2"],
+        ["intransit", "--autoscale"],
+        ["intransit", "--initial-active", "1"],
+    ])
+    def test_elasticity_flags_are_gone(self, argv, capsys):
+        """One serving hub and a fixed endpoint fleet: nothing sizes
+        either at run time."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
     def test_default_run_prints_the_fleet_summary(self, tmp_path, capsys):
         rc = main(["intransit", "--ranks", "3", *self._SMALL,
                    "--output", str(tmp_path)])
@@ -234,8 +246,8 @@ class TestInTransit:
         assert len(list((tmp_path / "checkpoint").glob("*.vtu"))) == 4
 
     def test_fleet_flags_apply_on_their_own(self, tmp_path, capsys, monkeypatch):
-        """--lease-timeout/--initial-active/--autoscale used to be read
-        only when --fleet was also given."""
+        """--lease-timeout used to be read only when --fleet was also
+        given."""
         import repro.insitu
         from repro.fleet import FleetConfig
 
@@ -248,15 +260,11 @@ class TestInTransit:
 
         monkeypatch.setattr(repro.insitu, "InTransitRunner", Recording)
         rc = main(["intransit", "--ranks", "6", "--ratio", "2", *self._SMALL,
-                   "--lease-timeout", "1.5", "--initial-active", "1",
-                   "--autoscale", "--output", str(tmp_path)])
+                   "--lease-timeout", "1.5", "--output", str(tmp_path)])
         assert rc == 0
         (runner,) = runners
-        assert runner.fleet == FleetConfig(
-            lease_timeout=1.5, initial_active=1, autoscale=True
-        )
+        assert runner.fleet == FleetConfig(lease_timeout=1.5)
         coord = runner.last_coordinator
-        assert coord.autoscaler is not None and coord.initial_active == 1
         assert coord.membership.lease_timeout == 1.5
         out = capsys.readouterr().out
         assert "in transit: 4 sim ranks + 2 endpoint ranks" in out

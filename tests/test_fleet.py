@@ -1,7 +1,7 @@
 """Elastic endpoint fleet tests (PR 6 tentpole).
 
 Units for every fleet piece — consistent-hash ring, heartbeat-lease
-membership, work-stealing queues, autoscaler, coordinator — plus the
+membership, work-stealing queues, coordinator — plus the
 acceptance scenarios: killing 1 of 4 endpoints mid-run completes with
 zero lost committed steps, and with no faults the output is
 byte-identical to what the retired static split wrote (recorded in
@@ -32,8 +32,6 @@ from repro.faults.errors import EndpointDownError, StreamTimeout
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.fleet import (
-    Autoscaler,
-    AutoscalerConfig,
     Directive,
     EndpointState,
     FleetConfig,
@@ -152,28 +150,17 @@ class TestFleetMembership:
         assert m.state(0) is EndpointState.ACTIVE
         assert m.expire() == []  # death is reported exactly once
 
-    def test_parked_member_never_expires(self):
-        clock = _Clock()
-        m = FleetMembership(lease_timeout=0.5, clock=clock)
-        m.register(0, parked=True)
-        clock.advance(100.0)
-        assert m.expire() == []
-        assert m.state(0) is EndpointState.PARKED
-
-    def test_transitions_bump_epoch_and_renew_lease(self):
-        clock = _Clock()
-        m = FleetMembership(lease_timeout=0.5, clock=clock)
-        m.register(0, parked=True)
-        e = m.epoch
-        clock.advance(10.0)      # way past the registration lease
-        m.activate(0)            # transition renews the lease
-        assert m.epoch == e + 1
-        assert m.expire() == []
-        assert m.state(0) is EndpointState.ACTIVE
-        m.park(0)
+    def test_leave_and_fail_bump_epoch_and_end_membership(self):
+        m = FleetMembership(lease_timeout=0.5, clock=_Clock())
+        m.register(0)
+        e = m.register(1)
         m.leave(0)
+        assert m.fail(1) is True
+        assert m.epoch == e + 2
         assert m.state(0) is EndpointState.LEFT
-        assert m.active_ids() == m.parked_ids() == ()
+        assert m.state(1) is EndpointState.DEAD
+        assert m.active_ids() == ()
+        assert m.fail(0) is False and m.epoch == e + 2   # already gone
 
     def test_late_heartbeats_revive_nothing(self):
         clock = _Clock()
@@ -191,7 +178,8 @@ class TestFleetMembership:
         assert m.next_expiry() is None
         m.register(0)
         m.register(1)
-        m.register(2, parked=True)       # parked leases never lapse
+        m.register(2)
+        m.leave(2)                       # a departed lease never lapses
         clock.advance(0.3)
         m.heartbeat(0)                   # folded in: 0's lease -> 0.8
         assert m.next_expiry() == pytest.approx(0.5)
@@ -250,56 +238,6 @@ class TestWorkQueues:
         assert q.pushed == 4
 
 
-# -- autoscaler -------------------------------------------------------------
-
-
-class TestAutoscaler:
-    def test_bounds_honor_ratio_clamp(self):
-        auto = Autoscaler(num_sim=8)
-        assert auto.bounds(pool_size=8) == (1, 4)    # 8/16 .. 8/2
-        auto = Autoscaler(num_sim=32)
-        assert auto.bounds(pool_size=4) == (2, 4)    # pool-capped
-        assert auto.clamp(1, pool_size=4) == 2
-        assert auto.clamp(9, pool_size=4) == 4
-
-    def test_scales_up_after_patience_hot_observations(self):
-        auto = Autoscaler(num_sim=8, config=AutoscalerConfig(patience=2,
-                                                             cooldown=2))
-        assert auto.observe(staged_steps=10, active=2, pool_size=4) == 2
-        assert auto.observe(staged_steps=10, active=2, pool_size=4) == 3
-        assert auto.scale_ups == 1 and auto.decisions == [(2, 3)]
-
-    def test_cooldown_suppresses_flapping(self):
-        auto = Autoscaler(num_sim=8, config=AutoscalerConfig(patience=1,
-                                                             cooldown=3))
-        assert auto.observe(staged_steps=10, active=2, pool_size=4) == 3
-        for _ in range(3):   # hot again, but cooling down
-            assert auto.observe(staged_steps=12, active=3, pool_size=4) == 3
-        assert auto.observe(staged_steps=12, active=3, pool_size=4) == 4
-
-    def test_scales_down_when_idle(self):
-        auto = Autoscaler(num_sim=8, config=AutoscalerConfig(patience=2,
-                                                             cooldown=0))
-        assert auto.observe(staged_steps=0, active=3, pool_size=4) == 3
-        assert auto.observe(staged_steps=0, active=3, pool_size=4) == 2
-        assert auto.scale_downs == 1
-
-    def test_stalls_count_as_pressure(self):
-        auto = Autoscaler(num_sim=8, config=AutoscalerConfig(patience=2,
-                                                             cooldown=0))
-        auto.observe(staged_steps=0, active=2, pool_size=4, stalls=1)
-        target = auto.observe(staged_steps=0, active=2, pool_size=4, stalls=2)
-        assert target == 3
-
-    def test_never_leaves_ratio_clamp(self):
-        auto = Autoscaler(num_sim=8, config=AutoscalerConfig(patience=1,
-                                                             cooldown=0))
-        # at the max already: staying hot cannot exceed num_sim/min_ratio
-        assert auto.observe(staged_steps=100, active=4, pool_size=8) == 4
-        # at the min: staying cold cannot go below num_sim/max_ratio
-        assert auto.observe(staged_steps=0, active=1, pool_size=8) == 1
-
-
 # -- coordinator ------------------------------------------------------------
 
 
@@ -337,7 +275,6 @@ class TestFleetCoordinator:
             out = coord.poll(0)
             if out is Directive.STOP:
                 break
-            assert out is not Directive.PARK
             if out is Directive.IDLE:
                 continue
             assert set(out.payloads) == {0, 1}  # fully assembled
@@ -562,28 +499,6 @@ class TestFleetCoordinator:
         out = coord.poll(1)
         assert isinstance(out, RenderTask) and out.step == 7
         assert coord.queues.stolen == 1
-
-    def test_autoscaler_activates_parked_member_under_backlog(self):
-        broker = SSTBroker(num_writers=4, queue_limit=64)
-        auto = Autoscaler(num_sim=4, config=AutoscalerConfig(
-            patience=1, cooldown=0, high_water=1.0,
-        ))
-        coord = FleetCoordinator(
-            broker, num_writers=4, pool_size=2, initial_active=1,
-            autoscaler=auto, autoscale_every=1, seed=1,
-        )
-        _stage_steps(broker, steps=4, close=False)
-        coord.join(0)
-        coord.join(1)
-        assert coord.membership.state(1) is EndpointState.PARKED
-        coord.poll(0)   # observes 16 staged steps on 1 endpoint
-        coord.poll(0)
-        assert coord.membership.state(1) is EndpointState.ACTIVE
-        assert auto.scale_ups >= 1
-        assert 1 in coord.ring
-        # every decision stays inside the 2:1..16:1 ratio clamp
-        lo, hi = auto.bounds(pool_size=2)
-        assert all(lo <= n <= hi for pair in auto.decisions for n in pair)
 
     def test_geometry_is_cached_and_replayed(self):
         broker, coord = self._coordinator(writers=1, pool=1)
@@ -1007,5 +922,3 @@ class TestFleetEndToEnd:
     def test_fleet_config_validation(self):
         with pytest.raises(ValueError):
             FleetConfig(lease_timeout=0.0)
-        with pytest.raises(ValueError):
-            FleetConfig(initial_active=0)

@@ -7,9 +7,8 @@ The acceptance contract of ``repro.observe.live``:
   stage seconds summing to no more than the step's wall time;
 - ``/metrics``, ``/healthz``, ``/slo`` and ``/timeline`` serve live
   data from a running ``HttpFrameServer`` mid-run;
-- an injected endpoint crash fires the recovery-time SLO alert, which
-  the fleet autoscaler observes as scale-up pressure, and the dead
-  endpoint's trace track is finalized at detection time;
+- an injected endpoint crash fires the recovery-time SLO alert, and
+  the dead endpoint's trace track is finalized at detection time;
 - the adaptive sampler steps detail down under a forced overhead
   budget, and rendered artifacts are byte-identical with the plane
   on or off.
@@ -25,7 +24,7 @@ import time
 import pytest
 
 from repro.faults import FaultInjector, RetryPolicy
-from repro.fleet import AutoscalerConfig, FleetConfig
+from repro.fleet import FleetConfig
 from repro.insitu import InTransitRunner
 from repro.nekrs.cases import weak_scaled_rbc_case
 from repro.observe import TelemetrySession, naming_violations
@@ -230,11 +229,11 @@ class TestSLOWatchdog:
         agg.ingest(Snapshot(rank=0, seq=0, counts={"publish_stall": 1}))
         fired = dog.evaluate(agg)
         assert [a.slo for a in fired] == ["publish_stall"]
-        assert dog.pressure() == 1
+        assert len(dog.active) == 1
         # outside the window the count decays and the alert resolves
         later = agg._clock() + 120.0
         assert dog.evaluate(agg, now=later) == []
-        assert dog.pressure() == 0
+        assert len(dog.active) == 0
         assert dog.history[0].resolved_at is not None
 
     def test_step_latency_burn_needs_min_count(self):
@@ -251,9 +250,9 @@ class TestSLOWatchdog:
     def test_recovery_alert_fires_at_detection(self):
         dog = SLOWatchdog(specs=default_slos(recovery_time_s=1.0))
         alert = dog.recovery_started(eid=2)
-        assert alert.active and dog.pressure() == 1
+        assert alert.active and len(dog.active) == 1
         assert dog.recovery_finished(eid=2, seconds=0.2) is None
-        assert dog.pressure() == 0
+        assert len(dog.active) == 0
         assert alert.extra["phase"] == "complete"
 
     def test_blown_recovery_objective_escalates(self):
@@ -374,7 +373,7 @@ class TestLiveFleetAcceptance:
         assert summary["stages"]["solve"]["count"] >= 3
 
 
-# -- end-to-end: crash fires the recovery SLO into the autoscaler -----------
+# -- end-to-end: crash fires the recovery SLO --------------------------------
 
 
 class TestCrashRecoverySLO:
@@ -389,14 +388,7 @@ class TestCrashRecoverySLO:
             tmp_path, session, steps=steps, injector=injector,
             retry=RetryPolicy(max_attempts=20, base_delay=0.01,
                               attempt_timeout=0.1, max_elapsed_s=30.0),
-            # autoscale_every=1: every poll ticks the autoscaler, so the
-            # in-flight recovery alert is observed as pressure; the
-            # pinned ratio clamp stops the idle fleet from parking the
-            # victim as a *planned* leave before its lease ever lapses
-            fleet=FleetConfig(lease_timeout=0.25, seed=7, autoscale=True,
-                              autoscale_every=1,
-                              autoscaler=AutoscalerConfig(min_ratio=2.0,
-                                                          max_ratio=2.0)),
+            fleet=FleetConfig(lease_timeout=0.25, seed=7),
         )
         results = run_spmd(12, runner.run)
         plane.flush_all()
@@ -412,10 +404,6 @@ class TestCrashRecoverySLO:
         assert recoveries[0].extra["eid"] == 2
         assert recoveries[0].extra["phase"] in ("complete", "breach")
         assert recoveries[0].resolved_at is not None
-
-        # the autoscaler saw the alert as pressure on at least one tick
-        assert plane.pressure_reads > 0
-        assert plane.autoscaler_pressure_seen >= 1
 
         # the dead endpoint's global rank track was finalized at
         # detection time (num_writers + eid), not left dangling
@@ -733,8 +721,7 @@ class TestFrameStoreAccounting:
         from repro.serve import ServeMesh
 
         tel = Telemetry.create(rank=0)
-        mesh = ServeMesh(relays=1, lease_timeout_s=300.0, telemetry=tel,
-                         start=False)
+        mesh = ServeMesh(relays=1, telemetry=tel, start=False)
         mesh.connect(label="v")
         with active(tel):
             for i in range(6):

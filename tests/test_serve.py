@@ -1,8 +1,7 @@
 """Tests for repro.serve: frame store, sessions, hub surface, steering.
 
-Unit layers first (store / session on a bare pump / the hub surface of
-a one-relay mesh — the workstation-viewer shape; sharding, migration,
-running relay threads and the recorded flat-hub golden sequences live
+Unit layers first (store / session on a bare pump / the hub surface;
+the running pump thread and the recorded flat-hub golden sequences live
 in test_serve_mesh.py), then the acceptance scenarios from the serving
 design: backpressure that never stalls the publisher, loopback frames
 byte-identical to the on-disk PNGs, and steering commands applied
@@ -10,7 +9,6 @@ collectively at step boundaries.
 """
 
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -33,8 +31,8 @@ from repro.serve import (
 )
 from test_serve_mesh import FakeClock, _frame, _png, _quiet_mesh
 
-#: a threadless one-relay mesh: settle() fans out on the caller's thread
-_quiet_hub = partial(_quiet_mesh, relays=1)
+#: a threadless hub: settle() fans out on the caller's thread
+_quiet_hub = _quiet_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +93,9 @@ class TestFrameStore:
 
 def _session(clock=None, **kw):
     """A session on a bare pump, and an ``offer`` that ingests one frame
-    and runs one service pass (what a relay thread does)."""
+    and runs one service pass (what the pump thread does)."""
     clocked = {"clock": clock} if clock is not None else {}
-    pump = SessionPump(0, **clocked)
+    pump = SessionPump(FrameStore(history=8), **clocked)
     session = MeshSession(0, **kw, **clocked)
     pump.attach(session)
 
@@ -178,7 +176,7 @@ class TestSession:
 
 
 # ---------------------------------------------------------------------------
-# The hub surface: a one-relay mesh
+# The hub surface
 # ---------------------------------------------------------------------------
 
 
@@ -259,8 +257,8 @@ class TestFrameHub:
         assert stats["clients"] == 1
         assert stats["frames_published"] == 1
         assert stats["stalls"] == 0
-        assert stats["shard_map"]["0"]["clients"] == 1
-        assert stats["relays"]["0"]["frames_ingested"] == 1
+        assert stats["pump"]["clients"] == 1
+        assert stats["pump"]["frames_ingested"] == 1
         assert stats["store"]["frames_stored"] == 1
 
 
@@ -357,7 +355,7 @@ class TestLoopbackByteIdentical:
         _assert_match_disk(client.frames, tmp_path)
 
     def test_history_replay_matches_disk(self, tmp_path):
-        """The relay's replay ring holds the same bytes, oldest first."""
+        """The replay ring holds the same bytes, oldest first."""
         hub = _quiet_hub(history=16)
         case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=5e-3,
                                num_steps=3)

@@ -1,13 +1,12 @@
-"""Tests for repro.serve.mesh: relay hubs, edge cache, session pump.
+"""Tests for repro.serve.mesh: the one serving hub and its session pump.
 
-Unit layers first (EdgeCache / MeshSession / SessionPump invariants),
-then the mesh acceptance scenarios from the serving design: O(1)
-publisher wakeups per publish, consistent-hash placement with bounded
-movement on join, crash-driven lease-expiry migration that never loses
-or repeats a committed step, the recorded flat-hub golden sequences
-reproduced at 1 and 3 relays, the cache/drop counters and relay gauges
-flowing through the metric-naming audit, and the HTTP transport
-exposing the shard map and routing steering through the client's relay.
+Unit layers first (MeshSession / SessionPump invariants), then the hub
+acceptance scenarios from the serving design: O(1) publisher wakeups
+per publish, late joiners and replay served from the frame store, a
+pump left unserviced for any length of time closing no session and
+refusing no connect, the recorded flat-hub golden sequences, the
+cache/drop counters flowing through the metric-naming audit, and the
+HTTP transport's status and steering routes.
 """
 
 import json
@@ -21,7 +20,6 @@ import pytest
 from repro.observe import naming_violations
 from repro.observe.session import Telemetry, active
 from repro.serve import (
-    EdgeCache,
     HttpFrameServer,
     HubFull,
     MeshSession,
@@ -55,66 +53,13 @@ class FakeClock:
 
 
 def _quiet_mesh(**kwargs) -> ServeMesh:
-    """A mesh with no relay threads and no lease pressure.
+    """A hub with no pump thread.
 
-    start=False registers the relays without running their pump
-    threads, so ``settle()`` services them on the test's thread,
-    deterministically (and there is nothing to close() afterwards);
-    the long lease keeps the publish-path ``check()`` from expiring
-    the non-heartbeating relays mid-test.
+    start=False runs no thread, so ``settle()`` services the pump on
+    the test's thread, deterministically (and there is nothing to
+    close() afterwards).
     """
-    kwargs.setdefault("relays", 3)
-    kwargs.setdefault("lease_timeout_s", 300.0)
     return ServeMesh(start=False, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# EdgeCache
-# ---------------------------------------------------------------------------
-
-
-class TestEdgeCache:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            EdgeCache(capacity=0)
-
-    def test_get_counts_hit_and_miss(self):
-        cache = EdgeCache(capacity=4)
-        f = _frame(0)
-        assert cache.put(f) is True          # new digest: a miss
-        assert cache.get(f.digest) is f
-        assert cache.get("nope") is None
-        assert (cache.hits, cache.misses) == (1, 2)
-
-    def test_reinserted_digest_counts_as_hit(self):
-        # a converged flow republishing identical pixels costs nothing
-        cache = EdgeCache(capacity=4)
-        a, b = _frame(0), _frame(0)
-        assert a.digest == b.digest
-        assert cache.put(a) is True
-        assert cache.put(b) is False
-        assert cache.hits == 1
-        # newest metadata wins for the shared bytes
-        assert cache.get(a.digest) is b
-
-    def test_lru_eviction(self):
-        cache = EdgeCache(capacity=2)
-        f0, f1, f2 = _frame(0), _frame(1), _frame(2)
-        cache.put(f0)
-        cache.put(f1)
-        cache.get(f0.digest)                 # refresh f0: f1 is now LRU
-        cache.put(f2)
-        assert cache.evictions == 1
-        assert f0.digest in cache
-        assert f1.digest not in cache
-
-    def test_stats_and_payload_bytes(self):
-        cache = EdgeCache(capacity=4)
-        f = _frame(3)
-        cache.put(f)
-        stats = cache.stats()
-        assert stats["entries"] == 1
-        assert cache.payload_bytes == f.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +80,9 @@ class TestMeshSession:
         with pytest.raises(ValueError):
             MeshSession(0, max_fps=-5.0)
 
-    def test_placement_key_defaults_to_label(self):
-        s = MeshSession(7, label="viewer-a")
-        assert s.key == "viewer-a"
-        assert MeshSession(8, key="pin", label="viewer-b").key == "pin"
-
     def test_seq_cursor_skips_replayed_frames(self):
-        # the cross-relay dedup cursor: re-offering an already-seen
-        # frame (relay handoff backfill) is a no-op
+        # the dedup cursor: re-offering an already-seen frame (a
+        # backfilled frame the pump fans out again) is a no-op
         clock = FakeClock()
         mesh = _quiet_mesh(clock=clock)
         s = mesh.connect(label="v")
@@ -156,41 +96,24 @@ class TestMeshSession:
 
 
 # ---------------------------------------------------------------------------
-# Placement, shard map, O(1) publish
+# Client budget, O(1) publish
 # ---------------------------------------------------------------------------
 
 
 class TestMeshPlacement:
-    def test_sessions_land_on_ring_assigned_relay(self):
-        mesh = _quiet_mesh(relays=4)
-        for i in range(32):
-            s = mesh.connect(label=f"viewer-{i}")
-            rid = mesh.ring.assign(s.key)
-            assert s._pump is mesh._relays[rid].pump
-
-    def test_shard_map_counts_every_client(self):
-        mesh = _quiet_mesh(relays=4)
-        for i in range(32):
-            mesh.connect(label=f"viewer-{i}")
-        shard_map = mesh.shard_map()
-        assert sum(e["clients"] for e in shard_map.values()) == 32
-        assert set(shard_map) == {"0", "1", "2", "3"}
-        assert all(e["state"] == "active" for e in shard_map.values())
-
     def test_publish_wakeups_are_o1_per_relay(self):
-        # the tentpole invariant: publish cost is O(relays), not
-        # O(clients) — each publish issues exactly one notify per relay
-        # no matter how many sessions the relay carries
-        mesh = _quiet_mesh(relays=3)
+        # publish cost is O(1), not O(clients): each publish issues
+        # exactly one wakeup to the hub's one pump no matter how many
+        # sessions it carries
+        mesh = _quiet_mesh()
         for i in range(60):
             mesh.connect(label=f"viewer-{i}", depth=8)
         for step in range(5):
             mesh.publish("s", step=step, time=0.0, data=_png(step))
-        for relay in mesh._relays.values():
-            assert relay.pump.notifies == 5
+        assert mesh.pump.notifies == 5
 
     def test_max_clients_budget_enforced(self):
-        mesh = _quiet_mesh(relays=2, max_clients=2)
+        mesh = _quiet_mesh(max_clients=2)
         mesh.connect(label="a")
         b = mesh.connect(label="b")
         with pytest.raises(HubFull):
@@ -199,57 +122,33 @@ class TestMeshPlacement:
         mesh.disconnect(b)
         mesh.connect(label="c")
 
-    def test_join_rebalance_moves_only_the_new_arc(self):
-        mesh = _quiet_mesh(relays=3)
-        sessions = [mesh.connect(label=f"viewer-{i}") for i in range(48)]
-        before = {s.sid: s._pump.rid for s in sessions}
-        rid = mesh.add_relay(start=False)
-        moved = [s for s in sessions if s._pump.rid != before[s.sid]]
-        # everything that moved landed on the new relay, nothing
-        # shuffled between the old ones
-        assert moved
-        assert all(s._pump.rid == rid for s in moved)
-        assert any(m["kind"] == "join" for m in mesh.migrations)
-
-
 # ---------------------------------------------------------------------------
-# Edge cache serving: backfill, replay, late joiners
+# The store serves backfill and replay
 # ---------------------------------------------------------------------------
 
 
 class TestEdgeServing:
-    def test_late_joiner_backfills_from_edge_cache(self):
-        mesh = _quiet_mesh(relays=2)
+    def test_late_joiner_backfills_from_the_store(self):
+        mesh = _quiet_mesh(history=3)
         for step in range(4):
             mesh.publish("s", step=step, time=0.0, data=_png(step))
         mesh.settle()
         published = mesh.frames_published
         s = mesh.connect(label="late", depth=8, backfill=True)
-        # served entirely from the relay's retained ring: the
-        # publisher never saw the join
-        assert [f.step for f in s.drain()] == [0, 1, 2, 3]
+        # served from the store's history ring: the publisher never
+        # saw the join
+        assert [f.step for f in s.drain()] == [1, 2, 3]
         assert mesh.frames_published == published
-        assert mesh.stats()["cache"]["hits"] >= 4
 
-    def test_relay_replay_prefers_edge_over_origin(self):
-        mesh = _quiet_mesh(relays=2)
+    def test_relay_replay_is_the_store_ring(self):
+        mesh = _quiet_mesh(history=2)
         for step in range(3):
             mesh.publish("s", step=step, time=0.0, data=_png(step))
-        mesh.settle()
-        frames = mesh.relay_replay("s", key="edge")
-        assert [f.step for f in frames] == [0, 1, 2]
-        relay = mesh.relay_for("edge")
-        assert relay.origin_fetches == 0
-        latest = mesh.relay_latest("s", key="edge")
-        assert latest.step == 2
-
-    def test_unserviced_relay_falls_back_to_origin(self):
-        mesh = _quiet_mesh(relays=2)
-        mesh.publish("s", step=0, time=0.0, data=_png(0))
-        # no pump pass: the edge is cold, origin answers
-        relay = mesh.relay_for("edge")
-        assert mesh.relay_latest("s", key="edge").step == 0
-        assert relay.origin_fetches == 1
+        # no pump pass needed: replay reads the store directly
+        frames = mesh.relay_replay("s")
+        assert [f.step for f in frames] == [1, 2]
+        assert frames == mesh.store.frames("s")
+        assert mesh.relay_replay("other") == []
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +159,7 @@ class TestEdgeServing:
 class TestMaxFpsThroughPump:
     def test_newest_wins_deferred_slot(self):
         clock = FakeClock()
-        mesh = _quiet_mesh(relays=2, clock=clock)
+        mesh = _quiet_mesh(clock=clock)
         s = mesh.connect(label="v", max_fps=10.0, depth=4)
         for step in range(3):
             mesh.publish("s", step=step, time=0.0, data=_png(step))
@@ -271,35 +170,18 @@ class TestMaxFpsThroughPump:
         clock.now += 0.2
         assert [f.step for f in s.drain()] == [2]
 
-    def test_deferred_slot_survives_relay_migration(self):
-        clock = FakeClock()
-        mesh = _quiet_mesh(relays=2, clock=clock)
-        s = mesh.connect(label="v", max_fps=10.0, depth=4)
-        for step in range(3):
-            mesh.publish("s", step=step, time=0.0, data=_png(step))
-        mesh.settle()
-        assert [f.step for f in s.drain()] == [0]
-        old_rid = s._pump.rid
-        mesh.remove_relay(old_rid)
-        assert s._pump.rid != old_rid
-        # the deferred newest frame travelled with the session and
-        # the backfill replay did not resurrect the superseded one
-        clock.now += 0.2
-        assert [f.step for f in s.drain()] == [2]
-        steps = list(s.stats.steps)
-        assert steps == sorted(set(steps)) == [0, 2]
-
     def test_delivered_steps_strictly_increase_across_handoff(self):
         clock = FakeClock()
-        mesh = _quiet_mesh(relays=2, clock=clock)
-        s = mesh.connect(label="v", depth=16)
+        mesh = _quiet_mesh(clock=clock)
         for step in range(4):
             mesh.publish("s", step=step, time=0.0, data=_png(step))
+        # handoff from backfill to fan-out: the store already holds
+        # 0..3 while the pump has not fanned any of them out, so the
+        # late joiner's backfill takes them and the cursor drops the
+        # pump's second offer of each; fresh frames keep flowing
+        s = mesh.connect(label="v", depth=16, backfill=True)
         mesh.settle()
         assert [f.step for f in s.drain()] == [0, 1, 2, 3]
-        # handoff: the new relay's backfill re-offers 0..3, the
-        # cursor drops them all, then fresh frames keep flowing
-        mesh.remove_relay(s._pump.rid)
         for step in range(4, 7):
             mesh.publish("s", step=step, time=0.0, data=_png(step))
         mesh.settle()
@@ -307,54 +189,37 @@ class TestMaxFpsThroughPump:
         steps = list(s.stats.steps)
         assert steps == sorted(steps)
         assert len(set(steps)) == len(steps)
+        assert s.stats.offered == 7
 
 
 # ---------------------------------------------------------------------------
-# Relay loss: lease expiry, migration, no lost committed steps
+# Slow is not dead: the hub has no lease
 # ---------------------------------------------------------------------------
 
 
-class TestRelayLoss:
-    def test_crash_detected_by_lease_expiry_and_sessions_migrate(self):
-        mesh = ServeMesh(relays=3, lease_timeout_s=0.15)
-        try:
-            sessions = [
-                mesh.connect(label=f"viewer-{i}", depth=64) for i in range(12)
-            ]
-            for step in range(3):
-                mesh.publish("s", step=step, time=0.0, data=_png(step))
-            mesh.settle()
-            victim_rid = sessions[0]._pump.rid
-            displaced = [s for s in sessions if s._pump.rid == victim_rid]
-            mesh.kill_relay(victim_rid)
-            deadline = time.monotonic() + 5.0
-            while victim_rid in mesh._relays and time.monotonic() < deadline:
-                mesh.check()
-                time.sleep(0.02)
-            assert victim_rid not in mesh._relays, "lease never expired"
-            record = mesh.migrations[-1]
-            assert record["kind"] == "crash"
-            assert record["sessions_moved"] == len(displaced)
-            for step in range(3, 6):
-                mesh.publish("s", step=step, time=0.0, data=_png(step))
-            mesh.settle()
-            # surviving relays carry everyone; every committed step
-            # arrives exactly once, in order, across the handoff
-            for s in sessions:
-                assert s._pump.rid != victim_rid
-                s.drain()
-                assert s.stats.steps == [0, 1, 2, 3, 4, 5]
-            assert victim_rid in mesh.stats()["lost_relays"]
-        finally:
-            mesh.close()
-
-    def test_last_relay_loss_closes_orphans(self):
-        mesh = _quiet_mesh(relays=1)
-        s = mesh.connect(label="v")
-        mesh.remove_relay(0)
-        assert s.closed
-        with pytest.raises(HubFull):
-            mesh.connect(label="w")
+class TestSlowPump:
+    def test_unserviced_pump_closes_no_session_and_refuses_no_connect(
+        self, monkeypatch
+    ):
+        """A pump starved by the solver ranks is slow, not dead: however
+        long it goes unserviced, every viewer stays connected, new ones
+        get in, and the frames reach them once the pump runs.  Every
+        clock the hub could read is the fake one."""
+        clock = FakeClock()
+        monkeypatch.setattr(time, "monotonic", clock)
+        mesh = _quiet_mesh(clock=clock)
+        sessions = [mesh.connect(label=f"viewer-{i}", depth=8) for i in range(3)]
+        mesh.publish("s", step=0, time=0.0, data=_png(0))
+        for step, gap in enumerate((0.3, 60.0, 1e6), start=1):
+            clock.now += gap
+            mesh.publish("s", step=step, time=0.0, data=_png(step))
+            sessions.append(mesh.connect(label=f"late-{step}", depth=8))
+        assert not any(s.closed for s in sessions)
+        assert mesh.clients == len(sessions)
+        mesh.settle()
+        # the pump never ran before now, so everyone attached gets all
+        for s in sessions:
+            assert [f.step for f in s.drain()] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +229,15 @@ class TestRelayLoss:
 
 class TestSettle:
     def test_close_delivers_everything_published_to_started_relays(self):
-        # close() used to stop the relay threads with frames still in
-        # their inboxes; it settles first now.  More relay threads than
-        # cores and a short switch interval: a frame lost between the
-        # lock-free inbox and the settle wait would break the sequence
+        # close() used to stop the pump threads with frames still in
+        # their inboxes; it settles first now.  A short switch
+        # interval: a frame lost between the lock-free inbox, the wake
+        # event and the settle wait would break the sequence
         nframes = 40
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            mesh = ServeMesh(relays=4, lease_timeout_s=300.0)
+            mesh = ServeMesh()
             sessions = [
                 mesh.connect(label=f"viewer-{i}", depth=nframes)
                 for i in range(12)
@@ -384,23 +249,6 @@ class TestSettle:
             sys.setswitchinterval(interval)
         for s in sessions:
             assert [f.step for f in s.drain()] == list(range(nframes))
-
-    def test_settle_skips_a_killed_relay(self):
-        mesh = ServeMesh(relays=2, lease_timeout_s=300.0)
-        try:
-            sessions = [
-                mesh.connect(label=f"viewer-{i}", depth=8) for i in range(8)
-            ]
-            victim = sessions[0]._pump.rid
-            mesh.kill_relay(victim)
-            mesh.publish("s", step=0, time=0.0, data=_png(0))
-            mesh.settle()           # returns: the dead relay is check()'s job
-            for s in sessions:
-                expected = [] if s._pump.rid == victim else [0]
-                assert [f.step for f in s.drain()] == expected
-        finally:
-            mesh.close()
-
 
 # ---------------------------------------------------------------------------
 # Golden sequences recorded from the retired flat hub
@@ -475,47 +323,16 @@ class TestGoldenSequences:
     def test_mesh_reproduces_the_recorded_flat_hub(self):
         """``golden_serve_sequences.json`` was recorded by running
         ``_golden_scenario`` against ``FrameHub`` at ce20228, the last
-        commit that had one; a flat hub is a one-relay mesh, and the
-        relay count must not change what any client sees."""
+        commit that had one; the hub is that flat hub again."""
         golden = json.loads(GOLDEN.read_text())
-        for relays in (1, 3):
-            clock = FakeClock()
-            mesh = _quiet_mesh(relays=relays, history=8, default_depth=2,
-                               max_clients=6, clock=clock)
-            assert _golden_scenario(mesh, clock, mesh.settle) == golden
+        clock = FakeClock()
+        mesh = _quiet_mesh(history=8, default_depth=2, max_clients=6,
+                           clock=clock)
+        assert _golden_scenario(mesh, clock, mesh.settle) == golden
 
 
 # ---------------------------------------------------------------------------
-# Steering through the client's relay
-# ---------------------------------------------------------------------------
-
-
-class TestSteering:
-    def test_route_steer_uses_clients_relay(self):
-        from repro.serve import SteerCommand
-
-        mesh = _quiet_mesh(relays=3)
-        bus = SteeringBus()
-        mesh.attach_bus(bus)
-        s = mesh.connect(label="viewer-7")
-        rid = mesh.route_steer(SteerCommand("pause", client="viewer-7"))
-        assert rid == s._pump.rid
-        assert mesh._relays[rid].steer_forwarded == 1
-        assert bus.submitted == 1
-        # unknown client falls back to ring placement of its label
-        rid2 = mesh.route_steer(SteerCommand("resume", client="ghost"))
-        assert rid2 == mesh.ring.assign("ghost")
-
-    def test_route_steer_without_bus_raises(self):
-        from repro.serve import SteerCommand
-
-        mesh = _quiet_mesh(relays=2)
-        with pytest.raises(RuntimeError):
-            mesh.route_steer(SteerCommand("pause"))
-
-
-# ---------------------------------------------------------------------------
-# Telemetry: cache counters, relay gauges, naming audit, serve line
+# Telemetry: cache counters, naming audit, serve line
 # ---------------------------------------------------------------------------
 
 
@@ -527,23 +344,24 @@ class _Plane:
 
 
 class TestMeshTelemetry:
-    def test_cache_counters_and_relay_gauges_pass_naming_audit(self):
+    def test_cache_counters_read_the_interning_ledger(self):
         tel = Telemetry.create(rank=0)
         with active(tel):
-            mesh = ServeMesh(relays=2, lease_timeout_s=300.0, telemetry=tel)
+            mesh = ServeMesh(telemetry=tel)
             try:
                 mesh.connect(label="v", depth=8)
                 for step in range(4):
                     # identical payload: interned once, cache hits after
                     mesh.publish("s", step=step, time=0.0, data=_png(1))
+                mesh.publish("s", step=4, time=0.0, data=_png(2))
             finally:
-                mesh.close()        # settles first: all four fanned out
+                mesh.close()        # settles first: all five fanned out
         hits = tel.metrics.get("repro_serve_cache_hits_total")
-        assert hits is not None and hits.value >= 1
-        gauges = [
-            m for m in tel.metrics if m.name == "repro_serve_relay_clients"
-        ]
-        assert {g.const_labels["relay"] for g in gauges} == {"0", "1"}
+        misses = tel.metrics.get("repro_serve_cache_misses_total")
+        assert (hits.value, misses.value) == (3, 2)
+        assert mesh.stats()["cache"] == {"hits": 3, "misses": 2,
+                                         "hit_rate": 0.6}
+        assert not any("relay" in m.name for m in tel.metrics)
         assert naming_violations(tel.metrics) == []
 
     def test_dropped_counter_equals_session_drops(self):
@@ -553,7 +371,7 @@ class TestMeshTelemetry:
         tel = Telemetry.create(rank=0)
         clock = FakeClock()
         with active(tel):
-            mesh = _quiet_mesh(relays=2, telemetry=tel, clock=clock)
+            mesh = _quiet_mesh(telemetry=tel, clock=clock)
             sessions = [
                 mesh.connect(label="plain", depth=1),
                 mesh.connect(label="filtered", depth=2, streams=("s",)),
@@ -579,15 +397,10 @@ class TestMeshTelemetry:
         tel = Telemetry.create(rank=0)
         tel.metrics.counter("repro_serve_cache_hits_total").inc(9)
         tel.metrics.counter("repro_serve_cache_misses_total").inc(1)
-        tel.metrics.gauge(
-            "repro_serve_relay_clients", const_labels={"relay": "0"}
-        ).set(40)
-        tel.metrics.gauge(
-            "repro_serve_relay_clients", const_labels={"relay": "1"}
-        ).set(60)
+        tel.metrics.gauge("repro_serve_clients").set(100)
 
         line = _serve_line(_Plane(tel))
-        assert line == "serve: cache 9 hit / 1 miss (90%)  relays 0:40  1:60"
+        assert line == "serve: cache 9 hit / 1 miss (90%)  clients 100"
 
     def test_serve_line_absent_without_mesh_metrics(self):
         from repro.observe.live.export import _serve_line
@@ -598,30 +411,30 @@ class TestMeshTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# HTTP transport: shard map in /status, steering via relay
+# HTTP transport: status and steering on the one hub
 # ---------------------------------------------------------------------------
 
 
 class TestMeshTransport:
-    def test_status_shard_map_and_steer_relay(self):
-        mesh = ServeMesh(relays=2, lease_timeout_s=300.0)
+    def test_status_and_steer_name_no_relay(self):
+        mesh = ServeMesh()
         bus = SteeringBus()
         server = HttpFrameServer(mesh, bus)
         server.start()
         try:
-            s = mesh.connect(label="viewer-0", depth=8)
+            mesh.connect(label="viewer-0", depth=8)
             mesh.publish("flow", step=0, time=0.0, data=_png(0))
 
             _status, _headers, body = _get(server, "/status")
-            shard_map = json.loads(body)["hub"]["shard_map"]
-            assert set(shard_map) == {"0", "1"}
-            assert sum(e["clients"] for e in shard_map.values()) == 1
+            hub = json.loads(body)["hub"]
+            assert hub["clients"] == 1
+            for gone in ("shard_map", "ring", "membership", "relays"):
+                assert gone not in hub
 
             _status, reply = _post(
                 server, "/steer", {"kind": "pause", "client": "viewer-0"}
             )
-            assert reply["ok"] is True
-            assert reply["relay"] == s._pump.rid
+            assert reply == {"ok": True, "pending": 1}
             assert bus.submitted == 1
         finally:
             assert server.stop()

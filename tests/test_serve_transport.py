@@ -4,7 +4,7 @@ Exercises every route of :class:`repro.serve.transport.HttpFrameServer`
 over real sockets with the stdlib ``http.client`` — no external HTTP
 library.  Marked ``serve`` so the asyncio-heavy tests can be selected
 or excluded as a group; the conftest guard asserts no event loop
-outlives its test.  The mesh behind the server runs no relay threads
+outlives its test.  The hub behind the server runs no pump thread
 (``start=False``): ``settle()`` fans out on the test's thread, so the
 only concurrency under test is the server's own.
 """
@@ -28,7 +28,7 @@ def _png(tag: int = 0) -> bytes:
 
 
 def _hub(**kw) -> ServeMesh:
-    return ServeMesh(relays=1, start=False, lease_timeout_s=300.0, **kw)
+    return ServeMesh(relays=1, start=False, **kw)
 
 
 @pytest.fixture
