@@ -34,7 +34,21 @@ def _combine(op: ReduceOp, values):
     """Combine a list of values (scalars or same-shape arrays)."""
     if not values:
         raise ValueError("cannot reduce zero values")
-    if isinstance(values[0], np.ndarray):
+    first = values[0]
+    if isinstance(first, np.ndarray):
+        if (
+            op is ReduceOp.SUM and first.dtype.kind in "fc" and first.size > 1
+            and all(v.dtype == first.dtype and v.shape == first.shape
+                    for v in values)
+        ):
+            # stack(...).sum(axis=0) adds rank by rank from +0.0, and so
+            # does this, without the stacked copy.  A one-element sum
+            # reduces pairwise, and a bool / int sum upcasts: those, and
+            # mixed dtypes or shapes, take the stack
+            out = first + 0.0
+            for v in values[1:]:
+                np.add(out, v, out=out)
+            return out
         stack = np.stack(values)
         if op is ReduceOp.SUM:
             return stack.sum(axis=0)
@@ -67,6 +81,11 @@ def _combine(op: ReduceOp, values):
     raise ValueError(f"unsupported reduce op {op}")
 
 
+#: every plain ``float`` pickles to the same 21 B, whatever its value
+#: (an ``np.float64`` or a subclass pickles longer)
+_FLOAT_PICKLE_NBYTES = len(pickle.dumps(0.0, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 def payload_nbytes(obj) -> int:
     """Estimate the wire size of a payload.
 
@@ -75,6 +94,8 @@ def payload_nbytes(obj) -> int:
     """
     if obj is None:
         return 0
+    if type(obj) is float:
+        return _FLOAT_PICKLE_NBYTES
     if isinstance(obj, np.ndarray):
         return obj.nbytes
     if isinstance(obj, (bytes, bytearray, memoryview)):

@@ -91,6 +91,14 @@ class ServeMesh:
             "Frames evicted by drop-to-latest backpressure",
             read=lambda: pump.dropped,
         )
+        metrics.counter(
+            "repro_serve_frames_sent_total", "Frames delivered to clients",
+            read=lambda: pump.delivered,
+        )
+        metrics.counter(
+            "repro_serve_bytes_out_total", "Frame payload bytes delivered",
+            read=lambda: pump.bytes_out,
+        )
         self._stop = False
         self._pumping = False
         self._thread: threading.Thread | None = None
@@ -114,7 +122,7 @@ class ServeMesh:
                     pump.wake.clear()
                     pump.pump_once()
             finally:
-                with pump.cond:
+                with pump.lock:
                     self._pumping = False
                     pump.cond.notify_all()
 
@@ -147,7 +155,6 @@ class ServeMesh:
                 max_fps=max_fps,
                 label=label,
                 clock=self._clock,
-                on_delivered=self._on_delivered,
                 on_close=self._reap,
             )
             self._sessions[sid] = session
@@ -183,16 +190,6 @@ class ServeMesh:
                 "repro_serve_clients", "Connected serving clients", agg="max"
             ).set(count)
             tel.tracer.instant("serve.disconnect", sid=session.sid)
-
-    def _on_delivered(self, frame: Frame) -> None:
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter(
-                "repro_serve_frames_sent_total", "Frames delivered to clients"
-            ).inc()
-            tel.metrics.counter(
-                "repro_serve_bytes_out_total", "Frame payload bytes delivered"
-            ).inc(frame.nbytes)
 
     # -- publishing --------------------------------------------------------
     def publish(self, stream: str, step: int, time: float, data: bytes,
@@ -240,7 +237,7 @@ class ServeMesh:
         if self._thread is None:
             pump.pump_once()
             return
-        with pump.cond:
+        with pump.lock:
             while pump.frames_ingested < pump.notifies and self._pumping:
                 pump.cond.wait()
 

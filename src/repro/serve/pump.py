@@ -15,15 +15,15 @@ multiplexer:
   single deferred slot (newest wins) and are promoted once the
   interval elapses.  The session is *externally synchronized*: it
   carries no lock of its own.  All publisher-side state is touched
-  only under the pump's condition, which is what makes a session
-  cheap enough to have 100k of.
-- :class:`SessionPump` — one condition + one service loop.  ``ingest``
-  is the publisher-facing edge: an O(1) inbox append and one ``wake``
-  event set, independent of how many sessions there are (the
-  ``notifies`` counter is the "O(1) wakeups per publish" invariant the
-  hub tests pin).  The pump's service pass drains the inbox and fans
-  each frame out to its sessions — on the *pump's* thread, never the
-  publisher's.
+  only under the pump's lock, which is what makes a session cheap
+  enough to have 100k of.
+- :class:`SessionPump` — one plain lock plus the condition built on
+  it, and one service loop.  ``ingest`` is the publisher-facing edge:
+  an O(1) inbox append and one ``wake`` event set, independent of how
+  many sessions there are (the ``notifies`` counter is the "O(1)
+  wakeups per publish" invariant the hub tests pin).  The pump's
+  service pass drains the inbox and fans each frame out to its
+  sessions — on the *pump's* thread, never the publisher's.
 
 A hub-wide publish sequence number (``Frame.seq``) doubles as each
 session's dedup cursor: a late joiner's backfill, read from the
@@ -72,7 +72,7 @@ class MeshSession:
     __slots__ = (
         "sid", "streams", "depth", "label", "closed", "stats",
         "_min_interval", "_clock", "_pending", "_deferred",
-        "_last_enqueue", "_last_seq", "_on_delivered", "_on_close",
+        "_last_enqueue", "_last_seq", "_on_close",
         "_pump", "_plain",
     )
 
@@ -84,7 +84,6 @@ class MeshSession:
         max_fps: float | None = None,
         label: str = "",
         clock=_time.perf_counter,
-        on_delivered=None,
         on_close=None,
     ):
         if depth < 1:
@@ -103,7 +102,6 @@ class MeshSession:
         #: highest publish seq this session has observed — the dedup
         #: cursor that makes re-offers after a backfill harmless
         self._last_seq = -1
-        self._on_delivered = on_delivered
         self._on_close = on_close
         self._pump: "SessionPump | None" = None
         #: eligible for the pump's inlined fan-out path
@@ -111,12 +109,12 @@ class MeshSession:
         self.closed = False
         self.stats = SessionStats()
 
-    # -- publisher side (pump cond held) -----------------------------------
+    # -- publisher side (pump lock held) -----------------------------------
     def wants(self, stream: str) -> bool:
         return self.streams is None or stream in self.streams
 
     def _offer_locked(self, frame: Frame, now: float) -> bool:
-        """Offer under the pump's condition; False once closed."""
+        """Offer under the pump's lock; False once closed."""
         if self.closed:
             return False
         if not self.wants(frame.stream):
@@ -147,8 +145,6 @@ class MeshSession:
         self._last_enqueue = now
 
     def _promote_deferred_locked(self) -> None:
-        if self._deferred is None:
-            return
         now = self._clock()
         if now - self._last_enqueue >= self._min_interval:
             frame, self._deferred = self._deferred, None
@@ -158,40 +154,43 @@ class MeshSession:
     def take(self, timeout: float | None = None, block: bool = True) -> Frame | None:
         """Next pending frame, oldest first; None on timeout/close.
 
-        A blocked take sleeps on the pump's condition (notified after
-        every fan-out pass and on close), waking early only to promote
-        a deferred frame whose interval has elapsed.
+        A waiting frame costs one acquire of the pump's lock; the clock
+        is read only on the way to a wait.  A blocked take sleeps on the
+        pump's condition (notified after every fan-out pass and on
+        close), waking early only to promote a due deferred frame.
         """
         pump = self._pump
         if pump is None:
             return None                     # never attached
         deadline = None
-        if block and timeout is not None:
-            deadline = self._clock() + timeout
-        with pump.cond:
+        with pump.lock:
             while True:
-                self._promote_deferred_locked()
+                if self._deferred is not None:
+                    self._promote_deferred_locked()
                 if self._pending:
                     frame = self._pending.popleft()
-                    self.stats.delivered += 1
-                    self.stats.bytes_out += frame.nbytes
-                    self.stats.steps.append(frame.step)
-                    break
+                    nbytes = len(frame.data)
+                    stats = self.stats
+                    stats.delivered += 1
+                    stats.bytes_out += nbytes
+                    stats.steps.append(frame.step)
+                    pump.delivered += 1
+                    pump.bytes_out += nbytes
+                    return frame
                 if self.closed or not block:
                     return None
+                now = self._clock()
                 wait = None
-                if deadline is not None:
-                    wait = deadline - self._clock()
+                if timeout is not None:
+                    if deadline is None:
+                        deadline = now + timeout
+                    wait = deadline - now
                     if wait <= 0:
                         return None
                 if self._deferred is not None:
-                    due = (self._last_enqueue + self._min_interval
-                           - self._clock())
+                    due = self._last_enqueue + self._min_interval - now
                     wait = due if wait is None else min(wait, due)
                 pump.cond.wait(wait)
-        if self._on_delivered is not None:
-            self._on_delivered(frame)
-        return frame
 
     def drain(self) -> list[Frame]:
         """Take every immediately available frame (non-blocking)."""
@@ -207,7 +206,7 @@ class MeshSession:
         if pump is None:
             already, self.closed = self.closed, True
         else:
-            with pump.cond:
+            with pump.lock:
                 already, self.closed = self.closed, True
                 pump.cond.notify_all()
         if not already and self._on_close is not None:
@@ -215,7 +214,7 @@ class MeshSession:
 
 
 class SessionPump:
-    """The hub's frame multiplexer: one condition, one service loop.
+    """The hub's frame multiplexer: one lock, one service loop.
 
     The publisher calls :meth:`ingest` (O(1): inbox append + one
     ``wake`` set); the hub's pump thread waits on ``wake``, clears it,
@@ -226,7 +225,8 @@ class SessionPump:
 
     def __init__(self, store: FrameStore, clock=_time.perf_counter):
         self.store = store
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()    # plain: no path re-enters it
+        self.cond = threading.Condition(self.lock)
         #: set by every ingest, cleared by the pump thread before it
         #: drains the inbox
         self.wake = threading.Event()
@@ -241,6 +241,9 @@ class SessionPump:
         self.service_passes = 0
         #: frames evicted by drop-to-latest while their session was here
         self.dropped = 0
+        #: frames and payload bytes taken by any session, on any thread
+        self.delivered = 0
+        self.bytes_out = 0
 
     # -- publisher edge ------------------------------------------------------
     def ingest(self, frame: Frame) -> None:
@@ -248,7 +251,7 @@ class SessionPump:
 
         The append is a bare deque op (atomic under the GIL) and the
         wakeup is an :class:`threading.Event` set, which never waits
-        behind a fan-out pass — the pump holds ``cond``, not the event,
+        behind a fan-out pass — the pump holds ``lock``, not the event,
         while it serves sessions.
         """
         self._inbox.append(frame)
@@ -267,7 +270,7 @@ class SessionPump:
                 break
         if not frames:
             return 0
-        with self.cond:
+        with self.lock:
             now = self._clock()
             dropped = 0
             for frame in frames:
@@ -312,7 +315,7 @@ class SessionPump:
         without a publisher round-trip; the seq cursor then drops any
         of those frames the pump offers again.
         """
-        with self.cond:
+        with self.lock:
             self.sessions[session.sid] = session
             session._pump = self
             if backfill:
@@ -324,11 +327,11 @@ class SessionPump:
             self.cond.notify_all()
 
     def detach(self, session: MeshSession) -> None:
-        with self.cond:
+        with self.lock:
             self.sessions.pop(session.sid, None)
 
     def stats(self) -> dict:
-        with self.cond:
+        with self.lock:
             return {
                 "clients": len(self.sessions),
                 "frames_ingested": self.frames_ingested,

@@ -73,6 +73,23 @@ def test_the_benchmarked_surface_leaves_networkx_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_src_never_imports_scipy():
+    """scipy is a test oracle, not a runtime dependency: no module under
+    ``src/`` imports it, so the package runs on numpy alone."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [(path.relative_to(SRC).as_posix(), name)
+                          for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
 def test_contour_call_sites_hold_the_traced_object():
     """``install()`` rebinds module globals that *are* the listed
     function; a call site importing some other object (a private
@@ -268,6 +285,7 @@ def test_each_ledger_is_counted_once():
         "repro_router_route_total", "repro_fleet_commits_total",
         "repro_fleet_steals_total", "repro_serve_cache_hits_total",
         "repro_serve_cache_misses_total", "repro_serve_frames_dropped_total",
+        "repro_serve_frames_sent_total", "repro_serve_bytes_out_total",
         "repro_perf_arena_hits",
     } <= read_backed
     twins = sorted((name, rel) for name, read, rel in calls

@@ -1,8 +1,11 @@
 """Tests for the communicator layer (serial + reduce ops + metering)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.parallel import run_spmd
 from repro.parallel.comm import (
     ReduceOp,
     SerialCommunicator,
@@ -56,6 +59,79 @@ class TestPayloadNbytes:
 
     def test_object_uses_pickle_size(self):
         assert payload_nbytes({"a": 1}) > 0
+
+
+def _pickled_nbytes(obj) -> int:
+    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class _TaggedFloat(float):
+    """A float subclass: its pickle names the class, so it is longer."""
+
+
+def _values(rng, ranks, shape, dtype):
+    """Per-rank arrays spanning 16 decades, with signed zeros mixed in."""
+    out = []
+    for _ in range(ranks):
+        v = np.asarray(rng.standard_normal(shape)
+                       * 10.0 ** rng.integers(-8, 8, shape)).astype(dtype)
+        v.reshape(-1)[::3] = -0.0
+        out.append(v)
+    return out
+
+
+class TestFastPathsMatchTheOldExpressions:
+    """``_combine``'s float sum and ``payload_nbytes``'s float size are
+    bit-identical to the stacked sum and the pickle length they
+    replace, and so are the allreduce results and metered bytes."""
+
+    @pytest.mark.parametrize("ranks", range(1, 7))
+    def test_float_sum_is_the_stacked_sum(self, ranks):
+        rng = np.random.default_rng(ranks)
+        for shape in [(), (1,), (2,), (7,), (5000,), (3, 1), (4, 6)]:
+            for dtype in (np.float64, np.float32, np.complex128):
+                values = _values(rng, ranks, shape, dtype)
+                got = _combine(ReduceOp.SUM, values)
+                want = np.stack(values).sum(axis=0)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (shape, dtype)
+
+    def test_mixed_and_integer_sums_keep_the_stack(self):
+        mixed = [np.ones(3, np.float32) / 3, np.ones(3) / 3]
+        assert _combine(ReduceOp.SUM, mixed).tobytes() == (
+            np.stack(mixed).sum(axis=0).tobytes())
+        flags = [np.array([True, True]), np.array([True, False])]
+        assert _combine(ReduceOp.SUM, flags).tolist() == [2, 1]
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -1e308, 5e-324,
+                                       float("inf"), float("nan")])
+    def test_float_size_is_its_pickle(self, value):
+        assert payload_nbytes(value) == _pickled_nbytes(value)
+
+    def test_numpy_and_subclassed_floats_are_pickled(self):
+        for value in (np.float64(1.0), np.float32(1.0), _TaggedFloat(1.0)):
+            assert payload_nbytes(value) == _pickled_nbytes(value)
+        assert payload_nbytes(np.float64(1.0)) != payload_nbytes(1.0)
+
+    @pytest.mark.parametrize("ranks", range(1, 7))
+    def test_allreduce_results_and_meter_bytes(self, ranks):
+        def body(comm):
+            rng = np.random.default_rng(100 + comm.rank)
+            scalar = float(rng.standard_normal())
+            array = _values(rng, 1, (9,), np.float64)[0]
+            return (scalar, array, comm.allreduce(scalar),
+                    comm.allreduce_array(array))
+
+        meter = TrafficMeter()
+        results = run_spmd(ranks, body, meter=meter)
+        scalars = [r[0] for r in results]
+        arrays = [r[1] for r in results]
+        want = np.stack(arrays).sum(axis=0).tobytes()
+        for _, _, total, summed in results:
+            assert total == sum(scalars)
+            assert summed.tobytes() == want
+        per_rank = (_pickled_nbytes(1.0) + arrays[0].nbytes) * (ranks - 1)
+        assert meter.total_bytes() == (per_rank * ranks if ranks > 1 else 0)
 
 
 class TestTrafficMeter:

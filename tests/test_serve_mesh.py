@@ -1,16 +1,19 @@
 """Tests for repro.serve.mesh: the one serving hub and its session pump.
 
-Unit layers first (MeshSession / SessionPump invariants), then the hub
-acceptance scenarios from the serving design: O(1) publisher wakeups
-per publish, late joiners and replay served from the frame store, a
-pump left unserviced for any length of time closing no session and
-refusing no connect, the recorded flat-hub golden sequences, the
-cache/drop counters flowing through the metric-naming audit, and the
-HTTP transport's status and steering routes.
+Unit layers first (MeshSession / SessionPump invariants, and the clock
+reads of a take), then the hub acceptance scenarios from the serving
+design: O(1) publisher wakeups per publish, late joiners and replay
+served from the frame store, a pump left unserviced for any length of
+time closing no session and refusing no connect, the recorded flat-hub
+golden sequences, the cache/drop/delivery counters flowing through the
+metric-naming audit, and the HTTP transport's status and steering
+routes.
 """
 
+import inspect
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -93,6 +96,74 @@ class TestMeshSession:
             assert s._offer_locked(mesh.store.latest("s"), clock()) is True
         assert [f.step for f in s.drain()] == [0]
         assert s.stats.offered == 1      # the replay never counted
+
+    def test_no_per_delivery_callback(self):
+        # delivery is counted on the pump's ledger, not by a callback
+        assert "on_delivered" not in inspect.signature(MeshSession).parameters
+        assert "_on_delivered" not in MeshSession.__slots__
+        assert not hasattr(ServeMesh, "_on_delivered")
+
+
+# ---------------------------------------------------------------------------
+# The take hot path: no clock read for a waiting frame
+# ---------------------------------------------------------------------------
+
+
+class CountingClock(FakeClock):
+    """A FakeClock that counts its reads per thread."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads: dict[int, int] = {}
+        self.read = threading.Event()
+
+    def __call__(self) -> float:
+        tid = threading.get_ident()
+        self.reads[tid] = self.reads.get(tid, 0) + 1
+        self.read.set()
+        return self.now
+
+
+class TestTakeHotPath:
+    def test_taking_pending_frames_reads_no_clock(self):
+        clock = CountingClock()
+        mesh = _quiet_mesh(clock=clock)
+        s = mesh.connect(label="v", depth=8)
+        for step in range(5):
+            mesh.publish("s", step=step, time=0.0, data=_png(step))
+        mesh.settle()
+        clock.reads.clear()
+        got = [s.take(timeout=5).step for _ in range(3)]
+        got += [f.step for f in s.drain()]
+        assert got == [0, 1, 2, 3, 4]
+        assert clock.reads == {}
+        # an empty non-blocking take, or one on a closed session, has
+        # nothing to wait for either
+        assert s.take(block=False) is None
+        s.close()
+        assert s.take(timeout=5) is None
+        assert clock.reads == {}
+
+    def test_a_blocked_take_reads_the_clock_only_before_waiting(self):
+        clock = CountingClock()
+        mesh = _quiet_mesh(clock=clock)
+        s = mesh.connect(label="v")
+        got = []
+        taker = threading.Thread(target=lambda: got.append(s.take(timeout=60)),
+                                 daemon=True)
+        taker.start()
+        assert clock.read.wait(60)
+        with s._pump.lock:          # held by the taker until it waits
+            pass
+        mesh.publish("s", step=0, time=0.0, data=_png(0))
+        mesh.settle()               # fans out here and notifies the taker
+        taker.join(60)
+        assert [f.step for f in got] == [0]
+        assert clock.reads[taker.ident] == 1
+        # a zero timeout reads it once, and gives up without waiting
+        clock.reads.clear()
+        assert s.take(timeout=0) is None
+        assert clock.reads == {threading.get_ident(): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +460,39 @@ class TestMeshTelemetry:
         assert dropped > 0 and sessions[3].stats.dropped == 0
         counter = tel.metrics.get("repro_serve_frames_dropped_total")
         assert counter is not None and counter.value == dropped
+        assert naming_violations(tel.metrics) == []
+
+    def test_takes_on_every_thread_are_counted(self):
+        # the HTTP stream handler takes on executor threads, where the
+        # hub's telemetry is not active; the delivery counters read the
+        # pump's ledger, so every take lands in them
+        tel = Telemetry.create(rank=0)
+        mesh = _quiet_mesh(telemetry=tel)
+        viewers = [mesh.connect(label=f"v{i}", depth=8) for i in range(3)]
+        for step in range(4):
+            mesh.publish("s", step=step, time=0.0, data=_png(step))
+        mesh.settle()
+
+        def take_two(session):
+            session.take(block=False)
+            session.take(block=False)
+
+        def take_two_under_tel():
+            with active(tel):
+                take_two(viewers[0])
+
+        for target in (take_two_under_tel, lambda: take_two(viewers[1])):
+            thread = threading.Thread(target=target)
+            thread.start()
+            thread.join(60)
+        viewers[2].drain()
+        mesh.disconnect(viewers[2])          # closed sessions still count
+        sent = tel.metrics.get("repro_serve_frames_sent_total").value
+        bytes_out = tel.metrics.get("repro_serve_bytes_out_total").value
+        assert sent == sum(v.stats.delivered for v in viewers) == 8
+        assert bytes_out == sum(v.stats.bytes_out for v in viewers)
+        sizes = [len(_png(step)) for step in range(4)]
+        assert bytes_out == 2 * sum(sizes[:2]) + sum(sizes)
         assert naming_violations(tel.metrics) == []
 
     def test_observe_top_serve_line(self):
