@@ -3,23 +3,17 @@
 The gather-to-root render path ships the *entire* global volume to rank
 0 every step — O(N · fragment) traffic into one endpoint, exactly the
 serial bottleneck production in situ renderers avoid with sort-last
-compositing (ISAAC; the paper's Catalyst endpoint at 1120 ranks).
-Here every rank rasterizes only its own volume fragments into an RGB +
+compositing (IceT behind the paper's Catalyst endpoint; ISAAC).  Here
+every rank rasterizes only its own volume fragments into an RGB +
 depth framebuffer and the group merges those by depth:
 
-- :func:`composite_binary_swap` — the classic power-of-two scheme:
-  log2(N) pairwise rounds, each exchanging *half* of the remaining
-  image region, leaving each rank with a fully composited 1/N of the
-  image; total per-rank traffic ~2·(N−1)/N of one framebuffer.
-- :func:`composite_direct_send` — the ragged-size fallback: each rank
-  owns an H/N row strip and receives the other N−1 partial strips
-  directly.
-- :func:`composite` — dispatcher (``binary_swap`` auto-falls back to
-  direct-send for non-power-of-two groups); after the merge rounds the
-  root collects the N strips, ~one framebuffer of ingress — still
-  independent of volume size.
+- :func:`composite` — direct send, correct at every group size: each
+  rank owns an H/N row strip, receives the other N−1 partial strips in
+  one ``alltoall``, merges them, and the root takes the finished strips
+  in one ``gather``.  Per-rank ingress is ~(N−1)/N of one framebuffer,
+  plus ~one framebuffer at the root — independent of volume size.
 - :func:`gather_composite` — the allgather-based reference the parity
-  suite checks the network schemes against bit for bit; also the
+  suite checks :func:`composite` against bit for bit; also the
   ``naive_mode()`` path.
 
 Pixels are merged by lexicographic ``(depth, owner_rank)`` minimum —
@@ -69,16 +63,10 @@ from repro.perf.arena import get_arena
 
 __all__ = [
     "composite",
-    "composite_binary_swap",
-    "composite_direct_send",
     "exchange_ghost_layers",
     "gather_composite",
     "render_composited",
 ]
-
-#: reserved mailbox tag for compositing traffic (negative = internal,
-#: see repro.parallel.thread_comm)
-_TAG_COMPOSITE = -106
 
 #: the seven positive-neighbor directions a fragment needs ghost data
 #: from: faces, edges, and the corner, in (x, y, z) unit steps
@@ -87,33 +75,6 @@ _GHOST_DIRS = (
     (1, 1, 0), (1, 0, 1), (0, 1, 1),
     (1, 1, 1),
 )
-
-
-# -- transport ----------------------------------------------------------
-
-def _xfer_put(comm: Communicator, obj, dest: int) -> None:
-    put = getattr(comm, "_put", None)
-    if put is not None:
-        put(obj, dest, _TAG_COMPOSITE)
-    else:  # pragma: no cover - non-thread communicators
-        comm.send(obj, dest, _TAG_COMPOSITE)
-
-
-def _xfer_take(comm: Communicator, source: int):
-    take = getattr(comm, "_take", None)
-    if take is not None:
-        return take(source, _TAG_COMPOSITE)
-    return comm.recv(source, _TAG_COMPOSITE)  # pragma: no cover
-
-
-def _record_ingress(comm: Communicator, *arrays: np.ndarray) -> None:
-    comm.meter.record(
-        "composite",
-        sum(a.nbytes for a in arrays),
-        comm.size,
-        comm.channel,
-        rank=comm.rank,
-    )
 
 
 # -- pixel merge --------------------------------------------------------
@@ -128,16 +89,14 @@ def _merge(color_a, depth_a, owner_a, color_b, depth_b, owner_b) -> None:
     owner_a[sel] = owner_b[sel]
 
 
-def gather_composite(
-    comm: Communicator, color: np.ndarray, depth: np.ndarray, root: int = 0
-):
+def gather_composite(comm: Communicator, color: np.ndarray, depth: np.ndarray):
     """Reference compositor: gather every framebuffer, merge at root.
 
     O(N) framebuffers of ingress at the root; kept as the bit-for-bit
-    semantic reference for the network schemes (processing in rank
-    order with a strict ``<`` equals the (depth, owner) tie-break).
+    semantic reference for :func:`composite` (processing in rank order
+    with a strict ``<`` equals the (depth, owner) tie-break).
     """
-    gathered = comm.gather((color, depth), root)
+    gathered = comm.gather((color, depth))
     if gathered is None:
         return None
     c0, d0 = gathered[0]
@@ -150,100 +109,30 @@ def gather_composite(
     return out_color, out_depth
 
 
-def _collect_regions(
-    comm: Communicator,
-    region: tuple[int, int],
-    color: np.ndarray,
-    depth: np.ndarray,
-    root: int,
+def composite(
+    comm: Communicator, color: np.ndarray, depth: np.ndarray, arena=None
 ):
-    """Gather each rank's composited row region onto fresh root buffers.
+    """Direct-send depth compositing; ``(color, depth)`` on root.
 
-    The root copies into *new* arrays rather than its own framebuffer:
-    peers may still be reading regions the root sent in earlier rounds,
-    so the root's buffers must stay immutable outside its kept region
-    until the closing barrier.
-    """
-    lo, hi = region
-    if comm.rank == root:
-        out_color = np.empty_like(color)
-        out_depth = np.empty_like(depth)
-        out_color[lo:hi] = color[lo:hi]
-        out_depth[lo:hi] = depth[lo:hi]
-        for r in range(comm.size):
-            if r == root:
-                continue
-            (rlo, rhi), c, d = _xfer_take(comm, r)
-            _record_ingress(comm, c, d)
-            if rhi > rlo:
-                out_color[rlo:rhi] = c
-                out_depth[rlo:rhi] = d
-        result = (out_color, out_depth)
-    else:
-        _xfer_put(comm, ((lo, hi), color[lo:hi], depth[lo:hi]), root)
-        result = None
-    # peers hold views of this rank's buffers until they finish their
-    # copies; nobody returns (and possibly recycles a buffer) early
-    comm.barrier()
-    return result
-
-
-def composite_binary_swap(
-    comm: Communicator, color: np.ndarray, depth: np.ndarray, root: int = 0,
-    arena=None,
-):
-    """Binary-swap depth compositing (communicator size must be 2^k).
-
-    Round i pairs rank with ``rank ^ 2^i``: each sends half of its
-    remaining image rows and merges the partner's half into the half it
-    keeps, so after log2(N) rounds every rank owns a disjoint, fully
-    composited 1/N of the image; the root then collects the regions.
+    Rank r owns rows ``[r*H/N, (r+1)*H/N)``.  One ``alltoall`` hands
+    every rank the N−1 partial strips of its rows (colour, depth and
+    owner rank), which it merges into its own; one ``gather`` then
+    brings the finished strips to the root, which returns them as new
+    arrays (``None`` elsewhere).  Under ``repro.perf.naive_mode``
+    everything routes through the :func:`gather_composite` reference.
+    Collective.
 
     `arena` supplies the owner-buffer scratch (default: the host
-    :func:`get_arena`).
+    :func:`get_arena`).  Payloads pass by reference, so peers read
+    views of this rank's buffers until they reach the ``gather``; a
+    non-root rank hands the root a copy of its strip, so nothing is
+    read from its buffers once it returns.
     """
     size, rank = comm.size, comm.rank
-    if size & (size - 1):
-        raise ValueError(f"binary swap needs a power-of-two group, got {size}")
-    height = depth.shape[0]
-    if arena is None:
-        arena = get_arena()
-    owner = arena.borrow(depth.shape, np.int32)
-    owner.fill(rank)
-    try:
-        lo, hi = 0, height
-        for i in range(size.bit_length() - 1):
-            bit = 1 << i
-            partner = rank ^ bit
-            mid = (lo + hi) // 2
-            if rank & bit:
-                keep, send = (mid, hi), (lo, mid)
-            else:
-                keep, send = (lo, mid), (mid, hi)
-            s = slice(send[0], send[1])
-            _xfer_put(comm, (send, color[s], depth[s], owner[s]), partner)
-            recv_region, c, d, o = _xfer_take(comm, partner)
-            _record_ingress(comm, c, d, o)
-            assert recv_region == keep, "binary-swap region mismatch"
-            k = slice(keep[0], keep[1])
-            _merge(color[k], depth[k], owner[k], c, d, o)
-            lo, hi = keep
-        return _collect_regions(comm, (lo, hi), color, depth, root)
-    finally:
-        arena.release(owner)
-
-
-def composite_direct_send(
-    comm: Communicator, color: np.ndarray, depth: np.ndarray, root: int = 0,
-    arena=None,
-):
-    """Direct-send depth compositing for arbitrary group sizes.
-
-    Each rank owns rows ``[r*H/N, (r+1)*H/N)``, sends every peer its
-    strip, merges the N−1 incoming partial strips, and the root
-    collects the finished strips.
-    """
-    size, rank = comm.size, comm.rank
+    if size == 1:
+        return color, depth
+    if not perf_config.enabled():
+        return gather_composite(comm, color, depth)
     height = depth.shape[0]
     bounds = [(r * height // size, (r + 1) * height // size) for r in range(size)]
     if arena is None:
@@ -251,52 +140,27 @@ def composite_direct_send(
     owner = arena.borrow(depth.shape, np.int32)
     owner.fill(rank)
     try:
-        for shift in range(1, size):
-            dest = (rank + shift) % size
-            s = slice(bounds[dest][0], bounds[dest][1])
-            _xfer_put(comm, (color[s], depth[s], owner[s]), dest)
-        lo, hi = bounds[rank]
-        k = slice(lo, hi)
-        for shift in range(1, size):
-            src = (rank - shift) % size
-            c, d, o = _xfer_take(comm, src)
-            _record_ingress(comm, c, d, o)
-            _merge(color[k], depth[k], owner[k], c, d, o)
-        return _collect_regions(comm, (lo, hi), color, depth, root)
+        with get_telemetry().tracer.span("catalyst.composite", size=size):
+            strips = comm.alltoall(
+                [(color[lo:hi], depth[lo:hi], owner[lo:hi]) for lo, hi in bounds]
+            )
+            k = slice(*bounds[rank])
+            for src, (c, d, o) in enumerate(strips):
+                if src != rank:
+                    _merge(color[k], depth[k], owner[k], c, d, o)
+            if not comm.is_root:
+                # the root reads this strip after this rank has returned
+                comm.gather((color[k].copy(), depth[k].copy()))
+                return None
+            finished = comm.gather((color[k], depth[k]))
+            out_color = np.empty_like(color)
+            out_depth = np.empty_like(depth)
+            for (lo, hi), (c, d) in zip(bounds, finished):
+                out_color[lo:hi] = c
+                out_depth[lo:hi] = d
+            return out_color, out_depth
     finally:
         arena.release(owner)
-
-
-def composite(
-    comm: Communicator,
-    color: np.ndarray,
-    depth: np.ndarray,
-    method: str = "auto",
-    root: int = 0,
-    arena=None,
-):
-    """Composite per-rank framebuffers; ``(color, depth)`` on root.
-
-    `method`: ``binary_swap`` (falls back to direct-send when the group
-    size is not a power of two), ``direct_send``, or ``auto``.  Under
-    ``repro.perf.naive_mode`` everything routes through the
-    :func:`gather_composite` reference.  Collective: every rank must
-    call with the same method.
-    """
-    if method not in ("auto", "binary_swap", "direct_send"):
-        raise ValueError(f"unknown compositing method {method!r}")
-    size = comm.size
-    if size == 1:
-        return color, depth
-    if not perf_config.enabled():
-        return gather_composite(comm, color, depth, root)
-    pow2 = size & (size - 1) == 0
-    with get_telemetry().tracer.span(
-        "catalyst.composite", method=method, size=size
-    ):
-        if method in ("auto", "binary_swap") and pow2:
-            return composite_binary_swap(comm, color, depth, root, arena=arena)
-        return composite_direct_send(comm, color, depth, root, arena=arena)
 
 
 # -- ghost-layer exchange ----------------------------------------------
@@ -457,8 +321,6 @@ def render_composited(
     global_spacing,
     step: int,
     time: float,
-    method: str = "binary_swap",
-    depth_dtype=np.float32,
     arena=None,
 ):
     """Distributed :meth:`RenderPipeline.render`: composited at root.
@@ -553,11 +415,7 @@ def render_composited(
                         colors = apply_colormap(vals, vmin, vmax, spec.colormap)
                         raster.draw_mesh(camera, verts, faces, colors)
             composited = composite(
-                comm,
-                raster.image(),
-                raster.depth_image(depth_dtype),
-                method=method,
-                arena=arena,
+                comm, raster.image(), raster.depth_image(), arena=arena
             )
             if composited is not None and composited[0] is raster.image():
                 # single-rank identity: detach from the (recyclable)

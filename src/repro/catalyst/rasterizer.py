@@ -88,17 +88,11 @@ class Rasterizer:
         """
         return self.color
 
-    def depth_image(self, dtype=np.float32) -> np.ndarray:
-        """The z-buffer (H, W); ``inf`` where nothing was drawn.
-
-        Returns the live float64 buffer when `dtype` matches, otherwise
-        a converted copy — the sort-last compositor exchanges float32
-        depths to halve compositing traffic.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == self.depth.dtype:
-            return self.depth
-        return self.depth.astype(dtype)
+    def depth_image(self) -> np.ndarray:
+        """A float32 copy of the z-buffer (H, W); ``inf`` where nothing
+        was drawn — the sort-last compositor exchanges float32 depths
+        to halve compositing traffic."""
+        return self.depth.astype(np.float32)
 
     def close(self, keep_image: bool = False) -> None:
         """Return arena-backed buffers to the pool.

@@ -651,11 +651,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", default="repro_output")
     run.add_argument("--device", choices=("serial", "cuda-sim"), default="cuda-sim")
     run.add_argument("--compositing",
-                     choices=("gather", "binary_swap", "direct_send"),
+                     choices=("gather", "sort_last"),
                      default=None,
-                     help="override the parallel-rendering scheme of every "
-                          "catalyst analysis (sort-last depth compositing "
-                          "instead of gathering the volume to rank 0)")
+                     help="override where every catalyst analysis renders: "
+                          "gather the volume to rank 0, or render on every "
+                          "rank and depth-composite (sort_last)")
     run.add_argument("--residency", choices=("host", "device"), default=None,
                      help="where every catalyst analysis keeps its working "
                           "set: host copies fields over PCIe each step; "

@@ -28,9 +28,7 @@ rank combines the same rank-ordered values and meters its own ingress
 (see :class:`repro.parallel.comm.TrafficMeter`).  Payloads pass by
 reference.  Per-op binomial trees and a pairwise alltoall over the
 mailboxes were measured slower than this single rendezvous
-(docs/performance.md) and are not kept.  Negative mailbox tags are
-reserved for internal traffic that meters itself (the sort-last
-compositor's ``_put`` / ``_take``).
+(docs/performance.md) and are not kept.
 
 A rank parked past its ``timeout`` aborts the world and raises
 :class:`~repro.faults.errors.RankStallError`.  :meth:`_World.abort`
@@ -216,18 +214,11 @@ class ThreadCommunicator(Communicator):
         self.meter.record(
             "send", payload_nbytes(obj), self.size, self.channel, rank=self._rank
         )
-        self._put(obj, dest, tag)
+        self._world.mailbox(self._rank, dest, tag).put(obj)
 
     def recv(self, source: int, tag: int = 0):
         if not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range")
-        return self._take(source, tag)
-
-    def _put(self, obj, dest: int, tag: int) -> None:
-        """Unmetered internal enqueue (the caller meters its own traffic)."""
-        self._world.mailbox(self._rank, dest, tag).put(obj)
-
-    def _take(self, source: int, tag: int):
         try:
             return self._world.mailbox(source, self._rank, tag).get(
                 timeout=self.timeout

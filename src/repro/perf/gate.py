@@ -172,7 +172,7 @@ def _kernel_compositing():
     # pb146-shaped workload: 2 arrays x 48^3 f64 over 8 ranks.  The
     # reference is the pre-optimization render path — gather every
     # volume fragment to rank 0, assemble, render there; optimized is
-    # sort-last: local render + binary-swap depth compositing.
+    # sort-last: local render + direct-send depth compositing.
     nranks = 8
     nx = ny = nz = 48
     fx, fy, fz = nx // 2, ny // 2, nz // 2
@@ -218,7 +218,7 @@ def _kernel_compositing():
         if config.enabled():
             render_composited(
                 comm, pipeline, mine, gdims, (0, 0, 0), (1, 1, 1),
-                step=0, time=0.0, method="binary_swap",
+                step=0, time=0.0,
             )
         else:
             gathered = comm.gather(mine)

@@ -142,6 +142,28 @@ def gather_uniform_volume(
     return image
 
 
+def _check_options(compositing: str, residency: str, declarative: bool) -> None:
+    """Validate a catalyst analysis's ``compositing`` and ``residency``."""
+    if compositing not in ("gather", "sort_last"):
+        raise ValueError(
+            f"compositing must be gather|sort_last, got {compositing!r}"
+        )
+    if residency not in ("host", "device"):
+        raise ValueError(f"residency must be host|device, got {residency!r}")
+    if compositing != "gather" and not declarative:
+        raise ValueError(
+            "sort-last compositing requires a declarative RenderPipeline "
+            "(the builtin pipeline; pythonscript renders the assembled "
+            "volume only)"
+        )
+    if residency == "device" and not declarative:
+        raise ValueError(
+            "residency='device' requires a declarative RenderPipeline "
+            "(the builtin pipeline; pythonscript pipelines expect host "
+            "arrays)"
+        )
+
+
 class CatalystAnalysisAdaptor(AnalysisAdaptor):
     """Render images from the simulation's uniform mesh."""
 
@@ -155,15 +177,7 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         compositing: str = "gather",
         residency: str = "host",
     ):
-        if compositing not in ("gather", "binary_swap", "direct_send"):
-            raise ValueError(
-                f"compositing must be gather|binary_swap|direct_send, "
-                f"got {compositing!r}"
-            )
-        if residency not in ("host", "device"):
-            raise ValueError(
-                f"residency must be host|device, got {residency!r}"
-            )
+        _check_options(compositing, residency, isinstance(render, RenderPipeline))
         self.comm = comm
         if isinstance(render, RenderPipeline):
             self.pipeline: RenderPipeline | None = render
@@ -171,16 +185,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         else:
             self.pipeline = None
             self.render = render
-        if compositing != "gather" and self.pipeline is None:
-            raise ValueError(
-                "sort-last compositing requires a declarative RenderPipeline "
-                "(pythonscript pipelines render on the assembled volume only)"
-            )
-        if residency == "device" and self.pipeline is None:
-            raise ValueError(
-                "residency='device' requires a declarative RenderPipeline "
-                "(pythonscript pipelines expect host arrays)"
-            )
         self.compositing = compositing
         self.residency = residency
         self.arrays = tuple(arrays)
@@ -221,16 +225,9 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         compositing = attrs.get("compositing", "gather")
         residency = attrs.get("residency", "host")
         if pipeline_kind == "pythonscript":
-            if compositing != "gather":
-                raise ValueError(
-                    "compositing=... is only supported with the builtin "
-                    "pipeline; pythonscript renders the assembled volume"
-                )
-            if residency != "host":
-                raise ValueError(
-                    "residency='device' is only supported with the builtin "
-                    "pipeline; pythonscript pipelines expect host arrays"
-                )
+            # checked before the script is loaded, with what the
+            # constructor is handed below
+            _check_options(compositing, residency, declarative=False)
             filename = attrs.get("filename")
             if not filename:
                 raise ValueError("pythonscript pipeline needs filename=...")
@@ -240,7 +237,10 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                 for a in attrs.get("arrays", "pressure").split(",")
                 if a.strip()
             )
-            return cls(comm, render, arrays, mesh_name, output_dir)
+            return cls(
+                comm, render, arrays, mesh_name, output_dir,
+                compositing=compositing, residency=residency,
+            )
 
         array = attrs.get("array", "pressure")
         color_array = attrs.get("color_array", array)
@@ -286,7 +286,7 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
         # the staging of the data — local fragments for sort-last
         # compositing, else the volume gathered to rank 0 — is what the
         # live timeline calls the `composite` stage
-        sort_last = self.compositing != "gather" and self.comm.size > 1
+        sort_last = self.compositing == "sort_last" and self.comm.size > 1
         with tel.tracer.span(
             "catalyst.fragments" if sort_last else "catalyst.gather",
             step=step, stage="composite", residency=self.residency,
@@ -351,7 +351,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                     gspacing,
                     step,
                     time,
-                    method=self.compositing,
                     arena=arena,
                 )
         else:

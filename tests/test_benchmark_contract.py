@@ -462,3 +462,44 @@ def test_one_serving_hub_and_a_fixed_endpoint_fleet():
     assert "PARKED" not in EndpointState.__members__
     for path in sorted(SRC.rglob("*.py")):
         assert "POLL_INTERVAL_S" not in path.read_text(), path
+
+
+# -- one transport -----------------------------------------------------------
+
+
+def _names_a_communicator(node) -> bool:
+    """``comm``, ``self.comm``, ``sub_comm``, ``self._comm`` ..."""
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return False
+    return "comm" in name.lower()
+
+
+def test_only_repro_parallel_reaches_into_a_communicator():
+    """Source scan: outside ``repro.parallel`` a communicator is driven
+    through its public methods only — no ``comm._x`` attribute and no
+    ``getattr(comm, "_x")`` — so a new transport ports
+    ``_World.exchange`` and ``send`` / ``recv`` and nothing else."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("parallel/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and _names_a_communicator(node.value)):
+                offenders.append(f"{rel}:{node.lineno} .{node.attr}")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr", "setattr")
+                    and len(node.args) >= 2
+                    and _names_a_communicator(node.args[0])
+                    and isinstance(node.args[1], ast.Constant)
+                    and str(node.args[1].value).startswith("_")):
+                offenders.append(f"{rel}:{node.lineno} {node.func.id}")
+    assert offenders == []

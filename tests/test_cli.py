@@ -61,8 +61,8 @@ class TestRun:
             '<analysis type="histogram" array="pressure" bins="4"/>'
             '</sensei>'
         )
-        out = _inject_compositing(xml, "binary_swap")
-        assert out.count('compositing="binary_swap"') == 1
+        out = _inject_compositing(xml, "sort_last")
+        assert out.count('compositing="sort_last"') == 1
         assert 'type="histogram" array="pressure" bins="4" compositing' not in out
 
     def test_run_with_compositing_flag(self, tmp_path, capsys):
@@ -75,7 +75,7 @@ class TestRun:
         rc = main([
             "run", "--case", "cavity", "--ranks", "2", "--steps", "2",
             "--order", "3", "--config", str(config),
-            "--compositing", "binary_swap",
+            "--compositing", "sort_last",
             "--output", str(tmp_path / "out"),
         ])
         assert rc == 0
@@ -105,12 +105,19 @@ class TestRun:
         rc = main([
             "insitu", "--case", "cavity", "--ranks", "2", "--steps", "2",
             "--order", "3", "--config", str(config),
-            "--compositing", "binary_swap", "--residency", "device",
+            "--compositing", "sort_last", "--residency", "device",
             "--output", str(tmp_path / "out"),
         ])
         assert rc == 0
         pngs = list((tmp_path / "out").glob("*.png"))
         assert len(pngs) == 2  # surface + slice at step 2
+
+    @pytest.mark.parametrize("scheme", ["binary_swap", "direct_send"])
+    def test_rejects_a_compositing_algorithm(self, capsys, scheme):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--compositing", scheme])
+        err = capsys.readouterr().err
+        assert "--compositing" in err and "gather" in err and "sort_last" in err
 
     def test_rejects_unknown_residency(self, capsys):
         with pytest.raises(SystemExit):

@@ -11,8 +11,6 @@ import pytest
 
 from repro.catalyst.compositor import (
     composite,
-    composite_binary_swap,
-    composite_direct_send,
     exchange_ghost_layers,
     gather_composite,
     render_composited,
@@ -27,34 +25,55 @@ from repro.perf.arena import get_arena
 H, W = 12, 16
 
 
-def _rank_framebuffer(rank, seed=0):
+def _rank_framebuffer(rank, seed=0, rows=H):
     """Deterministic per-rank framebuffer with background (inf) holes."""
     rng = np.random.default_rng(1000 * (seed + 1) + rank)
-    color = rng.integers(0, 255, size=(H, W, 3), dtype=np.uint8)
-    depth = rng.uniform(1.0, 9.0, size=(H, W)).astype(np.float32)
-    depth[rng.random((H, W)) < 0.3] = np.inf  # not covered by this rank
+    color = rng.integers(0, 255, size=(rows, W, 3), dtype=np.uint8)
+    depth = rng.uniform(1.0, 9.0, size=(rows, W)).astype(np.float32)
+    depth[rng.random((rows, W)) < 0.3] = np.inf  # not covered by this rank
     return color, depth
 
 
+#: ``(case, size)`` rows of the parity check.  The case ids are the
+#: scheme names these rows carried while ``composite`` took a
+#: ``method=``; each now names what its rows vary around the one
+#: direct-send compositor:
+#:
+#: - ``direct_send``: the algorithm on 12-row framebuffers, so the row
+#:   strips are ragged at 5, 7, 8 and 9 ranks;
+#: - ``binary_swap``: the power-of-two groups binary swap served, on
+#:   16-row framebuffers so every strip is an even H/N;
+#: - ``auto``: whichever path ``composite`` picks — passthrough at one
+#:   rank, direct send, or the gather reference under ``naive_mode()``
+#:   — run in both modes.
+PARITY_CASES = (
+    [("direct_send", n) for n in range(1, 10)]
+    + [("binary_swap", n) for n in (1, 2, 4, 8)]
+    + [("auto", n) for n in range(1, 10)]
+)
+
+
 class TestCompositeParity:
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9])
-    @pytest.mark.parametrize("method", ["binary_swap", "direct_send", "auto"])
-    def test_matches_gather_reference(self, size, method):
-        if method == "binary_swap" and size & (size - 1):
-            pytest.skip("binary_swap auto-falls back; covered by auto")
+    @pytest.mark.parametrize("case,size", PARITY_CASES)
+    def test_matches_gather_reference(self, case, size):
+        rows = 16 if case == "binary_swap" else H
 
         def body(comm):
-            color, depth = _rank_framebuffer(comm.rank)
+            color, depth = _rank_framebuffer(comm.rank, rows=rows)
             ref = gather_composite(comm, color.copy(), depth.copy())
-            out = composite(comm, color.copy(), depth.copy(), method=method)
-            return ref, out
+            outs = [composite(comm, color.copy(), depth.copy())]
+            if case == "auto":
+                with naive_mode():
+                    outs.append(composite(comm, color.copy(), depth.copy()))
+            return ref, outs
 
-        for rank, (ref, out) in enumerate(run_spmd(size, body)):
-            if rank == 0:
-                np.testing.assert_array_equal(out[0], ref[0])
-                np.testing.assert_array_equal(out[1], ref[1])
-            else:
-                assert out is None and ref is None
+        for rank, (ref, outs) in enumerate(run_spmd(size, body)):
+            for out in outs:
+                if rank == 0:
+                    np.testing.assert_array_equal(out[0], ref[0])
+                    np.testing.assert_array_equal(out[1], ref[1])
+                else:
+                    assert out is None and ref is None
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_equal_depth_ties_break_by_rank(self, size):
@@ -72,18 +91,9 @@ class TestCompositeParity:
         np.testing.assert_array_equal(out[0], np.full((H, W, 3), 10, np.uint8))
         np.testing.assert_array_equal(out[0], ref[0])
 
-    def test_binary_swap_rejects_ragged_group(self):
-        def body(comm):
-            color, depth = _rank_framebuffer(comm.rank)
-            with pytest.raises(ValueError, match="power-of-two"):
-                composite_binary_swap(comm, color, depth)
-            return True
-
-        assert all(run_spmd(3, body))
-
     def test_naive_mode_routes_through_gather(self):
-        """Under naive_mode the dispatcher must not touch the network
-        schemes (their mailbox protocol assumes uniform flags)."""
+        """Under naive_mode composite must route through the gather
+        reference (the direct-send collectives assume uniform flags)."""
 
         def body(comm):
             with naive_mode():
@@ -95,22 +105,45 @@ class TestCompositeParity:
         ref, out = run_spmd(4, body)[0]
         np.testing.assert_array_equal(out[0], ref[0])
 
-    def test_unknown_method_raises(self):
-        def body(comm):
-            color, depth = _rank_framebuffer(comm.rank)
-            with pytest.raises(ValueError, match="unknown compositing"):
-                composite(comm, color, depth, method="sort_first")
-            return True
-
-        assert all(run_spmd(2, body))
-
     def test_arena_balanced_after_composite(self):
         def body(comm):
             color, depth = _rank_framebuffer(comm.rank)
-            composite(comm, color, depth, method="direct_send")
+            composite(comm, color, depth)
             return get_arena().outstanding
 
         assert run_spmd(4, body) == [0, 0, 0, 0]
+
+
+class TestCompositingChoice:
+    """A catalyst analysis chooses where to render, not an algorithm."""
+
+    XML_ATTRS = {"array": "pressure", "isovalue": "0.1"}
+
+    @pytest.mark.parametrize("scheme", ["binary_swap", "direct_send", "auto"])
+    def test_xml_rejects_an_algorithm_name(self, comm, tmp_path, scheme):
+        from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
+
+        attrs = dict(self.XML_ATTRS, compositing=scheme)
+        with pytest.raises(ValueError, match=r"gather\|sort_last"):
+            CatalystAnalysisAdaptor.from_xml_attributes(comm, attrs, tmp_path)
+
+    @pytest.mark.parametrize("mode", ["gather", "sort_last"])
+    def test_xml_accepts_where_to_render(self, comm, tmp_path, mode):
+        from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
+
+        attrs = dict(self.XML_ATTRS, compositing=mode)
+        adaptor = CatalystAnalysisAdaptor.from_xml_attributes(comm, attrs, tmp_path)
+        assert adaptor.compositing == mode
+
+    def test_xml_pythonscript_rejects_sort_last(self, comm, tmp_path):
+        from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
+
+        script = tmp_path / "script.py"
+        script.write_text("def render(image, step, time):\n    return []\n")
+        attrs = {"pipeline": "pythonscript", "filename": str(script),
+                 "compositing": "sort_last"}
+        with pytest.raises(ValueError, match="builtin"):
+            CatalystAnalysisAdaptor.from_xml_attributes(comm, attrs, tmp_path)
 
 
 class TestGhostExchange:
@@ -235,15 +268,8 @@ PIPELINE = RenderPipeline(
 class TestRenderComposited:
     """Distributed pipeline == serial pipeline on the assembled volume."""
 
-    @pytest.mark.parametrize("size,method", [
-        (1, "binary_swap"),
-        (2, "binary_swap"),
-        (4, "binary_swap"),
-        (3, "direct_send"),
-        (6, "binary_swap"),  # ragged: auto-falls back to direct send
-        (8, "binary_swap"),
-    ])
-    def test_pixel_identical_to_serial(self, size, method):
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 6, 8])
+    def test_pixel_identical_to_serial(self, size):
         gdims = (12, 12, 12)
         fields, frags = _make_fragments(gdims, ["q", "t"], 6, 6, 6)
         reference = PIPELINE.render(_assemble(fields, gdims), step=3, time=0.25)
@@ -252,7 +278,7 @@ class TestRenderComposited:
             mine = [f for i, f in enumerate(frags) if i % comm.size == comm.rank]
             return render_composited(
                 comm, PIPELINE, mine, gdims, (0, 0, 0), (1, 1, 1),
-                step=3, time=0.25, method=method,
+                step=3, time=0.25,
             )
 
         results = run_spmd(size, body)
@@ -356,7 +382,7 @@ class TestEndToEndPipeline:
     @pytest.mark.parametrize("nranks", [4, 6])
     def test_composited_pngs_identical_to_gather(self, nranks, tmp_path):
         ref = self._run(nranks, "gather", tmp_path / "gather")
-        out = self._run(nranks, "binary_swap", tmp_path / "swap")
+        out = self._run(nranks, "sort_last", tmp_path / "sort_last")
         assert ref.keys() == out.keys()
         assert len(ref) == 2  # surface + slice at step 2
         for name in ref:

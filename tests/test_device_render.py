@@ -77,9 +77,8 @@ class TestGoldenParity:
         [
             ("pebble", 1, "gather"),
             ("pebble", 4, "gather"),  # device-to-device scatter to the root
-            ("pebble", 4, "binary_swap"),
-            ("rbc", 6, "binary_swap"),  # non-pow2: direct-send fallback
-            ("rbc", 6, "direct_send"),
+            ("pebble", 4, "sort_last"),
+            ("rbc", 6, "sort_last"),
         ],
     )
     def test_device_matches_host_and_naive(self, tmp_path, case_name, ranks, comp):
@@ -214,7 +213,7 @@ class TestSteadyStateAllocations:
 
 
 class TestOnePoolPerResidency:
-    @pytest.mark.parametrize("comp", ["gather", "binary_swap"])
+    @pytest.mark.parametrize("comp", ["gather", "sort_last"])
     def test_device_step_borrows_nothing_from_the_host_arena(self, tmp_path, comp):
         """Contour + slice on 4 ranks: a device-resident viz step takes
         every framebuffer, ghost volume, owner buffer and slice plane
