@@ -321,7 +321,7 @@ class InTransitRunner:
         )
         return CatalystAnalysisAdaptor(
             comm,
-            pipeline.render,
+            pipeline,
             arrays=self.arrays,
             mesh_name="uniform",
             output_dir=out,

@@ -157,8 +157,9 @@ class NekRSSolver:
         else:
             self.chi = None
 
-        # -- preconditioners (depend on dt through h0; built lazily) -------------
-        self._pre_cache: dict[tuple, np.ndarray] = {}
+        # -- Helmholtz operators + preconditioners (depend on dt through
+        # h0; built lazily) ----------------------------------------------------
+        self._helmholtz_cache: dict[tuple, tuple] = {}
         self._pressure_pre: CoarseGrid | None = None
         # the last pressure solutions, the pressure solve's start
         self._pressure_proj = ResidualProjection(self.ops)
@@ -246,21 +247,25 @@ class NekRSSolver:
     # ------------------------------------------------------------------
     # linear solves
     # ------------------------------------------------------------------
-    def _jacobi(self, h1: float, h0, mask: np.ndarray, key: str) -> np.ndarray:
-        """Inverse diagonal of the masked assembled Helmholtz operator.
+    def _helmholtz_operator(self, h1: float, h0, mask: np.ndarray,
+                            key: tuple) -> tuple:
+        """The factored weights of (h1 A + h0 B) and the inverse diagonal
+        of its masked assembly (Jacobi), built once per value key.
 
-        `key` must encode everything that varies (field, h1, the scalar
-        part of h0): h0 arrays (Brinkman) are static per run, so a
-        well-chosen key makes the cache exact and bounded.
+        `key` must encode everything that varies (field, the exact
+        scalar part of h0): the Brinkman h0 is a new array every step
+        with the same values, so the cache is keyed by value, which
+        keeps it exact and bounded.
         """
         cache_key = (key, float(h1))
-        pre = self._pre_cache.get(cache_key)
-        if pre is None:
+        entry = self._helmholtz_cache.get(cache_key)
+        if entry is None:
             diag = self.ops.stiffness_diagonal(h1, h0)
             pre = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
             pre *= mask
-            self._pre_cache[cache_key] = pre
-        return pre
+            entry = (self.ops.helmholtz_weights(h1, h0), pre)
+            self._helmholtz_cache[cache_key] = entry
+        return entry
 
     def _pressure_preconditioner(self):
         """The pressure solve's ``precond``: Jacobi + vertex coarse grid."""
@@ -268,7 +273,9 @@ class NekRSSolver:
             self._pressure_pre = CoarseGrid(
                 self.ops,
                 self.pressure_mask,
-                self._jacobi(1.0, 0.0, self.pressure_mask, "pressure"),
+                self._helmholtz_operator(
+                    1.0, 0.0, self.pressure_mask, ("pressure",)
+                )[1],
             )
         return self._pressure_pre
 
@@ -280,7 +287,7 @@ class NekRSSolver:
         h0,
         mask: np.ndarray,
         tol: float,
-        key: str,
+        key: tuple,
         history: list[np.ndarray],
         a: tuple[float, ...],
     ):
@@ -288,20 +295,20 @@ class NekRSSolver:
         starting from the homogeneous part of the EXT extrapolation
         ``sum_j a[j] * history[-1-j]`` of the field's last steps."""
         arena = get_arena()
+        weights, pre = self._helmholtz_operator(h1, h0, mask, key)
 
         def apply_masked(f):
             with arena.scratch(f.shape, f.dtype) as hb:
-                self.ops.helmholtz_apply(f, h1, h0, out=hb)
+                self.ops.helmholtz_apply(f, h1, h0, out=hb, weights=weights)
                 res = self.ops.assemble(hb)  # gs returns a fresh array
             res *= mask
             return res
 
         with arena.scratch(rhs_local.shape, rhs_local.dtype) as hb:
-            self.ops.helmholtz_apply(lift, h1, h0, out=hb)
+            self.ops.helmholtz_apply(lift, h1, h0, out=hb, weights=weights)
             np.subtract(rhs_local, hb, out=hb)
             b = self.ops.assemble(hb)
         b *= mask
-        pre = self._jacobi(h1, h0, mask, key)
         with arena.scratch(b.shape, b.dtype) as x0:
             np.multiply(history[-1], a[0], out=x0)
             with arena.scratch(b.shape, b.dtype) as tmp:
@@ -435,7 +442,7 @@ class NekRSSolver:
                     h0,
                     self.temperature_mask,
                     case.scalar_tol,
-                    f"temperature:h0={h0:.6e}",
+                    ("temperature", h0),
                     self._hist_T,
                     a,
                 )
@@ -471,7 +478,7 @@ class NekRSSolver:
                     h0,
                     mask,
                     case.scalar_tol,
-                    f"scalar:{name}:h0={h0:.6e}",
+                    ("scalar", name, h0),
                     self._hist_s[name],
                     a,
                 )
@@ -553,7 +560,7 @@ class NekRSSolver:
                 h0 = h0_scalar if self.chi is None else h0_scalar + self.chi
                 vel_iters = 0
                 new_vel = []
-                vel_key = f"velocity:h0={h0_scalar:.6e}"
+                vel_key = ("velocity", h0_scalar)
                 rho_b0_dt = case.density * (b0 / dt)
                 with arena.scratch(shape, n=2) as (rhs_buf, lift_buf):
                     for i, (star, lift_field) in enumerate(
@@ -681,7 +688,7 @@ class NekRSSolver:
         total += self._pressure_proj.basis.nbytes
         # mesh coordinates + geometric factors + numbering
         total += self.mesh.x.nbytes * 3
-        total += self.ops.geom.mass.nbytes * 4  # mass + grr/gss/gtt
+        total += self.ops.geom.mass.nbytes
         total += self.mesh.global_ids.nbytes
         return total
 

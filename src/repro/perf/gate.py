@@ -228,11 +228,13 @@ def _kernel_compositing():
     return lambda: _spmd_seconds(body, nranks)
 
 
+#: the ``_factored`` rows' reference half runs the factored operator's
+#: allocating twin, not the D-form their unsuffixed names timed
 KERNELS = {
     "gather_scatter_setup": _kernel_gather_scatter_setup,
-    "stiffness_apply": _kernel_stiffness_apply,
-    "cg_solve": _kernel_cg_solve,
-    "solver_step": _kernel_solver_step,
+    "stiffness_apply_factored": _kernel_stiffness_apply,
+    "cg_solve_factored": _kernel_cg_solve,
+    "solver_step_factored": _kernel_solver_step,
     "rasterize_mesh": _kernel_rasterize_mesh,
     "compositing": _kernel_compositing,
 }

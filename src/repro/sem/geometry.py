@@ -2,19 +2,17 @@
 
 For each element the mapping from the reference cube [-1,1]^3 to
 physical space yields the Jacobian J and the metric derivatives
-(dr/dx, ds/dy, dt/dz).  BoxMesh elements are axis-aligned, so the
-metric tensor is diagonal and constant per element.  The factors the
-operators weight by quadrature are stored as full per-quad-point
-arrays, the layout general curvilinear SEM uses; the uniform box's
-constants are ``np.float64`` scalars, which broadcast into the same
-products bit for bit without holding a field each.
+(dr/dx, ds/dy, dt/dz).  BoxMesh elements are the same axis-aligned
+box, so the metric tensor is diagonal and one constant for the whole
+mesh: the uniform box's constants are ``np.float64`` scalars, which
+broadcast into products bit for bit without holding a field each, and
+the stiffness operator is built from them in factored form
+(:mod:`repro.sem.operators`).
 
-Stored arrays (shaped like fields, ``(E, Nq, Nq, Nq)``):
+Stored array (shaped like fields, ``(E, Nq, Nq, Nq)``):
 
 ``mass``
     w3d * J — the diagonal lumped mass matrix ("B" in Nek).
-``grr, gss, gtt``
-    w3d * J * (dr/dx)^2 etc. — diagonal stiffness factors ("G").
 
 Stored scalars:
 
@@ -34,7 +32,6 @@ from repro.sem.mesh import BoxMesh
 class GeometricFactors:
     def __init__(self, mesh: BoxMesh):
         self.mesh = mesh
-        nq = mesh.nq
         w = mesh.weights_1d
         w3d = w[None, :, None, None] * w[None, None, :, None] * w[None, None, None, :]
 
@@ -47,10 +44,6 @@ class GeometricFactors:
 
         rx, sy, tz = 2.0 / hx, 2.0 / hy, 2.0 / hz
         self.rx, self.sy, self.tz = np.float64(rx), np.float64(sy), np.float64(tz)
-
-        self.grr = self.mass * rx * rx
-        self.gss = self.mass * sy * sy
-        self.gtt = self.mass * tz * tz
 
     @property
     def total_volume_local(self) -> float:

@@ -2,18 +2,25 @@
 
 All operators act on fields shaped ``(E, Nq, Nq, Nq)`` and are *local*
 (unassembled): solvers compose them with gather-scatter and boundary
-masks.  The weak Laplacian follows the standard factored form
+masks.  Every :class:`BoxMesh` element is the same axis-aligned box, so
+the weak Laplacian D_r^T G_rr D_r + D_s^T G_ss D_s + D_t^T G_tt D_t has
+an exact factorization that is built once per operator bundle:
 
-    A f = D_r^T (G_rr D_r f) + D_s^T (G_ss D_s f) + D_t^T (G_tt D_t f)
+    A f[k,j,i] = w_k (Kxy f_k)[j,i] + c_t w_j w_i (S f)[k,j,i]  (S along z)
 
-with the geometric factors of :class:`repro.sem.geometry.GeometricFactors`
-(diagonal metric — axis-aligned elements).
+with the symmetric 1-D stiffness S = D^T diag(w) D, the x-y plane
+operator Kxy = c_r diag(w) (x) S + c_s S (x) diag(w) acting on an
+element's flattened ``(j, i)`` plane, and c_r = J rx^2, c_s = J sy^2,
+c_t = J tz^2.  An apply is one GEMM over every element's planes, one
+1-D apply along z and three field passes -- libParanumal's constant-
+geometry ``Ax`` in place of six 1-D contractions.
 
 Every operator accepts an optional ``out=`` buffer and draws its
 internal temporaries from the per-rank workspace arena, so solver hot
-loops run allocation-free; ``repro.perf.naive_mode`` restores the
-original allocating expressions (operand order is preserved, so the
-two paths agree bitwise wherever no contraction is re-associated).
+loops run allocation-free; ``repro.perf.naive_mode`` restores
+allocating expressions of the same arithmetic (operand order is
+preserved, so the two paths agree bitwise wherever no contraction is
+re-associated).
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import numpy as np
 from repro.parallel.comm import Communicator, ReduceOp
 from repro.perf import config
 from repro.perf.arena import get_arena
-from repro.perf.plans import get_plan_cache
 from repro.sem.geometry import GeometricFactors
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.mesh import BoxMesh
@@ -32,8 +38,8 @@ from repro.sem.tensor import (
     apply_1d_x,
     apply_1d_y,
     apply_1d_z,
+    apply_1d_z_reference,
     local_grad,
-    local_grad_transpose,
 )
 
 
@@ -55,6 +61,22 @@ class SEMOperators:
         # the forward x-derivative's BLAS operand, made contiguous once
         self.DT = np.ascontiguousarray(self.D.T)
         self.gs = GatherScatter(mesh.global_ids, comm)
+        # the factored uniform-box stiffness (module docstring); S is
+        # symmetrized so that Kxy is exactly symmetric and serves as
+        # its own transpose in the row-major plane GEMM
+        w = mesh.weights_1d
+        S = self.D.T @ (w[:, None] * self.D)
+        self.S = 0.5 * (S + S.T)
+        geom = self.geom
+        c_r, c_s, c_t = (geom.jacobian * m * m for m in (geom.rx, geom.sy, geom.tz))
+        W = np.diag(w)
+        self._kxy = c_r * np.kron(W, self.S) + c_s * np.kron(self.S, W)
+        # the per-node weights w_k and c_t w_j w_i, at an element's full
+        # extent: a broadcast over E alone runs one contiguous inner loop
+        # per element where a size-1 axis would run one per row
+        nq = mesh.nq
+        self._wk = np.repeat(w, nq * nq).reshape(nq, nq, nq)
+        self._cww = np.tile(c_t * np.outer(w, w), (nq, 1, 1))
         self._volume: float | None = None
         self._ndofs: float | None = None
         self._ones: np.ndarray | None = None
@@ -153,68 +175,70 @@ class SEMOperators:
         return np.multiply(self.geom.mass, f, out=out)
 
     def stiffness_apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Weak Laplacian A f (unassembled)."""
-        if not config.enabled():
-            fr, fs, ft = local_grad(self.D, f)
-            return _into(
-                local_grad_transpose(
-                    self.D,
-                    self.geom.grr * fr, self.geom.gss * fs, self.geom.gtt * ft,
-                ),
-                out,
-            )
-        with get_arena().scratch(f.shape, f.dtype, n=3) as (fr, fs, ft):
-            local_grad(self.D, f, out=(fr, fs, ft), DT=self.DT)
-            fr *= self.geom.grr
-            fs *= self.geom.gss
-            ft *= self.geom.gtt
-            return local_grad_transpose(self.D, fr, fs, ft, out=out)
+        """Weak Laplacian A f (unassembled); `out` must not alias `f`."""
+        return self._factored_apply(f, self._kxy, self._cww, None, out)
+
+    def helmholtz_weights(self, h1: float, h0) -> tuple:
+        """``(h1 Kxy, h1 c_t w w, h0 B)``: the factored (h1 A + h0 B).
+
+        A caller that applies one operator many times builds these once
+        and passes them to :meth:`helmholtz_apply`.  A scalar `h0`
+        keeps B to one element's weights: every element's are equal.
+        """
+        mass = self.geom.mass if np.ndim(h0) else self.geom.mass[:1]
+        return h1 * self._kxy, h1 * self._cww, np.multiply(h0, mass)
 
     def helmholtz_apply(self, f: np.ndarray, h1: float, h0,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None,
+                        weights: tuple | None = None) -> np.ndarray:
         """(h1 A + h0 B) f; h0 may be a scalar or a per-node field
-        (spatially varying reaction term, e.g. Brinkman penalty)."""
+        (spatially varying reaction term, e.g. Brinkman penalty).
+        `weights` is :meth:`helmholtz_weights` of the same h1 and h0;
+        `out` must not alias `f`."""
+        if weights is None:
+            weights = self.helmholtz_weights(h1, h0)
+        return self._factored_apply(f, *weights, out)
+
+    def _factored_apply(self, f, kxy, cww, hb, out):
+        """w_k (kxy f_k) + cww (S f along z) [+ hb f]."""
+        E, nq = f.shape[0], self.mesh.nq
+        plane = (E * nq, nq * nq)
         if not config.enabled():
-            res = self.stiffness_apply(f)
-            if h1 != 1.0:
-                res *= h1
-            res += (h0 * self.geom.mass) * f
+            # np.tensordot of two matrices is the same GEMM as np.matmul
+            res = np.tensordot(f.reshape(plane), kxy, axes=1).reshape(f.shape)
+            res = res * self._wk + cww * apply_1d_z_reference(self.S, f)
+            if hb is not None:
+                res += hb * f
             return _into(res, out)
-        out = self.stiffness_apply(f, out=out)
-        if h1 != 1.0:
-            out *= h1
-        with get_arena().scratch(f.shape, f.dtype) as tmp:
-            np.multiply(h0, self.geom.mass, out=tmp)
-            tmp *= f
+        if out is not None and not out.flags.c_contiguous:
+            return _into(self._factored_apply(f, kxy, cww, hb, None), out)
+        if out is None:
+            out = np.empty(f.shape, np.result_type(f, kxy))
+        np.matmul(f.reshape(plane), kxy, out=out.reshape(plane))
+        out *= self._wk
+        with get_arena().scratch(f.shape, out.dtype) as tmp:
+            # apply_1d_z's GEMM, without its plan lookup
+            np.matmul(self.S, f.reshape(E, nq, nq * nq),
+                      out=tmp.reshape(E, nq, nq * nq))
+            tmp *= cww
             out += tmp
+            if hb is not None:
+                np.multiply(hb, f, out=tmp)
+                out += tmp
         return out
 
     def stiffness_diagonal(self, h1: float = 1.0, h0=0.0) -> np.ndarray:
         """Diagonal of the *assembled* Helmholtz operator (for Jacobi).
 
-        diag(D_r^T G D_r) at node (k,j,i) is sum_m D[m,i]^2 G[e,k,j,m]
-        (and permutations), then gather-scattered.
+        Read off the factored operator: at node (k,j,i) it is
+        w_k Kxy[(j,i),(j,i)] + c_t w_j w_i S_kk, times h1, plus h0 B;
+        then gather-scattered.
         """
-        D2 = self.D * self.D
-        if not config.enabled():
-            diag = np.einsum("mi,ekjm->ekji", D2, self.geom.grr, optimize=True)
-            diag += np.einsum("mj,ekmi->ekji", D2, self.geom.gss, optimize=True)
-            diag += np.einsum("mk,emji->ekji", D2, self.geom.gtt, optimize=True)
-            diag *= h1
-            diag += h0 * self.geom.mass
-            return self.gs(diag)
-        cache = get_plan_cache()
-        shape = self.mesh.field_shape()
-        with get_arena().scratch(shape, n=2) as (diag, tmp):
-            cache.einsum("mi,ekjm->ekji", D2, self.geom.grr, out=diag)
-            cache.einsum("mj,ekmi->ekji", D2, self.geom.gss, out=tmp)
-            diag += tmp
-            cache.einsum("mk,emji->ekji", D2, self.geom.gtt, out=tmp)
-            diag += tmp
-            diag *= h1
-            np.multiply(h0, self.geom.mass, out=tmp)
-            diag += tmp
-            return self.gs(diag)  # gs returns a fresh array; diag stays pooled
+        kxy, cww, hb = self.helmholtz_weights(h1, h0)
+        nq = self.mesh.nq
+        local = self._wk * np.diagonal(kxy).reshape(nq, nq)
+        local += np.diagonal(self.S)[:, None, None] * cww
+        return self.gs(np.broadcast_to(local + hb, self.mesh.field_shape()))
 
     # -- differential operators (collocation / strong form) -------------------
     def grad(self, f: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

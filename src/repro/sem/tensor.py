@@ -41,15 +41,6 @@ def apply_1d_z_reference(A: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("ck,ekji->ecji", A, f, optimize=True)
 
 
-def local_grad_transpose_reference(
-    D: np.ndarray, gr: np.ndarray, gs: np.ndarray, gt: np.ndarray
-) -> np.ndarray:
-    out = apply_1d_x_reference(D.T, gr)
-    out += apply_1d_y_reference(D.T, gs)
-    out += apply_1d_z_reference(D.T, gt)
-    return out
-
-
 # -- optimized paths ----------------------------------------------------
 
 def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -182,27 +173,6 @@ def local_grad(
     apply_1d_y(D, f, out=fs)
     apply_1d_z(D, f, out=ft)
     return fr, fs, ft
-
-
-def local_grad_transpose(
-    D: np.ndarray, gr: np.ndarray, gs: np.ndarray, gt: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Adjoint of :func:`local_grad`: D_r^T gr + D_s^T gs + D_t^T gt.
-
-    This is the element-local piece of the weak (integrated-by-parts)
-    divergence/stiffness operators.
-    """
-    if not config.enabled():
-        return _into(local_grad_transpose_reference(D, gr, gs, gt), out)
-    DT = D.T  # a strided view; BLAS consumes it without a copy
-    out = apply_1d_x(DT, gr, out=out)
-    with get_arena().scratch(out.shape, out.dtype) as tmp:
-        apply_1d_y(DT, gs, out=tmp)
-        out += tmp
-        apply_1d_z(DT, gt, out=tmp)
-        out += tmp
-    return out
 
 
 def flops_local_grad(num_elements: int, nq: int) -> int:

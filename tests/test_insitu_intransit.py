@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.catalyst.pipeline import RenderPipeline
 from repro.insitu import InTransitRunner
 from repro.nekrs.cases import weak_scaled_rbc_case
-from repro.parallel import run_spmd
+from repro.parallel import SerialCommunicator, run_spmd
 
 
 def _case_builder(steps=3):
@@ -76,6 +77,16 @@ class TestModes:
         pngs = list((tmp_path / "catalyst").glob("*.png"))
         assert end.images == len(pngs) == 6  # 2 images x 3 steps
         assert end.files_bytes == sum(p.stat().st_size for p in pngs)
+
+    def test_endpoint_renders_through_the_declarative_pipeline(self, tmp_path):
+        """The endpoint's Catalyst adaptor holds the RenderPipeline, not
+        a bare callable: volumes are borrowed from the arena, and
+        sort-last and device residency are open to it."""
+        runner = InTransitRunner(_case_builder(), mode="catalyst",
+                                 arrays=("temperature",), output_dir=tmp_path)
+        adaptor = runner._endpoint_analysis(SerialCommunicator())
+        assert isinstance(adaptor.pipeline, RenderPipeline)
+        assert adaptor.pipeline.name == "intransit"
 
     def test_catalyst_storage_far_below_checkpoint(self, tmp_path):
         _, cat = _run("catalyst", tmp=tmp_path / "c")
