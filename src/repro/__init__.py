@@ -11,7 +11,7 @@ software stack, each implemented from scratch in Python:
     threaded back ends) standing in for MPI.
 ``repro.machine``
     Discrete-event performance model of leadership machines (Polaris,
-    JUWELS Booster): network topology, PCIe, filesystem, cost ledger.
+    JUWELS Booster): network topology, PCIe, filesystem.
 ``repro.occa``
     OCCA-style device/memory/kernel abstraction with a host backend and
     a simulated-CUDA backend that accounts device<->host transfers.

@@ -21,7 +21,6 @@ from repro.insitu.bridge import Bridge
 from repro.insitu.streamed import StreamedDataAdaptor
 from repro.insitu.intransit import InTransitRunner, InTransitResult
 from repro.insitu.instrumentation import RunProfile
-from repro.insitu.adaptive import AdaptiveTrigger
 
 __all__ = [
     "NekDataAdaptor",
@@ -30,5 +29,4 @@ __all__ = [
     "InTransitRunner",
     "InTransitResult",
     "RunProfile",
-    "AdaptiveTrigger",
 ]

@@ -25,7 +25,6 @@ from repro.machine.specs import (
 from repro.machine.topology import DragonflyPlusTopology
 from repro.machine.netmodel import NetworkModel, PcieModel, CollectiveModel
 from repro.machine.fsmodel import FilesystemModel
-from repro.machine.clock import SimClock, CostLedger
 
 __all__ = [
     "GpuSpec",
@@ -40,6 +39,4 @@ __all__ = [
     "PcieModel",
     "CollectiveModel",
     "FilesystemModel",
-    "SimClock",
-    "CostLedger",
 ]

@@ -12,25 +12,17 @@ from pathlib import Path
 
 from repro.parallel.comm import Communicator
 from repro.sensei.analyses.histogram import HistogramAnalysis
-from repro.sensei.analyses.autocorrelation import AutocorrelationAnalysis
 from repro.sensei.analyses.posthoc_io import VTKPosthocIO
-from repro.sensei.analyses.slice_extract import SliceExtract
 from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
 from repro.sensei.analyses.adios_adaptor import ADIOSAnalysisAdaptor
-from repro.sensei.analyses.binning import DataBinning
 from repro.sensei.analyses.particles import ParticleTracer
 from repro.sensei.analyses.steering import DivergenceGuard, SteadyStateDetector
-from repro.sensei.analyses.probe import HistoryPoints
 
 __all__ = [
-    "HistoryPoints",
     "HistogramAnalysis",
-    "AutocorrelationAnalysis",
     "VTKPosthocIO",
-    "SliceExtract",
     "CatalystAnalysisAdaptor",
     "ADIOSAnalysisAdaptor",
-    "DataBinning",
     "ParticleTracer",
     "DivergenceGuard",
     "SteadyStateDetector",
@@ -42,19 +34,13 @@ def default_factories() -> dict:
     """Registry mapping XML type names to adaptor factories."""
     return {
         "histogram": _make_histogram,
-        "autocorrelation": _make_autocorrelation,
         "PosthocIO": _make_posthoc,
-        "vtkposthocio": _make_posthoc,
-        "slice": _make_slice,
         "catalyst": _make_catalyst,
         "adios": _make_adios,
-        "sst": _make_adios,
-        "binning": _make_binning,
         "particles": _make_particles,
         "divergence_guard": _make_divergence_guard,
         "steady_state": _make_steady_state,
         "compressed_io": _make_compressed_io,
-        "history_points": _make_history_points,
     }
 
 
@@ -65,16 +51,6 @@ def _make_histogram(comm: Communicator, attrs: dict, output_dir: Path):
         array_name=attrs.get("array", "pressure"),
         bins=int(attrs.get("bins", "32")),
         output_dir=output_dir if attrs.get("file", "1") not in ("0", "no") else None,
-    )
-
-
-def _make_autocorrelation(comm: Communicator, attrs: dict, output_dir: Path):
-    return AutocorrelationAnalysis(
-        comm,
-        mesh_name=attrs.get("mesh", "mesh"),
-        array_name=attrs.get("array", "pressure"),
-        window=int(attrs.get("window", "10")),
-        k_max=int(attrs.get("kmax", "3")),
     )
 
 
@@ -89,35 +65,12 @@ def _make_posthoc(comm: Communicator, attrs: dict, output_dir: Path):
     )
 
 
-def _make_slice(comm: Communicator, attrs: dict, output_dir: Path):
-    return SliceExtract(
-        comm,
-        mesh_name=attrs.get("mesh", "uniform"),
-        array_name=attrs.get("array", "pressure"),
-        axis=attrs.get("axis", "y"),
-        position=float(attrs["position"]) if "position" in attrs else None,
-        output_dir=Path(attrs.get("output", str(output_dir))),
-    )
-
-
 def _make_catalyst(comm: Communicator, attrs: dict, output_dir: Path):
     return CatalystAnalysisAdaptor.from_xml_attributes(comm, attrs, output_dir)
 
 
 def _make_adios(comm: Communicator, attrs: dict, output_dir: Path):
     return ADIOSAnalysisAdaptor.from_xml_attributes(comm, attrs)
-
-
-def _make_binning(comm: Communicator, attrs: dict, output_dir: Path):
-    axes = tuple(a.strip() for a in attrs.get("axes", "z").split(",") if a.strip())
-    return DataBinning(
-        comm,
-        array_name=attrs.get("array", "temperature"),
-        axes=axes,
-        bins=int(attrs.get("bins", "16")),
-        mesh_name=attrs.get("mesh", "mesh"),
-        output_dir=output_dir if attrs.get("file", "1") not in ("0", "no") else None,
-    )
 
 
 def _make_particles(comm: Communicator, attrs: dict, output_dir: Path):
@@ -157,25 +110,6 @@ def _make_compressed_io(comm: Communicator, attrs: dict, output_dir: Path):
     )
     return ADIOSAnalysisAdaptor(
         comm, engine, mesh_name=attrs.get("mesh", "mesh"), arrays=arrays
-    )
-
-
-def _make_history_points(comm: Communicator, attrs: dict, output_dir: Path):
-    """points="x1,y1,z1; x2,y2,z2; ..." in the XML attribute."""
-    import numpy as np
-
-    raw = attrs.get("points", "0.5,0.5,0.5")
-    points = np.array(
-        [[float(c) for c in triple.split(",")] for triple in raw.split(";")]
-    )
-    arrays = tuple(
-        a.strip() for a in attrs.get("arrays", "pressure").split(",") if a.strip()
-    )
-    return HistoryPoints(
-        comm,
-        points,
-        arrays=arrays,
-        output_dir=output_dir if attrs.get("file", "1") not in ("0", "no") else None,
     )
 
 

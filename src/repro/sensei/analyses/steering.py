@@ -20,8 +20,8 @@ from repro.parallel.comm import Communicator, ReduceOp
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import DataAdaptor
 
-#: reasons a steering guard/trigger can fire, used as the counter label
-TRIP_REASONS = ("nan", "runaway_norm", "steady", "trigger")
+#: reasons a steering guard can trip, used as the counter label
+TRIP_REASONS = ("nan", "runaway_norm", "steady")
 
 
 def record_trip(comm: Communicator, reason: str, step: int, **extra) -> None:

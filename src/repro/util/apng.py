@@ -14,8 +14,8 @@ still image shown by non-animated decoders.
 
 :class:`ApngWriter` is the streaming form (open → ``add_frame`` /
 ``add_encoded`` → ``close``): frames are written as they arrive — the
-serving transport's history replay and ``posthoc.movie`` never hold
-the whole animation in memory — and the frame count is patched into
+serving transport's history replay never holds the whole animation
+in memory — and the frame count is patched into
 the reserved ``acTL`` slot at close (one seek; any ``BytesIO`` or real
 file qualifies).  ``add_encoded`` splices already-encoded PNG bytes
 chunk-by-chunk with no re-encode, which is how the frame hub's

@@ -3,7 +3,7 @@
 The endpoint's VTU/VTI output is only trustworthy if it parses back;
 these readers load the subset of the VTK XML formats the writers emit
 (ascii and appended-raw encodings, linear hexahedra, point/cell data)
-so tests — and posthoc tooling — can round-trip every artifact.
+so tests can round-trip every artifact.
 """
 
 from __future__ import annotations

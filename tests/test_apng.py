@@ -176,29 +176,3 @@ class TestWrite:
         path = tmp_path / "movie.apng"
         n = write_apng(path, _frames(2))
         assert path.stat().st_size == n
-
-    def test_movie_pipeline_emits_apng(self, tmp_path):
-        """render_series with multiple dumps produces an .apng."""
-        from repro.nekrs import NekRSSolver
-        from repro.nekrs.cases import lid_cavity_case
-        from repro.nekrs.checkpoint import write_checkpoint
-        from repro.parallel import SerialCommunicator
-        from repro.posthoc import FldSeries, render_series
-
-        case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=1e-2)
-        solver = NekRSSolver(case, SerialCommunicator())
-        for _ in range(2):
-            r = solver.step()
-            write_checkpoint(
-                tmp_path, case.name, r.step, r.time, 0, 1,
-                {"velocity_x": solver.u, "pressure": solver.p},
-            )
-        series = FldSeries.discover(tmp_path)
-        outputs = render_series(
-            series, case, tmp_path / "frames",
-            arrays=("velocity_x",), width=64, height=64,
-        )
-        apngs = [p for p in outputs if p.suffix == ".apng"]
-        assert len(apngs) == 1
-        info = apng_info(apngs[0].read_bytes())
-        assert info["frames"] == 2

@@ -503,3 +503,94 @@ def test_only_repro_parallel_reaches_into_a_communicator():
                     and str(node.args[1].value).startswith("_")):
                 offenders.append(f"{rel}:{node.lineno} {node.func.id}")
     assert offenders == []
+
+
+# -- every module is reached -------------------------------------------------
+
+#: the modules nothing outside the tests reaches, and why each stays
+KEPT = {
+    "repro.nekrs.restart": "its bit-exact continuation tests are the only "
+    "check that NekRSSolver's persistent state is complete",
+    "repro.vtkdata.readers": "the test oracle that round-trips every "
+    "written artifact",
+}
+
+
+def _absolute_imports(nodes):
+    """``(module, name, bound_as)`` per absolute import under `nodes`;
+    `name` is None for ``import a.b``."""
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None, alias.asname or alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                yield node.module, alias.name, alias.asname or alias.name
+
+
+def test_every_src_module_is_reached_outside_tests():
+    """Source scan: a module under ``src/repro`` stays only if something
+    outside the tests reaches it.  The roots are the ``python -m``
+    entries (``repro``, ``repro.cli``, ``repro.bench.*``), the imports
+    of ``examples/`` and ``benchmarks/e2e/``, and the analysis each XML
+    type name in ``examples/``, ``repro.bench`` or the CLI constructs;
+    a reached module's imports are reached in turn.  A package import
+    reaches what its ``__init__`` re-exports, and an ``__init__``
+    reaches nothing by itself."""
+    repo = SRC.parents[1]
+    files = {}
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    packages = {m for m, path in files.items() if path.name == "__init__.py"}
+
+    def top_level(module):
+        return [node for node in ast.parse(files[module].read_text()).body
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+    def resolve(module, name):
+        if name is not None and f"{module}.{name}" in files:
+            return resolve(f"{module}.{name}", None)
+        if module not in packages:
+            return {module} & files.keys()
+        return {m for sub, sub_name, bound in _absolute_imports(top_level(module))
+                if name is None or bound == name
+                for m in resolve(sub, sub_name)}
+
+    def reaches(path):
+        return {m for module, name, _ in _absolute_imports([ast.parse(path.read_text())])
+                for m in resolve(module, name)}
+
+    roots = {"repro.__main__", "repro.cli"}
+    roots |= {m for m in files if m.startswith("repro.bench.")}
+    for path in [*repo.glob("examples/*.py"), *repo.glob("benchmarks/e2e/*.py")]:
+        roots |= reaches(path)
+
+    configs = "".join(path.read_text() for path in [
+        *repo.glob("examples/*.py"), *(SRC / "bench").glob("*.py"), SRC / "cli.py",
+    ])
+    registry = "repro.sensei.analyses"
+    bound = {b: resolve(m, n)
+             for m, n, b in _absolute_imports(top_level(registry))}
+    factories = {n.name: n for n in ast.parse(files[registry].read_text()).body
+                 if isinstance(n, ast.FunctionDef)}
+    table = next(n for n in ast.walk(factories["default_factories"])
+                 if isinstance(n, ast.Dict))
+    for key, factory in zip(table.keys, table.values):
+        if f'type="{key.value}"' not in configs:
+            continue
+        body = [factories[factory.id]]
+        names = {**bound, **{b: resolve(m, n) for m, n, b in _absolute_imports(body)}}
+        roots |= {m for node in ast.walk(body[0]) if isinstance(node, ast.Name)
+                  for m in names.get(node.id, ())}
+
+    reached, todo = set(), sorted(roots)
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(reaches(files[module]))
+
+    unreached = set(files) - packages - reached
+    assert sorted(unreached - set(KEPT)) == [], "reached only by tests"
+    assert sorted(set(KEPT) - unreached) == [], "reached now: drop from KEPT"

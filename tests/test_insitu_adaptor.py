@@ -157,6 +157,21 @@ class TestDeviceBoundary:
         adaptor.add_array(mesh, "mesh", "point", "pressure")
         assert device.transfers.d2h_count == 2
 
+    def test_host_resident_solver_pays_no_device_copies(self, comm, cuda_solver):
+        """Coupling a CPU solver crosses no device boundary: the
+        contrast the paper draws with the GPU code.  The device only
+        moves bytes; both integrate the same equations identically."""
+        case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=5e-3)
+        solver = NekRSSolver(case, comm, Device("serial"))
+        solver.run(2)
+        adaptor = NekDataAdaptor(solver)
+        for name in ("mesh", "uniform"):
+            mesh = adaptor.get_mesh(name)
+            adaptor.add_array(mesh, name, "point", "pressure")
+        assert solver.device.transfers.total_bytes == 0
+        np.testing.assert_array_equal(solver.u, cuda_solver.u)
+        np.testing.assert_array_equal(solver.p, cuda_solver.p)
+
     def test_staging_accounting(self, adaptor):
         assert adaptor.staging_bytes_current == 0
         mesh = adaptor.get_mesh("mesh")

@@ -1,4 +1,4 @@
-"""Tests for the machine model: specs, topology, network/fs/clock."""
+"""Tests for the machine model: specs, topology, network/fs."""
 
 import math
 
@@ -9,12 +9,10 @@ from repro.machine import (
     JUWELS_BOOSTER,
     ClusterSpec,
     CollectiveModel,
-    CostLedger,
     DragonflyPlusTopology,
     FilesystemModel,
     NetworkModel,
     PcieModel,
-    SimClock,
 )
 
 
@@ -209,42 +207,3 @@ class TestFilesystemModel:
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
             FilesystemModel(POLARIS.fs).write_time(100, 0)
-
-
-class TestClock:
-    def test_advance(self):
-        clk = SimClock()
-        clk.advance(1.5, "compute")
-        clk.advance(0.5, "io")
-        assert clk.now == 2.0
-        assert clk.ledger.seconds == {"compute": 1.5, "io": 0.5}
-
-    def test_advance_negative_raises(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1)
-
-    def test_sync_to(self):
-        clk = SimClock()
-        clk.advance(1.0)
-        clk.sync_to(3.0)
-        assert clk.now == 3.0
-        assert clk.ledger.seconds["wait"] == 2.0
-        clk.sync_to(2.0)  # no-op going backwards
-        assert clk.now == 3.0
-
-    def test_ledger_merge(self):
-        a, b = CostLedger(), CostLedger()
-        a.add_time("x", 1.0)
-        b.add_time("x", 2.0)
-        b.add_bytes("net", 100)
-        a.merge(b)
-        assert a.seconds["x"] == 3.0
-        assert a.nbytes["net"] == 100
-        assert a.total_seconds() == 3.0
-        assert a.total_bytes() == 100
-
-    def test_ledger_negative_raises(self):
-        with pytest.raises(ValueError):
-            CostLedger().add_time("x", -1)
-        with pytest.raises(ValueError):
-            CostLedger().add_bytes("x", -1)

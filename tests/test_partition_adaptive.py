@@ -1,9 +1,8 @@
-"""Tests for Morton partitioning and the adaptive in situ trigger."""
+"""Tests for Morton partitioning."""
 
 import numpy as np
 import pytest
 
-from repro.insitu import AdaptiveTrigger, NekDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.parallel import SerialCommunicator, run_spmd
@@ -14,7 +13,6 @@ from repro.parallel.partition import (
 )
 from repro.sem import BoxMesh, SEMOperators
 from repro.sem.gather_scatter import GatherScatter
-from repro.sensei.analysis_adaptor import AnalysisAdaptor
 
 
 class TestMortonEncode:
@@ -123,79 +121,3 @@ class TestMortonSolver:
         results = run_spmd(2, body)
         for ids, out in results:
             np.testing.assert_allclose(out, expected[ids], atol=1e-12)
-
-
-class _CountingAnalysis(AnalysisAdaptor):
-    def __init__(self):
-        self.calls = 0
-        self.finalized = False
-
-    def execute(self, data):
-        self.calls += 1
-        return True
-
-    def finalize(self):
-        self.finalized = True
-
-
-class TestAdaptiveTrigger:
-    def _setup(self, comm, **kw):
-        case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=1e-2)
-        solver = NekRSSolver(case, comm)
-        adaptor = NekDataAdaptor(solver)
-        child = _CountingAnalysis()
-        trigger = AdaptiveTrigger(comm, child, **kw)
-        return solver, adaptor, child, trigger
-
-    def _offer(self, solver, adaptor, trigger, steps):
-        for _ in range(steps):
-            r = solver.step()
-            adaptor.set_data_time_step(r.step)
-            adaptor.set_data_time(r.time)
-            trigger.execute(adaptor)
-            adaptor.release_data()
-
-    def test_first_offer_always_fires(self, comm):
-        solver, adaptor, child, trigger = self._setup(comm)
-        self._offer(solver, adaptor, trigger, 1)
-        assert child.calls == 1
-
-    def test_frozen_state_suppressed(self, comm):
-        solver, adaptor, child, trigger = self._setup(
-            comm, change_threshold=0.5
-        )
-        self._offer(solver, adaptor, trigger, 1)
-        # offer the same state repeatedly without stepping
-        for _ in range(3):
-            trigger.execute(adaptor)
-            adaptor.release_data()
-        assert child.calls == 1
-        assert trigger.suppressed == 3
-        assert trigger.firing_rate == pytest.approx(0.25)
-
-    def test_fast_transient_fires_often(self, comm):
-        solver, adaptor, child, trigger = self._setup(
-            comm, change_threshold=1e-6
-        )
-        self._offer(solver, adaptor, trigger, 4)
-        assert child.calls == 4  # spin-up changes a lot every step
-
-    def test_max_interval_safety_net(self, comm):
-        solver, adaptor, child, trigger = self._setup(
-            comm, change_threshold=1e9, max_interval=3
-        )
-        self._offer(solver, adaptor, trigger, 7)
-        # fires at offers 1, 4, 7
-        assert child.calls == 3
-
-    def test_finalize_propagates(self, comm):
-        _, _, child, trigger = self._setup(comm)
-        trigger.finalize()
-        assert child.finalized
-
-    def test_validation(self, comm):
-        child = _CountingAnalysis()
-        with pytest.raises(ValueError):
-            AdaptiveTrigger(comm, child, change_threshold=0)
-        with pytest.raises(ValueError):
-            AdaptiveTrigger(comm, child, max_interval=0)

@@ -1,15 +1,12 @@
-"""Additional property-based tests: dealiasing, point evaluation,
-Morton partitioning, compression bounds under composition."""
+"""Additional property-based tests: dealiasing, Morton partitioning,
+compression bounds under composition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import SerialCommunicator
 from repro.parallel.partition import morton_encode, morton_partition
-from repro.sem import BoxMesh
 from repro.sem.dealias import dealiased_product, project_back, to_fine
-from repro.sem.pointeval import PointLocator
 
 
 class TestDealiasProperties:
@@ -49,42 +46,6 @@ class TestDealiasProperties:
             dealiased_product(b, a, order),
             atol=1e-9,
         )
-
-
-class TestPointEvalProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        order=st.integers(2, 5),
-    )
-    def test_exact_on_random_linear_fields(self, seed, order):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = rng.normal(size=4)
-        mesh = BoxMesh((2, 2, 2), order=order)
-        loc = PointLocator(mesh)
-        x, y, z = mesh.coords()
-        field = a * x + b * y + c * z + d
-        pts = rng.uniform(0.0, 1.0, size=(8, 3))
-        vals = loc.evaluate(field, pts, SerialCommunicator())
-        expected = a * pts[:, 0] + b * pts[:, 1] + c * pts[:, 2] + d
-        np.testing.assert_allclose(vals, expected, atol=1e-9)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_located_element_contains_point(self, seed):
-        rng = np.random.default_rng(seed)
-        mesh = BoxMesh((3, 2, 4), ((0, 0, 0), (3.0, 1.0, 2.0)), order=2)
-        loc = PointLocator(mesh)
-        pts = rng.uniform(0.0, 1.0, size=(16, 3)) * [3.0, 1.0, 2.0]
-        elem, ref = loc.locate(pts)
-        assert (elem >= 0).all()
-        assert (np.abs(ref) <= 1.0 + 1e-12).all()
-        for p, e in zip(pts, elem):
-            origin_idx = np.nonzero(mesh.elem_ids == e)[0]
-            assert len(origin_idx) == 1
-            org = mesh.elem_origins[origin_idx[0]]
-            assert np.all(p >= org - 1e-9)
-            assert np.all(p <= org + mesh.elem_sizes + 1e-9)
 
 
 class TestMortonProperties:

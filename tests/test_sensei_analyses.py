@@ -8,9 +8,7 @@ from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.parallel import SerialCommunicator, run_spmd
 from repro.sensei.analyses import (
-    AutocorrelationAnalysis,
     HistogramAnalysis,
-    SliceExtract,
     VTKPosthocIO,
 )
 
@@ -78,42 +76,6 @@ class TestHistogram:
             h.execute(adaptor)
 
 
-class TestAutocorrelation:
-    def test_lag_coeffs_for_constant_signal_nan(self, comm, tiny_solver):
-        a = AutocorrelationAnalysis(comm, array_name="pressure", window=5)
-        adaptor = NekDataAdaptor(tiny_solver)
-        for step in range(3):
-            adaptor.set_data_time_step(step)
-            a.execute(adaptor)
-            adaptor.release_data()
-        # constant (zero) signal: zero variance -> NaN coefficients
-        assert np.isnan(a.results[-1].coefficients).all()
-
-    def test_perfectly_correlated_signal(self, comm, tiny_solver):
-        a = AutocorrelationAnalysis(comm, array_name="pressure", window=8, k_max=2)
-        adaptor = NekDataAdaptor(tiny_solver)
-        for step in range(8):
-            tiny_solver.p[:] = float(step)  # linear ramp in time
-            adaptor.release_data()
-            adaptor.set_data_time_step(step)
-            a.execute(adaptor)
-        c = a.results[-1].coefficients
-        assert c[0] > 0.5  # strong lag-1 correlation of a ramp
-
-    def test_window_validation(self, comm):
-        with pytest.raises(ValueError):
-            AutocorrelationAnalysis(comm, window=1)
-        with pytest.raises(ValueError):
-            AutocorrelationAnalysis(comm, window=5, k_max=5)
-
-    def test_mean_tracks_field(self, comm, tiny_solver):
-        tiny_solver.p[:] = 3.5
-        a = AutocorrelationAnalysis(comm, array_name="pressure")
-        adaptor = NekDataAdaptor(tiny_solver)
-        a.execute(adaptor)
-        assert a.results[-1].mean == pytest.approx(3.5)
-
-
 class TestVTKPosthocIO:
     def test_writes_vtu_and_vtm(self, comm, adaptor, tmp_path):
         io = VTKPosthocIO(comm, tmp_path, arrays=("pressure", "velocity_x"))
@@ -160,23 +122,3 @@ class TestVTKPosthocIO:
         assert len(vtm) == 1
         assert b'index="1"' in vtm[0].read_bytes()
         assert totals[0] == totals[1] > 0
-
-
-class TestSliceExtract:
-    def test_writes_vti_slice(self, comm, adaptor, tmp_path):
-        s = SliceExtract(comm, array_name="pressure", axis="z", output_dir=tmp_path)
-        assert s.execute(adaptor)
-        files = list(tmp_path.glob("slice_pressure_z_*.vti"))
-        assert len(files) == 1
-        assert s.bytes_written == files[0].stat().st_size
-
-    def test_bad_axis(self, comm):
-        with pytest.raises(ValueError):
-            SliceExtract(comm, axis="w")
-
-    def test_explicit_position(self, comm, adaptor, tmp_path):
-        s = SliceExtract(
-            comm, array_name="velocity_x", axis="y", position=0.5, output_dir=tmp_path
-        )
-        s.execute(adaptor)
-        assert s.slices_written == 1

@@ -155,6 +155,23 @@ class TestConfigurableAnalysis:
                 comm, '<sensei><analysis type="warp-drive"/></sensei>'
             )
 
+    @pytest.mark.parametrize("atype", [
+        "autocorrelation", "binning", "slice", "history_points",
+        "sst", "vtkposthocio",
+    ])
+    def test_one_type_name_per_analysis(self, comm, atype):
+        """Deleted analyses and the two alias names are unknown types,
+        and the error lists the eight that remain."""
+        with pytest.raises(ConfigError) as err:
+            ConfigurableAnalysis(
+                comm, f'<sensei><analysis type="{atype}"/></sensei>'
+            )
+        known = ["PosthocIO", "adios", "catalyst", "compressed_io",
+                 "divergence_guard", "histogram", "particles", "steady_state"]
+        assert str(err.value) == (
+            f"unknown analysis type {atype!r}; known: {known}"
+        )
+
     def test_stop_request_propagates(self, comm):
         _, factories = _factories()
         ca = ConfigurableAnalysis(

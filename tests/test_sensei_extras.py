@@ -1,4 +1,4 @@
-"""Tests for the extended analyses: binning, particles, steering."""
+"""Tests for the extended analyses: particles, steering."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from repro.insitu import NekDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case, rayleigh_benard_case
-from repro.parallel import SerialCommunicator, run_spmd
 from repro.sensei import ConfigurableAnalysis
 from repro.sensei.analyses import (
-    DataBinning,
     DivergenceGuard,
     ParticleTracer,
     SteadyStateDetector,
@@ -28,70 +26,6 @@ def rbc_adaptor(comm):
     adaptor.set_data_time_step(2)
     adaptor.set_data_time(solver.time)
     return solver, adaptor
-
-
-class TestDataBinning:
-    def test_z_profile_reproduces_stratification(self, comm, rbc_adaptor):
-        """Bin temperature by z: hot at the bottom, cold at the top."""
-        _, adaptor = rbc_adaptor
-        # 4 bins: GLL nodes cluster at element boundaries, so finer bins
-        # can be legitimately empty (NaN mean)
-        binning = DataBinning(comm, array_name="temperature", axes=("z",), bins=4)
-        binning.execute(adaptor)
-        r = binning.results[-1]
-        assert r.mean[0] > 0.25      # near the hot plate
-        assert r.mean[-1] < -0.25    # near the cold plate
-        valid = r.mean[np.isfinite(r.mean)]
-        assert (np.diff(valid) <= 1e-6).all()  # monotone decrease
-
-    def test_counts_cover_all_points(self, comm, rbc_adaptor):
-        solver, adaptor = rbc_adaptor
-        binning = DataBinning(comm, array_name="temperature", axes=("z",), bins=4)
-        binning.execute(adaptor)
-        assert binning.results[-1].count.sum() == solver.local_gridpoints()
-
-    def test_two_axis_binning(self, comm, rbc_adaptor):
-        _, adaptor = rbc_adaptor
-        binning = DataBinning(
-            comm, array_name="temperature", axes=("x", "z"), bins=4
-        )
-        binning.execute(adaptor)
-        assert binning.results[-1].mean.shape == (4, 4)
-
-    def test_writes_profile_file(self, comm, rbc_adaptor, tmp_path):
-        _, adaptor = rbc_adaptor
-        binning = DataBinning(
-            comm, array_name="temperature", axes=("z",), bins=4,
-            output_dir=tmp_path,
-        )
-        binning.execute(adaptor)
-        assert (tmp_path / "binning_temperature_z.txt").exists()
-
-    def test_parallel_matches_serial(self):
-        case = rayleigh_benard_case(
-            rayleigh=1e4, aspect=(1, 1), elements_per_unit=2, order=3,
-            dt=5e-3, num_steps=2,
-        )
-
-        def body(comm):
-            solver = NekRSSolver(case, comm)
-            solver.run(1)
-            adaptor = NekDataAdaptor(solver)
-            binning = DataBinning(comm, array_name="temperature", bins=6)
-            binning.execute(adaptor)
-            return binning.results[-1].mean
-
-        serial = run_spmd(1, body)[0]
-        par = run_spmd(2, body)[0]
-        np.testing.assert_allclose(par, serial, atol=1e-12)
-
-    def test_validation(self, comm):
-        with pytest.raises(ValueError):
-            DataBinning(comm, axes=())
-        with pytest.raises(ValueError):
-            DataBinning(comm, axes=("w",))
-        with pytest.raises(ValueError):
-            DataBinning(comm, bins=0)
 
 
 class TestParticleTracer:
@@ -235,7 +169,6 @@ class TestXMLRegistration:
     def test_new_types_constructible_from_xml(self, comm, tmp_path):
         xml = """
         <sensei>
-          <analysis type="binning" array="pressure" axes="z" bins="4"/>
           <analysis type="particles" count="8"/>
           <analysis type="divergence_guard" limit="1e9"/>
           <analysis type="steady_state" tolerance="1e-9"/>
@@ -243,5 +176,5 @@ class TestXMLRegistration:
         """
         ca = ConfigurableAnalysis(comm, xml, output_dir=tmp_path)
         assert ca.active_types == [
-            "binning", "particles", "divergence_guard", "steady_state"
+            "particles", "divergence_guard", "steady_state"
         ]

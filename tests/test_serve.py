@@ -549,34 +549,9 @@ class TestSteeringTrips:
         metrics = session.merged_metrics().to_json()["metrics"]
         assert metrics["repro_steering_trips_steady_total"]["value"] == 1
 
-    def test_adaptive_trigger_counts_firings(self):
-        from repro.insitu.adaptive import AdaptiveTrigger
-        from repro.insitu.adaptor import NekDataAdaptor
-        from repro.observe import TelemetrySession
-        from repro.observe.session import active
-        from repro.sensei.analysis_adaptor import AnalysisAdaptor
-
-        class Sink(AnalysisAdaptor):
-            def execute(self, data):
-                return True
-
-        session = TelemetrySession("trips")
-        case = lid_cavity_case(reynolds=100, elements=2, order=3, dt=1e-2)
-        comm = SerialCommunicator()
-        with active(session.rank(0)):
-            solver = NekRSSolver(case, comm)
-            adaptor = NekDataAdaptor(solver)
-            adaptor.set_data_time_step(1)
-            trig = AdaptiveTrigger(comm, Sink(), monitor_array="pressure",
-                                   change_threshold=1e9)
-            assert trig.execute(adaptor) is True    # first offer always fires
-            assert trig.execute(adaptor) is True    # suppressed: no change
-        metrics = session.merged_metrics().to_json()["metrics"]
-        assert metrics["repro_steering_trips_trigger_total"]["value"] == 1
-        assert trig.suppressed == 1
-
     def test_record_trip_rejects_unknown_reason(self):
         from repro.sensei.analyses.steering import record_trip
 
-        with pytest.raises(ValueError):
-            record_trip(SerialCommunicator(), "gremlins", step=1)
+        for reason in ("gremlins", "trigger"):
+            with pytest.raises(ValueError):
+                record_trip(SerialCommunicator(), reason, step=1)
