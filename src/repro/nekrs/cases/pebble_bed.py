@@ -113,7 +113,7 @@ def pebble_bed_case(
             out = np.maximum(out, 0.5 * (1.0 - np.tanh((r - radius) / h)))
         return pebble_temperature * out
 
-    def heat_source(x, y, z, t):
+    def heat_source(x, y, z):
         """Volumetric fission heating inside the pebbles."""
         h = width / (ex * order)
         out = np.zeros_like(x)

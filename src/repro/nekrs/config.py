@@ -41,6 +41,11 @@ class VelocityBC:
 
         return ev(self.u), ev(self.v), ev(self.w)
 
+    @property
+    def constant(self) -> bool:
+        """No component depends on position or time."""
+        return not any(callable(c) for c in (self.u, self.v, self.w))
+
 
 @dataclass(frozen=True)
 class ScalarBC:
@@ -57,6 +62,11 @@ class ScalarBC:
                 np.asarray(self.value(x, y, z, t), dtype=float), x.shape
             )
         return np.full_like(x, float(self.value))
+
+    @property
+    def constant(self) -> bool:
+        """The value depends on neither position nor time."""
+        return not callable(self.value)
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,7 @@ class CaseDefinition:
     initial_velocity: Callable | None = None     # fn(x,y,z) -> (u,v,w)
     initial_temperature: Callable | None = None  # fn(x,y,z) -> T
     forcing: Callable | None = None              # fn(x,y,z,t,T) -> (fx,fy,fz)
-    heat_source: Callable | None = None          # fn(x,y,z,t) -> q
+    heat_source: Callable | None = None          # fn(x,y,z) -> q, steady
     brinkman: Callable | None = None             # fn(x,y,z) -> chi >= 0
 
     def __post_init__(self):

@@ -65,6 +65,16 @@ class StepReport:
     unconverged_solves: int = 0
 
 
+def _bdf_sum(history: list, coeffs: tuple[float, ...], out: np.ndarray,
+             tmp: np.ndarray) -> np.ndarray:
+    """``out = sum_j coeffs[j] * history[-1-j]``, with `tmp` as scratch."""
+    np.multiply(history[-1], coeffs[0], out=out)
+    for j in range(1, len(coeffs)):
+        np.multiply(history[-1 - j], coeffs[j], out=tmp)
+        out += tmp
+    return out
+
+
 class NekRSSolver:
     """Time integrator for a :class:`CaseDefinition` on one rank group."""
 
@@ -137,7 +147,6 @@ class NekRSSolver:
             if temp_faces
             else np.ones(shape, dtype=bool)
         )
-        self._temp_bc_nodes = ~self.temperature_mask
         self.scalar_masks: dict[str, np.ndarray] = {}
         for spec in case.passive_scalars:
             faces = list(spec.bcs.keys())
@@ -146,6 +155,29 @@ class NekRSSolver:
                 if faces
                 else np.ones(shape, dtype=bool)
             )
+        # each mask folded into its solve's gather-scatter
+        gs = self.ops.gs
+        self._vel_index = gs.masked_index(self.velocity_mask)
+        self._pressure_index = gs.masked_index(self.pressure_mask)
+        self._temp_index = gs.masked_index(self.temperature_mask)
+        self._scalar_index = {
+            name: gs.masked_index(mask) for name, mask in self.scalar_masks.items()
+        }
+        # constant Dirichlet values and the (steady) heat source do not
+        # change from step to step: evaluated here, once
+        self._vel_bc = self._steady_dirichlet(case.velocity_bcs, 3)
+        self._temp_bc = self._steady_dirichlet(case.temperature_bcs, 1)
+        self._scalar_bc = {
+            spec.name: self._steady_dirichlet(spec.bcs, 1)
+            for spec in case.passive_scalars
+        }
+        self._heat_source = (
+            None if case.heat_source is None
+            else np.broadcast_to(case.heat_source(x, y, z), shape)
+        )
+        # an operator apply's local result and its masked gather-scatter,
+        # which CG reads until the next apply: one pair for every solve
+        self._apply_bufs = (np.empty(shape), np.empty(shape))
 
         # Brinkman penalty field (zero = fluid)
         if case.brinkman is not None:
@@ -212,37 +244,25 @@ class NekRSSolver:
     # ------------------------------------------------------------------
     # boundary conditions
     # ------------------------------------------------------------------
-    def _velocity_bc_fields(self, t: float, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fields holding Dirichlet values at BC nodes, zero elsewhere.
-
-        Pass ``out=(ub, vb, wb)`` to reuse buffers (they are zeroed).
-        """
-        shape = self.mesh.field_shape()
-        if out is None:
-            ub = np.zeros(shape)
-            vb = np.zeros(shape)
-            wb = np.zeros(shape)
-        else:
-            ub, vb, wb = out
-            ub.fill(0.0)
-            vb.fill(0.0)
-            wb.fill(0.0)
+    def _dirichlet_fields(self, bcs: dict, n: int, t: float) -> list[np.ndarray]:
+        """`n` fields (3 for velocity, 1 for a scalar) holding the values
+        of `bcs` at time `t` on their faces, zero elsewhere; a later face
+        wins a node two faces share."""
         x, y, z = self.mesh.coords()
-        for tag, bc in self.case.velocity_bcs.items():
+        fields = [np.zeros(x.shape) for _ in range(n)]
+        for tag, bc in bcs.items():
+            values = bc.evaluate(x, y, z, t)
             nodes = self.mesh.boundary_nodes(tag)
-            uu, vv, ww = bc.evaluate(x, y, z, t)
-            ub[nodes] = uu[nodes]
-            vb[nodes] = vv[nodes]
-            wb[nodes] = ww[nodes]
-        return ub, vb, wb
+            for field, value in zip(fields, values if n > 1 else (values,)):
+                field[nodes] = value[nodes]
+        return fields
 
-    def _temperature_bc_field(self, t: float) -> np.ndarray:
-        Tb = np.zeros(self.mesh.field_shape())
-        x, y, z = self.mesh.coords()
-        for tag, bc in self.case.temperature_bcs.items():
-            nodes = self.mesh.boundary_nodes(tag)
-            Tb[nodes] = bc.evaluate(x, y, z, t)[nodes]
-        return Tb
+    def _steady_dirichlet(self, bcs: dict, n: int) -> list[np.ndarray] | None:
+        """:meth:`_dirichlet_fields` of `bcs` if every face is constant
+        (treat as read-only), else None: evaluate them every step."""
+        if all(bc.constant for bc in bcs.values()):
+            return self._dirichlet_fields(bcs, n, 0.0)
+        return None
 
     # ------------------------------------------------------------------
     # linear solves
@@ -286,35 +306,30 @@ class NekRSSolver:
         h1: float,
         h0,
         mask: np.ndarray,
+        index: np.ndarray,
         tol: float,
         key: tuple,
         history: list[np.ndarray],
         a: tuple[float, ...],
+        out: np.ndarray,
     ):
-        """Solve (h1 A + h0 B) x = rhs with Dirichlet values in `lift`,
-        starting from the homogeneous part of the EXT extrapolation
-        ``sum_j a[j] * history[-1-j]`` of the field's last steps."""
+        """Solve (h1 A + h0 B) x = rhs with Dirichlet values in `lift`
+        into `out`, starting from the homogeneous part of the EXT
+        extrapolation ``sum_j a[j] * history[-1-j]`` of the field's last
+        steps.  `index` is ``gs.masked_index(mask)``."""
         arena = get_arena()
         weights, pre = self._helmholtz_operator(h1, h0, mask, key)
+        local, assembled = self._apply_bufs
 
         def apply_masked(f):
-            with arena.scratch(f.shape, f.dtype) as hb:
-                self.ops.helmholtz_apply(f, h1, h0, out=hb, weights=weights)
-                res = self.ops.assemble(hb)  # gs returns a fresh array
-            res *= mask
-            return res
+            self.ops.helmholtz_apply(f, h1, h0, out=local, weights=weights)
+            return self.ops.assemble(local, out=assembled, index=index)
 
-        with arena.scratch(rhs_local.shape, rhs_local.dtype) as hb:
-            self.ops.helmholtz_apply(lift, h1, h0, out=hb, weights=weights)
-            np.subtract(rhs_local, hb, out=hb)
-            b = self.ops.assemble(hb)
-        b *= mask
-        with arena.scratch(b.shape, b.dtype) as x0:
-            np.multiply(history[-1], a[0], out=x0)
-            with arena.scratch(b.shape, b.dtype) as tmp:
-                for j in range(1, len(a)):
-                    np.multiply(history[-1 - j], a[j], out=tmp)
-                    x0 += tmp
+        with arena.scratch(rhs_local.shape, rhs_local.dtype, n=2) as (b, x0):
+            self.ops.helmholtz_apply(lift, h1, h0, out=local, weights=weights)
+            np.subtract(rhs_local, local, out=local)
+            self.ops.assemble(local, out=b, index=index)
+            _bdf_sum(history, a, x0, local)
             x0 *= mask
             result = cg_solve(
                 apply_masked,
@@ -325,7 +340,8 @@ class NekRSSolver:
                 tol=tol,
                 max_iterations=self.case.max_iterations,
             )
-        return result.x + lift, result
+        np.add(result.x, lift, out=out)
+        return result
 
     # ------------------------------------------------------------------
     # physics terms
@@ -348,28 +364,12 @@ class NekRSSolver:
             Nz += fz
         return Nx, Ny, Nz
 
-    def _advection_term_T(self, t: float) -> np.ndarray:
+    def _advection_term_T(self) -> np.ndarray:
         NT = self._convect(self.T, self.u, self.v, self.w)
         np.negative(NT, out=NT)
-        if self.case.heat_source is not None:
-            x, y, z = self.mesh.coords()
-            NT = NT + self.case.heat_source(x, y, z, t)
+        if self._heat_source is not None:
+            NT += self._heat_source
         return NT
-
-    def _bdf_sum(self, history: list, b: tuple[float, ...]):
-        """sum_j b[j] * history[-1-j] for tuple-of-fields histories."""
-        first = history[-1]
-        if isinstance(first, tuple):
-            n = len(first)
-            out = [b[0] * first[i] for i in range(n)]
-            for j in range(1, len(b)):
-                for i in range(n):
-                    out[i] = out[i] + b[j] * history[-1 - j][i]
-            return tuple(out)
-        out = b[0] * first
-        for j in range(1, len(b)):
-            out = out + b[j] * history[-1 - j]
-        return out
 
     # ------------------------------------------------------------------
     # main step
@@ -423,36 +423,46 @@ class NekRSSolver:
             self._hist_s[name].append(field.copy())
 
         # ---- temperature ---------------------------------------------------
+        arena = get_arena()
+        shape = self.mesh.field_shape()
         scalar_iters = 0
         unconverged = 0
         if self.T is not None:
-            with tel.tracer.span("solver.scalar"):
-                self._hist_advT.append(self._advection_term_T(self.time))
-                NT_ext = self._bdf_sum(self._hist_advT[-len(a) :], a)
-                T_hat = self._bdf_sum(self._hist_T[-len(b) :], b)
+            with tel.tracer.span("solver.scalar"), \
+                    arena.scratch(shape, n=3) as (rhs, ext, tmp):
+                self._hist_advT.append(self._advection_term_T())
                 rho_cp = case.density * case.heat_capacity
                 h0 = rho_cp * b0 / dt
-                rhs = self.ops.mass_apply(rho_cp * (T_hat / dt + NT_ext))
-                Tb = self._temperature_bc_field(t_new)
-                Tb *= self._temp_bc_nodes
-                Tnew, result = self._helmholtz_solve(
+                # rho_cp (T_hat / dt + NT_ext), times B
+                _bdf_sum(self._hist_advT, a, ext, tmp)
+                _bdf_sum(self._hist_T, b, rhs, tmp)
+                rhs /= dt
+                rhs += ext
+                rhs *= rho_cp
+                self.ops.mass_apply(rhs, out=rhs)
+                (Tb,) = self._temp_bc or self._dirichlet_fields(
+                    case.temperature_bcs, 1, t_new
+                )
+                result = self._helmholtz_solve(
                     rhs,
                     Tb,
                     case.conductivity,
                     h0,
                     self.temperature_mask,
+                    self._temp_index,
                     case.scalar_tol,
                     ("temperature", h0),
                     self._hist_T,
                     a,
+                    self.T,
                 )
-                self.T[:] = Tnew
                 scalar_iters = result.iterations
                 unconverged += not result.converged
 
         # ---- passive scalars ------------------------------------------------
         for spec in case.passive_scalars:
-            with tel.tracer.span("solver.scalar"):
+            with tel.tracer.span("solver.scalar"), \
+                    arena.scratch(shape, n=3) as (rhs, ext, tmp):
                 name = spec.name
                 field = self.scalars[name]
                 adv = -self._convect(field, self.u, self.v, self.w)
@@ -460,62 +470,64 @@ class NekRSSolver:
                     x, y, z = self.mesh.coords()
                     adv = adv + spec.source(x, y, z, self.time)
                 self._hist_advS[name].append(adv)
-                NS_ext = self._bdf_sum(self._hist_advS[name][-len(a) :], a)
-                s_hat = self._bdf_sum(self._hist_s[name][-len(b) :], b)
                 h0 = b0 / dt
-                rhs = self.ops.mass_apply(s_hat / dt + NS_ext)
-                sb = np.zeros(self.mesh.field_shape())
-                if spec.bcs:
-                    x, y, z = self.mesh.coords()
-                    for tag, bc in spec.bcs.items():
-                        nodes = self.mesh.boundary_nodes(tag)
-                        sb[nodes] = bc.evaluate(x, y, z, t_new)[nodes]
-                mask = self.scalar_masks[name]
-                snew, result = self._helmholtz_solve(
+                # (s_hat / dt + NS_ext), times B
+                _bdf_sum(self._hist_advS[name], a, ext, tmp)
+                _bdf_sum(self._hist_s[name], b, rhs, tmp)
+                rhs /= dt
+                rhs += ext
+                self.ops.mass_apply(rhs, out=rhs)
+                (sb,) = self._scalar_bc[name] or self._dirichlet_fields(
+                    spec.bcs, 1, t_new
+                )
+                result = self._helmholtz_solve(
                     rhs,
-                    sb * ~mask,
+                    sb,
                     spec.diffusivity,
                     h0,
-                    mask,
+                    self.scalar_masks[name],
+                    self._scalar_index[name],
                     case.scalar_tol,
                     ("scalar", name, h0),
                     self._hist_s[name],
                     a,
+                    field,
                 )
-                field[:] = snew
                 scalar_iters += result.iterations
                 unconverged += not result.converged
 
-        # the tentative velocity and BC fields live only inside this
-        # step: borrow them from the per-rank arena
-        arena = get_arena()
-        shape = self.mesh.field_shape()
-        us, vs, ws, ub, vb, wb = (arena.borrow(shape) for _ in range(6))
+        # the tentative velocity lives only inside this step: borrow it
+        # from the per-rank arena
+        us, vs, ws = (arena.borrow(shape) for _ in range(3))
         try:
             # ---- advection / tentative velocity -----------------------------
-            with tel.tracer.span("solver.advection"):
+            with tel.tracer.span("solver.advection"), \
+                    arena.scratch(shape, n=2) as (hat, tmp):
                 self._hist_adv.append(self._advection_terms(self.time))
-                Nx, Ny, Nz = self._bdf_sum(self._hist_adv[-len(a) :], a)
-                uh, vh, wh = self._bdf_sum(self._hist_u[-len(b) :], b)
-                for star, hat, adv in ((us, uh, Nx), (vs, vh, Ny), (ws, wh, Nz)):
-                    np.multiply(adv, dt, out=star)
+                # (N_ext dt + u_hat) / b0, per component
+                for i, star in enumerate((us, vs, ws)):
+                    _bdf_sum([h[i] for h in self._hist_adv], a, hat, tmp)
+                    np.multiply(hat, dt, out=star)
+                    _bdf_sum([h[i] for h in self._hist_u], b, hat, tmp)
                     star += hat
                     star /= b0
                 # embed Dirichlet values so the pressure sees inflow flux
-                self._velocity_bc_fields(t_new, out=(ub, vb, wb))
+                ub, vb, wb = self._vel_bc or self._dirichlet_fields(
+                    case.velocity_bcs, 3, t_new
+                )
                 bc_nodes = self._vel_bc_nodes
                 np.copyto(us, ub, where=bc_nodes)
                 np.copyto(vs, vb, where=bc_nodes)
                 np.copyto(ws, wb, where=bc_nodes)
 
             # ---- pressure Poisson -------------------------------------------
-            with tel.tracer.span("solver.pressure"):
-                with arena.scratch(shape) as dtmp:
-                    self.ops.div(us, vs, ws, out=dtmp)
-                    dtmp *= -(b0 / dt)
-                    self.ops.mass_apply(dtmp, out=dtmp)
-                    rp = self.ops.assemble(dtmp)  # fresh array from gs
-                rp *= self.pressure_mask
+            with tel.tracer.span("solver.pressure"), \
+                    arena.scratch(shape, n=2) as (rp, x0buf):
+                local, assembled = self._apply_bufs
+                self.ops.div(us, vs, ws, out=local)
+                local *= -(b0 / dt)
+                self.ops.mass_apply(local, out=local)
+                self.ops.assemble(local, out=rp, index=self._pressure_index)
                 project = (
                     self.ops.project_out_nullspace
                     if self.pressure_needs_mean_fix
@@ -523,28 +535,25 @@ class NekRSSolver:
                 )
 
                 def apply_pressure(f):
-                    with arena.scratch(f.shape, f.dtype) as sb:
-                        self.ops.stiffness_apply(f, out=sb)
-                        res = self.ops.assemble(sb)
-                    res *= self.pressure_mask
-                    return res
+                    self.ops.stiffness_apply(f, out=local)
+                    return self.ops.assemble(
+                        local, out=assembled, index=self._pressure_index
+                    )
 
-                pre_p = self._pressure_preconditioner()
-                with arena.scratch(shape) as x0buf:
-                    guess = self._pressure_proj.guess(rp, out=x0buf)
-                    pres = cg_solve(
-                        apply_pressure,
-                        rp,
-                        self.ops.dot,
-                        precond=pre_p,
-                        x0=guess,
-                        tol=case.pressure_tol,
-                        max_iterations=case.max_iterations,
-                        project_nullspace=project,
-                    )
-                    self._pressure_proj.update(
-                        pres.x, apply_pressure, project, guess=guess
-                    )
+                guess = self._pressure_proj.guess(rp, out=x0buf)
+                pres = cg_solve(
+                    apply_pressure,
+                    rp,
+                    self.ops.dot,
+                    precond=self._pressure_preconditioner(),
+                    x0=guess,
+                    tol=case.pressure_tol,
+                    max_iterations=case.max_iterations,
+                    project_nullspace=project,
+                )
+                self._pressure_proj.update(
+                    pres.x, apply_pressure, project, guess=guess
+                )
                 self.p[:] = pres.x
                 unconverged += not pres.converged
                 with arena.scratch(shape, n=3) as (px, py, pz):
@@ -555,39 +564,37 @@ class NekRSSolver:
                         star -= g
 
             # ---- viscous Helmholtz solves -----------------------------------
-            with tel.tracer.span("solver.viscous"):
+            with tel.tracer.span("solver.viscous"), \
+                    arena.scratch(shape) as rhs:
                 h0_scalar = case.density * b0 / dt
                 h0 = h0_scalar if self.chi is None else h0_scalar + self.chi
                 vel_iters = 0
-                new_vel = []
                 vel_key = ("velocity", h0_scalar)
                 rho_b0_dt = case.density * (b0 / dt)
-                with arena.scratch(shape, n=2) as (rhs_buf, lift_buf):
-                    for i, (star, lift_field) in enumerate(
-                        ((us, ub), (vs, vb), (ws, wb))
-                    ):
-                        np.multiply(star, rho_b0_dt, out=rhs_buf)
-                        self.ops.mass_apply(rhs_buf, out=rhs_buf)
-                        np.multiply(lift_field, bc_nodes, out=lift_buf)
-                        sol, result = self._helmholtz_solve(
-                            rhs_buf,
-                            lift_buf,
-                            case.viscosity,
-                            h0,
-                            self.velocity_mask,
-                            case.velocity_tol,
-                            vel_key,
-                            [h[i] for h in self._hist_u[-len(a):]],
-                            a,
-                        )
-                        new_vel.append(sol)
-                        vel_iters += result.iterations
-                        unconverged += not result.converged
-                self.u[:] = new_vel[0]
-                self.v[:] = new_vel[1]
-                self.w[:] = new_vel[2]
+                for i, (star, lift, field) in enumerate(
+                    ((us, ub, self.u), (vs, vb, self.v), (ws, wb, self.w))
+                ):
+                    np.multiply(star, rho_b0_dt, out=rhs)
+                    self.ops.mass_apply(rhs, out=rhs)
+                    # the components solve independently, so each
+                    # lands in its field at once
+                    result = self._helmholtz_solve(
+                        rhs,
+                        lift,
+                        case.viscosity,
+                        h0,
+                        self.velocity_mask,
+                        self._vel_index,
+                        case.velocity_tol,
+                        vel_key,
+                        [h[i] for h in self._hist_u],
+                        a,
+                        field,
+                    )
+                    vel_iters += result.iterations
+                    unconverged += not result.converged
         finally:
-            arena.release(us, vs, ws, ub, vb, wb)
+            arena.release(us, vs, ws)
 
         # ---- bookkeeping -----------------------------------------------------
         all_hists = [self._hist_u, self._hist_T, self._hist_adv, self._hist_advT]

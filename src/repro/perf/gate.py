@@ -228,13 +228,15 @@ def _kernel_compositing():
     return lambda: _spmd_seconds(body, nranks)
 
 
-#: the ``_factored`` rows' reference half runs the factored operator's
-#: allocating twin, not the D-form their unsuffixed names timed
+#: the ``_factored`` row's reference half runs the factored operator's
+#: allocating twin, not the D-form its unsuffixed name timed; the
+#: ``_one_pass`` rows' runs the one-pass weighted dot, not the
+#: three-pass one their ``_factored`` names timed
 KERNELS = {
     "gather_scatter_setup": _kernel_gather_scatter_setup,
     "stiffness_apply_factored": _kernel_stiffness_apply,
-    "cg_solve_factored": _kernel_cg_solve,
-    "solver_step_factored": _kernel_solver_step,
+    "cg_solve_one_pass": _kernel_cg_solve,
+    "solver_step_one_pass": _kernel_solver_step,
     "rasterize_mesh": _kernel_rasterize_mesh,
     "compositing": _kernel_compositing,
 }

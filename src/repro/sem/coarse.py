@@ -102,7 +102,9 @@ class CoarseGrid:
             coarse = np.bincount(self.ids, weights=corner.ravel(), minlength=self.nc)
             if self.comm.size > 1:
                 coarse = self.comm.allreduce_array(coarse, ReduceOp.SUM)
-            np.take(self.inverse @ coarse, self.ids, out=corner.reshape(-1))
+            # ids are in range by construction: no bounds pass, no buffer
+            np.take(self.inverse @ coarse, self.ids, out=corner.reshape(-1),
+                    mode="clip")
             np.matmul(corner, self.P.T, out=fine.reshape(E, n))
             np.multiply(fine, self.mask, out=out)
             np.multiply(r, self.jacobi, out=fine)

@@ -60,17 +60,3 @@ def project_back(
     m = fine_count or dealias_points(order)
     _, P = _operators(order, m)
     return apply_3d(P, P, P, fine_field)
-
-
-def dealiased_product(
-    a: np.ndarray, b: np.ndarray, order: int, fine_count: int | None = None
-) -> np.ndarray:
-    """The L2 projection of the pointwise product a*b onto P_N.
-
-    Exact (alias-free) whenever deg(a*b) <= 2*M - 1, which the 3/2
-    rule guarantees for two degree-N factors.
-    """
-    m = fine_count or dealias_points(order)
-    af = to_fine(a, order, m)
-    bf = to_fine(b, order, m)
-    return project_back(af * bf, order, m)

@@ -77,21 +77,37 @@ class GatherScatter:
         self._inv_multiplicity: np.ndarray | None = None
 
     # -- core --------------------------------------------------------------
-    def __call__(self, field: np.ndarray) -> np.ndarray:
-        """Return QQ^T field (sum over all copies of each node)."""
+    def masked_index(self, mask: np.ndarray) -> np.ndarray:
+        """The gather index of ``gs(f) * mask``: masked-out nodes read
+        the zero slot after the summed values.  Build once per mask and
+        pass as ``index``."""
+        return np.where(mask.ravel(), self.inverse, self.num_local_unique)
+
+    def __call__(self, field: np.ndarray, out: np.ndarray | None = None,
+                 index: np.ndarray | None = None) -> np.ndarray:
+        """Return QQ^T field (sum over all copies of each node), written
+        into `out` (C-contiguous) if given; with
+        ``index=masked_index(mask)`` it is ``QQ^T field * mask`` in the
+        same pass."""
         if field.shape != self.shape:
             raise ValueError(
                 f"field shape {field.shape} does not match numbering {self.shape}"
             )
-        summed = np.bincount(
-            self.inverse, weights=field.ravel(), minlength=self.num_local_unique
-        )
+        # one slot past the unique ids stays zero for masked_index
+        summed = np.bincount(self.inverse, weights=field.ravel(),
+                             minlength=self.num_local_unique + 1)
         if self.comm.size > 1 and len(self.interface_ids):
             iface = np.zeros(len(self.interface_ids))
             iface[self.my_interface_global] = summed[self.my_interface_local]
             iface = self.comm.allreduce_array(iface, ReduceOp.SUM)
             summed[self.my_interface_local] = iface[self.my_interface_global]
-        return summed[self.inverse].reshape(self.shape)
+        if out is None:
+            out = np.empty(self.shape)
+        # every index is in range by construction; "clip" skips the
+        # bounds pass and the buffered copy that the default "raise" makes
+        np.take(summed, self.inverse if index is None else index,
+                out=out.reshape(-1), mode="clip")
+        return out
 
     @property
     def multiplicity(self) -> np.ndarray:
@@ -109,12 +125,3 @@ class GatherScatter:
         if self._inv_multiplicity is None:
             self._inv_multiplicity = 1.0 / self.multiplicity
         return self._inv_multiplicity
-
-    def assembled_norm_sq(self, field: np.ndarray) -> float:
-        """Sum of squares over *assembled* (deduplicated) nodes, global.
-
-        Weighs each redundant copy by 1/multiplicity so every global
-        node counts exactly once, then reduces across ranks.
-        """
-        local = float((field * field * self.inv_multiplicity).sum())
-        return float(self.comm.allreduce(local, ReduceOp.SUM))

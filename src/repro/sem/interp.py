@@ -49,11 +49,6 @@ def grid_dims(mesh: BoxMesh, samples: int) -> tuple[int, int, int]:
     return (ex * samples, ey * samples, ez * samples)
 
 
-def grid_spacing(mesh: BoxMesh, samples: int) -> tuple[float, float, float]:
-    hx, hy, hz = mesh.elem_sizes
-    return (hx / samples, hy / samples, hz / samples)
-
-
 def local_blocks(
     mesh: BoxMesh, field: np.ndarray, samples: int
 ) -> list[tuple[tuple[int, int, int], np.ndarray]]:
@@ -68,19 +63,3 @@ def local_blocks(
         ex, ey, ez = mesh.elem_lattice[e]
         out.append(((int(ex) * samples, int(ey) * samples, int(ez) * samples), res[e]))
     return out
-
-
-def assemble_global_grid(
-    mesh: BoxMesh,
-    blocks: list[tuple[tuple[int, int, int], np.ndarray]],
-    samples: int,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Place blocks (possibly gathered from all ranks) into the global
-    uniform grid, indexed [k, j, i] (shape nz, ny, nx)."""
-    nx, ny, nz = grid_dims(mesh, samples)
-    grid = np.full((nz, ny, nx), fill)
-    for (ox, oy, oz), block in blocks:
-        s = block.shape[0]
-        grid[oz : oz + s, oy : oy + s, ox : ox + s] = block
-    return grid

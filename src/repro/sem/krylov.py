@@ -57,29 +57,29 @@ def _precondition(precond, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(r, precond, out=out)
 
 
-def _starting_iterate(apply_op, b, dot, x0, project_nullspace):
-    """``(x, r, ||b||, ||r||)`` that CG starts from.
+def _starting_iterate(apply_op, b, dot, x0, project_nullspace, r):
+    """``(x, ||b||, ||r||)`` that CG starts from, its residual written
+    into `r`.
 
     `b` is taken after the nullspace projection.  A guess `x0` whose
     residual exceeds ``||b||`` is dropped for x = 0, so no solve starts
-    worse than, or iterates more than, its cold start.  Every array
+    worse than, or iterates more than, its cold start.  The `x`
     returned is fresh.
     """
-    r = b.copy()
-    if project_nullspace is not None:
-        r = project_nullspace(r)
-    b_norm = float(np.sqrt(max(dot(r, r), 0.0)))
+    start = b if project_nullspace is None else project_nullspace(b)
+    b_norm = float(np.sqrt(max(dot(start, start), 0.0)))
     if x0 is not None:
         x = x0.copy()
         if project_nullspace is not None:
             x = project_nullspace(x)
-        r_guess = b - apply_op(x)
+        np.subtract(b, apply_op(x), out=r)
         if project_nullspace is not None:
-            r_guess = project_nullspace(r_guess)
-        guess_norm = float(np.sqrt(max(dot(r_guess, r_guess), 0.0)))
+            np.copyto(r, project_nullspace(r))
+        guess_norm = float(np.sqrt(max(dot(r, r), 0.0)))
         if guess_norm <= b_norm:
-            return x, r_guess, b_norm, guess_norm
-    return np.zeros_like(b), r, b_norm, b_norm
+            return x, b_norm, guess_norm
+    np.copyto(r, start)
+    return np.zeros_like(b), b_norm, b_norm
 
 
 def cg_solve_reference(
@@ -93,7 +93,8 @@ def cg_solve_reference(
     project_nullspace: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
     """Original allocating PCG, kept as the gate/equivalence reference."""
-    x, r, b_norm, r0 = _starting_iterate(apply_op, b, dot, x0, project_nullspace)
+    r = np.empty_like(b)
+    x, b_norm, r0 = _starting_iterate(apply_op, b, dot, x0, project_nullspace, r)
     target = tol * b_norm
     if r0 <= target:
         return CGResult(x, 0, r0, r0, True)
@@ -146,7 +147,9 @@ def cg_solve(
     Parameters
     ----------
     apply_op:
-        applies the assembled, masked SPD operator.
+        applies the assembled, masked SPD operator.  The array it
+        returns is read only until its next call, so it may be one
+        buffer the caller reuses.
     b:
         right-hand side, already assembled and masked.
     dot:
@@ -178,13 +181,6 @@ def cg_solve(
 
     # x escapes in the result, so it is a real allocation; the working
     # vectors are borrowed and released on every exit path.
-    x, r_start, b_norm, r0 = _starting_iterate(
-        apply_op, b, dot, x0, project_nullspace
-    )
-    target = tol * b_norm
-    if r0 <= target:
-        return CGResult(x, 0, r0, r0, True)
-
     arena = get_arena()
     r = arena.borrow(b.shape, b.dtype)
     p = arena.borrow(b.shape, b.dtype)
@@ -196,7 +192,12 @@ def cg_solve(
     else:
         z = r  # the reference path aliases z = r too
     try:
-        np.copyto(r, r_start)
+        x, b_norm, r0 = _starting_iterate(
+            apply_op, b, dot, x0, project_nullspace, r
+        )
+        target = tol * b_norm
+        if r0 <= target:
+            return CGResult(x, 0, r0, r0, True)
         if precond is not None:
             _precondition(precond, r, z)
         rz = dot(r, z)

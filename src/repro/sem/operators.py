@@ -80,9 +80,9 @@ class SEMOperators:
         self._volume: float | None = None
         self._ndofs: float | None = None
         self._ones: np.ndarray | None = None
-        # persistent reduction buffers keyed by (shape, dtype): the
-        # inner products run every CG iteration, where even an arena
-        # borrow/release pair is measurable overhead
+        # persistent reduction buffers keyed by (shape, dtype), for
+        # :meth:`integrate`: even an arena borrow/release pair is
+        # measurable overhead on a reduction
         self._reduce_tmps: dict[tuple, np.ndarray] = {}
 
     @property
@@ -94,16 +94,16 @@ class SEMOperators:
 
     # -- inner products ----------------------------------------------------
     def dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Global assembled l2 inner product (each global dof once)."""
-        if not config.enabled():
-            local = float((u * v * self.gs.inv_multiplicity).sum())
-        else:
-            # same elementwise products and pairwise sum as the naive
-            # expression, so the two paths agree bitwise
-            tmp = self._reduce_tmp(u.shape, u.dtype)
-            np.multiply(u, v, out=tmp)
-            tmp *= self.gs.inv_multiplicity
-            local = float(tmp.sum())
+        """Global assembled l2 inner product (each global dof once).
+
+        One pass over the three fields, summed in index order in one
+        accumulator: no buffer, and no BLAS, whose threaded sums would
+        make the bits depend on the host's thread count.
+        """
+        local = float(np.einsum(
+            "i,i,i->", u.reshape(-1), self.gs.inv_multiplicity.reshape(-1),
+            v.reshape(-1),
+        ))
         return float(self.comm.allreduce(local, ReduceOp.SUM))
 
     def _reduce_tmp(self, shape, dtype) -> np.ndarray:
@@ -320,9 +320,10 @@ class SEMOperators:
         return project_back(out_fine, order, m)
 
     # -- assembly helpers ----------------------------------------------------
-    def assemble(self, f: np.ndarray) -> np.ndarray:
-        """QQ^T f (direct-stiffness sum)."""
-        return self.gs(f)
+    def assemble(self, f: np.ndarray, out: np.ndarray | None = None,
+                 index: np.ndarray | None = None) -> np.ndarray:
+        """QQ^T f (direct-stiffness sum); see :class:`GatherScatter`."""
+        return self.gs(f, out, index)
 
     def continuize(self, f: np.ndarray) -> np.ndarray:
         """Average redundant copies so the field is single-valued."""

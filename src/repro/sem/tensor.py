@@ -173,9 +173,3 @@ def local_grad(
     apply_1d_y(D, f, out=fs)
     apply_1d_z(D, f, out=ft)
     return fr, fs, ft
-
-
-def flops_local_grad(num_elements: int, nq: int) -> int:
-    """FLOP count of one local_grad call (for the performance model)."""
-    # three tensor contractions, each 2 * Nq^4 flops per element
-    return num_elements * 3 * 2 * nq**4

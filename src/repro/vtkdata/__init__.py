@@ -12,15 +12,15 @@ implements the pieces of that model the workflow touches:
 - :class:`MultiBlockDataSet` — one block per rank, SENSEI's standard
   distributed layout,
 
-plus standards-conformant writers for ``.vtu``, ``.vti`` and ``.vtm``
+plus standards-conformant writers for ``.vtu`` and ``.vtm``
 XML files (ASCII or appended raw binary encodings readable by
 ParaView).
 """
 
 from repro.vtkdata.arrays import DataArray
 from repro.vtkdata.dataset import ImageData, UnstructuredGrid, MultiBlockDataSet
-from repro.vtkdata.writers import write_vtu, write_vti, write_vtm
-from repro.vtkdata.readers import read_vtu, read_vti, read_vtm, VTKReadError
+from repro.vtkdata.writers import write_vtu, write_vtm
+from repro.vtkdata.readers import read_vtu, read_vtm, VTKReadError
 
 __all__ = [
     "DataArray",
@@ -28,10 +28,8 @@ __all__ = [
     "UnstructuredGrid",
     "MultiBlockDataSet",
     "write_vtu",
-    "write_vti",
     "write_vtm",
     "read_vtu",
-    "read_vti",
     "read_vtm",
     "VTKReadError",
 ]

@@ -1,6 +1,6 @@
 """Readers for the VTK XML files this stack writes.
 
-The endpoint's VTU/VTI output is only trustworthy if it parses back;
+The endpoint's VTU/VTM output is only trustworthy if it parses back;
 these readers load the subset of the VTK XML formats the writers emit
 (ascii and appended-raw encodings, linear hexahedra, point/cell data)
 so tests can round-trip every artifact.
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.vtkdata.arrays import CELL, POINT, DataArray
-from repro.vtkdata.dataset import ImageData, UnstructuredGrid
+from repro.vtkdata.dataset import UnstructuredGrid
 
 _NP_TYPES = {
     "Float64": np.float64,
@@ -107,25 +107,6 @@ def read_vtu(path) -> UnstructuredGrid:
             f"point count mismatch: header {expected_pts}, data {grid.num_points}"
         )
     return grid
-
-
-def read_vti(path) -> ImageData:
-    """Read a .vti written by :func:`repro.vtkdata.writers.write_vti`."""
-    raw = Path(path).read_bytes()
-    root, appended = _split_document(raw)
-    if root.get("type") != "ImageData":
-        raise VTKReadError(f"not an ImageData file: {path}")
-    img_elem = root.find("ImageData")
-    extent = [int(v) for v in img_elem.get("WholeExtent", "").split()]
-    dims = (extent[1] - extent[0] + 1, extent[3] - extent[2] + 1,
-            extent[5] - extent[4] + 1)
-    origin = tuple(float(v) for v in img_elem.get("Origin", "0 0 0").split())
-    spacing = tuple(float(v) for v in img_elem.get("Spacing", "1 1 1").split())
-    image = ImageData(dims, origin=origin, spacing=spacing)
-    piece = img_elem.find("Piece")
-    if piece is not None:
-        _attach_field_data(piece, image, appended)
-    return image
 
 
 def read_vtm(path) -> list[str | None]:

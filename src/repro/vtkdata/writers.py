@@ -1,4 +1,4 @@
-"""VTK XML file writers (.vtu, .vti, .vtm).
+"""VTK XML file writers (.vtu, .vtm).
 
 The in transit endpoint's "Checkpointing" mode writes the received
 fields as VTU files (Section 4.2), so these writers produce real bytes
@@ -17,7 +17,7 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 
 from repro.vtkdata.arrays import DataArray
-from repro.vtkdata.dataset import VTK_HEXAHEDRON, ImageData, UnstructuredGrid
+from repro.vtkdata.dataset import VTK_HEXAHEDRON, UnstructuredGrid
 
 _VTK_TYPES = {
     np.dtype(np.float64): "Float64",
@@ -133,26 +133,6 @@ def write_vtu(path, grid: UnstructuredGrid, encoding: str = "appended") -> int:
     body.append("</Piece>")
     body.append("</UnstructuredGrid>")
     return _write_vtkfile(path, "UnstructuredGrid", body, appended)
-
-
-def write_vti(path, image: ImageData, encoding: str = "appended") -> int:
-    """Write an ImageData as .vti; returns bytes written."""
-    if encoding not in ("ascii", "appended"):
-        raise ValueError(f"encoding must be ascii|appended, got {encoding}")
-    path = Path(path)
-    appended = _Appended()
-    nx, ny, nz = image.dims
-    extent = f"0 {nx - 1} 0 {ny - 1} 0 {nz - 1}"
-    origin = " ".join(f"{v:.9g}" for v in image.origin)
-    spacing = " ".join(f"{v:.9g}" for v in image.spacing)
-    body = [
-        f'<ImageData WholeExtent="{extent}" Origin="{origin}" Spacing="{spacing}">',
-        f'<Piece Extent="{extent}">',
-    ]
-    body.extend(_field_data_xml(image.point_data, {}, encoding, appended))
-    body.append("</Piece>")
-    body.append("</ImageData>")
-    return _write_vtkfile(path, "ImageData", body, appended)
 
 
 def write_vtm(path, block_files: list[str | None]) -> int:

@@ -9,13 +9,15 @@ from repro.nekrs import NekRSSolver
 from repro.nekrs.config import CaseDefinition
 from repro.parallel import SerialCommunicator
 from repro.sem import BoxMesh, SEMOperators
-from repro.sem.dealias import (
-    dealias_points,
-    dealiased_product,
-    project_back,
-    to_fine,
-)
+from repro.sem.dealias import dealias_points, project_back, to_fine
 from repro.sem.quadrature import gauss_nodes_weights
+
+
+def dealiased_product(a, b, order, fine_count=None):
+    """The L2 projection of a*b onto P_N: the product on the fine Gauss
+    grid, projected back (what ``convect_dealiased`` does per term)."""
+    m = fine_count or dealias_points(order)
+    return project_back(to_fine(a, order, m) * to_fine(b, order, m), order, m)
 
 
 class TestGaussQuadrature:

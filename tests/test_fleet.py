@@ -734,6 +734,11 @@ def _dir_bytes(root):
 
 
 # What the fleet loop writes at the commit that last recorded it.  The
+# one-pass weighted dot (one `einsum` over u, 1/multiplicity and v in
+# place of a three-pass pairwise sum) moved the solution by round-off:
+# `checkpoint_4+1` (12 of 15 files) was re-recorded after the
+# two-level, warm-against-cold and physics suites passed on it; the
+# three PNG scenarios did not move.  Before that, the
 # pressure solve starting from the projection onto its last 8 solutions,
 # and the Helmholtz solves from the EXT extrapolation of their history,
 # moved the solution within its tolerance: `checkpoint_4+1` (8 of 15

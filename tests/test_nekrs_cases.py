@@ -73,9 +73,9 @@ class TestPebbleBedCase:
         centers, radius = pebble_centers(2)
         q_in = case.heat_source(
             np.array([centers[0, 0]]), np.array([centers[0, 1]]),
-            np.array([centers[0, 2]]), 0.0,
+            np.array([centers[0, 2]]),
         )
-        q_out = case.heat_source(np.array([0.0]), np.array([0.0]), np.array([0.0]), 0.0)
+        q_out = case.heat_source(np.array([0.0]), np.array([0.0]), np.array([0.0]))
         assert q_in[0] > 10 * max(q_out[0], 1e-30)
 
     def test_temperature_enabled(self):

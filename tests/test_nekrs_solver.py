@@ -266,6 +266,61 @@ class TestSolverBookkeeping:
         assert tiny_solver.local_gridpoints() == 8 * 4**3
 
 
+class TestTimeInvariantInputs:
+    """The heat source and constant Dirichlet values are evaluated once,
+    at setup; a callable boundary value every step."""
+
+    STEPS = 3
+
+    @staticmethod
+    def _counting(fn, calls):
+        def counted(*args):
+            calls.append(args[-1])
+            return fn(*args)
+        return counted
+
+    def test_heat_source_is_evaluated_once(self):
+        case = pebble_bed_case(num_pebbles=2, elements_per_unit=2, order=3,
+                               dt=1e-3)
+        calls = []
+        case = case.with_overrides(
+            heat_source=self._counting(case.heat_source, calls),
+        )
+        solver = NekRSSolver(case, SerialCommunicator())
+        assert len(calls) == 1
+        solver.run(self.STEPS)
+        assert len(calls) == 1
+
+    def test_constant_dirichlet_fields_are_built_once(self, monkeypatch):
+        from repro.nekrs.config import ScalarBC, VelocityBC
+
+        calls = []
+        for cls in (VelocityBC, ScalarBC):
+            monkeypatch.setattr(cls, "evaluate",
+                                self._counting(cls.evaluate, calls))
+        case = rayleigh_benard_case(rayleigh=1e4, aspect=(1, 1),
+                                    elements_per_unit=2, order=3, dt=5e-3)
+        solver = NekRSSolver(case, SerialCommunicator())
+        at_setup = len(calls)
+        assert at_setup == 4        # two velocity and two temperature faces
+        solver.run(self.STEPS)
+        assert len(calls) == at_setup
+
+    def test_a_callable_boundary_value_is_evaluated_every_step(self):
+        base = lid_cavity_case(elements=2, order=3, dt=5e-3)
+        lid_calls = []
+        lid = base.velocity_bcs[BoundaryTag.ZMAX]
+        bcs = dict(base.velocity_bcs)
+        bcs[BoundaryTag.ZMAX] = type(lid)(u=self._counting(lid.u, lid_calls))
+        solver = NekRSSolver(base.with_overrides(velocity_bcs=bcs),
+                             SerialCommunicator())
+        assert lid_calls == []
+        solver.run(self.STEPS)
+        # each step evaluates the lid at its new time level
+        assert lid_calls == pytest.approx(
+            [n * 5e-3 for n in range(1, self.STEPS + 1)])
+
+
 class TestUnconvergedSolves:
     """A solve that stops short of its tolerance is counted, not silent."""
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.partition import morton_encode, morton_partition
-from repro.sem.dealias import dealiased_product, project_back, to_fine
+from repro.sem.dealias import dealias_points, project_back, to_fine
+
+
+def dealiased_product(a, b, order, fine_count=None):
+    """The L2 projection of a*b onto P_N: the product on the fine Gauss
+    grid, projected back (what ``convect_dealiased`` does per term)."""
+    m = fine_count or dealias_points(order)
+    return project_back(to_fine(a, order, m) * to_fine(b, order, m), order, m)
 
 
 class TestDealiasProperties:

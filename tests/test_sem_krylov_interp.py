@@ -6,13 +6,18 @@ import pytest
 from repro.parallel import SerialCommunicator, run_spmd
 from repro.sem import BoxMesh, SEMOperators, cg_solve, BoundaryTag
 from repro.sem.krylov import ResidualProjection
-from repro.sem.interp import (
-    assemble_global_grid,
-    grid_dims,
-    grid_spacing,
-    local_blocks,
-    resample_field,
-)
+from repro.sem.interp import grid_dims, local_blocks, resample_field
+
+
+def assemble_global_grid(mesh, blocks, samples, fill=0.0):
+    """Place `local_blocks` output (from any ranks) into the global
+    uniform grid, indexed [k, j, i]."""
+    nx, ny, nz = grid_dims(mesh, samples)
+    grid = np.full((nz, ny, nx), fill)
+    for (ox, oy, oz), block in blocks:
+        s = block.shape[0]
+        grid[oz : oz + s, oy : oy + s, ox : ox + s] = block
+    return grid
 
 
 class TestCGOnSPDMatrix:
@@ -292,7 +297,7 @@ class TestResampling:
         res = resample_field(mesh, f, samples=5)
         # compare against the polynomial evaluated at the sample points
         blocks = local_blocks(mesh, f, samples=5)
-        sp = grid_spacing(mesh, 5)
+        sp = [h / 5 for h in mesh.elem_sizes]
         for (ox, oy, oz), block in blocks:
             for k in range(5):
                 for j in range(5):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.parallel import SerialCommunicator, run_spmd
-from repro.sem import BoxMesh, GatherScatter, GeometricFactors, SEMOperators
+from repro.sem import (
+    BoundaryTag, BoxMesh, GatherScatter, GeometricFactors, SEMOperators,
+)
 
 
 def make_ops(shape=(2, 2, 2), order=4, extent=((0, 0, 0), (1, 1, 1)), **kw):
@@ -87,7 +89,46 @@ class TestGatherScatter:
         mesh = BoxMesh((2, 1, 1), order=2)
         gs = GatherScatter(mesh.global_ids, SerialCommunicator())
         ones = np.ones(mesh.field_shape())
-        assert gs.assembled_norm_sq(ones) == pytest.approx(mesh.num_global_nodes)
+        # each copy weighs 1/multiplicity, so every node counts once
+        assert (ones * gs.inv_multiplicity).sum() == pytest.approx(
+            mesh.num_global_nodes
+        )
+
+
+class TestMaskedGatherScatter:
+    """``gs(f, out, index=gs.masked_index(mask))`` is ``gs(f) * mask``
+    in one gather, written into `out`, on every rank of a partition."""
+
+    @staticmethod
+    def _masked_and_reference(comm, periodic):
+        mesh = BoxMesh((3, 2, 2), order=3, periodic=periodic,
+                       rank=comm.rank, size=comm.size)
+        gs = GatherScatter(mesh.global_ids, comm)
+        rng = np.random.default_rng(comm.rank)
+        f = rng.normal(size=mesh.field_shape())
+        out = []
+        for mask in (~mesh.boundary_union([BoundaryTag.ZMIN, BoundaryTag.ZMAX]),
+                     rng.random(f.shape) < 0.5):
+            buf = np.full(f.shape, np.nan)
+            got = gs(f, out=buf, index=gs.masked_index(mask))
+            assert got is buf
+            out.append((got, gs(f) * mask))
+        return out
+
+    @pytest.mark.parametrize(
+        "periodic", [(False, False, False), (True, True, False)],
+        ids=["walls", "periodic"],
+    )
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    def test_equals_gs_times_mask(self, ranks, periodic):
+        # the slab partition of the 12 elements puts rank interfaces on
+        # 2 and 3 ranks, and the periodic wrap joins ranks as well
+        def body(comm):
+            return self._masked_and_reference(comm, periodic)
+
+        for pairs in run_spmd(ranks, body):
+            for got, expected in pairs:
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestOperators:

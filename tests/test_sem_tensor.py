@@ -9,7 +9,6 @@ from repro.sem.tensor import (
     apply_1d_y,
     apply_1d_z,
     apply_3d,
-    flops_local_grad,
     local_grad,
 )
 
@@ -83,8 +82,3 @@ class TestLocalGrad:
         grad_t = apply_1d_x(D.T, gr) + apply_1d_y(D.T, gs) + apply_1d_z(D.T, gt)
         rhs = (f * grad_t).sum()
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-class TestFlops:
-    def test_formula(self):
-        assert flops_local_grad(10, 6) == 10 * 3 * 2 * 6**4

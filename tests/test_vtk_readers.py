@@ -5,13 +5,10 @@ import pytest
 
 from repro.vtkdata import (
     DataArray,
-    ImageData,
     UnstructuredGrid,
     VTKReadError,
-    read_vti,
     read_vtm,
     read_vtu,
-    write_vti,
     write_vtm,
     write_vtu,
 )
@@ -55,36 +52,10 @@ class TestVtuRoundTrip:
         np.testing.assert_array_equal(out.points, grid.points)
 
     def test_wrong_type_rejected(self, tmp_path):
-        img = ImageData((2, 2, 2))
-        path = tmp_path / "i.vti"
-        write_vti(path, img)
+        path = tmp_path / "set.vtm"
+        write_vtm(path, ["a.vtu"])
         with pytest.raises(VTKReadError):
             read_vtu(path)
-
-
-class TestVtiRoundTrip:
-    @pytest.mark.parametrize("encoding", ["ascii", "appended"])
-    def test_roundtrip(self, tmp_path, rng, encoding):
-        img = ImageData((3, 4, 5), origin=(1, 2, 3), spacing=(0.5, 0.25, 0.125))
-        img.add_array(DataArray("t", rng.normal(size=img.num_points)))
-        path = tmp_path / "img.vti"
-        write_vti(path, img, encoding)
-        out = read_vti(path)
-        assert out.dims == img.dims
-        assert out.origin == img.origin
-        assert out.spacing == img.spacing
-        atol = 1e-6 if encoding == "ascii" else 0.0
-        np.testing.assert_allclose(
-            out.point_data["t"].values, img.point_data["t"].values, atol=atol
-        )
-
-    def test_volume_reshape_survives(self, tmp_path):
-        img = ImageData((2, 3, 4))
-        img.add_array(DataArray("v", np.arange(24.0)))
-        path = tmp_path / "v.vti"
-        write_vti(path, img)
-        out = read_vti(path)
-        np.testing.assert_array_equal(out.as_volume("v"), img.as_volume("v"))
 
 
 class TestVtmRoundTrip:

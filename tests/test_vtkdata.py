@@ -8,7 +8,6 @@ from repro.vtkdata import (
     ImageData,
     MultiBlockDataSet,
     UnstructuredGrid,
-    write_vti,
     write_vtm,
     write_vtu,
 )
@@ -202,16 +201,6 @@ class TestWriters:
     def test_bad_encoding(self, tmp_path):
         with pytest.raises(ValueError):
             write_vtu(tmp_path / "x.vtu", unit_hex_grid(), "base91")
-
-    @pytest.mark.parametrize("encoding", ["ascii", "appended"])
-    def test_vti(self, tmp_path, encoding):
-        img = ImageData((2, 2, 2), origin=(0, 0, 0), spacing=(1, 1, 1))
-        img.add_array(DataArray("t", np.arange(8.0)))
-        path = tmp_path / "img.vti"
-        n = write_vti(path, img, encoding)
-        raw = path.read_bytes()
-        assert len(raw) == n
-        assert b'WholeExtent="0 1 0 1 0 1"' in raw
 
     def test_vtm(self, tmp_path):
         path = tmp_path / "set.vtm"
