@@ -5,9 +5,8 @@ with a :class:`~repro.observe.live.plane.LivePlane` attached — and
 reports the wall-clock delta the live plane adds: correlation tags on
 every payload, per-rank ring collectors on every stage boundary, the
 streaming aggregator, and the SLO watchdog pass per snapshot flush.
-The acceptance budget is **< 5% overhead**; the adaptive sampler
-exists to hold that line by degrading span detail before the budget
-blows.
+The acceptance budget is **< 5% overhead**, with every stage event
+recorded: nothing trades detail for time at run time.
 
 ``python -m repro.bench.live_telemetry`` prints the table; the budget's
 one verdict is the ``perf``-marked
@@ -28,7 +27,7 @@ def measure_live_run(with_plane: bool) -> dict:
     """One small in-transit run (3 ranks, 2 steps), optionally instrumented.
 
     ``{"seconds": wall, "plane": ... or None}`` — the plane is returned
-    live so callers can inspect timelines, sampler level and SLO state.
+    live so callers can inspect timelines, ring drops and SLO state.
     """
     from repro.insitu import InTransitRunner
     from repro.nekrs.cases import weak_scaled_rbc_case
@@ -98,7 +97,7 @@ def measure_overhead(repeats: int = 3) -> dict:
         "on_s": best_on["seconds"],
         "pair_ratios": pair_ratios,
         "overhead_ratio": statistics.median(pair_ratios),
-        "sampler": plane.sampler.as_dict(),
+        "dropped": plane.aggregator.dropped_events,
         "snapshots": plane.aggregator.snapshots,
         "events": plane.aggregator.events_seen,
         "timelines_complete": sum(
@@ -118,8 +117,7 @@ def overhead_table(repeats: int = 3) -> Table:
     table.add_row(["bare run [s]", f"{out['off_s']:.3f}"])
     table.add_row(["instrumented run [s]", f"{out['on_s']:.3f}"])
     table.add_row(["overhead", f"{out['overhead_ratio'] * 100:+.2f}%"])
-    table.add_row(["sampler level", out["sampler"]["level_name"]])
-    table.add_row(["sampler downgrades", out["sampler"]["downgrades"]])
+    table.add_row(["events lost to ring overflow", out["dropped"]])
     table.add_row(["snapshots ingested", out["snapshots"]])
     table.add_row(["stage events", out["events"]])
     table.add_row(["complete timelines", out["timelines_complete"]])

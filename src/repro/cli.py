@@ -271,6 +271,8 @@ _SERVE_XML = """\
 def cmd_serve(args) -> int:
     from repro.insitu import Bridge
     from repro.nekrs import NekRSSolver
+    from repro.observe import TelemetrySession
+    from repro.observe.live import LivePlane
     from repro.parallel import run_spmd
     from repro.serve import (
         HttpFrameServer,
@@ -305,13 +307,19 @@ def cmd_serve(args) -> int:
         router = HybridRouter(policy, mode=args.route)
 
     # hub and bus are shared-memory singletons across the rank threads,
-    # exactly like the SST broker in the in-transit topology
-    hub = ServeMesh(history=args.history, max_clients=args.max_clients)
+    # exactly like the SST broker in the in-transit topology; the live
+    # plane sends its SLO advisories to the bus, and the hub's metrics
+    # land on rank 0, the rank that publishes
     bus = SteeringBus()
+    session = TelemetrySession("serve")
+    plane = LivePlane(session, bus=bus)
+    hub = ServeMesh(history=args.history, max_clients=args.max_clients,
+                    telemetry=session.rank(0))
     server = None
     client = None
     if args.port is not None:
-        server = HttpFrameServer(hub, bus, port=args.port, router=router)
+        server = HttpFrameServer(hub, bus, port=args.port, router=router,
+                                 live=plane)
         port = server.start()
         print(f"serving on http://127.0.0.1:{port}")
         print("  GET /status, /frame/<stream>, /stream/<stream>, "
@@ -333,6 +341,10 @@ def cmd_serve(args) -> int:
         return frame
 
     def body(comm):
+        with session.activate(comm.rank):
+            return rank_body(comm)
+
+    def rank_body(comm):
         from repro.adios.marshal import StepPayload, marshal_step
 
         solver = NekRSSolver(case, comm)
@@ -479,10 +491,11 @@ def cmd_intransit(args) -> int:
 def cmd_observe(args) -> int:
     import time as _time
 
-    from repro.observe.live.export import render_remote_top, render_top
+    from repro.observe.live.export import render_top
 
     if args.url:
         import json as _json
+        from urllib.error import HTTPError
         from urllib.request import urlopen
 
         base = args.url.rstrip("/")
@@ -493,13 +506,22 @@ def cmd_observe(args) -> int:
 
         frames = 1 if args.once else args.frames
         for i in range(frames):
-            health = fetch("/healthz")
-            slo = fetch("/slo")
+            try:
+                health = fetch("/healthz")
+                slo = fetch("/slo")
+            except HTTPError as exc:
+                if exc.code != 404:
+                    raise
+                print(f"observe top: {exc.url} answered 404: "
+                      "no live plane attached", file=sys.stderr)
+                return 2
             try:
                 timeline = fetch("/timeline")
-            except Exception:
-                timeline = None       # no steps retained yet (404)
-            print(render_remote_top(health, slo, timeline))
+            except HTTPError as exc:
+                if exc.code != 404:
+                    raise
+                timeline = None       # no steps retained yet
+            print(render_top(health, slo, timeline))
             if i + 1 < frames:
                 print()
                 _time.sleep(args.interval)
@@ -509,7 +531,12 @@ def cmd_observe(args) -> int:
     from repro.insitu import InTransitRunner
     from repro.nekrs.cases import weak_scaled_rbc_case
     from repro.observe import TelemetrySession
-    from repro.observe.live import LivePlane
+    from repro.observe.live import (
+        LivePlane,
+        healthz_payload,
+        slo_payload,
+        timeline_payload,
+    )
     from repro.parallel import run_spmd
 
     def case_builder(nsim):
@@ -520,6 +547,12 @@ def cmd_observe(args) -> int:
 
     session = TelemetrySession("observe-top")
     plane = LivePlane(session)
+
+    def frame() -> str:
+        code, timeline = timeline_payload(plane)
+        return render_top(healthz_payload(plane), slo_payload(plane),
+                          timeline if code == 200 else None)
+
     runner = InTransitRunner(
         case_builder,
         mode="catalyst",
@@ -533,18 +566,18 @@ def cmd_observe(args) -> int:
     )
     if args.once:
         run_spmd(args.ranks, runner.run)
-        print(render_top(plane))
+        print(frame())
         return 0
     worker = threading.Thread(
         target=run_spmd, args=(args.ranks, runner.run), daemon=True
     )
     worker.start()
     while worker.is_alive():
-        print(render_top(plane))
+        print(frame())
         print()
         worker.join(args.interval)
     worker.join()
-    print(render_top(plane))
+    print(frame())
     return 0
 
 

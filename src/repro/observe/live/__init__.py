@@ -1,17 +1,15 @@
 """repro.observe.live — the streaming telemetry plane.
 
-PR 2's :mod:`repro.observe` is post-hoc: spans and metrics merge after
-the run.  This package makes the same signals visible *while the run
-is in flight* — the regime the elastic fleet (PR 6) and live serving
-(PR 5) created — without giving up the overhead guarantee:
+:mod:`repro.observe` is post-hoc: spans and metrics merge after the
+run.  This package makes the same signals visible *while the run is
+in flight*, the regime the endpoint fleet and live serving work in:
 
 - :mod:`~repro.observe.live.correlate` — ``(run_id, step, stream)``
   step tags and the seven-stage :class:`StepTimeline`
   (solve → marshal → wire → render → composite → encode → deliver);
 - :mod:`~repro.observe.live.collector` — per-rank ring-buffer
-  collectors with delta-snapshot flush, plus the
-  :class:`AdaptiveSampler` that degrades detail
-  (stage → counters) when measured cost blows the 5% budget;
+  collectors with delta-snapshot flush; every stage event and wire
+  mark enters the ring, and ring overflow is counted, not hidden;
 - :mod:`~repro.observe.live.aggregate` — the streaming
   :class:`LiveAggregator`: rolling p50/p99 per stage, wire pairing,
   bytes on wire, windowed counts, retained step events;
@@ -19,8 +17,8 @@ is in flight* — the regime the elastic fleet (PR 6) and live serving
   burn-rate evaluation; alerts degrade ``/healthz`` and reach the
   steering bus as advisories;
 - :mod:`~repro.observe.live.export` — payloads for ``/metrics``,
-  ``/healthz``, ``/slo``, ``/timeline`` and the ``observe top``
-  dashboard;
+  ``/healthz``, ``/slo``, ``/timeline``, and the ``observe top``
+  dashboard that renders them;
 - :mod:`~repro.observe.live.plane` — :class:`LivePlane`, the facade
   that binds all of it to a :class:`TelemetrySession`.
 
@@ -29,10 +27,6 @@ See ``docs/observability.md`` ("Live telemetry").
 
 from repro.observe.live.aggregate import LiveAggregator, percentile
 from repro.observe.live.collector import (
-    LEVEL_COUNTERS,
-    LEVEL_NAMES,
-    LEVEL_STAGE,
-    AdaptiveSampler,
     NullLiveCollector,
     RingCollector,
     Snapshot,
@@ -69,14 +63,10 @@ __all__ = [
     "StepTimeline",
     "build_timeline",
     "mint_run_id",
-    "AdaptiveSampler",
     "NullLiveCollector",
     "RingCollector",
     "Snapshot",
     "WireMark",
-    "LEVEL_STAGE",
-    "LEVEL_COUNTERS",
-    "LEVEL_NAMES",
     "LiveAggregator",
     "percentile",
     "SLO_KINDS",

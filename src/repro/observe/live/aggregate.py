@@ -4,7 +4,8 @@ One aggregator per :class:`~repro.observe.live.plane.LivePlane`.
 Collectors flush delta :class:`~repro.observe.live.collector.Snapshot`
 objects each step; the aggregator folds them into
 
-- **cumulative per-stage histograms** — the same mergeable
+- **cumulative per-stage histograms** — each stage event's
+  ``t1 - t0``, folded into the same mergeable
   :class:`~repro.observe.metrics.Histogram` (bucket counts + parallel
   Welford :class:`~repro.util.timing.TimingStats`) the post-hoc
   registry uses, so live and post-hoc numbers agree by construction;
@@ -13,7 +14,7 @@ objects each step; the aggregator folds them into
 - **step event groups** — the raw :class:`StageEvent` records keyed by
   simulation step, from which :func:`~repro.observe.live.correlate.
   build_timeline` reconstructs a :class:`StepTimeline` on demand
-  (bounded: the oldest step is evicted past ``retain_steps``);
+  (bounded: the oldest step is evicted past :data:`RETAIN_STEPS`);
 - **wire pairing** — writer ``put`` marks and consumer ``got`` marks
   meet here (the two halves arrive in different ranks' snapshots) and
   become the ``wire`` stage plus the bytes-on-wire gauge;
@@ -44,6 +45,13 @@ STAGE_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
 
 _MAX_PENDING_MARKS = 4096
 
+#: durations per stage in the rolling p50/p99 window
+WINDOW = 256
+#: newest steps whose events are kept for timelines
+RETAIN_STEPS = 512
+#: how long timestamped counts stay visible to the SLO windows
+HORIZON_S = 60.0
+
 
 def percentile(values, q: float) -> float:
     """Nearest-rank percentile of a small sample (q in [0, 100])."""
@@ -57,18 +65,8 @@ def percentile(values, q: float) -> float:
 class LiveAggregator:
     """Merges rank/endpoint snapshots into rolling live state."""
 
-    def __init__(
-        self,
-        run_id: str,
-        window: int = 256,
-        retain_steps: int = 512,
-        horizon_s: float = 60.0,
-        clock=time.perf_counter,
-    ):
+    def __init__(self, run_id: str, clock=time.perf_counter):
         self.run_id = run_id
-        self.window = window
-        self.retain_steps = retain_steps
-        self.horizon_s = horizon_s
         self._clock = clock
         self._lock = threading.Lock()
         self.stage_hist: dict[str, Histogram] = {}
@@ -81,7 +79,6 @@ class LiveAggregator:
         self.bytes_put = 0
         self.bytes_got = 0
         self.last_frame: dict[str, tuple[int, float]] = {}
-        self.gauges: dict[str, float] = {}
         self.snapshots = 0
         self.events_seen = 0
         self.dropped_events = 0
@@ -94,17 +91,6 @@ class LiveAggregator:
             self.snapshots += 1
             self.ranks_seen.add(snapshot.rank)
             self.dropped_events += snapshot.dropped
-            for stage, durations in snapshot.durations.items():
-                hist = self.stage_hist.get(stage)
-                if hist is None:
-                    hist = self.stage_hist[stage] = Histogram(
-                        f"repro_live_stage_{stage}_seconds",
-                        buckets=STAGE_BUCKETS,
-                    )
-                win = self._windows.setdefault(stage, deque(maxlen=self.window))
-                for d in durations:
-                    hist.observe(d)
-                    win.append(d)
             for event in snapshot.events:
                 self._add_event_locked(event)
             for mark in snapshot.wire_marks:
@@ -122,8 +108,17 @@ class LiveAggregator:
 
     def _add_event_locked(self, event: StageEvent) -> None:
         self.events_seen += 1
+        hist = self.stage_hist.get(event.stage)
+        if hist is None:
+            hist = self.stage_hist[event.stage] = Histogram(
+                f"repro_live_stage_{event.stage}_seconds",
+                buckets=STAGE_BUCKETS,
+            )
+        seconds = event.seconds
+        hist.observe(seconds)
+        self._windows.setdefault(event.stage, deque(maxlen=WINDOW)).append(seconds)
         self._step_events.setdefault(event.step, []).append(event)
-        while len(self._step_events) > self.retain_steps:
+        while len(self._step_events) > RETAIN_STEPS:
             self._step_events.pop(min(self._step_events))
 
     def _pair_wire_locked(self, mark) -> None:
@@ -144,19 +139,10 @@ class LiveAggregator:
             put, got = other, mark
         # the shared plane clock makes the cross-rank interval
         # meaningful; attribute it to the consumer rank
-        t0, t1 = put.t, max(got.t, put.t)
         self._add_event_locked(
-            StageEvent(stage="wire", step=put.step, t0=t0, t1=t1,
-                       rank=got.rank, stream=put.stream)
+            StageEvent(stage="wire", step=put.step, t0=put.t,
+                       t1=max(got.t, put.t), rank=got.rank, stream=put.stream)
         )
-        dur = t1 - t0
-        hist = self.stage_hist.get("wire")
-        if hist is None:
-            hist = self.stage_hist["wire"] = Histogram(
-                "repro_live_stage_wire_seconds", buckets=STAGE_BUCKETS
-            )
-        hist.observe(dur)
-        self._windows.setdefault("wire", deque(maxlen=self.window)).append(dur)
 
     @staticmethod
     def _trim_pending_locked(pending: dict) -> None:
@@ -164,7 +150,7 @@ class LiveAggregator:
             pending.pop(next(iter(pending)))
 
     def _prune_counts_locked(self, now: float) -> None:
-        cutoff = now - self.horizon_s
+        cutoff = now - HORIZON_S
         for log in self._count_events.values():
             while log and log[0][0] < cutoff:
                 log.popleft()
@@ -173,10 +159,6 @@ class LiveAggregator:
     def note_frame(self, stream: str, step: int, t: float) -> None:
         with self._lock:
             self.last_frame[stream] = (step, t)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self.gauges[name] = float(value)
 
     # -- queries -------------------------------------------------------
     @property
@@ -208,11 +190,6 @@ class LiveAggregator:
             log = self._count_events.get(name, ())
             return sum(n for t, n in log if t >= now - window_s)
 
-    def rate(self, name: str, now: float | None = None,
-             window_s: float = 30.0) -> float:
-        """Events per second over the trailing window."""
-        return self.count_in_window(name, now, window_s) / window_s
-
     def frame_staleness(self, now: float | None = None) -> dict[str, float]:
         now = self._clock() if now is None else now
         with self._lock:
@@ -242,16 +219,7 @@ class LiveAggregator:
                 return tl
         return newest
 
-    def complete_timelines(self) -> list[StepTimeline]:
-        out = []
-        for step in self.steps():
-            tl = self.timeline(step)
-            if tl is not None and tl.complete:
-                out.append(tl)
-        return out
-
-    def summary(self, now: float | None = None) -> dict:
-        now = self._clock() if now is None else now
+    def summary(self) -> dict:
         stages = {
             stage: self.window_stats(stage)
             for stage in STAGES
@@ -259,7 +227,6 @@ class LiveAggregator:
         }
         with self._lock:
             counts = dict(self.counts)
-            gauges = dict(self.gauges)
             retained = len(self._step_events)
         return {
             "run_id": self.run_id,
@@ -270,9 +237,8 @@ class LiveAggregator:
             "steps_retained": retained,
             "stages": stages,
             "counts": counts,
-            "gauges": gauges,
             "bytes_on_wire": self.bytes_on_wire,
             "bytes_put": self.bytes_put,
             "bytes_got": self.bytes_got,
-            "frame_staleness_s": self.frame_staleness(now),
+            "frame_staleness_s": self.frame_staleness(),
         }

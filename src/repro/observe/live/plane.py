@@ -13,10 +13,9 @@ every rank the session creates (or has created) gets a
         print(tl.step, tl.attributed_seconds)
 
 The plane is the single ingest point: each collector flush lands here,
-feeds the :class:`~repro.observe.live.aggregate.LiveAggregator`,
-charges the measured recording cost to the
-:class:`~repro.observe.live.collector.AdaptiveSampler`, runs one
-:class:`~repro.observe.live.slo.SLOWatchdog` burn-rate pass, and
+feeds the :class:`~repro.observe.live.aggregate.LiveAggregator`, runs
+one :class:`~repro.observe.live.slo.SLOWatchdog` burn-rate pass over
+the :func:`~repro.observe.live.slo.default_slos`, and
 maintains the live plane's own ``repro_live_*`` / ``repro_slo_*``
 metrics (merged with the session's registries for ``/metrics``).
 
@@ -31,12 +30,8 @@ from __future__ import annotations
 import time
 
 from repro.observe.live.aggregate import LiveAggregator
-from repro.observe.live.collector import (
-    LEVEL_NAMES,
-    AdaptiveSampler,
-    RingCollector,
-)
-from repro.observe.live.correlate import StepTag, StepTimeline, mint_run_id
+from repro.observe.live.collector import RingCollector
+from repro.observe.live.correlate import StepTimeline, mint_run_id
 from repro.observe.live.slo import SLOWatchdog
 from repro.observe.metrics import MetricsRegistry
 
@@ -46,29 +41,12 @@ __all__ = ["LivePlane"]
 class LivePlane:
     """One run's streaming telemetry plane."""
 
-    def __init__(
-        self,
-        session,
-        run_id: str | None = None,
-        slos=None,
-        overhead_budget: float = 0.05,
-        bus=None,
-        window: int = 256,
-        retain_steps: int = 512,
-        horizon_s: float = 60.0,
-        capacity: int = 1024,
-        clock=time.perf_counter,
-    ):
+    def __init__(self, session, bus=None, clock=time.perf_counter):
         self.session = session
-        self.run_id = run_id if run_id is not None else mint_run_id(session.label)
+        self.run_id = mint_run_id(session.label)
         self._clock = clock
-        self._capacity = capacity
-        self.sampler = AdaptiveSampler(budget=overhead_budget)
-        self.aggregator = LiveAggregator(
-            self.run_id, window=window, retain_steps=retain_steps,
-            horizon_s=horizon_s, clock=clock,
-        )
-        self.watchdog = SLOWatchdog(specs=slos, bus=bus, clock=clock)
+        self.aggregator = LiveAggregator(self.run_id, clock=clock)
+        self.watchdog = SLOWatchdog(bus=bus, clock=clock)
         #: live-plane-only metrics, merged into /metrics alongside the
         #: session's per-rank registries
         self.registry = MetricsRegistry(labels={"plane": "live"})
@@ -84,28 +62,20 @@ class LivePlane:
         live = getattr(tel, "live", None)
         if isinstance(live, RingCollector) and live._plane is self:
             return live
-        collector = RingCollector(
-            self, tel.rank, capacity=self._capacity, clock=self._clock
-        )
+        collector = RingCollector(self, tel.rank, clock=self._clock)
         # call sites reach it through the slot, tagged spans through the tracer
         tel.live = tel.tracer.live = collector
         return collector
 
-    def collectors(self) -> list[RingCollector]:
-        return [
-            tel.live for tel in self.session.telemetries()
-            if isinstance(getattr(tel, "live", None), RingCollector)
-        ]
-
     def flush_all(self) -> None:
         """Drain every rank's pending delta (end of run, export time)."""
-        for collector in self.collectors():
-            collector.flush()
+        for tel in self.session.telemetries():
+            if isinstance(tel.live, RingCollector):
+                tel.live.flush()
 
     # -- the ingest point ----------------------------------------------
-    def ingest(self, snapshot, cost_s: float = 0.0, wall_s: float = 0.0) -> None:
+    def ingest(self, snapshot) -> None:
         self.aggregator.ingest(snapshot)
-        self.sampler.update(cost_s, wall_s)
         fired = self.watchdog.evaluate(self.aggregator)
         reg = self.registry
         reg.counter(
@@ -125,14 +95,6 @@ class LivePlane:
                 "repro_slo_alerts_total", "SLO watchdog alerts fired"
             ).inc(len(fired))
         reg.gauge(
-            "repro_live_sampler_level",
-            "Adaptive sampler level (0 stage, 1 counters)",
-        ).set(self.sampler.level)
-        reg.gauge(
-            "repro_live_overhead_ratio",
-            "Measured telemetry cost over wall time, last flush window",
-        ).set(self.sampler.last_ratio)
-        reg.gauge(
             "repro_live_wire_backlog_bytes",
             "Marshaled step bytes put but not yet drained", agg="max",
         ).set(self.aggregator.bytes_on_wire)
@@ -141,9 +103,6 @@ class LivePlane:
         self.aggregator.note_frame(stream, step, t)
 
     # -- correlation ---------------------------------------------------
-    def tag(self, step: int, stream: int) -> StepTag:
-        return StepTag(run_id=self.run_id, step=step, stream=stream)
-
     def timeline(self, step: int) -> StepTimeline | None:
         return self.aggregator.timeline(step)
 
@@ -166,6 +125,10 @@ class LivePlane:
         self.watchdog.recovery_finished(eid, seconds)
 
     # -- exports -------------------------------------------------------
+    @property
+    def uptime_s(self) -> float:
+        return self._clock() - self.started_at
+
     def merged_metrics(self) -> MetricsRegistry:
         merged = self.session.merged_metrics()
         merged.merge(self.registry)
@@ -180,23 +143,3 @@ class LivePlane:
 
     def prometheus(self) -> str:
         return self.merged_metrics().to_prometheus()
-
-    def healthz(self) -> dict:
-        active = len(self.watchdog.active)
-        return {
-            "status": "degraded" if active else "ok",
-            "run_id": self.run_id,
-            "uptime_s": self._clock() - self.started_at,
-            "ranks": sorted(self.aggregator.ranks_seen),
-            "steps_retained": len(self.aggregator.steps()),
-            "alerts_active": active,
-            "sampler_level": LEVEL_NAMES[self.sampler.level],
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "sampler": self.sampler.as_dict(),
-            "summary": self.aggregator.summary(),
-            "slo": self.watchdog.to_json(),
-        }

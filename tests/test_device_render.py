@@ -144,7 +144,7 @@ class TestPcieObservability:
         assert sum(s.args["nbytes"] for s in spans) == d2h.value
 
     def test_observe_top_shows_pcie_line(self):
-        from repro.observe.live.export import _pcie_line
+        from repro.observe.live.export import _pcie_line, _pcie_payload
 
         class _FakeMetrics:
             def __init__(self, values):
@@ -156,18 +156,11 @@ class TestPcieObservability:
                     return None
                 return type("C", (), {"value": value})()
 
-        class _FakePlane:
-            def __init__(self, values):
-                self._metrics = _FakeMetrics(values)
-
-            def merged_metrics(self):
-                return self._metrics
-
-        assert _pcie_line(_FakePlane({})) is None
-        line = _pcie_line(_FakePlane({
+        assert _pcie_payload(_FakeMetrics({})) is None
+        line = _pcie_line(_pcie_payload(_FakeMetrics({
             "repro_pcie_h2d_bytes_total": 2048.0,
             "repro_pcie_d2h_bytes_total": 110592.0,
-        }))
+        })))
         assert "h2d" in line and "d2h" in line and "108" in line
 
 

@@ -9,9 +9,11 @@ The acceptance contract of ``repro.observe.live``:
   data from a running ``HttpFrameServer`` mid-run;
 - an injected endpoint crash fires the recovery-time SLO alert, and
   the dead endpoint's trace track is finalized at detection time;
-- the adaptive sampler steps detail down under a forced overhead
-  budget, and rendered artifacts are byte-identical with the plane
-  on or off.
+- every stage of every step is recorded, even when the clock makes
+  recording look costly, and rendered artifacts are byte-identical
+  with the plane on or off;
+- ``observe top --url`` renders a frame against ``repro serve``'s
+  server and exits 2 with one line against a server without a plane.
 
 Marked ``observe``; the end-to-end classes reuse the ``fleet`` test
 idiom (threaded SPMD ranks, seeded injector schedules).
@@ -29,10 +31,7 @@ from repro.insitu import InTransitRunner
 from repro.nekrs.cases import weak_scaled_rbc_case
 from repro.observe import TelemetrySession, naming_violations
 from repro.observe.live import (
-    LEVEL_COUNTERS,
-    LEVEL_STAGE,
     STAGES,
-    AdaptiveSampler,
     LiveAggregator,
     LivePlane,
     SLOSpec,
@@ -128,41 +127,6 @@ class TestTimelineAttribution:
         assert doc["events"][0]["stage"] == "solve"
 
 
-# -- unit: adaptive sampler -------------------------------------------------
-
-
-class TestAdaptiveSampler:
-    def test_downgrades_when_budget_blown(self):
-        sampler = AdaptiveSampler(budget=0.05)
-        # one over-budget window reaches the floor
-        assert sampler.update(cost_s=0.02, wall_s=0.1) == LEVEL_COUNTERS
-        assert sampler.downgrades == 1
-        # already at the floor: stays
-        assert sampler.update(cost_s=0.02, wall_s=0.1) == LEVEL_COUNTERS
-        assert sampler.downgrades == 1
-
-    def test_upgrade_is_hysteretic(self):
-        sampler = AdaptiveSampler(budget=0.05, patience=3)
-        sampler.update(cost_s=0.02, wall_s=0.1)        # -> counters
-        for _ in range(2):
-            assert sampler.update(cost_s=1e-5, wall_s=0.1) != LEVEL_STAGE
-        assert sampler.update(cost_s=1e-5, wall_s=0.1) == LEVEL_STAGE
-        assert sampler.upgrades == 1
-
-    def test_borderline_window_resets_calm(self):
-        sampler = AdaptiveSampler(budget=0.05, patience=2)
-        sampler.update(cost_s=0.02, wall_s=0.1)        # -> counters
-        sampler.update(cost_s=1e-5, wall_s=0.1)        # calm 1
-        sampler.update(cost_s=0.004, wall_s=0.1)       # in-budget, not calm
-        sampler.update(cost_s=1e-5, wall_s=0.1)        # calm 1 again
-        assert sampler.level != LEVEL_STAGE
-
-    def test_tiny_wall_ignored(self):
-        sampler = AdaptiveSampler(budget=0.05, min_wall_s=1e-3)
-        assert sampler.update(cost_s=1.0, wall_s=1e-6) == LEVEL_STAGE
-        assert sampler.downgrades == 0
-
-
 # -- unit: aggregator wire pairing ------------------------------------------
 
 
@@ -224,7 +188,7 @@ class TestWirePairing:
 
 class TestSLOWatchdog:
     def test_zero_budget_count_slo_fires_and_resolves(self):
-        agg = LiveAggregator("r", horizon_s=60.0)
+        agg = LiveAggregator("r")
         dog = SLOWatchdog(specs=default_slos())
         agg.ingest(Snapshot(rank=0, seq=0, counts={"publish_stall": 1}))
         fired = dog.evaluate(agg)
@@ -241,10 +205,12 @@ class TestSLOWatchdog:
         spec = SLOSpec(name="step_latency", kind="step_latency",
                        objective=0.01, budget=0.1, min_count=4)
         dog = SLOWatchdog(specs=(spec,))
-        agg.ingest(Snapshot(rank=0, seq=0, durations={"solve": [0.5] * 3}))
+        solves = [StageEvent(stage="solve", step=s, t0=0.0, t1=0.5)
+                  for s in range(1, 5)]
+        agg.ingest(Snapshot(rank=0, seq=0, events=tuple(solves[:3])))
         assert dog.evaluate(agg) == []       # burning, but too few samples
         assert dog.burn_rates()["step_latency"] >= 1.0
-        agg.ingest(Snapshot(rank=0, seq=1, durations={"solve": [0.5]}))
+        agg.ingest(Snapshot(rank=0, seq=1, events=(solves[3],)))
         assert [a.slo for a in dog.evaluate(agg)] == ["step_latency"]
 
     def test_recovery_alert_fires_at_detection(self):
@@ -358,7 +324,6 @@ class TestLiveFleetAcceptance:
         text = plane.prometheus()
         assert "repro_live_snapshots_total" in text
         assert "repro_live_stage_solve_seconds" in text
-        assert "repro_live_sampler_level" in text
 
     def test_no_metric_name_drift_anywhere(self, live_fleet_run):
         """Registry walk: merged per-rank metrics + the plane's extras."""
@@ -454,7 +419,7 @@ class TestLiveHttpExports:
         status, _headers, body = _http_get(server, "/slo")
         doc = json.loads(body)
         assert doc["run_id"] == plane.run_id
-        assert "burn_rates" in doc and "sampler" in doc
+        assert "burn_rates" in doc
 
         status, _headers, body = _http_get(server, "/timeline")
         assert status == 200
@@ -488,24 +453,10 @@ class TestLiveHttpExports:
             assert server.stop()
 
 
-# -- overhead: sampler degradation and the 5% budget ------------------------
+# -- overhead: the 5% budget -------------------------------------------------
 
 
-class TestOverheadGovernor:
-    def test_sampler_steps_down_under_forced_pressure(self, tmp_path):
-        """A near-zero budget must provably degrade span detail."""
-        session = TelemetrySession("live-pressure")
-        plane = LivePlane(session, overhead_budget=1e-7)
-        runner = _runner(tmp_path, session, steps=2)
-        run_spmd(3, runner.run)
-        plane.flush_all()
-        assert plane.sampler.downgrades >= 1
-        assert plane.sampler.level > LEVEL_STAGE
-        # counters keep flowing even at degraded levels, so SLO
-        # evaluation never goes blind
-        assert plane.aggregator.snapshots > 0
-        assert plane.watchdog.evaluations > 0
-
+class TestOverheadBudget:
     @pytest.mark.perf
     def test_live_plane_overhead_under_5pct(self):
         """Median of 12 interleaved bare/instrumented pairs.
@@ -584,9 +535,9 @@ class TestOneClock:
         clock = FakeClock()
         clock.now = -1e6
         session = TelemetrySession("one-clock", clock=clock)
-        # every read ticks, so recording looks costly: budget it out of
-        # the sampler's reach to keep stage events flowing
-        plane = LivePlane(session, overhead_budget=10.0, clock=clock)
+        # every read ticks, so recording looks costly; the plane records
+        # every stage event regardless
+        plane = LivePlane(session, clock=clock)
         xml = (
             '<sensei><analysis type="catalyst" mesh="uniform" '
             'array="velocity_magnitude" isovalue="0.5" width="48" '
@@ -748,3 +699,45 @@ class TestCliObserveTop:
         assert "repro observe top — run" in out
         assert "solve" in out and "deliver" in out
         assert "SLO" in out and "recovery_time" in out
+
+    def test_url_against_repro_serve_renders_a_frame(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """`repro serve --port` attaches a plane: `observe top --url`
+        against it renders the stage table, SLOs and serve line."""
+        from repro.cli import main
+
+        codes = []
+        real_stop = HttpFrameServer.stop
+
+        def scrape_then_stop(server, *args, **kwargs):
+            # the run is over but the server is still up: scrape it
+            codes.append(main(["observe", "top", "--url", server.url,
+                               "--once"]))
+            return real_stop(server, *args, **kwargs)
+
+        monkeypatch.setattr(HttpFrameServer, "stop", scrape_then_stop)
+        rc = main([
+            "serve", "--case", "cavity", "--ranks", "1", "--steps", "2",
+            "--order", "3", "--port", "0", "--output", str(tmp_path),
+        ])
+        assert rc == 0 and codes == [0]
+        out = capsys.readouterr().out
+        assert "repro observe top — run serve-" in out
+        assert "p50 ms" in out and "recovery_time" in out
+        assert "serve: cache" in out
+        assert "step 2 (partial" in out     # no wire stage in situ
+
+    def test_url_without_plane_exits_2_with_one_line(self, capsys):
+        from repro.cli import main
+
+        server = HttpFrameServer(ServeMesh(relays=1, start=False))
+        server.start()
+        try:
+            rc = main(["observe", "top", "--url", server.url, "--once"])
+        finally:
+            assert server.stop()
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert f"{server.url}/slo" in line and "404" in line

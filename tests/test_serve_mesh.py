@@ -407,13 +407,6 @@ class TestGoldenSequences:
 # ---------------------------------------------------------------------------
 
 
-class _Plane:
-    """The slice of LivePlane that ``_serve_line`` reads."""
-
-    def __init__(self, tel):
-        self.merged_metrics = lambda: tel.metrics
-
-
 class TestMeshTelemetry:
     def test_cache_counters_read_the_interning_ledger(self):
         tel = Telemetry.create(rank=0)
@@ -496,22 +489,22 @@ class TestMeshTelemetry:
         assert naming_violations(tel.metrics) == []
 
     def test_observe_top_serve_line(self):
-        from repro.observe.live.export import _serve_line
+        from repro.observe.live.export import _serve_line, _serve_payload
 
         tel = Telemetry.create(rank=0)
         tel.metrics.counter("repro_serve_cache_hits_total").inc(9)
         tel.metrics.counter("repro_serve_cache_misses_total").inc(1)
         tel.metrics.gauge("repro_serve_clients").set(100)
 
-        line = _serve_line(_Plane(tel))
+        line = _serve_line(_serve_payload(tel.metrics))
         assert line == "serve: cache 9 hit / 1 miss (90%)  clients 100"
 
     def test_serve_line_absent_without_mesh_metrics(self):
-        from repro.observe.live.export import _serve_line
+        from repro.observe.live.export import _serve_payload
 
         tel = Telemetry.create(rank=0)
 
-        assert _serve_line(_Plane(tel)) is None
+        assert _serve_payload(tel.metrics) is None
 
 
 # ---------------------------------------------------------------------------
