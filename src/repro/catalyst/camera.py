@@ -75,21 +75,29 @@ class Camera:
     def project(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         eye = np.asarray(self.position, dtype=float)
-        rel = pts - eye
-        cam = rel @ self._basis.T       # columns: right, up, forward
-        x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+        cam = (pts - eye) @ self._basis.T   # columns: right, up, forward
+        # each step writes its row of one (3, N) buffer in place; the
+        # result is its (N, 3) transpose
+        out = np.empty((3, len(cam)))
+        sx, sy, z = out
+        np.copyto(z, cam[:, 2])
         if self.orthographic:
             scale = self.height / self.ortho_scale
-            sx = x * scale
-            sy = y * scale
+            np.multiply(cam[:, 0], scale, out=sx)
+            np.multiply(cam[:, 1], scale, out=sy)
         else:
             f = (self.height / 2.0) / np.tan(np.radians(self.fov_degrees) / 2.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                sx = np.where(z > 1e-9, f * x / z, np.inf)
-                sy = np.where(z > 1e-9, f * y / z, np.inf)
-        px = self.width / 2.0 + sx
-        py = self.height / 2.0 - sy     # screen y grows downward
-        return np.stack([px, py, z], axis=1)
+                np.multiply(cam[:, 0], f, out=sx)
+                sx /= z
+                np.multiply(cam[:, 1], f, out=sy)
+                sy /= z
+            behind = ~(z > 1e-9)
+            sx[behind] = np.inf
+            sy[behind] = np.inf
+        sx += self.width / 2.0
+        np.subtract(self.height / 2.0, sy, out=sy)   # screen y grows downward
+        return out.T
 
     @property
     def view_direction(self) -> np.ndarray:

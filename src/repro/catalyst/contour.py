@@ -11,13 +11,16 @@ this stack; world coordinates come from origin/spacing.
 
 Two extraction paths share the exact same per-vertex math:
 
-- the *batched* default gathers the 8 corner values of every active
-  cube at once, classifies all 6 x C tetrahedra into their 4-bit sign
-  case, and expands the crossed ones through static per-case tables
-  (crossing edges in first-use order, local face indices) with prefix
-  sums for the vertex offsets, so a whole volume contours in a handful
-  of vectorized passes instead of a Python loop per cube, tetrahedron
-  and edge;
+- the *batched* default reads each cube's 8-bit corner mask off the
+  whole lattice (in the pass that finds the candidate cubes), sizes its
+  outputs from per-mask vertex and triangle counts, then expands the
+  crossed tetrahedra `_CHUNK_CUBES` cubes at a time through static
+  tables keyed by ``tet * 16 + case`` (crossing edges in first-use
+  order, local face indices), gathering corner values, positions and
+  aux with flat ``take`` on ``cube * 8 + corner`` indices and prefix
+  sums for the vertex offsets — a handful of vectorized passes per
+  chunk instead of a Python loop per cube, tetrahedron and edge, in a
+  working set one chunk wide;
 - the original per-cube loop is kept as the reference
   (``repro.perf.naive_mode``); the two are bit-for-bit identical —
   same dtypes, same values, and the same *order*: cubes in
@@ -83,13 +86,16 @@ _CASES: dict[int, list[tuple[int, int, int]]] = {
 }
 
 
-def _build_case_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _build_case_tables() -> tuple[np.ndarray, ...]:
     """Flatten ``_CASES`` into lookup tables for the batched path.
 
-    Per case: the unique crossing edges in first-use order (the order
-    the reference creates their vertices in) resolved to cube-corner
-    pairs per tetrahedron, how many there are, the triangles as local
-    slots into that vertex list, and how many of those there are.
+    Keyed by ``tet * 16 + case``: the unique crossing edges in
+    first-use order (the order the reference creates their vertices
+    in) as cube-corner pairs, one row per ``key * 4 + slot``; how many
+    there are; the triangles as local slots into that vertex list, one
+    row per ``key * 2 + triangle``; and how many of those there are.
+    Last, the key of each of the 6 tetrahedra for each of the 256
+    above-isovalue masks of a cube's corners (bit c: corner c).
     """
     edges = np.zeros((16, 4), dtype=np.int64)
     nverts = np.zeros(16, dtype=np.int64)
@@ -106,17 +112,24 @@ def _build_case_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
         nverts[case] = len(order)
         ntris[case] = len(tris)
     # (6 tets, 16 cases, 4 slots, 2 ends) -> cube corner 0..7
-    corners = _TETS[:, _TET_EDGES[edges]]
-    return corners, nverts, faces, ntris
+    ends = _TETS[:, _TET_EDGES[edges]].reshape(-1, 2)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    keys = (bits[:, _TETS] << np.arange(4)).sum(axis=2) + np.arange(6) * 16
+    return (
+        ends, np.tile(nverts, 6), np.tile(faces.reshape(-1, 3), (6, 1)),
+        np.tile(ntris, 6), keys,
+    )
 
 
-_CASE_CORNERS, _CASE_NVERTS, _CASE_FACES, _CASE_NTRIS = _build_case_tables()
-_CASE_BITS = np.array([1, 2, 4, 8], dtype=np.int64)
+_KEY_ENDS, _KEY_NVERTS, _KEY_FACES, _KEY_NTRIS, _MASK_KEYS = _build_case_tables()
+#: vertices and triangles a cube of each corner mask emits
+_MASK_NVERTS = _KEY_NVERTS[_MASK_KEYS].sum(axis=1)
+_MASK_NTRIS = _KEY_NTRIS[_MASK_KEYS].sum(axis=1)
 
 #: active cubes expanded per batched pass; chunks split on cube
 #: boundaries in ``np.nonzero`` order, so chunking cannot change the
-#: emission order, only bound the temporaries on large volumes
-_CHUNK_CUBES = 1 << 13
+#: emission order, only bound the working set whatever the volume
+_CHUNK_CUBES = 1 << 9
 
 
 def _empty_surface() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,15 +168,14 @@ def marching_tetrahedra(
     if min(nx, ny, nz) < 2:
         return _empty_surface()
 
-    above = vol > isovalue
-    # candidate cubes: those whose 2x2x2 corners are not all on one side
-    total = np.zeros((nz - 1, ny - 1, nx - 1), dtype=np.int8)
-    for di, dj, dk in _CORNER_OFFSETS:
-        total += above[dk : dk + nz - 1, dj : dj + ny - 1, di : di + nx - 1]
-    cubes = np.nonzero((total > 0) & (total < 8))  # (ks, js, is)
+    # each cube's corner mask (bit c: corner c above the isovalue);
+    # candidates are the cubes whose corners are not all on one side
+    mask = np.zeros((nz - 1, ny - 1, nx - 1), dtype=np.uint8)
+    for c, corner in enumerate(_corners(vol > isovalue)):
+        mask |= corner.view(np.uint8) << np.uint8(c)
+    cubes = np.nonzero((mask != 0) & (mask != 255))  # (ks, js, is)
 
-    extract = _extract_batched if config.enabled() else _extract_reference
-    return extract(
+    args = (
         vol,
         aux_vol,
         isovalue,
@@ -172,70 +184,95 @@ def marching_tetrahedra(
         np.asarray(index_offset, dtype=np.int64),
         cubes,
     )
+    if config.enabled():
+        return _extract_batched(*args, mask[cubes])
+    return _extract_reference(*args)
 
 
-def _extract_batched(vol, aux_vol, isovalue, org, sp, offset, cubes):
-    """Expand all candidate cubes at once, `_CHUNK_CUBES` at a time.
+def _corners(lattice: np.ndarray):
+    """The 8 views of `lattice` that put each cube's corner c at the
+    cube's own index, in corner order."""
+    nz, ny, nx = lattice.shape
+    for di, dj, dk in _CORNER_OFFSETS:
+        yield lattice[dk : dk + nz - 1, dj : dj + ny - 1, di : di + nx - 1]
+
+
+def _extract_batched(vol, aux_vol, isovalue, org, sp, offset, cubes, masks):
+    """Expand the candidate cubes (corner `masks`), `_CHUNK_CUBES` at a
+    time, into outputs sized up front from the masks.
 
     Emits exactly what :func:`_extract_reference` appends, in the same
     order, from the same elementwise expressions — only evaluated on
     arrays of every crossed edge instead of one scalar at a time.
     """
+    blank = ~np.isfinite(vol)
+    if blank.any():
+        # thresholded/blanked region: no surface through these cubes
+        touched = np.zeros([n - 1 for n in vol.shape], dtype=bool)
+        for corner in _corners(blank):
+            touched |= corner
+        keep = ~touched[cubes]
+        cubes, masks = tuple(c[keep] for c in cubes), masks[keep]
+    if len(masks) == 0:
+        return _empty_surface()
+    vend = np.cumsum(_MASK_NVERTS[masks])
+    fend = np.cumsum(_MASK_NTRIS[masks])
+    verts = np.empty((vend[-1], 3))
+    vals = np.empty(vend[-1])
+    faces = np.empty((fend[-1], 3), dtype=np.int64)
+
     ny, nx = vol.shape[1:]
     flat_vol = vol.reshape(-1)
     flat_aux = flat_vol if aux_vol is vol else aux_vol.reshape(-1)
     ks, js, is_ = cubes
-    cube_flat = (ks * ny + js) * nx + is_
     corner_flat = (
         _CORNER_OFFSETS[:, 2] * ny + _CORNER_OFFSETS[:, 1]
     ) * nx + _CORNER_OFFSETS[:, 0]
-
-    verts, faces, vals = [], [], []
-    nverts = 0
-    for lo in range(0, len(cube_flat), _CHUNK_CUBES):
+    for lo in range(0, len(masks), _CHUNK_CUBES):
         hi = lo + _CHUNK_CUBES
-        cidx = cube_flat[lo:hi, None] + corner_flat  # (C, 8) flat corners
-        cv = flat_vol[cidx]
-        ijk = np.stack([is_[lo:hi], js[lo:hi], ks[lo:hi]], axis=1)
-        # thresholded/blanked region: no surface through these cubes
-        finite = np.isfinite(cv).all(axis=1)
-        if not finite.all():
-            cidx, cv, ijk = cidx[finite], cv[finite], ijk[finite]
-
-        case = ((cv[:, _TETS] > isovalue) * _CASE_BITS).sum(axis=2)  # (C, 6)
-        cube, tet = np.nonzero((case > 0) & (case < 15))
-        if len(cube) == 0:
-            continue
-        case = case[cube, tet]
-        crossed = np.arange(len(cube))
-        nv = _CASE_NVERTS[case]
+        v0 = vend[lo - 1] if lo else 0
+        f0 = fend[lo - 1] if lo else 0
+        cube = (ks[lo:hi] * ny + js[lo:hi]) * nx + is_[lo:hi]
+        cidx = cube[:, None] + corner_flat  # (C, 8) flat corners
+        cv = flat_vol.take(cidx)
+        key = _MASK_KEYS[masks[lo:hi]].reshape(-1)  # (C * 6) per-tet case keys
+        crossed = np.flatnonzero(_KEY_NVERTS[key])  # cube * 6 + tet
+        key = key[crossed]
+        nv = _KEY_NVERTS[key]
         first = np.cumsum(nv) - nv  # chunk-local index of each tet's vertex 0
-        ca = cv if flat_aux is flat_vol else flat_aux[cidx]
-        cpos = org + (ijk[:, None, :] + _CORNER_OFFSETS + offset) * sp  # (C, 8, 3)
 
-        # one row per crossed edge, in (cube, tet, first-use) order
-        owner = np.repeat(crossed, nv)
+        # one row per crossed edge, in (cube, tet, first-use) order; its
+        # two ends as flat (cube * 8 + corner) indices
+        owner = np.repeat(np.arange(len(crossed)), nv)
         slot = np.arange(len(owner)) - first[owner]
-        ends = _CASE_CORNERS[tet[owner], case[owner], slot]  # (V, 2) corners
-        row = cube[owner]
-        a, b = ends[:, 0], ends[:, 1]
-        va, vb = cv[row, a], cv[row, b]
+        ends = _KEY_ENDS.take(key[owner] * 4 + slot, axis=0)
+        ends += (crossed[owner] // 6 * 8)[:, None]
+        a, b = ends.T
+        va, vb = cv.take(a), cv.take(b)
         denom = vb - va
         flat = denom == 0  # the reference's guard, kept term for term
         t = np.clip((isovalue - va) / np.where(flat, 1.0, denom), 0.0, 1.0)
         t[flat] = 0.5
-        verts.append(cpos[row, a] * (1 - t)[:, None] + cpos[row, b] * t[:, None])
-        vals.append(ca[row, a] * (1 - t) + ca[row, b] * t)
+        s = 1 - t
+        ijk = np.stack([is_[lo:hi], js[lo:hi], ks[lo:hi]], axis=1) + offset
+        cpos = (org + (ijk[:, None, :] + _CORNER_OFFSETS) * sp).reshape(-1, 3)
+        out = verts[v0:v0 + len(t)]
+        np.multiply(cpos.take(a, axis=0), s[:, None], out=out)
+        out += cpos.take(b, axis=0) * t[:, None]
+        ca = cv if flat_aux is flat_vol else flat_aux.take(cidx)
+        out = vals[v0:v0 + len(t)]
+        np.multiply(ca.take(a), s, out=out)
+        out += ca.take(b) * t
 
-        nt = _CASE_NTRIS[case]
-        owner = np.repeat(crossed, nt)
+        nt = _KEY_NTRIS[key]
+        owner = np.repeat(np.arange(len(crossed)), nt)
         slot = np.arange(len(owner)) - (np.cumsum(nt) - nt)[owner]
-        faces.append(_CASE_FACES[case[owner], slot] + (nverts + first[owner])[:, None])
-        nverts += len(t)
-
-    if not verts:
-        return _empty_surface()
-    return np.concatenate(verts), np.concatenate(faces), np.concatenate(vals)
+        np.add(
+            _KEY_FACES.take(key[owner] * 2 + slot, axis=0),
+            (v0 + first[owner])[:, None],
+            out=faces[f0:f0 + len(owner)],
+        )
+    return verts, faces, vals
 
 
 def _extract_reference(vol, aux_vol, isovalue, org, sp, offset, cubes):

@@ -8,13 +8,19 @@ endpoint targets (rendering well under solver-step cost).
 
 Two fill paths share the exact same per-pixel math:
 
-- the *batched* default tests, per triangle, only the pixels whose
-  centre lies in the triangle's extent widened by ``_GUARD`` (a third of
-  the bounding-box pixels on a marching-tetrahedra surface; triangles
-  holding no centre are never expanded), evaluates all triangles of one
-  box shape as one dense ``(n, h, w)`` block, orders the survivors of
-  the inside test with one sort on ``pixel * n + submission index`` and
-  resolves the z-buffer with a grouped prefix-minimum scan;
+- the *batched* default works through the faces in fixed-size chunks
+  of `_CHUNK_FACES`, in submission order, so its working set does not
+  grow with the surface.  Per chunk it culls, and tests only the pixels
+  whose centre lies in a triangle's extent widened by ``_GUARD`` (a
+  third of the bounding-box pixels on a marching-tetrahedra surface;
+  triangles holding no centre are never expanded), as one flat array of
+  candidates — one per box pixel, gathered with ``take`` and evaluated
+  in place — in passes of about `_CHUNK_PIXELS`; it orders the
+  survivors of the inside test with one sort on ``pixel * n +
+  submission index`` and resolves the z-buffer with a grouped
+  prefix-minimum scan.  Only the vertex projection and the faces'
+  shading intensities are whole-mesh arrays: they hold the two BLAS
+  products, whose rounding may depend on their shape;
 - the original per-triangle loop is kept as the reference
   (``repro.perf.naive_mode``); the two are bit-for-bit identical —
   including ``triangles_drawn``, which counts a triangle as drawn if
@@ -39,10 +45,13 @@ import numpy as np
 from repro.catalyst.camera import Camera
 from repro.perf import config
 
-#: candidate pixels resolved per batched pass (plus at most one
-#: triangle's); passes split on triangle boundaries in submission
-#: order, so chunking cannot change the sequential z-buffer semantics
-_CHUNK_PIXELS = 1 << 19
+#: faces set up and filled per chunk, in submission order, and
+#: candidate pixels resolved per batched pass inside a chunk (plus at
+#: most one triangle's); both split on triangle boundaries, so chunking
+#: cannot change the sequential z-buffer semantics, only bound the
+#: per-face and per-candidate arrays however large the surface
+_CHUNK_FACES = 1 << 12
+_CHUNK_PIXELS = 1 << 16
 
 #: slack (pixels) around a triangle's extent when collecting the pixel
 #: centres to test, and the largest ``(ex + 2)(ey + 2) max(ex, ey) /
@@ -134,18 +143,22 @@ class Rasterizer:
             raise ValueError("vertex_colors must be (V, 3)")
 
         screen = camera.project(vertices)
-        # face normals in world space for lighting
-        v0, v1, v2 = vertices[faces.T]
-        n = np.cross(v1 - v0, v2 - v0)
-        norms = np.linalg.norm(n, axis=1)
-        norms[norms == 0] = 1.0
-        n /= norms[:, None]
         light = np.asarray(light_direction, dtype=float)
         light = light / np.linalg.norm(light)
-        intensity = ambient + (1.0 - ambient) * np.abs(n @ light)
+        # ambient + (1 - ambient) |n . light|, in place; the product
+        # keeps its whole-mesh shape (a BLAS call's rounding may depend
+        # on it, as the projection's may), the normals come in chunks
+        intensity = _unit_normals(vertices, faces) @ light
+        np.abs(intensity, out=intensity)
+        intensity *= 1.0 - ambient
+        intensity += ambient
 
         if config.enabled():
-            drawn = self._raster_batched(screen, faces, vertex_colors, intensity)
+            vok = np.isfinite(screen).all(axis=1) & (screen[:, 2] > 0)
+            drawn = sum(
+                self._raster_faces(screen, vok, faces, lo, vertex_colors, intensity)
+                for lo in range(0, len(faces), _CHUNK_FACES)
+            )
         else:
             drawn = sum(
                 self._raster_triangle(screen[f], vertex_colors[f].astype(float), i)
@@ -155,95 +168,41 @@ class Rasterizer:
         return drawn
 
     # -- batched fill --------------------------------------------------
-    def _raster_batched(
-        self, screen: np.ndarray, faces: np.ndarray, vertex_colors: np.ndarray,
-        intensity: np.ndarray,
+    def _raster_faces(
+        self, screen: np.ndarray, vok: np.ndarray, faces: np.ndarray, lo: int,
+        vertex_colors: np.ndarray, intensity: np.ndarray,
     ) -> int:
-        """Fill `faces` over projected `screen` vertices in submission order.
+        """Fill the `_CHUNK_FACES` faces from `lo` over projected `screen`
+        vertices (`vok`: finite and in front of the camera), in
+        submission order, in passes of about `_CHUNK_PIXELS` candidates.
 
         Replays the per-triangle loop's z-buffer exactly: a candidate
         pixel passes iff its z beats the depth buffer *and* every
         earlier candidate at that pixel (strict ``<``), which is what
         the sequential loop's read-modify-write sequence computes.
-
-        Candidates come from the tight pixel-centre box, or the loop's
-        full box for ill-conditioned triangles (module docstring).
         """
-        size = np.array([[self.width], [self.height]])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sx, sy, sz = np.ascontiguousarray(screen.T)
-            corner = np.ascontiguousarray(faces.T)
-            xs, ys, zs = sx[corner], sy[corner], sz[corner]
-            (ax, bx, cx), (ay, by, cy) = xs, ys
-            area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            lo = np.stack([xs.min(axis=0), ys.min(axis=0)])
-            hi = np.stack([xs.max(axis=0), ys.max(axis=0)])
-            ex, ey = hi - lo
-            # (an overflowing bound divides to inf or nan: not tight)
-            tight = (ex + 2.0) * (ey + 2.0) * np.maximum(ex, ey) / np.abs(area) <= _WELL
-            lo = np.where(tight, np.ceil(lo - (0.5 + _GUARD)), np.floor(lo))
-            hi = np.where(tight, np.floor(hi - (0.5 - _GUARD)), np.ceil(hi)) + 1.0
-            # clamp in float first so huge finite coordinates cannot
-            # overflow the int cast; out-of-range boxes collapse to empty
-            x0, y0 = origin = np.clip(lo, 0, size).astype(np.int64)
-            bw, bh = np.clip(hi, 0, size).astype(np.int64) - origin
-            # cull exactly what _raster_triangle rejects up front (a
-            # non-finite corner poisons the arithmetic above, not `sel`)
-            vok = np.isfinite(sx) & np.isfinite(sy) & np.isfinite(sz) & (sz > 0)
-            sel = np.flatnonzero(
-                vok[corner].all(axis=0) & (np.abs(area) >= 1e-12) & (bw > 0) & (bh > 0)
+            tri, count, geom, tail = _boxes(
+                screen, vok, faces[lo:lo + _CHUNK_FACES], self.width, self.height
             )
-            geom = (*xs, *ys, area, x0 + 0.5, y0 + 0.5, *zs, y0 * self.width + x0)
-            bw, bh = bw[sel], bh[sel]
-            window = (np.cumsum(bw * bh) - bw * bh) // _CHUNK_PIXELS
+            window = geom[10] // _CHUNK_PIXELS
             cuts = np.flatnonzero(np.diff(window, prepend=-1, append=-1)).tolist()
             return sum(
-                self._fill_chunk(
-                    sel[a:b], bh[a:b], bw[a:b], geom, faces, vertex_colors, intensity
+                self._fill(
+                    tri[a:b] + lo, count[a:b], geom[:, a:b], [g[a:b] for g in tail],
+                    faces, vertex_colors, intensity,
                 ) for a, b in zip(cuts[:-1], cuts[1:])
             )
 
-    def _fill_chunk(self, tri, bh, bw, geom, faces, vertex_colors, intensity) -> int:
-        """Resolve triangles `tri` (submission order) against the z-buffer;
-        ``geom[:9]`` feeds the blocks, ``geom[9:]`` the inside-test survivors."""
-        # one dense (k, h, w) block per box shape, evaluated with the
-        # same expressions as _raster_triangle
-        shape = bh * (self.width + 1) + bw
-        by_shape = np.argsort(shape, kind="stable")
-        shape, bw, tri_s = shape[by_shape], bw[by_shape], tri[by_shape]
-        # corners, area, centre of each box's first pixel
-        ax, bx, cx, ay, by, cy, area, cx0, cy0 = (
-            g[tri_s][:, None, None] for g in geom[:9]
-        )
-        first = np.concatenate(([0], np.cumsum(bh[by_shape] * bw)))
-        self.candidates_tested += int(first[-1])
-        w0, w1 = np.empty((2, first[-1]))
-        step = np.arange(float(max(self.width, self.height)))
-        edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
-        for a, b in zip(edges[:-1], edges[1:]):
-            h, w = divmod(int(shape[a]), self.width + 1)
-            block = slice(first[a], first[b])
-            px = cx0[a:b] + step[:w]
-            py = cy0[a:b] + step[:h, None]
-            cpx, cpy = cx[a:b] - px, cy[a:b] - py
-            np.divide(
-                (bx[a:b] - px) * cpy - (by[a:b] - py) * cpx, area[a:b],
-                out=w0[block].reshape(b - a, h, w),
-            )
-            np.divide(
-                cpx * (ay[a:b] - py) - cpy * (ax[a:b] - px), area[a:b],
-                out=w1[block].reshape(b - a, h, w),
-            )
-        w2 = 1.0 - w0 - w1
-        hit = np.flatnonzero((w0 >= 0) & (w1 >= 0) & (w2 >= 0))
-        if hit.size == 0:
+    def _fill(self, tri, count, geom, tail, faces, vertex_colors, intensity) -> int:
+        """Resolve faces `tri` (submission order; `count`, `geom`, `tail`
+        as :func:`_boxes` returns them) against the z-buffer."""
+        self.candidates_tested += int(count.sum())
+        sub, row, col, w0, w1, w2 = _inside(geom, count)
+        if sub.size == 0:
             return 0
-        w0, w1, w2 = w0[hit], w1[hit], w2[hit]
-        t = np.searchsorted(first, hit, side="right") - 1
-        row, col = np.divmod(hit - first[t], bw[t])
-        za, zb, zc, pix0 = (g[tri_s[t]] for g in geom[9:])
-        pix = pix0 + row * self.width + col
-        sub = by_shape[t]
+        za, zb, zc, pix0 = (g[sub] for g in tail)
+        pix = pix0 + (row * self.width + col).astype(np.int64)
         z = w0 * za + w1 * zb + w2 * zc
 
         # group candidates by pixel, submission order inside each group:
@@ -278,7 +237,7 @@ class Rasterizer:
         depth_flat[pixw] = zs[winner]
         src = order[winner]
         f = tri[tids[winner]]
-        colors = vertex_colors[faces[f]]
+        colors = np.take(vertex_colors, faces[f], axis=0)
         rgb = (
             w0[src, None] * colors[:, 0]
             + w1[src, None] * colors[:, 1]
@@ -373,3 +332,102 @@ def _gradient_rows(
     rows = ((1 - t) * np.asarray(top) + t * np.asarray(bottom)).astype(np.uint8)
     rows.flags.writeable = False
     return rows
+
+
+def _unit_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """(F, 3) world-space unit face normals (zero for degenerate faces),
+    computed `_CHUNK_FACES` rows at a time."""
+    n = np.empty((len(faces), 3))
+    for lo in range(0, len(faces), _CHUNK_FACES):
+        v0, v1, v2 = np.take(vertices, faces[lo:lo + _CHUNK_FACES].T, axis=0)
+        cross = np.cross(v1 - v0, v2 - v0)
+        norms = np.linalg.norm(cross, axis=1)
+        norms[norms == 0] = 1.0
+        np.divide(cross, norms[:, None], out=n[lo:lo + len(cross)])
+    return n
+
+
+def _boxes(screen, vok, faces, width, height):
+    """Cull `faces` and size the candidate box of each face kept.
+
+    Returns the kept faces' indices into `faces`, their boxes' pixel
+    counts, an ``(11, n)`` float table — the inside test's operands
+    ``ax bx cx ay by cy area``, the centre of the box's first pixel,
+    the box width, the index of its first candidate — and the kept
+    faces' corner depths and first pixel's framebuffer index.
+
+    Candidates come from the tight pixel-centre box, or the loop's full
+    box for ill-conditioned triangles (module docstring).
+    """
+    corner = faces.T
+    size = np.array([[width], [height]])
+    xs, ys, zs = np.take(screen.T, corner, axis=1)
+    (ax, bx, cx), (ay, by, cy) = xs, ys
+    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    lo = np.stack([xs.min(axis=0), ys.min(axis=0)])
+    hi = np.stack([xs.max(axis=0), ys.max(axis=0)])
+    ex, ey = hi - lo
+    # (an overflowing bound divides to inf or nan: not tight)
+    tight = (ex + 2.0) * (ey + 2.0) * np.maximum(ex, ey) / np.abs(area) <= _WELL
+    lo = np.where(tight, np.ceil(lo - (0.5 + _GUARD)), np.floor(lo))
+    hi = np.where(tight, np.floor(hi - (0.5 - _GUARD)), np.ceil(hi)) + 1.0
+    # clamp in float first so huge finite coordinates cannot
+    # overflow the int cast; out-of-range boxes collapse to empty
+    x0, y0 = origin = np.clip(lo, 0, size).astype(np.int64)
+    bw, bh = np.clip(hi, 0, size).astype(np.int64) - origin
+    # cull exactly what _raster_triangle rejects up front (a non-finite
+    # corner poisons the arithmetic above, not `sel`)
+    sel = np.flatnonzero(
+        vok[corner].all(axis=0) & (np.abs(area) >= 1e-12) & (bw > 0) & (bh > 0)
+    )
+    count = (bw * bh)[sel]
+    geom = np.stack([ax, bx, cx, ay, by, cy, area, x0 + 0.5, y0 + 0.5, bw])
+    geom = np.vstack([geom.take(sel, axis=1), np.cumsum(count) - count])
+    return sel, count, geom, [g[sel] for g in (*zs, y0 * width + x0)]
+
+
+def _inside(geom, count):
+    """The candidates of one pass that pass the inside test: their face
+    (index into `count`), box row and column, and barycentric weights.
+
+    One flat candidate per box pixel, row-major inside each box,
+    evaluated in place with the same expressions as
+    ``Rasterizer._raster_triangle``; pixel indices and centres are whole
+    or half numbers far below 2**53, so they come out exact in float.
+    """
+    t = np.repeat(np.arange(len(count)), count)
+    ax, bx, cx, ay, by, cy, area, px, py, bw, col = geom.take(t, axis=1)
+    row = np.arange(geom[10, 0], geom[10, 0] + len(t), dtype=float)
+    np.subtract(row, col, out=col)      # index inside the box
+    np.divide(col, bw, out=row)
+    np.floor(row, out=row)              # row = index // width
+    bw *= row
+    col -= bw                           # col = index - row * width
+    px += col
+    py += row
+    # term by term into the gathered rows (products commute exactly):
+    # w0 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / area
+    # w1 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / area
+    cx -= px
+    cy -= py
+    bx -= px
+    bx *= cy
+    by -= py
+    by *= cx
+    w0 = bx
+    w0 -= by
+    w0 /= area
+    ay -= py
+    ay *= cx
+    ax -= px
+    ax *= cy
+    w1 = ay
+    w1 -= ax
+    w1 /= area
+    w2 = np.subtract(1.0, w0, out=by)
+    w2 -= w1
+    inside = w0 >= 0
+    inside &= w1 >= 0
+    inside &= w2 >= 0
+    hit = np.flatnonzero(inside)
+    return t[hit], row[hit], col[hit], w0[hit], w1[hit], w2[hit]

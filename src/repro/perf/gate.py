@@ -127,6 +127,23 @@ def _kernel_rasterize_mesh():
     return run
 
 
+def _kernel_contour_mesh():
+    from repro.catalyst.contour import marching_tetrahedra
+
+    # a seeded smooth 16^3 field (a sum of plane waves) coloured by a
+    # second one: ~8k faces, where the reference loops per cube, per
+    # tetrahedron and per crossed edge
+    rng = np.random.default_rng(5)
+    k, j, i = np.meshgrid(*[np.arange(16.0)] * 3, indexing="ij")
+
+    def field():
+        waves = zip(rng.uniform(-0.7, 0.7, (12, 3)), rng.uniform(0, 2 * np.pi, 12))
+        return sum(np.cos(w[0] * i + w[1] * j + w[2] * k + p) for w, p in waves)
+
+    vol, aux = field(), field()
+    return lambda: marching_tetrahedra(vol, 0.0, aux=aux)
+
+
 def _spmd_seconds(body, nranks: int):
     """Run an SPMD workload once and return its machine-modeled seconds.
 
@@ -238,6 +255,7 @@ KERNELS = {
     "cg_solve_one_pass": _kernel_cg_solve,
     "solver_step_one_pass": _kernel_solver_step,
     "rasterize_mesh": _kernel_rasterize_mesh,
+    "contour_mesh": _kernel_contour_mesh,
     "compositing": _kernel_compositing,
 }
 

@@ -161,7 +161,8 @@ class ServeMesh:
             count = len(self._sessions)
             self.peak_clients = max(self.peak_clients, count)
         self.pump.attach(session, backfill=backfill)
-        tel = get_telemetry()
+        # the hub's registry, whatever thread the viewer connects from
+        tel = self._tel
         if tel.enabled:
             tel.metrics.gauge(
                 "repro_serve_clients", "Connected serving clients", agg="max"
@@ -184,7 +185,7 @@ class ServeMesh:
         with self._lock:
             self._sessions.pop(session.sid, None)
             count = len(self._sessions)
-        tel = get_telemetry()
+        tel = self._tel
         if tel.enabled:
             tel.metrics.gauge(
                 "repro_serve_clients", "Connected serving clients", agg="max"

@@ -575,6 +575,36 @@ class TestRasterizerEquivalence:
                                           slow_frames[name])
 
 
+class TestRasterizerFaceChunks:
+    """Face chunks, and the passes inside them, split on face boundaries
+    in submission order: any size draws the loop's image, and the
+    chunked normals shade as unchunked ones do."""
+
+    @pytest.mark.parametrize("faces_per_chunk,pixels", [
+        (1, 1 << 16), (7, 37), (64, 500),
+    ])
+    def test_face_chunks_match_the_loop(self, faces_per_chunk, pixels, monkeypatch):
+        from repro.catalyst import rasterizer
+
+        eq = TestRasterizerEquivalence()
+        mesh = eq._soup(7, 300, 0.06)
+        whole, nwhole, _, _ = eq._render_both(*mesh)
+        monkeypatch.setattr(rasterizer, "_CHUNK_FACES", faces_per_chunk)
+        monkeypatch.setattr(rasterizer, "_CHUNK_PIXELS", pixels)
+        fast, nfast, slow, nslow = eq._render_both(*mesh)
+        assert nfast == nslow == nwhole
+        assert fast.candidates_tested == whole.candidates_tested
+        for r in (fast, slow):
+            np.testing.assert_array_equal(r.depth, whole.depth)
+            np.testing.assert_array_equal(r.color, whole.color)
+        rng = np.random.default_rng(8)
+        tris = np.concatenate([
+            _SCREEN_BATCHES[kind](rng, 40, 48, 40)
+            for kind in ("soup", "lattice", "bad_vertices")
+        ])
+        eq._assert_screen_batches_identical(48, 40, rng.permutation(tris))
+
+
 def _assert_bitwise(got, want):
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype

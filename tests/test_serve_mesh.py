@@ -488,6 +488,20 @@ class TestMeshTelemetry:
         assert bytes_out == 2 * sum(sizes[:2]) + sum(sizes)
         assert naming_violations(tel.metrics) == []
 
+    def test_client_gauge_lands_in_the_hub_registry_from_any_thread(self):
+        # viewers connect from HTTP handler threads, where the hub's
+        # telemetry is not active: connect and disconnect must still
+        # set the hub's client gauge and mark the hub's timeline
+        tel = Telemetry.create(rank=0)
+        mesh = _quiet_mesh(telemetry=tel)
+        viewer = mesh.connect(label="v")
+        gauge = tel.metrics.get("repro_serve_clients")
+        assert gauge is not None and gauge.value == 1
+        mesh.disconnect(viewer)
+        assert gauge.value == 0
+        marks = [e.name for e in tel.tracer.events if e.name.startswith("serve.")]
+        assert marks == ["serve.connect", "serve.disconnect"]
+
     def test_observe_top_serve_line(self):
         from repro.observe.live.export import _serve_line, _serve_payload
 
