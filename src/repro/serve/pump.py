@@ -16,7 +16,9 @@ multiplexer:
   interval elapses.  The session is *externally synchronized*: it
   carries no lock of its own.  All publisher-side state is touched
   only under the pump's lock, which is what makes a session cheap
-  enough to have 100k of.
+  enough to have 100k of.  Its :class:`SessionStats` keeps the steps
+  taken as runs of consecutive steps, so a session's memory grows
+  with the gaps in what it took, not with the length of the stream.
 - :class:`SessionPump` — one plain lock plus the condition built on
   it, and one service loop.  ``ingest`` is the publisher-facing edge:
   an O(1) inbox append and one ``wake`` event set, independent of how
@@ -37,24 +39,66 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.serve.framestore import Frame, FrameStore
 
 __all__ = ["MeshSession", "SessionPump", "SessionStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionStats:
-    """Delivery accounting for one client."""
+    """Delivery accounting for one client.
+
+    The steps taken are recorded as runs of consecutive steps, so a
+    session holds O(gaps) memory, not O(frames): the open run is
+    ``_start .. _last``, and every closed run is a ``[start, stop)``
+    pair in the flat ``_runs`` array.  A take of the next step only
+    moves ``_last``; a gap, a repeat or a step back closes the run.
+    ``delivered`` and ``steps`` are derived from the runs, whose bounds
+    are int64.  The record is written under the pump's lock, so read it
+    from a quiescent session or under ``pump.lock``.
+    """
 
     offered: int = 0            # frames the pump presented to this session
-    delivered: int = 0          # frames the client actually took
     dropped: int = 0            # evicted by backpressure (queue full)
     rate_limited: int = 0       # superseded while parked in the deferred slot
     bytes_out: int = 0          # payload bytes delivered
-    steps: list = field(default_factory=list)   # steps delivered, in order
+    _start: int = field(default=0, init=False, repr=False)
+    #: -inf until the first take, which therefore opens a run in _gap
+    _last: float = field(default=-float("inf"), init=False, repr=False)
+    _runs: array = field(default_factory=lambda: array("q"), init=False,
+                         repr=False)
+
+    def _open(self) -> tuple:
+        """The open run as [start, stop) bounds; none before a take."""
+        if self._last < self._start:
+            return ()
+        return self._start, self._last + 1
+
+    def _gap(self, step: int) -> None:
+        """Close the open run, if any, and open one at `step`."""
+        self._runs.extend(self._open())
+        self._start = self._last = step
+
+    def _bounds(self) -> array:
+        """Every run, the open one closed, as flat [start, stop) bounds."""
+        return self._runs + array("q", self._open())
+
+    @property
+    def delivered(self) -> int:
+        """Frames the client actually took."""
+        runs = self._bounds()
+        return sum(runs[1::2]) - sum(runs[::2])
+
+    @property
+    def steps(self) -> list[int]:
+        """Steps delivered, in order."""
+        runs = self._bounds()
+        return list(chain.from_iterable(map(range, runs[::2], runs[1::2])))
 
     def as_dict(self) -> dict:
         return {
@@ -171,9 +215,12 @@ class MeshSession:
                     frame = self._pending.popleft()
                     nbytes = len(frame.data)
                     stats = self.stats
-                    stats.delivered += 1
+                    step = frame.step
+                    if step - stats._last == 1:
+                        stats._last = step      # extends the open run
+                    else:
+                        stats._gap(step)
                     stats.bytes_out += nbytes
-                    stats.steps.append(frame.step)
                     pump.delivered += 1
                     pump.bytes_out += nbytes
                     return frame
