@@ -30,11 +30,10 @@ every frame itself: it sizes the payload first and writes header,
 field headers and data into one preallocated ``bytearray`` through
 ``memoryview`` slices (no BytesIO growth, no ``tobytes`` staging copy,
 no join-then-copy), whichever version it emits.  :func:`unmarshal_step`
-returns read-only arrays — views of the payload buffer where the bytes
-on the wire are the array — and a consumer that needs to mutate calls
-:meth:`StepPayload.ensure_writable`: copy on first write, not per
-payload.  Neither depends on ``repro.perf.naive_mode``; the byte layout
-is pinned by golden digests in ``tests/test_perf.py`` (RBP2) and
+returns plain read-only arrays — views of the payload buffer where the
+bytes on the wire are the array — and a consumer that needs to mutate
+one copies it.  Neither depends on ``repro.perf.naive_mode``; the byte
+layout is pinned by golden digests in ``tests/test_perf.py`` (RBP2) and
 ``tests/test_codec.py`` (RBP3).
 """
 
@@ -80,19 +79,6 @@ class StepPayload:
     @property
     def nbytes(self) -> int:
         return sum(v.nbytes for v in self.variables.values())
-
-    def ensure_writable(self, name: str) -> np.ndarray:
-        """Copy-on-write access to a variable.
-
-        Arrays from :func:`unmarshal_step` are read-only views into the
-        transport buffer; this replaces one with a private writable
-        copy the first time a consumer needs to mutate it.
-        """
-        arr = self.variables[name]
-        if not arr.flags.writeable:
-            arr = arr.copy()
-            self.variables[name] = arr
-        return arr
 
 
 def _normalize_array(arr: np.ndarray) -> tuple[np.ndarray, bytes]:
@@ -181,13 +167,11 @@ def unmarshal_step(data, context=None) -> StepPayload:
     """Decode bytes produced by :func:`marshal_step`.
 
     Raises :class:`CorruptPayloadError` when the magic is unknown, the
-    body fails its CRC32 check (v2/v3 payloads; v1 payloads carry no
-    checksum) or the bytes are not one whole frame — a short read is a
-    corrupt step, never a ``struct.error``.  Variables are read-only —
-    views into `data` for v1/v2 and raw v3 blocks, freshly decoded
-    (then frozen) arrays for compressed v3 blocks — so
-    :meth:`StepPayload.ensure_writable` is the single mutation path
-    for every version.  `context` is the per-stream
+    body fails its CRC32 check or the bytes are not one whole frame — a
+    short read is a corrupt step, never a ``struct.error``.  Variables
+    are read-only — views into `data` for v2 and raw v3 blocks, freshly
+    decoded (then frozen) arrays for compressed v3 blocks — so no
+    consumer can write through to the wire bytes.  `context` is the per-stream
     :class:`~repro.codec.CodecContext` temporal-delta decodes need.
     """
     t0 = _time.perf_counter()

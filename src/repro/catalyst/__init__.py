@@ -14,9 +14,9 @@ from repro.catalyst.colormaps import apply_colormap, colormap_names
 from repro.catalyst.camera import Camera
 from repro.catalyst.rasterizer import Rasterizer
 from repro.catalyst.contour import marching_tetrahedra
-from repro.catalyst.slicefilter import axis_slice, plane_sample
+from repro.catalyst.slicefilter import axis_slice
 from repro.catalyst.pipeline import RenderPipeline, RenderSpec, load_pipeline_script
-from repro.catalyst.threshold import clip_box, threshold, threshold_by
+from repro.catalyst.threshold import threshold_by
 from repro.catalyst.annotations import draw_colorbar, draw_step_label, draw_text
 
 __all__ = [
@@ -26,13 +26,10 @@ __all__ = [
     "Rasterizer",
     "marching_tetrahedra",
     "axis_slice",
-    "plane_sample",
     "RenderPipeline",
     "RenderSpec",
     "load_pipeline_script",
-    "threshold",
     "threshold_by",
-    "clip_box",
     "draw_text",
     "draw_colorbar",
     "draw_step_label",

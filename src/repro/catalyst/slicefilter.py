@@ -2,8 +2,8 @@
 
 ``axis_slice`` pulls an axis-aligned plane out of a volume (with linear
 interpolation between lattice planes) — this is how the RBC "side
-view" (paper Fig. 4) is rendered.  ``plane_sample`` samples an
-arbitrary plane by trilinear interpolation, for oblique cut planes.
+view" (paper Fig. 4) is rendered.  ``trilinear_sample`` interpolates
+a volume at arbitrary world points.
 """
 
 from __future__ import annotations
@@ -64,37 +64,6 @@ def axis_slice(
     lo = np.take(vol, i0, axis=vax)
     hi = np.take(vol, i1, axis=vax)
     return (1.0 - t) * lo + t * hi
-
-
-def plane_sample(
-    volume: np.ndarray,
-    origin: tuple[float, float, float],
-    spacing: tuple[float, float, float],
-    plane_point: np.ndarray,
-    plane_u: np.ndarray,
-    plane_v: np.ndarray,
-    resolution: tuple[int, int],
-    fill: float = np.nan,
-) -> np.ndarray:
-    """Sample the volume on a parametric plane patch.
-
-    The patch is ``plane_point + s*plane_u + t*plane_v`` for s, t in
-    [0, 1]; `resolution` = (nt, ns) output samples.  Points outside the
-    volume get `fill`.  Trilinear interpolation.
-    """
-    vol = np.asarray(volume, dtype=float)
-    nt, ns = resolution
-    if nt < 1 or ns < 1:
-        raise ValueError("resolution must be positive")
-    s = np.linspace(0.0, 1.0, ns)
-    t = np.linspace(0.0, 1.0, nt)
-    S, T = np.meshgrid(s, t)
-    pts = (
-        np.asarray(plane_point, dtype=float)[None, None, :]
-        + S[..., None] * np.asarray(plane_u, dtype=float)
-        + T[..., None] * np.asarray(plane_v, dtype=float)
-    )
-    return trilinear_sample(vol, origin, spacing, pts.reshape(-1, 3), fill).reshape(nt, ns)
 
 
 def trilinear_sample(

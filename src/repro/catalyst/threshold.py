@@ -1,30 +1,15 @@
-"""Threshold and clip filters on volumes.
+"""Threshold filter on volumes.
 
-``threshold`` masks a volume outside a value range (NaN fill — the
-colormap renders NaN as neutral gray and marching tetrahedra never
-crosses through NaN cells), and ``clip_box`` blanks everything outside
-an axis-aligned world-space box.  Both are the standard "show me only
-the interesting part" pre-filters in front of slice/contour passes.
+``threshold_by`` masks a volume where a selector field falls outside a
+value range (NaN fill — the colormap renders NaN as neutral gray and
+marching tetrahedra never crosses through NaN cells): the standard
+"show me only the interesting part" pre-filter in front of slice and
+contour passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def threshold(
-    volume: np.ndarray,
-    vmin: float = -np.inf,
-    vmax: float = np.inf,
-    fill: float = np.nan,
-) -> np.ndarray:
-    """Keep values in [vmin, vmax]; replace the rest with `fill`."""
-    if vmax < vmin:
-        raise ValueError(f"empty threshold range [{vmin}, {vmax}]")
-    vol = np.asarray(volume, dtype=float)
-    out = vol.copy()
-    out[(vol < vmin) | (vol > vmax)] = fill
-    return out
 
 
 def threshold_by(
@@ -46,28 +31,4 @@ def threshold_by(
         )
     out = vol.copy()
     out[(sel < vmin) | (sel > vmax)] = fill
-    return out
-
-
-def clip_box(
-    volume: np.ndarray,
-    origin: tuple[float, float, float],
-    spacing: tuple[float, float, float],
-    box_lo: tuple[float, float, float],
-    box_hi: tuple[float, float, float],
-    fill: float = np.nan,
-) -> np.ndarray:
-    """Blank everything outside the world-space box [box_lo, box_hi]."""
-    vol = np.asarray(volume, dtype=float)
-    nz, ny, nx = vol.shape
-    xs = origin[0] + np.arange(nx) * spacing[0]
-    ys = origin[1] + np.arange(ny) * spacing[1]
-    zs = origin[2] + np.arange(nz) * spacing[2]
-    keep = (
-        ((xs >= box_lo[0]) & (xs <= box_hi[0]))[None, None, :]
-        & ((ys >= box_lo[1]) & (ys <= box_hi[1]))[None, :, None]
-        & ((zs >= box_lo[2]) & (zs <= box_hi[2]))[:, None, None]
-    )
-    out = vol.copy()
-    out[~keep] = fill
     return out

@@ -307,10 +307,6 @@ class CodecContext:
         with self._lock:
             return self._prev.get(name)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._prev.clear()
-
 
 def _within_bound(q, qstep, a64, bound, dtype) -> np.ndarray:
     """Per row: does the decoder's ``(q * qstep).astype(dtype)`` stay

@@ -28,17 +28,14 @@ from repro.perf import config
 __all__ = [
     "CodecError",
     "MissingReferenceError",
-    "varint_encode",
     "varint_decode",
     "zigzag_encode",
     "zigzag_decode",
-    "rle_encode",
     "rle_encode_rows",
     "rle_decode",
     "rle_decode_rows",
     "delta_encode",
     "delta_decode",
-    "quantize",
     "quantize_rows",
     "dequantize",
 ]
@@ -94,11 +91,6 @@ def _varint_pack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not more.any():
             return out, ends
         idx, rem, left = idx[more] + 1, rem[more] >> _U64(7), left[more] - 1
-
-
-def varint_encode(values: np.ndarray) -> bytes:
-    """LEB128-encode a uint64 array (vectorized byte scatter)."""
-    return _varint_pack(values)[0].tobytes()
 
 
 def _varint_scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -200,12 +192,6 @@ def rle_encode_rows(deltas: np.ndarray) -> list[bytes]:
     return [blob[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def rle_encode(values: np.ndarray) -> bytes:
-    """Zero-gap-code an int64 array (gaps + zigzag values, varint'd)."""
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    return rle_encode_rows(v.reshape(1, -1))[0]
-
-
 def _rle_split(data: bytes) -> tuple[int, int, bytes]:
     """Parse the two-varint RLE header; returns (n, k, rest)."""
     off = 0
@@ -273,7 +259,7 @@ def rle_decode_rows(blocks: list, n: int) -> np.ndarray | None:
 
 
 def rle_decode(data: bytes) -> np.ndarray:
-    """Invert :func:`rle_encode`; returns a flat int64 array."""
+    """Invert one row of :func:`rle_encode_rows`; returns a flat int64 array."""
     if not config.enabled():
         return rle_decode_reference(data)
     n, k, rest = _rle_split(data)
@@ -366,25 +352,8 @@ def quantize_rows(a: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndar
     return q, np.isfinite(steps) & (np.abs(q).max(axis=1, initial=0.0) < _QMAX)
 
 
-def quantize(arr: np.ndarray, step: float) -> np.ndarray:
-    """Uniform scalar quantization: round(arr / step) as int64.
-
-    Raises :class:`CodecError` on non-finite input or when a quantum
-    index would overflow — callers fall back to the lossless path.
-    """
-    if step <= 0 or not np.isfinite(step):
-        raise CodecError(f"quantization step must be positive, got {step!r}")
-    a = np.asarray(arr, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise CodecError("cannot quantize non-finite values")
-    q, fits = quantize_rows(a.reshape(1, -1), np.array([step], dtype=np.float64))
-    if not fits[0]:
-        raise CodecError("quantization overflow (step too small for range)")
-    return q.astype(np.int64).reshape(a.shape)
-
-
 def dequantize(q: np.ndarray, step: float, dtype=np.float64) -> np.ndarray:
-    """Invert :func:`quantize` up to step/2 absolute error."""
+    """Invert :func:`quantize_rows` up to step/2 absolute error."""
     if not config.enabled():
         return dequantize_reference(q, step, dtype)
     return (np.asarray(q, dtype=np.float64) * step).astype(dtype)

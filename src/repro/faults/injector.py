@@ -99,17 +99,6 @@ class FaultLog:
             getattr(self, outcome)[kind] += 1
             return True
 
-    def unresolved(self, kind: str) -> int:
-        with self._lock:
-            return self.injected[kind] - (
-                self.detected[kind] + self.recovered[kind] + self.degraded[kind]
-            )
-
-    @property
-    def total_injected(self) -> int:
-        with self._lock:
-            return sum(self.injected.values())
-
     @property
     def accounted(self) -> bool:
         """injected == detected + recovered + degraded, per kind."""

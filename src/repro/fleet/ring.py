@@ -45,10 +45,6 @@ class HashRing:
     def __contains__(self, member) -> bool:
         return member in self._members
 
-    @property
-    def members(self) -> tuple:
-        return tuple(sorted(self._members))
-
     def add(self, member) -> None:
         if member in self._members:
             return

@@ -88,10 +88,6 @@ class WorkQueues:
         with self._lock:
             return len(self._queues[eid])
 
-    def depths(self) -> dict[int, int]:
-        with self._lock:
-            return {eid: len(q) for eid, q in self._queues.items()}
-
     def total_depth(self) -> int:
         with self._lock:
             return sum(len(q) for q in self._queues.values())

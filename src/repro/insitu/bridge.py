@@ -6,8 +6,8 @@ releases per-step staging afterwards.  Attach :meth:`Bridge.observer`
 to :meth:`NekRSSolver.run` and the simulation is instrumented — the
 entire integration surface, as in the paper.
 
-A module-level functional facade (initialize / update / finalize)
-mirrors the C bridge's shape for readers following the paper listing.
+Listing 3's initialize / update / finalize are ``Bridge(...)``,
+:meth:`Bridge.update` and :meth:`Bridge.finalize`.
 
 Fault tolerance: when the analysis side is an in-transit transport and
 it fails past the retry budget (:class:`TransportError`), the bridge
@@ -168,31 +168,3 @@ class Bridge:
             if self.fallback == "raise":
                 raise
             self._log.warning("transport failed during finalize: %s", exc)
-
-
-# -- functional facade mirroring the C bridge of Listing 3 -------------------
-
-_active_bridge: Bridge | None = None
-
-
-def initialize(solver: NekRSSolver, config_xml: str, output_dir: str | Path = ".") -> Bridge:
-    """Create and register the process-wide bridge (Listing 3 style)."""
-    global _active_bridge
-    if _active_bridge is not None:
-        raise RuntimeError("bridge already initialized; call finalize() first")
-    _active_bridge = Bridge(solver, config_xml=config_xml, output_dir=output_dir)
-    return _active_bridge
-
-
-def update(step: int, time: float) -> bool:
-    if _active_bridge is None:
-        raise RuntimeError("bridge not initialized")
-    return _active_bridge.update(step, time)
-
-
-def finalize() -> None:
-    global _active_bridge
-    if _active_bridge is None:
-        raise RuntimeError("bridge not initialized")
-    _active_bridge.finalize()
-    _active_bridge = None

@@ -70,27 +70,6 @@ class RouterPolicy:
         if self.probe_interval < 1:
             raise ValueError("probe_interval must be >= 1")
 
-    @classmethod
-    def for_cluster(
-        cls,
-        cluster,
-        num_sim_ranks: int,
-        step_seconds: float,
-        stream_fraction: float = 0.25,
-        **kwargs,
-    ) -> "RouterPolicy":
-        """Budget from a machine model: the bytes `num_sim_ranks` can
-        stream in `stream_fraction` of one `step_seconds` solver step
-        without the wire becoming the bottleneck."""
-        from repro.machine.netmodel import NetworkModel
-
-        net = NetworkModel(cluster)
-        budget = (
-            num_sim_ranks * net.per_rank_bw_gbs * 1e9
-            * step_seconds * stream_fraction
-        )
-        return cls(wire_budget_bytes=budget, **kwargs)
-
 
 @dataclass(frozen=True)
 class RouteDecision:

@@ -170,51 +170,3 @@ class StreamedDataAdaptor(DataAdaptor):
     def staged_bytes(self) -> int:
         """Bytes of the currently held step payloads."""
         return sum(p.nbytes for p in self._payloads.values())
-
-
-def replay_file_staged(
-    directory,
-    stream_name: str,
-    num_writers: int,
-    analysis,
-    comm: Communicator,
-) -> int:
-    """Run a SENSEI consumer over *file-staged* in transit data.
-
-    The SST engine streams live; its file-staged sibling writes BP step
-    files that a consumer replays later (ADIOS's BPFile workflow, and
-    the degraded mode every in transit deployment falls back to when
-    the endpoint is not up).  This drives `analysis` over every step
-    found on disk, in order; returns the number of steps consumed.
-    """
-    from repro.adios.engine import BPFileReaderEngine, StepStatus
-
-    readers = [
-        BPFileReaderEngine(stream_name, directory, writer_rank=w)
-        for w in range(num_writers)
-    ]
-    adaptor = StreamedDataAdaptor(comm)
-    steps = 0
-    while True:
-        payloads = {}
-        done = 0
-        for w, reader in enumerate(readers):
-            status = reader.begin_step()
-            if status is StepStatus.END_OF_STREAM:
-                done += 1
-                continue
-            payloads[w] = reader.get()
-        if done == len(readers):
-            break
-        if done:
-            raise ValueError(
-                "file-staged series is ragged: writers disagree on step count"
-            )
-        if adaptor.consume(payloads):
-            analysis.execute(adaptor)
-            adaptor.release_data()
-            steps += 1
-        for reader in readers:
-            reader.end_step()
-    analysis.finalize()
-    return steps

@@ -96,34 +96,3 @@ class CollectiveModel:
             return 0.0
         lg = math.ceil(math.log2(P))
         return 2 * lg * self._alpha(hops) + 2 * nbytes * (P - 1) / P * self._beta()
-
-    def bcast_time(self, nbytes: int, P: int, hops: float = 3.0) -> float:
-        """Scatter+allgather broadcast for large messages."""
-        if P <= 1:
-            return 0.0
-        lg = math.ceil(math.log2(P))
-        return (lg + P - 1) * self._alpha(hops) / P + 2 * nbytes * (P - 1) / P * self._beta()
-
-    def gather_time(self, nbytes_per_rank: int, P: int, hops: float = 3.0) -> float:
-        """Binomial gather; root receives (P-1) payloads."""
-        if P <= 1:
-            return 0.0
-        lg = math.ceil(math.log2(P))
-        return lg * self._alpha(hops) + nbytes_per_rank * (P - 1) * self._beta()
-
-    def barrier_time(self, P: int, hops: float = 3.0) -> float:
-        if P <= 1:
-            return 0.0
-        return 2 * math.ceil(math.log2(P)) * self._alpha(hops)
-
-    def halo_exchange_time(
-        self, nbytes_per_neighbor: int, num_neighbors: int, hops: float = 3.0
-    ) -> float:
-        """Nearest-neighbor exchange (gather-scatter): neighbors overlap
-        on the NIC, so bandwidth terms serialize but latency is paid
-        once per posting round."""
-        if num_neighbors < 0:
-            raise ValueError("num_neighbors must be non-negative")
-        if num_neighbors == 0:
-            return 0.0
-        return self._alpha(hops) + num_neighbors * nbytes_per_neighbor * self._beta()

@@ -47,12 +47,6 @@ class Timeline:
     def total(self) -> float:
         return self.spans[-1].end if self.spans else 0.0
 
-    def share(self, category: str) -> float:
-        """Fraction of total time spent in one category."""
-        if self.total == 0:
-            return 0.0
-        return sum(s.duration for s in self.spans if s.category == category) / self.total
-
     def render(self, width: int = 60) -> str:
         """Proportional text Gantt, one row per span.
 

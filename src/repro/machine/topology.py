@@ -70,12 +70,6 @@ class DragonflyPlusTopology:
             return 4
         return 1 if la.switch == lb.switch else 3
 
-    def max_hops(self) -> int:
-        """Worst-case minimal route length (diameter in switch hops)."""
-        if self.num_cells > 1:
-            return 4
-        return 3 if self.spec.switches_per_group > 1 or self.spec.nodes_per_switch < self.spec.num_nodes else 1
-
     def mean_hops(self, num_nodes: int, samples: int = 256, seed: int = 0) -> float:
         """Average hop count between distinct nodes in a job of
         `num_nodes` nodes placed contiguously from node 0."""

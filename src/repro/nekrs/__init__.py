@@ -15,7 +15,7 @@ Public surface:
 
 - :class:`CaseDefinition` / :class:`FieldRegistry` — problem setup,
 - :class:`NekRSSolver` — the time stepper,
-- :func:`read_par` / :func:`write_par` — NekRS-style .par case files,
+- :func:`read_par` — NekRS-style .par case files,
 - :mod:`repro.nekrs.checkpoint` — .fld-style binary checkpoints,
 - :mod:`repro.nekrs.cases` — pb146-analog pebble bed, Rayleigh-Benard,
   lid-driven cavity.
@@ -24,7 +24,7 @@ Public surface:
 from repro.nekrs.config import CaseDefinition, PassiveScalar, VelocityBC, ScalarBC
 from repro.nekrs.solver import NekRSSolver, StepReport
 from repro.nekrs.timestepper import bdf_coefficients, ext_coefficients
-from repro.nekrs.parfile import read_par, write_par, par_to_overrides
+from repro.nekrs.parfile import read_par, par_to_overrides
 
 __all__ = [
     "CaseDefinition",
@@ -36,6 +36,5 @@ __all__ = [
     "bdf_coefficients",
     "ext_coefficients",
     "read_par",
-    "write_par",
     "par_to_overrides",
 ]

@@ -143,10 +143,3 @@ def read_checkpoint(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
     if offset != len(raw):
         raise ValueError("trailing bytes after last field (corrupt checkpoint)")
     return header, fields
-
-
-def checkpoint_nbytes(field_shape: tuple[int, ...], num_fields: int) -> int:
-    """Size of one rank's dump without writing it (for cost models)."""
-    count = int(np.prod(field_shape))
-    # header is small but nonzero; use a representative figure
-    return 128 + num_fields * count * 8

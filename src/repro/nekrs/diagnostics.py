@@ -2,7 +2,7 @@
 
 In situ pipelines rarely render raw state; they render derived
 quantities — vorticity magnitude for turbulent structure, Q-criterion
-isosurfaces for vortex cores, wall-normal heat flux for convection.
+isosurfaces for vortex cores.
 These are computed with the solver's own spectral operators (so they
 carry spectral accuracy) and continuized across element interfaces so
 renderers see single-valued fields.
@@ -63,15 +63,3 @@ def q_criterion(
     )
     o_norm2 = 2.0 * sum(t * t for t in o_offdiag)
     return ops.continuize(0.5 * (o_norm2 - s_norm2))
-
-
-def convective_heat_flux(
-    ops: SEMOperators, w: np.ndarray, T: np.ndarray
-) -> float:
-    """Volume-averaged vertical convective heat flux <w T>.
-
-    For Rayleigh-Benard in free-fall units, 1 + sqrt(Ra Pr) <wT> is the
-    Nusselt number; the raw <wT> is the quantity the RBC example tracks
-    to watch convection onset.
-    """
-    return ops.integrate(w * T) / ops.volume

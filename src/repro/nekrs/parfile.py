@@ -101,12 +101,3 @@ def par_to_overrides(par: dict[str, dict[str, str]]) -> dict:
                     f"bad value for [{section.upper()}] {key}: {raw!r}"
                 ) from exc
     return overrides
-
-
-def write_par(path, sections: dict[str, dict[str, object]]) -> None:
-    """Write a .par file from {SECTION: {key: value}}."""
-    parser = configparser.ConfigParser()
-    for section, entries in sections.items():
-        parser[section.upper()] = {k: str(v) for k, v in entries.items()}
-    with open(path, "w") as f:
-        parser.write(f)

@@ -47,8 +47,6 @@ from repro.observe.session import (
     TelemetrySession,
     active,
     get_telemetry,
-    install,
-    uninstall,
 )
 from repro.observe.tracer import (
     InstantEvent,
@@ -75,8 +73,6 @@ __all__ = [
     "TelemetrySession",
     "active",
     "get_telemetry",
-    "install",
-    "uninstall",
     "Tracer",
     "NullTracer",
     "SpanEvent",

@@ -166,9 +166,6 @@ class StepTimeline:
             self._attributed = _attribute(self.events)
         return self._attributed
 
-    def stage_events(self, stage: str) -> tuple[StageEvent, ...]:
-        return tuple(e for e in self.events if e.stage == stage)
-
     def to_json(self) -> dict:
         att = self.attributed_seconds
         return {

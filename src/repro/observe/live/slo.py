@@ -290,10 +290,6 @@ class SLOWatchdog:
             kind="advisory", value=alert.message, client="slo-watchdog"
         ))
 
-    def burn_rates(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._burn)
-
     def to_json(self) -> dict:
         with self._lock:
             return {

@@ -71,23 +71,10 @@ class MemoryMeter:
             self.total_peak = self._total_current
 
     # -- queries -------------------------------------------------------
-    def current(self, category: str) -> int:
-        with self._lock:
-            return self._current.get(category, 0)
-
-    def peak(self, category: str) -> int:
-        with self._lock:
-            return self._peak.get(category, 0)
 
     def peaks(self) -> dict[str, int]:
         with self._lock:
             return dict(self._peak)
-
-    def sum_of_peaks(self) -> int:
-        """Sum of per-category peaks — the Fig. 3/6 decomposition total
-        (each component reported at its own worst moment)."""
-        with self._lock:
-            return sum(self._peak.values())
 
     def as_dict(self) -> dict:
         with self._lock:
@@ -111,17 +98,8 @@ class NullMemoryMeter:
     def free(self, category: str, nbytes: int) -> None: ...
     def observe(self, category: str, nbytes: int) -> None: ...
 
-    def current(self, category: str) -> int:
-        return 0
-
-    def peak(self, category: str) -> int:
-        return 0
-
     def peaks(self) -> dict[str, int]:
         return {}
-
-    def sum_of_peaks(self) -> int:
-        return 0
 
     def as_dict(self) -> dict:
         return {"rank": 0, "current": {}, "peak": {}, "total_peak": 0,

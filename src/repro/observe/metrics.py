@@ -171,9 +171,6 @@ class Gauge(_Metric):
     def inc(self, n: float = 1.0) -> None:
         self._store(lambda v: v + n)
 
-    def dec(self, n: float = 1.0) -> None:
-        self.inc(-n)
-
     def as_dict(self) -> dict:
         return {"agg": self.agg, **super().as_dict()}
 
@@ -414,7 +411,6 @@ class _NullMetric:
     __slots__ = ()
 
     def inc(self, n: float = 1.0) -> None: ...
-    def dec(self, n: float = 1.0) -> None: ...
     def set(self, v: float) -> None: ...
     def observe(self, v: float) -> None: ...
 

@@ -1,12 +1,13 @@
-"""Telemetry wiring: per-rank bundles, thread-local install, sessions.
+"""Telemetry wiring: per-rank bundles, thread-local activation, sessions.
 
 A :class:`Telemetry` bundles the three instruments (tracer, metrics
 registry, memory meter) for one rank.  Instrumented code never takes a
 telemetry parameter; it calls :func:`get_telemetry`, which reads a
-*thread-local* slot — the natural scope under the threaded SPMD
-runtime, where each rank body runs entirely in its own thread.  When
-nothing is installed, a process-wide no-op bundle is returned, so
-uninstrumented runs pay only a thread-local lookup plus no-op calls.
+*thread-local* slot, set by :func:`active` — the natural scope under
+the threaded SPMD runtime, where each rank body runs entirely in its
+own thread.  When nothing is active, a process-wide no-op bundle is
+returned, so uninstrumented runs pay only a thread-local lookup plus
+no-op calls.
 
 A :class:`TelemetrySession` owns one :class:`Telemetry` per rank and
 the merged exports: Chrome trace JSON across all rank tracks,
@@ -31,8 +32,6 @@ __all__ = [
     "Telemetry",
     "TelemetrySession",
     "get_telemetry",
-    "install",
-    "uninstall",
     "active",
 ]
 
@@ -87,20 +86,9 @@ _tls = _ObserveLocal()
 
 
 def get_telemetry() -> Telemetry:
-    """The calling thread's telemetry (no-op bundle when none installed)."""
+    """The calling thread's telemetry (no-op bundle when none is active)."""
     tel = _tls.telemetry
     return tel if tel is not None else _NULL
-
-
-def install(telemetry: Telemetry) -> Telemetry:
-    """Install `telemetry` for the calling thread; returns it."""
-    _tls.telemetry = telemetry
-    return telemetry
-
-
-def uninstall() -> None:
-    """Restore the no-op default for the calling thread."""
-    _tls.telemetry = None
 
 
 @contextmanager
@@ -179,17 +167,6 @@ class TelemetrySession:
             self._finalized[rank] = at
         tel.tracer.instant("track.finalized", rank=rank)
         return True
-
-    def track_meta(self) -> dict[int, dict]:
-        """Per-rank track lifecycle: start epoch and finalize time."""
-        with self._lock:
-            return {
-                rank: {
-                    "started": tel.tracer.epoch,
-                    "finalized": self._finalized.get(rank),
-                }
-                for rank, tel in sorted(self._by_rank.items())
-            }
 
     # -- merged views --------------------------------------------------
     def events(self) -> list:

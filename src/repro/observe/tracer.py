@@ -25,8 +25,8 @@ Exports:
 - :func:`chrome_trace` — the Chrome trace-event JSON format (``ph``,
   ``ts``, ``dur``, ``pid``, ``tid``) viewable in Perfetto or
   ``chrome://tracing``; one track (``tid``) per rank;
-- :meth:`Tracer.span_totals` / :func:`flame_summary` — a plain-text
-  flame view: total/self seconds per nested span path.
+- :func:`flame_summary` — a plain-text flame view: total/self seconds
+  per nested span path.
 
 The default tracer of an uninstrumented run is :class:`NullTracer`,
 whose ``span``/``instant`` are allocation-free no-ops — the overhead
@@ -193,11 +193,6 @@ class Tracer:
     def events(self) -> list:
         with self._lock:
             return list(self._events)
-
-    def span_totals(self) -> dict[str, dict]:
-        """Aggregate spans by nested path: count / total / self seconds."""
-        spans = [e for e in self.events if isinstance(e, SpanEvent)]
-        return _aggregate(spans)
 
     def chrome_trace(self) -> dict:
         return chrome_trace(self.events)

@@ -1,9 +1,8 @@
 """OCCA-style portable device abstraction.
 
 NekRS reaches GPUs through OCCA (Medina et al.): a ``Device`` owns
-``Memory`` buffers and compiled kernels, and host code explicitly moves
-data across the PCIe bus.  The paper's in situ coupling is shaped by
-exactly this boundary — "simulation data residing on GPU device memory
+``Memory`` buffers, and host code explicitly moves data across the PCIe
+bus.  The paper's in situ coupling is shaped by exactly this boundary — "simulation data residing on GPU device memory
 must be transferred to the CPU before being relayed to SENSEI".
 
 Two backends are provided:
@@ -24,16 +23,13 @@ pool class (:class:`repro.perf.WorkspaceArena`) with a
 raw arrays from the same pool through ``Device.raw_view()`` — that is
 all ``residency="device"`` rendering needs from this package: the
 render code is the host's, run on those arrays, and only
-:meth:`DeviceMemory.copy_to_host` is metered.  ``build_kernel`` /
-``kernel`` mirror OCCA's launch API (``DeviceMemory`` arguments arrive
-unwrapped); nothing in ``repro`` registers a kernel of its own.
+:meth:`DeviceMemory.copy_to_host` is metered.
 """
 
-from repro.occa.device import Device, DeviceMemory, KernelError, TransferLedger
+from repro.occa.device import Device, DeviceMemory, TransferLedger
 
 __all__ = [
     "Device",
     "DeviceMemory",
-    "KernelError",
     "TransferLedger",
 ]

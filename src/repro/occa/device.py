@@ -1,20 +1,15 @@
-"""Device, memory, and kernel objects (see package docstring)."""
+"""Device and memory objects (see package docstring)."""
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.machine.netmodel import PcieModel
 
 _VALID_MODES = ("serial", "cuda-sim")
-
-
-class KernelError(RuntimeError):
-    """A kernel launch failed or was misused."""
 
 
 @dataclass
@@ -43,12 +38,6 @@ class TransferLedger:
     @property
     def total_bytes(self) -> int:
         return self.h2d_bytes + self.d2h_bytes
-
-    def reset(self) -> None:
-        with self._lock:
-            self.h2d_bytes = self.d2h_bytes = 0
-            self.h2d_count = self.d2h_count = 0
-            self.modeled_seconds = 0.0
 
 
 class DeviceMemory:
@@ -119,12 +108,8 @@ class DeviceMemory:
 
 
 class Device:
-    """An OCCA-like device handle.
-
-    Kernels are plain Python callables registered on the device; at
-    launch, ``DeviceMemory`` arguments are unwrapped to raw arrays (the
-    kernel executes "device side"), everything else passes through.
-    """
+    """An OCCA-like device handle: allocations, the transfer ledger and
+    the scratch pool of device-side code."""
 
     def __init__(self, mode: str = "serial", pcie: PcieModel | None = None):
         if mode not in _VALID_MODES:
@@ -132,8 +117,6 @@ class Device:
         self.mode = mode
         self.pcie = pcie
         self.transfers = TransferLedger()
-        self._kernels: dict[str, Callable] = {}
-        self.allocated_bytes = 0
         if mode != "serial":
             # the ledger is the record; the active telemetry reads it
             from repro.observe.session import get_telemetry
@@ -151,22 +134,6 @@ class Device:
             )
 
     # -- memory ---------------------------------------------------------
-    def malloc(self, shape, dtype=np.float64) -> DeviceMemory:
-        """Allocate a zero-initialized device buffer."""
-        from repro.observe.session import get_telemetry
-
-        arr = np.zeros(shape, dtype=dtype)
-        self.allocated_bytes += arr.nbytes
-        get_telemetry().memory.allocate("occa.device", arr.nbytes)
-        return DeviceMemory(self, arr)
-
-    def to_device(self, host_array: np.ndarray) -> DeviceMemory:
-        """Allocate and H2D-copy in one step."""
-        host_array = np.ascontiguousarray(host_array)
-        mem = self.malloc(host_array.shape, host_array.dtype)
-        mem.copy_from_host(host_array)
-        return mem
-
     def _charge(self, direction: str, nbytes: int) -> None:
         if self.mode == "serial":
             return
@@ -194,27 +161,3 @@ class Device:
         from repro.occa.arena import _RawArenaView
 
         return _RawArenaView(self.arena)
-
-    # -- kernels ----------------------------------------------------------
-    def build_kernel(self, name: str, fn: Callable) -> Callable:
-        """Register `fn` as kernel `name`; returns a launcher."""
-        if name in self._kernels:
-            raise KernelError(f"kernel {name!r} already built on this device")
-        self._kernels[name] = fn
-        return self.kernel(name)
-
-    def kernel(self, name: str) -> Callable:
-        if name not in self._kernels:
-            raise KernelError(f"no kernel named {name!r} on this device")
-        fn = self._kernels[name]
-
-        def launch(*args, **kwargs):
-            unwrapped = [a._raw() if isinstance(a, DeviceMemory) else a for a in args]
-            return fn(*unwrapped, **kwargs)
-
-        launch.__name__ = f"kernel:{name}"
-        return launch
-
-    @property
-    def kernel_names(self) -> list[str]:
-        return sorted(self._kernels)

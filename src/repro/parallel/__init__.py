@@ -18,7 +18,7 @@ from repro.parallel.comm import (
 )
 from repro.parallel.thread_comm import ThreadCommunicator
 from repro.parallel.runtime import run_spmd
-from repro.parallel.partition import block_partition, block_range, owner_of
+from repro.parallel.partition import block_range
 
 __all__ = [
     "Communicator",
@@ -28,7 +28,5 @@ __all__ = [
     "TrafficMeter",
     "RankStallError",
     "run_spmd",
-    "block_partition",
     "block_range",
-    "owner_of",
 ]

@@ -127,8 +127,8 @@ class TrafficMeter:
     (ingress).  Ingress accounting is implementation-independent — a
     binomial-tree gather delivers the same logical bytes to the root as
     a flat one — so the metered bytes do not depend on the collective
-    algorithm, and ``peak_rank_bytes`` exposes the hot-spot rank
-    (e.g. the root of a gather-to-root rendering pipeline).
+    algorithm, and the largest ``per_rank_bytes`` entry is the hot-spot
+    rank (e.g. the root of a gather-to-root rendering pipeline).
     """
 
     #: (op, channel, rank) -> [calls, bytes]
@@ -167,12 +167,6 @@ class TrafficMeter:
     def count(self, op: str | None = None) -> int:
         return sum(total[0] for _, total in self._matching(op=op))
 
-    def by_op(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for (op, _, _), total in self._matching():
-            out[op] = out.get(op, 0) + total[1]
-        return out
-
     def per_rank_bytes(
         self, op: str | None = None, channel: str | None = None
     ) -> dict[int, int]:
@@ -181,13 +175,6 @@ class TrafficMeter:
         for (_, _, rank), total in self._matching(op, channel):
             out[rank] = out.get(rank, 0) + total[1]
         return out
-
-    def peak_rank_bytes(
-        self, op: str | None = None, channel: str | None = None
-    ) -> int:
-        """Largest per-rank byte total — the congestion hot spot."""
-        per_rank = self.per_rank_bytes(op, channel)
-        return max(per_rank.values(), default=0)
 
     def clear(self) -> None:
         with self._lock:

@@ -3,9 +3,8 @@
 Two strategies:
 
 - **slab** (block) partitioning of the lexicographic element order —
-  Nek's default contiguous distribution; plus the inverse owner lookup,
-  with the MPI-standard convention that the first ``n % size`` ranks
-  get one extra item.
+  Nek's default contiguous distribution, with the MPI-standard
+  convention that the first ``n % size`` ranks get one extra item.
 - **Morton (Z-order) curve** partitioning — block partitioning of the
   space-filling-curve order, which keeps each rank's elements spatially
   compact and therefore shrinks the gather-scatter interface (the same
@@ -33,26 +32,6 @@ def block_range(n: int, size: int, rank: int) -> tuple[int, int]:
     lo = rank * base + min(rank, extra)
     hi = lo + base + (1 if rank < extra else 0)
     return lo, hi
-
-
-def block_partition(n: int, size: int) -> list[tuple[int, int]]:
-    """All ranks' [lo, hi) ranges; ranges tile [0, n) exactly."""
-    return [block_range(n, size, r) for r in range(size)]
-
-
-def owner_of(index: int, n: int, size: int) -> int:
-    """Rank owning global `index` under block partitioning.
-
-    >>> owner_of(6, 10, 3)
-    1
-    """
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} out of range [0, {n})")
-    base, extra = divmod(n, size)
-    cutoff = extra * (base + 1)
-    if index < cutoff:
-        return index // (base + 1)
-    return extra + (index - cutoff) // base
 
 
 def _spread_bits(v: np.ndarray) -> np.ndarray:

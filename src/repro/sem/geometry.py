@@ -44,8 +44,3 @@ class GeometricFactors:
 
         rx, sy, tz = 2.0 / hx, 2.0 / hy, 2.0 / hz
         self.rx, self.sy, self.tz = np.float64(rx), np.float64(sy), np.float64(tz)
-
-    @property
-    def total_volume_local(self) -> float:
-        """Sum of quadrature weights = volume of the local elements."""
-        return float(self.mass.sum())

@@ -47,19 +47,3 @@ def grid_dims(mesh: BoxMesh, samples: int) -> tuple[int, int, int]:
     """Global uniform-grid dimensions (nx, ny, nz)."""
     ex, ey, ez = mesh.shape
     return (ex * samples, ey * samples, ez * samples)
-
-
-def local_blocks(
-    mesh: BoxMesh, field: np.ndarray, samples: int
-) -> list[tuple[tuple[int, int, int], np.ndarray]]:
-    """Resample and return [(block_offset_xyz, block_zyx_array), ...].
-
-    `block_offset_xyz` is the (ix, iy, iz) cell offset of the block in
-    the global grid; the block array is indexed [k, j, i] (z slowest).
-    """
-    res = resample_field(mesh, field, samples)
-    out = []
-    for e in range(mesh.num_elements):
-        ex, ey, ez = mesh.elem_lattice[e]
-        out.append(((int(ex) * samples, int(ey) * samples, int(ez) * samples), res[e]))
-    return out

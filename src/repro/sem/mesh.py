@@ -171,9 +171,6 @@ class BoxMesh:
     def field_shape(self) -> tuple[int, int, int, int]:
         return (self.num_elements, self.nq, self.nq, self.nq)
 
-    def zero_field(self) -> np.ndarray:
-        return np.zeros(self.field_shape())
-
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.x, self.y, self.z
 

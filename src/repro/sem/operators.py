@@ -139,20 +139,6 @@ class SEMOperators:
     def mean(self, u: np.ndarray) -> float:
         return self.integrate(u) / self.volume
 
-    def project_out_mean(self, u: np.ndarray) -> np.ndarray:
-        """Remove the volume (mass-weighted) average.
-
-        Use for *reporting* fields defined up to a constant.  Inside CG
-        on the singular all-Neumann system use
-        :meth:`project_out_nullspace` instead: the algebraic null
-        vector of the assembled operator is the constant DOF vector,
-        whose orthogonal complement is defined by the *unweighted*
-        assembled dot product, not the L2(Omega) one — projecting with
-        the wrong mean leaves an inconsistent residual component that
-        compounds and diverges the iteration.
-        """
-        return u - self.mean(u)
-
     @property
     def num_global_dofs(self) -> float:
         """Number of assembled (deduplicated) DOFs across all ranks."""

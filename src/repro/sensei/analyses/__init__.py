@@ -94,9 +94,9 @@ def _make_divergence_guard(comm: Communicator, attrs: dict, output_dir: Path):
 
 def _make_compressed_io(comm: Communicator, attrs: dict, output_dir: Path):
     """Error-bounded field dumps: ``delta-rle`` under an absolute bound,
-    written as deflated ``dump.step*.rank*.bp`` files (replay them with
-    :func:`repro.insitu.streamed.replay_file_staged`).  Geometry goes
-    out once and exact."""
+    written as deflated ``dump.step*.rank*.bp`` files, each read back
+    with ``unmarshal_step(unpack_bp_file(...))`` (:mod:`repro.adios.engine`).
+    Geometry goes out once and exact."""
     from repro.adios.engine import BPFileWriterEngine
     from repro.codec import CodecSpec
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.parallel.comm import Communicator, ReduceOp
+from repro.parallel.comm import Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.vtkdata.dataset import UnstructuredGrid
@@ -70,7 +70,3 @@ class VTKPosthocIO(AnalysisAdaptor):
             self.files_written += 1
         self.dumps += 1
         return True
-
-    def total_bytes_global(self) -> int:
-        """Aggregate bytes written across all ranks."""
-        return int(self.comm.allreduce(self.bytes_written, ReduceOp.SUM))

@@ -111,7 +111,3 @@ class ConfigurableAnalysis(AnalysisAdaptor):
     def finalize(self) -> None:
         for _, adaptor in self.adaptors:
             adaptor.finalize()
-
-    @property
-    def active_types(self) -> list[str]:
-        return [spec.type for spec, _ in self.adaptors]

@@ -44,7 +44,3 @@ class MeshMetadata:
             if a.name == name:
                 return a
         raise KeyError(f"mesh {self.name!r} has no array {name!r}")
-
-    @property
-    def array_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrays)

@@ -52,11 +52,6 @@ class Frame:
     def nbytes(self) -> int:
         return len(self.data)
 
-    @property
-    def bytes_saved(self) -> int:
-        """Bytes the codec shaved off this payload (0 when uncompressed)."""
-        return max(0, self.raw_nbytes - len(self.data))
-
 
 def content_digest(data: bytes) -> str:
     """Stable content hash used for frame dedup."""
@@ -146,12 +141,6 @@ class FrameStore:
 
     def _payload_bytes_locked(self) -> int:
         return sum(len(s.data) for s in self._interned.values())
-
-    @property
-    def payload_bytes(self) -> int:
-        """Unique payload bytes currently held (dedup-aware)."""
-        with self._lock:
-            return self._payload_bytes_locked()
 
     def stats(self) -> dict:
         with self._lock:

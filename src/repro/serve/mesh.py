@@ -248,10 +248,6 @@ class ServeMesh:
         return self.store.frames(stream)
 
     # -- queries -----------------------------------------------------------
-    @property
-    def clients(self) -> int:
-        with self._lock:
-            return len(self._sessions)
 
     def stats(self) -> dict:
         with self._lock:

@@ -86,12 +86,6 @@ class LoopbackClient:
         self.frames.extend(got)
         return got
 
-    def steer(self, kind: str, value=None) -> None:
-        if self.bus is None:
-            raise RuntimeError("loopback client has no steering bus")
-        self.bus.submit(SteerCommand(kind=kind, value=value,
-                                     client=self.session.label))
-
     @property
     def steps(self) -> list[int]:
         return [f.step for f in self.frames]

@@ -1,13 +1,6 @@
 """Shared utilities used across the repro stack."""
 
-from repro.util.sizes import (
-    KIB,
-    MIB,
-    GIB,
-    TIB,
-    format_bytes,
-    parse_bytes,
-)
+from repro.util.sizes import KIB, MIB, GIB, TIB, format_bytes
 from repro.util.timing import TimingStats
 from repro.util.tables import Table
 from repro.util.rng import make_rng
@@ -18,7 +11,6 @@ __all__ = [
     "GIB",
     "TIB",
     "format_bytes",
-    "parse_bytes",
     "TimingStats",
     "Table",
     "make_rng",

@@ -1,4 +1,4 @@
-"""Animated PNG (APNG) assembly — incremental and one-shot.
+"""Animated PNG (APNG) assembly, written incrementally.
 
 In situ rendering produces frame sequences; APNG packs them into a
 single self-playing file every browser renders — no video codec, no
@@ -12,25 +12,21 @@ dependency, just three extra chunk types on top of PNG:
 All frames must share dimensions; the first frame doubles as the
 still image shown by non-animated decoders.
 
-:class:`ApngWriter` is the streaming form (open → ``add_frame`` /
-``add_encoded`` → ``close``): frames are written as they arrive — the
-serving transport's history replay never holds the whole animation
-in memory — and the frame count is patched into
-the reserved ``acTL`` slot at close (one seek; any ``BytesIO`` or real
-file qualifies).  ``add_encoded`` splices already-encoded PNG bytes
-chunk-by-chunk with no re-encode, which is how the frame hub's
-PNG-deduped history becomes an APNG for free.
-:func:`assemble_apng` is a thin one-shot wrapper over the writer.
+:class:`ApngWriter` is the streaming form (open → ``add_encoded`` →
+``close``): frames are written as they arrive — the serving
+transport's history replay never holds the whole animation in memory —
+and the frame count is patched into the reserved ``acTL`` slot at
+close (one seek; any ``BytesIO`` or real file qualifies).
+``add_encoded`` splices already-encoded PNG bytes chunk-by-chunk with
+no re-encode, which is how the frame hub's PNG-deduped history becomes
+an APNG for free.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 
-import numpy as np
-
-from repro.util.png import _chunk, encode_png
+from repro.util.png import _chunk
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -52,9 +48,8 @@ class ApngWriter:
     Usage::
 
         with ApngWriter(path, delay_ms=80) as w:
-            for frame in frames:        # uint8 arrays ...
-                w.add_frame(frame)
-            # ... or already-encoded PNG bytes: w.add_encoded(png)
+            for png in frames:          # encoded PNG bytes
+                w.add_encoded(png)
 
     The header (signature, IHDR, ``acTL``) is emitted on the first
     frame; ``close`` appends ``IEND`` and patches the real frame count
@@ -63,8 +58,7 @@ class ApngWriter:
     assemble into a buffer first).
     """
 
-    def __init__(self, fp, delay_ms: int = 100, loops: int = 0,
-                 compress_level: int = 6):
+    def __init__(self, fp, delay_ms: int = 100, loops: int = 0):
         if delay_ms < 1:
             raise ValueError("delay_ms must be >= 1")
         if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
@@ -75,7 +69,6 @@ class ApngWriter:
             self._owns_fp = False
         self.delay_ms = delay_ms
         self.loops = loops
-        self.compress_level = compress_level
         self.frames = 0
         self._seq = 0
         self._ihdr: bytes | None = None
@@ -84,9 +77,6 @@ class ApngWriter:
         self._closed = False
 
     # -- adding frames -----------------------------------------------------
-    def add_frame(self, frame: np.ndarray) -> None:
-        """Encode and append one uint8 RGB(A)/grayscale frame."""
-        self.add_encoded(encode_png(frame, self.compress_level))
 
     def add_encoded(self, png: bytes) -> None:
         """Append one frame from already-encoded PNG bytes (no re-encode).
@@ -176,39 +166,6 @@ class ApngWriter:
 
     def _tell(self) -> int:
         return self._fp.tell()
-
-
-def assemble_apng(
-    frames: list[np.ndarray],
-    delay_ms: int = 100,
-    loops: int = 0,
-    compress_level: int = 6,
-) -> bytes:
-    """Assemble uint8 RGB(A)/gray frames into one APNG byte string.
-
-    `loops` = 0 means repeat forever.  Frames must share shape/dtype.
-    One-shot wrapper over :class:`ApngWriter`.
-    """
-    if not frames:
-        raise ValueError("need at least one frame")
-    shapes = {f.shape for f in frames}
-    if len(shapes) != 1:
-        raise ValueError(f"frames must share a shape, got {shapes}")
-    buf = io.BytesIO()
-    writer = ApngWriter(buf, delay_ms=delay_ms, loops=loops,
-                        compress_level=compress_level)
-    for frame in frames:
-        writer.add_frame(frame)
-    writer.close()
-    return buf.getvalue()
-
-
-def write_apng(path, frames: list[np.ndarray], **kwargs) -> int:
-    """Write an APNG file; returns bytes written."""
-    data = assemble_apng(frames, **kwargs)
-    with open(path, "wb") as f:
-        f.write(data)
-    return len(data)
 
 
 def apng_info(data: bytes) -> dict:

@@ -1,4 +1,4 @@
-"""Byte-size constants, formatting and parsing.
+"""Byte-size constants and formatting.
 
 Storage accounting is central to the paper's evaluation (6.5 MB of
 Catalyst images vs 19 GB of checkpoints), so the whole stack reports
@@ -6,8 +6,6 @@ byte counts through these helpers for consistent, lossless formatting.
 """
 
 from __future__ import annotations
-
-import re
 
 KIB = 1024
 MIB = 1024**2
@@ -21,25 +19,6 @@ _UNITS = [
     ("KiB", KIB),
     ("B", 1),
 ]
-
-_PARSE_UNITS = {
-    "b": 1,
-    "": 1,
-    "kb": 1000,
-    "mb": 1000**2,
-    "gb": 1000**3,
-    "tb": 1000**4,
-    "kib": KIB,
-    "mib": MIB,
-    "gib": GIB,
-    "tib": TIB,
-    "k": KIB,
-    "m": MIB,
-    "g": GIB,
-    "t": TIB,
-}
-
-_SIZE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([a-zA-Z]*)\s*$")
 
 
 def format_bytes(n: float, precision: int = 2) -> str:
@@ -61,20 +40,3 @@ def format_bytes(n: float, precision: int = 2) -> str:
                 return f"{int(value)} B"
             return f"{value:.{precision}f} {unit}"
     return f"{n:.{precision}f} B"
-
-
-def parse_bytes(text: str) -> int:
-    """Parse a human byte-size string (``"19 GB"``, ``"6.5MiB"``, ``"512"``).
-
-    Decimal units (kB/MB/GB) are powers of 1000; binary units
-    (KiB/MiB/GiB) are powers of 1024, matching common storage-system
-    conventions.
-    """
-    m = _SIZE_RE.match(text)
-    if m is None:
-        raise ValueError(f"cannot parse byte size: {text!r}")
-    value = float(m.group(1))
-    unit = m.group(2).lower()
-    if unit not in _PARSE_UNITS:
-        raise ValueError(f"unknown byte-size unit {m.group(2)!r} in {text!r}")
-    return int(round(value * _PARSE_UNITS[unit]))

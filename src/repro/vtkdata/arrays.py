@@ -37,18 +37,5 @@ class DataArray:
         return self.values.shape[0]
 
     @property
-    def num_components(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
-    @property
     def nbytes(self) -> int:
         return self.values.nbytes
-
-    def range(self) -> tuple[float, float]:
-        """(min, max) over the magnitude for vectors, values for scalars."""
-        if self.values.size == 0:
-            return (0.0, 0.0)
-        if self.values.ndim == 2:
-            mag = np.linalg.norm(self.values, axis=1)
-            return float(mag.min()), float(mag.max())
-        return float(self.values.min()), float(self.values.max())

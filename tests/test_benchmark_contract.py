@@ -15,6 +15,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -594,3 +595,209 @@ def test_every_src_module_is_reached_outside_tests():
     unreached = set(files) - packages - reached
     assert sorted(unreached - set(KEPT)) == [], "reached only by tests"
     assert sorted(set(KEPT) - unreached) == [], "reached now: drop from KEPT"
+
+
+# -- every public name is reached --------------------------------------------
+
+#: the public names nothing outside the tests reaches, and why each stays
+KEPT_NAMES = {
+    "vtkdata/readers.py::read_vtu": "test oracle: reads back every written "
+    ".vtu (its module is in KEPT)",
+    "vtkdata/readers.py::read_vtm": "test oracle: reads back every written .vtm",
+    "util/apng.py::apng_info": "test oracle: parses the APNGs the serving "
+    "transport streams",
+    "observe/metrics.py::naming_violations": "test oracle: checks the metric "
+    "names the program registers",
+    "observe/tracer.py::validate_nesting": "test oracle: checks the spans "
+    "the program records nest",
+    "adios/engine.py::BPFileReaderEngine": "test oracle: reads back the .bp "
+    "series that file-staged streams and compressed_io dumps write",
+    "parallel/runtime.py::dump_thread_stacks": "test infrastructure: the "
+    "conftest watchdog prints a wedged run's stacks with it",
+    "serve/transport.py::shutdown_all": "test infrastructure: the conftest "
+    "leak guard stops every server a test left running",
+    "faults/injector.py::FaultLog.accounted": "the injected == detected + "
+    "recovered + degraded invariant every fault suite asserts",
+    "faults/injector.py::FaultLog.snapshot": "the per-kind fault record the "
+    "fault suites compare across runs of one seed",
+    "adios/engine.py::SSTBroker.mark_writer_down": "fault signalling: "
+    "unblocks readers waiting on a writer that is gone",
+    "nekrs/restart.py::write_restart": "its bit-exact continuation tests "
+    "check NekRSSolver's persistent state (module in KEPT)",
+    "nekrs/restart.py::read_restart": "the other half of write_restart",
+    "nekrs/config.py::PassiveScalar": "the only constructor of "
+    "CaseDefinition.passive_scalars, which NekRSSolver transports every "
+    "step; removing the feature edits the step every workload runs",
+}
+
+_ENTRYPOINT = r"(repro(?:\.\w+)+):(\w+)(?:\.(\w+))?"
+
+
+def _public_defs(tree):
+    """``(qualname, node, class_name)`` for each public top-level function
+    and class, and for each public method or property of a top-level
+    class (``class_name`` is None for a top-level def)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item, node.name
+
+
+def _first_line(node) -> int:
+    return min([node.lineno, *(d.lineno for d in node.decorator_list)])
+
+
+def _counted_nodes(tree, is_init):
+    """The nodes a reference may come from: all of a module, or only the
+    function bodies of an ``__init__`` (its imports and ``__all__`` are
+    re-exports, not uses)."""
+    if not is_init:
+        yield from ast.walk(tree)
+        return
+    for top in ast.walk(tree):
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from ast.walk(top)
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """Source scan, one level finer than the module scan above: a public
+    function, class, method or property under ``src/repro`` stays only if
+    something outside its own body and outside the tests refers to it.
+    References come from ``src/`` (an ``__init__`` by its function
+    bodies only, which is how an XML ``type=`` name reaches its
+    analysis), ``examples/``, all of ``benchmarks/e2e/`` (with the
+    ``module:Class.method`` strings of ``trace.ENTRYPOINTS``) and the
+    ``benchmarks/*.py`` figure suite.
+
+    A top-level name resolves by module: ``from M import name``,
+    ``alias.name`` with the alias bound to ``M``, to its package or to
+    a package that re-exports it, or a bare name inside ``M``.  A
+    method resolves by name: any ``.name`` attribute or ``getattr``
+    string reaches it, and so does overriding an attribute of a base
+    class.  Dunders are not public and never listed."""
+    repo = SRC.parents[1]
+    modules = {}
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        modules[path] = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    packages = {m for path, m in modules.items() if path.name == "__init__.py"}
+    names = set(modules.values())
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    sources = [*repo.glob("examples/*.py"), *repo.glob("benchmarks/*.py"),
+               *repo.glob("benchmarks/e2e/**/*.py")]
+    trees.update({path: ast.parse(path.read_text()) for path in sources})
+
+    def absolute(path, node):
+        if node.level == 0:
+            return node.module
+        base = modules[path].split(".")
+        base = base[: len(base) - node.level + (path.name == "__init__.py")]
+        return ".".join(base + ([node.module] if node.module else []))
+
+    def bindings(path):
+        """name -> ("module", M) or ("name", (M, name)) for every import."""
+        bound = {}
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        bound[alias.asname] = ("module", alias.name)
+                    else:
+                        top = alias.name.split(".")[0]
+                        bound[top] = ("module", top)
+            elif isinstance(node, ast.ImportFrom):
+                module = absolute(path, node)
+                for alias in node.names:
+                    full = f"{module}.{alias.name}"
+                    kind = (("module", full) if full in names
+                            else ("name", (module, alias.name)))
+                    bound[alias.asname or alias.name] = kind
+        return bound
+
+    reexports = {m: bindings(path) for path, m in modules.items() if m in packages}
+
+    def resolve(module, name):
+        """(module, name) and what a package's re-export points it at."""
+        yield module, name
+        kind = reexports.get(module, {}).get(name)
+        if kind and kind[0] == "name":
+            yield from resolve(*kind[1])
+
+    top_refs = {}     # (module, name) -> [(path, line)]
+    attr_refs = {}    # attribute name -> [(path, line)]
+
+    def note(table, key, path, line):
+        table.setdefault(key, []).append((path, line))
+
+    for path, tree in trees.items():
+        own = modules.get(path)
+        bound = bindings(path)
+        for node in _counted_nodes(tree, path.name == "__init__.py" and own is not None):
+            line = getattr(node, "lineno", 0)
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    for key in resolve(absolute(path, node), alias.name):
+                        note(top_refs, key, path, line)
+            elif isinstance(node, ast.Name):
+                kind = bound.get(node.id)
+                if kind and kind[0] == "name":
+                    for key in resolve(*kind[1]):
+                        note(top_refs, key, path, line)
+                if own is not None:
+                    note(top_refs, (own, node.id), path, line)
+            elif isinstance(node, ast.Attribute):
+                note(attr_refs, node.attr, path, line)
+                chain, value = [node.attr], node.value
+                while isinstance(value, ast.Attribute):
+                    chain.append(value.attr)
+                    value = value.value
+                kind = isinstance(value, ast.Name) and bound.get(value.id)
+                if kind and kind[0] == "module":
+                    module, chain = kind[1], chain[::-1]
+                    while chain[:-1] and f"{module}.{chain[0]}" in names:
+                        module = f"{module}.{chain.pop(0)}"
+                    for key in resolve(module, chain[0]):
+                        note(top_refs, key, path, line)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                spec = re.fullmatch(_ENTRYPOINT, node.value)
+                if spec:
+                    note(top_refs, spec.group(1, 2), path, line)
+                    if spec.group(3):
+                        note(attr_refs, spec.group(3), path, line)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr", "setattr")
+                    and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+                note(attr_refs, node.args[1].value, path, line)
+
+    def outside(refs, path, node):
+        return any(p != path or not _first_line(node) <= line <= node.end_lineno
+                   for p, line in refs)
+
+    unreached = {}
+    for path, module in modules.items():
+        for qualname, node, owner in _public_defs(trees[path]):
+            name = qualname.rsplit(".", 1)[-1]
+            if owner is None:
+                refs = [r for m, n in {(module, name), (module.rpartition(".")[0], name)}
+                        for r in top_refs.get((m, n), ())]
+                if outside(refs, path, node):
+                    continue
+            else:
+                if outside(attr_refs.get(name, ()), path, node):
+                    continue
+                cls = getattr(importlib.import_module(module), owner)
+                if any(hasattr(base, name) for base in cls.__mro__[1:]):
+                    continue
+            key = f"{path.relative_to(SRC).as_posix()}::{qualname}"
+            unreached[key] = node.end_lineno - _first_line(node) + 1
+
+    listed = sorted(f"{k} ({n} lines)" for k, n in unreached.items() if k not in KEPT_NAMES)
+    assert not listed, "reached only by tests:\n" + "\n".join(listed)
+    stale = sorted(set(KEPT_NAMES) - set(unreached))
+    assert not stale, "reached now: drop from KEPT_NAMES:\n" + "\n".join(stale)

@@ -6,11 +6,9 @@ import pytest
 from repro.catalyst import (
     RenderPipeline,
     RenderSpec,
-    clip_box,
     draw_colorbar,
     draw_step_label,
     draw_text,
-    threshold,
     threshold_by,
 )
 from repro.catalyst.annotations import text_extent
@@ -87,21 +85,6 @@ class TestThreshold:
     def _vol(self):
         return np.arange(27, dtype=float).reshape(3, 3, 3)
 
-    def test_band_kept(self):
-        out = threshold(self._vol(), vmin=10, vmax=20)
-        assert np.isnan(out[0, 0, 0])
-        assert out[1, 1, 1] == 13.0
-        assert np.isnan(out[2, 2, 2])
-
-    def test_empty_range_raises(self):
-        with pytest.raises(ValueError):
-            threshold(self._vol(), vmin=5, vmax=1)
-
-    def test_original_untouched(self):
-        vol = self._vol()
-        threshold(vol, vmin=10, vmax=20)
-        assert not np.isnan(vol).any()
-
     def test_threshold_by_selector(self):
         vol = self._vol()
         sel = np.zeros_like(vol)
@@ -113,15 +96,6 @@ class TestThreshold:
     def test_threshold_by_shape_mismatch(self):
         with pytest.raises(ValueError):
             threshold_by(self._vol(), np.zeros((2, 2, 2)))
-
-    def test_clip_box(self):
-        vol = np.ones((4, 4, 4))
-        out = clip_box(
-            vol, origin=(0, 0, 0), spacing=(1, 1, 1),
-            box_lo=(0, 0, 0), box_hi=(1.5, 10, 10),
-        )
-        assert not np.isnan(out[:, :, :2]).any()   # x = 0, 1 kept
-        assert np.isnan(out[:, :, 2:]).all()       # x = 2, 3 clipped
 
 
 class TestAnnotatedPipeline:

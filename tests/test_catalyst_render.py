@@ -14,7 +14,6 @@ from repro.catalyst import (
     colormap_names,
     load_pipeline_script,
     marching_tetrahedra,
-    plane_sample,
 )
 from repro.catalyst.slicefilter import trilinear_sample
 from repro.vtkdata import DataArray, ImageData
@@ -344,18 +343,6 @@ class TestSlices:
             self._vol(), (0, 0, 0), (1, 1, 1), np.array([[99.0, 0, 0]]), fill=-7.0
         )
         assert vals[0] == -7.0
-
-    def test_plane_sample(self):
-        patch = plane_sample(
-            self._vol(), (0, 0, 0), (1, 1, 1),
-            plane_point=np.array([0.0, 0.0, 1.0]),
-            plane_u=np.array([3.0, 0.0, 0.0]),
-            plane_v=np.array([0.0, 3.0, 0.0]),
-            resolution=(4, 4),
-        )
-        assert patch.shape == (4, 4)
-        np.testing.assert_allclose(patch[0, 0], 100.0)
-        np.testing.assert_allclose(patch[0, -1], 103.0)
 
 
 class TestRenderPipeline:

@@ -8,7 +8,6 @@ import pytest
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case, rayleigh_benard_case
 from repro.nekrs.diagnostics import (
-    convective_heat_flux,
     q_criterion,
     vorticity,
     vorticity_magnitude,
@@ -79,16 +78,6 @@ class TestQCriterion:
         np.testing.assert_allclose(q, 0.0, atol=1e-9)
 
 
-class TestHeatFlux:
-    def test_aligned_flux_positive(self, ops):
-        shape = ops.mesh.field_shape()
-        assert convective_heat_flux(ops, np.ones(shape), np.ones(shape)) == pytest.approx(1.0)
-
-    def test_no_flow_zero(self, ops):
-        shape = ops.mesh.field_shape()
-        assert convective_heat_flux(ops, np.zeros(shape), np.ones(shape)) == 0.0
-
-
 class TestAdaptorDiagnostics:
     def test_vorticity_and_q_served(self, tiny_solver):
         from repro.insitu import NekDataAdaptor
@@ -96,8 +85,8 @@ class TestAdaptorDiagnostics:
         tiny_solver.run(2)
         adaptor = NekDataAdaptor(tiny_solver)
         md = adaptor.get_mesh_metadata(0)
-        assert "vorticity_magnitude" in md.array_names
-        assert "q_criterion" in md.array_names
+        assert "vorticity_magnitude" in tuple(a.name for a in md.arrays)
+        assert "q_criterion" in tuple(a.name for a in md.arrays)
         mesh = adaptor.get_mesh("mesh")
         adaptor.add_array(mesh, "mesh", "point", "vorticity_magnitude")
         adaptor.add_array(mesh, "mesh", "point", "q_criterion")

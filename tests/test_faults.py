@@ -253,7 +253,7 @@ class TestBrokerInjection:
         for _ in range(50):
             with pytest.raises(StreamTimeout):
                 broker.get(0, step=0, timeout=0)
-        assert inj.log.total_injected == 0
+        assert sum(inj.log.injected.values()) == 0
         assert broker.stats.steps_got == 0
         staged = 5
         for step in range(staged):

@@ -1,16 +1,34 @@
-"""Tests for file-staged in transit: XML-configured BPFile streaming +
-posthoc replay through a SENSEI consumer."""
+"""Tests for file-staged in transit: XML-configured BPFile streaming,
+read back through the BP reader into a SENSEI consumer."""
 
 import numpy as np
-import pytest
 
+from repro.adios.engine import BPFileReaderEngine, StepStatus
 from repro.insitu import Bridge
-from repro.insitu.streamed import replay_file_staged
+from repro.insitu.streamed import StreamedDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.parallel import SerialCommunicator, run_spmd
 from repro.sensei.analyses import VTKPosthocIO
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
+
+
+def _replay(directory, stream_name, num_writers, analysis, comm):
+    """Drive `analysis` over every staged step, all writers at once, in
+    step order; return the number of steps consumed."""
+    readers = [BPFileReaderEngine(stream_name, directory, writer_rank=w)
+               for w in range(num_writers)]
+    adaptor = StreamedDataAdaptor(comm)
+    steps = 0
+    while all(r.begin_step() is StepStatus.OK for r in readers):
+        adaptor.consume({w: r.get() for w, r in enumerate(readers)})
+        analysis.execute(adaptor)
+        adaptor.release_data()
+        steps += 1
+        for reader in readers:
+            reader.end_step()
+    analysis.finalize()
+    return steps
 
 
 class _Collector(AnalysisAdaptor):
@@ -55,7 +73,7 @@ class TestFileStaged:
     def test_replay_reconstructs_every_step(self, tmp_path, comm):
         solver = _stage_run(tmp_path, comm, steps=3)
         collector = _Collector()
-        consumed = replay_file_staged(tmp_path, "stage", 1, collector, comm)
+        consumed = _replay(tmp_path, "stage", 1, collector, comm)
         assert consumed == 3
         assert collector.finalized
         assert [s for s, _ in collector.steps] == [1, 2, 3]
@@ -71,7 +89,7 @@ class TestFileStaged:
         io = VTKPosthocIO(
             comm, tmp_path / "vtu", arrays=("pressure", "velocity_x")
         )
-        consumed = replay_file_staged(tmp_path / "bp", "stage", 1, io, comm)
+        consumed = _replay(tmp_path / "bp", "stage", 1, io, comm)
         assert consumed == 2
         assert len(list((tmp_path / "vtu").glob("*.vtu"))) == 2
 
@@ -84,20 +102,7 @@ class TestFileStaged:
 
         run_spmd(2, body)
         collector = _Collector()
-        consumed = replay_file_staged(
+        consumed = _replay(
             tmp_path, "stage", 2, collector, SerialCommunicator()
         )
         assert consumed == 2
-
-    def test_ragged_series_detected(self, tmp_path, comm):
-        _stage_run(tmp_path, comm, steps=2)
-        # fabricate a second writer with fewer steps
-        from repro.adios.engine import BPFileWriterEngine
-
-        w = BPFileWriterEngine("stage", tmp_path, writer_rank=1)
-        w.set_step_info(1, 0.005)
-        w.begin_step()
-        w.put("block_ids", np.array([1], dtype=np.int64))
-        w.end_step()
-        with pytest.raises(ValueError, match="ragged"):
-            replay_file_staged(tmp_path, "stage", 2, _Collector(), comm)

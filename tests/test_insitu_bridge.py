@@ -6,7 +6,6 @@ import pytest
 from repro.adios import SSTBroker, SSTWriterEngine
 from repro.fleet import Directive, FleetCoordinator
 from repro.insitu import Bridge, NekDataAdaptor, StreamedDataAdaptor
-from repro.insitu import bridge as bridge_mod
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.parallel import SerialCommunicator
@@ -69,25 +68,6 @@ class TestBridge:
         assert bridge.stop_requested
 
 
-class TestFunctionalFacade:
-    def test_initialize_update_finalize(self, tiny_solver):
-        bridge = bridge_mod.initialize(tiny_solver, "<sensei></sensei>")
-        assert bridge_mod.update(1, 0.1) is True
-        bridge_mod.finalize()
-
-    def test_double_initialize_raises(self, tiny_solver):
-        bridge_mod.initialize(tiny_solver, "<sensei></sensei>")
-        try:
-            with pytest.raises(RuntimeError):
-                bridge_mod.initialize(tiny_solver, "<sensei></sensei>")
-        finally:
-            bridge_mod.finalize()
-
-    def test_update_without_initialize_raises(self):
-        with pytest.raises(RuntimeError):
-            bridge_mod.update(1, 0.0)
-
-
 def _stream_solver_steps(mesh_name, arrays, steps=2):
     """Drive solver -> ADIOS adaptor -> SST -> the fleet coordinator;
     return payload dicts per streamed step."""
@@ -119,7 +99,7 @@ class TestStreamedDataAdaptor:
         assert endpoint.get_number_of_meshes() == 1
         md = endpoint.get_mesh_metadata(0)
         assert md.name == "mesh"
-        assert set(md.array_names) == {"pressure", "velocity_x"}
+        assert set(tuple(a.name for a in md.arrays)) == {"pressure", "velocity_x"}
         mesh = endpoint.get_mesh("mesh")
         endpoint.add_array(mesh, "mesh", "point", "pressure")
         block = mesh.get_block(0)

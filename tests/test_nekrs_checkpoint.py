@@ -6,7 +6,6 @@ import pytest
 from repro.nekrs.checkpoint import (
     CheckpointHeader,
     checkpoint_filename,
-    checkpoint_nbytes,
     encode_checkpoint,
     read_checkpoint,
     write_checkpoint,
@@ -89,11 +88,6 @@ class TestEncodeDecode:
 class TestSizing:
     def test_filename_format(self):
         assert checkpoint_filename("pb146", 100, 3) == "pb1460.f00100.r0003"
-
-    def test_nbytes_estimate_close(self, tmp_path, fields):
-        path, actual = write_checkpoint(tmp_path, "tc", 0, 0.0, 0, 1, fields)
-        est = checkpoint_nbytes((3, 4, 4, 4), len(fields))
-        assert abs(est - actual) < 256
 
     def test_restart_reproduces_solver_state(self, tmp_path, tiny_solver):
         """Write a checkpoint mid-run, restart from it, states match."""

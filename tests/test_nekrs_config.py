@@ -11,7 +11,6 @@ from repro.nekrs import (
     ext_coefficients,
     par_to_overrides,
     read_par,
-    write_par,
 )
 from repro.nekrs.parfile import ParFileError
 from repro.nekrs.timestepper import effective_order
@@ -139,10 +138,17 @@ class TestVelocityBC:
         np.testing.assert_array_equal(bc.evaluate(y, y, y, 1.0), [2.0, 3.0])
 
 
+def _write_par(path, sections):
+    """A .par file from {SECTION: {key: value}}."""
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for section, entries in sections.items()))
+
+
 class TestParFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "case.par"
-        write_par(path, {
+        _write_par(path, {
             "GENERAL": {"polynomialOrder": 7, "dt": 1e-3, "numSteps": 3000},
             "VELOCITY": {"viscosity": 1e-2},
         })
@@ -155,31 +161,31 @@ class TestParFiles:
 
     def test_temperature_section(self, tmp_path):
         path = tmp_path / "t.par"
-        write_par(path, {"TEMPERATURE": {"conductivity": 0.5}})
+        _write_par(path, {"TEMPERATURE": {"conductivity": 0.5}})
         assert par_to_overrides(read_par(path)) == {"conductivity": 0.5}
 
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "bad.par"
-        write_par(path, {"GENERAL": {"tyop": 1}})
+        _write_par(path, {"GENERAL": {"tyop": 1}})
         with pytest.raises(ParFileError, match="tyop"):
             par_to_overrides(read_par(path))
 
     def test_bad_value_raises(self, tmp_path):
         path = tmp_path / "bad.par"
-        write_par(path, {"GENERAL": {"dt": "soon"}})
+        _write_par(path, {"GENERAL": {"dt": "soon"}})
         with pytest.raises(ParFileError, match="dt"):
             par_to_overrides(read_par(path))
 
     def test_passthrough_keys_ignored(self, tmp_path):
         path = tmp_path / "w.par"
-        write_par(path, {"GENERAL": {"writeInterval": 100}})
+        _write_par(path, {"GENERAL": {"writeInterval": 100}})
         assert par_to_overrides(read_par(path)) == {}
 
     def test_overrides_apply_to_case(self, tmp_path):
         from repro.nekrs.cases import lid_cavity_case
 
         path = tmp_path / "c.par"
-        write_par(path, {"GENERAL": {"dt": 0.25}})
+        _write_par(path, {"GENERAL": {"dt": 0.25}})
         case = lid_cavity_case().with_overrides(**par_to_overrides(read_par(path)))
         assert case.dt == 0.25
 

@@ -128,7 +128,7 @@ class TestTracedInTransitRun:
         )
         # writer ranks account their staged-queue high-water mark
         for rank in put_ranks:
-            assert session.rank(rank).memory.peak("sst.queue") > 0
+            assert session.rank(rank).memory.peaks().get("sst.queue", 0) > 0
         merged = session.merged_metrics()
         assert merged.get("repro_sst_steps_put_total").value == 6
         assert merged.get("repro_sst_steps_got_total").value == 6

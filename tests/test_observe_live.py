@@ -150,7 +150,7 @@ class TestWirePairing:
             counts={"wire_got_bytes": 100},
         ))
         tl = agg.timeline(1)
-        (wire,) = tl.stage_events("wire")
+        (wire,) = [e for e in tl.events if e.stage == "wire"]
         assert wire.rank == 2                # attributed to the consumer
         assert wire.seconds == pytest.approx(0.25)
         assert agg.bytes_put == agg.bytes_got == 100
@@ -166,7 +166,7 @@ class TestWirePairing:
             rank=1, seq=0,
             wire_marks=(WireMark("put", step=3, stream=1, t=5.0, nbytes=0, rank=1),),
         ))
-        (wire,) = agg.timeline(3).stage_events("wire")
+        (wire,) = [e for e in agg.timeline(3).events if e.stage == "wire"]
         assert wire.t0 == 5.0 and wire.t1 == 5.5
 
     def test_wire_duration_never_negative(self):
@@ -179,7 +179,7 @@ class TestWirePairing:
             rank=1, seq=0,
             wire_marks=(WireMark("got", step=1, stream=0, t=1.9, nbytes=0, rank=1),),
         ))
-        (wire,) = agg.timeline(1).stage_events("wire")
+        (wire,) = [e for e in agg.timeline(1).events if e.stage == "wire"]
         assert wire.seconds == 0.0
 
 
@@ -209,7 +209,7 @@ class TestSLOWatchdog:
                   for s in range(1, 5)]
         agg.ingest(Snapshot(rank=0, seq=0, events=tuple(solves[:3])))
         assert dog.evaluate(agg) == []       # burning, but too few samples
-        assert dog.burn_rates()["step_latency"] >= 1.0
+        assert dog.to_json()["burn_rates"]["step_latency"] >= 1.0
         agg.ingest(Snapshot(rank=0, seq=1, events=(solves[3],)))
         assert [a.slo for a in dog.evaluate(agg)] == ["step_latency"]
 
@@ -297,8 +297,8 @@ class TestLiveFleetAcceptance:
     def test_stage_order_is_causal_per_step(self, live_fleet_run):
         *_ignored, plane = live_fleet_run
         tl = plane.timeline(1)
-        solve = tl.stage_events("solve")
-        deliver = tl.stage_events("deliver")
+        solve = [e for e in tl.events if e.stage == "solve"]
+        deliver = [e for e in tl.events if e.stage == "deliver"]
         assert min(e.t0 for e in solve) <= min(e.t0 for e in deliver)
         assert max(e.t1 for e in deliver) == pytest.approx(tl.wall_end)
 
@@ -373,10 +373,7 @@ class TestCrashRecoverySLO:
         # the dead endpoint's global rank track was finalized at
         # detection time (num_writers + eid), not left dangling
         num_sim = len([r for r in results if r.role == "simulation"])
-        meta = session.track_meta()
-        assert meta[num_sim + 2]["finalized"] is not None
-        alive = [r for r in range(len(results)) if r != num_sim + 2]
-        assert all(meta[r]["finalized"] is None for r in alive if r in meta)
+        assert set(session._finalized) == {num_sim + 2}
 
 
 # -- end-to-end: live HTTP exports mid-run ----------------------------------
@@ -587,19 +584,17 @@ class TestSessionChurn:
         time.sleep(0.01)
         late = session.rank(7)
         assert late is not early
-        meta = session.track_meta()
         # the pre-join gap is not billed: the joiner's epoch is its
         # join time, strictly after rank 0's
-        assert meta[7]["started"] > meta[0]["started"]
-        assert meta[7]["finalized"] is None
+        assert late.tracer.epoch > early.tracer.epoch
+        assert 7 not in session._finalized
 
     def test_finalize_rank_pins_detection_time(self):
         session = TelemetrySession("churn")
         tel = session.rank(3)
         at = time.perf_counter()
         assert session.finalize_rank(3, at=at)
-        meta = session.track_meta()
-        assert meta[3]["finalized"] == at
+        assert session._finalized[3] == at
         from repro.observe import InstantEvent
 
         names = [e.name for e in tel.tracer.events
@@ -613,7 +608,7 @@ class TestSessionChurn:
         assert session.finalize_rank(1, at=first)
         # repeat finalize is a success but never moves the pinned time
         assert session.finalize_rank(1, at=first + 5.0)
-        assert session.track_meta()[1]["finalized"] == first
+        assert session._finalized[1] == first
         assert not session.finalize_rank(99)
 
     def test_plane_binds_ranks_created_after_attach(self):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.machine import POLARIS, PcieModel
-from repro.occa import Device, KernelError
+from repro.occa import Device, DeviceMemory
+
+
+def _upload(dev, host):
+    """A device buffer holding `host`, copied H2D."""
+    mem = DeviceMemory(dev, np.empty_like(host))
+    mem.copy_from_host(host)
+    return mem
 
 
 class TestDeviceBasics:
@@ -12,35 +19,24 @@ class TestDeviceBasics:
         with pytest.raises(ValueError):
             Device("vulkan")
 
-    def test_malloc_zeroed(self):
-        dev = Device("cuda-sim")
-        mem = dev.malloc((4, 4))
-        assert mem.shape == (4, 4)
-        np.testing.assert_array_equal(mem.copy_to_host(), 0.0)
-
-    def test_allocated_bytes_tracked(self):
-        dev = Device("cuda-sim")
-        dev.malloc(100)
-        assert dev.allocated_bytes == 800
-
 
 class TestTransfers:
     def test_roundtrip(self):
         dev = Device("cuda-sim")
         src = np.arange(12, dtype=float).reshape(3, 4)
-        mem = dev.to_device(src)
+        mem = _upload(dev, src)
         np.testing.assert_array_equal(mem.copy_to_host(), src)
 
     def test_cuda_sim_copy_is_not_alias(self):
         dev = Device("cuda-sim")
-        mem = dev.to_device(np.ones(5))
+        mem = _upload(dev, np.ones(5))
         host = mem.copy_to_host()
         host[0] = 99.0
         np.testing.assert_array_equal(mem.copy_to_host(), 1.0)
 
     def test_ledger_counts_bytes(self):
         dev = Device("cuda-sim")
-        mem = dev.to_device(np.zeros(10))   # h2d: 80 bytes
+        mem = _upload(dev, np.zeros(10))   # h2d: 80 bytes
         mem.copy_to_host()                  # d2h: 80 bytes
         mem.copy_to_host()
         assert dev.transfers.h2d_bytes == 80
@@ -51,19 +47,19 @@ class TestTransfers:
 
     def test_serial_mode_charges_nothing(self):
         dev = Device("serial")
-        mem = dev.to_device(np.zeros(10))
+        mem = _upload(dev, np.zeros(10))
         mem.copy_to_host()
         assert dev.transfers.total_bytes == 0
 
     def test_shape_mismatch_raises(self):
         dev = Device("cuda-sim")
-        mem = dev.malloc((2, 2))
+        mem = DeviceMemory(dev, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             mem.copy_from_host(np.zeros(5))
 
     def test_copy_to_host_into_buffer(self):
         dev = Device("cuda-sim")
-        mem = dev.to_device(np.arange(4.0))
+        mem = _upload(dev, np.arange(4.0))
         out = np.empty(4)
         result = mem.copy_to_host(out)
         assert result is out
@@ -71,65 +67,21 @@ class TestTransfers:
 
     def test_copy_to_host_buffer_mismatch(self):
         dev = Device("cuda-sim")
-        mem = dev.malloc(4)
+        mem = DeviceMemory(dev, np.zeros(4))
         with pytest.raises(ValueError):
             mem.copy_to_host(np.empty(5))
 
     def test_modeled_seconds_with_pcie(self):
         pcie = PcieModel(POLARIS.node.gpu)
         dev = Device("cuda-sim", pcie=pcie)
-        mem = dev.to_device(np.zeros(10**6))
+        mem = _upload(dev, np.zeros(10**6))
         mem.copy_to_host()
         assert dev.transfers.modeled_seconds > 0
 
-    def test_ledger_reset(self):
-        dev = Device("cuda-sim")
-        dev.to_device(np.zeros(4))
-        dev.transfers.reset()
-        assert dev.transfers.total_bytes == 0
-
     def test_fill_runs_device_side(self):
         dev = Device("cuda-sim")
-        mem = dev.malloc(3)
+        mem = DeviceMemory(dev, np.zeros(3))
         before = dev.transfers.total_bytes
         mem.fill(7.0)
         assert dev.transfers.total_bytes == before
         np.testing.assert_array_equal(mem.copy_to_host(), 7.0)
-
-
-class TestKernels:
-    def test_build_and_launch(self):
-        dev = Device("cuda-sim")
-
-        def axpy(y, x, alpha):
-            y += alpha * x
-
-        launch = dev.build_kernel("axpy", axpy)
-        y = dev.to_device(np.ones(4))
-        x = dev.to_device(np.full(4, 2.0))
-        launch(y, x, 3.0)
-        np.testing.assert_array_equal(y.copy_to_host(), 7.0)
-
-    def test_kernel_sees_raw_arrays_no_transfer(self):
-        dev = Device("cuda-sim")
-        dev.build_kernel("touch", lambda a: a.fill(1.0))
-        mem = dev.malloc(4)
-        before = dev.transfers.total_bytes
-        dev.kernel("touch")(mem)
-        assert dev.transfers.total_bytes == before
-
-    def test_duplicate_name_raises(self):
-        dev = Device("serial")
-        dev.build_kernel("k", lambda: None)
-        with pytest.raises(KernelError):
-            dev.build_kernel("k", lambda: None)
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(KernelError):
-            Device("serial").kernel("nope")
-
-    def test_kernel_names(self):
-        dev = Device("serial")
-        dev.build_kernel("b", lambda: None)
-        dev.build_kernel("a", lambda: None)
-        assert dev.kernel_names == ["a", "b"]

@@ -144,19 +144,12 @@ class TestTrafficMeter:
         assert m.count("send") == 2
         assert m.count() == 2
 
-    def test_by_op(self):
-        m = TrafficMeter()
-        m.record("send", 10, 2)
-        m.record("allgather", 20, 2)
-        m.record("send", 5, 2)
-        assert m.by_op() == {"send": 15, "allgather": 20}
-
     def test_clear(self):
         m = TrafficMeter()
         m.record("send", 10, 2)
         m.clear()
         assert m.total_bytes() == 0
-        assert m.count() == 0 and m.by_op() == {} and m.per_rank_bytes() == {}
+        assert m.count() == 0 and m.per_rank_bytes() == {}
 
     def test_long_run_keeps_one_entry_per_op_channel_rank(self):
         """10^5 collectives must not cost 10^5 entries: the meter holds
@@ -182,10 +175,6 @@ class TestTrafficMeter:
 
         assert m.count() == 100_000
         assert m.total_bytes() == sum(r[1] for r in records)
-        by_op = {}
-        for r in records:
-            by_op[r[0]] = by_op.get(r[0], 0) + r[1]
-        assert m.by_op() == by_op
         for op in (None, *ops):
             assert m.count(op) == len(replay(op))
             for channel in (None, *channels):
@@ -193,7 +182,6 @@ class TestTrafficMeter:
                 for r in replay(op, channel):
                     per_rank[r[4]] = per_rank.get(r[4], 0) + r[1]
                 assert m.per_rank_bytes(op, channel) == per_rank
-                assert m.peak_rank_bytes(op, channel) == max(per_rank.values())
                 if op is None:
                     assert m.total_bytes(channel) == sum(per_rank.values())
 

@@ -132,7 +132,7 @@ class TestIntegration:
         solver.run(1)
         adaptor = NekDataAdaptor(solver)
         md = adaptor.get_mesh_metadata(0)
-        assert "s01" in md.array_names
+        assert "s01" in tuple(a.name for a in md.arrays)
         mesh = adaptor.get_mesh("mesh")
         adaptor.add_array(mesh, "mesh", "point", "s01")
         np.testing.assert_array_equal(

@@ -23,7 +23,7 @@ from repro.codec import (
 )
 from repro.faults.errors import CorruptPayloadError
 from repro.parallel.comm import ReduceOp, _combine
-from repro.parallel.partition import block_partition, owner_of
+from repro.parallel.partition import block_range
 from repro.perf import naive_mode
 from repro.sem.quadrature import gll_nodes_weights, lagrange_interpolation_matrix
 from repro.util.png import decode_png, encode_png
@@ -34,7 +34,7 @@ from repro.util.timing import TimingStats
 class TestPartitionProperties:
     @given(n=st.integers(0, 500), size=st.integers(1, 64))
     def test_partition_tiles_range(self, n, size):
-        ranges = block_partition(n, size)
+        ranges = [block_range(n, size, r) for r in range(size)]
         assert ranges[0][0] == 0
         assert ranges[-1][1] == n
         for (lo_a, hi_a), (lo_b, _) in zip(ranges, ranges[1:]):
@@ -43,15 +43,8 @@ class TestPartitionProperties:
 
     @given(n=st.integers(1, 500), size=st.integers(1, 64))
     def test_balance_within_one(self, n, size):
-        sizes = [hi - lo for lo, hi in block_partition(n, size)]
+        sizes = [hi - lo for lo, hi in (block_range(n, size, r) for r in range(size))]
         assert max(sizes) - min(sizes) <= 1
-
-    @given(data=st.data(), n=st.integers(1, 300), size=st.integers(1, 32))
-    def test_owner_consistency(self, data, n, size):
-        idx = data.draw(st.integers(0, n - 1))
-        owner = owner_of(idx, n, size)
-        lo, hi = block_partition(n, size)[owner]
-        assert lo <= idx < hi
 
 
 class TestPngProperties:

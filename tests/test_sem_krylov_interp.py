@@ -6,7 +6,15 @@ import pytest
 from repro.parallel import SerialCommunicator, run_spmd
 from repro.sem import BoxMesh, SEMOperators, cg_solve, BoundaryTag
 from repro.sem.krylov import ResidualProjection
-from repro.sem.interp import grid_dims, local_blocks, resample_field
+from repro.sem.interp import grid_dims, resample_field
+
+
+def local_blocks(mesh, field, samples):
+    """[(block_offset_xyz, block_zyx_array), ...]: each element's
+    resampled block with its (ix, iy, iz) cell offset in the global grid."""
+    res = resample_field(mesh, field, samples)
+    return [(tuple(int(c) * samples for c in mesh.elem_lattice[e]), res[e])
+            for e in range(mesh.num_elements)]
 
 
 def assemble_global_grid(mesh, blocks, samples, fill=0.0):

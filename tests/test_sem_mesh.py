@@ -157,7 +157,3 @@ class TestPartitioning:
         lo = part.elem_ids[0]
         np.testing.assert_allclose(part.x[0], full.x[lo])
         np.testing.assert_allclose(part.global_ids[0], full.global_ids[lo])
-
-    def test_zero_field(self):
-        mesh = BoxMesh((2, 1, 1), order=2, rank=0, size=2)
-        assert mesh.zero_field().shape == mesh.field_shape()

@@ -7,6 +7,7 @@ from repro.insitu import NekDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.parallel import SerialCommunicator, run_spmd
+from repro.parallel.comm import ReduceOp
 from repro.sensei.analyses import (
     HistogramAnalysis,
     VTKPosthocIO,
@@ -114,7 +115,7 @@ class TestVTKPosthocIO:
             a.set_data_time_step(1)
             io = VTKPosthocIO(comm, tmp_path, arrays=("pressure",))
             io.execute(a)
-            return io.total_bytes_global()
+            return int(comm.allreduce(io.bytes_written, ReduceOp.SUM))
 
         totals = run_spmd(2, body)
         assert len(list(tmp_path.glob("*.vtu"))) == 2

@@ -24,7 +24,7 @@ class TestMetadata:
             arrays=(ArrayMetadata("pressure", "point"),),
         )
         assert md.array("pressure").components == 1
-        assert md.array_names == ("pressure",)
+        assert tuple(a.name for a in md.arrays) == ("pressure",)
         with pytest.raises(KeyError):
             md.array("nope")
 
@@ -147,7 +147,7 @@ class TestConfigurableAnalysis:
         )
         ca.execute(_FakeData(1))
         assert rec.steps == []
-        assert ca.active_types == []
+        assert [spec.type for spec, _ in ca.adaptors] == []
 
     def test_unknown_type_raises(self, comm):
         with pytest.raises(ConfigError, match="unknown analysis"):
@@ -217,4 +217,4 @@ class TestConfigurableAnalysis:
                 f'<sensei><analysis type="{xml_type}"/></sensei>',
                 extra_factories=factories,
             )
-            assert ca.active_types == [xml_type]
+            assert [spec.type for spec, _ in ca.adaptors] == [xml_type]

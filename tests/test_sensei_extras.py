@@ -175,6 +175,6 @@ class TestXMLRegistration:
         </sensei>
         """
         ca = ConfigurableAnalysis(comm, xml, output_dir=tmp_path)
-        assert ca.active_types == [
+        assert [spec.type for spec, _ in ca.adaptors] == [
             "particles", "divergence_guard", "steady_state"
         ]

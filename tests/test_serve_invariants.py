@@ -232,4 +232,4 @@ class TestScriptedInvariants:
                 else:
                     rec.disconnect(w)
         rec.finish()
-        assert hub.clients == len([w for w in rec.watched if not w.closed])
+        assert hub.stats()["clients"] == len([w for w in rec.watched if not w.closed])

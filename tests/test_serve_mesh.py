@@ -286,7 +286,7 @@ class TestSlowPump:
             mesh.publish("s", step=step, time=0.0, data=_png(step))
             sessions.append(mesh.connect(label=f"late-{step}", depth=8))
         assert not any(s.closed for s in sessions)
-        assert mesh.clients == len(sessions)
+        assert mesh.stats()["clients"] == len(sessions)
         mesh.settle()
         # the pump never ran before now, so everyone attached gets all
         for s in sessions:

@@ -199,18 +199,18 @@ class TestMultipartStream:
         conn.request("GET", "/stream/flow")
         resp = conn.getresponse()
         self._read_part(resp)                      # handshake completed
-        assert hub.clients == 1
+        assert hub.stats()["clients"] == 1
         resp.close()                               # client walks away
         conn.close()
         # the server notices on the next failed write and frees the slot
         deadline = time.monotonic() + 10
         step = 90
-        while hub.clients and time.monotonic() < deadline:
+        while hub.stats()["clients"] and time.monotonic() < deadline:
             hub.publish("flow", step=step, time=9.9, data=_png(step))
             hub.settle()
             step += 1
             time.sleep(0.05)               # the server's turn to notice
-        assert hub.clients == 0
+        assert hub.stats()["clients"] == 0
 
 
 class TestLifecycle:

@@ -26,11 +26,6 @@ class TestTimeline:
         with pytest.raises(ValueError):
             Timeline.from_breakdown({"a": -1.0})
 
-    def test_share(self):
-        tl = Timeline.from_breakdown({"a": 3.0, "b": 1.0})
-        assert tl.share("a") == pytest.approx(0.75)
-        assert tl.share("zz") == 0.0
-
     def test_render_proportions(self):
         tl = Timeline.from_breakdown({"big": 9.0, "small": 1.0})
         out = tl.render(width=50)

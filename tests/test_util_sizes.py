@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.sizes import GIB, KIB, MIB, TIB, format_bytes, parse_bytes
+from repro.util.sizes import GIB, KIB, MIB, TIB, format_bytes
 
 
 class TestFormatBytes:
@@ -36,38 +36,3 @@ class TestFormatBytes:
 
     def test_just_under_kib_is_bytes(self):
         assert format_bytes(KIB - 1) == "1023 B"
-
-
-class TestParseBytes:
-    def test_plain_number(self):
-        assert parse_bytes("512") == 512
-
-    def test_decimal_units_are_powers_of_1000(self):
-        assert parse_bytes("19 GB") == 19 * 1000**3
-
-    def test_binary_units_are_powers_of_1024(self):
-        assert parse_bytes("19 GiB") == 19 * GIB
-
-    def test_fractional(self):
-        assert parse_bytes("6.5MB") == int(6.5 * 1000**2)
-
-    def test_case_insensitive(self):
-        assert parse_bytes("2kib") == 2 * KIB
-
-    def test_short_suffix(self):
-        assert parse_bytes("4k") == 4 * KIB
-
-    def test_whitespace_tolerated(self):
-        assert parse_bytes("  3  MiB ") == 3 * MIB
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_bytes("lots of bytes")
-
-    def test_unknown_unit_raises(self):
-        with pytest.raises(ValueError):
-            parse_bytes("5 parsecs")
-
-    def test_roundtrip_with_format(self):
-        # format -> parse returns the original for exact binary sizes
-        assert parse_bytes(format_bytes(7 * MIB)) == 7 * MIB

@@ -39,7 +39,7 @@ class TestVtuRoundTrip:
             out.point_data["pressure"].values,
             grid.point_data["pressure"].values, atol=atol,
         )
-        assert out.point_data["velocity"].num_components == 3
+        assert out.point_data["velocity"].values.shape[1] == 3
         np.testing.assert_array_equal(
             out.cell_data["owner"].values, grid.cell_data["owner"].values
         )

@@ -30,11 +30,6 @@ class TestDataArray:
     def test_scalar(self):
         a = DataArray("p", np.zeros(5))
         assert a.num_tuples == 5
-        assert a.num_components == 1
-
-    def test_vector(self):
-        a = DataArray("vel", np.zeros((5, 3)))
-        assert a.num_components == 3
 
     def test_bad_association(self):
         with pytest.raises(ValueError):
@@ -43,17 +38,6 @@ class TestDataArray:
     def test_bad_ndim(self):
         with pytest.raises(ValueError):
             DataArray("x", np.zeros((2, 2, 2)))
-
-    def test_range_scalar(self):
-        a = DataArray("p", np.array([1.0, -2.0, 3.0]))
-        assert a.range() == (-2.0, 3.0)
-
-    def test_range_vector_uses_magnitude(self):
-        a = DataArray("v", np.array([[3.0, 4.0], [0.0, 1.0]]))
-        assert a.range() == (1.0, 5.0)
-
-    def test_range_empty(self):
-        assert DataArray("p", np.zeros(0)).range() == (0.0, 0.0)
 
 
 class TestUnstructuredGrid:
