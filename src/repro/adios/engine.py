@@ -62,17 +62,19 @@ class StepStatus(Enum):
 class StreamStats:
     """Per-broker transport accounting."""
 
-    steps_put: int = 0
-    steps_got: int = 0
-    steps_discarded: int = 0
-    steps_corrupt: int = 0
-    bytes_put: int = 0
-    bytes_got: int = 0
-    staged_bytes: int = 0
-    staged_bytes_peak: int = 0
-    faults: FaultLog = field(default_factory=FaultLog)
-    _staged_by_writer: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    steps_put: int = field(default=0, init=False)
+    steps_got: int = field(default=0, init=False)
+    steps_discarded: int = field(default=0, init=False)
+    steps_corrupt: int = field(default=0, init=False)
+    bytes_put: int = field(default=0, init=False)
+    bytes_got: int = field(default=0, init=False)
+    staged_bytes: int = field(default=0, init=False)
+    staged_bytes_peak: int = field(default=0, init=False)
+    faults: FaultLog = field(default_factory=FaultLog, init=False)
+    _staged_by_writer: dict = field(default_factory=dict, repr=False, init=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, init=False
+    )
 
     def record_put(self, nbytes: int, writer: int = 0) -> int:
         """Account a staged step; returns the writer queue's new level."""
@@ -132,7 +134,6 @@ class SSTBroker:
         num_writers: int,
         queue_limit: int = 2,
         queue_full_policy: str = "Block",
-        timeout: float = 120.0,
         injector: FaultInjector | None = None,
     ):
         if num_writers < 1:
@@ -144,7 +145,8 @@ class SSTBroker:
         self.num_writers = num_writers
         self.queue_limit = queue_limit
         self.queue_full_policy = queue_full_policy
-        self.timeout = timeout
+        #: how long a put or get waits by default [s]
+        self.timeout = 120.0
         self.injector = injector
         self.stats = StreamStats()
         if injector is not None:

@@ -29,7 +29,6 @@ and serving behaviour is pinned by deterministic tests.
 from repro.bench.measure import measure_insitu_profile, measure_intransit_profiles
 from repro.bench.replay import (
     PredictedRun,
-    ReplayConfig,
     predict_insitu_run,
     predict_intransit_step,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "measure_insitu_profile",
     "measure_intransit_profiles",
     "PredictedRun",
-    "ReplayConfig",
     "predict_insitu_run",
     "predict_intransit_step",
 ]

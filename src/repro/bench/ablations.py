@@ -11,7 +11,7 @@ Each returns a Table; run as ``python -m repro.bench.ablations``.
 
 from __future__ import annotations
 
-from repro.bench.replay import ReplayConfig, predict_insitu_run
+from repro.bench.replay import predict_insitu_run
 from repro.bench.workloads import PB146_GRIDPOINTS, PB146_STEPS, pb146_profiles
 from repro.bench.measure import measure_intransit_profiles
 from repro.machine import POLARIS
@@ -20,10 +20,13 @@ from repro.util.sizes import format_bytes
 from repro.util.tables import Table
 
 
+#: the in situ action intervals swept at fixed 3000 steps
+FREQUENCY_INTERVALS = (10, 50, 100, 500)
+#: ranks of the frequency sweep (the paper's smallest pb146 scale)
+FREQUENCY_RANKS = 280
+
+
 def insitu_frequency(
-    intervals: tuple[int, ...] = (10, 50, 100, 500),
-    ranks: int = 280,
-    config: ReplayConfig = ReplayConfig(),
     measure_kwargs: dict | None = None,
 ) -> Table:
     """Sweep the in situ action interval at fixed 3000 steps."""
@@ -31,17 +34,17 @@ def insitu_frequency(
     table = Table(
         ["interval", "catalyst [s]", "overhead vs original [%]",
          "images", "image storage"],
-        title=f"Ablation — in situ frequency (pb146, {ranks} ranks)",
+        title=f"Ablation — in situ frequency (pb146, {FREQUENCY_RANKS} ranks)",
     )
     base = predict_insitu_run(
-        profiles["original"], POLARIS, ranks, PB146_GRIDPOINTS,
-        steps=PB146_STEPS, interval=100, config=config,
+        profiles["original"], POLARIS, FREQUENCY_RANKS, PB146_GRIDPOINTS,
+        steps=PB146_STEPS, interval=100,
     ).total_seconds
     images_per_invocation = profiles["catalyst"].extra.get("images_per_invocation", 2)
-    for interval in intervals:
+    for interval in FREQUENCY_INTERVALS:
         pred = predict_insitu_run(
-            profiles["catalyst"], POLARIS, ranks, PB146_GRIDPOINTS,
-            steps=PB146_STEPS, interval=interval, config=config,
+            profiles["catalyst"], POLARIS, FREQUENCY_RANKS, PB146_GRIDPOINTS,
+            steps=PB146_STEPS, interval=interval,
         )
         dumps = PB146_STEPS // interval
         table.add_row(
@@ -56,9 +59,12 @@ def insitu_frequency(
     return table
 
 
+#: SST QueueFullPolicy values
+QUEUE_POLICIES = ("Block", "Discard")
+
+
 def sst_queue(
     queue_limits: tuple[int, ...] = (1, 2, 4),
-    policies: tuple[str, ...] = ("Block", "Discard"),
     total_ranks: int = 5,
     steps: int = 6,
 ) -> Table:
@@ -74,7 +80,7 @@ def sst_queue(
         title="Ablation — SST QueueLimit / QueueFullPolicy (measured)",
     )
     for limit in queue_limits:
-        for policy in policies:
+        for policy in QUEUE_POLICIES:
             out = measure_intransit_profiles(
                 case_builder,
                 "catalyst",
@@ -130,10 +136,13 @@ def endpoint_ratio(
     return table
 
 
+#: steps between two compressed dumps (and renders)
+DUMP_INTERVAL = 2
+
+
 def data_reduction(
     error_bounds: tuple[float, ...] = (1e-2, 1e-4, 1e-6),
     steps: int = 4,
-    interval: int = 2,
 ) -> Table:
     """The fidelity-vs-volume curve the paper's dilemma implies.
 
@@ -155,7 +164,7 @@ def data_reduction(
     from repro.parallel import SerialCommunicator
     from repro.bench.workloads import measurement_pebble_case
 
-    if steps < 2 * interval:
+    if steps < 2 * DUMP_INTERVAL:
         raise ValueError("data_reduction needs at least two dumps")
     case = measurement_pebble_case(num_pebbles=3, elements_per_unit=3,
                                    order=3, num_steps=steps)
@@ -164,13 +173,13 @@ def data_reduction(
     dumps_xml = "".join(
         f'<analysis type="compressed_io" output="{outdir / f"dump{b:g}"}" '
         'arrays="pressure,velocity_x,velocity_y,velocity_z" '
-        f'error_bound="{b!r}" frequency="{interval}"/>'
+        f'error_bound="{b!r}" frequency="{DUMP_INTERVAL}"/>'
         for b in error_bounds
     )
     config_xml = (
         f'<sensei>{dumps_xml}<analysis type="catalyst" mesh="uniform" '
         'array="velocity_magnitude" isovalue="0.5" width="256" '
-        f'height="256" frequency="{interval}"/></sensei>'
+        f'height="256" frequency="{DUMP_INTERVAL}"/></sensei>'
     )
     bridge = Bridge(solver, config_xml=config_xml, output_dir=outdir / "png")
 
@@ -178,7 +187,7 @@ def data_reduction(
     dumps = 0
     for _ in range(steps):
         report = solver.step()
-        if report.step % interval == 0:
+        if report.step % DUMP_INTERVAL == 0:
             dumps += 1
             fields = {"pressure": solver.p, "velocity_x": solver.u,
                       "velocity_y": solver.v, "velocity_z": solver.w}
@@ -213,9 +222,12 @@ def data_reduction(
     return table
 
 
+#: the element grid and order whose partitions are compared
+PARTITION_SHAPE = (8, 8, 4)
+PARTITION_ORDER = 3
+
+
 def partition_strategy(
-    shape: tuple[int, int, int] = (8, 8, 4),
-    order: int = 3,
     rank_counts: tuple[int, ...] = (2, 4, 8),
 ) -> Table:
     """Slab vs Morton element partitioning: gather-scatter interface size.
@@ -232,7 +244,7 @@ def partition_strategy(
 
     def measure(partition, ranks):
         def body(comm):
-            mesh = BoxMesh(shape, order=order, rank=comm.rank,
+            mesh = BoxMesh(PARTITION_SHAPE, order=PARTITION_ORDER, rank=comm.rank,
                            size=comm.size, partition=partition)
             gs = GatherScatter(mesh.global_ids, comm)
             return len(gs.interface_ids)
@@ -242,8 +254,8 @@ def partition_strategy(
     table = Table(
         ["ranks", "slab interface nodes", "morton interface nodes",
          "morton/slab"],
-        title=f"Ablation — partition strategy, {shape} elements at order "
-        f"{order} (measured gather-scatter interface)",
+        title=f"Ablation — partition strategy, {PARTITION_SHAPE} elements at order "
+        f"{PARTITION_ORDER} (measured gather-scatter interface)",
     )
     for ranks in rank_counts:
         slab = measure("slab", ranks)
@@ -252,8 +264,11 @@ def partition_strategy(
     return table
 
 
+#: the Polaris rank counts the strong-scaling sweep predicts
+SCALING_RANK_COUNTS = (70, 140, 280, 560, 1120, 2240)
+
+
 def strong_scaling_limit(
-    rank_counts: tuple[int, ...] = (70, 140, 280, 560, 1120, 2240),
     measure_kwargs: dict | None = None,
 ) -> Table:
     """Where does pb146 stop strong-scaling on Polaris?
@@ -272,7 +287,7 @@ def strong_scaling_limit(
         title="Ablation — pb146 strong-scaling limit on Polaris (Original config)",
     )
     base = None
-    for ranks in rank_counts:
+    for ranks in SCALING_RANK_COUNTS:
         pred = predict_insitu_run(
             profiles["original"], POLARIS, ranks, PB146_GRIDPOINTS,
             steps=PB146_STEPS,

@@ -31,11 +31,15 @@ import time
 
 import numpy as np
 
-from repro.bench.replay import ReplayConfig
+from repro.bench.replay import (
+    ALLREDUCES_PER_STEP,
+    GPU_DOF_THROUGHPUT,
+    MARSHAL_BANDWIDTH,
+    SIM_GRIDPOINTS_PER_RANK,
+)
 from repro.codec import CodecContext, CodecSpec, decode_fields, encode_fields
 from repro.machine import (
     JUWELS_BOOSTER,
-    ClusterSpec,
     CollectiveModel,
     DragonflyPlusTopology,
     NetworkModel,
@@ -209,51 +213,44 @@ def measure_compression(
 # -- modeled half --------------------------------------------------------
 
 def predict_compressed_step(
-    cluster: ClusterSpec = JUWELS_BOOSTER,
-    num_sim_ranks: int = PAPER_SIM_RANKS,
     compression_ratio: float = 1.0,
-    ratio: int = PAPER_ENDPOINT_RATIO,
-    gridpoints_per_rank: float = 2.0e6,
-    bytes_per_gridpoint: float = STREAM_BYTES_PER_GRIDPOINT,
-    codec_bandwidth: float = CODEC_DEVICE_BANDWIDTH,
-    config: ReplayConfig = ReplayConfig(),
 ) -> dict:
     """One modeled in-transit timestep with the codec in the path.
 
     Mirrors :func:`repro.bench.replay.predict_intransit_step`'s cost
     terms; `compression_ratio` shrinks every post-encode byte count
     (D2H, marshal, stream, staged queue) while charging the on-device
-    encode for the *raw* bytes at `codec_bandwidth`.
+    encode for the *raw* bytes at `CODEC_DEVICE_BANDWIDTH`.
     """
     if compression_ratio < 1.0:
         raise ValueError("compression_ratio must be >= 1 (1 = uncompressed)")
-    total_ranks = num_sim_ranks + max(1, num_sim_ranks // ratio)
-    nodes = cluster.nodes_for_ranks(total_ranks)
-    topo = DragonflyPlusTopology(cluster)
-    net = NetworkModel(cluster, topo)
+    total_ranks = PAPER_SIM_RANKS + max(1, PAPER_SIM_RANKS // PAPER_ENDPOINT_RATIO)
+    nodes = JUWELS_BOOSTER.nodes_for_ranks(total_ranks)
+    topo = DragonflyPlusTopology(JUWELS_BOOSTER)
+    net = NetworkModel(JUWELS_BOOSTER, topo)
     coll = CollectiveModel(net)
     hops = topo.mean_hops(nodes)
-    pcie = PcieModel(cluster.node.gpu)
+    pcie = PcieModel(JUWELS_BOOSTER.node.gpu)
 
-    raw = int(bytes_per_gridpoint * gridpoints_per_rank)
+    raw = int(STREAM_BYTES_PER_GRIDPOINT * SIM_GRIDPOINTS_PER_RANK)
     wire = int(math.ceil(raw / compression_ratio))
     seconds = {
-        "solve": gridpoints_per_rank / config.gpu_dof_throughput,
-        "collectives": config.allreduces_per_step
-        * coll.allreduce_time(8, num_sim_ranks, hops),
+        "solve": SIM_GRIDPOINTS_PER_RANK / GPU_DOF_THROUGHPUT,
+        "collectives": ALLREDUCES_PER_STEP
+        * coll.allreduce_time(8, PAPER_SIM_RANKS, hops),
     }
     if compression_ratio > 1.0:
-        seconds["encode"] = raw / codec_bandwidth
+        seconds["encode"] = raw / CODEC_DEVICE_BANDWIDTH
     seconds["d2h"] = pcie.transfer_time(wire)
-    seconds["marshal"] = wire / config.marshal_bandwidth
+    seconds["marshal"] = wire / MARSHAL_BANDWIDTH
     seconds["stream"] = net.stream_time(
-        wire, cluster.node.ranks_per_node, math.ceil(hops)
+        wire, JUWELS_BOOSTER.node.ranks_per_node, math.ceil(hops)
     )
     return {
-        "cluster": cluster.name,
+        "cluster": JUWELS_BOOSTER.name,
         "total_ranks": total_ranks,
-        "sim_ranks": num_sim_ranks,
-        "endpoint_ranks": total_ranks - num_sim_ranks,
+        "sim_ranks": PAPER_SIM_RANKS,
+        "endpoint_ranks": total_ranks - PAPER_SIM_RANKS,
         "raw_bytes_per_rank": raw,
         "wire_bytes_per_rank": wire,
         "seconds": seconds,

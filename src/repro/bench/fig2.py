@@ -10,14 +10,14 @@ Run as ``python -m repro.bench.fig2``.
 
 from __future__ import annotations
 
-from repro.bench.replay import ReplayConfig, predict_insitu_run
+from repro.bench.replay import predict_insitu_run
 from repro.bench.workloads import (
     PB146_GRIDPOINTS,
     PB146_INTERVAL,
     PB146_STEPS,
     pb146_profiles,
 )
-from repro.machine import POLARIS, ClusterSpec
+from repro.machine import POLARIS
 from repro.util.tables import Table
 
 RANK_COUNTS = (280, 560, 1120)
@@ -25,12 +25,6 @@ MODES = ("original", "checkpoint", "catalyst", "catalyst_device")
 
 
 def run(
-    rank_counts: tuple[int, ...] = RANK_COUNTS,
-    cluster: ClusterSpec = POLARIS,
-    steps: int = PB146_STEPS,
-    interval: int = PB146_INTERVAL,
-    total_gridpoints: float = PB146_GRIDPOINTS,
-    config: ReplayConfig = ReplayConfig(),
     measure_kwargs: dict | None = None,
 ) -> Table:
     """Measure the three modes at laptop scale, replay at paper scale."""
@@ -39,21 +33,20 @@ def run(
         ["ranks", "original [s]", "checkpointing [s]", "catalyst [s]",
          "device catalyst [s]", "ckpt overhead [%]", "catalyst overhead [%]",
          "device overhead [%]"],
-        title=f"Fig. 2 — pb146 time-to-solution on {cluster.name} "
-        f"({steps} steps, action every {interval})",
+        title=f"Fig. 2 — pb146 time-to-solution on {POLARIS.name} "
+        f"({PB146_STEPS} steps, action every {PB146_INTERVAL})",
     )
     predictions = {}
-    for ranks in rank_counts:
+    for ranks in RANK_COUNTS:
         row = {}
         for mode in MODES:
             pred = predict_insitu_run(
                 profiles[mode],
-                cluster,
+                POLARIS,
                 ranks,
-                total_gridpoints,
-                steps=steps,
-                interval=interval,
-                config=config,
+                PB146_GRIDPOINTS,
+                steps=PB146_STEPS,
+                interval=PB146_INTERVAL,
             )
             row[mode] = pred
         predictions[ranks] = row

@@ -10,25 +10,19 @@ Run as ``python -m repro.bench.fig3``.
 from __future__ import annotations
 
 from repro.bench.fig2 import MODES, RANK_COUNTS
-from repro.bench.replay import ReplayConfig, predict_insitu_run
+from repro.bench.replay import predict_insitu_run
 from repro.bench.workloads import (
     PB146_GRIDPOINTS,
     PB146_INTERVAL,
     PB146_STEPS,
     pb146_profiles,
 )
-from repro.machine import POLARIS, ClusterSpec
+from repro.machine import POLARIS
 from repro.util.sizes import GIB
 from repro.util.tables import Table
 
 
 def run(
-    rank_counts: tuple[int, ...] = RANK_COUNTS,
-    cluster: ClusterSpec = POLARIS,
-    steps: int = PB146_STEPS,
-    interval: int = PB146_INTERVAL,
-    total_gridpoints: float = PB146_GRIDPOINTS,
-    config: ReplayConfig = ReplayConfig(),
     measure_kwargs: dict | None = None,
 ) -> Table:
     profiles = pb146_profiles(**(measure_kwargs or {}))
@@ -36,18 +30,17 @@ def run(
         ["ranks", "checkpointing [GiB]", "catalyst [GiB]",
          "device catalyst [GiB]", "catalyst/checkpointing",
          "device/checkpointing"],
-        title=f"Fig. 3 — pb146 aggregate memory high-water mark on {cluster.name}",
+        title=f"Fig. 3 — pb146 aggregate memory high-water mark on {POLARIS.name}",
     )
-    for ranks in rank_counts:
+    for ranks in RANK_COUNTS:
         preds = {
             mode: predict_insitu_run(
                 profiles[mode],
-                cluster,
+                POLARIS,
                 ranks,
-                total_gridpoints,
-                steps=steps,
-                interval=interval,
-                config=config,
+                PB146_GRIDPOINTS,
+                steps=PB146_STEPS,
+                interval=PB146_INTERVAL,
             )
             for mode in MODES
         }

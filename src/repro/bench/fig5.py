@@ -11,9 +11,9 @@ Run as ``python -m repro.bench.fig5``.
 
 from __future__ import annotations
 
-from repro.bench.replay import ReplayConfig, predict_intransit_step
+from repro.bench.replay import ENDPOINT_RATIO, predict_intransit_step
 from repro.bench.workloads import rbc_profiles
-from repro.machine import JUWELS_BOOSTER, ClusterSpec
+from repro.machine import JUWELS_BOOSTER
 from repro.util.tables import Table
 
 RANK_COUNTS = (16, 64, 256, 1024)
@@ -21,24 +21,20 @@ MODES = ("none", "checkpoint", "catalyst")
 
 
 def run(
-    rank_counts: tuple[int, ...] = RANK_COUNTS,
-    cluster: ClusterSpec = JUWELS_BOOSTER,
-    ratio: int = 4,
-    config: ReplayConfig = ReplayConfig(),
     measure_kwargs: dict | None = None,
 ) -> Table:
     profiles = rbc_profiles(**(measure_kwargs or {}))
     table = Table(
         ["ranks", "no transport [ms/step]", "checkpointing [ms/step]",
          "catalyst [ms/step]"],
-        title=f"Fig. 5 — RBC in transit mean time per timestep on {cluster.name} "
-        f"(weak scaling, {ratio}:1 sim:endpoint)",
+        title=f"Fig. 5 — RBC in transit mean time per timestep on {JUWELS_BOOSTER.name} "
+        f"(weak scaling, {ENDPOINT_RATIO}:1 sim:endpoint)",
     )
-    for ranks in rank_counts:
+    for ranks in RANK_COUNTS:
         row = [ranks]
         for mode in MODES:
             pred = predict_intransit_step(
-                profiles[mode]["simulation"], cluster, ranks, ratio=ratio, config=config
+                profiles[mode]["simulation"], JUWELS_BOOSTER, ranks
             )
             row.append(pred.seconds_per_step * 1e3)
         table.add_row(row)

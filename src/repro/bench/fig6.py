@@ -11,34 +11,30 @@ Run as ``python -m repro.bench.fig6``.
 from __future__ import annotations
 
 from repro.bench.fig5 import MODES, RANK_COUNTS
-from repro.bench.replay import ReplayConfig, predict_intransit_step
+from repro.bench.replay import predict_intransit_step
 from repro.bench.workloads import rbc_profiles
-from repro.machine import JUWELS_BOOSTER, ClusterSpec
+from repro.machine import JUWELS_BOOSTER
 from repro.util.sizes import GIB
 from repro.util.tables import Table
 
 
 def run(
-    rank_counts: tuple[int, ...] = RANK_COUNTS,
-    cluster: ClusterSpec = JUWELS_BOOSTER,
-    ratio: int = 4,
-    config: ReplayConfig = ReplayConfig(),
     measure_kwargs: dict | None = None,
 ) -> Table:
     profiles = rbc_profiles(**(measure_kwargs or {}))
-    rpn = cluster.node.ranks_per_node
+    rpn = JUWELS_BOOSTER.node.ranks_per_node
     table = Table(
         ["ranks", "no transport [GiB/node]", "checkpointing [GiB/node]",
          "catalyst [GiB/node]"],
         title=f"Fig. 6 — RBC in transit memory per simulation node on "
-        f"{cluster.name} ({rpn} ranks/node)",
+        f"{JUWELS_BOOSTER.name} ({rpn} ranks/node)",
         float_format="{:.4f}",
     )
-    for ranks in rank_counts:
+    for ranks in RANK_COUNTS:
         row = [ranks]
         for mode in MODES:
             pred = predict_intransit_step(
-                profiles[mode]["simulation"], cluster, ranks, ratio=ratio, config=config
+                profiles[mode]["simulation"], JUWELS_BOOSTER, ranks
             )
             row.append(pred.memory_per_node_bytes(rpn) / GIB)
         table.add_row(row)

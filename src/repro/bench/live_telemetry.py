@@ -106,13 +106,17 @@ def measure_overhead(repeats: int = 3) -> dict:
     }
 
 
-def overhead_table(repeats: int = 3) -> Table:
+#: bare / instrumented pairs the table's median is taken over
+TABLE_REPEATS = 3
+
+
+def overhead_table() -> Table:
     """The live-telemetry table: instrumented vs bare, budget verdict."""
-    out = measure_overhead(repeats=repeats)
+    out = measure_overhead(repeats=TABLE_REPEATS)
     table = Table(
         ["metric", "value"],
         title="Live telemetry — streaming plane overhead "
-              f"(fleet run, median of {repeats} pairs, budget 5%)",
+              f"(fleet run, median of {TABLE_REPEATS} pairs, budget 5%)",
     )
     table.add_row(["bare run [s]", f"{out['off_s']:.3f}"])
     table.add_row(["instrumented run [s]", f"{out['on_s']:.3f}"])

@@ -227,6 +227,10 @@ def measure_insitu_profile(
     return profile
 
 
+#: the fields an in transit measurement streams
+STREAMED_ARRAYS = ("temperature", "velocity_magnitude")
+
+
 def measure_intransit_profiles(
     case_builder,
     mode: str,
@@ -234,7 +238,6 @@ def measure_intransit_profiles(
     steps: int = 6,
     stream_interval: int = 1,
     ratio: int = 4,
-    arrays: tuple[str, ...] = ("temperature", "velocity_magnitude"),
     output_dir: str | Path | None = None,
     **runner_kwargs,
 ) -> dict:
@@ -250,7 +253,7 @@ def measure_intransit_profiles(
         ratio=ratio,
         num_steps=steps,
         stream_interval=stream_interval,
-        arrays=arrays,
+        arrays=STREAMED_ARRAYS,
         output_dir=outdir,
         **runner_kwargs,
     )
@@ -267,7 +270,7 @@ def measure_intransit_profiles(
         steps=steps,
         insitu_interval=stream_interval,
         gridpoints_per_rank=gp,
-        num_fields=len(arrays),
+        num_fields=len(STREAMED_ARRAYS),
         solver_seconds_per_step=float(np.mean([r.mean_step_seconds for r in sims])),
         stream_bytes_per_step_per_rank=int(
             np.mean([r.stream_bytes for r in sims]) / max(steps // stream_interval, 1)

@@ -3,7 +3,7 @@
 The predictors turn a :class:`RunProfile` measured at laptop scale
 into paper-scale figures using first-order cost models (DESIGN.md
 section 5).  One explicit calibration constant bridges the substrate
-gap: ``gpu_dof_throughput``, the sustained Navier-Stokes-step DOF
+gap: ``GPU_DOF_THROUGHPUT``, the sustained Navier-Stokes-step DOF
 throughput of one A100 running NekRS (public NekRS performance data
 puts full-step throughput around 1 GDOF/s per A100).  Every *relative*
 result the paper reports (overhead ratios, scaling shapes, storage
@@ -26,45 +26,41 @@ from repro.machine import (
 )
 
 
-@dataclass(frozen=True)
-class ReplayConfig:
-    """Calibration constants for the replay models.
-
-    Every *relative* quantity the paper reports (overhead percentages,
-    the 25% memory gap, the 3-orders storage economy, flat weak
-    scaling) is insensitive to these; they set absolute magnitudes.
-    """
-
-    #: effective full-NS-step throughput per GPU, DOFs stepped per
-    #: second at production tolerances (~5 MDOF/s puts pb146-at-280-GPUs
-    #: in the tens-of-ms-per-step regime NekRS reports at this strong
-    #: scale)
-    gpu_dof_throughput: float = 5.0e6
-    #: host-side marshal/copy/resample bandwidth for staging (B/s)
-    marshal_bandwidth: float = 1.0e9
-    #: global 8-byte allreduces per timestep (CG inner products);
-    #: NekRS pressure+velocity solves do O(50-100) per step
-    allreduces_per_step: int = 80
-    #: ParaView/OSPRay's compiled renderer vs our NumPy renderer,
-    #: per extracted cell (applies to the replayed render term only).
-    #: A bridge from *this* renderer, so it is re-derived from measured
-    #: render seconds whenever the renderer's speed changes and the
-    #: modeled render term stays put (docs/performance_model.md)
-    render_speed_ratio: float = 3.14
-    #: same substrate bridge for the device-resident pipeline: CUDA
-    #: contour/raster kernels vs our NumPy twins.  GPU extraction and
-    #: rasterization outruns the CPU renderer by roughly the ~6x a
-    #: production A100 render kernel has over a compiled CPU renderer
-    #: (OSPRay vs OptiX-class throughput), hence 6 x 3.14.
-    device_render_speed_ratio: float = 18.84
-    #: host-resident footprint of the solver runtime per rank (NekRS
-    #: host allocations, MPI, CUDA context, OS share) -- dominates the
-    #: host memory of a GPU-resident solve
-    host_runtime_bytes: int = 1_500_000_000
-    #: additional resident footprint of ParaView/Catalyst libraries on
-    #: each rank when the Catalyst adaptor is active; this fixed
-    #: per-rank cost is what drives the paper's ~25% memory gap
-    catalyst_runtime_bytes: int = 350_000_000
+# Calibration constants for the replay models.  Every *relative*
+# quantity the paper reports (overhead percentages, the 25% memory gap,
+# the 3-orders storage economy, flat weak scaling) is insensitive to
+# these; they set absolute magnitudes.
+#
+#: effective full-NS-step throughput per GPU, DOFs stepped per
+#: second at production tolerances (~5 MDOF/s puts pb146-at-280-GPUs
+#: in the tens-of-ms-per-step regime NekRS reports at this strong
+#: scale)
+GPU_DOF_THROUGHPUT = 5.0e6
+#: host-side marshal/copy/resample bandwidth for staging (B/s)
+MARSHAL_BANDWIDTH = 1.0e9
+#: global 8-byte allreduces per timestep (CG inner products);
+#: NekRS pressure+velocity solves do O(50-100) per step
+ALLREDUCES_PER_STEP = 80
+#: ParaView/OSPRay's compiled renderer vs our NumPy renderer,
+#: per extracted cell (applies to the replayed render term only).
+#: A bridge from *this* renderer, so it is re-derived from measured
+#: render seconds whenever the renderer's speed changes and the
+#: modeled render term stays put (docs/performance_model.md)
+RENDER_SPEED_RATIO = 3.14
+#: same substrate bridge for the device-resident pipeline: CUDA
+#: contour/raster kernels vs our NumPy twins.  GPU extraction and
+#: rasterization outruns the CPU renderer by roughly the ~6x a
+#: production A100 render kernel has over a compiled CPU renderer
+#: (OSPRay vs OptiX-class throughput), hence 6 x 3.14.
+DEVICE_RENDER_SPEED_RATIO = 18.84
+#: host-resident footprint of the solver runtime per rank (NekRS
+#: host allocations, MPI, CUDA context, OS share) -- dominates the
+#: host memory of a GPU-resident solve
+HOST_RUNTIME_BYTES = 1_500_000_000
+#: additional resident footprint of ParaView/Catalyst libraries on
+#: each rank when the Catalyst adaptor is active; this fixed
+#: per-rank cost is what drives the paper's ~25% memory gap
+CATALYST_RUNTIME_BYTES = 350_000_000
 
 
 @dataclass
@@ -77,9 +73,9 @@ class PredictedRun:
     nodes: int
     steps: int
     interval: int
-    seconds: dict[str, float] = field(default_factory=dict)
-    memory_per_rank_bytes: int = 0
-    storage_bytes: int = 0
+    seconds: dict[str, float] = field(default_factory=dict, init=False)
+    memory_per_rank_bytes: int = field(default=0, init=False)
+    storage_bytes: int = field(default=0, init=False)
 
     @property
     def total_seconds(self) -> float:
@@ -103,6 +99,10 @@ def _per_gridpoint(profile: RunProfile, attr: str) -> float:
     return value / profile.gridpoints_per_rank if profile.gridpoints_per_rank else 0.0
 
 
+#: fields a checkpoint dump writes (velocity x/y/z, pressure)
+CHECKPOINT_FIELDS = 4
+
+
 def predict_insitu_run(
     profile: RunProfile,
     cluster: ClusterSpec,
@@ -110,8 +110,6 @@ def predict_insitu_run(
     total_gridpoints: float,
     steps: int = 3000,
     interval: int = 100,
-    num_checkpoint_fields: int = 4,
-    config: ReplayConfig = ReplayConfig(),
 ) -> PredictedRun:
     """Predict one Section 4.1 configuration at paper scale.
 
@@ -138,9 +136,9 @@ def predict_insitu_run(
     )
 
     # -- compute + solver collectives (all modes) --------------------------
-    out.seconds["solve"] = steps * gp_rank / config.gpu_dof_throughput
+    out.seconds["solve"] = steps * gp_rank / GPU_DOF_THROUGHPUT
     out.seconds["collectives"] = (
-        steps * config.allreduces_per_step * coll.allreduce_time(8, target_ranks, hops)
+        steps * ALLREDUCES_PER_STEP * coll.allreduce_time(8, target_ranks, hops)
     )
 
     # -- memory: host footprint per rank ------------------------------------
@@ -148,10 +146,10 @@ def predict_insitu_run(
     # (solver + MPI + CUDA context), the mesh setup (~8 doubles per
     # gridpoint for coordinates/numbering/factors), plus whatever the
     # active mode stages on the host.
-    memory = config.host_runtime_bytes + 64.0 * gp_rank
+    memory = HOST_RUNTIME_BYTES + 64.0 * gp_rank
 
     if profile.mode == "checkpoint":
-        dump_bytes_rank = num_checkpoint_fields * gp_rank * 8
+        dump_bytes_rank = CHECKPOINT_FIELDS * gp_rank * 8
         dump_bytes_total = dump_bytes_rank * target_ranks
         out.seconds["d2h"] = dumps * pcie.transfer_time(int(dump_bytes_rank))
         out.seconds["checkpoint_io"] = dumps * fs.write_time(
@@ -165,7 +163,7 @@ def predict_insitu_run(
         out.seconds["d2h"] = dumps * pcie.transfer_time(int(d2h_bytes_rank))
         staging_bpg = _per_gridpoint(profile, "staging_memory_bytes_per_rank")
         staging_rank = staging_bpg * gp_rank
-        out.seconds["staging"] = dumps * staging_rank / config.marshal_bandwidth
+        out.seconds["staging"] = dumps * staging_rank / MARSHAL_BANDWIDTH
         # Production Catalyst renders *distributed*: each rank extracts
         # and rasterizes its local data, then sort-last compositing
         # (IceT) merges images -- log2(P) image exchanges.  Our
@@ -177,13 +175,13 @@ def predict_insitu_run(
             dumps
             * profile.render_seconds_per_invocation
             * max(volume_ratio, 1e-12) ** (2.0 / 3.0)
-            / config.render_speed_ratio
+            / RENDER_SPEED_RATIO
         )
         image_bytes = max(profile.image_bytes_per_invocation, 1)
         out.seconds["compositing"] = dumps * math.ceil(
             math.log2(max(target_ranks, 2))
         ) * coll.net.p2p_time(image_bytes, math.ceil(hops))
-        memory += config.catalyst_runtime_bytes
+        memory += CATALYST_RUNTIME_BYTES
         out.storage_bytes = int(dumps * profile.image_bytes_per_invocation)
         memory += staging_rank
     elif profile.mode == "catalyst_device":
@@ -199,7 +197,7 @@ def predict_insitu_run(
             dumps
             * profile.render_seconds_per_invocation
             * max(volume_ratio, 1e-12) ** (2.0 / 3.0)
-            / config.device_render_speed_ratio
+            / DEVICE_RENDER_SPEED_RATIO
         )
         image_bytes = max(profile.image_bytes_per_invocation, 1)
         out.seconds["compositing"] = dumps * math.ceil(
@@ -207,7 +205,7 @@ def predict_insitu_run(
         ) * coll.net.p2p_time(image_bytes, math.ceil(hops))
         # the Catalyst runtime still loads; the resampled working set
         # stays in GPU memory, so no host staging is added
-        memory += config.catalyst_runtime_bytes
+        memory += CATALYST_RUNTIME_BYTES
         out.storage_bytes = int(dumps * profile.image_bytes_per_invocation)
     elif profile.mode != "original":
         raise ValueError(f"unknown profile mode {profile.mode!r}")
@@ -216,21 +214,25 @@ def predict_insitu_run(
     return out
 
 
+#: steps the SST writer stages (QueueLimit); each holds one stream payload
+SST_QUEUE_LIMIT = 2
+#: simulation ranks per endpoint rank (the paper's 4:1 layout)
+ENDPOINT_RATIO = 4
+#: the production per-rank load of a weak-scaled in transit run, a load
+#: that fills an A100 usefully
+SIM_GRIDPOINTS_PER_RANK = 2.0e6
+
+
 def predict_intransit_step(
     profile: RunProfile,
     cluster: ClusterSpec,
     num_sim_ranks: int,
-    ratio: int = 4,
-    queue_limit: int = 2,
-    gridpoints_per_rank: float | None = None,
-    config: ReplayConfig = ReplayConfig(),
 ) -> PredictedRun:
     """Predict one Section 4.2 measurement point: mean seconds per
     timestep and per-node memory on the *simulation* nodes, under weak
-    scaling.  `gridpoints_per_rank` sets the production per-rank load
-    (default 2M, a load that fills an A100 usefully); the measured
-    profile contributes the per-gridpoint byte/memory ratios."""
-    total_ranks = num_sim_ranks + max(1, num_sim_ranks // ratio)
+    scaling at `SIM_GRIDPOINTS_PER_RANK`; the measured profile
+    contributes the per-gridpoint byte/memory ratios."""
+    total_ranks = num_sim_ranks + max(1, num_sim_ranks // ENDPOINT_RATIO)
     nodes = cluster.nodes_for_ranks(total_ranks)
     sim_nodes = cluster.nodes_for_ranks(num_sim_ranks)
     topo = DragonflyPlusTopology(cluster)
@@ -239,7 +241,7 @@ def predict_intransit_step(
     hops = topo.mean_hops(nodes)
     pcie = PcieModel(cluster.node.gpu)
 
-    gp_rank = gridpoints_per_rank if gridpoints_per_rank is not None else 2.0e6
+    gp_rank = SIM_GRIDPOINTS_PER_RANK
     out = PredictedRun(
         mode=profile.mode,
         cluster=cluster.name,
@@ -248,27 +250,27 @@ def predict_intransit_step(
         steps=1,
         interval=profile.insitu_interval,
     )
-    out.seconds["solve"] = gp_rank / config.gpu_dof_throughput
-    out.seconds["collectives"] = config.allreduces_per_step * coll.allreduce_time(
+    out.seconds["solve"] = gp_rank / GPU_DOF_THROUGHPUT
+    out.seconds["collectives"] = ALLREDUCES_PER_STEP * coll.allreduce_time(
         8, num_sim_ranks, hops
     )
 
     # Simulation nodes never load ParaView in the in transit layout --
     # that's the point -- so their host memory is runtime + mesh setup
     # + staging for the stream only.
-    memory = config.host_runtime_bytes + 64.0 * gp_rank
+    memory = HOST_RUNTIME_BYTES + 64.0 * gp_rank
 
     stream_bytes = int(
         _per_gridpoint(profile, "stream_bytes_per_step_per_rank") * gp_rank
     )
     if stream_bytes:
         out.seconds["d2h"] = pcie.transfer_time(stream_bytes)
-        out.seconds["marshal"] = stream_bytes / config.marshal_bandwidth
+        out.seconds["marshal"] = stream_bytes / MARSHAL_BANDWIDTH
         out.seconds["stream"] = net.stream_time(
             stream_bytes, cluster.node.ranks_per_node, math.ceil(hops)
         )
         staging_bpg = _per_gridpoint(profile, "staging_memory_bytes_per_rank")
         memory += staging_bpg * gp_rank
-        memory += queue_limit * stream_bytes  # staged SST payloads
+        memory += SST_QUEUE_LIMIT * stream_bytes  # staged SST payloads
     out.memory_per_rank_bytes = int(memory)
     return out

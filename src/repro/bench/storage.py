@@ -14,32 +14,30 @@ from __future__ import annotations
 
 import math
 
-from repro.bench.replay import ReplayConfig, predict_insitu_run
+from repro.bench.replay import predict_insitu_run
 from repro.bench.workloads import (
     PB146_GRIDPOINTS,
     PB146_INTERVAL,
     PB146_STEPS,
     pb146_profiles,
 )
-from repro.machine import POLARIS, ClusterSpec
+from repro.machine import POLARIS
 from repro.util.sizes import format_bytes
 from repro.util.tables import Table
 
 
+#: the pb146 scale the storage comparison predicts
+RANKS = 280
+
+
 def run(
-    cluster: ClusterSpec = POLARIS,
-    ranks: int = 280,
-    steps: int = PB146_STEPS,
-    interval: int = PB146_INTERVAL,
-    total_gridpoints: float = PB146_GRIDPOINTS,
-    config: ReplayConfig = ReplayConfig(),
     measure_kwargs: dict | None = None,
 ) -> Table:
     profiles = pb146_profiles(**(measure_kwargs or {}))
     preds = {
         mode: predict_insitu_run(
-            profiles[mode], cluster, ranks, total_gridpoints,
-            steps=steps, interval=interval, config=config,
+            profiles[mode], POLARIS, RANKS, PB146_GRIDPOINTS,
+            steps=PB146_STEPS, interval=PB146_INTERVAL,
         )
         for mode in ("checkpoint", "catalyst")
     }

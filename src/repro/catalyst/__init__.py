@@ -2,7 +2,7 @@
 
 The paper's Catalyst AnalysisAdaptor renders images with ParaView
 (OSPRay backend); this package is the from-scratch equivalent: filters
-(isosurface via marching tetrahedra, plane slices, thresholds) feeding
+(isosurface via marching tetrahedra, plane slices) feeding
 a z-buffered triangle rasterizer with diffuse shading and perceptual
 colormaps, writing real PNG files.
 
@@ -16,7 +16,6 @@ from repro.catalyst.rasterizer import Rasterizer
 from repro.catalyst.contour import marching_tetrahedra
 from repro.catalyst.slicefilter import axis_slice
 from repro.catalyst.pipeline import RenderPipeline, RenderSpec, load_pipeline_script
-from repro.catalyst.threshold import threshold_by
 from repro.catalyst.annotations import draw_colorbar, draw_step_label, draw_text
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RenderPipeline",
     "RenderSpec",
     "load_pipeline_script",
-    "threshold_by",
     "draw_text",
     "draw_colorbar",
     "draw_step_label",

@@ -64,42 +64,37 @@ _ATLAS = np.array(
 _ATLAS.flags.writeable = False
 
 
-def text_extent(text: str, scale: int = 1) -> tuple[int, int]:
+#: annotation text is white
+_TEXT_COLOR = 255
+#: the gap (pixels) between an annotation and the frame's edge, and the
+#: colorbar's width
+_MARGIN = 6
+_BAR_WIDTH = 12
+
+
+def text_extent(text: str) -> tuple[int, int]:
     """(width, height) in pixels of rendered `text`."""
-    return (len(text) * (GLYPH_WIDTH + 1) * scale, GLYPH_HEIGHT * scale)
+    return (len(text) * (GLYPH_WIDTH + 1), GLYPH_HEIGHT)
 
 
-def draw_text(
-    image: np.ndarray,
-    x: int,
-    y: int,
-    text: str,
-    color: tuple[int, int, int] = (255, 255, 255),
-    scale: int = 1,
-) -> np.ndarray:
+def draw_text(image: np.ndarray, x: int, y: int, text: str) -> np.ndarray:
     """Draw `text` with its top-left corner at (x, y); clips at edges.
 
     Unknown characters render as blanks rather than raising — an
     annotation must never kill a render.
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
     chars = text.lower()
     if not chars:
         return image
     blank = _INDEX[" "]
     glyphs = _ATLAS[[_INDEX.get(ch, blank) for ch in chars]]
     mask = glyphs.transpose(1, 0, 2).reshape(GLYPH_HEIGHT, -1)
-    if scale > 1:
-        mask = mask.repeat(scale, axis=0).repeat(scale, axis=1)
     h, w = image.shape[:2]
     y0, x0 = max(y, 0), max(x, 0)
     y1, x1 = min(y + mask.shape[0], h), min(x + mask.shape[1], w)
     if y1 > y0 and x1 > x0:
         region = image[y0:y1, x0:x1]
-        region[mask[y0 - y : y1 - y, x0 - x : x1 - x]] = np.asarray(
-            color, dtype=np.uint8
-        )
+        region[mask[y0 - y : y1 - y, x0 - x : x1 - x]] = _TEXT_COLOR
     return image
 
 
@@ -124,10 +119,9 @@ def draw_colorbar(
     vmin: float,
     vmax: float,
     colormap: str = "viridis",
-    width: int = 12,
-    margin: int = 6,
 ) -> np.ndarray:
     """Vertical colorbar on the right edge with min/max labels."""
+    width, margin = _BAR_WIDTH, _MARGIN
     h, w = image.shape[:2]
     bar_h = max(h - 2 * margin - 2 * GLYPH_HEIGHT - 4, 8)
     top = margin + GLYPH_HEIGHT + 2
@@ -154,9 +148,7 @@ def draw_colorbar(
     return image
 
 
-def draw_step_label(
-    image: np.ndarray, step: int, time: float, margin: int = 6
-) -> np.ndarray:
+def draw_step_label(image: np.ndarray, step: int, time: float) -> np.ndarray:
     """Burn "step N  t=T" into the top-left corner."""
     label = f"step {step}  t={_format_value(time)}"
-    return draw_text(image, margin, margin, label)
+    return draw_text(image, _MARGIN, _MARGIN, label)

@@ -1,4 +1,4 @@
-"""Look-at camera with perspective or orthographic projection."""
+"""Look-at camera with perspective projection."""
 
 from __future__ import annotations
 
@@ -14,6 +14,11 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+#: world +z is screen up; the vertical field of view [degrees]
+_UP = (0.0, 0.0, 1.0)
+_FOV_DEGREES = 35.0
+
+
 @dataclass
 class Camera:
     """World -> screen transform.
@@ -25,24 +30,18 @@ class Camera:
 
     position: tuple[float, float, float]
     look_at: tuple[float, float, float]
-    up: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    fov_degrees: float = 35.0
     width: int = 512
     height: int = 512
-    orthographic: bool = False
-    ortho_scale: float = 1.0   # world units spanned vertically (ortho only)
 
     _basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
-        if not 0 < self.fov_degrees < 180:
-            raise ValueError("fov must be in (0, 180) degrees")
         eye = np.asarray(self.position, dtype=float)
         target = np.asarray(self.look_at, dtype=float)
         forward = _normalize(target - eye)
-        up = np.asarray(self.up, dtype=float)
+        up = np.asarray(_UP, dtype=float)
         right = _normalize(np.cross(forward, up))
         true_up = np.cross(right, forward)
         self._basis = np.stack([right, true_up, forward])  # rows
@@ -54,7 +53,6 @@ class Camera:
         direction: tuple[float, float, float] = (1.0, -1.5, 0.8),
         width: int = 512,
         height: int = 512,
-        **kwargs,
     ) -> "Camera":
         """Frame an axis-aligned bounding box from a view direction."""
         bounds = np.asarray(bounds, dtype=float)
@@ -69,7 +67,6 @@ class Camera:
             look_at=tuple(center),
             width=width,
             height=height,
-            **kwargs,
         )
 
     def project(self, points: np.ndarray) -> np.ndarray:
@@ -81,20 +78,15 @@ class Camera:
         out = np.empty((3, len(cam)))
         sx, sy, z = out
         np.copyto(z, cam[:, 2])
-        if self.orthographic:
-            scale = self.height / self.ortho_scale
-            np.multiply(cam[:, 0], scale, out=sx)
-            np.multiply(cam[:, 1], scale, out=sy)
-        else:
-            f = (self.height / 2.0) / np.tan(np.radians(self.fov_degrees) / 2.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.multiply(cam[:, 0], f, out=sx)
-                sx /= z
-                np.multiply(cam[:, 1], f, out=sy)
-                sy /= z
-            behind = ~(z > 1e-9)
-            sx[behind] = np.inf
-            sy[behind] = np.inf
+        f = (self.height / 2.0) / np.tan(np.radians(_FOV_DEGREES) / 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(cam[:, 0], f, out=sx)
+            sx /= z
+            np.multiply(cam[:, 1], f, out=sy)
+            sy /= z
+        behind = ~(z > 1e-9)
+        sx[behind] = np.inf
+        sy[behind] = np.inf
         sx += self.width / 2.0
         np.subtract(self.height / 2.0, sy, out=sy)   # screen y grows downward
         return out.T

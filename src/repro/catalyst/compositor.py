@@ -55,7 +55,6 @@ from repro.catalyst.pipeline import (
 )
 from repro.catalyst.rasterizer import Rasterizer, apply_background_gradient
 from repro.catalyst.slicefilter import slice_plan
-from repro.catalyst.threshold import threshold_by
 from repro.observe import get_telemetry
 from repro.parallel.comm import Communicator, ReduceOp
 from repro.perf import config as perf_config
@@ -290,12 +289,6 @@ def _global_bounds(global_dims, global_origin, global_spacing) -> np.ndarray:
     return np.stack([org, org + (dims - 1) * sp], axis=1)
 
 
-def _threshold_band(spec) -> tuple[float, float]:
-    lo = spec.threshold_min if spec.threshold_min is not None else -np.inf
-    hi = spec.threshold_max if spec.threshold_max is not None else np.inf
-    return lo, hi
-
-
 def _local_extrema(values_iter) -> tuple[float, float]:
     """(nanmin, nanmax) over an iterable of arrays; ±inf when empty."""
     lo, hi = np.inf, -np.inf
@@ -363,12 +356,7 @@ def render_composited(
         ghost_arrays = sorted({
             name
             for spec in contours
-            for name in (
-                spec.array,
-                (spec.threshold_array or spec.array) if spec.has_threshold
-                else spec.array,
-                spec.color_array or spec.array,
-            )
+            for name in (spec.array, spec.color_array or spec.array)
         })
         with tel.tracer.span("catalyst.ghost_exchange", step=step):
             ext_frags, scratch = exchange_ghost_layers(
@@ -380,18 +368,13 @@ def render_composited(
                 for spec in contours:
                     pieces = []
                     for off, _dims, _ext_dims, vols in ext_frags:
-                        vol = vols[spec.array]
-                        if spec.has_threshold:
-                            selector = vols[spec.threshold_array or spec.array]
-                            tlo, thi = _threshold_band(spec)
-                            vol = threshold_by(vol, selector, vmin=tlo, vmax=thi)
                         aux = (
                             vols[spec.color_array]
                             if spec.color_array and spec.color_array != spec.array
                             else None
                         )
                         verts, faces, vals = marching_tetrahedra(
-                            vol,
+                            vols[spec.array],
                             spec.isovalue,
                             origin=gorigin,
                             spacing=gspacing,
@@ -402,15 +385,11 @@ def render_composited(
                             pieces.append((verts, faces, vals))
                     # global colormap range: min of mins is bitwise the
                     # global nanmin the serial pipeline computes
-                    vmin, vmax = spec.vmin, spec.vmax
-                    if vmin is None or vmax is None:
-                        lo, hi = _local_extrema(p[2] for p in pieces)
-                        glo = comm.allreduce(lo, ReduceOp.MIN)
-                        ghi = comm.allreduce(hi, ReduceOp.MAX)
-                        if vmin is None:
-                            vmin = glo if np.isfinite(glo) else None
-                        if vmax is None:
-                            vmax = ghi if np.isfinite(ghi) else None
+                    lo, hi = _local_extrema(p[2] for p in pieces)
+                    glo = comm.allreduce(lo, ReduceOp.MIN)
+                    ghi = comm.allreduce(hi, ReduceOp.MAX)
+                    vmin = glo if np.isfinite(glo) else None
+                    vmax = ghi if np.isfinite(ghi) else None
                     for verts, faces, vals in pieces:
                         colors = apply_colormap(vals, vmin, vmax, spec.colormap)
                         raster.draw_mesh(camera, verts, faces, colors)
@@ -429,21 +408,14 @@ def render_composited(
     # array; fragments tile it disjointly, so reduced local extrema
     # match bitwise (collective — computed on every rank)
     ann_range: dict[str, tuple[float, float]] = {}
-    if pipeline.annotate:
-        ann_specs = (contours[:1] if contours else []) + slices
-        for spec in ann_specs:
-            name = spec.color_array or spec.array
-            if name in ann_range:
-                continue
-            if spec.vmin is not None and spec.vmax is not None:
-                ann_range[name] = (spec.vmin, spec.vmax)
-                continue
-            lo, hi = _local_extrema(
-                payload[name] for _o, _d, payload in fragments
-            )
-            glo = comm.allreduce(lo, ReduceOp.MIN)
-            ghi = comm.allreduce(hi, ReduceOp.MAX)
-            ann_range[name] = (glo, ghi)
+    for spec in contours[:1] + slices:
+        name = spec.color_array or spec.array
+        if name in ann_range:
+            continue
+        lo, hi = _local_extrema(payload[name] for _o, _d, payload in fragments)
+        glo = comm.allreduce(lo, ReduceOp.MIN)
+        ghi = comm.allreduce(hi, ReduceOp.MAX)
+        ann_range[name] = (glo, ghi)
 
     # slices: ship only the two contributing lattice planes to root
     slice_planes = []
@@ -462,10 +434,6 @@ def render_composited(
         for (origin, dims, payload), off in zip(fragments, offsets):
             d = np.asarray(dims, dtype=int)
             vol = payload[spec.array]
-            if spec.has_threshold:
-                selector = payload[spec.threshold_array or spec.array]
-                tlo, thi = _threshold_band(spec)
-                vol = threshold_by(vol, selector, vmin=tlo, vmax=thi)
             row_off = int(off[2 - rem[0]])
             col_off = int(off[2 - rem[1]])
             for which, ip in ((0, i0), (1, i1)):
@@ -501,11 +469,8 @@ def render_composited(
     outputs: list[tuple[str, np.ndarray]] = []
 
     def annotated(frame, spec):
-        if pipeline.annotate:
-            vmin, vmax = ann_range[spec.color_array or spec.array]
-            vmin = spec.vmin if spec.vmin is not None else vmin
-            vmax = spec.vmax if spec.vmax is not None else vmax
-            draw_annotations(frame, spec, vmin, vmax, step, time)
+        vmin, vmax = ann_range[spec.color_array or spec.array]
+        draw_annotations(frame, spec, vmin, vmax, step, time)
         return frame
 
     if contours:
@@ -513,7 +478,7 @@ def render_composited(
         apply_background_gradient(frame, depth)
         outputs.append((f"{pipeline.name}_surface", annotated(frame, contours[0])))
     for i, (spec, plane) in enumerate(zip(slices, slice_planes)):
-        rgb = apply_colormap(plane, spec.vmin, spec.vmax, spec.colormap)
+        rgb = apply_colormap(plane, name=spec.colormap)
         frame = _resize_nearest(rgb[::-1], pipeline.height, pipeline.width)
         outputs.append(
             (f"{pipeline.name}_slice{i}_{spec.array}", annotated(frame, spec))

@@ -207,7 +207,7 @@ def _extract_batched(vol, aux_vol, isovalue, org, sp, offset, cubes, masks):
     """
     blank = ~np.isfinite(vol)
     if blank.any():
-        # thresholded/blanked region: no surface through these cubes
+        # blanked (NaN) region: no surface through these cubes
         touched = np.zeros([n - 1 for n in vol.shape], dtype=bool)
         for corner in _corners(blank):
             touched |= corner
@@ -285,7 +285,7 @@ def _extract_reference(vol, aux_vol, isovalue, org, sp, offset, cubes):
         corner_idx = np.array([i, j, k]) + _CORNER_OFFSETS  # (8, 3) (i,j,k)
         cv = vol[corner_idx[:, 2], corner_idx[:, 1], corner_idx[:, 0]]
         if not np.isfinite(cv).all():
-            # thresholded/blanked region: no surface through this cube
+            # blanked (NaN) region: no surface through this cube
             continue
         ca = aux_vol[corner_idx[:, 2], corner_idx[:, 1], corner_idx[:, 0]]
         cpos = org + (corner_idx + offset) * sp

@@ -33,11 +33,7 @@ class RenderSpec:
     kind "contour": isosurface of `array` at `isovalue`, colored by
     `color_array` (default: the same array).
     kind "slice": axis-aligned plane `axis` = `position`, pseudocolored.
-
-    Optional threshold pre-filter: restrict the pass to where
-    `threshold_array` (default: `array`) lies in
-    [threshold_min, threshold_max]; everything else is blanked before
-    contouring/slicing.
+    The colour range is the data's: the colored array's min and max.
     """
 
     kind: str
@@ -47,51 +43,33 @@ class RenderSpec:
     position: float | None = None
     color_array: str | None = None
     colormap: str = "viridis"
-    vmin: float | None = None
-    vmax: float | None = None
-    threshold_array: str | None = None
-    threshold_min: float | None = None
-    threshold_max: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("contour", "slice"):
             raise ValueError(f"RenderSpec kind must be contour|slice, got {self.kind}")
         if self.kind == "contour" and self.isovalue is None:
             raise ValueError("contour spec requires an isovalue")
-        if self.threshold_array is not None and (
-            self.threshold_min is None and self.threshold_max is None
-        ):
-            raise ValueError("threshold_array without any threshold bound")
 
-    @property
-    def has_threshold(self) -> bool:
-        return self.threshold_min is not None or self.threshold_max is not None
 
-    def apply_threshold(self, volume, image) -> "np.ndarray":
-        """Blank the volume outside the configured threshold band."""
-        if not self.has_threshold:
-            return volume
-        from repro.catalyst.threshold import threshold_by
-
-        selector_name = self.threshold_array or self.array
-        selector = image.as_volume(selector_name)
-        lo = self.threshold_min if self.threshold_min is not None else -np.inf
-        hi = self.threshold_max if self.threshold_max is not None else np.inf
-        return threshold_by(volume, selector, vmin=lo, vmax=hi)
+#: the direction the camera looks from until a steering command orbits it
+VIEW_DIRECTION = (1.0, -1.6, 0.9)
 
 
 @dataclass
 class RenderPipeline:
-    """Declarative multi-pass renderer for ImageData volumes."""
+    """Declarative multi-pass renderer for ImageData volumes.
+
+    Every frame carries step/time labels and a colorbar, as production
+    in situ imagery does (the state is gone afterwards).
+    """
 
     specs: list[RenderSpec]
     width: int = 512
     height: int = 512
-    view_direction: tuple[float, float, float] = (1.0, -1.6, 0.9)
     name: str = "render"
-    #: burn step/time labels and a colorbar into each frame, as
-    #: production in situ imagery does (the state is gone afterwards)
-    annotate: bool = True
+    view_direction: tuple[float, float, float] = field(
+        default=VIEW_DIRECTION, init=False
+    )
 
     def render(
         self, image: ImageData, step: int, time: float, arena=None
@@ -124,13 +102,11 @@ class RenderPipeline:
         step: int,
         time: float,
     ) -> None:
-        if not self.annotate:
-            return
-        color_array = spec.color_array or spec.array
-        values = image.point_data[color_array].values
-        vmin = spec.vmin if spec.vmin is not None else float(np.nanmin(values))
-        vmax = spec.vmax if spec.vmax is not None else float(np.nanmax(values))
-        draw_annotations(frame, spec, vmin, vmax, step, time)
+        values = image.point_data[spec.color_array or spec.array].values
+        draw_annotations(
+            frame, spec, float(np.nanmin(values)), float(np.nanmax(values)),
+            step, time,
+        )
 
     # -- passes -------------------------------------------------------------
     def _bounds(self, image: ImageData) -> np.ndarray:
@@ -151,7 +127,7 @@ class RenderPipeline:
         )
         raster = Rasterizer(self.width, self.height, arena=arena)
         for spec in specs:
-            vol = spec.apply_threshold(image.as_volume(spec.array), image)
+            vol = image.as_volume(spec.array)
             aux = (
                 image.as_volume(spec.color_array)
                 if spec.color_array and spec.color_array != spec.array
@@ -166,7 +142,7 @@ class RenderPipeline:
             )
             if len(faces) == 0:
                 continue
-            colors = apply_colormap(vals, spec.vmin, spec.vmax, spec.colormap)
+            colors = apply_colormap(vals, name=spec.colormap)
             raster.draw_mesh(camera, verts, faces, colors)
         raster.draw_background_gradient()
         # the frame escapes with the caller; the z-buffer goes back to
@@ -184,13 +160,13 @@ class RenderPipeline:
             else float(bounds[world_axis].mean())
         )
         plane = axis_slice(
-            spec.apply_threshold(image.as_volume(spec.array), image),
+            image.as_volume(spec.array),
             spec.axis,
             position,
             origin=image.origin,
             spacing=image.spacing,
         )
-        rgb = apply_colormap(plane, spec.vmin, spec.vmax, spec.colormap)
+        rgb = apply_colormap(plane, name=spec.colormap)
         # orient: rows are the slower world axis (z for x/y slices);
         # flip so "up" in the image is +axis
         rgb = rgb[::-1]

@@ -59,6 +59,16 @@ _CHUNK_PIXELS = 1 << 16
 _GUARD = 2.0 ** -10
 _WELL = _GUARD * 2.0 ** 53 / 128
 
+#: the single directional light (unit vector) and the ambient share of
+#: each face's intensity
+_LIGHT = np.array((0.4, -0.6, 0.8))
+_LIGHT /= np.linalg.norm(_LIGHT)
+_AMBIENT = 0.35
+
+#: the backdrop's top and bottom row colours
+_BACKDROP_TOP = (30.0, 36.0, 48.0)
+_BACKDROP_BOTTOM = (8.0, 10.0, 14.0)
+
 
 class Rasterizer:
     def __init__(
@@ -126,8 +136,6 @@ class Rasterizer:
         vertices: np.ndarray,
         faces: np.ndarray,
         vertex_colors: np.ndarray,
-        light_direction: tuple[float, float, float] = (0.4, -0.6, 0.8),
-        ambient: float = 0.35,
     ) -> int:
         """Render a triangle mesh; returns triangles actually drawn.
 
@@ -143,15 +151,13 @@ class Rasterizer:
             raise ValueError("vertex_colors must be (V, 3)")
 
         screen = camera.project(vertices)
-        light = np.asarray(light_direction, dtype=float)
-        light = light / np.linalg.norm(light)
         # ambient + (1 - ambient) |n . light|, in place; the product
         # keeps its whole-mesh shape (a BLAS call's rounding may depend
         # on it, as the projection's may), the normals come in chunks
-        intensity = _unit_normals(vertices, faces) @ light
+        intensity = _unit_normals(vertices, faces) @ _LIGHT
         np.abs(intensity, out=intensity)
-        intensity *= 1.0 - ambient
-        intensity += ambient
+        intensity *= 1.0 - _AMBIENT
+        intensity += _AMBIENT
 
         if config.enabled():
             vok = np.isfinite(screen).all(axis=1) & (screen[:, 2] > 0)
@@ -296,40 +302,28 @@ class Rasterizer:
         self.color[y0:y1, x0:x1][visible] = rgb[visible].astype(np.uint8)
         return True
 
-    def draw_background_gradient(
-        self,
-        top: tuple[int, int, int] = (30, 36, 48),
-        bottom: tuple[int, int, int] = (8, 10, 14),
-    ) -> None:
+    def draw_background_gradient(self) -> None:
         """Vertical gradient backdrop (drawn only where nothing rendered)."""
-        apply_background_gradient(self.color, self.depth, top, bottom)
+        apply_background_gradient(self.color, self.depth)
 
 
-def apply_background_gradient(
-    color: np.ndarray,
-    depth: np.ndarray,
-    top: tuple[int, int, int] = (30, 36, 48),
-    bottom: tuple[int, int, int] = (8, 10, 14),
-) -> None:
+def apply_background_gradient(color: np.ndarray, depth: np.ndarray) -> None:
     """Gradient-fill `color` wherever `depth` says nothing rendered.
 
     Shared by :meth:`Rasterizer.draw_background_gradient` and the
     sort-last compositor, which must apply the identical backdrop to a
     *composited* framebuffer on the root rank.
     """
-    rows = _gradient_rows(
-        depth.shape[0], tuple(map(float, top)), tuple(map(float, bottom))
-    )
+    rows = _gradient_rows(depth.shape[0])
     np.copyto(color, rows[:, None], where=~np.isfinite(depth)[..., None])
 
 
 @functools.lru_cache(maxsize=16)
-def _gradient_rows(
-    height: int, top: tuple[float, ...], bottom: tuple[float, ...]
-) -> np.ndarray:
+def _gradient_rows(height: int) -> np.ndarray:
     """Read-only ``(height, 3)`` uint8 backdrop, one colour per row."""
     t = np.linspace(0.0, 1.0, height)[:, None]
-    rows = ((1 - t) * np.asarray(top) + t * np.asarray(bottom)).astype(np.uint8)
+    rows = ((1 - t) * np.asarray(_BACKDROP_TOP)
+            + t * np.asarray(_BACKDROP_BOTTOM)).astype(np.uint8)
     rows.flags.writeable = False
     return rows
 

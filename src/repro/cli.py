@@ -98,14 +98,6 @@ def _override_catalyst(config_xml: str, **attrs: str | None) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def _inject_compositing(config_xml: str, compositing: str) -> str:
-    return _override_catalyst(config_xml, compositing=compositing)
-
-
-def _inject_residency(config_xml: str, residency: str) -> str:
-    return _override_catalyst(config_xml, residency=residency)
-
-
 def cmd_run(args) -> int:
     from repro.insitu import Bridge
     from repro.nekrs import NekRSSolver

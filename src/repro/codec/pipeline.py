@@ -243,11 +243,11 @@ class CodecSpec:
 class CodecStats:
     """Raw-vs-wire accounting, aggregated and per field."""
 
-    raw_bytes: int = 0
-    wire_bytes: int = 0
-    encode_seconds: float = 0.0
-    decode_seconds: float = 0.0
-    fields: dict[str, dict] = field(default_factory=dict)
+    raw_bytes: int = field(default=0, init=False)
+    wire_bytes: int = field(default=0, init=False)
+    encode_seconds: float = field(default=0.0, init=False)
+    decode_seconds: float = field(default=0.0, init=False)
+    fields: dict[str, dict] = field(default_factory=dict, init=False)
 
     @property
     def ratio(self) -> float:
@@ -445,10 +445,10 @@ def encode_field(
     arr: np.ndarray,
     cfg: FieldCodecConfig | None,
     step: int,
-    context: CodecContext | None = None,
 ) -> tuple[int, dict, bytes]:
-    """Encode one field: the one-row case of :func:`encode_fields`."""
-    return encode_fields([(name, arr, cfg)], step, context)[0]
+    """Encode one field without temporal context: the one-row case of
+    :func:`encode_fields`."""
+    return encode_fields([(name, arr, cfg)], step)[0]
 
 
 def _decode_group(rows, dtype, shape, context):
@@ -582,8 +582,7 @@ def decode_field(
     dtype,
     shape: tuple[int, ...],
     step: int,
-    context: CodecContext | None = None,
 ) -> np.ndarray:
-    """Decode one wire block: the one-row case of :func:`decode_fields`."""
-    return decode_fields([(name, codec_id, params, data, dtype, shape)],
-                         step, context)[0]
+    """Decode one wire block without temporal context: the one-row case
+    of :func:`decode_fields`."""
+    return decode_fields([(name, codec_id, params, data, dtype, shape)], step)[0]

@@ -64,22 +64,24 @@ class FaultEvent:
 class FaultLog:
     """Thread-safe ledger of injected faults and their outcomes."""
 
-    injected: Counter = field(default_factory=Counter)
-    detected: Counter = field(default_factory=Counter)
-    recovered: Counter = field(default_factory=Counter)
-    degraded: Counter = field(default_factory=Counter)
-    retries: int = 0
-    events: list = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    injected: Counter = field(default_factory=Counter, init=False)
+    detected: Counter = field(default_factory=Counter, init=False)
+    recovered: Counter = field(default_factory=Counter, init=False)
+    degraded: Counter = field(default_factory=Counter, init=False)
+    retries: int = field(default=0, init=False)
+    events: list = field(default_factory=list, init=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, init=False
+    )
 
     def record_injected(self, event: FaultEvent) -> None:
         with self._lock:
             self.injected[event.kind] += 1
             self.events.append(event)
 
-    def record_retry(self, n: int = 1) -> None:
+    def record_retry(self) -> None:
         with self._lock:
-            self.retries += n
+            self.retries += 1
 
     def try_resolve(self, kind: str, outcome: str) -> bool:
         """Resolve one outstanding fault of `kind` into `outcome`.
@@ -139,7 +141,6 @@ class FaultInjector:
         probabilities: dict[str, float] | None = None,
         schedule: dict[str, tuple[int, ...]] | None = None,
         delays: dict[str, float] | None = None,
-        log: FaultLog | None = None,
     ):
         for kind in (probabilities or {}):
             if kind not in FAULT_KINDS:
@@ -151,7 +152,7 @@ class FaultInjector:
         self.probabilities = dict(probabilities or {})
         self.schedule = {k: frozenset(v) for k, v in (schedule or {}).items()}
         self.delays = {**_DEFAULT_DELAYS, **(delays or {})}
-        self.log = log if log is not None else FaultLog()
+        self.log = FaultLog()
 
     # -- decisions ---------------------------------------------------------
     def _rng(self, kind: str, site: str, step: int, key: int) -> random.Random:

@@ -3,14 +3,13 @@
 The seed's transport did single-shot blocking operations: one
 ``queue`` timeout and the whole SPMD world deadlocked or died.  A
 :class:`RetryPolicy` turns those into bounded retry loops — per
-attempt timeout, exponential backoff, seeded jitter, and an optional
-**total deadline** (``max_elapsed_s``) that caps the whole loop so a
-retry storm cannot outlive its caller's latency budget — and converts
-exhaustion into a typed :class:`~repro.faults.errors.EndpointDownError`
-that the degradation layer can catch.
+attempt timeout, exponential backoff with jitter, a bounded number of
+attempts — and converts exhaustion into a typed
+:class:`~repro.faults.errors.EndpointDownError` that the degradation
+layer can catch.
 
-Jitter is derived from ``(seed, attempt)`` rather than global RNG
-state so a given policy produces the same backoff sequence every run
+Jitter is derived from the attempt number rather than global RNG state
+so a given policy produces the same backoff sequence every run
 (the same determinism contract as the injector).
 
 Every attempt increments ``repro_retry_attempts_total`` and every
@@ -27,6 +26,12 @@ from dataclasses import dataclass
 
 from repro.faults.errors import EndpointDownError, StreamTimeout
 
+#: each backoff is this many times the one before, up to `_MAX_DELAY`
+#: seconds, then scaled by a deterministic factor in ``1 +/- _JITTER``
+_MULTIPLIER = 2.0
+_MAX_DELAY = 1.0
+_JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -34,59 +39,34 @@ class RetryPolicy:
 
     max_attempts: int = 4
     base_delay: float = 0.02       # backoff before attempt 2 [s]
-    multiplier: float = 2.0
-    max_delay: float = 1.0
-    jitter: float = 0.25           # +/- fraction of the backoff
     attempt_timeout: float | None = None  # per-attempt blocking timeout [s]
-    max_elapsed_s: float | None = None    # total deadline across attempts [s]
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
+        if self.base_delay < 0:
             raise ValueError("delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.max_elapsed_s is not None and self.max_elapsed_s <= 0:
-            raise ValueError("max_elapsed_s must be > 0")
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry number `attempt` (1-based, deterministic)."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        delay = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if self.jitter:
-            rng = random.Random(f"{self.seed}|backoff|{attempt}")
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
+        delay = min(self.base_delay * _MULTIPLIER ** (attempt - 1), _MAX_DELAY)
+        rng = random.Random(f"0|backoff|{attempt}")
+        return delay * (1.0 + _JITTER * (2.0 * rng.random() - 1.0))
 
-    def call(
-        self,
-        fn,
-        retry_on: tuple[type[BaseException], ...] = (StreamTimeout,),
-        on_retry=None,
-        describe: str = "transport operation",
-    ):
-        """Run ``fn(attempt)`` until it succeeds or the budget is spent.
+    def call(self, fn, on_retry=None, describe: str = "transport operation"):
+        """Run ``fn(attempt)`` until it succeeds or `max_attempts` are spent.
 
-        Exceptions in `retry_on` trigger backoff-and-retry (calling
+        A :class:`StreamTimeout` triggers backoff-and-retry (calling
         ``on_retry(attempt, exc)`` before each sleep); anything else
-        propagates immediately.  The budget is both `max_attempts` and,
-        when set, `max_elapsed_s` measured from the first attempt — a
-        retry whose backoff would land past the deadline is not taken.
-        Exhaustion raises :class:`EndpointDownError` chained to the
-        last failure.
+        propagates immediately.  Exhaustion raises
+        :class:`EndpointDownError` chained to the last failure.
         """
         from repro.observe.session import get_telemetry
 
         tel = get_telemetry()
-        started = time.monotonic()
-        deadline = (
-            None if self.max_elapsed_s is None else started + self.max_elapsed_s
-        )
         last: BaseException | None = None
-        exhausted_by = f"{self.max_attempts} attempts"
         for attempt in range(1, self.max_attempts + 1):
             if tel.enabled:
                 tel.metrics.counter(
@@ -95,17 +75,13 @@ class RetryPolicy:
                 ).inc()
             try:
                 return fn(attempt)
-            except retry_on as exc:
+            except StreamTimeout as exc:
                 last = exc
                 if attempt == self.max_attempts:
                     break
-                delay = self.backoff(attempt)
-                if deadline is not None and time.monotonic() + delay >= deadline:
-                    exhausted_by = f"deadline of {self.max_elapsed_s:g}s"
-                    break
                 if on_retry is not None:
                     on_retry(attempt, exc)
-                time.sleep(delay)
+                time.sleep(self.backoff(attempt))
         if tel.enabled:
             tel.metrics.counter(
                 "repro_retry_exhausted_total",
@@ -114,5 +90,5 @@ class RetryPolicy:
         tel.live.event("retry_exhausted")
         raise EndpointDownError(
             f"{describe} failed after {attempt} attempt(s), exhausting "
-            f"{exhausted_by} (last error: {last})"
+            f"{self.max_attempts} attempts (last error: {last})"
         ) from last

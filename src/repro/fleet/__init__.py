@@ -42,7 +42,6 @@ class FleetConfig:
     """Tuning knobs for the in transit endpoint fleet."""
 
     lease_timeout: float = 0.25     # seconds before a silent member is dead
-    seed: int = 0
 
     def __post_init__(self):
         if self.lease_timeout <= 0:

@@ -82,8 +82,8 @@ class RecoveryRecord:
     tasks_requeued: int
     steps_backlogged: int
     commits_at_detect: int
-    completed_at: float | None = None
-    commits_at_complete: int | None = None
+    completed_at: float | None = field(default=None, init=False)
+    commits_at_complete: int | None = field(default=None, init=False)
     _pending: set = field(default_factory=set, repr=False)
     _pending_steps: set = field(default_factory=set, repr=False)
 
@@ -110,7 +110,6 @@ class FleetCoordinator:
         num_writers: int,
         pool_size: int,
         lease_timeout: float = 0.25,
-        seed: int = 0,
         clock=time.monotonic,
         live=None,
     ):
@@ -121,7 +120,7 @@ class FleetCoordinator:
         self.pool = tuple(range(pool_size))
         self.clock = clock
         self.membership = FleetMembership(lease_timeout, clock=clock)
-        self.ring = HashRing(seed=seed)
+        self.ring = HashRing()
         self.queues = WorkQueues(self.pool)
         #: attached :class:`~repro.observe.live.plane.LivePlane`, if any;
         #: gets crash/recovery events

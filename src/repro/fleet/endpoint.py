@@ -24,7 +24,7 @@ and, when ``endpoint_crash`` fires, simply stops — no leave, no drain
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.fleet.coordinator import Directive, FleetCoordinator
 from repro.fleet.work import RenderTask
@@ -37,13 +37,13 @@ class EndpointReport:
     """Per-endpoint outcome of a fleet run."""
 
     eid: int
-    steps: int = 0               # tasks committed by this endpoint
-    crashed: bool = False
-    idle_polls: int = 0
-    wall_seconds: float = 0.0
-    recv_bytes: int = 0
-    staging_peak: int = 0
-    empty_tasks: int = 0
+    steps: int = field(default=0, init=False)   # tasks committed by this endpoint
+    crashed: bool = field(default=False, init=False)
+    idle_polls: int = field(default=0, init=False)
+    wall_seconds: float = field(default=0.0, init=False)
+    recv_bytes: int = field(default=0, init=False)
+    staging_peak: int = field(default=0, init=False)
+    empty_tasks: int = field(default=0, init=False)
 
 
 class AnalysisSink:

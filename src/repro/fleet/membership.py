@@ -63,9 +63,9 @@ class FleetMembership:
             raise KeyError(f"endpoint {eid} is not a member")
         mailbox.put((eid, self.clock()))
 
-    def expire(self, now: float | None = None) -> list[int]:
+    def expire(self) -> list[int]:
         """Drain heartbeat mailboxes, then return newly dead members."""
-        now = self.clock() if now is None else now
+        now = self.clock()
         dead: list[int] = []
         with self._lock:
             self._drain_heartbeats()

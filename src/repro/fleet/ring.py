@@ -3,13 +3,13 @@
 The static in-transit split (``block_range`` over writer ranks) moves
 *every* stream when the endpoint count changes.  A consistent-hash
 ring moves only the streams that hashed onto the departed (or newly
-arrived) member: each endpoint owns ``vnodes`` points on a 32-bit
+arrived) member: each endpoint owns `_VNODES` points on a 32-bit
 ring, a key is owned by the first point clockwise of its hash, and
 removing a member hands exactly that member's arcs to its clockwise
 successors — the bounded-disruption property
 :class:`tests.test_fleet.TestHashRing` pins down.
 
-Hashing is CRC32 over seed-salted strings — deterministic across
+Hashing is CRC32 over salted strings — deterministic across
 processes and interpreter runs (``hash()`` randomization would break
 the fleet's replay determinism).
 """
@@ -19,6 +19,11 @@ from __future__ import annotations
 import bisect
 import zlib
 
+#: ring points per member, and the salt of every ring hash (another
+#: salt lays the same members out differently)
+_VNODES = 64
+_SALT = 0
+
 
 def _h32(text: str) -> int:
     return zlib.crc32(text.encode()) & 0xFFFFFFFF
@@ -27,16 +32,10 @@ def _h32(text: str) -> int:
 class HashRing:
     """Deterministic consistent-hash ring over hashable member ids."""
 
-    def __init__(self, members=(), vnodes: int = 64, seed: int = 0):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
-        self.seed = seed
+    def __init__(self):
         self._members: set = set()
         self._points: list[int] = []      # sorted vnode hashes
         self._owners: list = []           # owner of self._points[i]
-        for member in members:
-            self.add(member)
 
     # -- membership --------------------------------------------------------
     def __len__(self) -> int:
@@ -49,8 +48,8 @@ class HashRing:
         if member in self._members:
             return
         self._members.add(member)
-        for v in range(self.vnodes):
-            point = _h32(f"{self.seed}|node|{member}|{v}")
+        for v in range(_VNODES):
+            point = _h32(f"{_SALT}|node|{member}|{v}")
             index = bisect.bisect(self._points, point)
             # extremely unlikely CRC collision: perturb deterministically
             while index < len(self._points) and self._points[index] == point:
@@ -72,7 +71,7 @@ class HashRing:
         """The member owning `key` (first vnode clockwise of its hash)."""
         if not self._members:
             raise LookupError("hash ring has no members")
-        point = _h32(f"{self.seed}|key|{key}")
+        point = _h32(f"{_SALT}|key|{key}")
         index = bisect.bisect(self._points, point)
         if index == len(self._points):
             index = 0

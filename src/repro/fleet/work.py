@@ -24,7 +24,7 @@ class RenderTask:
 
     step: int
     payloads: dict = field(default_factory=dict)   # writer -> StepPayload
-    attempts: int = 0                              # delivery attempts (replay)
+    attempts: int = field(default=0, init=False)   # delivery attempts (replay)
 
     @property
     def nbytes(self) -> int:

@@ -43,10 +43,8 @@ class Bridge:
         config_xml: str | None = None,
         output_dir: str | Path = ".",
         samples_per_element: int | None = None,
-        extra_factories: dict | None = None,
         fallback: str = "raise",
         fallback_dir: str | Path | None = None,
-        fault_log: FaultLog | None = None,
     ):
         if (analysis is None) == (config_xml is None):
             raise ValueError("provide exactly one of analysis= or config_xml=")
@@ -55,9 +53,7 @@ class Bridge:
         self.solver = solver
         self.adaptor = NekDataAdaptor(solver, samples_per_element)
         if analysis is None:
-            analysis = ConfigurableAnalysis(
-                solver.comm, config_xml, output_dir, extra_factories
-            )
+            analysis = ConfigurableAnalysis(solver.comm, config_xml, output_dir)
         self.analysis = analysis
         #: wall seconds the solver spent blocked in :meth:`update`;
         #: always on — the benchmarks read it with no telemetry installed
@@ -68,9 +64,7 @@ class Bridge:
         self.fallback_dir = Path(fallback_dir) if fallback_dir is not None else Path(
             output_dir
         ) / "fallback"
-        if fault_log is None:
-            fault_log = getattr(analysis, "fault_log", None) or FaultLog()
-        self.fault_log = fault_log
+        self.fault_log = getattr(analysis, "fault_log", None) or FaultLog()
         self.degraded_steps = 0
         self.fallback_bytes = 0
         self.transport_down = False

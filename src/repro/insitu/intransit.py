@@ -64,8 +64,8 @@ class InTransitResult:
     stream_bytes: int = 0
     memory_bytes: int = 0
     staging_bytes: int = 0
-    files_bytes: int = 0       # endpoint VTU/PNG output
-    images: int = 0
+    files_bytes: int = field(default=0, init=False)   # endpoint VTU/PNG output
+    images: int = field(default=0, init=False)
     extra: dict = field(default_factory=dict)
 
 
@@ -196,7 +196,6 @@ class InTransitRunner:
             num_writers=num_sim,
             pool_size=num_end,
             lease_timeout=cfg.lease_timeout,
-            seed=cfg.seed,
             live=getattr(self.session, "live", None),
         )
 

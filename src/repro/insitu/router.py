@@ -13,9 +13,9 @@ per-step wire budget in its :class:`RouterPolicy`:
   in situ pipeline wired     visualization for the step entirely.
 
 Transitions are hysteretic: the router leaves the streaming route
-only after ``hysteresis`` consecutive over-budget estimates and
+only after `_HYSTERESIS` consecutive over-budget estimates and
 returns only after the estimate has stayed under
-``reentry_margin * budget`` just as long, so a single noisy step
+``_REENTRY_MARGIN * budget`` just as long, so a single noisy step
 cannot flap the fleet between routes.
 
 Decisions must be *uniform across simulation ranks*: the SST reader
@@ -39,36 +39,27 @@ __all__ = ["RouterPolicy", "RouteDecision", "HybridRouter", "RoutedAnalysis"]
 
 ROUTES = ("insitu", "intransit", "drop")
 
+_HYSTERESIS = 2              # consecutive steps before switching
+_REENTRY_MARGIN = 0.8        # re-enter streaming below this x budget
+_DROP_FACTOR = 8.0           # drop when estimate exceeds budget x this
+_RATIO_SMOOTHING = 0.5       # EWMA weight of the newest observed ratio
+_PROBE_INTERVAL = 16         # stream one step per this many parked ones
+
 
 @dataclass(frozen=True)
 class RouterPolicy:
-    """What the wire can take, and how reluctantly to switch routes.
+    """What the wire can take.
 
     ``wire_budget_bytes`` is the group-aggregate compressed bytes one
-    step may put on the wire.  ``drop_factor`` scales the budget to
-    the point where even rendering in situ is abandoned for the step.
+    step may put on the wire; `_DROP_FACTOR` times it is the point
+    where even rendering in situ is abandoned for the step.
     """
 
     wire_budget_bytes: float = 32 * 2**20
-    hysteresis: int = 2              # consecutive steps before switching
-    reentry_margin: float = 0.8      # re-enter streaming below this x budget
-    drop_factor: float = 8.0         # drop when estimate exceeds budget x this
-    ratio_smoothing: float = 0.5     # EWMA weight of the newest observed ratio
-    probe_interval: int = 16         # stream one step per this many parked ones
 
     def __post_init__(self):
         if self.wire_budget_bytes <= 0:
             raise ValueError("wire_budget_bytes must be positive")
-        if self.hysteresis < 1:
-            raise ValueError("hysteresis must be >= 1")
-        if not 0 < self.reentry_margin <= 1:
-            raise ValueError("reentry_margin must be in (0, 1]")
-        if self.drop_factor < 1:
-            raise ValueError("drop_factor must be >= 1")
-        if not 0 < self.ratio_smoothing <= 1:
-            raise ValueError("ratio_smoothing must be in (0, 1]")
-        if self.probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,13 +134,13 @@ class HybridRouter:
             self._ratio_observed = True
             self.ratio_ewma = ratio
             return
-        a = self.policy.ratio_smoothing
+        a = _RATIO_SMOOTHING
         self.ratio_ewma = a * ratio + (1 - a) * self.ratio_ewma
 
     # -- decisions -----------------------------------------------------
     def decide(self, step: int, raw_bytes: int) -> RouteDecision:
         """Choose this step's route from the estimated wire bytes."""
-        a = self.policy.ratio_smoothing
+        a = _RATIO_SMOOTHING
         self.raw_bytes_ewma = (
             a * raw_bytes + (1 - a) * self.raw_bytes_ewma
             if self.raw_bytes_ewma else float(raw_bytes)
@@ -168,7 +159,7 @@ class HybridRouter:
                        est: float) -> RouteDecision:
         # the route reflects the state *entering* the step; streak
         # updates below only affect later steps, so a parked router
-        # still streamed its first `hysteresis` over-budget steps and
+        # still streamed its first `_HYSTERESIS` over-budget steps and
         # learned the real compression ratio before giving up the wire
         budget = self.policy.wire_budget_bytes
         if self._streaming:
@@ -177,12 +168,12 @@ class HybridRouter:
             )
         else:
             self._parked_steps += 1
-            if self._parked_steps >= self.policy.probe_interval:
+            if self._parked_steps >= _PROBE_INTERVAL:
                 # periodic probe: refresh the ratio estimate so a run
                 # whose fields became compressible can re-enter streaming
                 self._parked_steps = 0
                 decision = self._record(step, "intransit", raw_bytes, est, "probe")
-            elif est > budget * self.policy.drop_factor:
+            elif est > budget * _DROP_FACTOR:
                 decision = self._record(
                     step, "drop", raw_bytes, est, "over drop threshold"
                 )
@@ -195,16 +186,16 @@ class HybridRouter:
         if est > budget:
             self._over_streak += 1
             self._under_streak = 0
-        elif est <= budget * self.policy.reentry_margin:
+        elif est <= budget * _REENTRY_MARGIN:
             self._under_streak += 1
             self._over_streak = 0
         else:
             # dead band between reentry margin and budget: hold course
             self._over_streak = 0
             self._under_streak = 0
-        if self._streaming and self._over_streak >= self.policy.hysteresis:
+        if self._streaming and self._over_streak >= _HYSTERESIS:
             self._streaming = False
-        elif not self._streaming and self._under_streak >= self.policy.hysteresis:
+        elif not self._streaming and self._under_streak >= _HYSTERESIS:
             self._streaming = True
             self._parked_steps = 0
         return decision

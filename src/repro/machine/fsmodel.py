@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.machine.specs import FilesystemSpec
+from repro.machine.specs import FS_SYNC_LATENCY_S, FilesystemSpec
 
 _GB = 1e9
 
@@ -45,4 +45,4 @@ class FilesystemModel:
             raise ValueError("num_files must be non-negative")
         bw = self.effective_write_gbs(nodes_writing) * _GB
         meta = self.spec.open_latency_s * max(1.0, num_files / nodes_writing)
-        return self.spec.sync_latency_s + meta + total_bytes / bw
+        return FS_SYNC_LATENCY_S + meta + total_bytes / bw

@@ -11,7 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.machine.specs import ClusterSpec, GpuSpec, NicSpec
+from repro.machine.specs import (
+    INTER_HOP_LATENCY_S,
+    PCIE_LATENCY_S,
+    ClusterSpec,
+    GpuSpec,
+    NicSpec,
+)
 from repro.machine.topology import DragonflyPlusTopology
 
 _GB = 1e9
@@ -29,7 +35,7 @@ class PcieModel:
             raise ValueError("nbytes must be non-negative")
         if nbytes == 0:
             return 0.0
-        return self.gpu.pcie_latency_s + nbytes / (self.gpu.pcie_bw_gbs * _GB)
+        return PCIE_LATENCY_S + nbytes / (self.gpu.pcie_bw_gbs * _GB)
 
 
 class NetworkModel:
@@ -49,7 +55,7 @@ class NetworkModel:
         """End-to-end zero-byte latency for a route of `hops` switches."""
         if hops == 0:
             return 0.0   # intra-node: handled by shared memory
-        return self.nic.latency_s + hops * self.spec.inter_hop_latency_s
+        return self.nic.latency_s + hops * INTER_HOP_LATENCY_S
 
     def p2p_time(self, nbytes: int, hops: int) -> float:
         """Time to move `nbytes` between two ranks `hops` switches apart."""
@@ -82,7 +88,7 @@ class CollectiveModel:
         self.net = net
 
     def _alpha(self, hops: float) -> float:
-        return self.net.nic.latency_s + hops * self.net.spec.inter_hop_latency_s
+        return self.net.nic.latency_s + hops * INTER_HOP_LATENCY_S
 
     def _beta(self) -> float:
         """Seconds per byte at per-rank injection bandwidth."""

@@ -12,6 +12,16 @@ from dataclasses import dataclass, field
 from repro.util.sizes import GIB
 
 
+#: zero-byte host<->device copy latency, one way [s]
+PCIE_LATENCY_S = 10e-6
+#: barrier/fsync cost of committing a collective dump: checkpoint
+#: writers synchronize before resuming the solve, and on production
+#: Lustre/GPFS that commit is tens of milliseconds regardless of size
+FS_SYNC_LATENCY_S = 0.05
+#: added network latency per switch hop [s]
+INTER_HOP_LATENCY_S = 0.4e-6
+
+
 @dataclass(frozen=True)
 class GpuSpec:
     """One accelerator."""
@@ -21,7 +31,6 @@ class GpuSpec:
     mem_bytes: int              # device HBM capacity
     mem_bw_gbs: float           # device memory bandwidth (GB/s)
     pcie_bw_gbs: float          # sustained host<->device bandwidth (GB/s)
-    pcie_latency_s: float = 10e-6
 
     def __post_init__(self):
         if self.fp64_tflops <= 0 or self.pcie_bw_gbs <= 0:
@@ -64,11 +73,6 @@ class FilesystemSpec:
     aggregate_write_gbs: float   # sustained aggregate write bandwidth
     per_node_write_gbs: float    # single-node write ceiling
     open_latency_s: float        # metadata cost per file create/open
-    #: barrier/fsync cost of committing a collective dump: checkpoint
-    #: writers synchronize before resuming the solve, and on production
-    #: Lustre/GPFS that commit is tens of milliseconds regardless of size
-    sync_latency_s: float = 0.05
-    stripe_count: int = 8
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,6 @@ class ClusterSpec:
     # DragonFly+ shape: nodes attach to leaf switches grouped into cells.
     nodes_per_switch: int = 16
     switches_per_group: int = 12
-    inter_hop_latency_s: float = 0.4e-6   # added latency per switch hop
 
     def __post_init__(self):
         if self.num_nodes < 1:

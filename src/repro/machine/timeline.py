@@ -28,9 +28,10 @@ class Timeline:
     spans: list[Span] = field(default_factory=list)
 
     @classmethod
-    def from_breakdown(cls, seconds: dict[str, float], order=None) -> "Timeline":
-        """Lay the categories out back-to-back (serialized phases)."""
-        keys = list(order) if order else sorted(seconds, key=seconds.get, reverse=True)
+    def from_breakdown(cls, seconds: dict[str, float]) -> "Timeline":
+        """Lay the categories out back-to-back (serialized phases),
+        largest first."""
+        keys = sorted(seconds, key=seconds.get, reverse=True)
         spans = []
         t = 0.0
         for key in keys:

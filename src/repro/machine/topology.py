@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 from repro.machine.specs import ClusterSpec
 
+#: node pairs sampled to estimate a job's mean hop count
+_HOP_SAMPLES = 256
+
 
 @dataclass(frozen=True)
 class NodeLocation:
@@ -70,17 +73,18 @@ class DragonflyPlusTopology:
             return 4
         return 1 if la.switch == lb.switch else 3
 
-    def mean_hops(self, num_nodes: int, samples: int = 256, seed: int = 0) -> float:
+    def mean_hops(self, num_nodes: int) -> float:
         """Average hop count between distinct nodes in a job of
-        `num_nodes` nodes placed contiguously from node 0."""
+        `num_nodes` nodes placed contiguously from node 0, estimated
+        from `_HOP_SAMPLES` seeded random node pairs."""
         if num_nodes < 2:
             return 0.0
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         total = 0.0
         n = 0
-        for _ in range(samples):
+        for _ in range(_HOP_SAMPLES):
             a, b = rng.integers(0, num_nodes, size=2)
             if a == b:
                 continue

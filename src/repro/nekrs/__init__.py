@@ -21,14 +21,13 @@ Public surface:
   lid-driven cavity.
 """
 
-from repro.nekrs.config import CaseDefinition, PassiveScalar, VelocityBC, ScalarBC
+from repro.nekrs.config import CaseDefinition, VelocityBC, ScalarBC
 from repro.nekrs.solver import NekRSSolver, StepReport
 from repro.nekrs.timestepper import bdf_coefficients, ext_coefficients
 from repro.nekrs.parfile import read_par, par_to_overrides
 
 __all__ = [
     "CaseDefinition",
-    "PassiveScalar",
     "VelocityBC",
     "ScalarBC",
     "NekRSSolver",

@@ -67,6 +67,12 @@ def _duct_height(num_pebbles: int, duct_width: float) -> float:
     return float(centers[:, 2].max() + radius + 0.45 * duct_width)
 
 
+#: Brinkman drag inside a pebble (large: the pebbles are solid)
+BRINKMAN_CHI = 1e4
+#: the pebbles' initial temperature (the inflow holds 0)
+PEBBLE_TEMPERATURE = 1.0
+
+
 def pebble_bed_case(
     num_pebbles: int = 146,
     elements_per_unit: int = 4,
@@ -75,8 +81,6 @@ def pebble_bed_case(
     viscosity: float = 2e-2,
     dt: float = 2e-3,
     num_steps: int = 3000,
-    brinkman_chi: float = 1e4,
-    pebble_temperature: float = 1.0,
 ) -> CaseDefinition:
     """Build the pb146-analog case.
 
@@ -92,7 +96,7 @@ def pebble_bed_case(
     ez = max(2, int(round(elements_per_unit * height)))
 
     def chi(x, y, z):
-        """Brinkman drag: brinkman_chi inside any pebble, 0 in fluid.
+        """Brinkman drag: BRINKMAN_CHI inside any pebble, 0 in fluid.
 
         A smooth tanh edge over ~one grid spacing keeps the penalty
         resolvable by the polynomial basis.
@@ -102,7 +106,7 @@ def pebble_bed_case(
         for cx, cy, cz in centers:
             r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2)
             out += 0.5 * (1.0 - np.tanh((r - radius) / h))
-        return brinkman_chi * np.clip(out, 0.0, 1.0)
+        return BRINKMAN_CHI * np.clip(out, 0.0, 1.0)
 
     def pebble_surface_temperature(x, y, z):
         """Initial condition: hot inside pebbles, cold coolant."""
@@ -111,7 +115,7 @@ def pebble_bed_case(
         for cx, cy, cz in centers:
             r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2)
             out = np.maximum(out, 0.5 * (1.0 - np.tanh((r - radius) / h)))
-        return pebble_temperature * out
+        return PEBBLE_TEMPERATURE * out
 
     def heat_source(x, y, z):
         """Volumetric fission heating inside the pebbles."""

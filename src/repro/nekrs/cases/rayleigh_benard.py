@@ -103,7 +103,6 @@ def weak_scaled_rbc_case(
     elements_per_rank: int = 8,
     order: int = 5,
     rayleigh: float = 1e5,
-    prandtl: float = 0.7,
     **kwargs,
 ) -> CaseDefinition:
     """RBC case sized so each rank owns ~`elements_per_rank` elements.
@@ -121,7 +120,6 @@ def weak_scaled_rbc_case(
     ay = max(1, -(-columns // ax))
     case = rayleigh_benard_case(
         rayleigh=rayleigh,
-        prandtl=prandtl,
         aspect=(ax, ay),
         elements_per_unit=epu,
         order=order,

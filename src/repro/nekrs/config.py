@@ -70,38 +70,6 @@ class ScalarBC:
 
 
 @dataclass(frozen=True)
-class PassiveScalar:
-    """One additional transported scalar (NekRS's s01, s02, ...).
-
-    Advected by the flow and diffused with its own diffusivity; does
-    not feed back into the momentum equation (passive).
-    """
-
-    name: str
-    diffusivity: float
-    bcs: dict[BoundaryTag, ScalarBC] = field(default_factory=dict)
-    initial: Callable | None = None       # fn(x, y, z) -> values
-    source: Callable | None = None        # fn(x, y, z, t) -> values
-
-    _RESERVED = frozenset(
-        {
-            "velocity_x", "velocity_y", "velocity_z", "pressure",
-            "temperature", "velocity", "velocity_magnitude",
-            "vorticity_magnitude", "q_criterion",
-        }
-    )
-
-    def __post_init__(self):
-        if self.diffusivity <= 0:
-            raise ValueError(f"scalar {self.name!r} diffusivity must be positive")
-        if not self.name or self.name in self._RESERVED:
-            raise ValueError(
-                f"scalar name {self.name!r} is empty or collides with a "
-                "built-in field name"
-            )
-
-
-@dataclass(frozen=True)
 class CaseDefinition:
     """Complete specification of a solver run."""
 
@@ -139,8 +107,6 @@ class CaseDefinition:
     # boundary conditions
     velocity_bcs: dict[BoundaryTag, VelocityBC] = field(default_factory=dict)
     temperature_bcs: dict[BoundaryTag, ScalarBC] = field(default_factory=dict)
-    #: additional transported scalars (NekRS s01, s02, ...)
-    passive_scalars: tuple["PassiveScalar", ...] = ()
     #: faces where pressure is pinned to zero (outflow); empty = pure
     #: Neumann pressure with mean projection.
     pressure_dirichlet: tuple[BoundaryTag, ...] = ()
@@ -169,9 +135,6 @@ class CaseDefinition:
                     f"face {tag} cannot be both velocity-Dirichlet and "
                     "pressure-Dirichlet (outflow faces leave velocity free)"
                 )
-        names = [s.name for s in self.passive_scalars]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate passive scalar names: {names}")
 
     @property
     def has_temperature(self) -> bool:

@@ -47,12 +47,6 @@ def state_dict(solver: NekRSSolver) -> dict[str, np.ndarray]:
     proj = solver._pressure_proj
     for j in range(proj.count):
         fields[f"hist/pproj{j}"] = proj.basis[j]
-    for name, arr in solver.scalars.items():
-        fields[f"scalar/{name}"] = arr
-        for j, s in enumerate(solver._hist_s[name]):
-            fields[f"hist/s.{name}.{j}"] = s
-        for j, s in enumerate(solver._hist_advS[name]):
-            fields[f"hist/advs.{name}.{j}"] = s
     return fields
 
 
@@ -98,10 +92,6 @@ def load_state_dict(solver: NekRSSolver, fields: dict[str, np.ndarray]) -> None:
     solver._pressure_proj.count = len(basis)
     for j, x in enumerate(basis):
         solver._pressure_proj.basis[j] = x
-    for name, arr in solver.scalars.items():
-        arr[:] = fields[f"scalar/{name}"]
-        solver._hist_s[name] = collect_scalars(f"s.{name}.")
-        solver._hist_advS[name] = collect_scalars(f"advs.{name}.")
 
 
 def write_restart(directory, solver: NekRSSolver) -> tuple[Path, int]:

@@ -113,22 +113,14 @@ class NekRSSolver:
             self.w[:] = w0
         if self.T is not None and case.initial_temperature is not None:
             self.T[:] = case.initial_temperature(x, y, z)
-        self.scalars: dict[str, np.ndarray] = {}
-        for spec in case.passive_scalars:
-            field = np.zeros(shape)
-            if spec.initial is not None:
-                field[:] = spec.initial(x, y, z)
-            self.scalars[spec.name] = field
 
-        # histories for BDF (velocity/temperature/scalars) and EXT
+        # histories for BDF (velocity/temperature) and EXT
         # (their advection terms)
         k = case.time_order
         self._hist_u: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._hist_T: list[np.ndarray] = []
         self._hist_adv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._hist_advT: list[np.ndarray] = []
-        self._hist_s: dict[str, list[np.ndarray]] = {n: [] for n in self.scalars}
-        self._hist_advS: dict[str, list[np.ndarray]] = {n: [] for n in self.scalars}
         self._max_hist = k
 
         # -- masks & boundary machinery ---------------------------------------
@@ -147,30 +139,15 @@ class NekRSSolver:
             if temp_faces
             else np.ones(shape, dtype=bool)
         )
-        self.scalar_masks: dict[str, np.ndarray] = {}
-        for spec in case.passive_scalars:
-            faces = list(spec.bcs.keys())
-            self.scalar_masks[spec.name] = (
-                ~self.mesh.boundary_union(faces)
-                if faces
-                else np.ones(shape, dtype=bool)
-            )
         # each mask folded into its solve's gather-scatter
         gs = self.ops.gs
         self._vel_index = gs.masked_index(self.velocity_mask)
         self._pressure_index = gs.masked_index(self.pressure_mask)
         self._temp_index = gs.masked_index(self.temperature_mask)
-        self._scalar_index = {
-            name: gs.masked_index(mask) for name, mask in self.scalar_masks.items()
-        }
         # constant Dirichlet values and the (steady) heat source do not
         # change from step to step: evaluated here, once
         self._vel_bc = self._steady_dirichlet(case.velocity_bcs, 3)
         self._temp_bc = self._steady_dirichlet(case.temperature_bcs, 1)
-        self._scalar_bc = {
-            spec.name: self._steady_dirichlet(spec.bcs, 1)
-            for spec in case.passive_scalars
-        }
         self._heat_source = (
             None if case.heat_source is None
             else np.broadcast_to(case.heat_source(x, y, z), shape)
@@ -217,8 +194,6 @@ class NekRSSolver:
         }
         if self.T is not None:
             self.device_fields["temperature"] = DeviceMemory(self.device, self.T)
-        for name, field in self.scalars.items():
-            self.device_fields[name] = DeviceMemory(self.device, field)
 
         # this rank's arena and plan cache, read live by its telemetry
         arena, plans = get_arena(), get_plan_cache()
@@ -419,8 +394,6 @@ class NekRSSolver:
         self._hist_u.append((self.u.copy(), self.v.copy(), self.w.copy()))
         if self.T is not None:
             self._hist_T.append(self.T.copy())
-        for name, field in self.scalars.items():
-            self._hist_s[name].append(field.copy())
 
         # ---- temperature ---------------------------------------------------
         arena = get_arena()
@@ -457,43 +430,6 @@ class NekRSSolver:
                     self.T,
                 )
                 scalar_iters = result.iterations
-                unconverged += not result.converged
-
-        # ---- passive scalars ------------------------------------------------
-        for spec in case.passive_scalars:
-            with tel.tracer.span("solver.scalar"), \
-                    arena.scratch(shape, n=3) as (rhs, ext, tmp):
-                name = spec.name
-                field = self.scalars[name]
-                adv = -self._convect(field, self.u, self.v, self.w)
-                if spec.source is not None:
-                    x, y, z = self.mesh.coords()
-                    adv = adv + spec.source(x, y, z, self.time)
-                self._hist_advS[name].append(adv)
-                h0 = b0 / dt
-                # (s_hat / dt + NS_ext), times B
-                _bdf_sum(self._hist_advS[name], a, ext, tmp)
-                _bdf_sum(self._hist_s[name], b, rhs, tmp)
-                rhs /= dt
-                rhs += ext
-                self.ops.mass_apply(rhs, out=rhs)
-                (sb,) = self._scalar_bc[name] or self._dirichlet_fields(
-                    spec.bcs, 1, t_new
-                )
-                result = self._helmholtz_solve(
-                    rhs,
-                    sb,
-                    spec.diffusivity,
-                    h0,
-                    self.scalar_masks[name],
-                    self._scalar_index[name],
-                    case.scalar_tol,
-                    ("scalar", name, h0),
-                    self._hist_s[name],
-                    a,
-                    field,
-                )
-                scalar_iters += result.iterations
                 unconverged += not result.converged
 
         # the tentative velocity lives only inside this step: borrow it
@@ -597,10 +533,7 @@ class NekRSSolver:
             arena.release(us, vs, ws)
 
         # ---- bookkeeping -----------------------------------------------------
-        all_hists = [self._hist_u, self._hist_T, self._hist_adv, self._hist_advT]
-        all_hists.extend(self._hist_s.values())
-        all_hists.extend(self._hist_advS.values())
-        for hist in all_hists:
+        for hist in (self._hist_u, self._hist_T, self._hist_adv, self._hist_advT):
             while len(hist) > self._max_hist:
                 hist.pop(0)
 
@@ -683,13 +616,9 @@ class NekRSSolver:
         for hist in (self._hist_u, self._hist_adv):
             for entry in hist:
                 total += sum(f.nbytes for f in entry)
-        scalar_hists = [self._hist_T, self._hist_advT]
-        scalar_hists.extend(self._hist_s.values())
-        scalar_hists.extend(self._hist_advS.values())
-        for hist in scalar_hists:
+        for hist in (self._hist_T, self._hist_advT):
             for entry in hist:
                 total += entry.nbytes
-        total += sum(f.nbytes for f in self.scalars.values())
         if self.chi is not None:
             total += self.chi.nbytes
         total += self._pressure_proj.basis.nbytes

@@ -67,7 +67,7 @@ class NullLiveCollector:
     run_id = ""
 
     def wire_mark(self, kind, step, stream, nbytes=0) -> None: ...
-    def event(self, name, n=1) -> None: ...
+    def event(self, name) -> None: ...
     def note_frame(self, stream, step, t) -> None: ...
     def flush(self) -> None: ...
 
@@ -123,10 +123,10 @@ class RingCollector:
             self._counts[key] = self._counts.get(key, 0) + nbytes
             self._push_locked(mark, self._wire_marks)
 
-    def event(self, name: str, n: float = 1) -> None:
-        """Bump a named live count (retry, publish_stall, ...)."""
+    def event(self, name: str) -> None:
+        """Bump a named live count (retry, publish_stall, ...) by one."""
         with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + n
+            self._counts[name] = self._counts.get(name, 0) + 1
 
     def note_frame(self, stream: str, step: int, t: float) -> None:
         """Freshness signal: a frame for `stream` published at `t`."""

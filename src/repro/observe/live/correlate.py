@@ -133,7 +133,7 @@ class StepTimeline:
     run_id: str
     step: int
     events: tuple[StageEvent, ...] = ()
-    _attributed: dict | None = field(default=None, repr=False)
+    _attributed: dict | None = field(default=None, repr=False, init=False)
 
     @property
     def stages(self) -> tuple[str, ...]:

@@ -37,6 +37,11 @@ SLO_KINDS = (
     "retry_exhaustion",
 )
 
+#: every SLO's rolling window [s], and the samples a windowed latency
+#: SLO needs before it may fire
+_WINDOW_S = 30.0
+_MIN_COUNT = 4
+
 
 @dataclass(frozen=True)
 class SLOSpec:
@@ -54,8 +59,6 @@ class SLOSpec:
     kind: str
     objective: float
     budget: float = 0.1
-    window_s: float = 30.0
-    min_count: int = 4
     severity: str = "warn"
 
     def __post_init__(self):
@@ -72,7 +75,7 @@ class SLOSpec:
             "kind": self.kind,
             "objective": self.objective,
             "budget": self.budget,
-            "window_s": self.window_s,
+            "window_s": _WINDOW_S,
             "severity": self.severity,
         }
 
@@ -112,21 +115,18 @@ class Alert:
         }
 
 
-def default_slos(
-    step_latency_s: float = 0.5,
-    frame_staleness_s: float = 5.0,
-    recovery_time_s: float = 1.0,
-) -> tuple[SLOSpec, ...]:
-    """The stock budget set for an in-transit fleet run."""
+def default_slos() -> tuple[SLOSpec, ...]:
+    """The stock budget set for an in-transit fleet run: solve steps
+    within 0.5 s, frames no staler than 5 s, recovery within 1 s."""
     return (
         SLOSpec(name="step_latency", kind="step_latency",
-                objective=step_latency_s, budget=0.1),
+                objective=0.5, budget=0.1),
         SLOSpec(name="publish_stall", kind="publish_stall",
                 objective=0.0, severity="page"),
         SLOSpec(name="frame_staleness", kind="frame_staleness",
-                objective=frame_staleness_s),
+                objective=5.0),
         SLOSpec(name="recovery_time", kind="recovery_time",
-                objective=recovery_time_s, severity="page"),
+                objective=1.0, severity="page"),
         SLOSpec(name="retry_exhaustion", kind="retry_exhaustion",
                 objective=0.0, severity="page"),
     )
@@ -203,7 +203,7 @@ class SLOWatchdog:
             violating = sum(1 for v in values if v > spec.objective)
             frac = violating / len(values)
             burn = frac / max(spec.budget, 1e-9)
-            return burn, stats["p99_s"], window >= spec.min_count
+            return burn, stats["p99_s"], window >= _MIN_COUNT
         if spec.kind == "frame_staleness":
             staleness = aggregator.frame_staleness(now)
             if not staleness:
@@ -211,7 +211,7 @@ class SLOWatchdog:
             worst = max(staleness.values())
             return worst / max(spec.objective, 1e-9), worst, True
         count_key = _COUNT_KEYS[spec.kind]
-        count = aggregator.count_in_window(count_key, now, spec.window_s)
+        count = aggregator.count_in_window(count_key, now, _WINDOW_S)
         if spec.objective <= 0:
             return float(count), count, True   # zero budget: any hit fires
         return count / spec.objective, count, True
@@ -221,14 +221,14 @@ class SLOWatchdog:
         if spec.kind in ("step_latency", "frame_staleness"):
             return (f"{spec.name}: {value:.3f}s vs {spec.objective:.3f}s "
                     f"objective (burn {burn:.1f}x)")
-        return (f"{spec.name}: {value:.0f} in {spec.window_s:.0f}s window "
+        return (f"{spec.name}: {value:.0f} in {_WINDOW_S:.0f}s window "
                 f"(budget {spec.objective:.0f})")
 
     # -- event-driven recovery SLO -------------------------------------
-    def recovery_started(self, eid: int, at: float | None = None) -> Alert:
+    def recovery_started(self, eid: int) -> Alert:
         """An unplanned endpoint loss was detected; fire immediately."""
         spec = self._spec("recovery_time")
-        at = self._clock() if at is None else at
+        at = self._clock()
         alert = Alert(
             slo=spec.name, kind=spec.kind, severity=spec.severity,
             value=0.0, objective=spec.objective, burn_rate=1.0,
@@ -243,11 +243,10 @@ class SLOWatchdog:
         self._advise(alert)
         return alert
 
-    def recovery_finished(self, eid: int, seconds: float,
-                          at: float | None = None) -> Alert | None:
+    def recovery_finished(self, eid: int, seconds: float) -> Alert | None:
         """Replay drained; resolve, or escalate a blown objective."""
         spec = self._spec("recovery_time")
-        at = self._clock() if at is None else at
+        at = self._clock()
         with self._lock:
             alert = self._recovering.pop(eid, None)
             if alert is not None:

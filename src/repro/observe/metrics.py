@@ -147,21 +147,16 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """Point-in-time value; `agg` picks the cross-rank combination.
-
-    Like counters, gauges accept `const_labels`: each label set is its
-    own registry entry with its own sample line.
-    """
+    """Point-in-time value; `agg` picks the cross-rank combination."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", agg: str = "max",
-                 const_labels: dict[str, str] | None = None):
+    def __init__(self, name: str, help: str = "", agg: str = "max"):
         if agg not in _GAUGE_AGG:
             raise ValueError(
                 f"gauge agg must be one of {tuple(_GAUGE_AGG)}, got {agg!r}"
             )
-        super().__init__(name, help, const_labels)
+        super().__init__(name, help)
         self.agg = agg
         self._combine = _GAUGE_AGG[agg]
 
@@ -282,11 +277,8 @@ class MetricsRegistry:
                                    read=read)
 
     def gauge(self, name: str, help: str = "", agg: str = "max",
-              const_labels: dict[str, str] | None = None,
               read=None) -> Gauge:
-        key = name + _render_labels(const_labels or {})
-        return self._get_or_create(Gauge, key, name, help, agg, const_labels,
-                                   read=read)
+        return self._get_or_create(Gauge, name, name, help, agg, read=read)
 
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> Histogram:
         return self._get_or_create(Histogram, name, name, help, buckets)
@@ -316,8 +308,7 @@ class MetricsRegistry:
                 mine = self.counter(metric.name, metric.help,
                                     metric.const_labels or None)
             elif isinstance(metric, Gauge):
-                mine = self.gauge(metric.name, metric.help, metric.agg,
-                                  metric.const_labels or None)
+                mine = self.gauge(metric.name, metric.help, metric.agg)
             elif isinstance(metric, Histogram):
                 mine = self.histogram(metric.name, metric.help, metric.buckets)
             else:  # pragma: no cover - closed type set
@@ -430,7 +421,6 @@ class NullMetricsRegistry:
         return _NULL_METRIC
 
     def gauge(self, name: str, help: str = "", agg: str = "max",
-              const_labels: dict[str, str] | None = None,
               read=None) -> _NullMetric:
         return _NULL_METRIC
 

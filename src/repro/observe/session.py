@@ -109,7 +109,7 @@ class TelemetrySession:
         self.label = label
         self._clock = clock
         self._by_rank: dict[int, Telemetry] = {}
-        self._finalized: dict[int, float] = {}
+        self._finalized: set[int] = set()
         self._lock = threading.Lock()
         #: attached :class:`~repro.observe.live.plane.LivePlane`, if any
         #: (set by the plane itself; new ranks bind to it on creation)
@@ -149,13 +149,14 @@ class TelemetrySession:
             return [self._by_rank[r] for r in sorted(self._by_rank)]
 
     # -- membership churn ----------------------------------------------
-    def finalize_rank(self, rank: int, at: float | None = None) -> bool:
+    def finalize_rank(self, rank: int) -> bool:
         """Close rank `rank`'s track at detection time (dead endpoint).
 
-        Records a ``track.finalized`` instant on the track and pins
-        its end time, so the merged trace shows exactly when the
-        member was declared lost rather than letting its track dangle.
-        Idempotent; returns False for a rank this session never saw.
+        Records one ``track.finalized`` instant on the track, so the
+        merged trace shows when the member was declared lost rather
+        than letting its track dangle.  Idempotent: a repeat call
+        records nothing more.  Returns False for a rank this session
+        never saw.
         """
         with self._lock:
             tel = self._by_rank.get(rank)
@@ -163,8 +164,7 @@ class TelemetrySession:
                 return False
             if rank in self._finalized:
                 return True
-            at = self._clock() if at is None else at
-            self._finalized[rank] = at
+            self._finalized.add(rank)
         tel.tracer.instant("track.finalized", rank=rank)
         return True
 
@@ -187,10 +187,8 @@ class TelemetrySession:
             merged.merge(tel.metrics)
         return merged
 
-    def to_prometheus(self, per_rank: bool = False) -> str:
-        if not per_rank:
-            return self.merged_metrics().to_prometheus()
-        return "".join(tel.metrics.to_prometheus() for tel in self.telemetries())
+    def to_prometheus(self) -> str:
+        return self.merged_metrics().to_prometheus()
 
     def memory_by_rank(self) -> dict[int, dict[str, int]]:
         return {tel.rank: tel.memory.peaks() for tel in self.telemetries()}

@@ -16,12 +16,14 @@ _VALID_MODES = ("serial", "cuda-sim")
 class TransferLedger:
     """Counts host<->device traffic for one device."""
 
-    h2d_bytes: int = 0
-    d2h_bytes: int = 0
-    h2d_count: int = 0
-    d2h_count: int = 0
-    modeled_seconds: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    h2d_bytes: int = field(default=0, init=False)
+    d2h_bytes: int = field(default=0, init=False)
+    h2d_count: int = field(default=0, init=False)
+    d2h_count: int = field(default=0, init=False)
+    modeled_seconds: float = field(default=0.0, init=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, init=False
+    )
 
     def record(self, direction: str, nbytes: int, seconds: float = 0.0) -> None:
         with self._lock:

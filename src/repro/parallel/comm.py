@@ -133,9 +133,11 @@ class TrafficMeter:
 
     #: (op, channel, rank) -> [calls, bytes]
     _totals: dict[tuple[str, str, int], list[int]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, repr=False, init=False
     )
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, init=False
+    )
 
     def record(
         self,
@@ -151,28 +153,25 @@ class TrafficMeter:
             total[0] += 1
             total[1] += nbytes
 
-    def _matching(self, op: str | None = None, channel: str | None = None):
-        """Snapshot of ``((op, channel, rank), (calls, bytes))`` entries
-        passing the filters."""
+    def _matching(self, op: str | None = None):
+        """Snapshot of ``((op, channel, rank), (calls, bytes))`` entries,
+        all of them or those of one op."""
         with self._lock:
             return [
                 (key, tuple(total)) for key, total in self._totals.items()
-                if (op is None or key[0] == op)
-                and (channel is None or key[1] == channel)
+                if op is None or key[0] == op
             ]
 
-    def total_bytes(self, channel: str | None = None) -> int:
-        return sum(total[1] for _, total in self._matching(channel=channel))
+    def total_bytes(self) -> int:
+        return sum(total[1] for _, total in self._matching())
 
     def count(self, op: str | None = None) -> int:
-        return sum(total[0] for _, total in self._matching(op=op))
+        return sum(total[0] for _, total in self._matching(op))
 
-    def per_rank_bytes(
-        self, op: str | None = None, channel: str | None = None
-    ) -> dict[int, int]:
-        """Bytes attributed to each rank, optionally filtered by op/channel."""
+    def per_rank_bytes(self) -> dict[int, int]:
+        """Bytes attributed to each rank."""
         out: dict[int, int] = {}
-        for (_, _, rank), total in self._matching(op, channel):
+        for (_, _, rank), total in self._matching():
             out[rank] = out.get(rank, 0) + total[1]
         return out
 

@@ -57,8 +57,6 @@ def run_spmd(
     body: Callable,
     args: Sequence = (),
     meter: TrafficMeter | None = None,
-    channel: str = "default",
-    timeout: float | None = None,
 ) -> list:
     """Run `body(comm, *args)` on `nranks` ranks; return per-rank results.
 
@@ -71,13 +69,10 @@ def run_spmd(
         raise ValueError(f"nranks must be >= 1, got {nranks}")
     meter = meter or TrafficMeter()
     if nranks == 1:
-        comm = SerialCommunicator(meter, channel)
+        comm = SerialCommunicator(meter)
         return [body(comm, *args)]
 
-    comms = ThreadCommunicator.create_group(nranks, meter, channel)
-    if timeout is not None:
-        for c in comms:
-            c.timeout = timeout
+    comms = ThreadCommunicator.create_group(nranks, meter)
     results: list = [None] * nranks
     errors: list = [None] * nranks
 

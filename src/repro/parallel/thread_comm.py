@@ -186,11 +186,10 @@ class ThreadCommunicator(Communicator):
         cls,
         size: int,
         meter: TrafficMeter | None = None,
-        channel: str = "default",
     ) -> list["ThreadCommunicator"]:
         """Create `size` communicator handles sharing one world."""
         world = _World(size, meter or TrafficMeter())
-        return [cls(world, r, channel) for r in range(size)]
+        return [cls(world, r) for r in range(size)]
 
     # -- basics ----------------------------------------------------------
     @property

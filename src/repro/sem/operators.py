@@ -267,18 +267,16 @@ class SEMOperators:
             out += tmp
         return out
 
-    def convect(self, f: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+    def convect(
+        self, f: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> np.ndarray:
         """Convective derivative (u . grad) f, pointwise (collocation)."""
         if not config.enabled():
             fx, fy, fz = self.grad(f)
-            return _into(u * fx + v * fy + w * fz, out)
+            return u * fx + v * fy + w * fz
         with get_arena().scratch(f.shape, f.dtype, n=3) as (fx, fy, fz):
             self.grad(f, out=(fx, fy, fz))
-            if out is None:
-                out = np.multiply(u, fx)
-            else:
-                np.multiply(u, fx, out=out)
+            out = np.multiply(u, fx)
             fy *= v
             out += fy
             fz *= w

@@ -127,8 +127,7 @@ def apply_1d_z(A: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> n
 
 
 def apply_3d(
-    Ax: np.ndarray, Ay: np.ndarray, Az: np.ndarray, f: np.ndarray,
-    out: np.ndarray | None = None,
+    Ax: np.ndarray, Ay: np.ndarray, Az: np.ndarray, f: np.ndarray
 ) -> np.ndarray:
     """Full tensor-product apply (Az (x) Ay (x) Ax) f.
 
@@ -136,9 +135,8 @@ def apply_3d(
     per-axis extent); intermediates come from the workspace arena.
     """
     if not config.enabled():
-        return _into(
-            apply_1d_z_reference(Az, apply_1d_y_reference(Ay, apply_1d_x_reference(Ax, f))),
-            out,
+        return apply_1d_z_reference(
+            Az, apply_1d_y_reference(Ay, apply_1d_x_reference(Ax, f))
         )
     E, K, J, _ = f.shape
     dtype = np.result_type(Ax, f)
@@ -148,7 +146,7 @@ def apply_3d(
     try:
         apply_1d_x(Ax, f, out=t1)
         apply_1d_y(Ay, t1, out=t2)
-        out = apply_1d_z(Az, t2, out=out)
+        out = apply_1d_z(Az, t2)
     finally:
         arena.release(t1, t2)
     return out

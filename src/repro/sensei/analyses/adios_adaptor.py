@@ -33,13 +33,11 @@ class ADIOSAnalysisAdaptor(AnalysisAdaptor):
         engine,                       # SSTWriterEngine or BPFileWriterEngine
         mesh_name: str = "mesh",
         arrays: tuple[str, ...] = ("pressure",),
-        stream_geometry_once: bool = True,
     ):
         self.comm = comm
         self.engine = engine
         self.mesh_name = mesh_name
         self.arrays = tuple(arrays)
-        self.stream_geometry_once = stream_geometry_once
         self._geometry_sent = False
         self.steps_sent = 0
         self.bytes_sent = 0
@@ -123,7 +121,8 @@ class ADIOSAnalysisAdaptor(AnalysisAdaptor):
         ]
         engine.put("block_ids", np.asarray([i for i, _ in blocks], dtype=np.int64))
 
-        send_geometry = not (self.stream_geometry_once and self._geometry_sent)
+        # the mesh does not move: its geometry goes on the first step only
+        send_geometry = not self._geometry_sent
         engine.put_attribute("has_geometry", "1" if send_geometry else "0")
         nbytes = 0
         for index, block in blocks:

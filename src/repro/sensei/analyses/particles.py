@@ -35,7 +35,6 @@ class ParticleTracer(AnalysisAdaptor):
         num_particles: int = 64,
         mesh_name: str = "uniform",
         seed: int = 7,
-        seed_box: tuple | None = None,   # ((x0,y0,z0),(x1,y1,z1))
         output_dir: Path | str | None = None,
     ):
         if num_particles < 1:
@@ -44,21 +43,17 @@ class ParticleTracer(AnalysisAdaptor):
         self.mesh_name = mesh_name
         self.num_particles = num_particles
         self.seed = seed
-        self.seed_box = seed_box
         self.output_dir = Path(output_dir) if output_dir else None
         self.positions: np.ndarray | None = None   # root rank only
         self.trajectory: list[np.ndarray] = []
         self._last_time: float | None = None
 
     def _seed_particles(self, image) -> np.ndarray:
+        """Uniformly random positions over the whole image extent."""
         rng = make_rng(self.seed)
-        if self.seed_box is not None:
-            lo = np.asarray(self.seed_box[0], dtype=float)
-            hi = np.asarray(self.seed_box[1], dtype=float)
-        else:
-            dims = np.asarray(image.dims, dtype=float)
-            lo = np.asarray(image.origin, dtype=float)
-            hi = lo + (dims - 1) * np.asarray(image.spacing, dtype=float)
+        dims = np.asarray(image.dims, dtype=float)
+        lo = np.asarray(image.origin, dtype=float)
+        hi = lo + (dims - 1) * np.asarray(image.spacing, dtype=float)
         return lo + rng.random((self.num_particles, 3)) * (hi - lo)
 
     def _sample_velocity(self, image, pts: np.ndarray) -> np.ndarray:

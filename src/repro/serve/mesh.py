@@ -31,6 +31,10 @@ from repro.serve.pump import MeshSession, SessionPump
 
 __all__ = ["HubFull", "ServeMesh"]
 
+#: a "stall" is a publish() that took longer than this [s] — with one
+#: O(1) inbox append it should never fire; the tests assert 0
+STALL_THRESHOLD_S = 0.25
+
 
 class HubFull(RuntimeError):
     """Raised when connect() would exceed the hub's client budget."""
@@ -46,7 +50,6 @@ class ServeMesh:
         default_depth: int = 2,
         max_clients: int | None = None,
         clock=_time.perf_counter,
-        stall_threshold_s: float = 0.25,
         telemetry=None,
         start: bool = True,
     ):
@@ -56,10 +59,6 @@ class ServeMesh:
         self.default_depth = default_depth
         self.max_clients = max_clients
         self._clock = clock
-        #: a "stall" is a publish() that took suspiciously long — with
-        #: one O(1) inbox append this should never fire; the tests
-        #: assert 0
-        self.stall_threshold_s = stall_threshold_s
         self.store = FrameStore(history)
         self.pump = SessionPump(self.store, clock=clock)
         self._tel = telemetry if telemetry is not None else get_telemetry()
@@ -214,7 +213,7 @@ class ServeMesh:
             self.pump.ingest(frame)
         elapsed = self._clock() - t0
         self.max_publish_s = max(self.max_publish_s, elapsed)
-        if elapsed > self.stall_threshold_s:
+        if elapsed > STALL_THRESHOLD_S:
             self.stalls += 1
             tel.live.event("publish_stall")
         self.frames_published += 1

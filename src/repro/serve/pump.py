@@ -63,10 +63,14 @@ class SessionStats:
     from a quiescent session or under ``pump.lock``.
     """
 
-    offered: int = 0            # frames the pump presented to this session
-    dropped: int = 0            # evicted by backpressure (queue full)
-    rate_limited: int = 0       # superseded while parked in the deferred slot
-    bytes_out: int = 0          # payload bytes delivered
+    #: frames the pump presented to this session
+    offered: int = field(default=0, init=False)
+    #: evicted by backpressure (queue full)
+    dropped: int = field(default=0, init=False)
+    #: superseded while parked in the deferred slot
+    rate_limited: int = field(default=0, init=False)
+    #: payload bytes delivered
+    bytes_out: int = field(default=0, init=False)
     _start: int = field(default=0, init=False, repr=False)
     #: -inf until the first take, which therefore opens a run in _gap
     _last: float = field(default=-float("inf"), init=False, repr=False)

@@ -112,6 +112,10 @@ def orbit_direction(direction, degrees: float):
     return (x * ca - y * sa, x * sa + y * ca, z)
 
 
+#: how long a paused endpoint waits on the bus between checks [s]
+_BUS_WAIT_S = 0.05
+
+
 class SteeringEndpoint(AnalysisAdaptor):
     """AnalysisAdaptor applying bus commands at step boundaries.
 
@@ -126,12 +130,10 @@ class SteeringEndpoint(AnalysisAdaptor):
         comm: Communicator,
         bus: SteeringBus,
         pipelines=(),
-        poll_interval: float = 0.05,
     ):
         self.comm = comm
         self.bus = bus
         self.pipelines = list(pipelines)
-        self.poll_interval = poll_interval
         self.paused = False
         self.stopped_at: int | None = None
         self.commands_applied = 0
@@ -147,7 +149,7 @@ class SteeringEndpoint(AnalysisAdaptor):
 
     def _exchange(self, block: bool) -> list[SteerCommand]:
         if self.comm.rank == 0:
-            cmds = self.bus.wait(self.poll_interval) if block else self.bus.drain()
+            cmds = self.bus.wait(_BUS_WAIT_S) if block else self.bus.drain()
         else:
             cmds = None
         if self.comm.size > 1:

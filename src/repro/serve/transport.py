@@ -9,9 +9,7 @@ Two transports share the :class:`~repro.serve.pump.MeshSession` layer:
   loop on a daemon thread, so it coexists with the threaded SPMD
   simulation).  Dependency-free HTTP/1.1:
 
-  - ``GET /status`` — JSON hub/session/steering stats (plus whatever
-    the injected ``status_provider`` reports, e.g. the merged
-    ``MetricsRegistry``);
+  - ``GET /status`` — JSON hub/session/steering stats;
   - ``GET /frame/<stream>`` — the latest PNG;
   - ``GET /stream/<stream>`` — an MJPEG-style
     ``multipart/x-mixed-replace`` PNG stream (drop-to-latest
@@ -52,11 +50,11 @@ __all__ = ["LoopbackClient", "HttpFrameServer", "shutdown_all"]
 _ACTIVE: "weakref.WeakSet[HttpFrameServer]" = weakref.WeakSet()
 
 
-def shutdown_all(timeout: float = 5.0) -> list[str]:
+def shutdown_all() -> list[str]:
     """Stop every live server; returns names of any that would not die."""
     leaked = []
     for server in list(_ACTIVE):
-        if not server.stop(timeout=timeout):
+        if not server.stop(timeout=5.0):
             leaked.append(str(server))
     return leaked
 
@@ -100,6 +98,14 @@ class LoopbackClient:
 
 _BOUNDARY = b"repro-frame"
 
+#: how long a ``/stream`` client's session take waits for a frame
+#: before it rechecks for shutdown [s]
+_FRAME_POLL_S = 0.25
+#: the ``/replay`` APNG's frame delay when no ``?delay_ms=`` is given
+_REPLAY_DELAY_MS = 100
+#: how long :meth:`HttpFrameServer.start` waits for the bind [s]
+_START_TIMEOUT_S = 10.0
+
 
 class HttpFrameServer:
     """Asyncio TCP/HTTP server streaming hub frames to many clients."""
@@ -110,9 +116,6 @@ class HttpFrameServer:
         bus: SteeringBus | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        status_provider=None,
-        frame_poll_s: float = 0.25,
-        replay_delay_ms: int = 100,
         live=None,
         router=None,
     ):
@@ -127,9 +130,6 @@ class HttpFrameServer:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
-        self.status_provider = status_provider
-        self.frame_poll_s = frame_poll_s
-        self.replay_delay_ms = replay_delay_ms
         self.requests = 0
         self._log = get_logger("repro.serve.http")
         self._thread: threading.Thread | None = None
@@ -144,7 +144,7 @@ class HttpFrameServer:
         return f"HttpFrameServer({self.host}:{self.port or self._requested_port})"
 
     # -- lifecycle ---------------------------------------------------------
-    def start(self, timeout: float = 10.0) -> int:
+    def start(self) -> int:
         """Bind and serve on a daemon thread; returns the bound port."""
         if self._thread is not None:
             raise RuntimeError("server already started")
@@ -152,7 +152,7 @@ class HttpFrameServer:
             target=self._run, name="repro-serve-http", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout):
+        if not self._started.wait(_START_TIMEOUT_S):
             raise TimeoutError("HTTP frame server failed to start in time")
         if self._start_error is not None:
             raise self._start_error
@@ -278,8 +278,6 @@ class HttpFrameServer:
                 "pending": self.bus.pending,
                 "applied": len(self.bus.applied),
             }
-        if self.status_provider is not None:
-            status.update(self.status_provider())
         return status
 
     async def _serve_latest(self, writer, stream: str) -> None:
@@ -297,7 +295,7 @@ class HttpFrameServer:
         if not frames:
             await self._respond(writer, 404, {"error": f"no frames for {stream!r}"})
             return
-        delay = int(query.get("delay_ms", self.replay_delay_ms))
+        delay = int(query.get("delay_ms", _REPLAY_DELAY_MS))
         buf = io.BytesIO()
         apng = ApngWriter(buf, delay_ms=delay)
         for frame in frames:
@@ -332,7 +330,7 @@ class HttpFrameServer:
                 await self._write_part(writer, latest)
             while not (self.hub.closed or session.closed or self._shutdown.is_set()):
                 frame = await loop.run_in_executor(
-                    None, session.take, self.frame_poll_s
+                    None, session.take, _FRAME_POLL_S
                 )
                 if frame is None:
                     continue

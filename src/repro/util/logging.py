@@ -50,14 +50,13 @@ class _RankHandler(logging.StreamHandler):
 def get_logger(
     name: str,
     comm: Communicator | None = None,
-    level: int | str | None = None,
     stream=None,
 ) -> logging.Logger:
     """Create/fetch a rank-aware logger — idempotently.
 
     Only rank 0 emits unless ``REPRO_LOG_ALL_RANKS`` is set (or the
-    communicator is None/size 1).  Level defaults to ``REPRO_LOG_LEVEL``
-    or INFO.
+    communicator is None/size 1).  The level is ``REPRO_LOG_LEVEL``, or
+    INFO.
 
     Calling this twice for the same name is a no-op when the requested
     configuration matches the installed handler: a logger handed out
@@ -69,8 +68,7 @@ def get_logger(
     size = comm.size if comm is not None else 1
     logger = logging.getLogger(f"repro.{name}.r{rank}")
 
-    if level is None:
-        level = os.environ.get("REPRO_LOG_LEVEL", "INFO")
+    level = os.environ.get("REPRO_LOG_LEVEL", "INFO")
 
     all_ranks = os.environ.get("REPRO_LOG_ALL_RANKS", "") not in ("", "0", "no")
     emit = rank == 0 or all_ranks or size == 1

@@ -20,6 +20,9 @@ _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _COLOR_TYPE = {1: 0, 3: 2, 4: 6}
 _CHANNELS = {0: 1, 2: 3, 6: 4}
 
+#: the zlib level of every PNG (zlib's own default)
+_COMPRESS_LEVEL = 6
+
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
     return (
@@ -30,7 +33,7 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
     )
 
 
-def encode_png(image: np.ndarray, compress_level: int = 6) -> bytes:
+def encode_png(image: np.ndarray) -> bytes:
     """Encode an ``(H, W)`` or ``(H, W, C)`` uint8 array as PNG bytes.
 
     C may be 1 (grayscale), 3 (RGB) or 4 (RGBA).  Each scanline is
@@ -59,7 +62,7 @@ def encode_png(image: np.ndarray, compress_level: int = 6) -> bytes:
     np.subtract(img[:, 1:], img[:, :-1], out=lines[:, 1:])
 
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    idat = zlib.compress(raw, compress_level)
+    idat = zlib.compress(raw, _COMPRESS_LEVEL)
     return b"".join(
         [
             _SIGNATURE,
@@ -70,9 +73,9 @@ def encode_png(image: np.ndarray, compress_level: int = 6) -> bytes:
     )
 
 
-def write_png(path, image: np.ndarray, compress_level: int = 6) -> int:
+def write_png(path, image: np.ndarray) -> int:
     """Write *image* to *path*; returns the number of bytes written."""
-    data = encode_png(image, compress_level)
+    data = encode_png(image)
     with open(path, "wb") as f:
         f.write(data)
     return len(data)

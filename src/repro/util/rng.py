@@ -10,18 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed: int, *streams: int) -> np.random.Generator:
-    """Create a generator for a (seed, stream...) tuple.
+def make_rng(seed: int) -> np.random.Generator:
+    """Create the generator for `seed`.
 
-    Each logical consumer (e.g. a rank, a case, a workload) passes its
-    own stream indices, so concurrent consumers never share a stream:
-
-    >>> a = make_rng(7, 0); b = make_rng(7, 1)
-    >>> float(a.random()) != float(b.random())
+    >>> float(make_rng(7).random()) == float(make_rng(7).random())
     True
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=tuple(streams))
-    )
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed))

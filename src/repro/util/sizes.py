@@ -21,7 +21,7 @@ _UNITS = [
 ]
 
 
-def format_bytes(n: float, precision: int = 2) -> str:
+def format_bytes(n: float) -> str:
     """Format a byte count using binary units.
 
     >>> format_bytes(6.5 * MIB)
@@ -38,5 +38,5 @@ def format_bytes(n: float, precision: int = 2) -> str:
             value = n / factor
             if unit == "B":
                 return f"{int(value)} B"
-            return f"{value:.{precision}f} {unit}"
-    return f"{n:.{precision}f} B"
+            return f"{value:.2f} {unit}"
+    return f"{n:.2f} B"

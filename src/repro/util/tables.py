@@ -22,7 +22,7 @@ class Table:
 
     columns: list[str]
     title: str | None = None
-    rows: list[list] = field(default_factory=list)
+    rows: list[list] = field(default_factory=list, init=False)
     float_format: str = "{:.3f}"
 
     def add_row(self, row: list) -> None:

@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
 class TimingStats:
     """Streaming summary statistics over time samples (Welford)."""
 
-    count: int = 0
-    total: float = 0.0
-    _min: float = math.inf
-    _max: float = -math.inf
-    _mean: float = 0.0
-    _m2: float = 0.0
+    count: int = field(default=0, init=False)
+    total: float = field(default=0.0, init=False)
+    _min: float = field(default=math.inf, init=False)
+    _max: float = field(default=-math.inf, init=False)
+    _mean: float = field(default=0.0, init=False)
+    _m2: float = field(default=0.0, init=False)
 
     def add(self, sample: float) -> None:
         self.count += 1

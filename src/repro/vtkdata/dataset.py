@@ -125,7 +125,7 @@ class MultiBlockDataSet:
     Blocks owned by other ranks are ``None`` locally.
     """
 
-    blocks: list = field(default_factory=list)
+    blocks: list = field(default_factory=list, init=False)
 
     @property
     def num_blocks(self) -> int:

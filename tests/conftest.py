@@ -103,7 +103,7 @@ def _serve_event_loop_guard():
     if "repro.serve.transport" in sys.modules:
         from repro.serve import transport
 
-        leaked = transport.shutdown_all(timeout=5.0)
+        leaked = transport.shutdown_all()
         assert not leaked, f"serving event loops leaked by test: {leaked}"
 
 

@@ -112,7 +112,7 @@ class TestSSTBroker:
         assert broker.get(0) == b"s4"
 
     def test_block_policy_backpressure(self):
-        broker = SSTBroker(num_writers=1, queue_limit=1, timeout=5.0)
+        broker = SSTBroker(num_writers=1, queue_limit=1)
         broker.put(0, b"a")
         unblocked = threading.Event()
 
@@ -144,7 +144,7 @@ class TestSSTBroker:
             SSTBroker(1, queue_full_policy="Panic")
 
     def test_close_writer_never_blocks_and_trails_the_staged_steps(self):
-        broker = SSTBroker(num_writers=1, queue_limit=1, timeout=30.0)
+        broker = SSTBroker(num_writers=1, queue_limit=1)
         broker.put(0, b"a")
         broker.close_writer(0)         # full queue: the end mark takes no slot
         assert broker.get(0) == b"a"
@@ -170,7 +170,7 @@ class TestSSTBroker:
             assert broker.events == seen
 
     def test_marking_the_endpoint_down_wakes_a_blocked_writer(self):
-        broker = SSTBroker(num_writers=1, queue_limit=1, timeout=30.0)
+        broker = SSTBroker(num_writers=1, queue_limit=1)
         broker.put(0, b"a")
         caught = []
 
@@ -190,7 +190,7 @@ class TestSSTBroker:
         """More threads than cores on one condition, switching every few
         bytecodes: each Block-policy step arrives exactly once, in order."""
         writers, steps = 6, 100
-        broker = SSTBroker(num_writers=writers, queue_limit=1, timeout=30.0)
+        broker = SSTBroker(num_writers=writers, queue_limit=1)
         got = {w: [] for w in range(writers)}
 
         def write(w):

@@ -7,7 +7,6 @@ import pytest
 from repro.bench.measure import measure_insitu_profile, measure_intransit_profiles
 from repro.bench.replay import (
     PredictedRun,
-    ReplayConfig,
     predict_insitu_run,
     predict_intransit_step,
 )
@@ -88,7 +87,7 @@ class TestPredictInsitu:
     def test_checkpoint_storage_matches_arithmetic(self, profiles):
         pred = predict_insitu_run(
             profiles["checkpoint"], POLARIS, 280, 19.8e6,
-            steps=3000, interval=100, num_checkpoint_fields=4,
+            steps=3000, interval=100,
         )
         assert pred.storage_bytes == pytest.approx(30 * 4 * 19.8e6 * 8, rel=1e-6)
 
@@ -238,9 +237,9 @@ class TestPredictedRun:
         pred = PredictedRun(
             mode="original", cluster="Polaris", ranks=8, nodes=2,
             steps=10, interval=5,
-            seconds={"solve": 1.0, "collectives": 0.5},
-            memory_per_rank_bytes=100,
         )
+        pred.seconds.update(solve=1.0, collectives=0.5)
+        pred.memory_per_rank_bytes = 100
         assert pred.total_seconds == 1.5
         assert pred.seconds_per_step == 0.15
         assert pred.memory_aggregate_bytes == 800

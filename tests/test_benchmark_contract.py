@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -625,22 +626,21 @@ KEPT_NAMES = {
     "nekrs/restart.py::write_restart": "its bit-exact continuation tests "
     "check NekRSSolver's persistent state (module in KEPT)",
     "nekrs/restart.py::read_restart": "the other half of write_restart",
-    "nekrs/config.py::PassiveScalar": "the only constructor of "
-    "CaseDefinition.passive_scalars, which NekRSSolver transports every "
-    "step; removing the feature edits the step every workload runs",
 }
 
 _ENTRYPOINT = r"(repro(?:\.\w+)+):(\w+)(?:\.(\w+))?"
 
 
-def _public_defs(tree):
+def _defs(tree):
     """``(qualname, node, class_name)`` for each public top-level function
-    and class, and for each public method or property of a top-level
-    class (``class_name`` is None for a top-level def)."""
+    and class, each private top-level function, and each public method
+    or property of a top-level class (``class_name`` is None for a
+    top-level def)."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
+        if not node.name.startswith("_") or (
+                not isinstance(node, ast.ClassDef) and not node.name.startswith("__")):
             yield node.name, node, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -665,45 +665,45 @@ def _counted_nodes(tree, is_init):
             yield from ast.walk(top)
 
 
-def test_every_public_name_is_reached_outside_tests():
-    """Source scan, one level finer than the module scan above: a public
-    function, class, method or property under ``src/repro`` stays only if
-    something outside its own body and outside the tests refers to it.
-    References come from ``src/`` (an ``__init__`` by its function
-    bodies only, which is how an XML ``type=`` name reaches its
-    analysis), ``examples/``, all of ``benchmarks/e2e/`` (with the
-    ``module:Class.method`` strings of ``trace.ENTRYPOINTS``) and the
-    ``benchmarks/*.py`` figure suite.
+class _Sources:
+    """What the name and option passes read: every module under
+    ``src/repro`` and the callers outside the tests (``examples/``, the
+    ``benchmarks/*.py`` figure suite and all of ``benchmarks/e2e/``),
+    parsed once, with each file's import bindings."""
 
-    A top-level name resolves by module: ``from M import name``,
-    ``alias.name`` with the alias bound to ``M``, to its package or to
-    a package that re-exports it, or a bare name inside ``M``.  A
-    method resolves by name: any ``.name`` attribute or ``getattr``
-    string reaches it, and so does overriding an attribute of a base
-    class.  Dunders are not public and never listed."""
-    repo = SRC.parents[1]
-    modules = {}
-    for path in SRC.rglob("*.py"):
-        parts = path.relative_to(SRC.parent).with_suffix("").parts
-        modules[path] = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-    packages = {m for path, m in modules.items() if path.name == "__init__.py"}
-    names = set(modules.values())
-    trees = {path: ast.parse(path.read_text()) for path in modules}
-    sources = [*repo.glob("examples/*.py"), *repo.glob("benchmarks/*.py"),
-               *repo.glob("benchmarks/e2e/**/*.py")]
-    trees.update({path: ast.parse(path.read_text()) for path in sources})
+    def __init__(self):
+        repo = SRC.parents[1]
+        self.modules = {}
+        for path in SRC.rglob("*.py"):
+            parts = path.relative_to(SRC.parent).with_suffix("").parts
+            self.modules[path] = ".".join(
+                parts[:-1] if parts[-1] == "__init__" else parts
+            )
+        self.packages = {m for path, m in self.modules.items()
+                         if path.name == "__init__.py"}
+        self.names = set(self.modules.values())
+        self.trees = {path: ast.parse(path.read_text()) for path in self.modules}
+        sources = [*repo.glob("examples/*.py"), *repo.glob("benchmarks/*.py"),
+                   *repo.glob("benchmarks/e2e/**/*.py")]
+        self.trees.update({path: ast.parse(path.read_text()) for path in sources})
+        self.bound = {path: self._bindings(path) for path in self.trees}
+        self.reexports = {m: self.bound[path] for path, m in self.modules.items()
+                          if m in self.packages}
+        # ``benchmarks/e2e`` imports its sibling ``api.py`` by plain name
+        self.reexports.update({path.stem: self.bound[path]
+                               for path in repo.glob("benchmarks/e2e/*.py")})
 
-    def absolute(path, node):
+    def absolute(self, path, node):
         if node.level == 0:
             return node.module
-        base = modules[path].split(".")
+        base = self.modules[path].split(".")
         base = base[: len(base) - node.level + (path.name == "__init__.py")]
         return ".".join(base + ([node.module] if node.module else []))
 
-    def bindings(path):
+    def _bindings(self, path):
         """name -> ("module", M) or ("name", (M, name)) for every import."""
         bound = {}
-        for node in ast.walk(trees[path]):
+        for node in ast.walk(self.trees[path]):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -712,58 +712,89 @@ def test_every_public_name_is_reached_outside_tests():
                         top = alias.name.split(".")[0]
                         bound[top] = ("module", top)
             elif isinstance(node, ast.ImportFrom):
-                module = absolute(path, node)
+                module = self.absolute(path, node)
                 for alias in node.names:
                     full = f"{module}.{alias.name}"
-                    kind = (("module", full) if full in names
+                    kind = (("module", full) if full in self.names
                             else ("name", (module, alias.name)))
                     bound[alias.asname or alias.name] = kind
         return bound
 
-    reexports = {m: bindings(path) for path, m in modules.items() if m in packages}
-
-    def resolve(module, name):
+    def resolve(self, module, name):
         """(module, name) and what a package's re-export points it at."""
         yield module, name
-        kind = reexports.get(module, {}).get(name)
+        kind = self.reexports.get(module, {}).get(name)
         if kind and kind[0] == "name":
-            yield from resolve(*kind[1])
+            yield from self.resolve(*kind[1])
 
+    def attribute_target(self, path, node):
+        """The ``(module, name)`` keys an ``alias.name`` chain whose root
+        is bound to a module reaches; empty for any other attribute."""
+        chain, value = [node.attr], node.value
+        while isinstance(value, ast.Attribute):
+            chain.append(value.attr)
+            value = value.value
+        kind = isinstance(value, ast.Name) and self.bound[path].get(value.id)
+        if not (kind and kind[0] == "module"):
+            return []
+        module, chain = kind[1], chain[::-1]
+        while chain[:-1] and f"{module}.{chain[0]}" in self.names:
+            module = f"{module}.{chain.pop(0)}"
+        return list(self.resolve(module, chain[0]))
+
+
+_SOURCES = []
+
+
+def _sources() -> _Sources:
+    if not _SOURCES:
+        _SOURCES.append(_Sources())
+    return _SOURCES[0]
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """Source scan, one level finer than the module scan above: a public
+    function, class, method or property under ``src/repro``, and a
+    private top-level function, stays only if something outside its own
+    body and outside the tests refers to it.  References come from
+    ``src/`` (an ``__init__`` by its function bodies only, which is how
+    an XML ``type=`` name reaches its analysis), ``examples/``, all of
+    ``benchmarks/e2e/`` (with the ``module:Class.method`` strings of
+    ``trace.ENTRYPOINTS``) and the ``benchmarks/*.py`` figure suite.
+
+    A top-level name resolves by module: ``from M import name``,
+    ``alias.name`` with the alias bound to ``M``, to its package or to
+    a package that re-exports it, or a bare name inside ``M``.  A
+    method resolves by name: any ``.name`` attribute or ``getattr``
+    string reaches it, and so does overriding an attribute of a base
+    class.  Dunders are not public and never listed."""
+    src = _sources()
     top_refs = {}     # (module, name) -> [(path, line)]
     attr_refs = {}    # attribute name -> [(path, line)]
 
     def note(table, key, path, line):
         table.setdefault(key, []).append((path, line))
 
-    for path, tree in trees.items():
-        own = modules.get(path)
-        bound = bindings(path)
+    for path, tree in src.trees.items():
+        own = src.modules.get(path)
+        bound = src.bound[path]
         for node in _counted_nodes(tree, path.name == "__init__.py" and own is not None):
             line = getattr(node, "lineno", 0)
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    for key in resolve(absolute(path, node), alias.name):
+                    for key in src.resolve(src.absolute(path, node), alias.name):
                         note(top_refs, key, path, line)
             elif isinstance(node, ast.Name):
                 kind = bound.get(node.id)
                 if kind and kind[0] == "name":
-                    for key in resolve(*kind[1]):
+                    for key in src.resolve(*kind[1]):
                         note(top_refs, key, path, line)
                 if own is not None:
                     note(top_refs, (own, node.id), path, line)
             elif isinstance(node, ast.Attribute):
                 note(attr_refs, node.attr, path, line)
-                chain, value = [node.attr], node.value
-                while isinstance(value, ast.Attribute):
-                    chain.append(value.attr)
-                    value = value.value
-                kind = isinstance(value, ast.Name) and bound.get(value.id)
-                if kind and kind[0] == "module":
-                    module, chain = kind[1], chain[::-1]
-                    while chain[:-1] and f"{module}.{chain[0]}" in names:
-                        module = f"{module}.{chain.pop(0)}"
-                    for key in resolve(module, chain[0]):
-                        note(top_refs, key, path, line)
+                for key in src.attribute_target(path, node):
+                    note(top_refs, key, path, line)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 spec = re.fullmatch(_ENTRYPOINT, node.value)
                 if spec:
@@ -780,8 +811,8 @@ def test_every_public_name_is_reached_outside_tests():
                    for p, line in refs)
 
     unreached = {}
-    for path, module in modules.items():
-        for qualname, node, owner in _public_defs(trees[path]):
+    for path, module in src.modules.items():
+        for qualname, node, owner in _defs(src.trees[path]):
             name = qualname.rsplit(".", 1)[-1]
             if owner is None:
                 refs = [r for m, n in {(module, name), (module.rpartition(".")[0], name)}
@@ -801,3 +832,267 @@ def test_every_public_name_is_reached_outside_tests():
     assert not listed, "reached only by tests:\n" + "\n".join(listed)
     stale = sorted(set(KEPT_NAMES) - set(unreached))
     assert not stale, "reached now: drop from KEPT_NAMES:\n" + "\n".join(stale)
+
+
+# -- every option is set -----------------------------------------------------
+
+#: the options no call outside the tests sets, and why each stays: (a) a
+#: test seam that substitutes a fake, (b) a fault-injection input the
+#: fault suites set on FaultInjector, (c) the mpi4py / SENSEI call shape
+#: a mirrored API keeps
+KEPT_OPTIONS = {
+    "cli.py::main(argv)": "(a) a test seam: a command line in place of "
+    "sys.argv",
+    "bench/report.py::main(argv)": "(a) a test seam: a command line in place "
+    "of sys.argv",
+    "fleet/coordinator.py::FleetCoordinator(clock)": "(a) a test seam: a "
+    "fake clock that makes lease expiry deterministic",
+    "serve/mesh.py::ServeMesh(clock)": "(a) a test seam: a fake clock for "
+    "the max_fps gate",
+    "perf/gate.py::run_gate(kernels)": "(a) a test seam: fake kernels in "
+    "place of the gated rows",
+    "sensei/configurable.py::ConfigurableAnalysis(extra_factories)": "(a) a "
+    "test seam: fake analyses behind XML type names",
+    "parallel/runtime.py::dump_thread_stacks(file)": "(a) a test seam: a "
+    "fake stream in place of stderr",
+    "util/logging.py::get_logger(stream)": "(a) a test seam: a fake stream "
+    "in place of stderr",
+    "faults/injector.py::FaultInjector(delays)": "(b) the injected stall "
+    "lengths the fault suites set",
+    "sensei/data_adaptor.py::DataAdaptor.get_mesh(structure_only)": "(c) "
+    "SENSEI's DataAdaptor::GetMesh(meshName, structureOnly, mesh)",
+    "insitu/adaptor.py::NekDataAdaptor.get_mesh(structure_only)": "(c) "
+    "SENSEI's DataAdaptor::GetMesh(meshName, structureOnly, mesh)",
+    "insitu/streamed.py::StreamedDataAdaptor.get_mesh(structure_only)": "(c) "
+    "SENSEI's DataAdaptor::GetMesh(meshName, structureOnly, mesh)",
+    "parallel/comm.py::Communicator.gather(root)": "(c) mpi4py's "
+    "comm.gather(sendobj, root=0)",
+    "parallel/comm.py::Communicator.scatter(root)": "(c) mpi4py's "
+    "comm.scatter(sendobj, root=0)",
+    "parallel/comm.py::Communicator.reduce(op)": "(c) mpi4py's "
+    "comm.reduce(sendobj, op=SUM, root=0)",
+    "parallel/comm.py::Communicator.reduce(root)": "(c) mpi4py's "
+    "comm.reduce(sendobj, op=SUM, root=0)",
+    "parallel/thread_comm.py::ThreadCommunicator.sendrecv(tag)": "(c) "
+    "mpi4py's comm.sendrecv(sendobj, dest, sendtag=0, ...)",
+}
+
+_REASONS = ("(a) ", "(b) ", "(c) ")
+
+
+def _is_dataclass(node) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _decorated(node, name) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in node.decorator_list)
+
+
+def _parameters(node, method):
+    """``(positional names, named, defaulted)`` of a def, without the
+    ``self`` / ``cls`` a method binds; ``*`` and ``**`` stand for its
+    catch-alls, which are options too."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    defaulted += ["*"] * bool(args.vararg) + ["**"] * bool(args.kwarg)
+    if method and not _decorated(node, "staticmethod"):
+        positional = positional[1:]
+    return positional, set(positional) | {a.arg for a in args.kwonlyargs}, defaulted
+
+
+def _field_options(node):
+    """The defaulted init fields of a dataclass body."""
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and item.value is not None):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords)):
+            continue
+        yield item.target.id, item
+
+
+def _sets(call, positional, named, keys):
+    """The option keys one call sets on one callee."""
+    if any(k.arg is None for k in call.keywords):
+        return set(keys.values())
+    names = {k.arg if k.arg in named else "**" for k in call.keywords}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            names.update([*positional[i:], "*"])
+            break
+        names.add(positional[i] if i < len(positional) else "*")
+    return {keys[n] for n in names if n in keys}
+
+
+def _options():
+    """``(options, set_by)``: every option key under ``src/repro`` with
+    the span of its own body, and the ``(path, line)`` of each call that
+    sets it."""
+    src = _sources()
+    options = {}     # key -> (path, first line, last line)
+    top = {}         # (module, name) -> (positional, named, {name: key})
+    methods = {}     # method name -> [(positional, named, {name: key})]
+    declared = {}    # (module, class) -> {name: key}
+    fields = {}      # (module, class) -> {field name: key}
+
+    def add(keys, name, key, path, lo, hi):
+        keys[name] = key
+        options[key] = (path, lo, hi)
+
+    for path, module in src.modules.items():
+        rel = path.relative_to(SRC).as_posix()
+        for qualname, node, owner in _defs(src.trees[path]):
+            if node.name.startswith("_") or isinstance(node, ast.ClassDef):
+                continue
+            positional, named, defaulted = _parameters(node, owner is not None)
+            keys = {}
+            for name in defaulted:
+                add(keys, name, f"{rel}::{qualname}({name})", path,
+                    _first_line(node), node.end_lineno)
+            entry = (positional, named, keys)
+            if owner is None:
+                top[(module, qualname)] = entry
+            else:
+                methods.setdefault(node.name, []).append(entry)
+        for node in src.trees[path].body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            own = declared.setdefault((module, node.name), {})
+            if _is_dataclass(node):
+                fields[(module, node.name)] = own_fields = {}
+                for name, item in _field_options(node):
+                    add(own_fields, name, f"{rel}::{node.name}({name})", path,
+                        item.lineno, item.lineno)
+                own.update(own_fields)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    positional, named, defaulted = _parameters(item, True)
+                    for name in defaulted:
+                        add(own, name, f"{rel}::{node.name}({name})", path,
+                            _first_line(item), item.end_lineno)
+                    methods.setdefault("__init__", []).append((positional, named, own))
+
+    def constructor(module, name):
+        cls = getattr(importlib.import_module(module), name, None)
+        keys = {}
+        for base in reversed(getattr(cls, "__mro__", ())):
+            keys.update(declared.get((base.__module__, base.__qualname__), {}))
+        try:
+            params = list(inspect.signature(cls).parameters.values())
+        except (TypeError, ValueError):
+            return [], set(keys), keys
+        positional = [p.name for p in params
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        named = {p.name for p in params
+                 if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
+        return positional, named, keys
+
+    def callees(path, own, call, cls_of):
+        """The ``(positional, named, {name: key})`` a call may reach."""
+        func = call.func
+        targets = []
+        if isinstance(func, ast.Name):
+            kind = src.bound[path].get(func.id)
+            if func.id == "cls" and cls_of is not None:
+                targets = [(own, cls_of)]
+            elif kind and kind[0] == "name":
+                targets = list(src.resolve(*kind[1]))
+            elif own is not None:
+                targets = [(own, func.id)]
+        elif isinstance(func, ast.Attribute):
+            targets = src.attribute_target(path, func)
+            if not targets:
+                return methods.get(func.attr, [])
+        return [top[t] if t in top else constructor(*t)
+                for t in targets if t in top or t in declared]
+
+    def field_keys(pool, name):
+        """The field options of the dataclasses in `pool` a ``name=``
+        sets (every one for a ``**``)."""
+        return {key for own in pool for field_name, key in own.items()
+                if name in (None, field_name)}
+
+    overridable = [fields[(src.modules[path], node.name)]
+                   for path in src.modules for node in src.trees[path].body
+                   if isinstance(node, ast.ClassDef)
+                   and (src.modules[path], node.name) in fields
+                   and any(getattr(item, "name", None) == "with_overrides"
+                           for item in node.body)]
+
+    set_by = {}      # key -> [(path, line)]
+    for path, tree in src.trees.items():
+        own = src.modules.get(path)
+        enclosing, classmethods = {}, {}
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            enclosing.update({id(n): cls.name for n in ast.walk(cls)})
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and _decorated(item, "classmethod"):
+                    classmethods.update({id(n): cls.name for n in ast.walk(item)})
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            hit = set()
+            for callee in callees(path, own, node, classmethods.get(id(node))):
+                hit |= _sets(node, *callee)
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "with_overrides":
+                pool = overridable
+            elif name == "replace" and node.args:
+                on_self = getattr(node.args[0], "id", None) == "self"
+                pool = ([fields.get((own, enclosing.get(id(node))), {})] if on_self
+                        else list(fields.values()))
+            else:
+                pool = []
+            for keyword in node.keywords:
+                hit |= field_keys(pool, keyword.arg)
+            if name == "partial" and node.args:
+                inner = ast.Call(func=node.args[0], args=node.args[1:],
+                                 keywords=node.keywords)
+                for callee in callees(path, own, inner, None):
+                    hit |= _sets(inner, *callee)
+            for key in hit:
+                set_by.setdefault(key, []).append((path, node.lineno))
+    return options, set_by
+
+
+def test_every_option_is_set_outside_tests():
+    """Source scan beside the name pass, over the same sources: an
+    *option* -- a defaulted parameter (or a ``*`` / ``**`` catch-all) of
+    a public function, method or constructor, or a defaulted init field
+    of a public dataclass under ``src/repro`` -- stays only if a call
+    outside its own body and outside the tests sets it.  A call sets an
+    option by keyword, by position, through ``*`` or ``**`` unpacking (a
+    ``**`` sets every option of what it calls), as ``cls(...)`` inside a
+    classmethod, or through ``dataclasses.replace`` / ``with_overrides``.
+
+    Calls resolve as names do in the name pass: a top-level function or
+    class by module (a class through its signature, so a subclass call
+    sets what its bases declare), a method by attribute name.  An option
+    no caller sets is a default no input reaches: inline it as a
+    constant.  Mutable state a dataclass keeps is ``field(init=False)``."""
+    options, set_by = _options()
+
+    def outside(key):
+        path, lo, hi = options[key]
+        return any(p != path or not lo <= line <= hi for p, line in set_by.get(key, ()))
+
+    unset = {key for key in options if not outside(key)}
+    listed = sorted(unset - set(KEPT_OPTIONS))
+    assert not listed, (f"{len(listed)} of {len(options)} options set only by "
+                        "tests:\n" + "\n".join(listed))
+    stale = sorted(set(KEPT_OPTIONS) - unset)
+    assert not stale, "set now: drop from KEPT_OPTIONS:\n" + "\n".join(stale)
+    assert [k for k, why in KEPT_OPTIONS.items() if not why.startswith(_REASONS)] == []

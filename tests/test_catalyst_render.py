@@ -75,7 +75,7 @@ class TestCamera:
         assert not np.isfinite(p[0, 0])
 
     def test_up_is_up(self):
-        cam = Camera(position=(0, -5, 0), look_at=(0, 0, 0), up=(0, 0, 1))
+        cam = Camera(position=(0, -5, 0), look_at=(0, 0, 0))
         above = cam.project(np.array([[0.0, 0.0, 1.0]]))
         below = cam.project(np.array([[0.0, 0.0, -1.0]]))
         assert above[0, 1] < below[0, 1]  # screen y grows downward
@@ -89,24 +89,6 @@ class TestCamera:
         px = cam.project(corners)
         assert (px[:, 0] >= 0).all() and (px[:, 0] < 64).all()
         assert (px[:, 1] >= 0).all() and (px[:, 1] < 64).all()
-
-    def test_orthographic(self):
-        cam = Camera(
-            position=(0, -5, 0), look_at=(0, 0, 0),
-            orthographic=True, ortho_scale=2.0, width=100, height=100,
-        )
-        # parallel projection: doubling distance does not change position
-        a = cam.project(np.array([[1.0, 0.0, 0.0]]))
-        cam2 = Camera(
-            position=(0, -10, 0), look_at=(0, 0, 0),
-            orthographic=True, ortho_scale=2.0, width=100, height=100,
-        )
-        b = cam2.project(np.array([[1.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(a[0, :2], b[0, :2])
-
-    def test_invalid_fov(self):
-        with pytest.raises(ValueError):
-            Camera(position=(0, -1, 0), look_at=(0, 0, 0), fov_degrees=200)
 
 
 def check_rasterizer(raster, background):
@@ -146,13 +128,13 @@ def _pixel_centres_inside(tris):
 
 class TestRasterizer:
     def _tri(self):
-        verts = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        verts = np.array([[0.0, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
         faces = np.array([[0, 1, 2]])
         colors = np.full((3, 3), 255, dtype=np.uint8)
         return verts, faces, colors
 
     def test_draws_triangle(self):
-        cam = Camera(position=(1, 1, -5), look_at=(1, 1, 0), up=(0, 1, 0),
+        cam = Camera(position=(1, -5, 1), look_at=(1, 0, 1),
                      width=64, height=64)
         r = Rasterizer(64, 64, background=(0, 0, 0))
         verts, faces, colors = self._tri()
@@ -162,22 +144,23 @@ class TestRasterizer:
         assert np.isfinite(r.depth).sum() > 10
 
     def test_depth_test_front_wins(self):
-        cam = Camera(position=(1, 1, -5), look_at=(1, 1, 0), up=(0, 1, 0),
+        cam = Camera(position=(1, -5, 1), look_at=(1, 0, 1),
                      width=32, height=32)
         r = Rasterizer(32, 32, background=(0, 0, 0))
         verts, faces, _ = self._tri()
         red = np.zeros((3, 3), dtype=np.uint8); red[:, 0] = 255
         blue = np.zeros((3, 3), dtype=np.uint8); blue[:, 2] = 255
-        far = verts + [0, 0, 1.0]
-        r.draw_mesh(cam, far, faces, blue, ambient=1.0)
-        r.draw_mesh(cam, verts, faces, red, ambient=1.0)
+        far = verts + [0, 1.0, 0]
+        r.draw_mesh(cam, far, faces, blue)
+        r.draw_mesh(cam, verts, faces, red)
         img = r.image()
         covered = np.isfinite(r.depth)
-        assert img[covered][:, 0].max() == 255       # red visible
+        assert img[covered][:, 0].min() > 0          # red visible
+        assert img[covered][:, 2].max() == 0         # blue hidden
         # draw order reversed must give the same front surface
         r2 = Rasterizer(32, 32, background=(0, 0, 0))
-        r2.draw_mesh(cam, verts, faces, red, ambient=1.0)
-        r2.draw_mesh(cam, far, faces, blue, ambient=1.0)
+        r2.draw_mesh(cam, verts, faces, red)
+        r2.draw_mesh(cam, far, faces, blue)
         np.testing.assert_array_equal(r.image(), r2.image())
 
     def test_empty_mesh(self):
@@ -187,16 +170,17 @@ class TestRasterizer:
                            np.zeros((0, 3), np.uint8)) == 0
 
     def test_background_gradient_only_untouched(self):
-        cam = Camera(position=(1, 1, -5), look_at=(1, 1, 0), up=(0, 1, 0),
+        cam = Camera(position=(1, -5, 1), look_at=(1, 0, 1),
                      width=32, height=32)
         r = Rasterizer(32, 32, background=(0, 0, 0))
         verts, faces, colors = self._tri()
-        r.draw_mesh(cam, verts, faces, colors, ambient=1.0)
+        r.draw_mesh(cam, verts, faces, colors)
         before = r.image().copy()
         covered = np.isfinite(r.depth)
-        r.draw_background_gradient(top=(9, 9, 9), bottom=(9, 9, 9))
+        r.draw_background_gradient()
         np.testing.assert_array_equal(r.image()[covered], before[covered])
-        assert (r.image()[~covered] == 9).all()
+        assert (r.image()[0][~covered[0]] == (30, 36, 48)).all()
+        assert (r.image()[-1][~covered[-1]] == (8, 10, 14)).all()
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -402,11 +386,10 @@ class TestRenderPipeline:
             for x, y, z in centres
         ], axis=0)
         img.add_array(DataArray("phi", phi.ravel()))
-        kw = dict(width=96, height=96, annotate=False)
+        kw = dict(width=96, height=96)
         with naive_mode() if naive else contextlib.nullcontext():
             (_, frame), = RenderPipeline(
-                specs=[RenderSpec(kind="contour", array="phi", isovalue=0.15,
-                                  colormap="grayscale", vmin=-1.0, vmax=0.2)],
+                specs=[RenderSpec(kind="contour", array="phi", isovalue=0.15)],
                 **kw,
             ).render(img, 0, 0.0)
             (_, backdrop), = RenderPipeline(

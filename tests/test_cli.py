@@ -53,7 +53,7 @@ class TestRun:
         assert (tmp_path / "out" / "histogram_pressure.txt").exists()
 
     def test_inject_compositing_targets_catalyst_only(self):
-        from repro.cli import _inject_compositing
+        from repro.cli import _override_catalyst
 
         xml = (
             '<sensei>'
@@ -61,7 +61,7 @@ class TestRun:
             '<analysis type="histogram" array="pressure" bins="4"/>'
             '</sensei>'
         )
-        out = _inject_compositing(xml, "sort_last")
+        out = _override_catalyst(xml, compositing="sort_last")
         assert out.count('compositing="sort_last"') == 1
         assert 'type="histogram" array="pressure" bins="4" compositing' not in out
 
@@ -83,7 +83,7 @@ class TestRun:
         assert len(pngs) == 2  # surface + slice at step 2
 
     def test_inject_residency_targets_catalyst_only(self):
-        from repro.cli import _inject_residency
+        from repro.cli import _override_catalyst
 
         xml = (
             '<sensei>'
@@ -91,7 +91,7 @@ class TestRun:
             '<analysis type="histogram" array="pressure" bins="4"/>'
             '</sensei>'
         )
-        out = _inject_residency(xml, "device")
+        out = _override_catalyst(xml, residency="device")
         assert out.count('residency="device"') == 1
         assert 'type="histogram" array="pressure" bins="4" residency' not in out
 

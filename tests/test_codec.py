@@ -42,6 +42,17 @@ from repro.insitu.router import HybridRouter, RouteDecision, RouterPolicy
 from repro.perf import naive_mode
 
 
+def _encode_in(name, arr, cfg, step, context):
+    """One field encoded against a temporal `context`."""
+    return encode_fields([(name, arr, cfg)], step, context)[0]
+
+
+def _decode_in(name, codec_id, params, data, dtype, shape, step, context):
+    """One wire block decoded against a temporal `context`."""
+    return decode_fields([(name, codec_id, params, data, dtype, shape)],
+                         step, context)[0]
+
+
 def _smooth(shape=(6, 5, 5), seed=0, scale=1.0, offset=0.0):
     rng = np.random.default_rng(seed)
     grids = np.meshgrid(*(np.linspace(0, 1, n) for n in shape), indexing="ij")
@@ -248,12 +259,12 @@ class TestTemporal:
         base = _smooth((6, 6, 6), seed=9)
         for step in range(3):
             arr = base + 1e-4 * step
-            codec_id, params, data = encode_field("T", arr, self._cfg(),
+            codec_id, params, data = _encode_in("T", arr, self._cfg(),
                                                   step, enc)
             if step > 0:
                 assert params.get("m") == "t"
                 assert params["ref"] == step - 1
-            out = decode_field("T", codec_id, params, data, arr.dtype,
+            out = _decode_in("T", codec_id, params, data, arr.dtype,
                                arr.shape, step, dec)
             bound = self._cfg().budget.bound_for(arr)
             assert np.abs(out - arr).max() <= bound + 1e-12
@@ -261,16 +272,16 @@ class TestTemporal:
     def test_temporal_decode_without_context_raises(self):
         enc = CodecContext()
         base = _smooth((5, 5), seed=10)
-        encode_field("T", base, self._cfg(), 0, enc)
-        codec_id, params, data = encode_field("T", base + 1e-4,
+        _encode_in("T", base, self._cfg(), 0, enc)
+        codec_id, params, data = _encode_in("T", base + 1e-4,
                                               self._cfg(), 1, enc)
         assert params.get("m") == "t"
         with pytest.raises(MissingReferenceError):
-            decode_field("T", codec_id, params, data, base.dtype,
+            _decode_in("T", codec_id, params, data, base.dtype,
                          base.shape, 1, context=None)
         with pytest.raises(MissingReferenceError):
             # a fresh context never decoded the reference step either
-            decode_field("T", codec_id, params, data, base.dtype,
+            _decode_in("T", codec_id, params, data, base.dtype,
                          base.shape, 1, context=CodecContext())
 
     def test_raw_fallback_keeps_temporal_chain_decodable(self):
@@ -289,9 +300,9 @@ class TestTemporal:
         enc, dec = CodecContext(), CodecContext()
         for step in range(1, 4):
             arr = rng.standard_normal(512).astype(np.float32)
-            codec_id, params, data = encode_field("v", arr, cfg, step, enc)
+            codec_id, params, data = _encode_in("v", arr, cfg, step, enc)
             assert codec_id == RAW     # noise at 1e-9 never shrinks
-            out = decode_field("v", codec_id, params, data, arr.dtype,
+            out = _decode_in("v", codec_id, params, data, arr.dtype,
                                arr.shape, step, dec)
             np.testing.assert_array_equal(out, arr)
 
@@ -318,10 +329,10 @@ class TestTemporal:
         enc, dec = CodecContext(), CodecContext()
         codecs, params_by_step = [], {}
         for step, arr in enumerate(arrs):
-            codec_id, params, data = encode_field("T", arr, cfg, step, enc)
+            codec_id, params, data = _encode_in("T", arr, cfg, step, enc)
             codecs.append(codec_id)
             params_by_step[step] = params
-            out = decode_field("T", codec_id, params, data, arr.dtype,
+            out = _decode_in("T", codec_id, params, data, arr.dtype,
                                arr.shape, step, dec)
             bound = cfg.budget.bound_for(arr)
             if codec_id == RAW:
@@ -336,18 +347,18 @@ class TestTemporal:
         """A spin-up field must not drag its early tiny qstep along."""
         enc = CodecContext()
         small = _smooth((6, 6, 6), seed=11, scale=1e-3)
-        encode_field("p", small, self._cfg(), 0, enc)
+        _encode_in("p", small, self._cfg(), 0, enc)
         big = _smooth((6, 6, 6), seed=11, scale=1.0)
-        codec_id, params, data = encode_field("p", big, self._cfg(), 1, enc)
+        codec_id, params, data = _encode_in("p", big, self._cfg(), 1, enc)
         assert params.get("m") == "s"     # chain re-seeded, not reused
         assert codec_id == DELTA_RLE
         assert len(data) * 2 < big.nbytes  # and it still compresses
 
     def test_shape_change_reseeds_spatially(self):
         enc = CodecContext()
-        encode_field("p", _smooth((4, 4), seed=12), self._cfg(), 0, enc)
+        _encode_in("p", _smooth((4, 4), seed=12), self._cfg(), 0, enc)
         arr = _smooth((6, 6), seed=12)
-        _, params, _ = encode_field("p", arr, self._cfg(), 1, enc)
+        _, params, _ = _encode_in("p", arr, self._cfg(), 1, enc)
         assert params.get("m") == "s"
 
 
@@ -547,7 +558,7 @@ class TestBatchedCodecEquivalence:
         dec_b, dec_1, dec_n = CodecContext(), CodecContext(), CodecContext()
         for step in range(3):
             batched = encode_fields(fields, step, enc_b)
-            single = [encode_field(*f, step, enc_1) for f in fields]
+            single = [_encode_in(*f, step, enc_1) for f in fields]
             assert batched == single            # ids, params, bytes
             assert _quanta(enc_b) == _quanta(enc_1)
             assert enc_b.stats.fields.keys() == enc_1.stats.fields.keys()
@@ -558,7 +569,7 @@ class TestBatchedCodecEquivalence:
             blocks = [(name, *block, arr.dtype, arr.shape)
                       for (name, arr, _), block in zip(fields, batched)]
             out_b = decode_fields(blocks, step, dec_b)
-            out_1 = [decode_field(*block, step, dec_1) for block in blocks]
+            out_1 = [_decode_in(*block, step, dec_1) for block in blocks]
             with naive_mode():
                 out_n = decode_fields(blocks, step, dec_n)
             _assert_same_arrays(out_b, out_1)
@@ -602,20 +613,20 @@ class TestBatchedCodecEquivalence:
                     arr = arr.copy()
                     arr[7] = np.inf
                 fields.append((f"f{i}", arr, tight if i % 4 == 1 else cfg))
-            single = [encode_field(*f, step, enc_1) for f in fields]
+            single = [_encode_in(*f, step, enc_1) for f in fields]
             if step % 2:
                 mixed = encode_fields(fields, step, enc_m)
             else:       # half the rows batched, the rest one at a time
                 mixed = encode_fields(fields[:6], step, enc_m) + [
-                    encode_field(*f, step, enc_m) for f in fields[6:]
+                    _encode_in(*f, step, enc_m) for f in fields[6:]
                 ]
             assert mixed == single
             assert _quanta(enc_m) == _quanta(enc_1)
             blocks = [(f[0], *block, f[1].dtype, f[1].shape)
                       for f, block in zip(fields, single)]
-            want = [decode_field(*block, step, dec_1) for block in blocks]
+            want = [_decode_in(*block, step, dec_1) for block in blocks]
             if step % 2:
-                got = [decode_field(*b, step, dec_m) for b in blocks[:5]] \
+                got = [_decode_in(*b, step, dec_m) for b in blocks[:5]] \
                     + decode_fields(blocks[5:], step, dec_m)
             else:
                 got = decode_fields(blocks, step, dec_m)
@@ -651,12 +662,12 @@ class TestBatchedCodecEquivalence:
         fields = [("T", a, cfg), ("T", a + 1e-4, cfg)]
         enc_b, enc_1 = CodecContext(), CodecContext()
         batched = encode_fields(fields, 4, enc_b)
-        assert batched == [encode_field(*f, 4, enc_1) for f in fields]
+        assert batched == [_encode_in(*f, 4, enc_1) for f in fields]
         assert batched[1][1] == {"q": batched[0][1]["q"], "m": "t", "ref": 4}
         blocks = [("T", *b, a.dtype, a.shape) for b in batched]
         dec_b, dec_1 = CodecContext(), CodecContext()
         _assert_same_arrays(decode_fields(blocks, 4, dec_b),
-                            [decode_field(*b, 4, dec_1) for b in blocks])
+                            [_decode_in(*b, 4, dec_1) for b in blocks])
 
 
 def _golden_payloads(steps=20, blocks=64):
@@ -781,7 +792,7 @@ class TestHostileBlocksThroughTheBatch:
             if batched:
                 call = lambda: decode_fields(blocks, step, context)
             else:
-                call = lambda: [decode_field(*b, step, context)
+                call = lambda: [_decode_in(*b, step, context)
                                 for b in blocks]
             outcomes.append((_outcome(call), _quanta(context)))
         assert outcomes[0] == outcomes[1]
@@ -905,7 +916,7 @@ class TestTruncatedFrames:
         from repro.fleet import Directive, FleetCoordinator
 
         frame = self._frames()["RBP3"]
-        broker = SSTBroker(num_writers=1, queue_limit=3, timeout=5.0)
+        broker = SSTBroker(num_writers=1, queue_limit=3)
         broker.put(0, frame[:6], step=0)
         broker.put(0, frame[:40], step=1)
         broker.put(0, frame, step=2)
@@ -969,13 +980,11 @@ class TestHybridRouter:
         assert router.route_counts["intransit"] == 5
 
     def test_hysteresis_then_insitu_then_reentry(self):
-        policy = RouterPolicy(wire_budget_bytes=1000, hysteresis=2,
-                              probe_interval=100)
-        router = HybridRouter(policy)
+        router = HybridRouter(RouterPolicy(wire_budget_bytes=1000))
         # first ratio observation: 4x compression
         router.observe(raw_bytes=4000, wire_bytes=1000)
         # over budget: est 8000/4 = 2000 > 1000; decision entering the
-        # step still streams for `hysteresis` steps, then parks
+        # step still streams for two (the hysteresis) steps, then parks
         assert router.decide(0, 8000).route == "intransit"
         assert router.decide(1, 8000).route == "intransit"
         assert router.decide(2, 8000).route == "insitu"
@@ -985,20 +994,20 @@ class TestHybridRouter:
         assert router.decide(5, 2000).route == "intransit"
 
     def test_parked_router_probes(self):
-        policy = RouterPolicy(wire_budget_bytes=1000, hysteresis=1,
-                              probe_interval=3)
-        router = HybridRouter(policy)
+        router = HybridRouter(RouterPolicy(wire_budget_bytes=1000))
         # 5x over budget: too much to stream, not enough to drop
-        routes = [router.decide(s, 5000).route for s in range(8)]
-        assert "intransit" in routes[2:]      # periodic probe while parked
+        routes = [router.decide(s, 5000).route for s in range(24)]
+        # parked after two steps, probing every 16th parked step
+        assert routes[2:17] == ["insitu"] * 15
+        assert routes[17] == "intransit"      # periodic probe while parked
         assert routes.count("insitu") > routes.count("intransit")
 
     def test_drop_when_no_insitu_and_far_over(self):
-        policy = RouterPolicy(wire_budget_bytes=1000, hysteresis=1,
-                              drop_factor=2.0, probe_interval=100)
-        router = HybridRouter(policy, insitu_available=False)
+        router = HybridRouter(RouterPolicy(wire_budget_bytes=1000),
+                              insitu_available=False)
         router.decide(0, 10**9)
-        d = router.decide(1, 10**9)
+        router.decide(1, 10**9)
+        d = router.decide(2, 10**9)
         assert d.route == "drop"
         assert router.route_counts["drop"] >= 1
 

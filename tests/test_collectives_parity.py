@@ -19,6 +19,7 @@ from repro.parallel import ReduceOp, run_spmd
 from repro.parallel.comm import SerialCommunicator, TrafficMeter
 from repro.parallel.thread_comm import _World
 from repro.perf import naive_mode
+from test_parallel_comm import per_rank_bytes
 
 SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9]
 KINDS = ["scalar", "ragged", "float64", "bool"]
@@ -220,17 +221,17 @@ class TestMeteringRegression:
     def test_bcast_records_on_every_rank(self):
         meter = self._events(4, lambda c: c.bcast(self.ARR if c.rank == 0 else None))
         assert meter.count("bcast") == 4
-        assert meter.per_rank_bytes("bcast") == {0: 0, 1: 80, 2: 80, 3: 80}
+        assert per_rank_bytes(meter, "bcast") == {0: 0, 1: 80, 2: 80, 3: 80}
 
     def test_gather_attributes_ingress_to_root(self):
         meter = self._events(4, lambda c: c.gather(self.ARR, root=2))
         assert meter.count("gather") == 4
-        assert meter.per_rank_bytes("gather") == {0: 0, 1: 0, 2: 240, 3: 0}
+        assert per_rank_bytes(meter, "gather") == {0: 0, 1: 0, 2: 240, 3: 0}
 
     def test_allgather_records_on_every_rank(self):
         meter = self._events(3, lambda c: c.allgather(self.ARR))
         assert meter.count("allgather") == 3
-        assert meter.per_rank_bytes("allgather") == {0: 160, 1: 160, 2: 160}
+        assert per_rank_bytes(meter, "allgather") == {0: 160, 1: 160, 2: 160}
 
     def test_scatter_and_alltoall_ingress(self):
         def body(c):
@@ -238,8 +239,8 @@ class TestMeteringRegression:
             c.alltoall([self.ARR for _ in range(c.size)])
 
         meter = self._events(3, body)
-        assert meter.per_rank_bytes("scatter") == {0: 0, 1: 80, 2: 80}
-        assert meter.per_rank_bytes("alltoall") == {0: 160, 1: 160, 2: 160}
+        assert per_rank_bytes(meter, "scatter") == {0: 0, 1: 80, 2: 80}
+        assert per_rank_bytes(meter, "alltoall") == {0: 160, 1: 160, 2: 160}
 
     def test_reduce_and_allreduce_ingress(self):
         def body(c):
@@ -247,8 +248,8 @@ class TestMeteringRegression:
             c.allreduce(self.ARR, ReduceOp.SUM)
 
         meter = self._events(3, body)
-        assert meter.per_rank_bytes("reduce") == {0: 0, 1: 160, 2: 0}
-        assert meter.per_rank_bytes("allreduce") == {0: 160, 1: 160, 2: 160}
+        assert per_rank_bytes(meter, "reduce") == {0: 0, 1: 160, 2: 0}
+        assert per_rank_bytes(meter, "allreduce") == {0: 160, 1: 160, 2: 160}
 
     def test_tree_and_reference_meter_identically(self):
         """Ingress accounting is implementation-independent."""
@@ -268,7 +269,7 @@ class TestMeteringRegression:
         run_spmd(6, traffic, meter=opt)
         run_spmd(6, naive_body, meter=ref)
         for op in ("bcast", "gather", "scatter", "alltoall", "reduce"):
-            assert opt.per_rank_bytes(op) == ref.per_rank_bytes(op), op
+            assert per_rank_bytes(opt, op) == per_rank_bytes(ref, op), op
 
     def test_size_one_records_nothing(self):
         meter = self._events(1, lambda c: (c.bcast(self.ARR), None)[1])

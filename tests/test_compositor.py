@@ -288,33 +288,6 @@ class TestRenderComposited:
         for (name, frame), (_, ref_frame) in zip(outputs, reference):
             np.testing.assert_array_equal(frame, ref_frame, err_msg=name)
 
-    def test_threshold_specs_match_serial(self):
-        gdims = (12, 12, 12)
-        fields, frags = _make_fragments(gdims, ["q", "t"], 6, 6, 6)
-        pipeline = RenderPipeline(
-            specs=[
-                RenderSpec(
-                    kind="contour", array="q", isovalue=0.3, color_array="t",
-                    threshold_array="t", threshold_min=-0.5, threshold_max=0.9,
-                ),
-                RenderSpec(kind="slice", array="q", axis="z",
-                           threshold_array="t", threshold_min=0.0),
-            ],
-            width=80, height=64, name="thresh",
-        )
-        reference = pipeline.render(_assemble(fields, gdims), step=1, time=0.5)
-
-        def body(comm):
-            mine = [f for i, f in enumerate(frags) if i % comm.size == comm.rank]
-            return render_composited(
-                comm, pipeline, mine, gdims, (0, 0, 0), (1, 1, 1),
-                step=1, time=0.5,
-            )
-
-        outputs = run_spmd(4, body)[0]
-        for (name, frame), (_, ref_frame) in zip(outputs, reference):
-            np.testing.assert_array_equal(frame, ref_frame, err_msg=name)
-
     def test_peak_rank_traffic_reduced_4x_vs_gather(self):
         """The acceptance bound: at 8 ranks the compositor's hottest
         rank moves <= 1/4 the bytes of the gather-to-root path."""

@@ -96,8 +96,8 @@ class TestFaultInjectorDeterminism:
 
 class TestFaultLog:
     def test_resolution_identity(self):
-        log = FaultLog()
-        inj = FaultInjector(seed=0, schedule={"drop_step": (0, 1, 2)}, log=log)
+        inj = FaultInjector(seed=0, schedule={"drop_step": (0, 1, 2)})
+        log = inj.log
         for s in range(3):
             inj.maybe("drop_step", "broker.put", s)
         assert not log.accounted
@@ -153,20 +153,19 @@ class TestRetryPolicy:
             policy.call(op)
 
     def test_backoff_deterministic_and_capped(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.3,
-                             jitter=0.25, seed=4)
-        delays = [policy.backoff(a) for a in range(1, 8)]
-        assert delays == [policy.backoff(a) for a in range(1, 8)]
-        assert all(d <= 0.3 * 1.25 for d in delays)
-        nojit = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.3, jitter=0.0)
-        assert nojit.backoff(1) == pytest.approx(0.1)
-        assert nojit.backoff(5) == pytest.approx(0.3)
+        policy = RetryPolicy(base_delay=0.1)
+        delays = [policy.backoff(a) for a in range(1, 10)]
+        assert delays == [policy.backoff(a) for a in range(1, 10)]
+        # doubling from 0.1 s, capped at 1 s, each within +/- 25 %
+        for attempt, delay in enumerate(delays, 1):
+            nominal = min(0.1 * 2.0 ** (attempt - 1), 1.0)
+            assert 0.75 * nominal <= delay <= 1.25 * nominal
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+            RetryPolicy(base_delay=-1.0)
 
 
 # -- CRC integrity ----------------------------------------------------------
@@ -314,7 +313,8 @@ class TestBrokerInjection:
         writer.close()  # sentinel skipped; must not block or raise
 
     def test_stream_timeout_is_typed(self):
-        broker = SSTBroker(num_writers=1, queue_limit=1, timeout=0.01)
+        broker = SSTBroker(num_writers=1, queue_limit=1)
+        broker.timeout = 0.01
         broker.put(0, b"x")
         with pytest.raises(StreamTimeout):
             broker.put(0, b"y")

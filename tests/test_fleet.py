@@ -9,7 +9,7 @@ byte-identical to what the retired static split wrote (recorded in
 
 Satellites covered here too: the SSTBroker shutdown race (a blocked
 ``get`` fails fast with ``EndpointDownError`` when the broker closes
-or a producer dies), ``RetryPolicy.max_elapsed_s`` + retry counters,
+or a producer dies), the ``RetryPolicy`` attempt budget + retry counters,
 ``(step, key)`` injector schedule entries, and ``dump_thread_stacks``.
 """
 
@@ -31,6 +31,7 @@ from repro.codec import CodecSpec
 from repro.faults.errors import EndpointDownError, StreamTimeout
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
+from repro.fleet import ring as hash_ring
 from repro.fleet import (
     Directive,
     EndpointState,
@@ -71,21 +72,31 @@ class _Clock:
 # -- hash ring --------------------------------------------------------------
 
 
+def _ring(*members) -> HashRing:
+    ring = HashRing()
+    for member in members:
+        ring.add(member)
+    return ring
+
+
 class TestHashRing:
     KEYS = [("writer", w) for w in range(32)]
 
-    def test_deterministic_across_instances(self):
-        a = HashRing(members=(0, 1, 2), seed=3)
-        b = HashRing(members=(2, 0, 1), seed=3)  # insertion order irrelevant
-        assert a.assignment(self.KEYS) == b.assignment(self.KEYS)
-
-    def test_seed_changes_assignment(self):
-        a = HashRing(members=(0, 1, 2), seed=0).assignment(self.KEYS)
-        b = HashRing(members=(0, 1, 2), seed=1).assignment(self.KEYS)
+    def test_seed_changes_assignment(self, monkeypatch):
+        a = _ring(0, 1, 2).assignment(self.KEYS)
+        monkeypatch.setattr(hash_ring, "_SALT", 1)
+        b = _ring(0, 1, 2).assignment(self.KEYS)
         assert a != b
 
-    def test_remove_moves_only_the_removed_members_keys(self):
-        ring = HashRing(members=(0, 1, 2, 3), seed=1)
+    def test_deterministic_across_instances(self, monkeypatch):
+        monkeypatch.setattr(hash_ring, "_SALT", 3)
+        a = _ring(0, 1, 2)
+        b = _ring(2, 0, 1)  # insertion order irrelevant
+        assert a.assignment(self.KEYS) == b.assignment(self.KEYS)
+
+    def test_remove_moves_only_the_removed_members_keys(self, monkeypatch):
+        monkeypatch.setattr(hash_ring, "_SALT", 1)
+        ring = _ring(0, 1, 2, 3)
         before = ring.assignment(self.KEYS)
         ring.remove(2)
         after = ring.assignment(self.KEYS)
@@ -93,8 +104,9 @@ class TestHashRing:
         assert moved == {k for k, owner in before.items() if owner == 2}
         assert all(after[k] != 2 for k in moved)
 
-    def test_add_moves_keys_only_onto_the_new_member(self):
-        ring = HashRing(members=(0, 1, 2), seed=1)
+    def test_add_moves_keys_only_onto_the_new_member(self, monkeypatch):
+        monkeypatch.setattr(hash_ring, "_SALT", 1)
+        ring = _ring(0, 1, 2)
         before = ring.assignment(self.KEYS)
         ring.add(3)
         after = ring.assignment(self.KEYS)
@@ -102,8 +114,9 @@ class TestHashRing:
         assert moved  # a new member takes over some arcs
         assert all(after[k] == 3 for k in moved)
 
-    def test_remove_then_readd_restores_assignment(self):
-        ring = HashRing(members=(0, 1, 2), seed=5)
+    def test_remove_then_readd_restores_assignment(self, monkeypatch):
+        monkeypatch.setattr(hash_ring, "_SALT", 5)
+        ring = _ring(0, 1, 2)
         before = ring.assignment(self.KEYS)
         ring.remove(1)
         ring.add(1)
@@ -114,7 +127,7 @@ class TestHashRing:
             HashRing().assign(("writer", 0))
 
     def test_membership_views(self):
-        ring = HashRing(members=(2, 0), seed=0)
+        ring = _ring(2, 0)
         assert 0 in ring and 2 in ring and 1 not in ring
         assert len(ring) == 2
 
@@ -283,10 +296,11 @@ class TestFleetCoordinator:
         assert coord.committed == {0, 1, 2}
         assert coord.done()
 
-    def test_lease_lapse_reroutes_streams_and_replays_tasks(self):
+    def test_lease_lapse_reroutes_streams_and_replays_tasks(self, monkeypatch):
+        monkeypatch.setattr(hash_ring, "_SALT", 1)
         clock = _Clock()
         broker, coord = self._coordinator(
-            writers=4, pool=2, lease_timeout=0.5, seed=1, clock=clock,
+            writers=4, pool=2, lease_timeout=0.5, clock=clock,
         )
         _stage_steps(broker, steps=3)
         coord.join(0)
@@ -330,14 +344,15 @@ class TestFleetCoordinator:
         # the "dead" member was merely slow; its next poll exits cleanly
         assert coord.poll(1) is Directive.STOP
 
-    def test_slow_member_keeps_its_lease_while_it_works(self):
+    def test_slow_member_keeps_its_lease_while_it_works(self, monkeypatch):
         """Slow is not dead: one member's task outlasts 4x the lease
         while its peer keeps polling — nobody is reaped, every step
         commits exactly once, both members depart normally."""
+        monkeypatch.setattr(hash_ring, "_SALT", 1)
         clock = _Clock()
         lease = 0.5
         broker, coord = self._coordinator(
-            writers=2, pool=2, lease_timeout=lease, seed=1, clock=clock,
+            writers=2, pool=2, lease_timeout=lease, clock=clock,
         )
         steps = 4
         _stage_steps(broker, steps=1, close=False)
@@ -460,8 +475,9 @@ class TestFleetCoordinator:
         t.join(timeout=10.0)
         assert not t.is_alive() and woke == [True]
 
-    def test_planned_depart_keeps_inflight_with_the_survivor(self):
-        broker, coord = self._coordinator(writers=2, pool=2, seed=1,
+    def test_planned_depart_keeps_inflight_with_the_survivor(self, monkeypatch):
+        monkeypatch.setattr(hash_ring, "_SALT", 1)
+        broker, coord = self._coordinator(writers=2, pool=2,
                                           queue_limit=64)
         _stage_steps(broker, steps=2)
         coord.join(0)
@@ -524,7 +540,7 @@ class TestFleetCoordinator:
 
 class TestBrokerShutdownRace:
     def test_blocked_get_fails_fast_on_broker_close(self):
-        broker = SSTBroker(num_writers=1, timeout=30.0)
+        broker = SSTBroker(num_writers=1)
         caught = {}
 
         def consumer():
@@ -548,7 +564,7 @@ class TestBrokerShutdownRace:
         assert caught["elapsed"] < 5.0          # not the 30s stream timeout
 
     def test_blocked_get_fails_fast_when_producer_dies(self):
-        broker = SSTBroker(num_writers=2, timeout=30.0)
+        broker = SSTBroker(num_writers=2)
         caught = {}
 
         def consumer():
@@ -582,38 +598,16 @@ class TestBrokerShutdownRace:
 
 
 class TestRetryDeadline:
-    def test_max_elapsed_s_cuts_before_max_attempts(self):
-        policy = RetryPolicy(max_attempts=50, base_delay=0.05, jitter=0.0,
-                             max_elapsed_s=0.1)
-        attempts = []
-
-        def fn(attempt):
-            attempts.append(attempt)
-            raise StreamTimeout("nope")
-
-        t0 = time.perf_counter()
-        with pytest.raises(EndpointDownError) as err:
-            policy.call(fn)
-        assert time.perf_counter() - t0 < 2.0
-        assert len(attempts) < 50
-        assert "deadline of 0.1s" in str(err.value)
-
     def test_attempt_budget_message_preserved(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
         with pytest.raises(EndpointDownError) as err:
             policy.call(lambda attempt: (_ for _ in ()).throw(
                 StreamTimeout("x")))
         assert "2 attempts" in str(err.value)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_elapsed_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_elapsed_s=-1.0)
-
     def test_counters_track_attempts_and_exhaustion(self):
         tel = Telemetry.create(rank=0)
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
         with active(tel):
             with pytest.raises(EndpointDownError):
                 policy.call(lambda attempt: (_ for _ in ()).throw(
@@ -824,19 +818,22 @@ def _assert_same_artefacts(new: Path, old: Path):
 
 @pytest.mark.timeout(120)
 class TestFleetEndToEnd:
-    def test_kill_one_of_four_endpoints_loses_no_committed_steps(self, tmp_path):
+    def test_kill_one_of_four_endpoints_loses_no_committed_steps(
+        self, tmp_path, monkeypatch
+    ):
         """Acceptance: 8 sims + 4 endpoints, endpoint 2 dies at its
         first poll — every streamed step still commits exactly once."""
+        monkeypatch.setattr(hash_ring, "_SALT", 7)
         steps = 3
         injector = FaultInjector(schedule={"endpoint_crash": ((0, 2),)})
         runner = _fleet_runner(
             tmp_path, steps=steps,
-            # seed 7 gives all four endpoints ring arcs over 8 writers,
+            # salt 7 gives all four endpoints ring arcs over 8 writers,
             # so killing endpoint 2 really orphans streams
-            fleet=FleetConfig(lease_timeout=0.25, seed=7),
+            fleet=FleetConfig(lease_timeout=0.25),
             injector=injector,
             retry=RetryPolicy(max_attempts=20, base_delay=0.01,
-                              attempt_timeout=0.1, max_elapsed_s=30.0),
+                              attempt_timeout=0.1),
         )
         results = run_spmd(12, runner.run)
         sims = [r for r in results if r.role == "simulation"]

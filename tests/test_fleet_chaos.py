@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultInjector, RetryPolicy
+from repro.fleet import ring as hash_ring
 from repro.fleet import FleetConfig
 from repro.insitu import InTransitRunner
 from repro.nekrs.cases import pebble_bed_case
@@ -47,7 +48,8 @@ def _chaos_injector(seed: int) -> FaultInjector:
 
 
 @pytest.mark.timeout(240)
-def test_chaos_soak_pebble_bed_fleet(tmp_path):
+def test_chaos_soak_pebble_bed_fleet(tmp_path, monkeypatch):
+    monkeypatch.setattr(hash_ring, "_SALT", 7)
     injector = _chaos_injector(seed=1234)
 
     def case_builder(_nsim):
@@ -65,8 +67,8 @@ def test_chaos_soak_pebble_bed_fleet(tmp_path):
         output_dir=tmp_path,
         injector=injector,
         retry=RetryPolicy(max_attempts=20, base_delay=0.01,
-                          attempt_timeout=0.1, max_elapsed_s=30.0),
-        fleet=FleetConfig(lease_timeout=0.25, seed=7),
+                          attempt_timeout=0.1),
+        fleet=FleetConfig(lease_timeout=0.25),
     )
     results = run_spmd(_TOTAL, runner.run)
 
@@ -108,8 +110,9 @@ def test_chaos_soak_pebble_bed_fleet(tmp_path):
 
 
 @pytest.mark.timeout(240)
-def test_chaos_schedule_is_deterministic(tmp_path):
+def test_chaos_schedule_is_deterministic(tmp_path, monkeypatch):
     """Two runs with the same seed inject the identical fault mix."""
+    monkeypatch.setattr(hash_ring, "_SALT", 7)
     snaps = []
     for run in range(2):
         injector = _chaos_injector(seed=77)
@@ -130,8 +133,8 @@ def test_chaos_schedule_is_deterministic(tmp_path):
             output_dir=tmp_path / str(run),
             injector=injector,
             retry=RetryPolicy(max_attempts=20, base_delay=0.01,
-                              attempt_timeout=0.1, max_elapsed_s=30.0),
-            fleet=FleetConfig(lease_timeout=0.25, seed=7),
+                              attempt_timeout=0.1),
+            fleet=FleetConfig(lease_timeout=0.25),
         )
         run_spmd(_TOTAL, runner.run)
         assert injector.log.accounted

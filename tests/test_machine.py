@@ -14,6 +14,7 @@ from repro.machine import (
     NetworkModel,
     PcieModel,
 )
+from repro.machine.specs import FS_SYNC_LATENCY_S, PCIE_LATENCY_S
 
 
 class TestSpecs:
@@ -169,7 +170,7 @@ class TestPcieModel:
 
     def test_latency_floor(self):
         p = PcieModel(POLARIS.node.gpu)
-        assert p.transfer_time(1) >= POLARIS.node.gpu.pcie_latency_s
+        assert p.transfer_time(1) >= PCIE_LATENCY_S
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):
@@ -187,7 +188,7 @@ class TestFilesystemModel:
 
     def test_write_time_includes_sync(self):
         fs = FilesystemModel(POLARIS.fs)
-        assert fs.write_time(0, 1) >= POLARIS.fs.sync_latency_s
+        assert fs.write_time(0, 1) >= FS_SYNC_LATENCY_S
 
     def test_more_data_takes_longer(self):
         fs = FilesystemModel(POLARIS.fs)

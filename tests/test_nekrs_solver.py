@@ -213,7 +213,7 @@ class TestBrinkman:
     def test_velocity_suppressed_inside_pebbles(self):
         case = pebble_bed_case(
             num_pebbles=2, elements_per_unit=3, order=3, dt=2e-3,
-            num_steps=10, brinkman_chi=1e4,
+            num_steps=10,
         )
         s = NekRSSolver(case, SerialCommunicator())
         s.run(10)

@@ -205,7 +205,7 @@ class TestMetrics:
     def test_null_registry_ignores_readers(self):
         reg = NullMetricsRegistry()
         reg.counter("repro_x_total", "x", {"l": "1"}, read=lambda: 1).inc()
-        reg.gauge("repro_y", agg="sum", const_labels={}, read=lambda: 1).set(2)
+        reg.gauge("repro_y", agg="sum", read=lambda: 1).set(2)
         assert list(reg) == []
 
     def test_reduce_across_spmd_ranks(self):

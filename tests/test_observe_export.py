@@ -174,7 +174,8 @@ class TestPrometheus:
                 tel.metrics.counter("repro_c_total").inc()
         merged = session.to_prometheus()
         assert "repro_c_total 2" in merged
-        per_rank = session.to_prometheus(per_rank=True)
+        per_rank = "".join(tel.metrics.to_prometheus()
+                           for tel in session.telemetries())
         assert 'repro_c_total{rank="0"} 1' in per_rank
         assert 'repro_c_total{rank="1"} 1' in per_rank
 

@@ -134,13 +134,23 @@ class TestFastPathsMatchTheOldExpressions:
         assert meter.total_bytes() == (per_rank * ranks if ranks > 1 else 0)
 
 
+def per_rank_bytes(meter, op=None, channel=None) -> dict[int, int]:
+    """A meter's bytes per rank for one op and/or channel, read from its
+    totals (the program only ever asks for every op and channel)."""
+    out: dict[int, int] = {}
+    for (o, c, rank), (_calls, nbytes) in meter._matching(op):
+        if channel in (None, c):
+            out[rank] = out.get(rank, 0) + nbytes
+    return out
+
+
 class TestTrafficMeter:
     def test_record_and_totals(self):
         m = TrafficMeter()
         m.record("send", 100, 4, "solver")
         m.record("send", 50, 4, "sst")
         assert m.total_bytes() == 150
-        assert m.total_bytes("solver") == 100
+        assert sum(per_rank_bytes(m, channel="solver").values()) == 100
         assert m.count("send") == 2
         assert m.count() == 2
 
@@ -181,9 +191,10 @@ class TestTrafficMeter:
                 per_rank = {}
                 for r in replay(op, channel):
                     per_rank[r[4]] = per_rank.get(r[4], 0) + r[1]
-                assert m.per_rank_bytes(op, channel) == per_rank
-                if op is None:
-                    assert m.total_bytes(channel) == sum(per_rank.values())
+                assert per_rank_bytes(m, op, channel) == per_rank
+                if op is None and channel is None:
+                    assert m.per_rank_bytes() == per_rank
+                    assert m.total_bytes() == sum(per_rank.values())
 
 
 class TestSerialCommunicator:

@@ -161,10 +161,11 @@ class TestSplit:
 
     def test_split_keeps_the_timeout(self):
         def body(c):
+            c.timeout = 3
             sub = c.split(c.rank % 2)
             return (sub.timeout, sub.split(0).timeout)
 
-        assert run_spmd(4, body, timeout=3) == [(3, 3)] * 4
+        assert run_spmd(4, body) == [(3, 3)] * 4
 
 
 class TestRuntime:

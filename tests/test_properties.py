@@ -16,9 +16,7 @@ from repro.codec import (
     CodecSpec,
     ErrorBudget,
     FieldCodecConfig,
-    decode_field,
     decode_fields,
-    encode_field,
     encode_fields,
 )
 from repro.faults.errors import CorruptPayloadError
@@ -29,6 +27,7 @@ from repro.sem.quadrature import gll_nodes_weights, lagrange_interpolation_matri
 from repro.util.png import decode_png, encode_png
 from repro.util.sizes import format_bytes
 from repro.util.timing import TimingStats
+from test_codec import _decode_in, _encode_in
 
 
 class TestPartitionProperties:
@@ -366,10 +365,10 @@ class TestCodecProperties:
         enc_b, enc_1, dec_b, dec_1, dec_n = contexts
         for step in range(2):
             batched = encode_fields(fields, step, enc_b)
-            assert batched == [encode_field(*f, step, enc_1) for f in fields]
+            assert batched == [_encode_in(*f, step, enc_1) for f in fields]
             blocks = [(name, *block, arr.dtype, arr.shape)
                       for (name, arr, _), block in zip(fields, batched)]
-            want = [decode_field(*block, step, dec_1) for block in blocks]
+            want = [_decode_in(*block, step, dec_1) for block in blocks]
             with naive_mode():
                 naive = decode_fields(blocks, step, dec_n)
             for got in (decode_fields(blocks, step, dec_b), naive):

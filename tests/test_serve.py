@@ -29,6 +29,7 @@ from repro.serve import (
     SteeringEndpoint,
     attach_serving,
 )
+from repro.serve.mesh import STALL_THRESHOLD_S
 from test_serve_mesh import FakeClock, _frame, _png, _quiet_mesh
 
 #: a threadless hub: settle() fans out on the caller's thread
@@ -274,7 +275,7 @@ class TestBackpressure:
         reordered or duplicated); a fast viewer sees every frame; the
         publisher never blocks on either."""
         nframes = 60
-        hub = _quiet_hub(default_depth=2, stall_threshold_s=0.25)
+        hub = _quiet_hub(default_depth=2)
         fast = hub.connect(depth=nframes, label="fast")
         slow = hub.connect(depth=2, label="slow")
         slow_steps = []
@@ -303,7 +304,7 @@ class TestBackpressure:
         for i in range(30):
             hub.publish("s", i, 0.0, _png(i % 4))
         assert hub.stalls == 0
-        assert hub.max_publish_s < hub.stall_threshold_s
+        assert hub.max_publish_s < STALL_THRESHOLD_S
 
 
 # ---------------------------------------------------------------------------

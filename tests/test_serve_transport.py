@@ -77,16 +77,6 @@ class TestRoutes:
         assert doc["hub"]["stalls"] == 0
         assert doc["steering"] == {"submitted": 0, "pending": 0, "applied": 0}
 
-    def test_status_provider_is_merged(self):
-        hub = _hub()
-        server = HttpFrameServer(hub, status_provider=lambda: {"extra": 7})
-        server.start()
-        try:
-            _status, _headers, body = _get(server, "/status")
-            assert json.loads(body)["extra"] == 7
-        finally:
-            assert server.stop()
-
     def test_latest_frame_bytes(self, served_hub):
         hub, _bus, server = served_hub
         status, headers, body = _get(server, "/frame/flow")

@@ -7,9 +7,7 @@ from repro.machine.timeline import Span, Timeline
 
 class TestTimeline:
     def test_from_breakdown_serializes(self):
-        tl = Timeline.from_breakdown(
-            {"solve": 10.0, "io": 2.0}, order=["solve", "io"]
-        )
+        tl = Timeline.from_breakdown({"solve": 10.0, "io": 2.0})
         assert tl.total == 12.0
         assert tl.spans[0] == Span("solve", 0.0, 10.0)
         assert tl.spans[1] == Span("io", 10.0, 2.0)

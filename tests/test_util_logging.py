@@ -51,9 +51,10 @@ class TestGetLogger:
         assert "suppressed" not in out
         assert "shown" in out
 
-    def test_explicit_level_wins(self):
+    def test_explicit_level_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "DEBUG")
         stream = io.StringIO()
-        log = get_logger("t5", level=logging.DEBUG, stream=stream)
+        log = get_logger("t5", stream=stream)
         log.debug("dbg")
         assert "dbg" in stream.getvalue()
 

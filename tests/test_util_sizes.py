@@ -25,7 +25,7 @@ class TestFormatBytes:
         assert format_bytes(1.5 * TIB) == "1.50 TiB"
 
     def test_precision(self):
-        assert format_bytes(1536, precision=1) == "1.5 KiB"
+        assert format_bytes(1536) == "1.50 KiB"
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):

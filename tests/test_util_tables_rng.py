@@ -50,16 +50,8 @@ class TestMakeRng:
     def test_deterministic(self):
         assert make_rng(7).random() == make_rng(7).random()
 
-    def test_streams_differ(self):
-        assert make_rng(7, 0).random() != make_rng(7, 1).random()
-
     def test_seeds_differ(self):
         assert make_rng(1).random() != make_rng(2).random()
-
-    def test_nested_streams(self):
-        a = make_rng(3, 1, 2).random()
-        b = make_rng(3, 1, 3).random()
-        assert a != b
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
