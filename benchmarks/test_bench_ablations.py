@@ -4,7 +4,6 @@ These are the design-choice sweeps DESIGN.md calls out beyond the
 paper's own figures.  They run the *real* stack (small scale).
 """
 
-import pytest
 from conftest import MEASURE_KWARGS, emit
 
 from repro.bench import ablations

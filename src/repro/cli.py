@@ -408,7 +408,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_intransit(args) -> int:
-    from repro.fleet import FleetConfig
     from repro.insitu import InTransitRunner
     from repro.nekrs.cases import weak_scaled_rbc_case
     from repro.parallel import run_spmd
@@ -435,7 +434,7 @@ def cmd_intransit(args) -> int:
         arrays=("temperature", "velocity_magnitude"),
         output_dir=args.output,
         image_size=args.size,
-        fleet=FleetConfig(lease_timeout=args.lease_timeout),
+        lease_timeout=args.lease_timeout,
         codec=CodecSpec.from_cli(args.codec, args.error_budget),
         route=args.route,
         router_policy=router_policy,

@@ -10,10 +10,12 @@ for).  It composes the fleet pieces:
   lapses, with no dedicated monitor thread — unless it holds a task
   or rests, in which case it is working or waiting, not silent (see
   ``_reap``); one whose loop raises reports its own death (``fail``);
-- **routing** — producer streams (writer ranks) are assigned to
-  endpoints through a consistent-hash ring
-  (:mod:`repro.fleet.ring`), so membership changes move only the
-  departed member's streams (bounded disruption);
+- **routing** — producer streams (writer ranks) are placed by the
+  paper's static split: writer ``w``'s *home* is the member whose
+  contiguous ``block_range`` block holds it.  A writer whose home is
+  not active goes to the first active member of ``w, w+1, ...``
+  (mod the pool), so a loss moves only the lost member's streams and
+  a join moves streams only onto the member that joined;
 - **assembly** — ingested payloads are CRC-checked (``RBP2`` /
   ``RBP3`` frames) and grouped by simulation step; a step whose every
   live writer has delivered (or provably never will: later step seen,
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -59,9 +62,9 @@ from repro.faults.errors import (
     StreamTimeout,
 )
 from repro.fleet.membership import EndpointState, FleetMembership
-from repro.fleet.ring import HashRing
 from repro.fleet.work import RenderTask, WorkQueues
 from repro.observe.session import get_telemetry
+from repro.parallel.partition import block_range
 
 
 class Directive(Enum):
@@ -120,7 +123,13 @@ class FleetCoordinator:
         self.pool = tuple(range(pool_size))
         self.clock = clock
         self.membership = FleetMembership(lease_timeout, clock=clock)
-        self.ring = HashRing()
+        # writer -> members in placement order: its home block first,
+        # then w, w+1, ... so a lost home's block spreads over survivors
+        self._preference = tuple(
+            (home, *((w + k) % pool_size for k in range(pool_size)))
+            for home in self.pool
+            for w in range(*block_range(num_writers, pool_size, home))
+        )
         self.queues = WorkQueues(self.pool)
         #: attached :class:`~repro.observe.live.plane.LivePlane`, if any;
         #: gets crash/recovery events
@@ -140,6 +149,8 @@ class FleetCoordinator:
         self.committed: set[int] = set()
         self.commits = 0
         self.corrupt_steps = 0
+        #: member -> payload bytes it took off its streams
+        self.received_bytes: Counter[int] = Counter()
         self._inflight: dict[int, list[RenderTask]] = {}
         # members blocked in rest(), and the broker's event count as each
         # member's last poll began (what its next rest waits past)
@@ -169,7 +180,6 @@ class FleetCoordinator:
             raise ValueError(f"endpoint {eid} is not in the fleet pool")
         with self._lock:
             self.membership.register(eid)
-            self.ring.add(eid)
             self.broker.notify()      # streams may have changed owner
 
     def depart(self, eid: int) -> None:
@@ -299,14 +309,18 @@ class FleetCoordinator:
             )
 
     def assignment(self) -> dict[int, int]:
-        """writer -> endpoint under the current ring membership."""
+        """writer -> endpoint under the current active membership."""
         with self._lock:
-            if not len(self.ring):
-                return {}
-            return {
-                w: self.ring.assign(("writer", w))
-                for w in range(self.num_writers)
-            }
+            return self._placement(set(self.membership.active_ids()))
+
+    def _placement(self, active: set) -> dict[int, int]:
+        """writer -> its first active preference ({} with none active)."""
+        if not active:
+            return {}
+        return {
+            w: next(e for e in prefs if e in active)
+            for w, prefs in enumerate(self._preference)
+        }
 
     def stats(self) -> dict:
         with self._lock:
@@ -392,16 +406,17 @@ class FleetCoordinator:
         tasks alone — the member is alive and finishes what it holds.
         """
         with self._lock:
-            before = self.assignment()
-            self.ring.remove(eid)
+            survivors = tuple(e for e in self.membership.active_ids() if e != eid)
+            before = self._placement({*survivors, eid})
+            after = self._placement(set(survivors))
             orphans = self.queues.drain(eid)
             if not planned:
                 orphans += self._inflight.pop(eid, [])
             for task in orphans:
                 task.attempts += 1
-                if len(self.ring):
-                    self.queues.push(self.ring.assign(("task", task.step)), task)
-            moved = len(HashRing.moved(before, self.assignment()))
+                if survivors:
+                    self.queues.push(survivors[task.step % len(survivors)], task)
+            moved = sum(before[w] != after.get(w) for w in before)
             self.rebalances += 1
             self.broker.notify()      # streams and queued work moved
             if planned:
@@ -481,6 +496,7 @@ class FleetCoordinator:
                     continue
                 get_telemetry().live.wire_mark("got", payload.step, w, len(raw))
                 with self._lock:
+                    self.received_bytes[eid] += payload.nbytes
                     if payload.attributes.get("has_geometry") == "1":
                         self._geometry.setdefault(w, payload)
                     self._highwater[w] = max(

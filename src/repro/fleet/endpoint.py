@@ -41,7 +41,6 @@ class EndpointReport:
     crashed: bool = field(default=False, init=False)
     idle_polls: int = field(default=0, init=False)
     wall_seconds: float = field(default=0.0, init=False)
-    recv_bytes: int = field(default=0, init=False)
     staging_peak: int = field(default=0, init=False)
     empty_tasks: int = field(default=0, init=False)
 
@@ -64,7 +63,6 @@ class AnalysisSink:
         self.adaptor = StreamedDataAdaptor(self.comm)
         self.analysis = analysis_factory(self.comm)
         self._seen_writers: set[int] = set()
-        self.recv_bytes = 0
         self.staging_peak = 0
 
     def process(self, task: RenderTask, coordinator: FleetCoordinator) -> bool:
@@ -79,7 +77,6 @@ class AnalysisSink:
         if not self.adaptor.consume(ordered):
             return False
         self.staging_peak = max(self.staging_peak, self.adaptor.staged_bytes)
-        self.recv_bytes += self.adaptor.staged_bytes
         self.analysis.execute(self.adaptor)
         self.adaptor.release_data()
         return True
@@ -144,6 +141,5 @@ class FleetEndpoint:
             coord.depart(self.eid)
             self.sink.finalize()
         report.wall_seconds = _time.perf_counter() - t0
-        report.recv_bytes = self.sink.recv_bytes
         report.staging_peak = self.sink.staging_peak
         return report

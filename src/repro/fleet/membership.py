@@ -1,24 +1,20 @@
-"""Fleet membership: heartbeat leases over mailbox queues.
+"""Fleet membership: heartbeat leases.
 
-Endpoints announce liveness by posting heartbeats into a per-endpoint
-mailbox (the same bounded-queue shape the ``ThreadCommunicator``
-mailboxes use); any caller of :meth:`FleetMembership.expire` drains
-the mailboxes, renews the corresponding leases, and declares members
-whose lease has lapsed **dead**.  That split — cheap enqueue on the
-hot endpoint loop, detection folded into whoever polls next — is what
-lets an *unplanned* loss (a crashed endpoint thread simply stops
-heartbeating) surface without any dedicated monitor thread.
+A heartbeat renews the member's lease in place, under the table's own
+lock; any caller of :meth:`FleetMembership.expire` declares members
+whose lease has lapsed **dead**.  Detection is folded into whoever
+polls next, so an *unplanned* loss (a crashed endpoint thread simply
+stops heartbeating) surfaces without any dedicated monitor thread.
 
 States: ``ACTIVE`` (owns streams, processes work), ``LEFT`` (planned
 departure), ``DEAD`` (lease expired, or the member reported its own
 failure).  A member registers active and then only leaves or dies;
-nothing re-activates it.  Every transition bumps the membership ``epoch``; the
-coordinator rebalances when it observes an epoch it has not seen.
+nothing re-activates it, and a heartbeat renews only an active lease.
+Every transition bumps the membership ``epoch``.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from enum import Enum
@@ -41,7 +37,6 @@ class FleetMembership:
         self._lock = threading.Lock()
         self._state: dict[int, EndpointState] = {}
         self._lease: dict[int, float] = {}
-        self._mailbox: dict[int, queue.Queue] = {}
         self._epoch = 0
 
     # -- registration ------------------------------------------------------
@@ -51,24 +46,24 @@ class FleetMembership:
             if eid not in self._state:
                 self._state[eid] = EndpointState.ACTIVE
                 self._lease[eid] = self.clock() + self.lease_timeout
-                self._mailbox[eid] = queue.Queue()
                 self._epoch += 1
             return self._epoch
 
     # -- liveness ----------------------------------------------------------
     def heartbeat(self, eid: int) -> None:
-        """Post a heartbeat into `eid`'s mailbox (non-blocking)."""
-        mailbox = self._mailbox.get(eid)
-        if mailbox is None:
-            raise KeyError(f"endpoint {eid} is not a member")
-        mailbox.put((eid, self.clock()))
+        """Renew `eid`'s lease; a member that left or died stays so."""
+        with self._lock:
+            state = self._state.get(eid)
+            if state is None:
+                raise KeyError(f"endpoint {eid} is not a member")
+            if state is EndpointState.ACTIVE:
+                self._lease[eid] = self.clock() + self.lease_timeout
 
     def expire(self) -> list[int]:
-        """Drain heartbeat mailboxes, then return newly dead members."""
+        """Return (and mark dead) members whose lease has lapsed."""
         now = self.clock()
         dead: list[int] = []
         with self._lock:
-            self._drain_heartbeats()
             for eid, state in self._state.items():
                 if state is EndpointState.ACTIVE and self._lease[eid] < now:
                     self._state[eid] = EndpointState.DEAD
@@ -78,29 +73,13 @@ class FleetMembership:
 
     def next_expiry(self) -> float | None:
         """When the next :meth:`expire` could report a death: the
-        earliest lease of an ACTIVE member, heartbeats folded in first
-        (None when no member is active)."""
+        earliest lease of an ACTIVE member (None when none is active)."""
         with self._lock:
-            self._drain_heartbeats()
             return min(
                 (self._lease[e] for e, s in self._state.items()
                  if s is EndpointState.ACTIVE),
                 default=None,
             )
-
-    def _drain_heartbeats(self) -> None:
-        """Fold posted heartbeats into the leases of live members.
-        Caller holds the lock."""
-        for eid, mailbox in self._mailbox.items():
-            latest = None
-            while True:
-                try:
-                    _, stamp = mailbox.get_nowait()
-                except queue.Empty:
-                    break
-                latest = stamp
-            if latest is not None and self._state[eid] is EndpointState.ACTIVE:
-                self._lease[eid] = latest + self.lease_timeout
 
     def fail(self, eid: int) -> bool:
         """Declare `eid` dead now (it reported its own failure);

@@ -30,12 +30,7 @@ from pathlib import Path
 from repro.adios.engine import SSTBroker, SSTWriterEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
-from repro.fleet import (
-    AnalysisSink,
-    FleetConfig,
-    FleetCoordinator,
-    FleetEndpoint,
-)
+from repro.fleet import AnalysisSink, FleetCoordinator, FleetEndpoint
 from repro.codec import CodecSpec
 from repro.insitu.bridge import Bridge
 from repro.insitu.router import HybridRouter, RoutedAnalysis, RouterPolicy
@@ -97,7 +92,7 @@ class InTransitRunner:
         retry: RetryPolicy | None = None,
         fallback: str = "checkpoint",
         session: TelemetrySession | None = None,
-        fleet: FleetConfig | None = None,
+        lease_timeout: float = 0.25,   # seconds before a silent endpoint is dead
         codec: CodecSpec | None = None,
         route: str = "intransit",
         router_policy: RouterPolicy | None = None,
@@ -108,6 +103,8 @@ class InTransitRunner:
             raise ValueError("ratio must be >= 1")
         if stream_interval < 1:
             raise ValueError("stream_interval must be >= 1")
+        if lease_timeout <= 0:
+            raise ValueError("lease_timeout must be > 0")
         if route not in _ROUTES:
             raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
         self.case_builder = case_builder
@@ -131,7 +128,7 @@ class InTransitRunner:
         self.retry = retry
         self.fallback = fallback
         self.session = session
-        self.fleet = FleetConfig() if fleet is None else fleet
+        self.lease_timeout = lease_timeout
         self.codec = codec
         self.route = route
         self.router_policy = router_policy
@@ -190,12 +187,11 @@ class InTransitRunner:
     def _build_coordinator(
         self, broker: SSTBroker, num_sim: int, num_end: int
     ) -> FleetCoordinator:
-        cfg = self.fleet
         return FleetCoordinator(
             broker,
             num_writers=num_sim,
             pool_size=num_end,
-            lease_timeout=cfg.lease_timeout,
+            lease_timeout=self.lease_timeout,
             live=getattr(self.session, "live", None),
         )
 
@@ -355,7 +351,7 @@ class InTransitRunner:
         result.mean_step_seconds = (
             result.wall_seconds / report.steps if report.steps else 0.0
         )
-        result.stream_bytes = report.recv_bytes
+        result.stream_bytes = coordinator.received_bytes[comm.rank]
         result.staging_bytes = report.staging_peak
         result.memory_bytes = report.staging_peak
         result.extra.update(

@@ -7,7 +7,7 @@ how first-order HPC performance models are usually calibrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.sizes import GIB
 

@@ -9,8 +9,6 @@ which keeps spectral convergence clean.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nekrs.config import CaseDefinition, VelocityBC
 from repro.sem.mesh import BoundaryTag
 

@@ -109,8 +109,6 @@ def write_restart(directory, solver: NekRSSolver) -> tuple[Path, int]:
 
 def read_restart(directory, solver: NekRSSolver) -> None:
     """Restore `solver` from this rank's restart file in `directory`."""
-    from repro.nekrs.checkpoint import checkpoint_filename
-
     directory = Path(directory)
     candidates = sorted(
         directory.glob(f"{solver.case.name}-restart0.f*.r{solver.comm.rank:04d}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.vtkdata.arrays import CELL, POINT, DataArray
+from repro.vtkdata.arrays import POINT, DataArray
 
 #: VTK cell type id for linear hexahedra
 VTK_HEXAHEDRON = 12

@@ -431,7 +431,8 @@ def test_one_lossy_pipeline_and_one_storage_entropy_stage():
 def test_one_serving_hub_and_a_fixed_endpoint_fleet():
     """The ``serve_fanout`` surface stands on one hub with one pump
     thread; the relay shards, the edge cache, the autoscaler and its
-    parked reserve are gone."""
+    parked reserve are gone, and streams are placed by the static split,
+    not a hash ring."""
     import threading
 
     import repro.serve
@@ -461,6 +462,7 @@ def test_one_serving_hub_and_a_fixed_endpoint_fleet():
     for name in ("RelayHub", "EdgeCache"):
         assert not hasattr(repro.serve, name), name
     assert importlib.util.find_spec("repro.fleet.autoscaler") is None
+    assert importlib.util.find_spec("repro.fleet.ring") is None
     assert "PARKED" not in EndpointState.__members__
     for path in sorted(SRC.rglob("*.py")):
         assert "POLL_INTERVAL_S" not in path.read_text(), path
@@ -1096,3 +1098,56 @@ def test_every_option_is_set_outside_tests():
     stale = sorted(set(KEPT_OPTIONS) - unset)
     assert not stale, "set now: drop from KEPT_OPTIONS:\n" + "\n".join(stale)
     assert [k for k, why in KEPT_OPTIONS.items() if not why.startswith(_REASONS)] == []
+
+
+def _read_names(tree) -> set[str]:
+    """Every name a module reads: loads and stores alike, the names
+    inside string annotations, and the entries of ``__all__``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts}
+        annotations = []
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    parsed = ast.parse(sub.value, mode="eval")
+                    read |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return read
+
+
+def test_no_unused_imports():
+    """Source scan over ``src/``, ``tests/``, ``examples/`` and the
+    ``benchmarks/*.py`` figure suite: every name an import binds, at any
+    depth, is read somewhere in its module.  An ``__init__`` imports to
+    re-export, so it is skipped; ``benchmarks/e2e/`` belongs to the
+    benchmark and is not scanned."""
+    repo = SRC.parents[1]
+    paths = [p for d in ("src", "tests", "examples") for p in (repo / d).rglob("*.py")]
+    paths += (repo / "benchmarks").glob("*.py")
+    unused = []
+    for path in sorted(paths):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names if a.name != "*"]
+            else:
+                continue
+            unused += [f"{path.relative_to(repo)}:{node.lineno}: {name}"
+                       for name in bound if name not in read]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
-import numpy as np
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -256,7 +257,6 @@ class TestInTransit:
         """--lease-timeout used to be read only when --fleet was also
         given."""
         import repro.insitu
-        from repro.fleet import FleetConfig
 
         runners = []
 
@@ -270,9 +270,13 @@ class TestInTransit:
                    "--lease-timeout", "1.5", "--output", str(tmp_path)])
         assert rc == 0
         (runner,) = runners
-        assert runner.fleet == FleetConfig(lease_timeout=1.5)
+        assert runner.lease_timeout == 1.5
         coord = runner.last_coordinator
         assert coord.membership.lease_timeout == 1.5
         out = capsys.readouterr().out
         assert "in transit: 4 sim ranks + 2 endpoint ranks" in out
         assert "2 steps committed" in out
+        # the static split gives each endpoint a block of two streams
+        received = re.findall(r"endpoint (\d+): .*, received (\S+) (\S+),", out)
+        assert [eid for eid, _, _ in received] == ["0", "1"]
+        assert all(float(size) > 0 for _, size, _ in received), out

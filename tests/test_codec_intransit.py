@@ -8,7 +8,6 @@ uncompressed run, PNGs included.
 """
 
 import numpy as np
-import pytest
 
 from repro.codec import CodecContext, CodecSpec
 from repro.insitu import InTransitRunner

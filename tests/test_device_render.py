@@ -8,7 +8,6 @@ rendered PNG is byte-identical to the host-resident path — optimized
 and under ``naive_mode()`` alike.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.workloads import measurement_pebble_case

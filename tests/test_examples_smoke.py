@@ -5,9 +5,6 @@ bodies with the smallest viable parameters, asserting each example's
 headline behavior rather than its full output.
 """
 
-import numpy as np
-import pytest
-
 from repro.insitu import Bridge, InTransitRunner
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import (

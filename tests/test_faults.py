@@ -21,7 +21,6 @@ from repro.adios import (
     unmarshal_step,
 )
 from repro.faults import (
-    FAULT_KINDS,
     CorruptPayloadError,
     EndpointDownError,
     FaultInjector,

@@ -1,6 +1,6 @@
 """Elastic endpoint fleet tests (PR 6 tentpole).
 
-Units for every fleet piece — consistent-hash ring, heartbeat-lease
+Units for every fleet piece — stream placement, heartbeat-lease
 membership, work-stealing queues, coordinator — plus the
 acceptance scenarios: killing 1 of 4 endpoints mid-run completes with
 zero lost committed steps, and with no faults the output is
@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import io
+import itertools
 import json
 import threading
 import time
@@ -31,15 +32,12 @@ from repro.codec import CodecSpec
 from repro.faults.errors import EndpointDownError, StreamTimeout
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
-from repro.fleet import ring as hash_ring
 from repro.fleet import (
     Directive,
     EndpointState,
-    FleetConfig,
     FleetCoordinator,
     FleetEndpoint,
     FleetMembership,
-    HashRing,
     RenderTask,
     WorkQueues,
 )
@@ -47,7 +45,7 @@ from repro.insitu import InTransitRunner
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import weak_scaled_rbc_case
 from repro.observe.session import Telemetry, active
-from repro.parallel import run_spmd
+from repro.parallel import block_range, run_spmd
 from repro.parallel.runtime import dump_thread_stacks
 from repro.perf.config import naive_mode
 from repro.util.png import decode_png
@@ -69,67 +67,69 @@ class _Clock:
         self.t += dt
 
 
-# -- hash ring --------------------------------------------------------------
+# -- stream placement --------------------------------------------------------
 
 
-def _ring(*members) -> HashRing:
-    ring = HashRing()
-    for member in members:
-        ring.add(member)
-    return ring
+def _joined(writers: int, pool: int, order=None) -> FleetCoordinator:
+    coord = FleetCoordinator(
+        SSTBroker(num_writers=writers), num_writers=writers, pool_size=pool,
+        clock=_Clock(),
+    )
+    for eid in range(pool) if order is None else order:
+        coord.join(eid)
+    return coord
 
 
-class TestHashRing:
-    KEYS = [("writer", w) for w in range(32)]
+def _block_split(writers: int, pool: int) -> dict[int, int]:
+    return {
+        w: e for e in range(pool) for w in range(*block_range(writers, pool, e))
+    }
 
-    def test_seed_changes_assignment(self, monkeypatch):
-        a = _ring(0, 1, 2).assignment(self.KEYS)
-        monkeypatch.setattr(hash_ring, "_SALT", 1)
-        b = _ring(0, 1, 2).assignment(self.KEYS)
-        assert a != b
 
-    def test_deterministic_across_instances(self, monkeypatch):
-        monkeypatch.setattr(hash_ring, "_SALT", 3)
-        a = _ring(0, 1, 2)
-        b = _ring(2, 0, 1)  # insertion order irrelevant
-        assert a.assignment(self.KEYS) == b.assignment(self.KEYS)
+@pytest.mark.parametrize("pool", [1, 2, 3, 4])
+class TestStreamPlacement:
+    """Streams follow the paper's static split, and a membership change
+    moves only the streams it has to."""
 
-    def test_remove_moves_only_the_removed_members_keys(self, monkeypatch):
-        monkeypatch.setattr(hash_ring, "_SALT", 1)
-        ring = _ring(0, 1, 2, 3)
-        before = ring.assignment(self.KEYS)
-        ring.remove(2)
-        after = ring.assignment(self.KEYS)
-        moved = HashRing.moved(before, after)
-        assert moved == {k for k, owner in before.items() if owner == 2}
-        assert all(after[k] != 2 for k in moved)
+    WRITERS = range(1, 13)
 
-    def test_add_moves_keys_only_onto_the_new_member(self, monkeypatch):
-        monkeypatch.setattr(hash_ring, "_SALT", 1)
-        ring = _ring(0, 1, 2)
-        before = ring.assignment(self.KEYS)
-        ring.add(3)
-        after = ring.assignment(self.KEYS)
-        moved = HashRing.moved(before, after)
-        assert moved  # a new member takes over some arcs
-        assert all(after[k] == 3 for k in moved)
+    def test_full_pool_is_the_block_split(self, pool):
+        for writers in self.WRITERS:
+            coord = _joined(writers, pool)
+            assert coord.assignment() == _block_split(writers, pool)
+            # every member gets a block while there are writers to go round
+            assert len(set(coord.assignment().values())) == min(writers, pool)
 
-    def test_remove_then_readd_restores_assignment(self, monkeypatch):
-        monkeypatch.setattr(hash_ring, "_SALT", 5)
-        ring = _ring(0, 1, 2)
-        before = ring.assignment(self.KEYS)
-        ring.remove(1)
-        ring.add(1)
-        assert ring.assignment(self.KEYS) == before
+    def test_each_loss_moves_only_the_lost_members_streams(self, pool):
+        for writers in self.WRITERS:
+            for order in itertools.permutations(range(pool)):
+                coord = _joined(writers, pool)
+                for k, lost in enumerate(order):
+                    before = coord.assignment()
+                    coord.fail(lost)
+                    after = coord.assignment()
+                    if k == pool - 1:
+                        assert after == {}
+                        break
+                    moved = {w for w in before if after[w] != before[w]}
+                    assert moved == {w for w, e in before.items() if e == lost}
+                    assert set(after.values()) <= set(order[k + 1:])
+                    assert coord.recoveries[-1].streams_moved == len(moved)
 
-    def test_empty_ring_raises(self):
-        with pytest.raises(LookupError):
-            HashRing().assign(("writer", 0))
-
-    def test_membership_views(self):
-        ring = _ring(2, 0)
-        assert 0 in ring and 2 in ring and 1 not in ring
-        assert len(ring) == 2
+    def test_joins_move_streams_only_onto_the_joiner(self, pool):
+        for writers in self.WRITERS:
+            for order in itertools.permutations(range(pool)):
+                coord = _joined(writers, pool, order=())
+                assert coord.assignment() == {}
+                for eid in order:
+                    before = coord.assignment()
+                    coord.join(eid)
+                    after = coord.assignment()
+                    assert all(
+                        after[w] == eid for w in before if after[w] != before[w]
+                    )
+                # join order does not change the final table
+                assert after == _block_split(writers, pool)
 
 
 # -- membership -------------------------------------------------------------
@@ -296,8 +296,7 @@ class TestFleetCoordinator:
         assert coord.committed == {0, 1, 2}
         assert coord.done()
 
-    def test_lease_lapse_reroutes_streams_and_replays_tasks(self, monkeypatch):
-        monkeypatch.setattr(hash_ring, "_SALT", 1)
+    def test_lease_lapse_reroutes_streams_and_replays_tasks(self):
         clock = _Clock()
         broker, coord = self._coordinator(
             writers=4, pool=2, lease_timeout=0.5, clock=clock,
@@ -344,11 +343,10 @@ class TestFleetCoordinator:
         # the "dead" member was merely slow; its next poll exits cleanly
         assert coord.poll(1) is Directive.STOP
 
-    def test_slow_member_keeps_its_lease_while_it_works(self, monkeypatch):
+    def test_slow_member_keeps_its_lease_while_it_works(self):
         """Slow is not dead: one member's task outlasts 4x the lease
         while its peer keeps polling — nobody is reaped, every step
         commits exactly once, both members depart normally."""
-        monkeypatch.setattr(hash_ring, "_SALT", 1)
         clock = _Clock()
         lease = 0.5
         broker, coord = self._coordinator(
@@ -475,8 +473,7 @@ class TestFleetCoordinator:
         t.join(timeout=10.0)
         assert not t.is_alive() and woke == [True]
 
-    def test_planned_depart_keeps_inflight_with_the_survivor(self, monkeypatch):
-        monkeypatch.setattr(hash_ring, "_SALT", 1)
+    def test_planned_depart_keeps_inflight_with_the_survivor(self):
         broker, coord = self._coordinator(writers=2, pool=2,
                                           queue_limit=64)
         _stage_steps(broker, steps=2)
@@ -700,7 +697,7 @@ def test_dump_thread_stacks_keeps_the_collector_out():
 # -- end-to-end acceptance ---------------------------------------------------
 
 
-def _fleet_runner(tmp, mode="checkpoint", steps=3, fleet=None, **kw):
+def _fleet_runner(tmp, mode="checkpoint", steps=3, **kw):
     def case_builder(nsim):
         c = weak_scaled_rbc_case(nsim, elements_per_rank=2, order=3, dt=1e-3)
         return c.with_overrides(num_steps=steps)
@@ -714,7 +711,6 @@ def _fleet_runner(tmp, mode="checkpoint", steps=3, fleet=None, **kw):
         arrays=("temperature", "velocity_magnitude"),
         output_dir=tmp,
         image_size=64,
-        fleet=fleet,
         **kw,
     )
 
@@ -818,19 +814,13 @@ def _assert_same_artefacts(new: Path, old: Path):
 
 @pytest.mark.timeout(120)
 class TestFleetEndToEnd:
-    def test_kill_one_of_four_endpoints_loses_no_committed_steps(
-        self, tmp_path, monkeypatch
-    ):
+    def test_kill_one_of_four_endpoints_loses_no_committed_steps(self, tmp_path):
         """Acceptance: 8 sims + 4 endpoints, endpoint 2 dies at its
         first poll — every streamed step still commits exactly once."""
-        monkeypatch.setattr(hash_ring, "_SALT", 7)
         steps = 3
         injector = FaultInjector(schedule={"endpoint_crash": ((0, 2),)})
         runner = _fleet_runner(
             tmp_path, steps=steps,
-            # salt 7 gives all four endpoints ring arcs over 8 writers,
-            # so killing endpoint 2 really orphans streams
-            fleet=FleetConfig(lease_timeout=0.25),
             injector=injector,
             retry=RetryPolicy(max_attempts=20, base_delay=0.01,
                               attempt_timeout=0.1),
@@ -920,6 +910,6 @@ class TestFleetEndToEnd:
         with naive_mode():
             _assert_reproduces_golden("checkpoint_4+1", tmp_path)
 
-    def test_fleet_config_validation(self):
-        with pytest.raises(ValueError):
-            FleetConfig(lease_timeout=0.0)
+    def test_fleet_config_validation(self, tmp_path):
+        with pytest.raises(ValueError, match="lease_timeout"):
+            _fleet_runner(tmp_path, lease_timeout=0.0)

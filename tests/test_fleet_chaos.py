@@ -19,8 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultInjector, RetryPolicy
-from repro.fleet import ring as hash_ring
-from repro.fleet import FleetConfig
 from repro.insitu import InTransitRunner
 from repro.nekrs.cases import pebble_bed_case
 from repro.parallel import run_spmd
@@ -48,8 +46,7 @@ def _chaos_injector(seed: int) -> FaultInjector:
 
 
 @pytest.mark.timeout(240)
-def test_chaos_soak_pebble_bed_fleet(tmp_path, monkeypatch):
-    monkeypatch.setattr(hash_ring, "_SALT", 7)
+def test_chaos_soak_pebble_bed_fleet(tmp_path):
     injector = _chaos_injector(seed=1234)
 
     def case_builder(_nsim):
@@ -68,7 +65,6 @@ def test_chaos_soak_pebble_bed_fleet(tmp_path, monkeypatch):
         injector=injector,
         retry=RetryPolicy(max_attempts=20, base_delay=0.01,
                           attempt_timeout=0.1),
-        fleet=FleetConfig(lease_timeout=0.25),
     )
     results = run_spmd(_TOTAL, runner.run)
 
@@ -110,9 +106,8 @@ def test_chaos_soak_pebble_bed_fleet(tmp_path, monkeypatch):
 
 
 @pytest.mark.timeout(240)
-def test_chaos_schedule_is_deterministic(tmp_path, monkeypatch):
+def test_chaos_schedule_is_deterministic(tmp_path):
     """Two runs with the same seed inject the identical fault mix."""
-    monkeypatch.setattr(hash_ring, "_SALT", 7)
     snaps = []
     for run in range(2):
         injector = _chaos_injector(seed=77)
@@ -134,7 +129,6 @@ def test_chaos_schedule_is_deterministic(tmp_path, monkeypatch):
             injector=injector,
             retry=RetryPolicy(max_attempts=20, base_delay=0.01,
                               attempt_timeout=0.1),
-            fleet=FleetConfig(lease_timeout=0.25),
         )
         run_spmd(_TOTAL, runner.run)
         assert injector.log.accounted

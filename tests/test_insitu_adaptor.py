@@ -7,7 +7,7 @@ from repro.insitu import NekDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.occa import Device
-from repro.parallel import SerialCommunicator, run_spmd
+from repro.parallel import run_spmd
 from repro.vtkdata.dataset import ImageData, UnstructuredGrid
 
 

@@ -1,11 +1,10 @@
 """Tests for the bridge (Listing 3) and the streamed endpoint adaptor."""
 
-import numpy as np
 import pytest
 
 from repro.adios import SSTBroker, SSTWriterEngine
 from repro.fleet import Directive, FleetCoordinator
-from repro.insitu import Bridge, NekDataAdaptor, StreamedDataAdaptor
+from repro.insitu import Bridge, StreamedDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
 from repro.parallel import SerialCommunicator

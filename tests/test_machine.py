@@ -1,13 +1,10 @@
 """Tests for the machine model: specs, topology, network/fs."""
 
-import math
-
 import pytest
 
 from repro.machine import (
     POLARIS,
     JUWELS_BOOSTER,
-    ClusterSpec,
     CollectiveModel,
     DragonflyPlusTopology,
     FilesystemModel,

@@ -202,8 +202,6 @@ class TestRuntime:
         assert "aborted" in stalls[0] and "timed out" not in stalls[0]
 
     def test_single_rank_is_serial(self):
-        from repro.parallel import SerialCommunicator
-
         results = run_spmd(1, lambda c: type(c).__name__)
         assert results == ["SerialCommunicator"]
 

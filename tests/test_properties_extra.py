@@ -2,7 +2,6 @@
 compression bounds under composition."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.partition import morton_encode, morton_partition

@@ -7,7 +7,6 @@ are all deterministic and partition-independent.
 """
 
 import numpy as np
-import pytest
 
 from repro.insitu import Bridge
 from repro.nekrs import NekRSSolver

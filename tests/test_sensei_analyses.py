@@ -6,7 +6,7 @@ import pytest
 from repro.insitu import NekDataAdaptor
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
-from repro.parallel import SerialCommunicator, run_spmd
+from repro.parallel import run_spmd
 from repro.parallel.comm import ReduceOp
 from repro.sensei.analyses import (
     HistogramAnalysis,

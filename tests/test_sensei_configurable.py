@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.parallel import SerialCommunicator
 from repro.sensei import ConfigurableAnalysis, MeshMetadata, parse_analysis_xml
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.configurable import ConfigError

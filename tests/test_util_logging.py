@@ -1,9 +1,7 @@
 """Tests for rank-aware logging."""
 
 import io
-import logging
 
-from repro.parallel import ThreadCommunicator
 from repro.util.logging import get_logger
 
 

@@ -1,7 +1,5 @@
 """Tests for repro.util.timing."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -11,7 +11,7 @@ from repro.vtkdata import (
     write_vtm,
     write_vtu,
 )
-from repro.vtkdata.arrays import CELL, POINT
+from repro.vtkdata.arrays import CELL
 
 
 def unit_hex_grid():
