@@ -112,7 +112,7 @@ class FleetCoordinator:
         broker: SSTBroker,
         num_writers: int,
         pool_size: int,
-        lease_timeout: float = 0.25,
+        lease_timeout: float,
         clock=time.monotonic,
         live=None,
     ):

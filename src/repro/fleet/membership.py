@@ -29,7 +29,7 @@ class EndpointState(Enum):
 class FleetMembership:
     """Thread-safe membership table with heartbeat leases."""
 
-    def __init__(self, lease_timeout: float = 0.25, clock=time.monotonic):
+    def __init__(self, lease_timeout: float, clock=time.monotonic):
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
         self.lease_timeout = lease_timeout

@@ -921,7 +921,8 @@ class TestTruncatedFrames:
         broker.put(0, frame[:40], step=1)
         broker.put(0, frame, step=2)
         broker.close_writer(0)
-        coord = FleetCoordinator(broker, num_writers=1, pool_size=1)
+        coord = FleetCoordinator(broker, num_writers=1, pool_size=1,
+                                 lease_timeout=0.25)
         coord.join(0)
         task = coord.poll(0)
         assert coord.corrupt_steps == 2

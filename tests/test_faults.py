@@ -202,7 +202,8 @@ class TestPayloadIntegrity:
 def _drain_fleet(broker):
     """Consume every (closed) stream of `broker` through a one-member
     fleet; returns the coordinator and its render tasks in order."""
-    coord = FleetCoordinator(broker, num_writers=broker.num_writers, pool_size=1)
+    coord = FleetCoordinator(broker, num_writers=broker.num_writers, pool_size=1,
+                             lease_timeout=0.25)
     coord.join(0)
     tasks = []
     while (out := coord.poll(0)) is not Directive.STOP:

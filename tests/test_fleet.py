@@ -73,7 +73,7 @@ class _Clock:
 def _joined(writers: int, pool: int, order=None) -> FleetCoordinator:
     coord = FleetCoordinator(
         SSTBroker(num_writers=writers), num_writers=writers, pool_size=pool,
-        clock=_Clock(),
+        lease_timeout=0.25, clock=_Clock(),
     )
     for eid in range(pool) if order is None else order:
         coord.join(eid)
@@ -270,11 +270,11 @@ def _stage_steps(broker: SSTBroker, steps: int, elems: int = 16,
 
 class TestFleetCoordinator:
     def _coordinator(self, writers=2, pool=1, queue_limit=64, clock=None,
-                     **kw) -> tuple[SSTBroker, FleetCoordinator]:
+                     lease_timeout=0.25, **kw) -> tuple[SSTBroker, FleetCoordinator]:
         broker = SSTBroker(num_writers=writers, queue_limit=queue_limit)
         coord = FleetCoordinator(
             broker, num_writers=writers, pool_size=pool,
-            clock=clock or time.monotonic, **kw,
+            lease_timeout=lease_timeout, clock=clock or time.monotonic, **kw,
         )
         return broker, coord
 
@@ -723,6 +723,11 @@ def _dir_bytes(root):
 
 
 # What the fleet loop writes at the commit that last recorded it.  The
+# PNG encoder's move from the Sub filter at zlib level 6 to the Up
+# filter at level 3 changed the bytes of every PNG in `catalyst_4+1`,
+# `catalyst_4+2` and `codec_1+1` (20 files) but no pixel: each new PNG
+# was decoded to the same array as the one it replaced before the three
+# were re-recorded; `checkpoint_4+1` did not move.  Before that, the
 # one-pass weighted dot (one `einsum` over u, 1/multiplicity and v in
 # place of a three-pass pairwise sum) moved the solution by round-off:
 # `checkpoint_4+1` (12 of 15 files) was re-recorded after the

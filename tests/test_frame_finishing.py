@@ -1,5 +1,5 @@
 """Byte oracles for the frame-finishing code: text, colorbar, backdrop,
-colormap, slice resize and the PNG Sub filter.
+colormap, slice resize and the PNG Up filter.
 
 Each reference below is the straightforward per-bit / float / int16 /
 fused-gather formulation the vectorised or cached version replaced;
@@ -73,7 +73,7 @@ def colormap_reference(values, vmin=None, vmax=None, name="viridis"):
     return (rgb * 255.0 + 0.5).astype(np.uint8)
 
 
-def encode_png_reference(image, compress_level=6):
+def encode_png_reference(image, compress_level=3):
     import struct
     import zlib
 
@@ -81,11 +81,11 @@ def encode_png_reference(image, compress_level=6):
     if img.ndim == 2:
         img = img[:, :, None]
     h, w, c = img.shape
-    left = np.zeros_like(img)
-    left[:, 1:, :] = img[:, :-1, :]
-    filtered = (img.astype(np.int16) - left.astype(np.int16)) % 256
+    up = np.zeros_like(img)
+    up[1:] = img[:-1]
+    filtered = (img.astype(np.int16) - up.astype(np.int16)) % 256
     raw = np.empty((h, 1 + w * c), dtype=np.uint8)
-    raw[:, 0] = 1
+    raw[:, 0] = 2
     raw[:, 1:] = filtered.astype(np.uint8).reshape(h, w * c)
     ihdr = struct.pack(">IIBBBBB", w, h, 8, {1: 0, 3: 2, 4: 6}[c], 0, 0, 0)
     idat = zlib.compress(raw.tobytes(), compress_level)

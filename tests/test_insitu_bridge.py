@@ -80,7 +80,7 @@ def _stream_solver_steps(mesh_name, arrays, steps=2):
     solver.run(steps, observer=bridge.observer)
     bridge.finalize()
 
-    coord = FleetCoordinator(broker, num_writers=1, pool_size=1)
+    coord = FleetCoordinator(broker, num_writers=1, pool_size=1, lease_timeout=0.25)
     coord.join(0)
     received = []
     while (task := coord.poll(0)) is not Directive.STOP:
