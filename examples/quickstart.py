@@ -19,6 +19,7 @@ from pathlib import Path
 from repro.insitu import Bridge
 from repro.nekrs import NekRSSolver
 from repro.nekrs.cases import lid_cavity_case
+from repro.observe import TelemetrySession
 from repro.occa import Device
 from repro.parallel import run_spmd
 from repro.util.sizes import format_bytes
@@ -36,27 +37,29 @@ SENSEI_XML = f"""
 """
 
 
-def rank_body(comm):
+def rank_body(comm, session):
     case = lid_cavity_case(reynolds=400, elements=3, order=5, dt=5e-3,
                            num_steps=20)
-    device = Device("cuda-sim")            # forces explicit GPU->CPU copies
-    solver = NekRSSolver(case, comm, device)
-    bridge = Bridge(solver, config_xml=SENSEI_XML, output_dir=OUTPUT)
+    with session.activate(comm.rank):      # spans time every phase
+        device = Device("cuda-sim")        # forces explicit GPU->CPU copies
+        solver = NekRSSolver(case, comm, device)
+        bridge = Bridge(solver, config_xml=SENSEI_XML, output_dir=OUTPUT)
 
-    reports = solver.run(observer=bridge.observer)
-    bridge.finalize()
+        reports = solver.run(observer=bridge.observer)
+        bridge.finalize()
 
     return {
         "final_cfl": reports[-1].cfl,
         "kinetic_energy": solver.kinetic_energy(),
-        "insitu_seconds": bridge.insitu_seconds,
+        "insitu_seconds": session.span_total("bridge.execute", comm.rank)[1],
         "d2h_bytes": device.transfers.d2h_bytes,
         "staging_peak": bridge.adaptor.staging_bytes_peak,
     }
 
 
 def main():
-    results = run_spmd(2, rank_body)
+    session = TelemetrySession("quickstart")
+    results = run_spmd(2, rank_body, args=(session,))
 
     print("=== quickstart: lid-driven cavity with in situ analysis ===")
     for rank, r in enumerate(results):

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time as _time
 import zlib
 from dataclasses import dataclass, field
 
@@ -92,8 +91,9 @@ def _normalize_array(arr: np.ndarray) -> tuple[np.ndarray, bytes]:
     return arr, tag
 
 
-def _meter_codec(kind: str, raw: int, wire: int, seconds: float) -> None:
-    """Aggregate raw-vs-wire and codec-time counters on this rank."""
+def _meter_codec(raw: int, wire: int) -> None:
+    """Aggregate raw-vs-wire byte counters on this rank (the codec's
+    seconds are its ``codec.encode`` / ``codec.decode`` spans)."""
     tel = get_telemetry()
     if not tel.enabled:
         return
@@ -104,9 +104,6 @@ def _meter_codec(kind: str, raw: int, wire: int, seconds: float) -> None:
     m.counter(
         "repro_codec_wire_bytes_total", "Codec-compressed bytes on the wire"
     ).inc(wire)
-    m.counter(
-        f"repro_codec_{kind}_seconds_total", f"Seconds spent in codec {kind}"
-    ).inc(seconds)
 
 
 def marshal_step(payload: StepPayload, codec=None, context=None) -> bytearray:
@@ -120,7 +117,6 @@ def marshal_step(payload: StepPayload, codec=None, context=None) -> bytearray:
     out here, in a ``bytearray`` allocated once at its exact size.
     """
     v3 = codec is not None and codec.active
-    t0 = _time.perf_counter()
     attrs = json.dumps(payload.attributes).encode()
     fields = [(name, *_normalize_array(arr))
               for name, arr in payload.variables.items()]
@@ -158,8 +154,7 @@ def marshal_step(payload: StepPayload, codec=None, context=None) -> bytearray:
             off += len(part)
     struct.pack_into("<I", out, 4, zlib.crc32(mv[8:]) & 0xFFFFFFFF)
     if v3:
-        _meter_codec("encode", sum(arr.nbytes for _, arr, _ in fields),
-                     len(out), _time.perf_counter() - t0)
+        _meter_codec(sum(arr.nbytes for _, arr, _ in fields), len(out))
     return out
 
 
@@ -174,15 +169,13 @@ def unmarshal_step(data, context=None) -> StepPayload:
     consumer can write through to the wire bytes.  `context` is the per-stream
     :class:`~repro.codec.CodecContext` temporal-delta decodes need.
     """
-    t0 = _time.perf_counter()
     payload, blocks = _read_frame(data)
     if blocks is not None:
         arrays = decode_fields(blocks, payload.step, context)
         for block, arr in zip(blocks, arrays):
             arr.flags.writeable = False
             payload.variables[block[0]] = arr
-        _meter_codec("decode", payload.nbytes, len(memoryview(data)),
-                     _time.perf_counter() - t0)
+        _meter_codec(payload.nbytes, len(memoryview(data)))
     return payload
 
 

@@ -5,8 +5,11 @@ Two halves, matching how the other figure drivers split work:
 - **Measured** — short single-rank RBC and pb146-analog solves produce
   real velocity/pressure/temperature sequences; each field sequence is
   pushed through the :mod:`repro.codec` pipelines at the gate budget
-  (relative 1e-3) and the raw-vs-wire ratio, encode/decode bandwidth
-  and worst-case reconstruction error are recorded.  The ratio is a
+  (relative 1e-3) and the raw-vs-wire ratio and worst-case
+  reconstruction error are recorded per field; encode/decode bandwidth
+  per case and codec, from the ``codec.encode`` / ``codec.decode``
+  spans of a session the measurement owns (a batch has one span, so no
+  per-field time exists to report).  The ratio is a
   property of the *data*, not the machine, so the laptop-scale
   measurement transfers to paper scale directly.
 - **Modeled** — the measured ratio is replayed on the paper machine at
@@ -27,7 +30,6 @@ Two halves, matching how the other figure drivers split work:
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from repro.machine import (
     NetworkModel,
     PcieModel,
 )
+from repro.observe import TelemetrySession
 from repro.util.sizes import format_bytes
 from repro.util.tables import Table
 
@@ -95,7 +98,9 @@ def _field_sequences(case, steps: int) -> dict[str, list[np.ndarray]]:
     return seqs
 
 
-def _measure_case(seqs: dict[str, list[np.ndarray]], codec: str) -> list[dict]:
+def _measure_case(
+    seqs: dict[str, list[np.ndarray]], codec: str
+) -> tuple[list[dict], dict]:
     """Encode a case's field sequences through one codec; decode-verify.
 
     Each step's fields go through :func:`repro.codec.encode_fields` /
@@ -105,31 +110,33 @@ def _measure_case(seqs: dict[str, list[np.ndarray]], codec: str) -> list[dict]:
     (delta-rle runs temporal, exactly as the SST writer engine does) and
     one decode context mirrors the reader side, so the measured ratio is
     the steady-state wire ratio of a streaming run, not a single-shot
-    number.
+    number.  Returns the per-field rows and the case's encode/decode
+    bandwidth over all its fields.
     """
     spec = CodecSpec.from_cli(codec, GATE_BUDGET, temporal=True)
     enc_ctx, dec_ctx = CodecContext(), CodecContext()
     max_err = dict.fromkeys(seqs, 0.0)
     bound = dict.fromkeys(seqs, 0.0)
-    for step, arrs in enumerate(zip(*seqs.values())):
-        fields = [(name, arr, spec.config_for(name, arr.dtype))
-                  for name, arr in zip(seqs, arrs)]
-        encoded = encode_fields(fields, step, enc_ctx)
-        decoded = decode_fields(
-            [(name, *block, arr.dtype, arr.shape)
-             for (name, arr, _), block in zip(fields, encoded)],
-            step, dec_ctx,
-        )
-        for (name, arr, cfg), out in zip(fields, decoded):
-            if cfg is not None and not cfg.budget.lossless:
-                bound[name] = max(bound[name], cfg.budget.bound_for(arr) or 0.0)
-            if arr.size:
-                max_err[name] = max(max_err[name],
-                                    float(np.max(np.abs(out - arr))))
+    session = TelemetrySession(f"compression-{codec}")
+    with session.activate(0):
+        for step, arrs in enumerate(zip(*seqs.values())):
+            fields = [(name, arr, spec.config_for(name, arr.dtype))
+                      for name, arr in zip(seqs, arrs)]
+            encoded = encode_fields(fields, step, enc_ctx)
+            decoded = decode_fields(
+                [(name, *block, arr.dtype, arr.shape)
+                 for (name, arr, _), block in zip(fields, encoded)],
+                step, dec_ctx,
+            )
+            for (name, arr, cfg), out in zip(fields, decoded):
+                if cfg is not None and not cfg.budget.lossless:
+                    bound[name] = max(bound[name], cfg.budget.bound_for(arr) or 0.0)
+                if arr.size:
+                    max_err[name] = max(max_err[name],
+                                        float(np.max(np.abs(out - arr))))
     rows = []
     for name in seqs:
         stats = enc_ctx.stats.fields[name]
-        dec_seconds = dec_ctx.stats.fields[name]["decode_seconds"]
         wire = stats["wire_bytes"]
         rows.append({
             "field": name,
@@ -137,18 +144,16 @@ def _measure_case(seqs: dict[str, list[np.ndarray]], codec: str) -> list[dict]:
             "raw_bytes": stats["raw_bytes"],
             "wire_bytes": wire,
             "ratio": stats["raw_bytes"] / wire if wire else 1.0,
-            "encode_mb_s": (
-                stats["raw_bytes"] / stats["encode_seconds"] / 1e6
-                if stats["encode_seconds"] else float("inf")
-            ),
-            "decode_mb_s": (
-                stats["raw_bytes"] / dec_seconds / 1e6
-                if dec_seconds else float("inf")
-            ),
             "max_abs_err": max_err[name],
             "bound": bound[name],
         })
-    return rows
+    # one span per batch: the bandwidth is the case's, over all its fields
+    raw = enc_ctx.stats.raw_bytes
+    bandwidth = {}
+    for kind in ("encode", "decode"):
+        seconds = session.span_total(f"codec.{kind}", 0)[1]
+        bandwidth[f"{kind}_mb_s"] = raw / seconds / 1e6 if seconds else float("inf")
+    return rows, bandwidth
 
 
 def measure_compression(
@@ -162,6 +167,7 @@ def measure_compression(
     """Measured ratios for both cases, all codecs (module-cached).
 
     Returns ``{"rows": [...], "aggregate": {(case, codec): ratio},
+    "bandwidth": {(case, codec): {"encode_mb_s", "decode_mb_s"}},
     "gate_ratio": float}`` where ``gate_ratio`` is the combined
     velocity+pressure wire ratio for ``delta-rle`` across both cases —
     the number the ISSUE's >=4x acceptance pins.
@@ -184,11 +190,13 @@ def measure_compression(
     rows: list[dict] = []
     gate_raw = gate_wire = 0
     aggregate: dict[tuple[str, str], float] = {}
+    bandwidth: dict[tuple[str, str], dict] = {}
     for case_name, case in cases.items():
         seqs = _field_sequences(case, steps)
         for codec in codecs:
             agg_raw = agg_wire = 0
-            for row in _measure_case(seqs, codec):
+            case_rows, bandwidth[(case_name, codec)] = _measure_case(seqs, codec)
+            for row in case_rows:
                 row["case"] = case_name
                 rows.append(row)
                 if row["field"].startswith(("velocity", "pressure")):
@@ -203,6 +211,7 @@ def measure_compression(
     result = {
         "rows": rows,
         "aggregate": aggregate,
+        "bandwidth": bandwidth,
         "gate_ratio": gate_raw / gate_wire if gate_wire else 1.0,
         "budget": GATE_BUDGET,
     }
@@ -261,15 +270,11 @@ def predict_compressed_step(
 # -- table ---------------------------------------------------------------
 
 def run(measure_kwargs: dict | None = None) -> Table:
-    t0 = time.perf_counter()
     measured = measure_compression(**(measure_kwargs or {}))
     table = Table(
         ["case", "field", "codec", "raw", "wire", "ratio",
-         "enc [MB/s]", "max err / bound"],
-        title=(
-            "Compression — measured codec ratios at relative "
-            f"{GATE_BUDGET} ({time.perf_counter() - t0:.1f}s measure)"
-        ),
+         "enc / dec [MB/s]", "max err / bound"],
+        title=f"Compression — measured codec ratios at relative {GATE_BUDGET}",
         float_format="{:.2f}",
     )
     for row in measured["rows"]:
@@ -280,7 +285,12 @@ def run(measure_kwargs: dict | None = None) -> Table:
         table.add_row([
             row["case"], row["field"], row["codec"],
             format_bytes(row["raw_bytes"]), format_bytes(row["wire_bytes"]),
-            f"{row['ratio']:.2f}x", f"{row['encode_mb_s']:.0f}", over,
+            f"{row['ratio']:.2f}x", "", over,
+        ])
+    for (case_name, codec), bw in measured["bandwidth"].items():
+        table.add_row([
+            case_name, "all fields", codec, "", "", "",
+            f"{bw['encode_mb_s']:.0f} / {bw['decode_mb_s']:.0f}", "(per batch)",
         ])
     for (case_name, codec), ratio in sorted(measured["aggregate"].items()):
         table.add_row([

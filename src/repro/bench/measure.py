@@ -19,8 +19,6 @@ catalyst endpoints).
 from __future__ import annotations
 
 import tempfile
-import time as _time
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +59,9 @@ def _rank_body(
     array: str,
     color_array: str,
     image_size: int,
-    session: TelemetrySession | None = None,
+    session: TelemetrySession,
 ):
-    scope = session.activate(comm.rank) if session is not None else nullcontext()
-    with scope:
+    with session.activate(comm.rank):
         return _instrumented_rank_body(
             comm, case, mode, steps, interval, outdir,
             isovalue, array, color_array, image_size,
@@ -103,18 +100,13 @@ def _instrumented_rank_body(
         )
 
     checkpoint_bytes = 0
-    checkpoint_seconds = 0.0
     dumps = 0
-    step_seconds = []
     pressure_iters = 0
-    t0 = _time.perf_counter()
     for _ in range(steps):
-        ts = _time.perf_counter()
         report = solver.step()
         pressure_iters += report.pressure_iterations
         if report.step % interval == 0:
             if mode == "checkpoint":
-                tc = _time.perf_counter()
                 _, nbytes = write_checkpoint(
                     Path(outdir) / "fld",
                     case.name,
@@ -124,41 +116,31 @@ def _instrumented_rank_body(
                     comm.size,
                     fields,
                 )
-                checkpoint_seconds += _time.perf_counter() - tc
                 checkpoint_bytes += nbytes
                 dumps += 1
             elif mode in ("catalyst", "catalyst_device"):
                 bridge.update(report.step, report.time)
                 dumps += 1
-        step_seconds.append(_time.perf_counter() - ts)
-    wall = _time.perf_counter() - t0
     if bridge is not None:
         bridge.finalize()
 
     result = {
-        "wall": wall,
-        "solver_seconds_per_step": float(np.mean(step_seconds)),
         "gridpoints": solver.local_gridpoints(),
         "solver_memory": solver.memory_bytes(),
         "num_fields": len(fields),
         "d2h_bytes": device.transfers.d2h_bytes,
         "checkpoint_bytes": checkpoint_bytes,
-        "checkpoint_seconds": checkpoint_seconds,
         "dumps": dumps,
         "pressure_iters": pressure_iters,
         "staging": 0,
-        "insitu_seconds": 0.0,
         "image_bytes": 0,
         "images": 0,
-        "render_seconds": 0.0,
     }
     if bridge is not None:
         result["staging"] = bridge.adaptor.staging_bytes_peak
-        result["insitu_seconds"] = bridge.insitu_seconds
         catalyst = bridge.analysis.adaptors[0][1]
         result["image_bytes"] = catalyst.image_bytes
         result["images"] = catalyst.images_written
-        result["render_seconds"] = catalyst.render_seconds
     return result
 
 
@@ -177,22 +159,34 @@ def measure_insitu_profile(
 ) -> RunProfile:
     """Run one instrumented configuration; aggregate to a RunProfile.
 
-    Pass a :class:`TelemetrySession` to additionally collect per-rank
-    spans, metrics, and memory high-water marks for the run.
+    The ranks run under `session` (else under one this measurement
+    owns), and every duration in the profile is read from its spans;
+    pass one to keep the run's spans, metrics and memory high-water
+    marks.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if steps % interval:
         raise ValueError("steps must be a multiple of interval")
     outdir = str(output_dir) if output_dir else tempfile.mkdtemp(prefix="repro-bench-")
+    if session is None:
+        session = TelemetrySession(f"{case.name}-{mode}")
     results = run_spmd(
         ranks,
         _rank_body,
         args=(case, mode, steps, interval, outdir, isovalue, array, color_array,
               image_size, session),
     )
-    n = len(results)
     dumps = max(results[0]["dumps"], 1)
+
+    def seconds(name: str, rank: int | None) -> float:
+        return session.span_total(name, rank)[1]
+
+    # a step blocks the solver for its solve and its dump or hand-off
+    step_seconds = sum(
+        seconds(name, None)
+        for name in ("solver.step", "checkpoint.write", "bridge.execute")
+    )
     profile = RunProfile(
         case=case.name,
         mode=mode,
@@ -201,10 +195,7 @@ def measure_insitu_profile(
         insitu_interval=interval,
         gridpoints_per_rank=float(np.mean([r["gridpoints"] for r in results])),
         num_fields=results[0]["num_fields"],
-        solver_seconds_per_step=float(np.mean([r["solver_seconds_per_step"] for r in results])),
-        insitu_seconds_per_invocation=float(
-            np.mean([r["insitu_seconds"] for r in results]) / dumps
-        ),
+        solver_seconds_per_step=step_seconds / (ranks * steps),
         d2h_bytes_per_invocation_per_rank=int(
             np.mean([r["d2h_bytes"] for r in results]) / dumps
         ),
@@ -212,14 +203,13 @@ def measure_insitu_profile(
             np.mean([r["checkpoint_bytes"] for r in results]) / dumps
         ),
         image_bytes_per_invocation=int(results[0]["image_bytes"] / dumps),
-        render_seconds_per_invocation=float(results[0]["render_seconds"] / dumps),
+        # the root renders and writes every frame
+        render_seconds_per_invocation=(
+            seconds("catalyst.render", 0) + seconds("catalyst.write", 0)
+        ) / dumps,
         solver_memory_bytes_per_rank=int(np.mean([r["solver_memory"] for r in results])),
         staging_memory_bytes_per_rank=int(np.mean([r["staging"] for r in results])),
         extra={
-            "wall_seconds": float(np.mean([r["wall"] for r in results])),
-            "checkpoint_seconds_per_dump": float(
-                np.mean([r["checkpoint_seconds"] for r in results]) / dumps
-            ),
             "images_per_invocation": results[0]["images"] / dumps,
             "pressure_iters_per_step": results[0]["pressure_iters"] / steps,
         },
@@ -279,9 +269,6 @@ def measure_intransit_profiles(
             np.mean([r.memory_bytes - r.staging_bytes for r in sims])
         ),
         staging_memory_bytes_per_rank=int(np.mean([r.staging_bytes for r in sims])),
-        extra={
-            "insitu_seconds": float(np.mean([r.extra.get("insitu_seconds", 0.0) for r in sims])),
-        },
     )
     endpoint_stats = {
         "ranks": len(ends),

@@ -101,6 +101,7 @@ def _override_catalyst(config_xml: str, **attrs: str | None) -> str:
 def cmd_run(args) -> int:
     from repro.insitu import Bridge
     from repro.nekrs import NekRSSolver
+    from repro.observe import TelemetrySession
     from repro.occa import Device
     from repro.parallel import run_spmd
 
@@ -114,17 +115,20 @@ def cmd_run(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    session = TelemetrySession(label=f"{case.name}-run")
+
     def body(comm):
-        device = Device(args.device)
-        solver = NekRSSolver(case, comm, device)
-        bridge = Bridge(solver, config_xml=config_xml, output_dir=outdir)
-        reports = solver.run(observer=bridge.observer)
-        bridge.finalize()
+        with session.activate(comm.rank):
+            device = Device(args.device)
+            solver = NekRSSolver(case, comm, device)
+            bridge = Bridge(solver, config_xml=config_xml, output_dir=outdir)
+            reports = solver.run(observer=bridge.observer)
+            bridge.finalize()
         return {
             "steps": len(reports),
             "time": solver.time,
             "cfl": reports[-1].cfl if reports else 0.0,
-            "insitu_s": bridge.insitu_seconds,
+            "insitu_s": session.span_total("bridge.execute", comm.rank)[1],
             "d2h": device.transfers.d2h_bytes,
         }
 

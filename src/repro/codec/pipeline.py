@@ -38,7 +38,6 @@ from __future__ import annotations
 import fnmatch
 import math
 import threading
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,7 @@ from repro.codec.stages import (
     rle_decode_rows,
     rle_encode_rows,
 )
+from repro.observe.session import get_telemetry
 from repro.perf import config
 
 __all__ = [
@@ -241,52 +241,38 @@ class CodecSpec:
 
 @dataclass
 class CodecStats:
-    """Raw-vs-wire accounting, aggregated and per field."""
+    """An encoder's raw-vs-wire accounting, aggregated and per field.
+
+    Its seconds are the ``codec.encode`` / ``codec.decode`` spans."""
 
     raw_bytes: int = field(default=0, init=False)
     wire_bytes: int = field(default=0, init=False)
-    encode_seconds: float = field(default=0.0, init=False)
-    decode_seconds: float = field(default=0.0, init=False)
     fields: dict[str, dict] = field(default_factory=dict, init=False)
 
     @property
     def ratio(self) -> float:
         return self.raw_bytes / self.wire_bytes if self.wire_bytes else 1.0
 
-    def record(self, name: str, raw: int, wire: int, seconds: float,
-               kind: str, codec_id: int) -> None:
-        if kind == "encode":
-            self.raw_bytes += raw
-            self.wire_bytes += wire
-            self.encode_seconds += seconds
-        else:
-            self.decode_seconds += seconds
-        entry = self.fields.setdefault(
-            name,
-            {"raw_bytes": 0, "wire_bytes": 0, "encode_seconds": 0.0,
-             "decode_seconds": 0.0, "codec": CODEC_NAMES[codec_id]},
-        )
+    def record(self, name: str, raw: int, wire: int, codec_id: int) -> None:
+        self.raw_bytes += raw
+        self.wire_bytes += wire
+        entry = self.fields.setdefault(name, {"raw_bytes": 0, "wire_bytes": 0})
         entry["codec"] = CODEC_NAMES[codec_id]
-        if kind == "encode":
-            entry["raw_bytes"] += raw
-            entry["wire_bytes"] += wire
-            entry["encode_seconds"] += seconds
-        else:
-            entry["decode_seconds"] += seconds
+        entry["raw_bytes"] += raw
+        entry["wire_bytes"] += wire
 
     def as_dict(self) -> dict:
         return {
             "raw_bytes": self.raw_bytes,
             "wire_bytes": self.wire_bytes,
             "ratio": self.ratio,
-            "encode_seconds": self.encode_seconds,
-            "decode_seconds": self.decode_seconds,
             "fields": {k: dict(v) for k, v in self.fields.items()},
         }
 
 
 class CodecContext:
-    """Per-stream codec state: temporal references plus stats.
+    """Per-stream codec state: temporal references plus, on the
+    encoding side, the stream's :class:`CodecStats`.
 
     One context per directed stream (one per writer engine, one per
     writer rank on the reader side).  Thread-safe so a broker-shared
@@ -413,10 +399,14 @@ def encode_fields(
     the bound or would not shrink it, so a decoded payload is never
     worse than its budget *and* never larger than ~its raw size.
     """
+    with get_telemetry().tracer.span("codec.encode", step=step):
+        return _encode_fields(fields, step, context)
+
+
+def _encode_fields(fields, step, context) -> list[tuple[int, dict, bytes]]:
     if len({name for name, _, _ in fields}) < len(fields):
         # a repeated name chains on its own quanta within the frame
-        return [encode_fields([f], step, context)[0] for f in fields]
-    t0 = _time.perf_counter()
+        return [_encode_fields([f], step, context)[0] for f in fields]
     arrs = [np.ascontiguousarray(arr) for _, arr, _ in fields]
     out: list = [None] * len(fields)
     groups: dict[tuple, list[int]] = {}
@@ -433,10 +423,8 @@ def encode_fields(
         if out[i] is None:
             out[i] = (RAW, {}, arr.tobytes())
     if context is not None:
-        share = (_time.perf_counter() - t0) / max(len(fields), 1)
         for (name, _, _), arr, (codec_id, _, data) in zip(fields, arrs, out):
-            context.stats.record(name, arr.nbytes, len(data), share,
-                                 "encode", codec_id)
+            context.stats.record(name, arr.nbytes, len(data), codec_id)
     return out
 
 
@@ -553,7 +541,11 @@ def decode_fields(
     block raises — after the ones before it were remembered — exactly
     what a field-at-a-time decoder raises.
     """
-    t0 = _time.perf_counter()
+    with get_telemetry().tracer.span("codec.decode", step=step):
+        return _decode_fields(blocks, step, context)
+
+
+def _decode_fields(blocks, step, context) -> list[np.ndarray]:
     decoded = None
     if len({block[0] for block in blocks}) == len(blocks):
         try:
@@ -562,15 +554,11 @@ def decode_fields(
             if len(blocks) == 1:
                 raise
     if decoded is None:
-        return [decode_fields([block], step, context)[0] for block in blocks]
+        return [_decode_fields([block], step, context)[0] for block in blocks]
     arrs, remembered = decoded
     if context is not None:
         for name, qstep, quanta in remembered:
             context.remember(name, step, qstep, quanta)
-        share = (_time.perf_counter() - t0) / max(len(blocks), 1)
-        for (name, codec_id, _, data, _, _), arr in zip(blocks, arrs):
-            context.stats.record(name, arr.nbytes, len(data), share,
-                                 "decode", codec_id)
     return arrs
 
 

@@ -23,7 +23,6 @@ and, when ``endpoint_crash`` fires, simply stops — no leave, no drain
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 from repro.fleet.coordinator import Directive, FleetCoordinator
@@ -40,7 +39,6 @@ class EndpointReport:
     steps: int = field(default=0, init=False)   # tasks committed by this endpoint
     crashed: bool = field(default=False, init=False)
     idle_polls: int = field(default=0, init=False)
-    wall_seconds: float = field(default=0.0, init=False)
     staging_peak: int = field(default=0, init=False)
     empty_tasks: int = field(default=0, init=False)
 
@@ -101,9 +99,16 @@ class FleetEndpoint:
         self.injector = injector
 
     def run(self) -> EndpointReport:
-        coord = self.coordinator
+        """Serve the fleet until STOP or a crash; the whole run, from join
+        to depart, is one ``fleet.endpoint`` span on this rank's track."""
         report = EndpointReport(eid=self.eid)
-        t0 = _time.perf_counter()
+        with get_telemetry().tracer.span("fleet.endpoint", endpoint=self.eid):
+            self._loop(report)
+        report.staging_peak = self.sink.staging_peak
+        return report
+
+    def _loop(self, report: EndpointReport) -> None:
+        coord = self.coordinator
         coord.join(self.eid)
         while True:
             if self.injector is not None:
@@ -140,6 +145,3 @@ class FleetEndpoint:
         if not report.crashed:
             coord.depart(self.eid)
             self.sink.finalize()
-        report.wall_seconds = _time.perf_counter() - t0
-        report.staging_peak = self.sink.staging_peak
-        return report

@@ -21,7 +21,6 @@ time-stepping either way — in situ must never cost the solver its run.
 from __future__ import annotations
 
 from pathlib import Path
-from time import perf_counter
 
 from repro.faults.errors import TransportError
 from repro.faults.injector import FaultLog
@@ -55,9 +54,6 @@ class Bridge:
         if analysis is None:
             analysis = ConfigurableAnalysis(solver.comm, config_xml, output_dir)
         self.analysis = analysis
-        #: wall seconds the solver spent blocked in :meth:`update`;
-        #: always on — the benchmarks read it with no telemetry installed
-        self.insitu_seconds = 0.0
         self.invocations = 0
         self.stop_requested = False
         self.fallback = fallback
@@ -84,16 +80,14 @@ class Bridge:
         """Offer the current state to the analyses; False = stop."""
         self.adaptor.set_data_time_step(step)
         self.adaptor.set_data_time(time)
-        tel = get_telemetry()
-        t0 = perf_counter()
-        with tel.tracer.span("bridge.execute", step=step):
+        # the seconds the solver spends blocked here are this span's
+        with get_telemetry().tracer.span("bridge.execute", step=step):
             try:
                 keep_going = self.analysis.execute(self.adaptor)
             except TransportError as exc:
                 keep_going = self._degrade(step, time, exc)
             finally:
                 self.adaptor.release_data()
-        self.insitu_seconds += perf_counter() - t0
         self.invocations += 1
         if not keep_going:
             self.stop_requested = True

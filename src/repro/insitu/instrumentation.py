@@ -2,9 +2,9 @@
 
 A :class:`RunProfile` captures, from a real scaled-down instrumented
 run, everything the machine model needs to predict leadership-scale
-behavior: per-step compute seconds, per-invocation in situ seconds,
-bytes moved per channel (device->host, checkpoint, stream, images) and
-per-rank memory.
+behavior: per-step seconds, per-invocation render seconds (both read
+from the run's telemetry spans), bytes moved per channel (device->host,
+checkpoint, stream, images) and per-rank memory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class RunProfile:
     num_fields: int
 
     solver_seconds_per_step: float = 0.0
-    insitu_seconds_per_invocation: float = 0.0
     d2h_bytes_per_invocation_per_rank: int = 0
     checkpoint_bytes_per_dump_per_rank: int = 0
     stream_bytes_per_step_per_rank: int = 0

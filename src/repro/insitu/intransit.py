@@ -22,8 +22,6 @@ simulation side stages at most ``queue_limit`` marshaled steps.
 
 from __future__ import annotations
 
-import time as _time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +33,7 @@ from repro.codec import CodecSpec
 from repro.insitu.bridge import Bridge
 from repro.insitu.router import HybridRouter, RoutedAnalysis, RouterPolicy
 from repro.nekrs.solver import NekRSSolver
-from repro.observe.session import TelemetrySession
+from repro.observe.session import TelemetrySession, active
 from repro.occa import Device
 from repro.parallel.comm import Communicator
 from repro.sensei.analyses.catalyst_adaptor import CatalystAnalysisAdaptor
@@ -54,8 +52,7 @@ class InTransitResult:
     role: str                  # "simulation" | "endpoint"
     rank: int                  # rank within its subgroup
     steps: int = 0
-    wall_seconds: float = 0.0
-    mean_step_seconds: float = 0.0
+    mean_step_seconds: float = field(default=0.0, init=False)
     stream_bytes: int = 0
     memory_bytes: int = 0
     staging_bytes: int = 0
@@ -148,14 +145,14 @@ class InTransitRunner:
     def run(self, comm: Communicator) -> InTransitResult:
         num_sim, num_end = self.split_counts(comm.size)
         is_sim = comm.rank < num_sim
+        # every duration the result reports is read from this session's
+        # spans: the caller's, else one this rank owns
+        session = self.session or TelemetrySession("intransit")
         # telemetry tracks stay keyed by the *global* rank, so one
         # merged trace shows simulation and endpoint groups side by side
-        scope = (
-            self.session.activate(comm.rank) if self.session is not None
-            else nullcontext()
-        )
+        tel = session.rank(comm.rank)
         try:
-            with scope:
+            with active(tel):
                 broker = coordinator = None
                 if self.mode != "none":
                     # built inside rank 0's scope: the shared broker's and
@@ -167,33 +164,34 @@ class InTransitRunner:
                             queue_full_policy=self.queue_full_policy,
                             injector=self.injector,
                         )
-                        coordinator = self._build_coordinator(
-                            broker, num_sim, num_end
+                        coordinator = FleetCoordinator(
+                            broker,
+                            num_writers=num_sim,
+                            pool_size=num_end,
+                            lease_timeout=self.lease_timeout,
+                            live=session.live,
                         )
                     broker, coordinator = comm.bcast((broker, coordinator), root=0)
                     self.last_broker = broker
                     self.last_coordinator = coordinator
                 sub = comm.split(0 if is_sim else 1)
                 if is_sim:
-                    return self._run_simulation(sub, broker, num_sim)
-                return self._run_endpoint_fleet(sub, coordinator)
+                    result = self._run_simulation(sub, broker, num_sim)
+                else:
+                    result = self._run_endpoint_fleet(sub, coordinator)
         finally:
             # drain this rank's pending live-telemetry delta so timelines
             # are complete the instant the run body returns
-            if self.session is not None:
-                tel = self.session.rank(comm.rank)
-                tel.live.flush()
-
-    def _build_coordinator(
-        self, broker: SSTBroker, num_sim: int, num_end: int
-    ) -> FleetCoordinator:
-        return FleetCoordinator(
-            broker,
-            num_writers=num_sim,
-            pool_size=num_end,
-            lease_timeout=self.lease_timeout,
-            live=getattr(self.session, "live", None),
-        )
+            tel.live.flush()
+        # a simulation step is its solve plus the hand-off that blocks
+        # the solver; an endpoint's is its share of its whole fleet run
+        spans = ("solver.step", "bridge.execute") if is_sim else ("fleet.endpoint",)
+        seconds = [session.span_total(name, comm.rank)[1] for name in spans]
+        if is_sim:
+            result.extra["insitu_seconds"] = seconds[1]
+        if result.steps:
+            result.mean_step_seconds = sum(seconds) / result.steps
+        return result
 
     # -- simulation side ---------------------------------------------------
     def _run_simulation(
@@ -243,16 +241,11 @@ class InTransitRunner:
             # No Transport: SENSEI is still in the loop (empty config).
             bridge = Bridge(solver, config_xml="<sensei></sensei>")
 
-        step_seconds = []
-        t0 = _time.perf_counter()
-        for i in range(steps):
-            ts = _time.perf_counter()
+        for _ in range(steps):
             report = solver.step()
             if report.step % self.stream_interval == 0:
                 bridge.update(report.step, report.time)
-            step_seconds.append(_time.perf_counter() - ts)
         bridge.finalize()
-        wall = _time.perf_counter() - t0
 
         stream_bytes = adios.bytes_sent if adios is not None else 0
         staging = bridge.adaptor.staging_bytes_peak
@@ -266,13 +259,10 @@ class InTransitRunner:
             role="simulation",
             rank=comm.rank,
             steps=steps,
-            wall_seconds=wall,
-            mean_step_seconds=sum(step_seconds) / len(step_seconds),
             stream_bytes=stream_bytes,
             memory_bytes=solver.memory_bytes() + staging + transport,
             staging_bytes=staging,
             extra={
-                "insitu_seconds": bridge.insitu_seconds,
                 "degraded_steps": bridge.degraded_steps,
                 "fallback_bytes": bridge.fallback_bytes,
                 "transport_down": bridge.transport_down,
@@ -335,7 +325,6 @@ class InTransitRunner:
         """
         if coordinator is None:  # No Transport: endpoint idles
             return InTransitResult(role="endpoint", rank=comm.rank)
-        t0 = _time.perf_counter()
         sink = AnalysisSink(self._endpoint_analysis)
         endpoint = FleetEndpoint(
             comm.rank,
@@ -347,10 +336,6 @@ class InTransitRunner:
 
         result = InTransitResult(role="endpoint", rank=comm.rank)
         result.steps = report.steps
-        result.wall_seconds = _time.perf_counter() - t0
-        result.mean_step_seconds = (
-            result.wall_seconds / report.steps if report.steps else 0.0
-        )
         result.stream_bytes = coordinator.received_bytes[comm.rank]
         result.staging_bytes = report.staging_peak
         result.memory_bytes = report.staging_peak

@@ -10,9 +10,10 @@ returned, so uninstrumented runs pay only a thread-local lookup plus
 no-op calls.
 
 A :class:`TelemetrySession` owns one :class:`Telemetry` per rank and
-the merged exports: Chrome trace JSON across all rank tracks,
-cross-rank-merged Prometheus/JSON metrics, per-rank memory peaks and
-their Fig. 3-style aggregate, and the flame summary.
+the merged views: per-span totals (:meth:`TelemetrySession.span_total`,
+where every reported duration is read), Chrome trace JSON across all
+rank tracks, cross-rank-merged Prometheus/JSON metrics, per-rank
+memory peaks and their Fig. 3-style aggregate, and the flame summary.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from pathlib import Path
 from repro.observe.live.collector import NullLiveCollector
 from repro.observe.memory import MemoryMeter, NullMemoryMeter, aggregate_peaks
 from repro.observe.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.observe.tracer import NullTracer, Tracer, chrome_trace, flame_summary
+from repro.observe.tracer import (
+    NullTracer,
+    SpanEvent,
+    Tracer,
+    chrome_trace,
+    flame_summary,
+)
 
 __all__ = [
     "Telemetry",
@@ -174,6 +181,19 @@ class TelemetrySession:
         for tel in self.telemetries():
             out.extend(tel.tracer.events)
         return sorted(out, key=lambda e: e.ts)
+
+    def span_total(self, name: str, rank: int | None) -> tuple[int, float]:
+        """Count and summed seconds of the spans called `name` on rank
+        `rank`'s track, or on every track for ``rank=None``: the one
+        place a run's durations are read from."""
+        durs = [
+            e.dur
+            for tel in self.telemetries()
+            if rank is None or tel.rank == rank
+            for e in tel.tracer.events
+            if isinstance(e, SpanEvent) and e.name == name
+        ]
+        return len(durs), sum(durs)
 
     def chrome_trace(self) -> dict:
         return chrome_trace(self.events(), process_name=self.label)

@@ -105,9 +105,10 @@ class NullTracer:
 
 
 class _Span:
-    """Live span handle; records a :class:`SpanEvent` on exit."""
+    """Live span handle; records a :class:`SpanEvent` on exit and keeps
+    its duration as ``dur``."""
 
-    __slots__ = ("_tracer", "name", "args", "_t0", "_path")
+    __slots__ = ("_tracer", "name", "args", "_t0", "_path", "dur")
 
     def __init__(self, tracer: "Tracer", name: str, args: dict):
         self._tracer = tracer
@@ -115,6 +116,7 @@ class _Span:
         self.args = args
         self._t0 = 0.0
         self._path = name
+        self.dur = 0.0
 
     def __enter__(self) -> "_Span":
         tracer = self._tracer
@@ -130,12 +132,13 @@ class _Span:
         now = tracer._clock()
         tracer._stack().pop()
         args = self.args
+        self.dur = now - self._t0
         tracer._record(
             SpanEvent(
                 name=self.name,
                 path=self._path,
                 ts=self._t0,
-                dur=now - self._t0,
+                dur=self.dur,
                 rank=tracer.rank,
                 args=args,
             )

@@ -23,7 +23,6 @@ the finished frame is the one metered D→H before step 4.
 
 from __future__ import annotations
 
-import time as _time
 from pathlib import Path
 
 import numpy as np
@@ -201,9 +200,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
             "repro_catalyst_image_bytes_total", "PNG bytes written in situ",
             read=lambda: self.image_bytes,
         )
-        #: wall seconds of render + PNG write on the rank that renders;
-        #: always on, like the two counters above
-        self.render_seconds = 0.0
         self.peak_staging_bytes = 0
         #: optional live-serving hook, ``publisher(name, step, time,
         #: png_bytes)`` — called with the *exact* bytes written to disk
@@ -328,7 +324,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                 if image is None:
                     return True  # only the root holds the volume and renders
                 staged_bytes = image.nbytes
-        t0 = _time.perf_counter()
         if device is None:
             # host residency stages the resampled working set in
             # host memory; device residency keeps it on the GPU
@@ -375,7 +370,6 @@ class CatalystAnalysisAdaptor(AnalysisAdaptor):
                         if self.publisher is not None:
                             self.publisher(name, step, time, data)
                 self.image_bytes += written
-            self.render_seconds += _time.perf_counter() - t0
         return True
 
     def _to_host_frame(self, rgb: np.ndarray, device, step: int, tel) -> np.ndarray:

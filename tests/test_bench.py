@@ -244,3 +244,31 @@ class TestPredictedRun:
         assert pred.seconds_per_step == 0.15
         assert pred.memory_aggregate_bytes == 800
         assert pred.memory_per_node_bytes(4) == 400
+
+
+def test_fig2_is_a_pure_function_of_counted_spans(monkeypatch):
+    """Every duration Fig. 2 replays is read from the measurement's
+    spans.  On a clock that ticks once per read, per thread, a span's
+    duration counts the instrument calls inside it, so two runs render
+    byte-identical tables; a side timer anywhere on the way makes them
+    differ."""
+    import threading
+
+    from repro.bench import fig2, measure, workloads
+    from repro.observe import TelemetrySession
+
+    ticks = threading.local()
+
+    def tick() -> float:
+        ticks.n = getattr(ticks, "n", 0) + 1
+        return float(ticks.n)
+
+    monkeypatch.setattr(
+        measure, "TelemetrySession", lambda label: TelemetrySession(label, clock=tick)
+    )
+    tables = []
+    for _ in range(2):
+        monkeypatch.setattr(workloads, "_profile_cache", {})
+        tables.append(fig2.run(measure_kwargs=dict(
+            ranks=2, steps=2, interval=2, image_size=64)).render())
+    assert tables[0] == tables[1]

@@ -160,9 +160,13 @@ def test_intransit_reports_insitu_seconds_without_telemetry(tmp_path):
 
 
 def test_bridge_insitu_seconds_grows_on_each_update():
+    """The seconds the solver spends blocked in ``Bridge.update`` are
+    its ``bridge.execute`` spans: one more, and a larger total, on each
+    update of an activated session."""
     from repro.insitu import Bridge
     from repro.nekrs import NekRSSolver
     from repro.nekrs.cases import lid_cavity_case
+    from repro.observe import TelemetrySession
     from repro.parallel import SerialCommunicator
     from repro.sensei.analysis_adaptor import AnalysisAdaptor
 
@@ -170,18 +174,22 @@ def test_bridge_insitu_seconds_grows_on_each_update():
         def execute(self, data):
             return True
 
+    session = TelemetrySession("bridge")
     case = lid_cavity_case(reynolds=100, elements=2, order=3, num_steps=1)
-    bridge = Bridge(NekRSSolver(case, SerialCommunicator()), analysis=Idle())
-    seen = [bridge.insitu_seconds]
-    for step in (1, 2, 3):
-        bridge.update(step, 0.1 * step)
-        seen.append(bridge.insitu_seconds)
-    assert seen[0] == 0.0
-    assert all(later > earlier for earlier, later in zip(seen, seen[1:]))
+    with session.activate(0):
+        bridge = Bridge(NekRSSolver(case, SerialCommunicator()), analysis=Idle())
+        seen = [session.span_total("bridge.execute", 0)]
+        for step in (1, 2, 3):
+            bridge.update(step, 0.1 * step)
+            seen.append(session.span_total("bridge.execute", 0))
+    assert seen[0] == (0, 0.0)
+    assert [count for count, _ in seen] == [0, 1, 2, 3]
+    assert all(later > earlier for (_, earlier), (_, later) in zip(seen, seen[1:]))
 
 
 def test_uninstrumented_stage_span_is_the_shared_null_span():
-    """The four e2e workloads run on this path: a span tagged
+    """``pb_solve``, ``pb_insitu`` and ``serve_fanout`` run on this
+    path (``rbc_intransit``'s runner owns a session): a span tagged
     ``stage=`` must stay the allocation-free no-op."""
     from repro.observe import get_telemetry
     from repro.observe.tracer import _NULL_SPAN
@@ -342,6 +350,41 @@ def test_sleep_call_sites_only_shrink():
     assert not [s for s in sites
                 if s.startswith(("bench/", "adios/", "fleet/"))], sites
     assert len(sites) <= 3, sites
+
+
+#: the ``perf_counter(`` sites that may stay, with why a span cannot be
+#: their clock
+PERF_COUNTER_SITES = {
+    "perf/gate.py": "the gate's kernel timer: it times bare kernels "
+                    "back to back, with no session to hold a span",
+    "util/timing.py": "``seconds_of``, the one wall-clock helper every "
+                      "other timing reads",
+    "bench/live_telemetry.py": "the live plane's overhead: a session "
+                               "cannot time its own cost",
+}
+
+
+def test_perf_counter_call_sites_only_shrink():
+    """Source scan: every duration a run reports is read from the
+    session's spans (``TelemetrySession.span_total``), so a hand timer
+    beside a span is a second clock for one region.  ``perf_counter(``
+    survives only in the files of ``PERF_COUNTER_SITES``, never in the
+    instrumented layers.  A new site fails here; removing one means
+    lowering the bound."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "perf_counter" in (
+                getattr(func, "attr", None), getattr(func, "id", None)
+            ):
+                sites.append(f"{rel}:{node.lineno}")
+    files = {site.split(":")[0] for site in sites}
+    assert files <= set(PERF_COUNTER_SITES), sorted(files - set(PERF_COUNTER_SITES))
+    assert not [s for s in sites if s.startswith(
+        ("insitu/", "sensei/", "adios/", "codec/", "fleet/", "nekrs/"))], sites
+    assert len(sites) <= 7, sites
 
 
 def test_pressure_iteration_count_cannot_decay_silently():

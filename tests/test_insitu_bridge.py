@@ -34,7 +34,6 @@ class TestBridge:
         assert [s for s, _ in rec.steps] == [1, 2, 3]
         assert rec.finalized
         assert bridge.invocations == 3
-        assert bridge.insitu_seconds > 0
 
     def test_requires_exactly_one_config(self, tiny_solver):
         with pytest.raises(ValueError):
